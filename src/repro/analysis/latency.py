@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accel import mean as _mean, median as _median, percentile as _percentile
-from repro.analysis.metrics import _ground_truth_updates
 from repro.components.system import RunResult
-from repro.core.reference import apply_T
+from repro.core.reference import ground_truth_alerts
 
 __all__ = ["NotificationLatency", "LatencyStats", "notification_latencies", "latency_stats"]
 
@@ -46,15 +45,10 @@ class NotificationLatency:
 def notification_latencies(run: RunResult) -> list[NotificationLatency]:
     """Per-ground-truth-alert first-notification latency for one run.
 
-    Ground truth comes from replaying T over the broadcast log; the
-    triggering time of an alert is the broadcast time of its newest
-    history update.  Matching is by alert identity, and "displayed" means
-    it survived the AD's filter.
+    Ground truth and trigger times come from
+    :func:`~repro.core.reference.ground_truth_alerts`.  Matching is by
+    alert identity, and "displayed" means it survived the AD's filter.
     """
-    broadcast_time: dict[tuple[str, int], float] = {}
-    for time, update in run.sent_log:
-        broadcast_time[(update.varname, update.seqno)] = time
-
     # First display time per identity: displayed alerts are a subsequence
     # of arrivals, displayed at their arrival instant.
     display_ids = {id(a) for a in run.displayed}
@@ -63,22 +57,16 @@ def notification_latencies(run: RunResult) -> list[NotificationLatency]:
         if id(alert) in display_ids:
             first_display.setdefault(alert.identity(), time)
 
-    results = []
-    for alert in apply_T(run.condition, _ground_truth_updates(run)):
-        # The triggering update is the newest history entry across
-        # variables (the one whose arrival fired the evaluation).
-        triggered_at = max(
-            broadcast_time[(var, alert.histories.seqno(var))]
-            for var in alert.variables
+    return [
+        NotificationLatency(
+            identity=alert.identity(),
+            triggered_at=triggered_at,
+            first_displayed_at=first_display.get(alert.identity()),
         )
-        results.append(
-            NotificationLatency(
-                identity=alert.identity(),
-                triggered_at=triggered_at,
-                first_displayed_at=first_display.get(alert.identity()),
-            )
+        for triggered_at, alert in ground_truth_alerts(
+            run.condition, run.sent_log
         )
-    return results
+    ]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.components.system import RunResult
 from repro.core.alert import alert_identity_set
-from repro.core.reference import apply_T
+from repro.core.reference import ground_truth_alerts
 
 __all__ = ["RunMetrics", "DeliveryStats", "collect_metrics", "delivery_stats"]
 
@@ -64,10 +64,8 @@ class DeliveryStats:
 
     ``expected`` is the number of alerts an ideal system — one CE, no
     losses, no downtime — would have raised over the DM's full output;
-    ``delivered`` counts how many of those identities reached the user.
-    For multi-variable conditions the ground truth depends on the
-    interleaving of the DM streams; we use the interleaving by broadcast
-    time (which is what an ideal co-located CE would observe).
+    ``delivered`` counts how many of those identities reached the user
+    (see :func:`~repro.core.reference.ground_truth_alerts`).
     """
 
     expected: int
@@ -85,16 +83,11 @@ class DeliveryStats:
         return self.missed / self.expected
 
 
-def _ground_truth_updates(run: RunResult) -> list:
-    """The DM output merged in broadcast order — what an ideal co-located
-    CE (one per all variables, zero-latency, lossless) would observe."""
-    return [update for _, update in run.sent_log]
-
-
 def delivery_stats(run: RunResult) -> DeliveryStats:
     """Compare displayed alerts against the ideal system's alerts."""
-    ground_truth = apply_T(run.condition, _ground_truth_updates(run))
-    expected = alert_identity_set(ground_truth)
+    expected = alert_identity_set(
+        alert for _, alert in ground_truth_alerts(run.condition, run.sent_log)
+    )
     displayed = alert_identity_set(run.displayed)
     return DeliveryStats(
         expected=len(expected),

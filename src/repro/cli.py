@@ -766,7 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trec.add_argument("--multi", action="store_true")
     p_trec.add_argument(
         "--kernel", choices=("object", "array"), default="array",
-        help="trial executor (both record bit-identical traces)",
+        help="kernel named in the trace header (the ordered event stream "
+             "is always recorded on the object kernel; both replay alike)",
     )
     p_trec.add_argument("--out", default=None, help="output .jsonl path")
     p_trec.add_argument(

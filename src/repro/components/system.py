@@ -43,7 +43,13 @@ from repro.simulation.network import (
 )
 from repro.simulation.rng import RandomStreams
 
-__all__ = ["SystemConfig", "RunResult", "MonitoringSystem", "run_system"]
+__all__ = [
+    "SystemConfig",
+    "RunResult",
+    "MonitoringSystem",
+    "emit_fault_surface",
+    "run_system",
+]
 
 #: A workload: per-variable (time, value) reading schedules.
 Workload = Mapping[str, Sequence[tuple[float, float]]]
@@ -189,6 +195,54 @@ class RunResult:
         return tuple(tuple(per_ce) for per_ce in stamps)
 
 
+def emit_fault_surface(config: SystemConfig, emit) -> None:
+    """Record the run's planned fault surface as structured events.
+
+    Emitted once, before any simulated event, in a deterministic
+    order — so a trace of a fault-injected run carries the complete
+    fault model (every window and adversary parameter), not just the
+    runtime consequences, and replays bit-identically.  Both kernels
+    call this one function (as they do
+    :func:`~repro.membership.registry.emit_membership_surface`).
+    """
+    for index in sorted(config.crash_schedules):
+        for start, end in config.crash_schedules[index].windows:
+            emit(0.0, "fault", "ce-crash-window", f"CE{index + 1}",
+                 start=start, end=end)
+    for varname in sorted(config.dm_crash_schedules):
+        for start, end in config.dm_crash_schedules[varname].windows:
+            emit(0.0, "fault", "dm-crash-window", f"DM-{varname}",
+                 start=start, end=end)
+    if config.ad_crash_schedule is not None:
+        for start, end in config.ad_crash_schedule.windows:
+            emit(0.0, "fault", "ad-crash-window", "AD", start=start, end=end)
+    for index in sorted(config.front_outages):
+        for start, end in config.front_outages[index].windows:
+            emit(0.0, "fault", "front-outage-window", f"CE{index + 1}",
+                 start=start, end=end)
+    for index in sorted(config.back_outages):
+        for start, end in config.back_outages[index].windows:
+            emit(0.0, "fault", "back-outage-window", f"CE{index + 1}->AD",
+                 start=start, end=end)
+    if config.front_loss_model is not None:
+        params = config.front_loss_model.params
+        emit(0.0, "fault", "burst-loss", "front",
+             good_to_bad=params.good_to_bad, bad_to_good=params.bad_to_good,
+             loss_good=params.loss_good, loss_bad=params.loss_bad)
+    if config.front_duplication is not None:
+        emit(0.0, "fault", "duplication", "front",
+             prob=config.front_duplication.duplicate_prob,
+             max_copies=config.front_duplication.max_copies)
+    for side, spikes in (
+        ("front", config.front_delay_spikes),
+        ("back", config.back_delay_spikes),
+    ):
+        if spikes is not None:
+            for start, end in spikes.windows:
+                emit(0.0, "fault", "delay-spike-window", side,
+                     start=start, end=end, factor=spikes.factor)
+
+
 class MonitoringSystem:
     """Builds and runs one monitoring system instance."""
 
@@ -290,58 +344,9 @@ class MonitoringSystem:
                 ce.enable_membership()
 
         if tracer is not None:
-            self._emit_fault_surface()
+            emit_fault_surface(config, tracer.emit)
             if self.membership_plan is not None:
-                emit_membership_surface(
-                    self.kernel.tracer.emit, self.membership_plan
-                )
-
-    def _emit_fault_surface(self) -> None:
-        """Record the run's planned fault surface as structured events.
-
-        Emitted once, before any simulated event, in a deterministic
-        order — so a trace of a fault-injected run carries the complete
-        fault model (every window and adversary parameter), not just the
-        runtime consequences, and replays bit-identically.
-        """
-        emit = self.kernel.tracer.emit
-        config = self.config
-        for index in sorted(config.crash_schedules):
-            for start, end in config.crash_schedules[index].windows:
-                emit(0.0, "fault", "ce-crash-window", f"CE{index + 1}",
-                     start=start, end=end)
-        for varname in sorted(config.dm_crash_schedules):
-            for start, end in config.dm_crash_schedules[varname].windows:
-                emit(0.0, "fault", "dm-crash-window", f"DM-{varname}",
-                     start=start, end=end)
-        if config.ad_crash_schedule is not None:
-            for start, end in config.ad_crash_schedule.windows:
-                emit(0.0, "fault", "ad-crash-window", "AD", start=start, end=end)
-        for index in sorted(config.front_outages):
-            for start, end in config.front_outages[index].windows:
-                emit(0.0, "fault", "front-outage-window", f"CE{index + 1}",
-                     start=start, end=end)
-        for index in sorted(config.back_outages):
-            for start, end in config.back_outages[index].windows:
-                emit(0.0, "fault", "back-outage-window", f"CE{index + 1}->AD",
-                     start=start, end=end)
-        if config.front_loss_model is not None:
-            params = config.front_loss_model.params
-            emit(0.0, "fault", "burst-loss", "front",
-                 good_to_bad=params.good_to_bad, bad_to_good=params.bad_to_good,
-                 loss_good=params.loss_good, loss_bad=params.loss_bad)
-        if config.front_duplication is not None:
-            emit(0.0, "fault", "duplication", "front",
-                 prob=config.front_duplication.duplicate_prob,
-                 max_copies=config.front_duplication.max_copies)
-        for side, spikes in (
-            ("front", config.front_delay_spikes),
-            ("back", config.back_delay_spikes),
-        ):
-            if spikes is not None:
-                for start, end in spikes.windows:
-                    emit(0.0, "fault", "delay-spike-window", side,
-                         start=start, end=end, factor=spikes.factor)
+                emit_membership_surface(tracer.emit, self.membership_plan)
 
     def _schedule_membership_events(self) -> None:
         """Schedule every planned rejoin/catch-up *before* any reading.
@@ -349,9 +354,9 @@ class MonitoringSystem:
         Membership events therefore take the globally lowest schedule
         seqs, so at equal simulated time a rejoin or catch-up fires
         before any reading or delivery — the invariant the catch-up
-        knowledge snapshot relies on, and what the array kernel's traced
-        path replicates seq for seq.  With membership off nothing is
-        scheduled and every existing trace stays bit-identical.
+        knowledge snapshot relies on, and the tie-break the array kernel
+        reproduces.  With membership off nothing is scheduled and every
+        existing trace stays bit-identical.
         """
         for event in self.membership_plan.recoveries:
             ce = self.ces[event.ce_index]
@@ -440,9 +445,12 @@ def run_system(
     link, CE and AD events; ``None`` — the default — disables tracing.
 
     ``kernel`` selects the trial executor: ``"object"`` (this module's
-    event-object simulator, the authoritative semantics) or ``"array"``
+    event-object simulator, the authoritative semantics and the only
+    emitter of the ordered event stream) or ``"array"``
     (:mod:`repro.simulation.arraykernel`, the struct-of-arrays fast path
-    that must produce identical results and bit-identical traces).
+    that must produce identical results and, for order-free tracers,
+    identical counters; a tracer that needs the ordered stream is run
+    here whichever kernel was asked for).
     """
     if kernel == "array":
         from repro.simulation.arraykernel import run_system_array

@@ -13,6 +13,14 @@ three consumption modes the observability layer needs:
 * :class:`MemoryTracer` / :class:`JsonlTraceRecorder` — full event
   capture, for replay equality checks and JSONL trace artifacts.
 * :class:`TeeTracer` — fan one run out to several consumers.
+
+That is three levels of detail — off (``tracer=None``), counters, full —
+and a tracer says which it needs.  A tracer with ``order_free = True``
+promises that its result does not depend on the order, times or payloads
+of events; the array kernel then serves it through ``count(stage, kind,
+node, reason=None, n=1)`` alone, folding whole batches into one call,
+and never calls its ``emit``.  Any other tracer gets the ordered
+``repro.trace/1`` stream, which only the object kernel emits.
 """
 
 from __future__ import annotations
@@ -83,13 +91,24 @@ class CountersTracer:
     cheap enough for bulk trial batches.
     """
 
+    #: Counts are a fold: no event order, time or payload is needed.
+    order_free = True
+
     def __init__(self) -> None:
         self.counts: Counter[str] = Counter()
 
     def emit(
         self, time: float, stage: str, kind: str, node: str, **data: Any
     ) -> None:
-        self.counts[f"{stage}/{kind}/{node}"] += 1
+        self.count(stage, kind, node, data.get("reason"))
+
+    def count(
+        self, stage: str, kind: str, node: str,
+        reason: object | None = None, n: int = 1,
+    ) -> None:
+        """The order-free hook: ``n`` occurrences of one event key at once."""
+        if n:
+            self.counts[f"{stage}/{kind}/{node}"] += n
 
     def as_dict(self) -> dict[str, int]:
         """A plain sorted dict — the picklable cross-process form."""
@@ -147,13 +166,13 @@ class ReasonCountersTracer(CountersTracer):
     run identities.
     """
 
-    def emit(
-        self, time: float, stage: str, kind: str, node: str, **data: Any
+    def count(
+        self, stage: str, kind: str, node: str,
+        reason: object | None = None, n: int = 1,
     ) -> None:
-        reason = data.get("reason")
         if reason is not None:
             kind = f"{kind}:{str(reason).split(':', 1)[0]}"
-        self.counts[f"{stage}/{kind}/{node}"] += 1
+        super().count(stage, kind, node, n=n)
 
 
 class TeeTracer:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.accel import percentile
 from repro.components.system import RunResult
 from repro.core.alert import Alert, alert_event_key
-from repro.core.evaluator import ConditionEvaluator
+from repro.core.reference import ground_truth_alerts
 
 __all__ = [
     "AlertQuality",
@@ -130,18 +130,15 @@ class AlertQuality:
 def ground_truth_events(run: RunResult) -> dict[tuple, float]:
     """Expected event key → trigger time (broadcast time of the trigger).
 
-    Feeds the merged broadcast log through a fresh evaluator — the ideal
-    co-located CE — noting *when* each alert fires.  Head-seqno vectors
-    are unique per trigger (each fire incorporates a fresh seqno in the
-    triggering variable), so the mapping is injective.
+    Keys the ideal co-located CE's alerts
+    (:func:`~repro.core.reference.ground_truth_alerts`).  Head-seqno
+    vectors are unique per trigger (each fire incorporates a fresh seqno
+    in the triggering variable), so the mapping is injective.
     """
-    evaluator = ConditionEvaluator(run.condition, source="N")
     events: dict[tuple, float] = {}
     variables = run.condition.variables
-    for time, update in run.sent_log:
-        alert = evaluator.ingest(update)
-        if alert is not None:
-            events.setdefault(alert_event_key(alert, variables), time)
+    for time, alert in ground_truth_alerts(run.condition, run.sent_log):
+        events.setdefault(alert_event_key(alert, variables), time)
     return events
 
 

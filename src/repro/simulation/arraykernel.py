@@ -10,8 +10,8 @@ DataMonitor → LossyFifoLink → CENode → expression-AST evaluation.
 This module executes the *same* trial as flat passes over preallocated
 lists — the struct-of-arrays layout:
 
-* **Integer-coded events.**  The untraced fast path has no event objects
-  at all.  The event graph of a monitoring run is feed-forward (readings
+* **Integer-coded events.**  The scheduler has no heap and no event
+  objects.  The event graph of a monitoring run is feed-forward (readings
   → front deliveries → back deliveries; no stage feeds an earlier one),
   so the run decomposes into three phases executed as plain loops over
   sorted tuple arrays, with integer *rank* counters replicating the
@@ -28,20 +28,27 @@ lists — the struct-of-arrays layout:
   :class:`~repro.core.evaluator.ConditionEvaluator`.
 
 Differential oracle contract: for any ``(condition, workload, config,
-seed)`` — including fault-injected configs — :func:`run_system_array`
-returns a :class:`~repro.components.system.RunResult` equal to the object
-kernel's, and when a tracer is attached it emits a bit-identical
-``repro.trace/1`` event stream.  The traced path replays the object
-kernel's global schedule-sequence counter natively rather than delegating
-to it, so trace equality is a real end-to-end check, not a tautology.
-The object kernel stays authoritative; this module must follow it.
+seed)`` — including fault-injected and membership-on configs —
+:func:`run_system_array` returns a
+:class:`~repro.components.system.RunResult` equal to the object kernel's,
+and an order-free tracer (see :mod:`repro.observability.tracer`) ends the
+run holding the object kernel's counters, key for key.  The counters are
+not a replay of the object kernel's schedule: they are folded from the
+lengths and tallies the three phases already have, so their equality is
+an independent derivation.  There is no ordered event stream here; a
+tracer that needs one is run on the object kernel, which stays
+authoritative — this module must follow it.
 """
 
 from __future__ import annotations
 
-import heapq
-
-from repro.components.system import RunResult, SystemConfig, Workload
+from repro.components.system import (
+    MonitoringSystem,
+    RunResult,
+    SystemConfig,
+    Workload,
+    emit_fault_surface,
+)
 from repro.core.alert import Alert
 from repro.core.condition import Condition, ExpressionCondition
 from repro.core.evaluator import ConditionEvaluator
@@ -178,23 +185,47 @@ _D_UNIFORM, _D_FIXED, _D_SKEW, _D_GENERIC = 0, 1, 2, 3
 
 
 def _delay_parts(delay) -> tuple:
-    """(kind, params...) so hot loops can sample without method dispatch."""
+    """``(kind, p1, p2, p3, p4, skew bases)`` so hot loops can sample
+    without method dispatch; parameters a kind does not use are 0.0."""
     kind = type(delay)
     if kind is UniformDelay:
-        return (_D_UNIFORM, delay.min_delay, delay.max_delay - delay.min_delay)
+        lo, hi = delay.min_delay, delay.max_delay
+        return (_D_UNIFORM, lo, hi - lo, 0.0, 0.0, None)
     if kind is FixedDelay:
-        return (_D_FIXED, delay.delay, 0.0)
+        return (_D_FIXED, delay.delay, 0.0, 0.0, 0.0, None)
     if kind is PerLinkSkewDelay:
         b0, b1 = delay.base_range
         j0, j1 = delay.jitter_range
         return (_D_SKEW, b0, b1 - b0, j0, j1 - j0, delay._bases)
-    return (_D_GENERIC,)
+    return (_D_GENERIC, 0.0, 0.0, 0.0, 0.0, None)
 
 
-# Event kind codes for the traced path's native heap.
-_E_READING, _E_FRONT, _E_BACK, _E_REJOIN, _E_CATCHUP = 0, 1, 2, 3, 4
+def _sample_delay(
+    parts, rnd, rng, skew_bases, index, spikes, model, now: float
+) -> float:
+    """One link-delay draw (``Link._sample_delay``): model, then spike factor.
 
-_MAX_EVENTS = 1_000_000
+    ``skew_bases[index]`` is the link's lazily drawn per-link base.  The
+    two hot loops inline the same cases; this serves the duplicate-copy,
+    catch-up and evaluator-fallback corners of both link directions.
+    """
+    kind = parts[0]
+    if kind == _D_UNIFORM:
+        delay = parts[1] + parts[2] * rnd()
+    elif kind == _D_SKEW:
+        base = skew_bases[index]
+        if base is None:
+            base = parts[1] + parts[2] * rnd()
+            skew_bases[index] = base
+            parts[5][id(rng)] = base
+        delay = base + (parts[3] + parts[4] * rnd())
+    elif kind == _D_FIXED:
+        delay = parts[1]
+    else:
+        delay = model.sample(rng)
+    if spikes is not None:
+        delay *= spikes.factor_at(now)
+    return delay
 
 
 class _Trial:
@@ -257,6 +288,19 @@ class _Trial:
         self.fl_tag = [0] * n_links
         self.fl_last_tag = [-1] * n_links
         self.fl_skew_base: list[float | None] = [None] * n_links
+        #: Per-link tallies of the rare send/receive decisions, by the
+        #: ``reason`` the object kernel's ``link/drop`` event carries;
+        #: ``_count_run`` folds them (and every other counter) after the run.
+        self.fl_drops = {
+            reason: [0] * n_links
+            for reason in (
+                "outage",
+                "loss" if config.front_loss_model is None else "burst",
+                "duplicate",
+                "reorder",
+            )
+        }
+        self.fl_copies = [0] * n_links
         for dm_idx, var in enumerate(self.variables):
             for ce_idx in range(replication):
                 li = dm_idx * replication + ce_idx
@@ -280,6 +324,9 @@ class _Trial:
         self.bl_rng = [streams.stream(f"back/CE{i + 1}") for i in range(replication)]
         self.bl_rnd = [rng.random for rng in self.bl_rng]
         self.bl_last = [0.0] * replication
+        #: Back-link sends stalled by a link outage / by AD downtime.
+        self.bl_outage_holds = [0] * replication
+        self.bl_ad_holds = [0] * replication
         self.back_parts = _delay_parts(config.back_delay)
         self.bl_skew_base: list[float | None] = [None] * replication
         if self.back_parts[0] == _D_SKEW:
@@ -339,12 +386,17 @@ class _Trial:
             self.mem_buf: list[list[Update]] = [[] for _ in range(replication)]
             self.hw: list[dict[str, int]] = [{} for _ in range(replication)]
             self.caught_up = [0] * replication
+            #: Per-CE tallies: arrivals buffered while recovering, stale
+            #: in-flight datagrams dropped, buffered arrivals replayed at
+            #: catch-up, and buffered arrivals that died unevaluated.
+            self.buffered = [0] * replication
+            self.stale = [0] * replication
+            self.replayed = [0] * replication
+            self.flushed = [0] * replication
             # Membership events in the object kernel's *generation* order
             # (plan.recoveries order, rejoin then catch-up per event) —
             # exactly the schedule-seq order MonitoringSystem assigns, so
-            # the traced path can replicate seqs 0..m-1 natively.  The
-            # time-sorted view drives the untraced phase-2 merge; sorting
-            # by (time, generation-order) equals (time, seq) order.
+            # sorting by (time, generation-order) equals (time, seq) order.
             sched: list[tuple[float, int, int, int, object]] = []
             for event in self.mem_plan.recoveries:
                 sched.append(
@@ -355,74 +407,24 @@ class _Trial:
                         (event.complete_time, len(sched), 1,
                          event.ce_index, event)
                     )
-            self.mem_sched = sched
             self.mem_events = sorted(sched, key=lambda e: (e[0], e[1]))
 
         # -- AD --
         self.ad_arrivals: list[Alert] = []
         self.ad_times: list[float] = []
         self.ad_avail = config.ad_crash_schedule
-        #: Filled by the untraced inline AD scan (pass/AD-5); None means
-        #: the real ADAlgorithm object processed the stream and holds the
-        #: output (the traced path and the generic-algorithm fallback).
+        #: Filled by the inline AD scan (pass/AD-5); None means the real
+        #: ADAlgorithm object processed the stream and holds the output.
         self.displayed: tuple[Alert, ...] | None = None
         self.filtered: tuple[Alert, ...] | None = None
 
     # -- shared inner steps --------------------------------------------------
 
-    def _sample_front(self, li: int, now: float) -> float:
-        """One front-link delay draw for link ``li`` at time ``now``.
-
-        Mirrors ``Link._sample_delay``: model draw, then spike factor.
-        The hot untraced loop inlines the uniform/skew cases; this helper
-        serves the duplicate-copy path and the traced path.
-        """
-        parts = self.front_parts
-        kind = parts[0]
-        if kind == _D_UNIFORM:
-            delay = parts[1] + parts[2] * self.fl_rnd[li]()
-        elif kind == _D_SKEW:
-            base = self.fl_skew_base[li]
-            if base is None:
-                base = parts[1] + parts[2] * self.fl_rnd[li]()
-                self.fl_skew_base[li] = base
-                parts[5][id(self.fl_rng[li])] = base
-            delay = base + (parts[3] + parts[4] * self.fl_rnd[li]())
-        elif kind == _D_FIXED:
-            delay = parts[1]
-        else:
-            delay = self.config.front_delay.sample(self.fl_rng[li])
-        spikes = self.config.front_delay_spikes
-        if spikes is not None:
-            delay *= spikes.factor_at(now)
-        return delay
-
-    def _sample_back(self, ce_idx: int, now: float) -> float:
-        parts = self.back_parts
-        kind = parts[0]
-        if kind == _D_UNIFORM:
-            delay = parts[1] + parts[2] * self.bl_rnd[ce_idx]()
-        elif kind == _D_SKEW:
-            base = self.bl_skew_base[ce_idx]
-            if base is None:
-                base = parts[1] + parts[2] * self.bl_rnd[ce_idx]()
-                self.bl_skew_base[ce_idx] = base
-                parts[5][id(self.bl_rng[ce_idx])] = base
-            delay = base + (parts[3] + parts[4] * self.bl_rnd[ce_idx]())
-        elif kind == _D_FIXED:
-            delay = parts[1]
-        else:
-            delay = self.config.back_delay.sample(self.bl_rng[ce_idx])
-        spikes = self.config.back_delay_spikes
-        if spikes is not None:
-            delay *= spikes.factor_at(now)
-        return delay
-
     def _ingest(self, ce_idx: int, update: Update) -> Alert | None:
         """CE evaluation step; exact ConditionEvaluator.ingest semantics.
 
-        Serves the traced path and the duplicate-heavy corners; the
-        untraced phase-2 loop inlines an equivalent body.
+        Serves catch-up replay and the evaluator fallback; the closure
+        phase-2 loop inlines an equivalent body.
         """
         if self.closure is None:
             return self.evaluators[ce_idx].ingest(update)
@@ -457,19 +459,24 @@ class _Trial:
         """Back-link delivery-time computation (ReliableLink/StoreAndForward).
 
         Returns the delivery time; updates the per-link monotone clamp.
-        Used by the untraced path (the traced path re-derives it inline so
-        it can emit the hold events at the right points).
         """
-        raw = now + self._sample_back(ce_idx, now)
+        config = self.config
+        raw = now + _sample_delay(
+            self.back_parts, self.bl_rnd[ce_idx], self.bl_rng[ce_idx],
+            self.bl_skew_base, ce_idx, config.back_delay_spikes,
+            config.back_delay, now,
+        )
         outage = self.back_outage[ce_idx]
         if outage is not None:
             up_at = outage.next_up_time(raw)
             if up_at > raw:
+                self.bl_outage_holds[ce_idx] += 1
                 raw = up_at
         delivery = raw if raw > self.bl_last[ce_idx] else self.bl_last[ce_idx]
         if self.ad_avail is not None:
             available_at = self.ad_avail.next_up_time(delivery)
             if available_at > delivery:
+                self.bl_ad_holds[ce_idx] += 1
                 delivery = available_at
         self.bl_last[ce_idx] = delivery
         if delivery < now:
@@ -478,34 +485,32 @@ class _Trial:
             )
         return delivery
 
-    # -- membership lifecycle (mirrors CENode emission for emission) --------
+    # -- membership lifecycle (mirrors CENode decision for decision) --------
 
-    def _mem_rejoin(self, ce_idx: int, event, now: float, emit=None) -> None:
-        """Rejoin: flush an aborted recovery's buffer, enter recovering."""
+    def _flush(self, ce_idx: int) -> None:
+        """Buffered arrivals that die unevaluated count as missed."""
         buf = self.mem_buf[ce_idx]
-        if buf:
-            self.missed[ce_idx] += len(buf)
-            buf.clear()
-        self.rec_flag[ce_idx] = event.source != "none"
-        if emit is not None:
-            emit(now, "membership", "rejoin", f"CE{ce_idx + 1}",
-                 source=event.source, attempts=event.attempts,
-                 aborted=event.aborted)
+        self.missed[ce_idx] += len(buf)
+        self.flushed[ce_idx] += len(buf)
+        buf.clear()
 
-    def _mem_catchup(self, ce_idx: int, event, now: float, on_alert,
-                     emit=None) -> None:
+    def _mem_rejoin(self, ce_idx: int, event) -> None:
+        """Rejoin: flush an aborted recovery's buffer, enter recovering."""
+        self._flush(ce_idx)
+        self.rec_flag[ce_idx] = event.source != "none"
+
+    def _mem_catchup(self, ce_idx: int, event, now: float, on_alert) -> None:
         """Catch-up: snapshot the source's knowledge at fire time,
         clock-filter, replay through evaluation, then the live buffer.
 
         ``on_alert(ce_idx, alert, now)`` ships a raised alert over the
-        back link — the untraced path appends to the phase-3 queue, the
-        traced path runs the full emit-and-schedule send block.
+        back link.
         """
         self.rec_flag[ce_idx] = False
         if event.source == "log":
             # sent_log append order is already (time, varname)-sorted;
-            # the time filter matters on the untraced path, where phase 1
-            # has logged the whole run's sends before any delivery fires.
+            # the time filter matters because phase 1 has logged the
+            # whole run's sends before any delivery fires.
             knowledge = [u for t, u in self.sent_log if t < now]
         else:
             peer = int(event.source.rsplit(":CE", 1)[1]) - 1
@@ -514,53 +519,27 @@ class _Trial:
             else:
                 knowledge = list(self.evaluators[peer].received)
         hw = self.hw[ce_idx]
-        name = f"CE{ce_idx + 1}"
-        recovered = replayed = stale = 0
-        for update in knowledge:
-            if update.seqno <= hw.get(update.varname, 0):
-                continue
-            hw[update.varname] = update.seqno
-            if emit is not None:
-                emit(now, "membership", "catchup-ingest", name,
-                     msg=str(update), source=event.source)
-            recovered += 1
-            alert = self._ingest(ce_idx, update)
-            if alert is not None:
-                if emit is not None:
-                    emit(now, "ce", "alert-raised", name, alert=str(alert))
-                on_alert(ce_idx, alert, now)
-        for update in self.mem_buf[ce_idx]:
-            if update.seqno <= hw.get(update.varname, 0):
-                stale += 1
-                continue
-            hw[update.varname] = update.seqno
-            if emit is not None:
-                emit(now, "membership", "replay-buffered", name,
-                     msg=str(update))
-            replayed += 1
-            alert = self._ingest(ce_idx, update)
-            if alert is not None:
-                if emit is not None:
-                    emit(now, "ce", "alert-raised", name, alert=str(alert))
-                on_alert(ce_idx, alert, now)
+        for tally, updates in (
+            (self.caught_up, knowledge), (self.replayed, self.mem_buf[ce_idx])
+        ):
+            for update in updates:
+                if update.seqno <= hw.get(update.varname, 0):
+                    continue
+                hw[update.varname] = update.seqno
+                tally[ce_idx] += 1
+                alert = self._ingest(ce_idx, update)
+                if alert is not None:
+                    on_alert(ce_idx, alert, now)
         self.mem_buf[ce_idx].clear()
-        self.caught_up[ce_idx] += recovered
-        if emit is not None:
-            emit(now, "membership", "catchup-complete", name,
-                 source=event.source, recovered=recovered,
-                 replayed=replayed, stale=stale,
-                 clock={var: hw[var] for var in sorted(hw)})
 
     # -- result assembly -----------------------------------------------------
 
     def result(self) -> RunResult:
         if self.mem_on:
             # A node still recovering at end of run never evaluated its
-            # buffered arrivals — they count as missed (CENode.flush).
-            for ce_idx, buf in enumerate(self.mem_buf):
-                if buf:
-                    self.missed[ce_idx] += len(buf)
-                    buf.clear()
+            # buffered arrivals (CENode.flush_recovery_buffer).
+            for ce_idx in range(self.replication):
+                self._flush(ce_idx)
                 self.rec_flag[ce_idx] = False
         if self.closure is None:
             received = tuple(e.received for e in self.evaluators)
@@ -576,7 +555,7 @@ class _Trial:
                 var: tuple(sent)
                 for var, sent in zip(self.variables, self.sent)
             },
-            # Appended in fire order on both paths: readings execute in
+            # Appended in fire order: readings execute in
             # (time, schedule-seq) order, scheduling is DM-major over
             # sorted variables, so append order is already the object
             # kernel's sorted (time, varname) order.
@@ -601,10 +580,18 @@ class _Trial:
 
 
 # ---------------------------------------------------------------------------
-# Untraced fast path: three flat phases, no heap, no event objects
+# The scheduler: three flat phases, no heap, no event objects
 # ---------------------------------------------------------------------------
 
-def _run_untraced(trial: _Trial) -> RunResult:
+def _run(trial: _Trial, count=None) -> RunResult:
+    """Execute the trial; ``count`` is an order-free tracer's hook or None.
+
+    The loops only tally their rare branches (drops, holds, buffering) in
+    plain ints on the trial; :func:`_count_run` folds those and the
+    lengths the phases produce into counters once the run is over.  The
+    one thing counted as it happens is the AD's rejection reason, which
+    depends on the filter state at decision time.
+    """
     config = trial.config
     replication = trial.replication
     _new = object.__new__
@@ -638,15 +625,14 @@ def _run_untraced(trial: _Trial) -> RunResult:
     fl_skew_base = trial.fl_skew_base
     front_outage = trial.front_outage
     parts = trial.front_parts
-    front_kind = parts[0]
-    fp1 = parts[1] if len(parts) > 1 else 0.0
-    fp2 = parts[2] if len(parts) > 2 else 0.0
-    fp3 = parts[3] if len(parts) > 3 else 0.0
-    fp4 = parts[4] if len(parts) > 4 else 0.0
+    front_kind, fp1, fp2, fp3, fp4, _bases = parts
     front_spikes = config.front_delay_spikes
     loss_model = config.front_loss_model
     duplication = config.front_duplication
     ce_range = range(replication)
+    outage_drops = trial.fl_drops["outage"]
+    #: Keyed "loss" or "burst": a run draws from one loss process only.
+    loss_drops = trial.fl_drops["loss" if loss_model is None else "burst"]
 
     #: (arrival_time, rank, tag, link_idx, update) — rank replicates the
     #: object kernel's schedule-seq *relative* order among front events.
@@ -698,8 +684,10 @@ def _run_untraced(trial: _Trial) -> RunResult:
                     mtag = tag
                     tag += 1
                     if outage is not None and not outage.is_up(time):
+                        outage_drops[li] += 1
                         continue
                     if rnd() < loss:
+                        loss_drops[li] += 1
                         continue
                     if front_kind == _D_UNIFORM:
                         delay = fp1 + fp2 * rnd()
@@ -749,12 +737,15 @@ def _run_untraced(trial: _Trial) -> RunResult:
                 fl_tag[li] = tag + 1
                 outage = front_outage[ce_idx]
                 if outage is not None and not outage.is_up(time):
+                    outage_drops[li] += 1
                     continue
                 rnd = fl_rnd[li]
                 if loss_model is not None:
                     if loss_model.dropped(fl_rng[li]):
+                        loss_drops[li] += 1
                         continue
                 elif rnd() < fl_loss[li]:
+                    loss_drops[li] += 1
                     continue
                 if front_kind == _D_UNIFORM:
                     delay = fp1 + fp2 * rnd()
@@ -779,7 +770,11 @@ def _run_untraced(trial: _Trial) -> RunResult:
                 rank += 1
                 if duplication is not None:
                     for _ in range(duplication.draw_copies(fl_rng[li])):
-                        delay = trial._sample_front(li, time)
+                        trial.fl_copies[li] += 1
+                        delay = _sample_delay(
+                            parts, rnd, fl_rng[li], fl_skew_base, li,
+                            front_spikes, config.front_delay, time,
+                        )
                         if delay < 0:
                             raise SimulationError(
                                 f"cannot schedule into the past (delay={delay})"
@@ -793,6 +788,7 @@ def _run_untraced(trial: _Trial) -> RunResult:
     # since they touch only AD state.
     arrivals.sort()
     fl_last_tag = trial.fl_last_tag
+    fl_drops = trial.fl_drops
     ce_crash = trial.ce_crash
     missed = trial.missed
     back_events: list[tuple[float, int, Alert, tuple | None]] = []
@@ -801,11 +797,7 @@ def _run_untraced(trial: _Trial) -> RunResult:
 
     # Back-link locals, shared by both phase-2 bodies below.
     bparts = trial.back_parts
-    back_kind = bparts[0]
-    bp1 = bparts[1] if len(bparts) > 1 else 0.0
-    bp2 = bparts[2] if len(bparts) > 2 else 0.0
-    bp3 = bparts[3] if len(bparts) > 3 else 0.0
-    bp4 = bparts[4] if len(bparts) > 4 else 0.0
+    back_kind, bp1, bp2, bp3, bp4, _bases = bparts
     back_spikes = config.back_delay_spikes
     bl_rnd = trial.bl_rnd
     bl_rng = trial.bl_rng
@@ -816,10 +808,13 @@ def _run_untraced(trial: _Trial) -> RunResult:
 
     closure = trial.closure
     algorithm = trial.algorithm
+    #: The inline AD scans stand in for an algorithm object nobody else
+    #: observes; a counted run needs the object's rejection reasons.
+    inline = trial.own_algorithm and count is None
     #: Inline AD-5 needs per-alert head seqnos in algorithm.varnames order;
     #: the closure path has them for free iff the buffer order matches.
     ad5_inline = (
-        trial.own_algorithm
+        inline
         and type(algorithm) is AD5
         and closure is not None
         and tuple(algorithm.varnames) == tuple(trial.cond_vars)
@@ -849,7 +844,7 @@ def _run_untraced(trial: _Trial) -> RunResult:
             mtime, _order, mkind, mce, mev = mem_events[mi]
             mi += 1
             if mkind == 0:
-                trial._mem_rejoin(mce, mev, mtime)
+                trial._mem_rejoin(mce, mev)
             else:
                 trial._mem_catchup(mce, mev, mtime, mem_alert)
 
@@ -875,7 +870,10 @@ def _run_untraced(trial: _Trial) -> RunResult:
             if mi < mn and mem_events[mi][0] <= time:
                 fire_mem(time)
             if tag <= fl_last_tag[li]:
-                continue  # duplicate or reordered datagram: receiver drops it
+                # The receiver drops a copy (equal tag) or a late datagram.
+                reason = "duplicate" if tag == fl_last_tag[li] else "reorder"
+                fl_drops[reason][li] += 1
+                continue
             fl_last_tag[li] = tag
             ce_idx = li_ce[li]
             crash = ce_crash[ce_idx]
@@ -885,8 +883,10 @@ def _run_untraced(trial: _Trial) -> RunResult:
             if mem_on:
                 if trial.rec_flag[ce_idx]:
                     trial.mem_buf[ce_idx].append(update)
+                    trial.buffered[ce_idx] += 1
                     continue
                 if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
+                    trial.stale[ce_idx] += 1
                     continue  # stale in-flight datagram: catch-up beat it
                 trial.hw[ce_idx][update.varname] = update.seqno
             # -- inline ConditionEvaluator.ingest ------------------------
@@ -942,12 +942,14 @@ def _run_untraced(trial: _Trial) -> RunResult:
             if outage is not None:
                 up_at = outage.next_up_time(raw)
                 if up_at > raw:
+                    trial.bl_outage_holds[ce_idx] += 1
                     raw = up_at
             last = bl_last[ce_idx]
             delivery = raw if raw > last else last
             if ad_avail is not None:
                 available_at = ad_avail.next_up_time(delivery)
                 if available_at > delivery:
+                    trial.bl_ad_holds[ce_idx] += 1
                     delivery = available_at
             bl_last[ce_idx] = delivery
             if delivery < time:
@@ -965,6 +967,8 @@ def _run_untraced(trial: _Trial) -> RunResult:
             if mi < mn and mem_events[mi][0] <= time:
                 fire_mem(time)
             if tag <= fl_last_tag[li]:
+                reason = "duplicate" if tag == fl_last_tag[li] else "reorder"
+                fl_drops[reason][li] += 1
                 continue
             fl_last_tag[li] = tag
             ce_idx = li % replication
@@ -975,8 +979,10 @@ def _run_untraced(trial: _Trial) -> RunResult:
             if mem_on:
                 if trial.rec_flag[ce_idx]:
                     trial.mem_buf[ce_idx].append(update)
+                    trial.buffered[ce_idx] += 1
                     continue
                 if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
+                    trial.stale[ce_idx] += 1
                     continue
                 trial.hw[ce_idx][update.varname] = update.seqno
             alert = ingest(ce_idx, update)
@@ -992,7 +998,7 @@ def _run_untraced(trial: _Trial) -> RunResult:
     back_events.sort()
     ad_arrivals_append = trial.ad_arrivals.append
     ad_times_append = trial.ad_times.append
-    if trial.own_algorithm and type(algorithm) is PassThrough:
+    if inline and type(algorithm) is PassThrough:
         displayed = []
         for time, _brank, alert, _seqs in back_events:
             ad_arrivals_append(alert)
@@ -1000,7 +1006,7 @@ def _run_untraced(trial: _Trial) -> RunResult:
             displayed.append(alert)
         trial.displayed = tuple(displayed)
         trial.filtered = ()
-    elif trial.own_algorithm and type(algorithm) is AD5:
+    elif inline and type(algorithm) is AD5:
         varnames = algorithm.varnames
         ad_last = [-1] * len(varnames)
         displayed = []
@@ -1031,268 +1037,78 @@ def _run_untraced(trial: _Trial) -> RunResult:
         for time, _brank, alert, _seqs in back_events:
             ad_arrivals_append(alert)
             ad_times_append(time)
-            offer(alert)
+            if offer(alert):
+                if count is not None:
+                    count("ad", "display", "AD")
+            elif count is not None:
+                count("ad", "filter", "AD", algorithm.rejection_reason(alert))
 
+    if count is not None:
+        _count_run(
+            trial, count, mn + len(merged) + len(arrivals) + len(back_events)
+        )
     return trial.result()
 
 
-# ---------------------------------------------------------------------------
-# Traced path: native heap replaying the object kernel's (time, seq) order
-# and emitting a bit-identical repro.trace/1 event stream
-# ---------------------------------------------------------------------------
+def _count_run(trial: _Trial, count, events: int) -> None:
+    """Fold a finished trial into the object kernel's ``stage/kind/node``
+    counters (AD display/filter excepted: phase 3 counted those).
 
-def _emit_fault_surface(trial: _Trial, emit) -> None:
-    """Identical to MonitoringSystem._emit_fault_surface, field for field."""
-    config = trial.config
-    for index in sorted(config.crash_schedules):
-        for start, end in config.crash_schedules[index].windows:
-            emit(0.0, "fault", "ce-crash-window", f"CE{index + 1}",
-                 start=start, end=end)
-    for varname in sorted(config.dm_crash_schedules):
-        for start, end in config.dm_crash_schedules[varname].windows:
-            emit(0.0, "fault", "dm-crash-window", f"DM-{varname}",
-                 start=start, end=end)
-    if config.ad_crash_schedule is not None:
-        for start, end in config.ad_crash_schedule.windows:
-            emit(0.0, "fault", "ad-crash-window", "AD", start=start, end=end)
-    for index in sorted(config.front_outages):
-        for start, end in config.front_outages[index].windows:
-            emit(0.0, "fault", "front-outage-window", f"CE{index + 1}",
-                 start=start, end=end)
-    for index in sorted(config.back_outages):
-        for start, end in config.back_outages[index].windows:
-            emit(0.0, "fault", "back-outage-window", f"CE{index + 1}->AD",
-                 start=start, end=end)
-    if config.front_loss_model is not None:
-        params = config.front_loss_model.params
-        emit(0.0, "fault", "burst-loss", "front",
-             good_to_bad=params.good_to_bad, bad_to_good=params.bad_to_good,
-             loss_good=params.loss_good, loss_bad=params.loss_bad)
-    if config.front_duplication is not None:
-        emit(0.0, "fault", "duplication", "front",
-             prob=config.front_duplication.duplicate_prob,
-             max_copies=config.front_duplication.max_copies)
-    for side, spikes in (
-        ("front", config.front_delay_spikes),
-        ("back", config.back_delay_spikes),
-    ):
-        if spikes is not None:
-            for start, end in spikes.windows:
-                emit(0.0, "fault", "delay-spike-window", side,
-                     start=start, end=end, factor=spikes.factor)
-
-
-def _run_traced(trial: _Trial, tracer) -> RunResult:
-    config = trial.config
+    Nothing here depends on event order: every number is a tally of a
+    decision a phase made or the length of a list it built.  ``events``
+    is everything the phases scheduled — membership events, readings,
+    front arrivals, back deliveries — and all of it fired, because the
+    run drains to quiescence; likewise whatever a link accepted and did
+    not drop, it delivered.
+    """
+    count("kernel", "schedule", "", n=events)
+    count("kernel", "fire", "", n=events)
     replication = trial.replication
-    emit = tracer.emit
-    _emit_fault_surface(trial, emit)
-    if trial.mem_on:
-        emit_membership_surface(emit, trial.mem_plan)
-    # Link display names are only needed for trace notes, so they are
-    # built here rather than in the (hot) shared _Trial setup.
-    trial.fl_name = [
-        f"DM-{var}->CE{ce_idx + 1}"
-        for var in trial.variables
-        for ce_idx in range(replication)
-    ]
-
-    # Heap of (time, seq, kind, payload); seq replicates the object
-    # kernel's global schedule counter exactly, including readings.
-    heap: list[tuple[float, int, int, tuple]] = []
-    seq = 0
-    # Membership events are scheduled before any reading (MonitoringSystem
-    # run-order), so they take seqs 0..m-1 and win every time tie.
-    if trial.mem_on:
-        for mtime, _order, mkind, mce, mev in trial.mem_sched:
-            note = (
-                f"CE{mce + 1} rejoin" if mkind == 0
-                else f"CE{mce + 1} catch-up"
-            )
-            emit(0.0, "kernel", "schedule", "", seq=seq, at=mtime, note=note)
-            heap.append(
-                (mtime, seq,
-                 _E_REJOIN if mkind == 0 else _E_CATCHUP, (mce, mev, note))
-            )
-            seq += 1
+    mem_on = trial.mem_on
+    live = [0] * replication
     for dm_idx, var in enumerate(trial.variables):
-        note = f"DM-{var} reading"
-        for time, value in trial.readings[dm_idx]:
-            if time < 0.0:
-                raise SimulationError(
-                    f"cannot schedule at {time} before current time 0.0"
-                )
-            emit(0.0, "kernel", "schedule", "", seq=seq, at=time, note=note)
-            heap.append((time, seq, _E_READING, (dm_idx, value, note)))
-            seq += 1
-    heapq.heapify(heap)
-
-    def send_back(ce_idx: int, alert: Alert, now: float) -> None:
-        """The CE->AD send block (ReliableLink/StoreAndForward semantics):
-        emits link/send, the hold events, the monotone clamp, and the
-        delivery schedule.  Shared by front-delivery alerts and catch-up
-        replay alerts."""
-        nonlocal seq
-        back_name = f"CE{ce_idx + 1}->AD"
-        amsg = str(alert)
-        emit(now, "link", "send", back_name, msg=amsg)
-        raw = now + trial._sample_back(ce_idx, now)
-        outage = trial.back_outage[ce_idx]
-        if outage is not None:
-            up_at = outage.next_up_time(raw)
-            if up_at > raw:
-                emit(now, "link", "hold", back_name,
-                     msg=amsg, until=up_at, reason="outage")
-                raw = up_at
-        delivery = raw if raw > trial.bl_last[ce_idx] else trial.bl_last[ce_idx]
-        if trial.ad_avail is not None:
-            available_at = trial.ad_avail.next_up_time(delivery)
-            if available_at > delivery:
-                emit(now, "link", "hold", back_name,
-                     msg=amsg, until=available_at)
-                delivery = available_at
-        trial.bl_last[ce_idx] = delivery
-        if delivery < now:
-            raise SimulationError(
-                f"cannot schedule at {delivery} before current time {now}"
-            )
-        note = f"{back_name} deliver"
-        emit(now, "kernel", "schedule", "", seq=seq, at=delivery, note=note)
-        heapq.heappush(heap, (delivery, seq, _E_BACK, (ce_idx, alert, note)))
-        seq += 1
-
-    loss_model = config.front_loss_model
-    duplication = config.front_duplication
-    processed = 0
-    while heap:
-        if processed >= _MAX_EVENTS:
-            raise SimulationError(
-                f"exceeded max_events={_MAX_EVENTS}; runaway simulation?"
-            )
-        time, eseq, kind, payload = heapq.heappop(heap)
-        emit(time, "kernel", "fire", "", seq=eseq, note=payload[-1])
-        processed += 1
-
-        if kind == _E_READING:
-            dm_idx, value, _note = payload
-            crash = trial.dm_crash[dm_idx]
-            if crash is not None and not crash.is_up(time):
-                trial.suppressed[dm_idx] += 1
-                emit(time, "dm", "suppressed", f"DM-{trial.variables[dm_idx]}",
-                     value=value, reason="crashed")
-                continue
-            seqno = trial.next_seqno[dm_idx]
-            trial.next_seqno[dm_idx] = seqno + 1
-            update = Update(trial.variables[dm_idx], seqno, value)
-            trial.sent[dm_idx].append(update)
-            trial.sent_log.append((time, update))
-            msg = str(update)
-            for ce_idx in range(replication):
-                li = dm_idx * replication + ce_idx
-                name = trial.fl_name[li]
-                tag = trial.fl_tag[li]
-                trial.fl_tag[li] = tag + 1
-                emit(time, "link", "send", name, msg=msg, tag=tag)
-                outage = trial.front_outage[ce_idx]
-                if outage is not None and not outage.is_up(time):
-                    emit(time, "link", "drop", name,
-                         msg=msg, tag=tag, reason="outage")
-                    continue
-                if loss_model is not None:
-                    if loss_model.dropped(trial.fl_rng[li]):
-                        emit(time, "link", "drop", name,
-                             msg=msg, tag=tag, reason="burst")
-                        continue
-                elif trial.fl_rnd[li]() < trial.fl_loss[li]:
-                    emit(time, "link", "drop", name,
-                         msg=msg, tag=tag, reason="loss")
-                    continue
-                delay = trial._sample_front(li, time)
-                if delay < 0:
-                    raise SimulationError(
-                        f"cannot schedule into the past (delay={delay})"
-                    )
-                note = f"{name} deliver"
-                emit(time, "kernel", "schedule", "",
-                     seq=seq, at=time + delay, note=note)
-                heapq.heappush(
-                    heap, (time + delay, seq, _E_FRONT, (li, tag, update, note))
-                )
-                seq += 1
-                if duplication is not None:
-                    for _ in range(duplication.draw_copies(trial.fl_rng[li])):
-                        emit(time, "link", "duplicate", name, msg=msg, tag=tag)
-                        delay = trial._sample_front(li, time)
-                        if delay < 0:
-                            raise SimulationError(
-                                f"cannot schedule into the past (delay={delay})"
-                            )
-                        note = f"{name} dup-deliver"
-                        emit(time, "kernel", "schedule", "",
-                             seq=seq, at=time + delay, note=note)
-                        heapq.heappush(
-                            heap,
-                            (time + delay, seq, _E_FRONT, (li, tag, update, note)),
-                        )
-                        seq += 1
-
-        elif kind == _E_FRONT:
-            li, tag, update, _note = payload
-            name = trial.fl_name[li]
-            msg = str(update)
-            last = trial.fl_last_tag[li]
-            if tag <= last:
-                reason = "duplicate" if tag == last else "reorder"
-                emit(time, "link", "drop", name, msg=msg, tag=tag, reason=reason)
-                continue
-            trial.fl_last_tag[li] = tag
-            emit(time, "link", "deliver", name, msg=msg, tag=tag)
-            ce_idx = li % replication
-            ce_name = f"CE{ce_idx + 1}"
-            crash = trial.ce_crash[ce_idx]
-            if crash is not None and not crash.is_up(time):
-                trial.missed[ce_idx] += 1
-                emit(time, "ce", "missed", ce_name, msg=msg, reason="crashed")
-                continue
-            if trial.mem_on:
-                if trial.rec_flag[ce_idx]:
-                    trial.mem_buf[ce_idx].append(update)
-                    emit(time, "membership", "buffered", ce_name,
-                         msg=msg, reason="recovering")
-                    continue
-                if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
-                    emit(time, "membership", "stale-drop", ce_name, msg=msg)
-                    continue
-                trial.hw[ce_idx][update.varname] = update.seqno
-            emit(time, "ce", "update-received", ce_name, msg=msg)
-            alert = trial._ingest(ce_idx, update)
-            if alert is None:
-                continue
-            emit(time, "ce", "alert-raised", ce_name, alert=str(alert))
-            send_back(ce_idx, alert, time)
-
-        elif kind == _E_REJOIN:
-            mce, mev, _note = payload
-            trial._mem_rejoin(mce, mev, time, emit)
-
-        elif kind == _E_CATCHUP:
-            mce, mev, _note = payload
-            trial._mem_catchup(mce, mev, time, send_back, emit)
-
-        else:  # _E_BACK
-            ce_idx, alert, _note = payload
-            amsg = str(alert)
-            emit(time, "link", "deliver", f"CE{ce_idx + 1}->AD", msg=amsg)
-            trial.ad_arrivals.append(alert)
-            trial.ad_times.append(time)
-            emit(time, "ad", "arrive", "AD", alert=amsg)
-            if trial.algorithm.offer(alert):
-                emit(time, "ad", "display", "AD", alert=amsg)
-            else:
-                emit(time, "ad", "filter", "AD", alert=amsg,
-                     reason=trial.algorithm.rejection_reason(alert))
-
-    return trial.result()
+        count("dm", "suppressed", f"DM-{var}", "crashed", trial.suppressed[dm_idx])
+        sent = len(trial.sent[dm_idx])
+        for ce_idx in range(replication):
+            li = dm_idx * replication + ce_idx
+            name = f"DM-{var}->CE{ce_idx + 1}"
+            count("link", "send", name, n=sent)
+            count("link", "duplicate", name, n=trial.fl_copies[li])
+            arrived = sent + trial.fl_copies[li]
+            for reason, drops in trial.fl_drops.items():
+                count("link", "drop", name, reason, drops[li])
+                arrived -= drops[li]
+            count("link", "deliver", name, n=arrived)
+            live[ce_idx] += arrived
+    for ce_idx in range(replication):
+        name = f"CE{ce_idx + 1}"
+        crashed = trial.missed[ce_idx]
+        if mem_on:
+            crashed -= trial.flushed[ce_idx]
+            live[ce_idx] -= trial.buffered[ce_idx] + trial.stale[ce_idx]
+            count("membership", "buffered", name, "recovering",
+                  trial.buffered[ce_idx])
+            count("membership", "stale-drop", name, n=trial.stale[ce_idx])
+            count("membership", "catchup-ingest", name, n=trial.caught_up[ce_idx])
+            count("membership", "replay-buffered", name, n=trial.replayed[ce_idx])
+        count("ce", "missed", name, "crashed", crashed)
+        count("ce", "update-received", name, n=live[ce_idx] - crashed)
+        if trial.closure is not None:
+            raised = len(trial.ce_alerts[ce_idx])
+        else:
+            raised = len(trial.evaluators[ce_idx].alerts)
+        count("ce", "alert-raised", name, n=raised)
+        # Back links lose nothing: every alert raised is sent and delivered.
+        back = f"{name}->AD"
+        count("link", "send", back, n=raised)
+        count("link", "hold", back, "outage", trial.bl_outage_holds[ce_idx])
+        count("link", "hold", back, n=trial.bl_ad_holds[ce_idx])
+        count("link", "deliver", back, n=raised)
+    if mem_on:
+        for _time, _order, kind, ce_idx, _event in trial.mem_events:
+            count("membership", "catchup-complete" if kind else "rejoin",
+                  f"CE{ce_idx + 1}")
+    count("ad", "arrive", "AD", n=len(trial.ad_arrivals))
 
 
 def run_system_array(
@@ -1305,11 +1121,28 @@ def run_system_array(
 ) -> RunResult:
     """Array-kernel equivalent of :func:`repro.components.system.run_system`.
 
-    Same inputs, same RunResult, same trace stream — see the module
-    docstring for the equivalence argument.  Dispatch to it via
-    ``run_system(..., kernel="array")`` rather than calling it directly.
+    Same inputs, same RunResult — see the module docstring for the
+    equivalence argument.  Dispatch to it via ``run_system(...,
+    kernel="array")`` rather than calling it directly.
+
+    The tracer picks the level of detail: ``None`` runs bare, an
+    order-free tracer is handed the object kernel's counters, and any
+    other tracer needs the ordered event stream, which only the object
+    kernel emits — so the run executes there, with the identical result.
     """
+    if tracer is not None and not getattr(tracer, "order_free", False):
+        return MonitoringSystem(
+            condition, workload, config, seed, algorithm, tracer=tracer
+        ).run()
     trial = _Trial(condition, workload, config, seed, algorithm)
     if tracer is None:
-        return _run_untraced(trial)
-    return _run_traced(trial, tracer)
+        return _run(trial)
+    count = tracer.count
+
+    def surface(_time, stage, kind, node, **_data) -> None:
+        count(stage, kind, node)
+
+    emit_fault_surface(config, surface)
+    if trial.mem_on:
+        emit_membership_surface(surface, trial.mem_plan)
+    return _run(trial, count)

@@ -288,12 +288,13 @@ def run_scenario(
 
     ``kernel`` selects the trial executor (``"array"`` — the default
     struct-of-arrays fast path — or ``"object"``); the two are
-    differentially tested to produce identical results and bit-identical
-    traces, so the choice only affects speed.
+    differentially tested to produce identical results and identical
+    counters, so the choice only affects speed.
 
     ``tracer`` (see :mod:`repro.observability`) observes the run; tracing
     never perturbs the simulation, so traced and untraced runs of the same
-    ``(scenario, seed)`` produce identical results.
+    ``(scenario, seed)`` produce identical results.  A tracer that needs
+    the ordered event stream is served by the object kernel either way.
 
     ``faults`` (a :class:`~repro.faults.plan.FaultProfile`) materializes a
     concrete fault plan from the run's own named RNG streams and folds it

@@ -6,11 +6,17 @@ a ``link/drop``, and every alert arriving at the AD must be displayed or
 filtered.  These invariants tie the observability counters to the ground
 truth that :func:`repro.analysis.metrics.collect_metrics` extracts from
 the :class:`RunResult` — if either side miscounts, they diverge.
+
+``run_scenario`` defaults to the array kernel, which derives these
+counters order-free from its phase tallies rather than from an event
+stream — and a conservation law is what a wrong derivation breaks first.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import collect_metrics
+from repro.faults import DEFAULT_CHURN_PROFILE
+from repro.membership import MembershipConfig
 from repro.observability import CountersTracer
 from repro.workloads.scenarios import (
     MULTI_VARIABLE_SCENARIOS,
@@ -23,14 +29,14 @@ rows = st.sampled_from(list(ROW_ORDER))
 seeds = st.integers(0, 2**31)
 
 
-def _traced_run(matrix, row, algorithm, seed, n, replication=2):
+def _traced_run(matrix, row, algorithm, seed, n, replication=2, **kwargs):
     scenarios = (
         MULTI_VARIABLE_SCENARIOS if matrix == "multi" else SINGLE_VARIABLE_SCENARIOS
     )
     tracer = CountersTracer()
     run = run_scenario(
         scenarios[row], algorithm, seed, n_updates=n,
-        replication=replication, tracer=tracer,
+        replication=replication, tracer=tracer, **kwargs,
     )
     return run, tracer.as_dict()
 
@@ -67,6 +73,34 @@ def test_ad_conserves_alerts(row, algorithm, seed, n):
     displayed = counters.get("ad/display/AD", 0)
     filtered = counters.get("ad/filter/AD", 0)
     assert arrived == displayed + filtered
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows, st.sampled_from(["AD-1", "adaptive"]), seeds, st.integers(4, 16),
+       st.floats(0.25, 3.0))
+def test_conservation_survives_churn_and_membership(
+    row, algorithm, seed, n, chaos
+):
+    """Crash/recovery faults with the membership lifecycle on, on the
+    array kernel: front links still resolve every send (duplicated
+    copies are extra sends), the AD still accounts for every arrival,
+    and everything the kernel scheduled fired."""
+    _, counters = _traced_run(
+        "single", row, algorithm, seed, n, kernel="array",
+        faults=DEFAULT_CHURN_PROFILE.scaled(chaos),
+        membership=MembershipConfig(detection_timeout=4.0, catchup_latency=2.0),
+    )
+    assert any(key.startswith("membership/") for key in counters)
+    for node in _link_nodes(counters):
+        sent = counters.get(f"link/send/{node}", 0)
+        copies = counters.get(f"link/duplicate/{node}", 0)
+        delivered = counters.get(f"link/deliver/{node}", 0)
+        dropped = counters.get(f"link/drop/{node}", 0)
+        assert sent + copies == delivered + dropped, node
+    assert counters.get("ad/arrive/AD", 0) == (
+        counters.get("ad/display/AD", 0) + counters.get("ad/filter/AD", 0)
+    )
+    assert counters["kernel/schedule/"] == counters["kernel/fire/"]
 
 
 @settings(max_examples=25, deadline=None)

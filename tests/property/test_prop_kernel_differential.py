@@ -2,12 +2,17 @@
 
 The struct-of-arrays executor (:mod:`repro.simulation.arraykernel`) is
 only allowed to exist because it is *indistinguishable* from the object
-kernel: same property verdicts, same observability counters, bit-identical
-``repro.trace/1`` recordings, for every ``TrialSpec × FaultProfile``.
-Hypothesis drives random specs — scenario row, algorithm, seed, reading
-count, replication, chaos intensity — through both kernels and asserts
-exactly that.  Any divergence here voids every benchmark number, so these
-tests are the PR's real deliverable; the speedup is just a side effect.
+kernel: same property verdicts and the same observability counters —
+reason classes included — for every ``TrialSpec × FaultProfile ×
+MembershipConfig``.  The array kernel derives its counters from the
+tallies and lengths its phases already have, not from an event stream,
+so their equality is an independent check of both sides.  Hypothesis
+drives random specs — scenario row, algorithm, seed, reading count,
+replication, chaos intensity, membership lifecycle — through both
+kernels and asserts exactly that.  Any divergence here voids every
+benchmark number.  (Ordered ``repro.trace/1`` streams come from the
+object kernel alone; the dispatch that guarantees it is unit-tested in
+``tests/unit/test_arraykernel.py``.)
 """
 
 from dataclasses import replace
@@ -16,13 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.spec import TrialSpec
 from repro.faults import DEFAULT_CHAOS_PROFILE
-from repro.observability import record_trial
 from repro.workloads.scenarios import ROW_ORDER
+from tests.property.test_prop_membership import memberships
 
 rows = st.sampled_from(list(ROW_ORDER))
 seeds = st.integers(0, 2**31)
 algorithms_single = st.sampled_from(["pass", "AD-1", "AD-2", "AD-3", "AD-4"])
 algorithms_multi = st.sampled_from(["pass", "AD-1", "AD-5", "AD-6"])
+#: (matrix, algorithm) pairs, the stateful adaptive displayer included.
+matrix_algorithms = st.sampled_from(
+    [("single", a) for a in ("pass", "AD-1", "AD-2", "AD-3", "AD-4", "adaptive")]
+    + [("multi", a) for a in ("pass", "AD-1", "AD-5", "AD-6", "adaptive")]
+)
 replications = st.integers(1, 3)
 intensities = st.floats(0.25, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -91,32 +101,26 @@ def test_multi_variable_fault_reports_identical(row, algorithm, seed, n, chaos):
     )
 
 
-@settings(max_examples=12, deadline=None)
-@given(rows, algorithms_single, seeds, st.integers(4, 12))
-def test_traces_bit_identical(row, algorithm, seed, n):
-    """Recorded traces must match line for line: the traced array path
-    replays the object kernel's exact event schedule, so even event
-    *ordering* within an instant is preserved."""
-    object_spec, array_spec = _both_kernels(
-        TrialSpec("single", row, algorithm, seed, n)
-    )
-    object_trace = record_trial(object_spec)
-    array_trace = record_trial(array_spec)
-    assert object_trace.event_lines() == array_trace.event_lines()
-    assert object_trace.metrics == array_trace.metrics
-
-
-@settings(max_examples=8, deadline=None)
-@given(rows, seeds, st.integers(4, 10), intensities)
-def test_fault_injected_traces_bit_identical(row, seed, n, chaos):
-    object_spec, array_spec = _both_kernels(
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix_algorithms, rows, seeds, st.integers(4, 12), replications,
+    intensities, memberships,
+)
+def test_reason_keyed_counters_identical(
+    matrix_algorithm, row, seed, n, replication, chaos, membership
+):
+    """Coverage counters — drop/hold/filter keys split by reason class —
+    under the whole fault surface and the membership lifecycle, on every
+    algorithm including the stateful ``adaptive`` one: the order-free
+    derivation must land on the object kernel's dict, key for key, with
+    no zero-valued extras."""
+    matrix, algorithm = matrix_algorithm
+    _assert_reports_identical(
         TrialSpec(
-            "single", row, "AD-4", seed, n,
+            matrix, row, algorithm, seed, n,
+            replication=replication,
             faults=DEFAULT_CHAOS_PROFILE.scaled(chaos),
+            membership=membership,
+            collect_coverage=True, collect_delivery=True,
         )
     )
-    object_trace = record_trial(object_spec)
-    array_trace = record_trial(array_spec)
-    assert any(event.stage == "fault" for event in array_trace.events)
-    assert object_trace.event_lines() == array_trace.event_lines()
-    assert object_trace.metrics == array_trace.metrics

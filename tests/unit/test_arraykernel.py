@@ -5,8 +5,9 @@ The broad random equivalence argument lives in
 edge cases that exercise specific arraykernel code paths — the inline
 AD-5 scan and its caller-supplied-algorithm bypass, the evaluator
 fallback for non-expression conditions, the adversarial phase-1 path
-(stateful loss chains, duplication), the condition compiler's cache, and
-the kernel-knob plumbing itself.
+(stateful loss chains, duplication), the condition compiler's cache, the
+tracer dispatch (off / counters / full), and the kernel-knob plumbing
+itself.
 """
 
 import pytest
@@ -26,6 +27,15 @@ from repro.faults.model import (
     GilbertElliottLoss,
     GilbertElliottParams,
 )
+from repro.membership import MembershipConfig
+from repro.observability import (
+    CountersTracer,
+    MemoryTracer,
+    ReasonCountersTracer,
+    TeeTracer,
+    TraceEvent,
+)
+from repro.simulation import arraykernel
 from repro.simulation.arraykernel import (
     _CLOSURE_CACHE,
     compile_condition,
@@ -147,6 +157,84 @@ def test_adversarial_faults_take_the_merged_path():
         )
 
     _assert_kernels_agree(c2(), _workload(13), make_config, seed=13)
+
+
+def _churn_config():
+    return SystemConfig(
+        replication=2,
+        ad_algorithm="AD-2",
+        front_loss=0.3,
+        crash_schedules={0: CrashSchedule(windows=((30.0, 80.0),))},
+        membership=MembershipConfig(detection_timeout=4.0, catchup_latency=2.0),
+    )
+
+
+class _ThirdPartyTracer:
+    """Knows nothing of ``order_free``: must be treated as ordered."""
+
+    def __init__(self):
+        self.lines = []
+
+    def emit(self, time, stage, kind, node, **data):
+        self.lines.append(TraceEvent(time, stage, kind, node, data).json_line())
+
+
+def test_ordered_tracers_get_the_object_kernels_run_and_stream():
+    """The array kernel has no ordered event stream, so any tracer that
+    does not declare itself order-free is served by the object kernel:
+    same RunResult, same ``repro.trace/1`` lines."""
+    condition, workload = c2(), _workload(17)
+    oracle = MemoryTracer()
+    object_run = run_system(
+        condition, workload, _churn_config(), seed=17, tracer=oracle,
+        kernel="object",
+    )
+    assert any(event.stage == "membership" for event in oracle.events)
+
+    def lines_on_array(tracer, lines_of):
+        array_run = run_system(
+            condition, workload, _churn_config(), seed=17, tracer=tracer,
+            kernel="array",
+        )
+        for field in _RUN_FIELDS:
+            assert getattr(object_run, field) == getattr(array_run, field), field
+        return lines_of(tracer)
+
+    expected = oracle.event_lines()
+    assert lines_on_array(MemoryTracer(), MemoryTracer.event_lines) == expected
+    assert lines_on_array(_ThirdPartyTracer(), lambda t: t.lines) == expected
+    tee = TeeTracer(MemoryTracer(), CountersTracer())
+    assert lines_on_array(tee, lambda t: t.tracers[0].event_lines()) == expected
+    assert sum(tee.tracers[1].counts.values()) == len(expected)
+
+
+@pytest.mark.parametrize("tracer_type", [CountersTracer, ReasonCountersTracer])
+def test_counting_tracers_never_build_the_object_kernel(monkeypatch, tracer_type):
+    """Order-free tracers are served by the phase core: identical
+    counters (no zero-valued keys), and no MonitoringSystem behind them."""
+    condition, workload = c2(), _workload(17)
+    oracle = tracer_type()
+    run_system(
+        condition, workload, _churn_config(), seed=17, tracer=oracle,
+        kernel="object",
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a counting tracer fell back to the object kernel")
+
+    monkeypatch.setattr(arraykernel, "MonitoringSystem", forbidden)
+    counted = tracer_type()
+    run_system(
+        condition, workload, _churn_config(), seed=17, tracer=counted,
+        kernel="array",
+    )
+    assert counted.as_dict() == oracle.as_dict()
+    assert all(counted.counts.values())
+    with pytest.raises(AssertionError, match="fell back"):
+        run_system(
+            condition, workload, _churn_config(), seed=17,
+            tracer=MemoryTracer(), kernel="array",
+        )
 
 
 def test_compile_condition_caches_by_cache_key():

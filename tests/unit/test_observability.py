@@ -114,6 +114,26 @@ class TestTracers:
                     reason="seqno regression: a.seqno.x=14 <= 14")
         assert tracer.as_dict() == {"ad/filter:seqno regression/AD": 2}
 
+    def test_order_free_hook_counts_batches_under_the_emit_keys(self):
+        """``count`` is what an order-free tracer is served through: it
+        must land on the keys ``emit`` would have produced, fold ``n``
+        occurrences at once, and never mint a zero-valued key."""
+        plain, by_reason = CountersTracer(), ReasonCountersTracer()
+        for tracer in (plain, by_reason):
+            assert tracer.order_free
+            tracer.count("link", "send", "L", n=3)
+            tracer.count("link", "drop", "L", "loss", 2)
+            tracer.count("ad", "filter", "AD", "duplicate: already shown")
+            tracer.count("link", "hold", "L", n=0)
+        assert plain.as_dict() == {
+            "ad/filter/AD": 1, "link/drop/L": 2, "link/send/L": 3,
+        }
+        assert by_reason.as_dict() == {
+            "ad/filter:duplicate/AD": 1, "link/drop:loss/L": 2, "link/send/L": 3,
+        }
+        for ordered in (NullTracer(), MemoryTracer(), TeeTracer(plain)):
+            assert not getattr(ordered, "order_free", False)
+
 
 class TestTraceFiles:
     SPEC = TrialSpec("single", "non-historical", "AD-1", 42, 8)

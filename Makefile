@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench report examples clean
+.PHONY: install test test-fast bench perf report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -17,6 +17,16 @@ test-fast:  ## skip the slow end-to-end suites
 
 bench:  ## regenerate every paper artifact (benchmarks/results/)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repo benchmark (BENCHMARK.json): one workload, one seed, one JSON
+# line of end-to-end metrics; TRACE=1 is the per-layer traced run.
+WORKLOAD ?= table3-grid
+SEED ?= 7
+TRACE ?= 0
+
+perf:  ## e.g. make perf WORKLOAD=chaos-churn-grid SEED=23 TRACE=1
+	python3 benchmarks/perf/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 16 --trace $(TRACE)
 
 report:  ## one-shot reproduction verdict
 	$(PYTHON) -m repro report --budget 0.3 --output reproduction-report.md

@@ -3,8 +3,8 @@
 Times Table 3 (the multi-variable table, the most property-check-heavy
 workload in the repo) two ways on identical seeds:
 
-* **legacy**: sequential :func:`build_table` with the reference caches
-  disabled and the pre-DFS completeness backend restored via
+* **legacy**: sequential :func:`build_table` with the enumeration
+  completeness backend restored via
   :func:`legacy_completeness_backend` — the closest in-repo
   reconstruction of the seed's algorithms.  (The seed's *constant
   factors* — pre-``__slots__`` kernel events, per-ingest definedness
@@ -12,14 +12,13 @@ workload in the repo) two ways on identical seeds:
   is conservative: measured against the actual seed commit the engine
   speedup is larger.)
 * **engine**: :func:`build_table_parallel` through the persistent
-  :class:`TrialEngine` with memoized reference semantics and the pruned
-  completeness DFS.
+  :class:`TrialEngine` with the two-layer property checkers.
 
 Both runs must produce *identical* :class:`PropertyTally` objects — the
 speedup is only meaningful if the statistics are bit-for-bit unchanged.
 
 Also times the engine at ``completeness_n_updates=8`` to document that
-the DFS lifts the old enumeration ceiling of 5 readings per variable
+the grid walk lifts the old enumeration ceiling of 5 readings per variable
 while staying inside the legacy n=5 time budget.
 
 Run directly (writes ``BENCH_trials.json`` next to this file):
@@ -68,7 +67,6 @@ from pathlib import Path
 
 from repro.analysis.parallel import build_table_parallel
 from repro.analysis.tables import build_table
-from repro.core.reference import reference_caches_disabled
 from repro.props.report import legacy_completeness_backend
 
 TABLE_ID = "table3"
@@ -270,7 +268,7 @@ def run_benchmark(trials: int, repeat: int = 1, kernel: str = "array") -> dict:
     def legacy_build():
         # The legacy baseline approximates the seed, which only had the
         # event-object executor — so it is pinned to kernel="object".
-        with legacy_completeness_backend(), reference_caches_disabled():
+        with legacy_completeness_backend():
             return build_table(TABLE_ID, kernel="object", **kwargs)
 
     legacy, legacy_s = _time(legacy_build)

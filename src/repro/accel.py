@@ -1,11 +1,10 @@
 """Optional-acceleration shims: numpy when present, ``array`` fallback.
 
-The library's hot numeric paths (latency aggregation, property-checker
-inner loops, the benchmark summaries) want vectorised primitives, but
-numpy is an *optional* extra (``pip install repro[fast]``) — seed
-environments without it must produce identical results through the
-pure-python fallbacks below.  Every helper here therefore has two
-implementations with one contract:
+The library's bulk numeric paths (latency aggregation, the benchmark
+summaries) want vectorised primitives, but numpy is an *optional* extra
+(``pip install repro[fast]``) — seed environments without it must
+produce identical results through the pure-python fallbacks below.
+Every helper here therefore has two implementations with one contract:
 
 * the numpy path operates on ``numpy.ndarray``;
 * the fallback operates on :class:`array.array` ('d') / plain lists and
@@ -37,7 +36,6 @@ __all__ = [
     "mean",
     "median",
     "percentile",
-    "first_inversion",
 ]
 
 
@@ -83,27 +81,3 @@ def percentile(values: Sequence[float], q: float) -> float:
 def median(values: Sequence[float]) -> float:
     """The median (the 50th percentile; matches ``numpy.median``)."""
     return percentile(values, 50.0)
-
-
-def first_inversion(seq: Sequence) -> int | None:
-    """Index of the first ``seq[i] < seq[i-1]``, or None when ordered.
-
-    Vectorised over numeric sequences when numpy is available (one
-    ``diff``/``argmax`` sweep instead of a python-level loop — the
-    orderedness checker's inner loop over alert-seqno projections);
-    falls back to :func:`repro.core.sequences.first_inversion`, which
-    also covers non-numeric comparables.
-    """
-    if HAVE_NUMPY and len(seq) > 1:
-        try:
-            values = np.asarray(seq)
-        except (TypeError, ValueError):
-            values = None
-        if values is not None and values.dtype.kind in "iuf":
-            drops = np.diff(values) < 0
-            if not drops.any():
-                return None
-            return int(drops.argmax()) + 1
-    from repro.core.sequences import first_inversion as _scalar
-
-    return _scalar(seq)

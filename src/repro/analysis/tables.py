@@ -164,7 +164,7 @@ def build_table(
     ``completeness_trials`` runs with ``completeness_n_updates`` readings
     per variable is folded into the same tallies (the main batch's
     completeness checks are skipped automatically when the interleaving
-    count explodes).  The pruned DFS checker decides 8 readings per
+    count explodes).  The grid-walk checker decides 8 readings per
     variable comfortably — the enumeration it replaced capped this knob
     at 5.
     """

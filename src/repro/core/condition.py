@@ -24,20 +24,43 @@ The module also provides the paper's canonical conditions:
   degrees" (two-variable, non-historical, Theorem 10);
 * ``sharp_price_drop`` — the stock example from the introduction (> 20%
   drop between two consecutive quotes).
+
+:func:`compile_condition` turns an :class:`ExpressionCondition` into a
+plain closure over the per-variable history buffers — what the array
+kernel and the completeness checker evaluate instead of walking the AST
+(``props`` cannot import ``simulation``, so it lives here).
+:meth:`Condition.evaluate` remains the definition the closures are
+differentially tested against.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
+from functools import cached_property
 
-from repro.core.expressions import H, BoolExpr
+from repro.core.expressions import (
+    Abs,
+    And,
+    BinOp,
+    BoolConst,
+    BoolExpr,
+    Compare,
+    Const,
+    FieldRef,
+    H,
+    Neg,
+    Not,
+    Or,
+)
 from repro.core.history import HistorySet, HistorySnapshot, history_is_consecutive
 
 __all__ = [
     "Condition",
     "ExpressionCondition",
     "PredicateCondition",
+    "compile_condition",
     "conservative_guard",
     "c1",
     "c2",
@@ -72,13 +95,14 @@ class Condition(ABC):
                 )
         self.name = name
         self._degrees = dict(degrees)
+        self._variables = tuple(sorted(self._degrees))
         self._conservative = bool(conservative)
 
     # -- classification ----------------------------------------------------
     @property
     def variables(self) -> tuple[str, ...]:
-        """The variable set V, in a stable order."""
-        return tuple(sorted(self._degrees))
+        """The variable set V, in a stable (sorted) order."""
+        return self._variables
 
     @property
     def degrees(self) -> dict[str, int]:
@@ -117,28 +141,15 @@ class Condition(ABC):
     def _histories_consecutive(self, histories: HistorySet | HistorySnapshot) -> bool:
         if isinstance(histories, HistorySnapshot):
             return all(
-                history_is_consecutive(histories[var]) for var in self.variables
+                history_is_consecutive(histories[var]) for var in self._variables
             )
         # Live history sets check their ring buffers directly, avoiding a
         # snapshot tuple per evaluation on the simulation hot path.
-        return all(histories[var].is_consecutive() for var in self.variables)
+        return all(histories[var].is_consecutive() for var in self._variables)
 
     @abstractmethod
     def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
         """Evaluate the underlying predicate (gap-guard already applied)."""
-
-    # -- caching -------------------------------------------------------------
-    def cache_key(self) -> tuple | None:
-        """A content key identifying this condition's *semantics*, or None.
-
-        Two conditions with equal cache keys must evaluate identically on
-        every history set; the reference-semantics cache in
-        :mod:`repro.core.reference` uses this to share ``T(U)`` results
-        across trials that rebuild structurally identical conditions.
-        Conditions whose semantics cannot be fingerprinted (opaque
-        predicates) return None and bypass the cache.
-        """
-        return None
 
     # -- derivation ----------------------------------------------------------
     def as_conservative(self, name: str | None = None) -> "Condition":
@@ -175,11 +186,12 @@ class ExpressionCondition(Condition):
     def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
         return bool(self.expression.evaluate(histories))
 
-    def cache_key(self) -> tuple | None:
-        # The AST repr is a faithful, deterministic rendering of the
-        # expression (including literal constants), so together with the
-        # gap-guard flag it pins down the condition's semantics.
-        return ("expr", self.name, repr(self.expression), self._conservative)
+    @cached_property
+    def _closure_source(self) -> str | None:
+        """The lambda :func:`compile_condition` evaluates, rendered once
+        (source text rather than the function, so conditions stay
+        picklable); None when the expression does not render."""
+        return _render_closure(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Condition {self.name}: {self.expression!r}>"
@@ -221,11 +233,109 @@ class _ConservativeWrapper(Condition):
         # semantics (the guard is idempotent anyway).
         return self._inner._evaluate(histories)
 
-    def cache_key(self) -> tuple | None:
-        inner = self._inner.cache_key()
-        if inner is None:
-            return None
-        return ("conservative", self.name, inner)
+
+# ---------------------------------------------------------------------------
+# Condition compilation: ExpressionCondition AST -> plain lambda
+# ---------------------------------------------------------------------------
+
+class _Unsupported(Exception):
+    """An AST node the code generator does not know (fall back to AST walk)."""
+
+
+#: Generated lambda source -> compiled closure.  Keyed on the source text
+#: itself (constants rendered with ``repr``, which round-trips floats), so
+#: equal keys are equal functions by construction, and conditions rebuilt
+#: per run share one ``eval``.
+_CLOSURE_CACHE: dict[str, object] = {}
+
+
+def _render_num(node, names: dict[str, str]) -> str:
+    kind = type(node)
+    if kind is Const:
+        if not math.isfinite(node.value):
+            raise _Unsupported("non-finite constant")  # repr is a bare name
+        return repr(node.value)
+    if kind is FieldRef:
+        # Buffers are sequences most-recent-first, so H.x[-i] is buf[i].
+        # float() matches FieldRef.evaluate's coercion (seqnos are ints).
+        return f"float({names[node.varname]}[{-node.index}].{node.fieldname})"
+    if kind is BinOp:
+        left = _render_num(node.left, names)
+        right = _render_num(node.right, names)
+        return f"({left} {node.op} {right})"
+    if kind is Neg:
+        return f"(-{_render_num(node.operand, names)})"
+    if kind is Abs:
+        return f"abs({_render_num(node.operand, names)})"
+    raise _Unsupported(kind.__name__)
+
+
+def _render_bool(node, names: dict[str, str]) -> str:
+    kind = type(node)
+    if kind is Compare:
+        left = _render_num(node.left, names)
+        right = _render_num(node.right, names)
+        return f"({left} {node.op} {right})"
+    if kind is And:
+        return f"({_render_bool(node.left, names)} and {_render_bool(node.right, names)})"
+    if kind is Or:
+        return f"({_render_bool(node.left, names)} or {_render_bool(node.right, names)})"
+    if kind is Not:
+        return f"(not {_render_bool(node.operand, names)})"
+    if kind is BoolConst:
+        return "True" if node.value else "False"
+    raise _Unsupported(kind.__name__)
+
+
+def _render_closure(condition: ExpressionCondition) -> str | None:
+    variables = condition.variables
+    names = {var: f"b{i}" for i, var in enumerate(variables)}
+    try:
+        body = _render_bool(condition.expression, names)
+    except _Unsupported:
+        return None
+    if condition.is_conservative:
+        # For non-historical conditions every degree is 1, so the guard is
+        # vacuous and no clauses are emitted — exactly Condition.evaluate.
+        guards = []
+        for var in variables:
+            buf = names[var]
+            for i in range(condition.degree(var) - 1):
+                guards.append(f"{buf}[{i}].seqno == {buf}[{i + 1}].seqno + 1")
+        if guards:
+            body = "(" + " and ".join(guards) + ") and " + body
+    return f"lambda {', '.join(names.values())}: {body}"
+
+
+def compile_condition(condition: Condition):
+    """Compile a condition into ``lambda buf_0, ..., buf_n: bool``.
+
+    Arguments are the per-variable history buffers in sorted-variable
+    order, each a sequence of :class:`~repro.core.update.Update`
+    most-recent-first and already filled to the variable's degree.
+    Returns None when the condition is not a plain
+    :class:`ExpressionCondition` (subclasses may override evaluation
+    hooks) or contains an AST node the generator does not render —
+    callers then evaluate through :meth:`Condition.evaluate`.
+
+    The conservative gap-guard of :meth:`Condition.evaluate` is compiled
+    in as integer seqno-consecutiveness conjuncts, mirroring
+    ``UpdateHistory.is_consecutive``.  A condition is rendered once and
+    equal renderings share one compiled closure;
+    :meth:`Condition.evaluate` stays the oracle the closures are
+    differentially tested against.
+    """
+    if type(condition) is not ExpressionCondition:
+        return None
+    source = condition._closure_source
+    if source is None:
+        return None
+    fn = _CLOSURE_CACHE.get(source)
+    if fn is None:
+        fn = _CLOSURE_CACHE[source] = eval(  # noqa: S307 - source is generated from a closed AST
+            source, {"abs": abs, "float": float, "__builtins__": {}}
+        )
+    return fn
 
 
 def conservative_guard(*varnames: str) -> BoolExpr:

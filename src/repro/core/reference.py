@@ -15,14 +15,12 @@ multi-variable definitions of Appendix C.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
 
 from repro.core.alert import Alert
 from repro.core.condition import Condition
 from repro.core.evaluator import ConditionEvaluator
-from repro.core.sequences import is_ordered, ordered_union, project_seqnos
+from repro.core.sequences import ordered_union, project_seqnos
 from repro.core.update import Update
 
 __all__ = [
@@ -35,115 +33,19 @@ __all__ = [
     "is_interleaving_of",
     "reference_cache_info",
     "clear_reference_caches",
-    "set_reference_cache_size",
-    "reference_caches_disabled",
 ]
 
 
-class _LRUCache:
-    """A small content-keyed LRU used for memoizing reference results."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        entry = self._data.get(key, _MISS)
-        if entry is _MISS:
-            self.misses += 1
-            return _MISS
-        self.hits += 1
-        self._data.move_to_end(key)
-        return entry
-
-    def put(self, key, value) -> None:
-        data = self._data
-        data[key] = value
-        data.move_to_end(key)
-        while len(data) > self.maxsize:
-            data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-_MISS = object()
-
-#: Default entry counts for the two caches; override per-process with
-#: :func:`set_reference_cache_size`.
-DEFAULT_T_CACHE_SIZE = 8192
-DEFAULT_COMBINE_CACHE_SIZE = 2048
-
-_T_CACHE = _LRUCache(DEFAULT_T_CACHE_SIZE)
-_COMBINE_CACHE = _LRUCache(DEFAULT_COMBINE_CACHE_SIZE)
-_CACHES_ENABLED = True
-
-
-def _fingerprint(updates: Sequence[Update]) -> tuple:
-    """A value-including content key for an update sequence.
-
-    ``Update.__eq__``/``__hash__`` deliberately ignore ``value`` (same
-    seqno ⇒ same snapshot *within* a correct run), but across trials the
-    same (varname, seqno) pair carries different randomized values, so the
-    cache key must include them explicitly.
-    """
-    return tuple((u.varname, u.seqno, u.value) for u in updates)
-
-
+# The memo caches these two reported on are gone (0 hits in ≈7,400
+# lookups per Table-3 block); the names stay — an empty mapping and a
+# no-op — because benchmarks/perf/trials.py imports them and a change
+# that claims a gain may not edit the benchmark.
 def reference_cache_info() -> dict[str, dict[str, int]]:
-    """Hit/miss/size counters for the reference-semantics caches."""
-    return {
-        "apply_T": {
-            "hits": _T_CACHE.hits,
-            "misses": _T_CACHE.misses,
-            "size": len(_T_CACHE),
-            "maxsize": _T_CACHE.maxsize,
-        },
-        "combine_received": {
-            "hits": _COMBINE_CACHE.hits,
-            "misses": _COMBINE_CACHE.misses,
-            "size": len(_COMBINE_CACHE),
-            "maxsize": _COMBINE_CACHE.maxsize,
-        },
-    }
+    return {}
 
 
 def clear_reference_caches() -> None:
-    """Drop all memoized ``T``/combine results (counters included)."""
-    _T_CACHE.clear()
-    _COMBINE_CACHE.clear()
-
-
-def set_reference_cache_size(
-    t_cache: int = DEFAULT_T_CACHE_SIZE,
-    combine_cache: int = DEFAULT_COMBINE_CACHE_SIZE,
-) -> None:
-    """Resize the per-process caches (clears current contents)."""
-    if t_cache < 1 or combine_cache < 1:
-        raise ValueError("cache sizes must be >= 1")
-    _T_CACHE.maxsize = t_cache
-    _COMBINE_CACHE.maxsize = combine_cache
-    clear_reference_caches()
-
-
-@contextmanager
-def reference_caches_disabled():
-    """Temporarily bypass memoization (benchmark baselines, equivalence
-    tests).  The caches themselves are left intact."""
-    global _CACHES_ENABLED
-    previous = _CACHES_ENABLED
-    _CACHES_ENABLED = False
-    try:
-        yield
-    finally:
-        _CACHES_ENABLED = previous
+    pass
 
 
 def apply_T(condition: Condition, updates: Iterable[Update], source: str = "N") -> list[Alert]:
@@ -151,26 +53,8 @@ def apply_T(condition: Condition, updates: Iterable[Update], source: str = "N") 
 
     This is the behaviour of the corresponding non-replicated system N
     (Figure 2(b)): one CE, no filtering at the AD.
-
-    Results are memoized per-process in a content-keyed LRU: thousands of
-    randomized trials share scenario structure, and the property checkers
-    re-derive ``T`` over identical (condition, trace) pairs.  Conditions
-    without a :meth:`~repro.core.condition.Condition.cache_key` (opaque
-    predicates) bypass the cache.
     """
-    condition_key = condition.cache_key() if _CACHES_ENABLED else None
-    if condition_key is None:
-        evaluator = ConditionEvaluator(condition, source=source)
-        return evaluator.ingest_all(updates)
-    updates = list(updates)
-    key = (condition_key, source, _fingerprint(updates))
-    cached = _T_CACHE.get(key)
-    if cached is not _MISS:
-        return list(cached)
-    evaluator = ConditionEvaluator(condition, source=source)
-    alerts = evaluator.ingest_all(updates)
-    _T_CACHE.put(key, tuple(alerts))
-    return alerts
+    return ConditionEvaluator(condition, source=source).ingest_all(updates)
 
 
 def ground_truth_alerts(
@@ -223,42 +107,37 @@ def combine_received(traces: Sequence[Sequence[Update]], variables: Iterable[str
 
     For each variable x this yields the ordered union of the x-updates in
     every trace — the per-variable component of ``UV`` in Appendix C (and
-    ``U1 ⊔ U2`` itself in the single-variable case).
-
-    The combined union is memoized on the content of the traces, so
-    re-evaluating the properties of one run (tables, sweeps, witnesses)
-    merges each trace set only once per process.
+    ``U1 ⊔ U2`` itself in the single-variable case).  One pass over the
+    traces: each must be ordered with respect to every variable (it is a
+    subsequence of the DMs' ordered outputs), and where several carry the
+    same seqno the snapshot values must agree — the DM broadcast a single
+    value for it; the earliest trace's copy is kept.
     """
-    variables = tuple(variables)
-    if _CACHES_ENABLED:
-        key = (tuple(_fingerprint(trace) for trace in traces), variables)
-        cached = _COMBINE_CACHE.get(key)
-        if cached is not _MISS:
-            return {var: list(merged) for var, merged in cached.items()}
-        combined = _combine_received_uncached(traces, variables)
-        _COMBINE_CACHE.put(
-            key, {var: tuple(merged) for var, merged in combined.items()}
-        )
-        return combined
-    return _combine_received_uncached(traces, variables)
-
-
-def _combine_received_uncached(
-    traces: Sequence[Sequence[Update]], variables: Iterable[str]
-) -> dict[str, list[Update]]:
-    combined: dict[str, list[Update]] = {}
-    for var in variables:
-        merged: list[Update] = []
-        for trace in traces:
-            var_updates = [u for u in trace if u.varname == var]
-            if not is_ordered([u.seqno for u in var_updates]):
+    by_seqno: dict[str, dict[int, Update]] = {var: {} for var in variables}
+    for trace in traces:
+        newest: dict[str, int] = {}
+        for update in trace:
+            var = update.varname
+            seen = by_seqno.get(var)
+            if seen is None:
+                continue
+            seqno = update.seqno
+            if seqno < newest.get(var, seqno):
                 raise ValueError(
                     f"trace not ordered with respect to {var!r}: "
                     f"{project_seqnos(trace, var)}"
                 )
-            merged = merge_single_variable(merged, var_updates)
-        combined[var] = merged
-    return combined
+            newest[var] = seqno
+            existing = seen.setdefault(seqno, update)
+            if existing is not update and existing.value != update.value:
+                raise ValueError(
+                    f"conflicting updates for seqno {seqno}: "
+                    f"{existing} vs {update}"
+                )
+    return {
+        var: [seen[seqno] for seqno in sorted(seen)]
+        for var, seen in by_seqno.items()
+    }
 
 
 def interleavings(per_variable: dict[str, Sequence[Update]]) -> Iterator[list[Update]]:

@@ -15,20 +15,24 @@ coincide.)
 
 The multi-variable decision is implemented two ways:
 
-* :func:`check_completeness_multi` — a memoized DFS over interleaving
-  *prefixes*.  Two prefixes that have consumed the same per-variable
-  positions leave the reference evaluator in the same state (its history
-  windows are determined by the positions alone), so states are keyed on
-  ``(positions, produced-alert-identity set)``; any prefix whose produced
-  identities already exceed ΦA is pruned (alerts are never retracted, so
-  the final set can only grow); and the search exits on the first
-  witness.  Exact same verdicts as exhaustive enumeration, exponentially
-  smaller search on typical traces.  ``limit`` bounds the number of
-  explored states — when exceeded the result carries ``undecided=True``
-  instead of guessing (or raising).
+* :func:`check_completeness_multi` — two layers over the *interleaving
+  grid*.  The reference evaluator's state after a prefix of UV is
+  determined by how many updates of each variable the prefix holds, so
+  an interleaving is a monotone path through the grid ∏(len_v + 1) of
+  per-variable positions and the alerts it raises are the points it
+  visits where the condition holds.  The first layer maps ΦA onto grid
+  points and rejects, in one pass over ΦA and a sort, any A that names a
+  point no path can raise or two points no single path can visit; the
+  residue is a walk through the remaining targets in chain order that
+  explores at most one state per grid point and evaluates the condition
+  through its compiled closure.  Exact same results as exhaustive
+  enumeration — verdict, ``missing`` and ``extraneous``.  ``limit``
+  bounds the number of explored states — when exceeded the result
+  carries ``undecided=True`` instead of guessing (or raising); that
+  cannot happen once ``limit`` reaches the grid size.
 * :func:`check_completeness_multi_enumerated` — the blind interleaving
-  enumeration the DFS replaced.  Kept as the cross-validation oracle and
-  as the benchmark baseline; exponential, so only usable on short traces.
+  enumeration.  Kept as the cross-validation oracle and as the benchmark
+  baseline; exponential, so only usable on short traces.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.alert import Alert, alert_identity_set
-from repro.core.condition import Condition
+from repro.core.condition import Condition, compile_condition
 from repro.core.history import HistorySnapshot
 from repro.core.reference import (
     apply_T,
@@ -138,15 +142,51 @@ def check_completeness_multi(
 ) -> CompletenessResult:
     """Multi-variable completeness: ∃ interleaving UV with ΦA = ΦT(UV).
 
-    Memoized DFS over interleaving prefixes (see module docstring).  The
-    reference evaluator's state after a prefix is a pure function of the
-    per-variable positions — each history window is the last ``degree``
-    updates of that variable's fixed run — so the search space collapses
-    from multinomially many interleavings to at most
-    ``∏(len+1) × |reachable produced-sets|`` states.
+    **The grid.**  The reference evaluator's state after a prefix of UV
+    is a pure function of how many updates of each variable the prefix
+    holds — each history window is the last ``degree`` updates of that
+    variable's fixed run — so an interleaving is a monotone path through
+    the grid ∏(len_v + 1) of per-variable positions, from the origin to
+    the far corner, and T raises an alert exactly at the visited points
+    where every window is defined and the condition holds.  That alert's
+    identity *is* the point's window vector; runs do not repeat a seqno,
+    so a window's head names its position and identities and grid points
+    correspond one to one.  A is complete iff some path visits exactly
+    the points ΦA names among those where the condition holds.
+
+    **First layer** (one pass over ΦA and a sort).  Map every identity
+    of ΦA to its point through a per-variable seqno → position index.  An
+    identity that is not the window vector of a point where the condition
+    holds — the gap history of a lossy CE, a head nobody received — is
+    raised on no path.  Two target points incomparable in the product
+    order lie on no common monotone path.  Either way A is incomplete at
+    once.
+
+    **Residue.**  The targets now form a chain t₁ < … < t_k, and a path
+    must visit them in that order.  Walk from the origin to the far
+    corner one leg at a time, each leg a depth-first search for a path
+    from one target to the next that steps on no other point where the
+    condition holds.  A step that overshoots the leg's goal in some
+    coordinate is discarded: positions never decrease, so such a prefix
+    can never come back to the goal.  What survives lies in the box
+    between the leg's two ends; the boxes of a chain share only their
+    corners, every alert raised so far is a function of the position
+    (the targets at or below it), and a leg that succeeds is never
+    re-entered because the legs are independent.  Hence at most
+    ∏(len_v + 1) states are explored, and ``undecided`` cannot occur once
+    ``limit`` reaches the grid size.  Each point is evaluated once,
+    through :func:`~repro.core.condition.compile_condition`'s closure
+    over precomputed window tuples (conditions that do not compile are
+    evaluated on a :class:`~repro.core.history.HistorySnapshot`).
+
+    Every rule above is a fact about (A, the runs); which scenario row or
+    AD algorithm produced them is never consulted.  In particular
+    "lossless front links ⇒ complete" is *false* (AD-5 discards alerts
+    that arrive out of order on lossless links too) and is not used.
 
     ``limit`` bounds explored states; exceeding it yields
-    ``undecided=True`` rather than a guess.
+    ``undecided=True`` rather than a guess.  Raises ValueError when a run
+    repeats a seqno (the enumeration oracle rejects such runs too).
     """
     actual = alert_identity_set(alerts)
     degrees = condition.degrees
@@ -173,118 +213,134 @@ def check_completeness_multi(
                     _canonical_interleaving(variables, sequences)
                 ),
             )
-        missing, extraneous = _failure_diagnostics(
-            actual, condition, variables, sequences
-        )
-        return CompletenessResult(False, missing=missing, extraneous=extraneous)
+        return CompletenessResult(False, extraneous=actual)
 
-    # Rolling history windows: windows[var][p] is H_var (most recent
-    # first) after consuming the first p updates of var's run.
-    windows: dict[str, list[tuple[Update, ...] | None]] = {}
-    for var in variables:
-        degree = degrees[var]
+    # One grid axis per condition variable, in the sorted order both the
+    # compiled closure's arguments and an identity's entries use.  Per
+    # axis and position: the history window (most recent first; None
+    # while undefined), its identity entry, and the position of each head.
+    axes = condition.variables
+    n_axes = len(axes)
+    windows: list[list[tuple[Update, ...] | None]] = []
+    entries: list[list[tuple | None]] = []
+    position_of: list[dict[int, int]] = []
+    for var in axes:
         run = sequences[var]
-        per_pos: list[tuple[Update, ...] | None] = [None] * (len(run) + 1)
+        degree = degrees[var]
+        heads = {update.seqno: pos for pos, update in enumerate(run, 1)}
+        if len(heads) != len(run):
+            raise ValueError(f"the combined {var!r} run repeats a seqno")
+        axis_windows: list[tuple[Update, ...] | None] = [None] * degree
+        axis_entries: list[tuple | None] = [None] * degree
         for pos in range(degree, len(run) + 1):
-            per_pos[pos] = tuple(reversed(run[pos - degree : pos]))
-        windows[var] = per_pos
+            window = tuple(run[pos - degree : pos][::-1])
+            axis_windows.append(window)
+            axis_entries.append((var, tuple([u.seqno for u in window])))
+        windows.append(axis_windows)
+        entries.append(axis_entries)
+        position_of.append(heads)
+    end = tuple([len(sequences[var]) for var in axes])
 
-    # Produced identities are tracked as bitmasks over ΦA (pruning keeps
-    # produced ⊆ ΦA, so nothing outside ΦA ever needs a bit).
-    bit_of = {identity: 1 << i for i, identity in enumerate(sorted(actual))}
-    full_mask = (1 << len(actual)) - 1
-
-    lengths = [len(sequences[var]) for var in variables]
-    n_vars = len(variables)
-    evaluate = condition.evaluate
     condname = condition.name
+    holds = compile_condition(condition)
+    if holds is None:
+        evaluate = condition.evaluate
 
-    # identity-or-None of the alert triggered by the update that *moved
-    # the search into* this position vector; the triggering variable does
-    # not matter because the evaluator sees the same windows either way.
-    eval_cache: dict[tuple[int, ...], tuple | None] = {}
+        def holds(*buffers: tuple[Update, ...]) -> bool:
+            return evaluate(HistorySnapshot.from_trusted(dict(zip(axes, buffers))))
 
-    def produced_at(positions: tuple[int, ...]) -> tuple | None:
-        cached = eval_cache.get(positions, _UNEVALUATED)
-        if cached is not _UNEVALUATED:
-            return cached
-        entries = {}
-        defined = True
-        for index, var in enumerate(variables):
-            window = windows[var][positions[index]]
-            if window is None:
-                defined = False
-                break
-            entries[var] = window
-        identity: tuple | None = None
-        if defined:
-            snapshot = HistorySnapshot.from_trusted(entries)
-            if evaluate(snapshot):
-                identity = (condname, snapshot.identity())
-        eval_cache[positions] = identity
-        return identity
+    raised: dict[tuple[int, ...], bool] = {}
 
-    failed: set[tuple[tuple[int, ...], int]] = set()
-    witness: list[Update] = []
-    states = 0
+    def raises(point: tuple[int, ...]) -> bool:
+        """Does T raise an alert on reaching ``point``?"""
+        known = raised.get(point)
+        if known is None:
+            buffers = [axis[pos] for axis, pos in zip(windows, point)]
+            known = raised[point] = None not in buffers and bool(holds(*buffers))
+        return known
 
-    class _BudgetExceeded(Exception):
-        pass
-
-    def search(positions: tuple[int, ...], produced: int) -> bool:
-        nonlocal states
-        if produced == full_mask and all(
-            positions[i] == lengths[i] for i in range(n_vars)
-        ):
-            return True
-        key = (positions, produced)
-        if key in failed:
-            return False
-        states += 1
-        if states > limit:
-            raise _BudgetExceeded
-        for index in range(n_vars):
-            position = positions[index]
-            if position == lengths[index]:
-                continue
-            advanced = (
-                positions[:index] + (position + 1,) + positions[index + 1 :]
-            )
-            identity = produced_at(advanced)
-            if identity is None:
-                next_produced = produced
-            else:
-                bit = bit_of.get(identity)
-                if bit is None:
-                    # Produced an alert outside ΦA: the final set can only
-                    # grow, so no extension of this prefix can match.
-                    continue
-                next_produced = produced | bit
-            if search(advanced, next_produced):
-                witness.append(sequences[variables[index]][position])
-                return True
-        failed.add(key)
-        return False
-
-    try:
-        found = search(tuple([0] * n_vars), 0)
-    except _BudgetExceeded:
-        missing, extraneous = _failure_diagnostics(
-            actual, condition, variables, sequences
+    def identity_at(point: tuple[int, ...]) -> tuple:
+        return (
+            condname,
+            tuple([axis[pos] for axis, pos in zip(entries, point)]),
         )
+
+    def incomplete(undecided: bool = False) -> CompletenessResult:
+        """✗ (or undecided), with ``missing``/``extraneous`` relative to
+        the canonical interleaving: there only the last variable's leg
+        has every window defined — the grid edge where the others are
+        spent."""
+        last = axes.index(variables[-1])
+        expected = set()
+        for pos in range(degrees[axes[last]], end[last] + 1):
+            point = end[:last] + (pos,) + end[last + 1 :]
+            if raises(point):
+                expected.add(identity_at(point))
         return CompletenessResult(
-            False, missing=missing, extraneous=extraneous, undecided=True
+            False,
+            missing=frozenset(expected - actual),
+            extraneous=frozenset(actual - expected),
+            undecided=undecided,
         )
-    if found:
-        witness.reverse()
-        return CompletenessResult(True, witness_interleaving=tuple(witness))
-    missing, extraneous = _failure_diagnostics(
-        actual, condition, variables, sequences
-    )
-    return CompletenessResult(False, missing=missing, extraneous=extraneous)
 
+    # -- first layer ---------------------------------------------------------
+    targets: list[tuple[int, ...]] = []
+    for identity in actual:
+        histories = identity[1]
+        if len(histories) != n_axes:
+            return incomplete()
+        try:
+            point = tuple(
+                [heads[h[1][0]] for heads, h in zip(position_of, histories)]
+            )
+        except KeyError:
+            return incomplete()
+        # The heads alone do not make the alert: the history below them
+        # must be the window too, and the condition must hold there.
+        if identity_at(point) != identity or not raises(point):
+            return incomplete()
+        targets.append(point)
+    targets.sort()
+    for lower, upper in zip(targets, targets[1:]):
+        if any(a > b for a, b in zip(lower, upper)):
+            return incomplete()
 
-_UNEVALUATED = object()
+    # -- residue -------------------------------------------------------------
+    wanted = set(targets)
+    if not targets or targets[-1] != end:
+        targets.append(end)
+    states = 0
+    here = (0,) * n_axes
+    witness: list[Update] = []
+    for goal in targets:
+        # came[point] = the axis stepped along to reach it on this leg.
+        came: dict[tuple[int, ...], int] = {}
+        stack = [here]
+        while stack and goal not in came:
+            point = stack.pop()
+            states += 1
+            if states > limit:
+                return incomplete(undecided=True)
+            for axis in range(n_axes):
+                coordinate = point[axis] + 1
+                if coordinate > goal[axis]:
+                    continue  # overshoots the goal: can never come back
+                step = point[:axis] + (coordinate,) + point[axis + 1 :]
+                if step in came or (raises(step) and step not in wanted):
+                    continue
+                came[step] = axis
+                stack.append(step)
+        if goal not in came:
+            return incomplete()
+        leg: list[Update] = []
+        point = goal
+        while point != here:
+            axis = came[point]
+            leg.append(sequences[axes[axis]][point[axis] - 1])
+            point = point[:axis] + (point[axis] - 1,) + point[axis + 1 :]
+        witness.extend(reversed(leg))
+        here = goal
+    return CompletenessResult(True, witness_interleaving=tuple(witness))
 
 
 def check_completeness_multi_enumerated(

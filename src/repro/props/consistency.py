@@ -15,11 +15,14 @@ Three checkers, in increasing generality and cost:
   its history span *missed*; A is consistent iff no seqno is required
   both ways.  (The alert's own trigger truth is free: the emitting CE
   evaluated the condition on exactly that history.)
-* :func:`check_consistency_multi` — exact for *non-historical*
-  multi-variable conditions, polynomial time.  It is the precedence-graph
-  construction from the proof of Lemma 5: alert a with seqnos (sx, sy, …)
-  is in T(UV) iff sx precedes (sy+1) of y, etc.; A is consistent iff the
-  constraint graph (plus per-variable chains) is acyclic.
+* :func:`check_consistency_multi` — exact for multi-variable conditions,
+  polynomial time.  It is the precedence-graph construction from the
+  proof of Lemma 5: alert a with seqnos (sx, sy, …) is in T(UV) iff sx
+  precedes (sy+1) of y, etc.; A is consistent iff per-variable
+  membership is satisfiable and the constraint graph (plus per-variable
+  chains) is acyclic.  Two layers: one linear pass decides membership
+  and whether A is ordered — an ordered A provably has an acyclic graph
+  — and the graph is built only for an unordered A.
 * :func:`check_consistency_bruteforce` — exact for everything; a memoized
   DFS over prefixes of candidate U′ sequences (at each step a variable's
   next update is either *taken* into U′ or *skipped*), keyed on
@@ -181,18 +184,48 @@ def check_consistency_multi(
     per-variable history to be exactly the adjacent run it claims, so the
     construction covers historical conditions as well; the test-suite
     cross-validates this checker against the exhaustive oracle.
+
+    **First layer.**  The pass over A that collects the required/missed
+    sets also notes whether every projection Π_v A is non-decreasing, and
+    an *ordered* A that passes condition 1 is consistent without building
+    the graph, because its graph cannot have a cycle.  Proof: for a node
+    (v, s) let pos(v, s) be the first index of A whose v-head is ≥ s —
+    finite, since s lies in some alert's v-history, at or below that
+    alert's head.  A chain edge (v, s) → (v, s′), s < s′, never decreases
+    pos (a head ≥ s′ is a head ≥ s).  A cross edge raised by alert aᵢ
+    leaves (v, aᵢ.seqno.v), whose pos is ≤ i, for some (w, t) with
+    t > aᵢ.seqno.w; A is ordered in w, so every alert up to and including
+    aᵢ has w-head ≤ aᵢ.seqno.w < t, hence pos(w, t) > i: a cross edge
+    strictly increases pos.  A cycle cannot consist of chain edges alone
+    (they increase the seqno within one variable), so it would contain a
+    cross edge and pos would strictly increase around it — impossible.
+
+    **Second layer.**  Only an unordered A builds the graph
+    (:func:`_precedence_cycle`).  Both layers are facts about A alone;
+    which scenario or AD algorithm produced A is never consulted.
     """
     if not alerts:
         return ConsistencyResult(True)
 
-    required: dict[str, set[int]] = {var: set() for var in variables}
-    missed: dict[str, set[int]] = {var: set() for var in variables}
-    for alert in alerts:
-        for var in variables:
-            history = set(alert.histories.seqnos(var))
-            gaps = spanning_set(history) - frozenset(history)
-            required[var] |= history
-            missed[var] |= gaps
+    required: dict[str, set[int]] = {}
+    missed: dict[str, set[int]] = {}
+    ordered = True
+    for var in variables:
+        needed = required[var] = set()
+        absent = missed[var] = set()
+        newest = None
+        for alert in alerts:
+            history = alert.histories[var]
+            head = history[0].seqno
+            if newest is not None and head < newest:
+                ordered = False
+            newest = head
+            if len(history) == 1:
+                needed.add(head)  # a degree-1 history spans no gap
+                continue
+            seqnos = [update.seqno for update in history]
+            needed.update(seqnos)
+            absent.update(spanning_set(seqnos).difference(seqnos))
     for var in variables:
         conflict = required[var] & missed[var]
         if conflict:
@@ -205,10 +238,30 @@ def check_consistency_multi(
                 ),
             )
 
-    # Plain-dict adjacency + Kahn's algorithm: this check runs once per
-    # trial in the table benchmarks, and building a networkx.DiGraph per
-    # run dominated its cost (build_precedence_graph still returns one
-    # for callers that want the graph itself).
+    if not ordered:
+        cycle = _precedence_cycle(alerts, variables, required)
+        if cycle is not None:
+            return ConsistencyResult(False, conflict=cycle)
+    return ConsistencyResult(
+        True,
+        witness_received=frozenset(
+            (var, s) for var in variables for s in required[var]
+        ),
+    )
+
+
+def _precedence_cycle(
+    alerts: Sequence[Alert],
+    variables: Sequence[str],
+    required: dict[str, set[int]],
+) -> str | None:
+    """Second layer of :func:`check_consistency_multi`: the rendered
+    precedence cycle over the required updates, or None when acyclic.
+
+    Plain-dict adjacency + Kahn's algorithm rather than a
+    ``networkx.DiGraph`` per run (:func:`build_precedence_graph` still
+    returns one for callers that want the graph itself).
+    """
     successors: dict[tuple[str, int], list[tuple[str, int]]] = {}
     indegree: dict[tuple[str, int], int] = {}
     sorted_required = {var: sorted(required[var]) for var in variables}
@@ -244,12 +297,7 @@ def check_consistency_multi(
             if indegree[succ] == 0:
                 ready.append(succ)
     if removed == len(indegree):
-        return ConsistencyResult(
-            True,
-            witness_received=frozenset(
-                (var, s) for var in variables for s in required[var]
-            ),
-        )
+        return None
     # Some node sits on (or behind) a cycle.  Every blocked node keeps at
     # least one blocked predecessor (its remaining indegree), so walking
     # predecessors inside the blocked set must revisit a node — that loop
@@ -270,9 +318,7 @@ def check_consistency_multi(
         node = predecessors[node]
     cycle = list(reversed(walk[seen[node] :]))
     rendered = " -> ".join(f"{s}{v}" for (v, s) in cycle + [cycle[0]])
-    return ConsistencyResult(
-        False, conflict=f"precedence cycle over updates: {rendered}"
-    )
+    return f"precedence cycle over updates: {rendered}"
 
 
 def check_consistency_bruteforce(

@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.accel import first_inversion
 from repro.core.alert import Alert, project_alert_seqnos
-from repro.core.sequences import is_ordered
+from repro.core.sequences import first_inversion, is_ordered
 
 __all__ = ["OrderednessResult", "check_orderedness", "is_alert_sequence_ordered"]
 
@@ -34,10 +33,13 @@ class OrderednessResult:
 
 
 def check_orderedness(alerts: Sequence[Alert], variables: Iterable[str]) -> OrderednessResult:
-    """Decide orderedness of A with respect to every variable in V."""
+    """Decide orderedness of A with respect to every variable in V.
+
+    A plain scan of each projection: they are at most a few dozen
+    elements long, where a vectorised ``diff`` costs more than the loop.
+    """
     for var in variables:
-        projection = project_alert_seqnos(alerts, var)
-        index = first_inversion(projection)
+        index = first_inversion(project_alert_seqnos(alerts, var))
         if index is not None:
             return OrderednessResult(False, var, index)
     return OrderednessResult(True)

@@ -154,10 +154,11 @@ def evaluate_run(
 
     # Multi-variable: exact completeness only when tractable.  The skip
     # policy is still phrased in interleaving counts (the historical cost
-    # model, and what the golden fixtures pin); under it the pruned DFS
-    # explores far fewer states than ``interleaving_limit``, so undecided
-    # results are effectively impossible here — but they are propagated
-    # faithfully if a caller passes an aggressive limit.
+    # model, and what the golden fixtures pin); under it the grid walk
+    # explores at most one state per grid point, far fewer than
+    # ``interleaving_limit``, so undecided results cannot occur here —
+    # but they are propagated faithfully if a caller passes a limit
+    # below the grid size.
     n_interleavings = count_interleavings(per_variable)
     if n_interleavings <= interleaving_limit:
         checker = (

@@ -22,9 +22,9 @@ lists — the struct-of-arrays layout:
   per message), so a whole trial's worth of draws for one link is
   materialized by tight repeated calls on one bound method.
 * **Compiled conditions.**  :class:`~repro.core.condition.ExpressionCondition`
-  ASTs are compiled once (cached by ``cache_key()``) into plain lambdas
-  over the per-variable history buffers, replacing the per-delivery AST
-  walk.  Opaque conditions fall back to the real
+  ASTs are compiled once (:func:`repro.core.condition.compile_condition`)
+  into plain lambdas over the per-variable history buffers, replacing the
+  per-delivery AST walk.  Opaque conditions fall back to the real
   :class:`~repro.core.evaluator.ConditionEvaluator`.
 
 Differential oracle contract: for any ``(condition, workload, config,
@@ -50,20 +50,8 @@ from repro.components.system import (
     emit_fault_surface,
 )
 from repro.core.alert import Alert
-from repro.core.condition import Condition, ExpressionCondition
+from repro.core.condition import Condition, compile_condition
 from repro.core.evaluator import ConditionEvaluator
-from repro.core.expressions import (
-    Abs,
-    And,
-    BinOp,
-    BoolConst,
-    Compare,
-    Const,
-    FieldRef,
-    Neg,
-    Not,
-    Or,
-)
 from repro.core.history import HistorySnapshot
 from repro.core.update import Update
 from repro.displayers.ad5 import AD5
@@ -78,103 +66,7 @@ from repro.simulation.kernel import SimulationError
 from repro.simulation.network import FixedDelay, PerLinkSkewDelay, UniformDelay
 from repro.simulation.rng import RandomStreams
 
-__all__ = ["run_system_array", "compile_condition"]
-
-
-# ---------------------------------------------------------------------------
-# Condition compilation: ExpressionCondition AST -> plain lambda
-# ---------------------------------------------------------------------------
-
-class _Unsupported(Exception):
-    """An AST node the code generator does not know (fall back to AST walk)."""
-
-
-#: cache_key() -> compiled closure, or _UNSUPPORTED for uncompilable ASTs.
-_CLOSURE_CACHE: dict[tuple, object] = {}
-_UNSUPPORTED = object()
-
-
-def _render_num(node, names: dict[str, str]) -> str:
-    kind = type(node)
-    if kind is Const:
-        return repr(node.value)
-    if kind is FieldRef:
-        # Buffers are lists most-recent-first, so H.x[-i] is buf[i].
-        # float() matches FieldRef.evaluate's coercion (seqnos are ints).
-        return f"float({names[node.varname]}[{-node.index}].{node.fieldname})"
-    if kind is BinOp:
-        left = _render_num(node.left, names)
-        right = _render_num(node.right, names)
-        return f"({left} {node.op} {right})"
-    if kind is Neg:
-        return f"(-{_render_num(node.operand, names)})"
-    if kind is Abs:
-        return f"abs({_render_num(node.operand, names)})"
-    raise _Unsupported(kind.__name__)
-
-
-def _render_bool(node, names: dict[str, str]) -> str:
-    kind = type(node)
-    if kind is Compare:
-        left = _render_num(node.left, names)
-        right = _render_num(node.right, names)
-        return f"({left} {node.op} {right})"
-    if kind is And:
-        return f"({_render_bool(node.left, names)} and {_render_bool(node.right, names)})"
-    if kind is Or:
-        return f"({_render_bool(node.left, names)} or {_render_bool(node.right, names)})"
-    if kind is Not:
-        return f"(not {_render_bool(node.operand, names)})"
-    if kind is BoolConst:
-        return "True" if node.value else "False"
-    raise _Unsupported(kind.__name__)
-
-
-def compile_condition(condition: Condition):
-    """Compile a condition into ``lambda buf_0, ..., buf_n: bool``.
-
-    Arguments are the per-variable history buffers in sorted-variable
-    order, each a list of :class:`Update` most-recent-first and already
-    filled to the variable's degree.  Returns None when the condition is
-    not a plain :class:`ExpressionCondition` (subclasses may override
-    evaluation hooks) or contains an unknown AST node — callers then use
-    the real :class:`ConditionEvaluator`.
-
-    The conservative gap-guard of :meth:`Condition.evaluate` is compiled
-    in as integer seqno-consecutiveness conjuncts, mirroring
-    ``UpdateHistory.is_consecutive``.
-    """
-    if type(condition) is not ExpressionCondition:
-        return None
-    key = condition.cache_key()
-    cached = _CLOSURE_CACHE.get(key)
-    if cached is not None:
-        return None if cached is _UNSUPPORTED else cached
-    variables = condition.variables
-    names = {var: f"b{i}" for i, var in enumerate(variables)}
-    try:
-        body = _render_bool(condition.expression, names)
-    except _Unsupported:
-        _CLOSURE_CACHE[key] = _UNSUPPORTED
-        return None
-    degrees = condition.degrees
-    if condition.is_conservative:
-        # For non-historical conditions every degree is 1, so the guard is
-        # vacuous and no clauses are emitted — exactly Condition.evaluate.
-        guards = []
-        for var in variables:
-            buf = names[var]
-            for i in range(degrees[var] - 1):
-                guards.append(f"{buf}[{i}].seqno == {buf}[{i + 1}].seqno + 1")
-        if guards:
-            body = "(" + " and ".join(guards) + ") and " + body
-    args = ", ".join(names[var] for var in variables)
-    fn = eval(  # noqa: S307 - source is generated from a closed AST
-        f"lambda {args}: {body}",
-        {"abs": abs, "float": float, "__builtins__": {}},
-    )
-    _CLOSURE_CACHE[key] = fn
-    return fn
+__all__ = ["run_system_array"]
 
 
 # ---------------------------------------------------------------------------

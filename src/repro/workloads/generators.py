@@ -13,6 +13,7 @@ workloads are reproducible from a run seed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from random import Random
 
 __all__ = [
@@ -271,14 +272,11 @@ def zipf_counts(rng: Random, n: int, k: int, exponent: float = 1.2) -> list[int]
     for w in weights:
         acc += w
         bounds.append(acc)
+    last = k - 1
     for _ in range(n):
-        roll = rng.random()
-        for rank, bound in enumerate(bounds):
-            if roll < bound:
-                counts[rank] += 1
-                break
-        else:  # float summation tail
-            counts[-1] += 1
+        # First rank whose bound exceeds the roll; a roll past the last
+        # bound (float summation tail) belongs to the last rank.
+        counts[min(bisect_right(bounds, rng.random()), last)] += 1
     return counts
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.components.system import RunResult, SystemConfig, run_system
 from repro.core.condition import Condition, ExpressionCondition, c1, c2, c3, cm
@@ -81,8 +82,14 @@ class Scenario:
     #: run.  None = the SystemConfig default.
     front_delay_factory: Callable[[], "DelayModel"] | None = None
 
-    def make_condition(self) -> Condition:
+    @cached_property
+    def _condition(self) -> Condition:
         return self.condition_factory()
+
+    def make_condition(self) -> Condition:
+        """The row's condition: built once, shared by every trial of the
+        row (conditions are immutable, and the row determines it)."""
+        return self._condition
 
     def make_workload(self, streams: RandomStreams, n_updates: int) -> Workload:
         return self.workload_factory(streams, n_updates)

@@ -6,6 +6,10 @@ could plausibly introduce), and the test asserts our property machinery
 detects the breakage — randomized sweeps for realistic streams, the
 bounded-exhaustive verifier for proof-grade detection.  If a mutant ever
 survives, the harness (not the algorithm) has a hole.
+
+The last class turns the same idea on the checkers themselves: each
+first-layer shortcut of the two-layer property checkers is broken by one
+source edit, and the oracle cross-validation strategy must notice.
 """
 
 import pytest
@@ -170,3 +174,146 @@ class TestMutantsCaughtByRandomizedTables:
             )
             tally.add(run.evaluate_properties(), seed=seed)
         assert tally.consistency_violations > 0  # mutant exposed
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the *checkers'* first layers.
+# ---------------------------------------------------------------------------
+
+def _mutant(function, old: str | None = None, new: str = ""):
+    """``function`` re-executed from source with ``old`` → ``new``.
+
+    One textual edit, which must hit exactly one place; the copy runs in
+    the defining module's namespace, so it builds the real result
+    classes and calls the real helpers.  ``old=None`` is the control: an
+    unedited copy.
+    """
+    import inspect
+
+    source = inspect.getsource(function)
+    if old is not None:
+        assert source.count(old) == 1, f"{old!r} must occur exactly once"
+        source = source.replace(old, new)
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec("from __future__ import annotations\n" + source, namespace)
+    return namespace[function.__name__]
+
+
+def _killed_by_crossvalidation(disagrees, examples: int = 600) -> bool:
+    """Does the cross-validation strategy produce a case on which the
+    candidate disagrees with its oracle?  (Derandomized, no shrinking.)"""
+    from hypothesis import Phase, given, settings
+
+    from tests.property.test_prop_checker_crossvalidation import (
+        lossy_two_variable_runs,
+    )
+
+    @settings(
+        max_examples=examples, deadline=None, database=None,
+        derandomize=True, phases=[Phase.generate],
+    )
+    @given(lossy_two_variable_runs())
+    def hunt(case):
+        assert not disagrees(*case)
+
+    try:
+        hunt()
+    except AssertionError:
+        return True
+    return False
+
+
+class TestCheckerFirstLayerMutantsCaught:
+    """Every shortcut of the two-layer checkers, broken one line at a
+    time, must be exposed by the very strategy
+    ``test_prop_checker_crossvalidation`` validates them with — a mutant
+    that survived would mean the oracle comparison never reaches that
+    shortcut's exit."""
+
+    @staticmethod
+    def completeness(candidate):
+        from repro.props.completeness import check_completeness_multi_enumerated
+
+        def disagrees(condition, per_var, displayed):
+            return candidate(
+                displayed, condition, per_var
+            ) != check_completeness_multi_enumerated(displayed, condition, per_var)
+
+        return disagrees
+
+    @staticmethod
+    def consistency(candidate):
+        from repro.props.consistency import check_consistency_bruteforce
+
+        def disagrees(condition, per_var, displayed):
+            return bool(candidate(displayed, ["x", "y"])) != bool(
+                check_consistency_bruteforce(displayed, condition, per_var)
+            )
+
+        return disagrees
+
+    def test_unmutated_copies_survive(self):
+        from repro.props.completeness import check_completeness_multi
+        from repro.props.consistency import check_consistency_multi
+
+        assert not _killed_by_crossvalidation(
+            self.completeness(_mutant(check_completeness_multi)), examples=200
+        )
+        assert not _killed_by_crossvalidation(
+            self.consistency(_mutant(check_consistency_multi)), examples=200
+        )
+
+    def test_ordered_shortcut_before_the_membership_check(self):
+        """Mutant: an ordered A is waved through without Theorem 7's
+        Received/Missed test — a(3x,2x;·), a(3x,1x;·) is ordered."""
+        from repro.props.consistency import check_consistency_multi
+
+        mutant = _mutant(
+            check_consistency_multi,
+            "        if conflict:", "        if conflict and not ordered:",
+        )
+        assert _killed_by_crossvalidation(self.consistency(mutant))
+
+    def test_ordered_shortcut_for_every_A(self):
+        """Mutant: the graph is never built, ordered or not."""
+        from repro.props.consistency import check_consistency_multi
+
+        mutant = _mutant(
+            check_consistency_multi, "    if not ordered:\n", "    if False:\n"
+        )
+        assert _killed_by_crossvalidation(self.consistency(mutant))
+
+    def test_overshoot_test_off_by_one(self):
+        """Mutant: ``>=`` for ``>`` — a step *onto* the goal's coordinate
+        is discarded as if it overshot, so goals become unreachable."""
+        from repro.props.completeness import check_completeness_multi
+
+        mutant = _mutant(
+            check_completeness_multi,
+            "if coordinate > goal[axis]:", "if coordinate >= goal[axis]:",
+        )
+        assert _killed_by_crossvalidation(self.completeness(mutant))
+
+    def test_producibility_by_heads_only(self):
+        """Mutant: an identity is located by its head seqnos and the
+        history below them is never compared — a lossy CE's gap history
+        a(3x,1x;·) passes for the grid point of a(3x,2x;·)."""
+        from repro.props.completeness import check_completeness_multi
+
+        mutant = _mutant(
+            check_completeness_multi,
+            "if identity_at(point) != identity or not raises(point):",
+            "if not raises(point):",
+        )
+        assert _killed_by_crossvalidation(self.completeness(mutant))
+
+    def test_targets_treated_as_obstacles(self):
+        """Mutant: the walk refuses every point where the condition
+        holds, the displayed alerts' own points included."""
+        from repro.props.completeness import check_completeness_multi
+
+        mutant = _mutant(
+            check_completeness_multi,
+            "or (raises(step) and step not in wanted)", "or raises(step)",
+        )
+        assert _killed_by_crossvalidation(self.completeness(mutant))

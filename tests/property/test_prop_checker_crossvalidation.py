@@ -1,11 +1,20 @@
-"""Property-based cross-validation of the fast consistency checkers
-against the exhaustive brute-force oracle.
+"""Property-based cross-validation of the fast property checkers
+against the exhaustive oracles.
 
-The constraint-based checkers (Received/Missed for single variable,
-member-precedence graph for multi variable) are the load-bearing novel
-code of this reproduction — these tests check them, verdict for verdict,
-against an oracle that literally enumerates every candidate witness U′.
-Instances are kept tiny so the oracle stays fast.
+The constraint-based consistency checkers (Received/Missed for single
+variable, member-precedence graph for multi variable) and the two-layer
+multi-variable completeness checker are the load-bearing novel code of
+this reproduction — these tests check them against oracles that
+literally enumerate every candidate witness U′ / every interleaving UV.
+Instances are kept tiny so the oracles stay fast.
+
+:func:`lossy_two_variable_runs` is the strategy every shortcut of the
+two-layer checkers has to survive: the displayed sequence is an
+*arbitrary* sub-multiset of both CEs' alerts in an arbitrary order — not
+only what some AD algorithm would output — so unordered A, gap
+histories, incomparable heads and skipped targets all occur
+(``tests/integration/test_mutants.py`` shows it kills each first-layer
+mutant).
 
 The differential tests at the bottom cross-validate a different pair of
 paths: the :class:`~repro.engine.core.TrialEngine` spec pipeline against
@@ -22,11 +31,16 @@ from repro.core.condition import PredicateCondition, c2, cm
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.reference import combine_received, interleavings
 from repro.core.update import Update
+from repro.props.completeness import (
+    check_completeness_multi,
+    check_completeness_multi_enumerated,
+)
 from repro.props.consistency import (
     check_consistency_bruteforce,
     check_consistency_multi,
     check_consistency_single,
 )
+from repro.workloads.scenarios import cm_historical
 
 
 @st.composite
@@ -138,8 +152,8 @@ def _direct_report(spec):
 def test_engine_and_direct_paths_agree_under_faults(
     row, algorithm, seed, n, chaos
 ):
-    """Differential: the memoized TrialEngine path and a direct simulation
-    of the same fault-laden spec report identical verdicts, counters and
+    """Differential: the TrialEngine path and a direct simulation of the
+    same fault-laden spec report identical verdicts, counters and
     delivery stats."""
     from repro.engine import TrialEngine
     from repro.engine.spec import TrialSpec
@@ -189,3 +203,85 @@ def test_multi_checker_matches_oracle_historical(run, rng):
         check_consistency_bruteforce(displayed, condition, per_var)
     )
     assert fast == oracle
+
+
+#: Table 3's three condition shapes: non-historical, and degree 2 in x
+#: with and without the conservative gap-guard.
+TWO_VARIABLE_CONDITIONS = (
+    cm(gap=100.0),
+    cm_historical(conservative=True),
+    cm_historical(conservative=False),
+)
+
+
+@st.composite
+def lossy_two_variable_runs(draw):
+    """``(condition, per_variable, displayed)`` for two lossy CEs.
+
+    Each CE loses its own updates and sees its own x/y interleaving;
+    ``displayed`` is any selection of the alerts the two raised, in any
+    order — what an arbitrary (even broken) AD could have output.
+    """
+    condition = draw(st.sampled_from(TWO_VARIABLE_CONDITIONS))
+    # Four temperature levels a rise/gap threshold apart, so the
+    # conditions fire (and fail to) often instead of almost never.
+    values = st.sampled_from((0.0, 150.0, 300.0, 450.0))
+    sent = {
+        var: [
+            Update(var, seqno, value)
+            for seqno, value in enumerate(
+                draw(st.lists(values, min_size=1, max_size=4)), 1
+            )
+        ]
+        for var in ("x", "y")
+    }
+    traces, alerts = [], []
+    for source in ("CE1", "CE2"):
+        kept = {
+            var: [u for u in run if draw(st.integers(0, 3)) > 0]
+            for var, run in sent.items()
+        }
+        arrivals = list(interleavings(kept))
+        trace = arrivals[draw(st.integers(0, len(arrivals) - 1))]
+        traces.append(trace)
+        alerts.extend(ConditionEvaluator(condition, source).ingest_all(trace))
+    chosen = [a for a in alerts if draw(st.integers(0, 3)) > 0]
+    displayed = draw(st.permutations(chosen))
+    return condition, combine_received(traces, ("x", "y")), displayed
+
+
+@settings(max_examples=150, deadline=None)
+@given(lossy_two_variable_runs())
+def test_two_layer_completeness_equals_the_enumeration_oracle(case):
+    """Verdict, ``missing`` and ``extraneous`` — the whole dataclass."""
+    condition, per_var, displayed = case
+    assert check_completeness_multi(
+        displayed, condition, per_var
+    ) == check_completeness_multi_enumerated(displayed, condition, per_var)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lossy_two_variable_runs())
+def test_two_layer_consistency_matches_the_bruteforce_oracle(case):
+    condition, per_var, displayed = case
+    fast = check_consistency_multi(displayed, ["x", "y"])
+    oracle = check_consistency_bruteforce(displayed, condition, per_var)
+    assert bool(fast) == bool(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multi_var_runs(), st.randoms(use_true_random=False))
+def test_completeness_without_a_compiled_closure(run, rng):
+    """An opaque predicate does not compile, so the grid points are
+    evaluated through ``Condition.evaluate`` — same oracle, same answer."""
+    xs, ys, t1, t2 = run
+    condition = _historical_condition()
+    alerts = ConditionEvaluator(condition, "CE1").ingest_all(
+        t1
+    ) + ConditionEvaluator(condition, "CE2").ingest_all(t2)
+    rng.shuffle(alerts)
+    displayed = [a for a in alerts if rng.random() < 0.8]
+    per_var = {"x": xs, "y": ys}
+    assert check_completeness_multi(
+        displayed, condition, per_var
+    ) == check_completeness_multi_enumerated(displayed, condition, per_var)

@@ -6,10 +6,11 @@ whitelisted grammar, and both versions are evaluated against random
 histories — behavioural equality is the round-trip contract.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.core.condition import ExpressionCondition, compile_condition
 from repro.core.expressions import H
-from repro.core.history import HistorySet
+from repro.core.history import HistorySet, HistorySnapshot
 from repro.core.parser import parse_expression
 from repro.core.serialization import expression_to_text
 from repro.core.update import Update
@@ -121,3 +122,30 @@ def test_text_normalises_in_one_pass(expr):
     once = expression_to_text(parse_expression(expression_to_text(expr)))
     twice = expression_to_text(parse_expression(once))
     assert twice == once
+
+
+def _outcome(thunk):
+    try:
+        return bool(thunk())
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=200, deadline=None)
+@given(bool_exprs(), st.booleans(), filled_histories())
+def test_compiled_closure_equals_condition_evaluate(expr, conservative, histories):
+    """``compile_condition``'s closure ≡ ``Condition.evaluate`` — the AST
+    walk is the oracle — on the windows a CE would hold, the conservative
+    gap-guard included (the drawn seqnos skip, so it does fire)."""
+    assume(expr.degrees())
+    condition = ExpressionCondition("drawn", expr, conservative=conservative)
+    closure = compile_condition(condition)
+    assert closure is not None
+    windows = {
+        var: histories[var].snapshot()[: condition.degree(var)]
+        for var in condition.variables
+    }
+    snapshot = HistorySnapshot.from_trusted(windows)
+    assert _outcome(lambda: closure(*windows.values())) == _outcome(
+        lambda: condition.evaluate(snapshot)
+    )

@@ -66,20 +66,6 @@ def test_fallback_agrees_with_numpy_bit_for_bit(monkeypatch):
     assert accel.median(VALUES) == float(np.median(VALUES))
 
 
-@pytest.mark.parametrize("force_fallback", [False, True])
-def test_first_inversion(monkeypatch, force_fallback):
-    if force_fallback:
-        monkeypatch.setattr(accel, "HAVE_NUMPY", False)
-    assert accel.first_inversion([]) is None
-    assert accel.first_inversion([5]) is None
-    assert accel.first_inversion([1, 2, 2, 3]) is None
-    assert accel.first_inversion([1, 3, 2, 5]) == 2
-    assert accel.first_inversion([2, 1]) == 1
-    assert accel.first_inversion([1.5, 1.25, 9.0]) == 1
-    # Non-numeric comparables always take the scalar path.
-    assert accel.first_inversion(["a", "c", "b"]) == 2
-
-
 def test_as_float_array_is_indexable(fallback):
     container = accel.as_float_array([1.0, 2.5])
     assert container[1] == 2.5

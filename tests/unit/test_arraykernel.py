@@ -5,7 +5,7 @@ The broad random equivalence argument lives in
 edge cases that exercise specific arraykernel code paths — the inline
 AD-5 scan and its caller-supplied-algorithm bypass, the evaluator
 fallback for non-expression conditions, the adversarial phase-1 path
-(stateful loss chains, duplication), the condition compiler's cache, the
+(stateful loss chains, duplication), the compiled condition closure, the
 tracer dispatch (off / counters / full), and the kernel-knob plumbing
 itself.
 """
@@ -19,6 +19,7 @@ from repro.core.condition import (
     c2,
     c3,
     cm,
+    compile_condition,
 )
 from repro.core.expressions import H
 from repro.displayers.registry import make_ad
@@ -36,11 +37,7 @@ from repro.observability import (
     TraceEvent,
 )
 from repro.simulation import arraykernel
-from repro.simulation.arraykernel import (
-    _CLOSURE_CACHE,
-    compile_condition,
-    run_system_array,
-)
+from repro.simulation.arraykernel import run_system_array
 from repro.simulation.failures import CrashSchedule
 from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import rising_runs, threshold_crossers
@@ -235,20 +232,6 @@ def test_counting_tracers_never_build_the_object_kernel(monkeypatch, tracer_type
             condition, workload, _churn_config(), seed=17,
             tracer=MemoryTracer(), kernel="array",
         )
-
-
-def test_compile_condition_caches_by_cache_key():
-    condition = ExpressionCondition(
-        "risen", (H.x[0].value - H.x[-1].value > 120.0), conservative=True
-    )
-    closure = compile_condition(condition)
-    assert closure is not None
-    assert _CLOSURE_CACHE[condition.cache_key()] is closure
-    # A value-equal condition object reuses the cached closure.
-    twin = ExpressionCondition(
-        "risen", (H.x[0].value - H.x[-1].value > 120.0), conservative=True
-    )
-    assert compile_condition(twin) is closure
 
 
 def test_compiled_closure_matches_condition_evaluate():

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.core.alert import alert_identity_set
 from repro.core.condition import c1, c3, cm
 from repro.core.evaluator import ConditionEvaluator
-from repro.core.reference import combine_received, merge_single_variable
+from repro.core.reference import (
+    apply_T,
+    combine_received,
+    is_interleaving_of,
+    merge_single_variable,
+)
 from repro.core.update import parse_trace
 from repro.props.completeness import (
     check_completeness,
@@ -12,7 +18,9 @@ from repro.props.completeness import (
     check_completeness_multi_enumerated,
     check_completeness_single,
 )
+from repro.workloads.scenarios import cm_historical
 from repro.workloads.traces import lemma_6_example
+from tests.conftest import alert_xy
 
 
 class TestSingleVariable:
@@ -116,6 +124,95 @@ class TestMultiVariable:
             assert bool(dfs) == bool(enum)
             assert dfs.missing == enum.missing
             assert dfs.extraneous == enum.extraneous
+
+
+class TestGridLayers:
+    """One test per rule of the two-layer multi-variable checker; each
+    verdict is also the enumeration oracle's, field for field."""
+
+    @staticmethod
+    def both(displayed, condition, per_var, **kwargs):
+        result = check_completeness_multi(displayed, condition, per_var, **kwargs)
+        assert result == check_completeness_multi_enumerated(
+            displayed, condition, per_var
+        )
+        return result
+
+    def test_gap_history_is_raised_on_no_interleaving(self):
+        # CE1 lost 2x and alerts on a(3x,1x; 1y); CE2 did receive 2x, so in
+        # every UV the window under head 3x is ⟨3x,2x⟩ — first layer, ✗.
+        condition = cm_historical(conservative=False)
+        u1 = parse_trace("1x(0), 1y(0), 3x(300)")
+        u2 = parse_trace("1x(0), 1y(0), 2x(10), 3x(300)")
+        (lossy,) = ConditionEvaluator(condition, "CE1").ingest_all(u1)
+        (whole,) = ConditionEvaluator(condition, "CE2").ingest_all(u2)
+        assert (lossy.shorthand(), whole.shorthand()) == (
+            "a(3x,1x; 1y)", "a(3x,2x; 1y)"
+        )
+        per_var = combine_received([u1, u2], ("x", "y"))
+        result = self.both([lossy], condition, per_var)
+        assert not result
+        assert result.missing == {whole.identity()}
+        assert result.extraneous == {lossy.identity()}
+        both = self.both([whole, lossy], condition, per_var)
+        assert not both
+        assert (both.missing, both.extraneous) == (set(), {lossy.identity()})
+        assert self.both([whole], condition, per_var)
+
+    def test_a_head_nobody_received(self):
+        # cm holds on every pair below, but 5x is in no CE's trace.
+        per_var = {"x": parse_trace("1x(500), 2x(500)"), "y": parse_trace("1y(0)")}
+        assert self.both([alert_xy(1, 1), alert_xy(2, 1)], cm(), per_var)
+        foreign = self.both([alert_xy(1, 1), alert_xy(5, 1)], cm(), per_var)
+        assert not foreign
+        assert alert_xy(5, 1).identity() in foreign.extraneous
+        # ... nor is an alert of some other condition one of T's.
+        assert not self.both([alert_xy(1, 1, cond="other")], cm(), per_var)
+
+    def test_an_alert_where_the_condition_does_not_hold(self):
+        per_var = {"x": parse_trace("1x(500), 2x(0)"), "y": parse_trace("1y(0)")}
+        assert self.both([alert_xy(1, 1)], cm(), per_var)
+        assert not self.both([alert_xy(1, 1), alert_xy(2, 1)], cm(), per_var)
+
+    def test_incomparable_heads_share_no_interleaving(self):
+        # a(2x; 1y) needs 2x before 2y, a(1x; 2y) needs 2y before 2x.
+        per_var = {
+            "x": parse_trace("1x(500), 2x(500)"),
+            "y": parse_trace("1y(0), 2y(0)"),
+        }
+        result = self.both([alert_xy(2, 1), alert_xy(1, 2)], cm(), per_var)
+        assert not result
+
+    def test_a_failing_search_decides_within_the_grid(self):
+        # Lemma 6: (8x,3y) sits on every path from (8x,2y) to (8x,4y).
+        example = lemma_6_example()
+        displayed = [example.alert_streams[0][0], example.alert_streams[1][0]]
+        per_var = combine_received(example.traces, ("x", "y"))
+        grid = (len(per_var["x"]) + 1) * (len(per_var["y"]) + 1)
+        result = self.both(displayed, example.condition, per_var, limit=grid)
+        assert not result and not result.undecided
+
+    def test_a_complete_run_decides_within_the_grid_with_a_real_witness(self):
+        condition = cm()
+        u1 = parse_trace("1x(500), 1y(0), 2x(50), 2y(400), 3x(0)")
+        u2 = parse_trace("1y(0), 1x(500), 2y(400), 3y(50), 2x(50)")
+        displayed = ConditionEvaluator(condition).ingest_all(u1)
+        per_var = combine_received([u1, u2], ("x", "y"))
+        grid = (len(per_var["x"]) + 1) * (len(per_var["y"]) + 1)
+        result = self.both(displayed, condition, per_var, limit=grid)
+        assert result and not result.undecided
+        witness = list(result.witness_interleaving)
+        assert is_interleaving_of(witness, per_var)
+        assert alert_identity_set(apply_T(condition, witness)) == (
+            alert_identity_set(displayed)
+        )
+
+    def test_a_run_that_repeats_a_seqno_is_rejected(self):
+        per_var = {"x": parse_trace("1x(500), 1x(500)"), "y": parse_trace("1y(0)")}
+        with pytest.raises(ValueError):
+            check_completeness_multi([], cm(), per_var)
+        with pytest.raises(ValueError):
+            check_completeness_multi_enumerated([], cm(), per_var)
 
 
 class TestDispatch:

@@ -1,5 +1,7 @@
 """Unit tests for conditions: classification, canonical instances, guards."""
 
+import pickle
+
 import pytest
 
 from repro.core.condition import (
@@ -10,6 +12,7 @@ from repro.core.condition import (
     c2,
     c3,
     cm,
+    compile_condition,
     conservative_guard,
     sharp_price_drop,
 )
@@ -55,6 +58,7 @@ class TestClassification:
     def test_variables_sorted(self):
         cond = ExpressionCondition("c", (H.b[0].value > 0) & (H.a[0].value > 0))
         assert cond.variables == ("a", "b")
+        assert cond.variables is cond.variables  # sorted once, at construction
 
 
 class TestEvaluation:
@@ -173,3 +177,63 @@ class TestPredicateCondition:
         )
         assert not feed(cond, [(1, 0.0), (3, 0.0)])
         assert feed(cond, [(1, 0.0), (2, 0.0)])
+
+
+class TestCompileCondition:
+    """``compile_condition``: expression AST → plain closure over the
+    per-variable history buffers (most recent first)."""
+
+    @staticmethod
+    def risen(conservative=True, delta=120.0):
+        return ExpressionCondition(
+            "risen", (H.x[0].value - H.x[-1].value > delta), conservative
+        )
+
+    def test_equal_conditions_share_one_closure(self):
+        condition = self.risen()
+        closure = compile_condition(condition)
+        assert closure is not None
+        assert compile_condition(condition) is closure
+        # A value-equal condition object reuses the compiled closure.
+        assert compile_condition(self.risen()) is closure
+        assert compile_condition(self.risen(conservative=False)) is not closure
+        # ... and so does a pickled copy: compiling leaves no lambda on it.
+        assert compile_condition(pickle.loads(pickle.dumps(condition))) is closure
+
+    def test_constants_are_compiled_at_full_precision(self):
+        # The two thresholds print alike to six significant digits.
+        below = compile_condition(c1(threshold=0.1234567))
+        above = compile_condition(c1(threshold=0.12345679))
+        assert below is not above
+        reading = [Update("x", 1, 0.12345675)]
+        assert below(reading) and not above(reading)
+
+    def test_conservative_guard_is_compiled_in(self):
+        closure = compile_condition(self.risen())
+        jump = [Update("x", 3, 500.0), Update("x", 1, 100.0)]
+        step = [Update("x", 2, 500.0), Update("x", 1, 100.0)]
+        assert closure(step) and not closure(jump)
+        assert compile_condition(self.risen(conservative=False))(jump)
+
+    def test_buffers_are_taken_in_sorted_variable_order(self):
+        condition = ExpressionCondition(
+            "order", H.b[0].value - H.a[0].value > 5.0
+        )
+        assert condition.variables == ("a", "b")
+        closure = compile_condition(condition)
+        assert closure([Update("a", 1, 1.0)], [Update("b", 1, 9.0)])
+        assert not closure([Update("a", 1, 9.0)], [Update("b", 1, 1.0)])
+
+    def test_what_does_not_compile(self):
+        class Inverted(ExpressionCondition):
+            def _evaluate(self, histories):
+                return not super()._evaluate(histories)
+
+        for opaque in (
+            PredicateCondition("p", {"x": 1}, lambda h: True),
+            c2().as_conservative(),
+            Inverted("inv", H.x[0].value > 0.0),
+            # repr(inf) is a bare name, not a literal.
+            ExpressionCondition("inf", H.x[0].value < float("inf")),
+        ):
+            assert compile_condition(opaque) is None

@@ -3,8 +3,10 @@ the fast constraint checkers against the exhaustive oracle."""
 
 import pytest
 
+from repro.core.alert import make_alert
 from repro.core.condition import c2, cm
-from repro.core.update import parse_trace
+from repro.core.update import Update, parse_trace
+from repro.props import consistency
 from repro.props.consistency import (
     build_precedence_graph,
     check_consistency_bruteforce,
@@ -102,6 +104,91 @@ class TestMultiVariable:
         result = check_consistency_multi([alert_xy(1, 1)], ["x", "y"])
         assert ("x", 1) in result.witness_received
         assert ("y", 1) in result.witness_received
+
+
+def alert_x2y(x_head: int, x_prev: int, y_seqno: int):
+    """a(ix,jx; ky): degree 2 in x, degree 1 in y."""
+    return make_alert(
+        "c",
+        {
+            "x": [Update("x", x_head), Update("x", x_prev)],
+            "y": [Update("y", y_seqno)],
+        },
+    )
+
+
+class TestTwoLayers:
+    """An ordered A is settled by the pass that collects the membership
+    sets; only an unordered A builds the precedence graph."""
+
+    @pytest.fixture
+    def graph_calls(self, monkeypatch):
+        calls = []
+        real = consistency._precedence_cycle
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(consistency, "_precedence_cycle", counted)
+        return calls
+
+    @pytest.fixture
+    def no_graph(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an ordered A must not reach the graph")
+
+        monkeypatch.setattr(consistency, "_precedence_cycle", forbidden)
+
+    def test_ordered_A_is_consistent_without_the_graph(self, no_graph):
+        # Π_x A = ⟨1,2,2⟩ and Π_y A = ⟨1,1,2⟩ are both non-decreasing.
+        alerts = [alert_xy(1, 1), alert_xy(2, 1), alert_xy(2, 2)]
+        result = check_consistency_multi(alerts, ["x", "y"])
+        assert result
+        assert result.witness_received == frozenset(
+            {("x", 1), ("x", 2), ("y", 1), ("y", 2)}
+        )
+
+    def test_ordered_historical_A_without_the_graph(self, no_graph):
+        # a(3x,1x; 1y), a(4x,3x; 2y): both want 2x missed — no conflict.
+        alerts = [alert_x2y(3, 1, 1), alert_x2y(4, 3, 2)]
+        result = check_consistency_multi(alerts, ["x", "y"])
+        assert result
+        assert result.witness_received == frozenset(
+            {("x", 1), ("x", 3), ("x", 4), ("y", 1), ("y", 2)}
+        )
+
+    def test_membership_is_checked_before_the_ordered_shortcut(self, no_graph):
+        # Ordered (x-heads ⟨2,3⟩), but a(2x,1x) needs 2x received and
+        # a(3x,1x) needs it missed: Theorem 7's conflict, per variable.
+        alerts = [alert_x2y(2, 1, 1), alert_x2y(3, 1, 1)]
+        result = check_consistency_multi(alerts, ["x", "y"])
+        assert not result
+        assert result.conflict == (
+            "update 2x is required received by one alert "
+            "and required missed by another"
+        )
+
+    def test_unordered_acyclic_A_is_decided_by_the_graph(self, graph_calls):
+        # Π_x A = ⟨2,1⟩ is not ordered, yet ⟨1x,1y,2x,2y⟩ explains both.
+        alerts = [alert_xy(2, 2), alert_xy(1, 1)]
+        assert check_consistency_multi(alerts, ["x", "y"])
+        assert len(graph_calls) == 1
+
+    def test_unordered_cyclic_A_reports_the_cycle(self, graph_calls):
+        # Theorem 10: a(2x,1y) and a(1x,2y) cannot coexist.
+        result = check_consistency_multi(
+            [alert_xy(2, 1), alert_xy(1, 2)], ["x", "y"]
+        )
+        assert not result
+        assert result.conflict == "precedence cycle over updates: 2y -> 2x -> 2y"
+        longer = check_consistency_multi(
+            [alert_xy(2, 3), alert_xy(3, 1), alert_xy(1, 2)], ["x", "y"]
+        )
+        assert longer.conflict == (
+            "precedence cycle over updates: 3x -> 2y -> 2x -> 3x"
+        )
+        assert len(graph_calls) == 2
 
 
 class TestPrecedenceGraph:

@@ -107,6 +107,27 @@ class TestZipf:
         # The head rank dominates the tail rank by a wide margin.
         assert counts[0] > 4 * counts[-1]
 
+    def test_counts_are_the_first_bound_above_each_roll(self):
+        # The definition, as a scan per draw over the same RNG stream.
+        for seed, n, k, exponent in ((7, 3000, 40, 1.2), (23, 500, 1, 1.2), (99, 2000, 3, 0.4)):
+            bounds, acc = [], 0.0
+            for weight in zipf_weights(k, exponent):
+                acc += weight
+                bounds.append(acc)
+            rng, expected = Random(seed), [0] * k
+            for _ in range(n):
+                roll = rng.random()
+                rank = next((r for r, b in enumerate(bounds) if roll < b), k - 1)
+                expected[rank] += 1
+            assert zipf_counts(Random(seed), n, k, exponent) == expected
+
+    def test_a_roll_past_the_summed_weights_lands_on_the_last_rank(self):
+        class Top(Random):
+            def random(self):
+                return 1.0  # past the last bound, as a float-sum tail is
+
+        assert zipf_counts(Top(), 5, 4) == [0, 0, 0, 5]
+
     def test_workload_head_variable_dominates(self):
         per_var = zipfian_workload(Random(9), 300, variables=("x", "y", "z"))
         sizes = {var: len(readings) for var, readings in per_var.items()}

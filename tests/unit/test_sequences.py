@@ -67,6 +67,12 @@ class TestFirstInversion:
     def test_empty(self):
         assert first_inversion([]) is None
 
+    def test_any_comparable_elements(self):
+        assert first_inversion([5]) is None
+        assert first_inversion([2, 1]) == 1
+        assert first_inversion([1.5, 1.25, 9.0]) == 1
+        assert first_inversion(["a", "c", "b"]) == 2
+
 
 class TestPhi:
     def test_paper_example(self):

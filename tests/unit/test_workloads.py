@@ -112,6 +112,22 @@ class TestScenarios:
         assert SINGLE_VARIABLE_SCENARIOS["conservative"].make_condition().is_conservative
         assert SINGLE_VARIABLE_SCENARIOS["aggressive"].make_condition().is_aggressive
 
+    def test_condition_is_built_once_per_row(self):
+        from dataclasses import replace
+
+        built = []
+
+        def factory():
+            built.append(cm_historical(conservative=True))
+            return built[-1]
+
+        row = replace(MULTI_VARIABLE_SCENARIOS["conservative"], condition_factory=factory)
+        assert row.make_condition() is row.make_condition() is built[0]
+        assert len(built) == 1
+        # A sweep point derived from the row is its own row.
+        assert replace(row, front_loss=0.5).make_condition() is built[1]
+        assert row == replace(row)  # the shared instance is not a field
+
     def test_cm_historical_variants(self):
         cons = cm_historical(conservative=True)
         aggr = cm_historical(conservative=False)

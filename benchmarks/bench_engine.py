@@ -52,7 +52,7 @@ multi/conservative, n=600 readings — where the array kernel's advantage
 is largest and per-trial noise smallest; best-of-``--smoke-repeat``
 paired ratio must clear the floor):
 
-    PYTHONPATH=src python benchmarks/bench_engine.py --array-gate 5.0
+    PYTHONPATH=src python benchmarks/bench_engine.py --array-gate 3.0
 """
 
 from __future__ import annotations

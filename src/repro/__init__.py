@@ -38,7 +38,6 @@ from repro.core import (
     ConditionEvaluator,
     ExpressionCondition,
     H,
-    HistorySet,
     HistorySnapshot,
     PredicateCondition,
     Update,
@@ -109,7 +108,6 @@ __all__ = [
     "ExpressionCondition",
     "FixedDelay",
     "H",
-    "HistorySet",
     "HistorySnapshot",
     "Kernel",
     "LossyFifoLink",

@@ -22,7 +22,7 @@ from repro.core.condition import (
 )
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.history import HistorySet, HistorySnapshot, UpdateHistory
+from repro.core.history import HistorySnapshot
 from repro.core.reference import (
     apply_T,
     combine_received,
@@ -62,11 +62,9 @@ __all__ = [
     "ConditionEvaluator",
     "ExpressionCondition",
     "H",
-    "HistorySet",
     "HistorySnapshot",
     "PredicateCondition",
     "Update",
-    "UpdateHistory",
     "alert_identity_set",
     "always_true",
     "apply_T",

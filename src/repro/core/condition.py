@@ -25,12 +25,11 @@ The module also provides the paper's canonical conditions:
 * ``sharp_price_drop`` — the stock example from the introduction (> 20%
   drop between two consecutive quotes).
 
-:func:`compile_condition` turns an :class:`ExpressionCondition` into a
-plain closure over the per-variable history buffers — what the array
-kernel and the completeness checker evaluate instead of walking the AST
-(``props`` cannot import ``simulation``, so it lives here).
-:meth:`Condition.evaluate` remains the definition the closures are
-differentially tested against.
+:func:`compile_condition` turns any condition into a plain closure over
+the per-variable history buffers — what
+:class:`~repro.core.evaluator.ConditionEvaluator` and the completeness
+checker call instead of walking the AST.  :meth:`Condition.evaluate`
+remains the definition the closures are differentially tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.core.expressions import (
     Not,
     Or,
 )
-from repro.core.history import HistorySet, HistorySnapshot, history_is_consecutive
+from repro.core.history import HistorySnapshot, history_is_consecutive
 
 __all__ = [
     "Condition",
@@ -132,23 +131,16 @@ class Condition(ABC):
         return not self.is_conservative
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         """Evaluate the condition; applies the conservative gap-guard first."""
-        if self._conservative and not self._histories_consecutive(histories):
+        if self._conservative and not all(
+            history_is_consecutive(histories[var]) for var in self._variables
+        ):
             return False
         return self._evaluate(histories)
 
-    def _histories_consecutive(self, histories: HistorySet | HistorySnapshot) -> bool:
-        if isinstance(histories, HistorySnapshot):
-            return all(
-                history_is_consecutive(histories[var]) for var in self._variables
-            )
-        # Live history sets check their ring buffers directly, avoiding a
-        # snapshot tuple per evaluation on the simulation hot path.
-        return all(histories[var].is_consecutive() for var in self._variables)
-
     @abstractmethod
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         """Evaluate the underlying predicate (gap-guard already applied)."""
 
     # -- derivation ----------------------------------------------------------
@@ -183,7 +175,7 @@ class ExpressionCondition(Condition):
         super().__init__(name, degrees, conservative)
         self.expression = expression
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         return bool(self.expression.evaluate(histories))
 
     @cached_property
@@ -201,9 +193,14 @@ class PredicateCondition(Condition):
     """A condition defined by an arbitrary Python predicate over H.
 
     Degrees must be declared explicitly since they cannot be inferred from
-    an opaque callable.  The predicate receives the history set/snapshot
-    and must be a pure function of it (the paper excludes conditions that
-    keep extra state at the CE).
+    an opaque callable.  The predicate receives a
+    :class:`~repro.core.history.HistorySnapshot` ``h`` — in the live
+    evaluator and in the property checkers alike — and must be a pure
+    function of it (the paper excludes conditions that keep extra state at
+    the CE).  ``h[var]`` is the most-recent-first tuple of ``var``'s
+    updates, so ``h[var][i]`` is the paper's ``Hx[-i]``: ``h["x"][0]`` is
+    the newest update and ``h["x"][-1]`` (Python's last element) the
+    *oldest* one retained, not the paper's ``Hx[-1]``.
     """
 
     def __init__(
@@ -216,7 +213,7 @@ class PredicateCondition(Condition):
         super().__init__(name, degrees, conservative)
         self._predicate = predicate
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         return bool(self._predicate(histories))
 
 
@@ -227,7 +224,7 @@ class _ConservativeWrapper(Condition):
         super().__init__(name, inner.degrees, conservative=True)
         self._inner = inner
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         # The guard already ran in Condition.evaluate; delegate to the inner
         # predicate without re-applying the inner condition's own guard
         # semantics (the guard is idempotent anyway).
@@ -239,7 +236,7 @@ class _ConservativeWrapper(Condition):
 # ---------------------------------------------------------------------------
 
 class _Unsupported(Exception):
-    """An AST node the code generator does not know (fall back to AST walk)."""
+    """An AST node the code generator does not render."""
 
 
 #: Generated lambda source -> compiled closure.  Keyed on the source text
@@ -313,23 +310,35 @@ def compile_condition(condition: Condition):
     Arguments are the per-variable history buffers in sorted-variable
     order, each a sequence of :class:`~repro.core.update.Update`
     most-recent-first and already filled to the variable's degree.
-    Returns None when the condition is not a plain
-    :class:`ExpressionCondition` (subclasses may override evaluation
-    hooks) or contains an AST node the generator does not render —
-    callers then evaluate through :meth:`Condition.evaluate`.
 
-    The conservative gap-guard of :meth:`Condition.evaluate` is compiled
-    in as integer seqno-consecutiveness conjuncts, mirroring
-    ``UpdateHistory.is_consecutive``.  A condition is rendered once and
-    equal renderings share one compiled closure;
-    :meth:`Condition.evaluate` stays the oracle the closures are
+    A plain :class:`ExpressionCondition` whose AST renders is compiled
+    to a lambda, the conservative gap-guard of :meth:`Condition.evaluate`
+    compiled in as integer seqno-consecutiveness conjuncts; it is
+    rendered once and equal renderings share one compiled closure.
+    Anything else — an opaque predicate, a subclass that may override an
+    evaluation hook, an AST node the generator does not render — gets a
+    wrapper that freezes the buffers into a
+    :class:`~repro.core.history.HistorySnapshot` and calls
+    :meth:`Condition.evaluate`, the oracle the lambdas are
     differentially tested against.
     """
-    if type(condition) is not ExpressionCondition:
-        return None
-    source = condition._closure_source
+    source = (
+        condition._closure_source
+        if type(condition) is ExpressionCondition
+        else None
+    )
     if source is None:
-        return None
+        variables = condition.variables
+        evaluate = condition.evaluate
+
+        def holds(*buffers) -> bool:
+            return evaluate(
+                HistorySnapshot.from_trusted(
+                    {var: tuple(buf) for var, buf in zip(variables, buffers)}
+                )
+            )
+
+        return holds
     fn = _CLOSURE_CACHE.get(source)
     if fn is None:
         fn = _CLOSURE_CACHE[source] = eval(  # noqa: S307 - source is generated from a closed AST

@@ -1,15 +1,18 @@
 """The Condition Evaluator — the CE's evaluation core (Sections 2–3).
 
-:class:`ConditionEvaluator` is the stateful heart of a CE: it ingests data
-updates, maintains the history set H at the degrees the condition demands,
-re-evaluates the condition on every arrival, and emits an alert carrying a
-frozen snapshot of H whenever the condition is satisfied.
+:class:`ConditionEvaluator` is the stateful heart of a CE and the one
+place in the code base where the CE step happens: it ingests data
+updates, maintains the history set H at the degrees the condition
+demands — one most-recent-first list per variable, so ``buffer[i]`` is
+the paper's ``Hx[-i]`` — asks the condition's compiled closure
+(:func:`~repro.core.condition.compile_condition`) whether it holds on
+every arrival, and emits an alert carrying a frozen snapshot of H
+whenever it does.
 
 This class is deliberately free of any networking or simulation concerns —
-it is the pure ``T`` mapping unrolled over time.  The simulated CE node
-(:mod:`repro.components.ce_node`) wraps it; the reference non-replicated
-system (:mod:`repro.core.reference`) replays traces through a fresh
-instance.
+it is the pure ``T`` mapping unrolled over time.  Both simulator kernels,
+every service runtime and the reference non-replicated system
+(:mod:`repro.core.reference`) run their CEs through it.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.core.alert import Alert
-from repro.core.condition import Condition
-from repro.core.history import HistorySet
+from repro.core.condition import Condition, compile_condition
+from repro.core.history import HistorySnapshot
 from repro.core.update import Update
 
 __all__ = ["ConditionEvaluator"]
+
+_new = object.__new__
+_oset = object.__setattr__
 
 
 class ConditionEvaluator:
@@ -42,14 +48,28 @@ class ConditionEvaluator:
         code can attribute alerts to evaluators.
     """
 
+    __slots__ = (
+        "condition", "source", "_holds", "_buffers", "_windows",
+        "_received", "_alerts", "_defined",
+    )
+
     def __init__(self, condition: Condition, source: str = "") -> None:
         self.condition = condition
         self.source = source
-        self.histories = HistorySet(condition.degrees)
+        self._holds = compile_condition(condition)
+        #: One most-recent-first list per variable, in sorted-variable
+        #: order: the order the closure takes its arguments in and the
+        #: key order HistorySnapshot keeps.
+        self._buffers: list[list[Update]] = [[] for _ in condition.variables]
+        degrees = condition.degrees
+        #: varname -> (buffer, degree), in the same order.
+        self._windows = {
+            var: (buffer, degrees[var])
+            for var, buffer in zip(condition.variables, self._buffers)
+        }
         self._received: list[Update] = []
         self._alerts: list[Alert] = []
-        # H can only gain entries, so once defined it stays defined; cache
-        # the transition to skip the per-variable check on every ingest.
+        # H can only gain entries, so once defined it stays defined.
         self._defined = False
 
     # -- inspection ----------------------------------------------------------
@@ -66,7 +86,7 @@ class ConditionEvaluator:
     @property
     def is_warmed_up(self) -> bool:
         """True once H is defined and the condition can be evaluated."""
-        return self.histories.is_defined
+        return self._defined
 
     # -- operation -----------------------------------------------------------
     def ingest(self, update: Update) -> Alert | None:
@@ -76,35 +96,53 @@ class ConditionEvaluator:
         ignored entirely (not recorded in ``received``): the CE would not
         have subscribed to those DMs.
         """
-        history = self.histories.history_for(update.varname)
-        if history is None:
+        window = self._windows.get(update.varname)
+        if window is None:
             return None
-        history.push(update)
+        buffer, degree = window
+        if buffer and update.seqno <= buffer[0].seqno:
+            raise ValueError(
+                f"non-increasing seqno pushed into H{update.varname}: "
+                f"{update.seqno} after {buffer[0].seqno}"
+            )
+        buffer.insert(0, update)
+        if len(buffer) > degree:
+            buffer.pop()
         self._received.append(update)
+        buffers = self._buffers
         if not self._defined:
-            if not self.histories.is_defined:
-                # H is undefined while fewer than `degree` updates have
-                # arrived (§2): the condition cannot be evaluated yet.
-                return None
+            # H is undefined while fewer than `degree` updates of some
+            # variable have arrived (§2): the condition cannot be
+            # evaluated yet.
+            for buffer, degree in self._windows.values():
+                if len(buffer) < degree:
+                    return None
             self._defined = True
-        if not self.condition.evaluate(self.histories):
+        if not self._holds(*buffers):
             return None
-        alert = Alert(self.condition.name, self.histories.snapshot(), self.source)
+        # Frozen-dataclass construction without __init__'s indirection
+        # (the order check above is HistorySnapshot's validation), and a
+        # loop rather than a comprehension's extra frame per alert.
+        entries = {}
+        for var, buffer in zip(self._windows, buffers):
+            entries[var] = tuple(buffer)
+        snapshot = _new(HistorySnapshot)
+        _oset(snapshot, "_entries", entries)
+        alert = _new(Alert)
+        _oset(alert, "condname", self.condition.name)
+        _oset(alert, "histories", snapshot)
+        _oset(alert, "source", self.source)
         self._alerts.append(alert)
         return alert
 
     def ingest_all(self, updates: Iterable[Update]) -> list[Alert]:
         """Feed a whole trace; return the alerts it produced, in order."""
-        produced = []
-        for update in updates:
-            alert = self.ingest(update)
-            if alert is not None:
-                produced.append(alert)
-        return produced
+        return [a for a in map(self.ingest, updates) if a is not None]
 
     def reset(self) -> None:
         """Clear all state, as if the evaluator had just started."""
-        self.histories = HistorySet(self.condition.degrees)
+        for buffer in self._buffers:
+            buffer.clear()
         self._received.clear()
         self._alerts.clear()
         self._defined = False

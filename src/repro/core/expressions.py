@@ -14,8 +14,10 @@ own notation::
 
 Expression objects know how to
 
-* **evaluate** against an :class:`~repro.core.history.HistorySet` or a
-  frozen :class:`~repro.core.history.HistorySnapshot`;
+* **evaluate** against a frozen
+  :class:`~repro.core.history.HistorySnapshot` — the definition the
+  compiled closures of :func:`repro.core.condition.compile_condition`
+  are differentially tested against;
 * **infer degrees**: the degree of the expression with respect to variable
   x is ``max(-index) + 1`` over every ``H.x[index]`` reference — exactly
   the paper's rule that "a condition using only Hx[0] and Hx[-2] is of
@@ -33,7 +35,7 @@ import operator
 from collections.abc import Callable, Mapping
 from typing import Union
 
-from repro.core.history import HistorySet, HistorySnapshot
+from repro.core.history import HistorySnapshot
 from repro.core.update import Update
 
 __all__ = [
@@ -58,19 +60,17 @@ __all__ = [
 Numeric = Union[int, float]
 
 
-def _resolve(histories: HistorySet | HistorySnapshot, var: str, index: int) -> Update:
-    """Fetch ``H[var][index]`` from either a live history set or a snapshot."""
-    if isinstance(histories, HistorySnapshot):
-        # Snapshot tuples are most-recent-first: index 0 -> [0], -1 -> [1]...
-        entries = histories[var]
-        offset = -index
-        if offset >= len(entries):
-            raise LookupError(
-                f"snapshot for {var!r} has only {len(entries)} entries, "
-                f"cannot resolve index {index}"
-            )
-        return entries[offset]
-    return histories[var][index]
+def _resolve(histories: HistorySnapshot, var: str, index: int) -> Update:
+    """Fetch the paper's ``H[var][index]`` (index 0 or negative)."""
+    # Snapshot tuples are most-recent-first: index 0 -> [0], -1 -> [1]...
+    entries = histories[var]
+    offset = -index
+    if offset >= len(entries):
+        raise LookupError(
+            f"snapshot for {var!r} has only {len(entries)} entries, "
+            f"cannot resolve index {index}"
+        )
+    return entries[offset]
 
 
 class Expr:
@@ -80,7 +80,7 @@ class Expr:
     produce :class:`BoolExpr` nodes.
     """
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         raise NotImplementedError
 
     def degrees(self) -> dict[str, int]:
@@ -160,7 +160,7 @@ class Const(Expr):
     def __init__(self, value: float) -> None:
         self.value = float(value)
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         return self.value
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -183,7 +183,7 @@ class FieldRef(Expr):
         self.fieldname = fieldname
         self._get_field = operator.attrgetter(fieldname)
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         update = _resolve(histories, self.varname, self.index)
         return float(self._get_field(update))
 
@@ -264,7 +264,7 @@ class BinOp(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         return self._fn(
             self.left.evaluate(histories), self.right.evaluate(histories)
         )
@@ -283,7 +283,7 @@ class Neg(Expr):
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         return -self.operand.evaluate(histories)
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -299,7 +299,7 @@ class Abs(Expr):
     def __init__(self, operand: Expr) -> None:
         self.operand = operand
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> float:
+    def evaluate(self, histories: HistorySnapshot) -> float:
         return abs(self.operand.evaluate(histories))
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -312,7 +312,7 @@ class Abs(Expr):
 class BoolExpr:
     """Base class for boolean-valued nodes; supports ``&``, ``|``, ``~``."""
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         raise NotImplementedError
 
     def degrees(self) -> dict[str, int]:
@@ -347,7 +347,7 @@ class BoolConst(BoolExpr):
     def __init__(self, value: bool) -> None:
         self.value = bool(value)
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         return self.value
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -377,7 +377,7 @@ class Compare(BoolExpr):
         self.left = left
         self.right = right
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         return self._fn(
             self.left.evaluate(histories), self.right.evaluate(histories)
         )
@@ -395,7 +395,7 @@ class And(BoolExpr):
         self.left = left
         self.right = right
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         return self.left.evaluate(histories) and self.right.evaluate(histories)
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -411,7 +411,7 @@ class Or(BoolExpr):
         self.left = left
         self.right = right
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         return self.left.evaluate(histories) or self.right.evaluate(histories)
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:
@@ -426,7 +426,7 @@ class Not(BoolExpr):
     def __init__(self, operand: BoolExpr) -> None:
         self.operand = operand
 
-    def evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def evaluate(self, histories: HistorySnapshot) -> bool:
         return not self.operand.evaluate(histories)
 
     def _collect_degrees(self, acc: dict[str, int]) -> None:

@@ -10,147 +10,23 @@ recent.  N is the history's *degree*, dictated by the condition being
 monitored.  Until N updates have been received the history is *undefined*
 and the condition cannot be evaluated.
 
-:class:`HistorySet` is the full ``H``: one history per variable in the
-condition's variable set V.  Alerts carry a frozen snapshot of H
-(:class:`HistorySnapshot`), which AD algorithms compare for duplicate and
-conflict detection.
+:class:`HistorySnapshot` is the full ``H`` frozen at one instant: one
+most-recent-first tuple per variable in the condition's variable set V,
+so ``snapshot[x][i]`` is the paper's ``Hx[-i]``.  It is what
+:meth:`Condition.evaluate <repro.core.condition.Condition.evaluate>`
+takes, what alerts carry, and what AD algorithms compare for duplicate
+and conflict detection.  The live, growing H of a CE is kept by
+:class:`~repro.core.evaluator.ConditionEvaluator`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.update import Update
 
-__all__ = ["UpdateHistory", "HistorySet", "HistorySnapshot", "history_is_consecutive"]
-
-
-class UpdateHistory:
-    """``Hx``: ring buffer of the N most recent updates of one variable.
-
-    Indexing follows the paper: ``h[0]`` is the most recent update,
-    ``h[-1]`` the one before it, down to ``h[-(degree-1)]``.  Positive
-    indices are invalid.  Accessing any slot before the history is defined
-    (fewer than ``degree`` updates received) raises LookupError.
-    """
-
-    def __init__(self, varname: str, degree: int) -> None:
-        if degree < 1:
-            raise ValueError(f"history degree must be >= 1, got {degree}")
-        self.varname = varname
-        self.degree = degree
-        # Leftmost element is the most recent update.
-        self._buffer: deque[Update] = deque(maxlen=degree)
-
-    @property
-    def is_defined(self) -> bool:
-        """True once at least ``degree`` updates have been incorporated."""
-        return len(self._buffer) == self.degree
-
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def push(self, update: Update) -> None:
-        """Incorporate a newly received update as ``Hx[0]``.
-
-        Enforces the front-link ordering assumption: a CE never sees
-        x-updates out of order, so pushes must carry increasing seqnos.
-        """
-        if update.varname != self.varname:
-            raise ValueError(
-                f"history for {self.varname!r} got update for {update.varname!r}"
-            )
-        if self._buffer and update.seqno <= self._buffer[0].seqno:
-            raise ValueError(
-                f"non-increasing seqno pushed into H{self.varname}: "
-                f"{update.seqno} after {self._buffer[0].seqno}"
-            )
-        self._buffer.appendleft(update)
-
-    def __getitem__(self, index: int) -> Update:
-        if index > 0:
-            raise IndexError("history indices are 0 or negative (Hx[0], Hx[-1], ...)")
-        buffer = self._buffer
-        if len(buffer) != self.degree:
-            raise LookupError(
-                f"H{self.varname} is undefined: {len(buffer)} of "
-                f"{self.degree} updates received"
-            )
-        return buffer[-index]
-
-    def snapshot(self) -> tuple[Update, ...]:
-        """The current contents, most recent first (undefined → LookupError)."""
-        if not self.is_defined:
-            raise LookupError(f"H{self.varname} is undefined")
-        return tuple(self._buffer)
-
-    def is_consecutive(self) -> bool:
-        """True iff the buffered seqnos are consecutive, most recent first.
-
-        Equivalent to ``history_is_consecutive(self.snapshot())`` without
-        materialising the snapshot tuple — this runs inside every
-        conservative-condition evaluation.
-        """
-        previous = None
-        for update in self._buffer:
-            if previous is not None and previous != update.seqno + 1:
-                return False
-            previous = update.seqno
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(u.shorthand(False) for u in self._buffer)
-        return f"H{self.varname}<{inner}>"
-
-
-class HistorySet:
-    """``H``: the set of update histories, one per variable in V."""
-
-    def __init__(self, degrees: Mapping[str, int]) -> None:
-        if not degrees:
-            raise ValueError("a condition must involve at least one variable")
-        self._histories = {
-            var: UpdateHistory(var, degree) for var, degree in degrees.items()
-        }
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self._histories)
-
-    @property
-    def is_defined(self) -> bool:
-        """True once every per-variable history is defined."""
-        return all(h.is_defined for h in self._histories.values())
-
-    def __getitem__(self, varname: str) -> UpdateHistory:
-        return self._histories[varname]
-
-    def __contains__(self, varname: str) -> bool:
-        return varname in self._histories
-
-    def history_for(self, varname: str) -> UpdateHistory | None:
-        """The history for ``varname``, or None when the variable ∉ V."""
-        return self._histories.get(varname)
-
-    def push(self, update: Update) -> None:
-        """Route an update into the history of its variable.
-
-        Updates for variables outside V are ignored (a CE only subscribes
-        to the DMs of its condition's variables, but a shared broadcast
-        medium may still deliver others).
-        """
-        history = self._histories.get(update.varname)
-        if history is not None:
-            history.push(update)
-
-    def snapshot(self) -> "HistorySnapshot":
-        # The per-variable deques enforce ordering on push, so the frozen
-        # copy can skip HistorySnapshot's re-validation.
-        return HistorySnapshot.from_trusted(
-            {var: h.snapshot() for var, h in self._histories.items()}
-        )
+__all__ = ["HistorySnapshot", "history_is_consecutive"]
 
 
 @dataclass(frozen=True)
@@ -171,14 +47,13 @@ class HistorySnapshot:
             if not updates:
                 raise ValueError(f"empty history snapshot for {var!r}")
             seqnos = [u.seqno for u in updates]
-            if any(b <= a for a, b in zip(seqnos[1:], seqnos)):
-                # Entries are most-recent-first, so seqnos must strictly
-                # decrease along the tuple.
-                if any(b >= a for a, b in zip(seqnos, seqnos[1:])):
-                    raise ValueError(
-                        f"history snapshot for {var!r} not in most-recent-first "
-                        f"order: {seqnos}"
-                    )
+            # Entries are most-recent-first, so seqnos must strictly
+            # decrease along the tuple.
+            if any(a <= b for a, b in zip(seqnos, seqnos[1:])):
+                raise ValueError(
+                    f"history snapshot for {var!r} not in most-recent-first "
+                    f"order: {seqnos}"
+                )
 
     @classmethod
     def from_trusted(
@@ -188,10 +63,10 @@ class HistorySnapshot:
 
         Skips the per-variable ordering validation of ``__post_init__``;
         callers must guarantee non-empty, most-recent-first runs (as the
-        ring buffers in :class:`UpdateHistory` do by construction).  This
-        is the hot-path constructor: one snapshot is frozen per emitted
-        alert, and the pruned completeness search builds snapshots per
-        explored prefix state.
+        evaluator's order-checked buffers are by construction).  This is
+        the constructor conditions that do not compile are evaluated
+        through: one snapshot per arrival, and per grid point of the
+        completeness search.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_entries", dict(sorted(entries.items())))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.condition import Condition
-from repro.core.history import HistorySet, HistorySnapshot
+from repro.core.history import HistorySnapshot
 from repro.multicondition.combined import trim_histories
 
 __all__ = ["ConjunctionCondition", "NegationCondition"]
@@ -48,7 +48,7 @@ class ConjunctionCondition(Condition):
         # One conservative conjunct vetoes any gap-spanning trigger.
         return any(c.is_conservative for c in self.conditions)
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         for condition in self.conditions:
             view = trim_histories(histories, condition.degrees)
             if not condition.evaluate(view):
@@ -74,6 +74,6 @@ class NegationCondition(Condition):
     def is_conservative(self) -> bool:  # type: ignore[override]
         return not self.is_historical
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         view = trim_histories(histories, self.condition.degrees)
         return not self.condition.evaluate(view)

@@ -24,7 +24,7 @@ from repro.core.alert import Alert
 from repro.core.condition import Condition, ExpressionCondition
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.history import HistorySet, HistorySnapshot
+from repro.core.history import HistorySnapshot
 from repro.core.update import Update, parse_trace
 from repro.displayers.base import ADAlgorithm
 
@@ -37,18 +37,17 @@ __all__ = [
 
 
 def trim_histories(
-    histories: HistorySet | HistorySnapshot, degrees: dict[str, int]
+    histories: HistorySnapshot, degrees: dict[str, int]
 ) -> HistorySnapshot:
-    """Restrict a (possibly deeper) history set to the given degrees.
+    """Restrict a (possibly deeper) snapshot to the given degrees.
 
     Used when a combined condition keeps max-degree histories but a
     constituent only looks at shallower ones: the constituent must be
     evaluated — including its conservative gap-guard — on exactly the
     depth it declares.
     """
-    snapshot = histories if isinstance(histories, HistorySnapshot) else histories.snapshot()
     return HistorySnapshot(
-        {var: snapshot[var][: degrees[var]] for var in degrees}
+        {var: histories[var][: degrees[var]] for var in degrees}
     )
 
 
@@ -79,7 +78,7 @@ class DisjunctionCondition(Condition):
     def is_conservative(self) -> bool:  # type: ignore[override]
         return all(c.is_conservative for c in self.conditions)
 
-    def _evaluate(self, histories: HistorySet | HistorySnapshot) -> bool:
+    def _evaluate(self, histories: HistorySnapshot) -> bool:
         for condition in self.conditions:
             view = trim_histories(histories, condition.degrees)
             if condition.evaluate(view):

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition, compile_condition
-from repro.core.history import HistorySnapshot
 from repro.core.reference import (
     apply_T,
     combine_received,
@@ -176,8 +175,7 @@ def check_completeness_multi(
     ∏(len_v + 1) states are explored, and ``undecided`` cannot occur once
     ``limit`` reaches the grid size.  Each point is evaluated once,
     through :func:`~repro.core.condition.compile_condition`'s closure
-    over precomputed window tuples (conditions that do not compile are
-    evaluated on a :class:`~repro.core.history.HistorySnapshot`).
+    over precomputed window tuples.
 
     Every rule above is a fact about (A, the runs); which scenario row or
     AD algorithm produced them is never consulted.  In particular
@@ -243,12 +241,6 @@ def check_completeness_multi(
 
     condname = condition.name
     holds = compile_condition(condition)
-    if holds is None:
-        evaluate = condition.evaluate
-
-        def holds(*buffers: tuple[Update, ...]) -> bool:
-            return evaluate(HistorySnapshot.from_trusted(dict(zip(axes, buffers))))
-
     raised: dict[tuple[int, ...], bool] = {}
 
     def raises(point: tuple[int, ...]) -> bool:

@@ -147,26 +147,21 @@ def run_tenant(
         for i in range(replication)
     ]
     ingested = 0
-    stamped: list[tuple[tuple[float, int], object]] = []
+    stamps: list[list[tuple[float, int]]] = [[] for _ in evaluators]
     counter = 0
     for position, update in enumerate(stream):
         for ce_index, evaluator in enumerate(evaluators):
             if ce_index > 0 and rng.random() < 0.2:
                 continue  # front-link loss on this replica
             ingested += 1
-            alert = evaluator.ingest(update)
-            if alert is not None:
+            if evaluator.ingest(update) is not None:
                 # Back-link arrival stamp: position-major, replica-minor
                 # — a deterministic total order for the AD merge.
-                stamped.append(
-                    ((position * 10.0 + ce_index * 0.5, counter), alert)
+                stamps[ce_index].append(
+                    (position * 10.0 + ce_index * 0.5, counter)
                 )
                 counter += 1
     per_ce = tuple(evaluator.alerts for evaluator in evaluators)
-    stamps = tuple(
-        tuple(stamp for stamp, alert in stamped if alert.source == f"CE{i + 1}")
-        for i in range(replication)
-    )
     arrivals = merge_stamped(per_ce, stamps)
     algorithm = make_ad(_ALGORITHMS[index % len(_ALGORITHMS)], condition)
     algorithm.offer_all(arrivals)

@@ -5,7 +5,7 @@ The object kernel (:mod:`repro.simulation.kernel` driven through
 a heap of per-event closures.  That is the right shape for observability
 and for composing components, but it pays per event: a closure
 allocation, a heap sift, and an attribute-dispatch chain through
-DataMonitor → LossyFifoLink → CENode → expression-AST evaluation.
+DataMonitor → LossyFifoLink → CENode.
 
 This module executes the *same* trial as flat passes over preallocated
 lists — the struct-of-arrays layout:
@@ -21,11 +21,12 @@ lists — the struct-of-arrays layout:
   inlined (``lo + span * rng.random()`` instead of a DelayModel dispatch
   per message), so a whole trial's worth of draws for one link is
   materialized by tight repeated calls on one bound method.
-* **Compiled conditions.**  :class:`~repro.core.condition.ExpressionCondition`
-  ASTs are compiled once (:func:`repro.core.condition.compile_condition`)
-  into plain lambdas over the per-variable history buffers, replacing the
-  per-delivery AST walk.  Opaque conditions fall back to the real
-  :class:`~repro.core.evaluator.ConditionEvaluator`.
+
+What is *not* here is the CE step: every delivery that reaches a live CE
+is handed to that CE's :class:`~repro.core.evaluator.ConditionEvaluator`,
+the same object the object kernel's ``CENode`` wraps, so the two kernels
+cannot disagree on history windows, condition evaluation or alert
+construction — only on scheduling, links, faults, membership and the AD.
 
 Differential oracle contract: for any ``(condition, workload, config,
 seed)`` — including fault-injected and membership-on configs —
@@ -50,9 +51,8 @@ from repro.components.system import (
     emit_fault_surface,
 )
 from repro.core.alert import Alert
-from repro.core.condition import Condition, compile_condition
+from repro.core.condition import Condition
 from repro.core.evaluator import ConditionEvaluator
-from repro.core.history import HistorySnapshot
 from repro.core.update import Update
 from repro.displayers.ad5 import AD5
 from repro.displayers.base import ADAlgorithm
@@ -98,8 +98,8 @@ def _sample_delay(
     """One link-delay draw (``Link._sample_delay``): model, then spike factor.
 
     ``skew_bases[index]`` is the link's lazily drawn per-link base.  The
-    two hot loops inline the same cases; this serves the duplicate-copy,
-    catch-up and evaluator-fallback corners of both link directions.
+    two hot loops inline the same cases; this serves the duplicate-copy
+    and catch-up corners of both link directions.
     """
     kind = parts[0]
     if kind == _D_UNIFORM:
@@ -226,42 +226,10 @@ class _Trial:
             for ce_idx in range(replication):
                 self.bl_skew_base[ce_idx] = bases.get(id(self.bl_rng[ce_idx]))
 
-        # -- CE evaluation state: compiled fast path or real evaluator --
-        self.closure = compile_condition(condition)
-        if self.closure is not None:
-            degrees = condition.degrees
-            self.cond_vars = condition.variables
-            self.cond_degrees = [degrees[var] for var in self.cond_vars]
-            #: per CE: one history buffer (most-recent-first list) per
-            #: condition variable, in condition-variable order (the order
-            #: the compiled closure takes its arguments in).
-            self.bufs = [
-                [[] for _ in self.cond_vars] for _ in range(replication)
-            ]
-            #: per CE: varname -> (buffer, degree) for O(1) ingest lookup.
-            self.buf_deg = [
-                {
-                    var: (bufs[i], self.cond_degrees[i])
-                    for i, var in enumerate(self.cond_vars)
-                }
-                for bufs in self.bufs
-            ]
-            #: HistorySnapshot._entries keys must be in sorted-variable
-            #: order (from_trusted canonicalizes with dict(sorted(...)));
-            #: precompute (varname, buffer-index) pairs in that order so
-            #: the hot path can build the dict pre-sorted.
-            self.snap_pairs = sorted(
-                (var, i) for i, var in enumerate(self.cond_vars)
-            )
-            self.defined = [False] * replication
-            self.received: list[list[Update]] = [[] for _ in range(replication)]
-            self.ce_alerts: list[list[Alert]] = [[] for _ in range(replication)]
-            self.evaluators = None
-        else:
-            self.evaluators = [
-                ConditionEvaluator(condition, source=f"CE{i + 1}")
-                for i in range(replication)
-            ]
+        self.evaluators = [
+            ConditionEvaluator(condition, source=f"CE{i + 1}")
+            for i in range(replication)
+        ]
 
         # -- dynamic membership (see repro.membership) --
         self.mem_on = config.membership is not None
@@ -311,41 +279,6 @@ class _Trial:
         self.filtered: tuple[Alert, ...] | None = None
 
     # -- shared inner steps --------------------------------------------------
-
-    def _ingest(self, ce_idx: int, update: Update) -> Alert | None:
-        """CE evaluation step; exact ConditionEvaluator.ingest semantics.
-
-        Serves catch-up replay and the evaluator fallback; the closure
-        phase-2 loop inlines an equivalent body.
-        """
-        if self.closure is None:
-            return self.evaluators[ce_idx].ingest(update)
-        pair = self.buf_deg[ce_idx].get(update.varname)
-        if pair is None:
-            # Variable outside V: ignored entirely, not recorded.
-            return None
-        buf, degree = pair
-        buf.insert(0, update)
-        if len(buf) > degree:
-            buf.pop()
-        self.received[ce_idx].append(update)
-        bufs = self.bufs[ce_idx]
-        if not self.defined[ce_idx]:
-            for entries, deg in zip(bufs, self.cond_degrees):
-                if len(entries) < deg:
-                    return None
-            self.defined[ce_idx] = True
-        if not self.closure(*bufs):
-            return None
-        alert = Alert(
-            self.condition.name,
-            HistorySnapshot.from_trusted(
-                {var: tuple(entries) for var, entries in zip(self.cond_vars, bufs)}
-            ),
-            f"CE{ce_idx + 1}",
-        )
-        self.ce_alerts[ce_idx].append(alert)
-        return alert
 
     def _deliver_back(self, ce_idx: int, now: float) -> float:
         """Back-link delivery-time computation (ReliableLink/StoreAndForward).
@@ -406,10 +339,7 @@ class _Trial:
             knowledge = [u for t, u in self.sent_log if t < now]
         else:
             peer = int(event.source.rsplit(":CE", 1)[1]) - 1
-            if self.closure is not None:
-                knowledge = list(self.received[peer])
-            else:
-                knowledge = list(self.evaluators[peer].received)
+            knowledge = self.evaluators[peer].received
         hw = self.hw[ce_idx]
         for tally, updates in (
             (self.caught_up, knowledge), (self.replayed, self.mem_buf[ce_idx])
@@ -419,7 +349,7 @@ class _Trial:
                     continue
                 hw[update.varname] = update.seqno
                 tally[ce_idx] += 1
-                alert = self._ingest(ce_idx, update)
+                alert = self.evaluators[ce_idx].ingest(update)
                 if alert is not None:
                     on_alert(ce_idx, alert, now)
         self.mem_buf[ce_idx].clear()
@@ -433,12 +363,6 @@ class _Trial:
             for ce_idx in range(self.replication):
                 self._flush(ce_idx)
                 self.rec_flag[ce_idx] = False
-        if self.closure is None:
-            received = tuple(e.received for e in self.evaluators)
-            ce_alerts = tuple(e.alerts for e in self.evaluators)
-        else:
-            received = tuple(tuple(r) for r in self.received)
-            ce_alerts = tuple(tuple(a) for a in self.ce_alerts)
         return RunResult(
             condition=self.condition,
             config=self.config,
@@ -452,8 +376,8 @@ class _Trial:
             # sorted variables, so append order is already the object
             # kernel's sorted (time, varname) order.
             sent_log=tuple(self.sent_log),
-            received=received,
-            ce_alerts=ce_alerts,
+            received=tuple(e.received for e in self.evaluators),
+            ce_alerts=tuple(e.alerts for e in self.evaluators),
             ad_arrivals=tuple(self.ad_arrivals),
             ad_arrival_times=tuple(self.ad_times),
             displayed=(
@@ -683,11 +607,10 @@ def _run(trial: _Trial, count=None) -> RunResult:
     fl_drops = trial.fl_drops
     ce_crash = trial.ce_crash
     missed = trial.missed
-    back_events: list[tuple[float, int, Alert, tuple | None]] = []
+    back_events: list[tuple[float, int, Alert]] = []
     back_append = back_events.append
     brank = 0
 
-    # Back-link locals, shared by both phase-2 bodies below.
     bparts = trial.back_parts
     back_kind, bp1, bp2, bp3, bp4, _bases = bparts
     back_spikes = config.back_delay_spikes
@@ -698,19 +621,10 @@ def _run(trial: _Trial, count=None) -> RunResult:
     back_outage = trial.back_outage
     ad_avail = trial.ad_avail
 
-    closure = trial.closure
     algorithm = trial.algorithm
     #: The inline AD scans stand in for an algorithm object nobody else
     #: observes; a counted run needs the object's rejection reasons.
     inline = trial.own_algorithm and count is None
-    #: Inline AD-5 needs per-alert head seqnos in algorithm.varnames order;
-    #: the closure path has them for free iff the buffer order matches.
-    ad5_inline = (
-        inline
-        and type(algorithm) is AD5
-        and closure is not None
-        and tuple(algorithm.varnames) == tuple(trial.cond_vars)
-    )
 
     # Membership events merge into the phase-2 stream by (time, seq): they
     # hold the globally lowest schedule seqs, so at equal time a rejoin or
@@ -723,11 +637,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
 
     def mem_alert(ce_idx: int, alert: Alert, mtime: float) -> None:
         nonlocal brank
-        seqs = (
-            tuple([b[0].seqno for b in trial.bufs[ce_idx]])
-            if ad5_inline else None
-        )
-        back_append((trial._deliver_back(ce_idx, mtime), brank, alert, seqs))
+        back_append((trial._deliver_back(ce_idx, mtime), brank, alert))
         brank += 1
 
     def fire_mem(limit: float) -> None:
@@ -740,147 +650,74 @@ def _run(trial: _Trial, count=None) -> RunResult:
             else:
                 trial._mem_catchup(mce, mev, mtime, mem_alert)
 
-    if closure is not None:
-        buf_deg = trial.buf_deg
-        bufs_all = trial.bufs
-        cond_degrees = trial.cond_degrees
-        defined = trial.defined
-        recv_append = [r.append for r in trial.received]
-        ce_alerts_append = [a.append for a in trial.ce_alerts]
-        snap_pairs = trial.snap_pairs
-        condname = trial.condition.name
-        sources = [f"CE{i + 1}" for i in ce_range]
-        # Per-link lookup tables: one list index replaces a modulo plus a
-        # dict probe in the delivery loop.
-        li_ce = [li % replication for li in range(trial.n_links)]
-        li_pair = [
-            buf_deg[li % replication].get(variables[li // replication])
-            for li in range(trial.n_links)
-        ]
-        mem_on = trial.mem_on
-        for time, _rank, tag, li, update in arrivals:
-            if mi < mn and mem_events[mi][0] <= time:
-                fire_mem(time)
-            if tag <= fl_last_tag[li]:
-                # The receiver drops a copy (equal tag) or a late datagram.
-                reason = "duplicate" if tag == fl_last_tag[li] else "reorder"
-                fl_drops[reason][li] += 1
+    # Per-link lookup tables: one list index replaces a modulo (and an
+    # attribute lookup on the evaluator) in the delivery loop.
+    li_ce = [li % replication for li in range(trial.n_links)]
+    li_ingest = [trial.evaluators[ce_idx].ingest for ce_idx in li_ce]
+    mem_on = trial.mem_on
+    for time, _rank, tag, li, update in arrivals:
+        if mi < mn and mem_events[mi][0] <= time:
+            fire_mem(time)
+        if tag <= fl_last_tag[li]:
+            # The receiver drops a copy (equal tag) or a late datagram.
+            reason = "duplicate" if tag == fl_last_tag[li] else "reorder"
+            fl_drops[reason][li] += 1
+            continue
+        fl_last_tag[li] = tag
+        ce_idx = li_ce[li]
+        crash = ce_crash[ce_idx]
+        if crash is not None and not crash.is_up(time):
+            missed[ce_idx] += 1
+            continue
+        if mem_on:
+            if trial.rec_flag[ce_idx]:
+                trial.mem_buf[ce_idx].append(update)
+                trial.buffered[ce_idx] += 1
                 continue
-            fl_last_tag[li] = tag
-            ce_idx = li_ce[li]
-            crash = ce_crash[ce_idx]
-            if crash is not None and not crash.is_up(time):
-                missed[ce_idx] += 1
-                continue
-            if mem_on:
-                if trial.rec_flag[ce_idx]:
-                    trial.mem_buf[ce_idx].append(update)
-                    trial.buffered[ce_idx] += 1
-                    continue
-                if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
-                    trial.stale[ce_idx] += 1
-                    continue  # stale in-flight datagram: catch-up beat it
-                trial.hw[ce_idx][update.varname] = update.seqno
-            # -- inline ConditionEvaluator.ingest ------------------------
-            pair = li_pair[li]
-            if pair is None:
-                continue  # variable outside V: ignored entirely
-            buf, degree = pair
-            buf.insert(0, update)
-            if len(buf) > degree:
-                buf.pop()
-            recv_append[ce_idx](update)
-            bufs = bufs_all[ce_idx]
-            if not defined[ce_idx]:
-                short = False
-                for hist, deg in zip(bufs, cond_degrees):
-                    if len(hist) < deg:
-                        short = True
-                        break
-                if short:
-                    continue
-                defined[ce_idx] = True
-            if not closure(*bufs):
-                continue
-            # -- alert construction (fast frozen-dataclass path) ---------
-            entries_map = {}
-            for var, bi in snap_pairs:
-                entries_map[var] = tuple(bufs[bi])
-            snap = _new(HistorySnapshot)
-            _oset(snap, "_entries", entries_map)
-            alert = _new(Alert)
-            _oset(alert, "condname", condname)
-            _oset(alert, "histories", snap)
-            _oset(alert, "source", sources[ce_idx])
-            ce_alerts_append[ce_idx](alert)
-            # -- inline back-link send (ReliableLink/StoreAndForward) ----
-            if back_kind == _D_UNIFORM:
-                bdelay = bp1 + bp2 * bl_rnd[ce_idx]()
-            elif back_kind == _D_SKEW:
-                base = bl_skew_base[ce_idx]
-                if base is None:
-                    base = bp1 + bp2 * bl_rnd[ce_idx]()
-                    bl_skew_base[ce_idx] = base
-                    bparts[5][id(bl_rng[ce_idx])] = base
-                bdelay = base + (bp3 + bp4 * bl_rnd[ce_idx]())
-            elif back_kind == _D_FIXED:
-                bdelay = bp1
-            else:
-                bdelay = config.back_delay.sample(bl_rng[ce_idx])
-            if back_spikes is not None:
-                bdelay *= back_spikes.factor_at(time)
-            raw = time + bdelay
-            outage = back_outage[ce_idx]
-            if outage is not None:
-                up_at = outage.next_up_time(raw)
-                if up_at > raw:
-                    trial.bl_outage_holds[ce_idx] += 1
-                    raw = up_at
-            last = bl_last[ce_idx]
-            delivery = raw if raw > last else last
-            if ad_avail is not None:
-                available_at = ad_avail.next_up_time(delivery)
-                if available_at > delivery:
-                    trial.bl_ad_holds[ce_idx] += 1
-                    delivery = available_at
-            bl_last[ce_idx] = delivery
-            if delivery < time:
-                raise SimulationError(
-                    f"cannot schedule at {delivery} before current time {time}"
-                )
-            seqs = tuple([b[0].seqno for b in bufs]) if ad5_inline else None
-            back_append((delivery, brank, alert, seqs))
-            brank += 1
-    else:
-        ingest = trial._ingest
-        deliver_back = trial._deliver_back
-        mem_on = trial.mem_on
-        for time, _rank, tag, li, update in arrivals:
-            if mi < mn and mem_events[mi][0] <= time:
-                fire_mem(time)
-            if tag <= fl_last_tag[li]:
-                reason = "duplicate" if tag == fl_last_tag[li] else "reorder"
-                fl_drops[reason][li] += 1
-                continue
-            fl_last_tag[li] = tag
-            ce_idx = li % replication
-            crash = ce_crash[ce_idx]
-            if crash is not None and not crash.is_up(time):
-                missed[ce_idx] += 1
-                continue
-            if mem_on:
-                if trial.rec_flag[ce_idx]:
-                    trial.mem_buf[ce_idx].append(update)
-                    trial.buffered[ce_idx] += 1
-                    continue
-                if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
-                    trial.stale[ce_idx] += 1
-                    continue
-                trial.hw[ce_idx][update.varname] = update.seqno
-            alert = ingest(ce_idx, update)
-            if alert is not None:
-                back_append((deliver_back(ce_idx, time), brank, alert, None))
-                brank += 1
+            if update.seqno <= trial.hw[ce_idx].get(update.varname, 0):
+                trial.stale[ce_idx] += 1
+                continue  # stale in-flight datagram: catch-up beat it
+            trial.hw[ce_idx][update.varname] = update.seqno
+        alert = li_ingest[li](update)
+        if alert is None:
+            continue
+        # -- inline back-link send (ReliableLink/StoreAndForward) ----
+        if back_kind == _D_UNIFORM:
+            bdelay = bp1 + bp2 * bl_rnd[ce_idx]()
+        elif back_kind == _D_SKEW:
+            base = bl_skew_base[ce_idx]
+            if base is None:
+                base = bp1 + bp2 * bl_rnd[ce_idx]()
+                bl_skew_base[ce_idx] = base
+                bparts[5][id(bl_rng[ce_idx])] = base
+            bdelay = base + (bp3 + bp4 * bl_rnd[ce_idx]())
+        elif back_kind == _D_FIXED:
+            bdelay = bp1
+        else:
+            bdelay = config.back_delay.sample(bl_rng[ce_idx])
+        if back_spikes is not None:
+            bdelay *= back_spikes.factor_at(time)
+        raw = time + bdelay
+        outage = back_outage[ce_idx]
+        if outage is not None:
+            up_at = outage.next_up_time(raw)
+            if up_at > raw:
+                trial.bl_outage_holds[ce_idx] += 1
+                raw = up_at
+        last = bl_last[ce_idx]
+        delivery = raw if raw > last else last
+        if ad_avail is not None:
+            available_at = ad_avail.next_up_time(delivery)
+            if available_at > delivery:
+                trial.bl_ad_holds[ce_idx] += 1
+                delivery = available_at
+        bl_last[ce_idx] = delivery
+        if delivery < time:
+            raise SimulationError(
+                f"cannot schedule at {delivery} before current time {time}"
+            )
+        back_append((delivery, brank, alert))
+        brank += 1
     if mi < mn:
         fire_mem(float("inf"))
 
@@ -892,7 +729,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
     ad_times_append = trial.ad_times.append
     if inline and type(algorithm) is PassThrough:
         displayed = []
-        for time, _brank, alert, _seqs in back_events:
+        for time, _brank, alert in back_events:
             ad_arrivals_append(alert)
             ad_times_append(time)
             displayed.append(alert)
@@ -903,12 +740,11 @@ def _run(trial: _Trial, count=None) -> RunResult:
         ad_last = [-1] * len(varnames)
         displayed = []
         filtered = []
-        for time, _brank, alert, seqs in back_events:
+        for time, _brank, alert in back_events:
             ad_arrivals_append(alert)
             ad_times_append(time)
-            if seqs is None:
-                seqno = alert.seqno
-                seqs = tuple([seqno(var) for var in varnames])
+            seqno = alert.histories.seqno
+            seqs = [seqno(var) for var in varnames]
             inverted = False
             duplicate = True
             for s, l in zip(seqs, ad_last):
@@ -926,7 +762,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
         trial.filtered = tuple(filtered)
     else:
         offer = algorithm.offer
-        for time, _brank, alert, _seqs in back_events:
+        for time, _brank, alert in back_events:
             ad_arrivals_append(alert)
             ad_times_append(time)
             if offer(alert):
@@ -985,10 +821,7 @@ def _count_run(trial: _Trial, count, events: int) -> None:
             count("membership", "replay-buffered", name, n=trial.replayed[ce_idx])
         count("ce", "missed", name, "crashed", crashed)
         count("ce", "update-received", name, n=live[ce_idx] - crashed)
-        if trial.closure is not None:
-            raised = len(trial.ce_alerts[ce_idx])
-        else:
-            raised = len(trial.evaluators[ce_idx].alerts)
+        raised = len(trial.evaluators[ce_idx].alerts)
         count("ce", "alert-raised", name, n=raised)
         # Back links lose nothing: every alert raised is sent and delivered.
         back = f"{name}->AD"

@@ -209,7 +209,7 @@ def lemma_6_example() -> PaperExample:
 
     def predicate(histories) -> bool:
         if isinstance(histories, dict):  # pragma: no cover - defensive
-            raise TypeError("expected HistorySet/HistorySnapshot")
+            raise TypeError("expected a HistorySnapshot")
         x_head = histories["x"][0]
         y_head = histories["y"][0]
         return (x_head.seqno, y_head.seqno) in satisfied

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.alert import Alert, make_alert
 from repro.core.condition import c1, c2, c3, cm
+from repro.core.history import HistorySnapshot
 from repro.core.update import Update, parse_trace
 
 
@@ -17,6 +18,22 @@ def u(text: str) -> Update:
 def trace(text: str) -> list[Update]:
     """Parse a whole trace: trace("1x(2900), 2x(3100)")."""
     return parse_trace(text)
+
+
+def snapshot_of(degrees: dict[str, int], updates) -> HistorySnapshot:
+    """H after a CE with the given degrees received ``updates`` in order:
+    per variable, the last ``degree`` updates, most recent first.
+
+    Validated, so out-of-order input raises ValueError.  A variable with
+    fewer than ``degree`` updates keeps the short window it has.
+    """
+    windows: dict[str, list[Update]] = {var: [] for var in degrees}
+    for update in updates:
+        if update.varname in windows:
+            windows[update.varname].insert(0, update)
+    return HistorySnapshot(
+        {var: tuple(window[: degrees[var]]) for var, window in windows.items()}
+    )
 
 
 def alert_deg1(seqno: int, value: float = 0.0, var: str = "x", cond: str = "c") -> Alert:

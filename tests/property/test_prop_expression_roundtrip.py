@@ -4,16 +4,29 @@ Random condition expressions are rendered with
 :func:`repro.core.serialization.expression_to_text`, re-parsed with the
 whitelisted grammar, and both versions are evaluated against random
 histories — behavioural equality is the round-trip contract.
+
+The same expression strategy drives the CE-step differentials: the
+compiled closure against ``Condition.evaluate`` on one window, and
+``ConditionEvaluator`` against a naive ``T`` over whole lossy streams.
+Both simulator kernels run that one evaluator, so these — not the kernel
+differential — are what proves CE evaluation.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.condition import ExpressionCondition, compile_condition
+from repro.core.alert import Alert
+from repro.core.condition import (
+    ExpressionCondition,
+    PredicateCondition,
+    compile_condition,
+)
+from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.history import HistorySet, HistorySnapshot
+from repro.core.history import HistorySnapshot
 from repro.core.parser import parse_expression
 from repro.core.serialization import expression_to_text
 from repro.core.update import Update
+from tests.conftest import snapshot_of
 
 VARS = ("x", "y")
 MAX_DEGREE = 3
@@ -74,21 +87,28 @@ def bool_exprs(draw, depth=0):
     return ~left
 
 
-def full_history_set():
-    histories = HistorySet({var: MAX_DEGREE for var in VARS})
-    return histories
+@st.composite
+def lossy_streams(draw, variables, min_size, max_size):
+    """An arrival order a CE could see: the variables interleave freely
+    and each variable's seqnos increase, skipping where updates were lost."""
+    seqnos = dict.fromkeys(variables, 0)
+    stream = []
+    for var in draw(
+        st.lists(st.sampled_from(variables), min_size=min_size, max_size=max_size)
+    ):
+        seqnos[var] += draw(st.integers(1, 3))
+        value = draw(st.floats(-100.0, 100.0).map(lambda v: round(v, 2)))
+        stream.append(Update(var, seqnos[var], value))
+    return stream
 
 
 @st.composite
 def filled_histories(draw):
-    histories = full_history_set()
+    """H at full depth in every variable (gaps included)."""
+    stream = []
     for var in VARS:
-        seqno = 0
-        for _ in range(MAX_DEGREE):
-            seqno += draw(st.integers(1, 3))
-            value = draw(st.floats(-100.0, 100.0).map(lambda v: round(v, 2)))
-            histories.push(Update(var, seqno, value))
-    return histories
+        stream += draw(lossy_streams((var,), MAX_DEGREE, MAX_DEGREE))
+    return snapshot_of(dict.fromkeys(VARS, MAX_DEGREE), stream)
 
 
 @settings(max_examples=120, deadline=None)
@@ -140,12 +160,67 @@ def test_compiled_closure_equals_condition_evaluate(expr, conservative, historie
     assume(expr.degrees())
     condition = ExpressionCondition("drawn", expr, conservative=conservative)
     closure = compile_condition(condition)
-    assert closure is not None
+    assert closure.__name__ == "<lambda>"  # rendered, not the AST wrapper
     windows = {
-        var: histories[var].snapshot()[: condition.degree(var)]
+        var: histories[var][: condition.degree(var)]
         for var in condition.variables
     }
     snapshot = HistorySnapshot.from_trusted(windows)
     assert _outcome(lambda: closure(*windows.values())) == _outcome(
         lambda: condition.evaluate(snapshot)
     )
+
+
+def naive_T(condition, stream):
+    """``T(U)`` the slow way: keep each variable's window, freeze it into
+    a validated snapshot per arrival, ask ``Condition.evaluate``."""
+    degrees = condition.degrees
+    windows = {var: () for var in degrees}
+    alerts = []
+    for update in stream:
+        var = update.varname
+        if var not in degrees:
+            continue
+        windows[var] = ((update,) + windows[var])[: degrees[var]]
+        if any(len(windows[v]) < degrees[v] for v in degrees):
+            continue
+        snapshot = HistorySnapshot(windows)
+        if condition.evaluate(snapshot):
+            alerts.append(Alert(condition.name, snapshot, "N"))
+    return alerts
+
+
+def _assert_evaluator_is_naive_T(condition, stream):
+    evaluator = ConditionEvaluator(condition, source="N")
+    produced = evaluator.ingest_all(stream)
+    expected = naive_T(condition, stream)
+    assert produced == expected
+    assert [a.source for a in produced] == ["N"] * len(expected)
+    assert evaluator.alerts == tuple(expected)
+    assert evaluator.received == tuple(
+        u for u in stream if u.varname in condition.variables
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(bool_exprs(), st.booleans(), lossy_streams(VARS + ("z",), 8, 20))
+def test_evaluator_equals_naive_T(expr, conservative, stream):
+    """``ConditionEvaluator.ingest_all`` ≡ the naive T — aggressive and
+    conservative, one or two variables, degree up to three, gapped
+    streams, updates for a variable outside V interleaved."""
+    assume(expr.degrees())
+    condition = ExpressionCondition("drawn", expr, conservative=conservative)
+    _assert_evaluator_is_naive_T(condition, stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), lossy_streams(VARS + ("z",), 8, 20))
+def test_evaluator_equals_naive_T_for_an_opaque_predicate(conservative, stream):
+    """The same, for a condition that does not compile to a lambda."""
+    condition = PredicateCondition(
+        "opaque",
+        {"x": 3, "y": 1},
+        lambda h: (h["x"][0].seqno + h["x"][2].seqno + h["y"][0].seqno) % 2 == 0,
+        conservative=conservative,
+    )
+    _assert_evaluator_is_naive_T(condition, stream)

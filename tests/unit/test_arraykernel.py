@@ -3,11 +3,10 @@
 The broad random equivalence argument lives in
 ``tests/property/test_prop_kernel_differential.py``; here are the pinned
 edge cases that exercise specific arraykernel code paths — the inline
-AD-5 scan and its caller-supplied-algorithm bypass, the evaluator
-fallback for non-expression conditions, the adversarial phase-1 path
-(stateful loss chains, duplication), the compiled condition closure, the
-tracer dispatch (off / counters / full), and the kernel-knob plumbing
-itself.
+AD-5 scan and its caller-supplied-algorithm bypass, the single CE step
+shared with the object kernel, the adversarial phase-1 path (stateful
+loss chains, duplication), the compiled condition closure, the tracer
+dispatch (off / counters / full), and the kernel-knob plumbing itself.
 """
 
 import pytest
@@ -21,6 +20,7 @@ from repro.core.condition import (
     cm,
     compile_condition,
 )
+from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
 from repro.displayers.registry import make_ad
 from repro.faults.model import (
@@ -117,22 +117,54 @@ def test_caller_supplied_algorithm_bypasses_the_inline_scan():
     assert object_algorithm.discarded == array_algorithm.discarded
 
 
-def test_predicate_condition_uses_the_evaluator_fallback():
-    """PredicateCondition cannot be compiled to a closure; the array
-    kernel must fall back to the real ConditionEvaluator (and, with
-    AD-5, to seqno recomputation instead of carried tuples)."""
-    condition = PredicateCondition(
+def _churn_config():
+    return SystemConfig(
+        replication=2,
+        ad_algorithm="AD-2",
+        front_loss=0.3,
+        crash_schedules={0: CrashSchedule(windows=((30.0, 80.0),))},
+        membership=MembershipConfig(detection_timeout=4.0, catchup_latency=2.0),
+    )
+
+
+def test_every_ce_step_is_one_evaluator_ingest(monkeypatch):
+    """The array kernel has no CE step of its own: whatever a CE
+    incorporates — live deliveries and catch-up replay alike — went through
+    ``ConditionEvaluator.ingest`` exactly once, whether the condition
+    renders to a lambda or not, and the run still equals the object
+    kernel's."""
+    ingested = []
+    ingest = ConditionEvaluator.ingest
+
+    def counting(self, update):
+        ingested.append(update)
+        return ingest(self, update)
+
+    opaque = PredicateCondition(
         "hot", {"x": 1}, lambda h: h["x"][0].value > 1050.0
     )
-    assert compile_condition(condition) is None
-    _assert_kernels_agree(
-        condition,
-        _workload(7),
-        lambda: SystemConfig(
-            replication=2, ad_algorithm="AD-5", front_loss=0.3
-        ),
-        seed=7,
-    )
+
+    def lossy():
+        return SystemConfig(replication=2, ad_algorithm="AD-5", front_loss=0.3)
+
+    for condition in (c2(), opaque):
+        for make_config in (lossy, _churn_config):
+            with monkeypatch.context() as patch:
+                patch.setattr(ConditionEvaluator, "ingest", counting)
+                del ingested[:]
+                array_run = run_system(
+                    condition, _workload(7), make_config(), seed=7,
+                    kernel="array",
+                )
+                assert len(ingested) == sum(map(len, array_run.received)) > 0
+            if make_config is _churn_config:
+                assert sum(array_run.caught_up) > 0  # replay did happen
+            object_run = run_system(
+                condition, _workload(7), make_config(), seed=7,
+                kernel="object",
+            )
+            for field in _RUN_FIELDS + ("caught_up",):
+                assert getattr(object_run, field) == getattr(array_run, field), field
 
 
 def test_adversarial_faults_take_the_merged_path():
@@ -154,16 +186,6 @@ def test_adversarial_faults_take_the_merged_path():
         )
 
     _assert_kernels_agree(c2(), _workload(13), make_config, seed=13)
-
-
-def _churn_config():
-    return SystemConfig(
-        replication=2,
-        ad_algorithm="AD-2",
-        front_loss=0.3,
-        crash_schedules={0: CrashSchedule(windows=((30.0, 80.0),))},
-        membership=MembershipConfig(detection_timeout=4.0, catchup_latency=2.0),
-    )
 
 
 class _ThirdPartyTracer:

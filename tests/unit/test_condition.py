@@ -16,17 +16,20 @@ from repro.core.condition import (
     conservative_guard,
     sharp_price_drop,
 )
+from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.history import HistorySet
-from repro.core.update import Update
+from repro.core.history import HistorySnapshot
+from repro.core.reference import apply_T
+from repro.core.update import Update, parse_trace
+from repro.props.completeness import check_completeness_multi
+from tests.conftest import snapshot_of
 
 
 def feed(condition, pairs, var="x"):
-    """Evaluate a condition after pushing (seqno, value) updates."""
-    histories = HistorySet(condition.degrees)
-    for seqno, value in pairs:
-        histories.push(Update(var, seqno, value))
-    return condition.evaluate(histories)
+    """Evaluate a condition on H after (seqno, value) updates arrived."""
+    return condition.evaluate(
+        snapshot_of(condition.degrees, [Update(var, s, v) for s, v in pairs])
+    )
 
 
 class TestClassification:
@@ -82,12 +85,10 @@ class TestEvaluation:
 
     def test_cm_absolute_difference(self):
         cond = cm(gap=100)
-        histories = HistorySet(cond.degrees)
-        histories.push(Update("x", 1, 1000.0))
-        histories.push(Update("y", 1, 1150.0))
-        assert cond.evaluate(histories)
-        histories.push(Update("y", 2, 1050.0))
-        assert not cond.evaluate(histories)
+        arrived = [Update("x", 1, 1000.0), Update("y", 1, 1150.0)]
+        assert cond.evaluate(snapshot_of(cond.degrees, arrived))
+        arrived.append(Update("y", 2, 1050.0))
+        assert not cond.evaluate(snapshot_of(cond.degrees, arrived))
 
     def test_sharp_price_drop_aggressive(self):
         cond = sharp_price_drop(0.2)
@@ -179,6 +180,26 @@ class TestPredicateCondition:
         assert feed(cond, [(1, 0.0), (2, 0.0)])
 
 
+    def test_predicate_sees_one_index_convention_everywhere(self):
+        """``h[var]`` is the most-recent-first tuple in the live evaluator,
+        in ``apply_T`` and in the checkers alike: ``h["x"][-1]`` is the
+        oldest retained update (the paper's ``Hx[-2]`` at degree 3)."""
+        seen = []
+
+        def oldest_is_first_sent(h):
+            seen.append(h["x"][-1].seqno)
+            return h["x"][-1].seqno == 1
+
+        cond = PredicateCondition("p", {"x": 3}, oldest_is_first_sent)
+        stream = parse_trace("1x(0), 2x(0), 3x(0), 4x(0)")
+        live = ConditionEvaluator(cond).ingest_all(stream)
+        assert [a.histories.seqnos("x") for a in live] == [(3, 2, 1)]
+        assert apply_T(cond, stream) == live
+        assert cond.evaluate(live[0].histories)
+        assert check_completeness_multi(live, cond, {"x": stream}).complete
+        assert set(seen) == {1, 2}  # the windows ⟨3,2,1⟩ and ⟨4,3,2⟩ only
+
+
 class TestCompileCondition:
     """``compile_condition``: expression AST → plain closure over the
     per-variable history buffers (most recent first)."""
@@ -225,15 +246,24 @@ class TestCompileCondition:
         assert not closure([Update("a", 1, 9.0)], [Update("b", 1, 1.0)])
 
     def test_what_does_not_compile(self):
+        """Anything but a plain, rendering ExpressionCondition is evaluated
+        by ``Condition.evaluate`` on a snapshot of the buffers."""
         class Inverted(ExpressionCondition):
             def _evaluate(self, histories):
                 return not super()._evaluate(histories)
 
-        for opaque in (
-            PredicateCondition("p", {"x": 1}, lambda h: True),
-            c2().as_conservative(),
-            Inverted("inv", H.x[0].value > 0.0),
+        seen = []
+        buffers = [[Update("x", 3, 500.0), Update("x", 1, 100.0)]]
+        for opaque, expected in (
+            (PredicateCondition("p", {"x": 2}, lambda h: seen.append(h) or True), True),
+            (c2().as_conservative(), False),  # the buffer skips 2x
+            (Inverted("inv", H.x[0].value - H.x[-1].value > 0.0), False),
             # repr(inf) is a bare name, not a literal.
-            ExpressionCondition("inf", H.x[0].value < float("inf")),
+            (ExpressionCondition("inf", H.x[-1].value < float("inf")), True),
         ):
-            assert compile_condition(opaque) is None
+            holds = compile_condition(opaque)
+            assert holds.__name__ != "<lambda>"  # the wrapper, not a rendering
+            assert holds(*buffers) is expected
+        (snapshot,) = seen
+        assert isinstance(snapshot, HistorySnapshot)
+        assert snapshot["x"] == tuple(buffers[0])

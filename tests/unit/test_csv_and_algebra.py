@@ -12,6 +12,7 @@ from repro.workloads.csv_io import (
     workload_from_csv,
     workload_to_csv,
 )
+from tests.conftest import snapshot_of
 
 
 class TestWorkloadCSV:
@@ -70,12 +71,9 @@ class TestWorkloadCSV:
 
 
 def feed(condition, pairs, var="x"):
-    from repro.core.history import HistorySet
-
-    histories = HistorySet(condition.degrees)
-    for seqno, value in pairs:
-        histories.push(Update(var, seqno, value))
-    return condition.evaluate(histories)
+    return condition.evaluate(
+        snapshot_of(condition.degrees, [Update(var, s, v) for s, v in pairs])
+    )
 
 
 class TestConjunction:

@@ -11,18 +11,21 @@ from repro.core.expressions import (
     H,
     Neg,
 )
-from repro.core.history import HistorySet
 from repro.core.update import Update
+from tests.conftest import snapshot_of
 
 
 def history_with(values_by_var: dict[str, list[tuple[int, float]]], degrees=None):
-    """Build a defined HistorySet from (seqno, value) lists per variable."""
+    """H after receiving the (seqno, value) lists given per variable."""
     degrees = degrees or {var: len(vals) for var, vals in values_by_var.items()}
-    histories = HistorySet(degrees)
-    for var, vals in values_by_var.items():
-        for seqno, value in vals:
-            histories.push(Update(var, seqno, value))
-    return histories
+    return snapshot_of(
+        degrees,
+        [
+            Update(var, seqno, value)
+            for var, vals in values_by_var.items()
+            for seqno, value in vals
+        ],
+    )
 
 
 class TestHNamespace:
@@ -133,13 +136,13 @@ class TestEvaluation:
     def test_evaluates_on_snapshot(self):
         expr = H.x[0].value - H.x[-1].value > 200
         histories = history_with({"x": [(1, 1000.0), (2, 1300.0)]})
-        assert expr.evaluate(histories.snapshot())
+        assert expr.evaluate(histories)
 
     def test_snapshot_too_shallow_raises(self):
         expr = H.x[-1].value > 0
         histories = history_with({"x": [(1, 1.0)]})
         with pytest.raises(LookupError):
-            expr.evaluate(histories.snapshot())
+            expr.evaluate(histories)
 
 
 class TestConstruction:

@@ -1,13 +1,12 @@
-"""Unit tests for update histories (Hx) and history snapshots."""
+"""Unit tests for update histories (Hx, as the evaluator keeps them) and
+history snapshots."""
 
 import pytest
 
-from repro.core.history import (
-    HistorySet,
-    HistorySnapshot,
-    UpdateHistory,
-    history_is_consecutive,
-)
+from repro.core.condition import ExpressionCondition, PredicateCondition
+from repro.core.evaluator import ConditionEvaluator
+from repro.core.expressions import H
+from repro.core.history import HistorySnapshot, history_is_consecutive
 from repro.core.update import Update
 
 
@@ -15,116 +14,82 @@ def make(var: str, seqno: int, value: float = 0.0) -> Update:
     return Update(var, seqno, value)
 
 
+def probe(degrees: dict[str, int]) -> ConditionEvaluator:
+    """A CE whose condition always holds: once H is defined, every arrival
+    returns an alert carrying the H the evaluator holds."""
+    return ConditionEvaluator(PredicateCondition("probe", degrees, lambda h: True))
+
+
 class TestUpdateHistory:
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            UpdateHistory("x", 0)
+    """``Hx`` as the evaluator's per-variable buffers keep it."""
 
     def test_undefined_until_degree_updates(self):
-        history = UpdateHistory("x", 2)
-        assert not history.is_defined
-        history.push(make("x", 1))
-        assert not history.is_defined
-        history.push(make("x", 2))
-        assert history.is_defined
+        ce = probe({"x": 2})
+        assert not ce.is_warmed_up
+        assert ce.ingest(make("x", 1)) is None
+        assert not ce.is_warmed_up
+        assert ce.ingest(make("x", 2)) is not None
+        assert ce.is_warmed_up
 
     def test_indexing_follows_paper(self):
         # After update 7 arrives, Hx[0] is 7x and Hx[-1] is the previous.
-        history = UpdateHistory("x", 2)
-        history.push(make("x", 5))
-        history.push(make("x", 7))
-        assert history[0].seqno == 7
-        assert history[-1].seqno == 5
+        condition = ExpressionCondition(
+            "paper", (H.x[0].seqno == 7) & (H.x[-1].seqno == 5)
+        )
+        ce = ConditionEvaluator(condition)
+        assert ce.ingest(make("x", 5)) is None
+        assert ce.ingest(make("x", 7)) is not None
 
     def test_gap_preserved(self):
         # 6x lost: Hx[-1] is 5x when 7x arrives.
-        history = UpdateHistory("x", 2)
-        history.push(make("x", 5))
-        history.push(make("x", 7))
-        assert history[-1].seqno == 5
+        ce = probe({"x": 2})
+        ce.ingest(make("x", 5))
+        assert ce.ingest(make("x", 7)).histories.seqnos("x") == (7, 5)
 
     def test_ring_evicts_oldest(self):
-        history = UpdateHistory("x", 2)
-        for seqno in (1, 2, 3):
-            history.push(make("x", seqno))
-        assert history[0].seqno == 3
-        assert history[-1].seqno == 2
-
-    def test_positive_index_rejected(self):
-        history = UpdateHistory("x", 1)
-        history.push(make("x", 1))
-        with pytest.raises(IndexError):
-            history[1]
-
-    def test_access_before_defined_raises(self):
-        history = UpdateHistory("x", 2)
-        history.push(make("x", 1))
-        with pytest.raises(LookupError):
-            history[0]
-
-    def test_wrong_variable_rejected(self):
-        history = UpdateHistory("x", 1)
-        with pytest.raises(ValueError):
-            history.push(make("y", 1))
+        ce = probe({"x": 2})
+        alerts = ce.ingest_all([make("x", seqno) for seqno in (1, 2, 3)])
+        assert alerts[-1].histories.seqnos("x") == (3, 2)
 
     def test_non_increasing_seqno_rejected(self):
-        history = UpdateHistory("x", 2)
-        history.push(make("x", 3))
+        ce = probe({"x": 2})
+        ce.ingest(make("x", 3))
         with pytest.raises(ValueError):
-            history.push(make("x", 3))
+            ce.ingest(make("x", 3))
         with pytest.raises(ValueError):
-            history.push(make("x", 2))
+            ce.ingest(make("x", 2))
+        assert [u.seqno for u in ce.received] == [3]  # rejected, not recorded
 
     def test_snapshot_most_recent_first(self):
-        history = UpdateHistory("x", 3)
-        for seqno in (1, 2, 4):
-            history.push(make("x", seqno))
-        assert [u.seqno for u in history.snapshot()] == [4, 2, 1]
-
-    def test_snapshot_undefined_raises(self):
-        with pytest.raises(LookupError):
-            UpdateHistory("x", 1).snapshot()
-
-    def test_len(self):
-        history = UpdateHistory("x", 3)
-        assert len(history) == 0
-        history.push(make("x", 1))
-        assert len(history) == 1
+        ce = probe({"x": 3})
+        alerts = ce.ingest_all([make("x", seqno) for seqno in (1, 2, 4)])
+        assert [u.seqno for u in alerts[-1].histories["x"]] == [4, 2, 1]
 
 
 class TestHistorySet:
-    def test_requires_variables(self):
-        with pytest.raises(ValueError):
-            HistorySet({})
+    """``H``: one history per variable of the condition."""
 
     def test_defined_when_all_defined(self):
-        histories = HistorySet({"x": 1, "y": 2})
-        histories.push(make("x", 1))
-        assert not histories.is_defined
-        histories.push(make("y", 1))
-        assert not histories.is_defined
-        histories.push(make("y", 2))
-        assert histories.is_defined
+        ce = probe({"x": 1, "y": 2})
+        ce.ingest(make("x", 1))
+        assert not ce.is_warmed_up
+        ce.ingest(make("y", 1))
+        assert not ce.is_warmed_up
+        ce.ingest(make("y", 2))
+        assert ce.is_warmed_up
 
     def test_routes_by_variable(self):
-        histories = HistorySet({"x": 1, "y": 1})
-        histories.push(make("x", 1))
-        histories.push(make("y", 4))
-        assert histories["x"][0].seqno == 1
-        assert histories["y"][0].seqno == 4
+        ce = probe({"x": 1, "y": 1})
+        ce.ingest(make("x", 1))
+        alert = ce.ingest(make("y", 4))
+        assert alert.histories["x"][0].seqno == 1
+        assert alert.histories["y"][0].seqno == 4
 
     def test_ignores_unknown_variables(self):
-        histories = HistorySet({"x": 1})
-        histories.push(make("z", 1))  # silently dropped
-        assert not histories.is_defined
-
-    def test_contains(self):
-        histories = HistorySet({"x": 1})
-        assert "x" in histories
-        assert "y" not in histories
-
-    def test_variables(self):
-        assert set(HistorySet({"x": 1, "y": 2}).variables) == {"x", "y"}
+        ce = probe({"x": 1})
+        assert ce.ingest(make("z", 1)) is None  # silently dropped
+        assert not ce.is_warmed_up
+        assert ce.received == ()
 
 
 class TestHistorySnapshot:

@@ -13,7 +13,7 @@ from repro.multicondition.combined import (
     example_4,
     trim_histories,
 )
-from repro.core.history import HistorySet
+from tests.conftest import snapshot_of
 
 
 class TestDisjunctionCondition:
@@ -65,17 +65,17 @@ class TestDisjunctionCondition:
 
 class TestTrimHistories:
     def test_trims_to_degree(self):
-        histories = HistorySet({"x": 3})
-        for seqno in (1, 2, 3):
-            histories.push(Update("x", seqno, float(seqno)))
+        histories = snapshot_of(
+            {"x": 3}, [Update("x", seqno, float(seqno)) for seqno in (1, 2, 3)]
+        )
         trimmed = trim_histories(histories, {"x": 2})
         assert trimmed.seqnos("x") == (3, 2)
 
     def test_accepts_snapshot_input(self):
-        histories = HistorySet({"x": 2})
-        histories.push(Update("x", 1, 1.0))
-        histories.push(Update("x", 2, 2.0))
-        trimmed = trim_histories(histories.snapshot(), {"x": 1})
+        histories = snapshot_of(
+            {"x": 2}, [Update("x", 1, 1.0), Update("x", 2, 2.0)]
+        )
+        trimmed = trim_histories(histories, {"x": 1})
         assert trimmed.seqnos("x") == (2,)
 
 

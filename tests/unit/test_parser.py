@@ -2,17 +2,16 @@
 
 import pytest
 
-from repro.core.history import HistorySet
 from repro.core.parser import ConditionSyntaxError, parse_condition, parse_expression
 from repro.core.update import Update
+from tests.conftest import snapshot_of
 
 
 def evaluate(text, pairs, var="x"):
     condition = parse_condition("t", text)
-    histories = HistorySet(condition.degrees)
-    for seqno, value in pairs:
-        histories.push(Update(var, seqno, value))
-    return condition.evaluate(histories)
+    return condition.evaluate(
+        snapshot_of(condition.degrees, [Update(var, s, v) for s, v in pairs])
+    )
 
 
 class TestParsePaperConditions:
@@ -35,9 +34,9 @@ class TestParsePaperConditions:
     def test_cm(self):
         condition = parse_condition("cm", "abs(H.x[0].value - H.y[0].value) > 100")
         assert condition.variables == ("x", "y")
-        histories = HistorySet(condition.degrees)
-        histories.push(Update("x", 1, 1000.0))
-        histories.push(Update("y", 1, 1150.0))
+        histories = snapshot_of(
+            condition.degrees, [Update("x", 1, 1000.0), Update("y", 1, 1150.0)]
+        )
         assert condition.evaluate(histories)
 
     def test_matches_dsl_equivalent(self):

@@ -25,7 +25,7 @@ SEED ?= 7
 TRACE ?= 0
 
 perf:  ## e.g. make perf WORKLOAD=chaos-churn-grid SEED=23 TRACE=1
-	python3 benchmarks/perf/run.py --workload $(WORKLOAD) --seed $(SEED) \
+	$(PYTHON) benchmarks/perf/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 16 --trace $(TRACE)
 
 report:  ## one-shot reproduction verdict
@@ -34,6 +34,7 @@ report:  ## one-shot reproduction verdict
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f >/dev/null || exit 1; done
 
-clean:
-	rm -rf .pytest_cache .hypothesis benchmarks/results reproduction-report.md
+clean:  ## untracked outputs only: benchmarks/results/*.txt|json are tracked artifacts tests read
+	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results/traces \
+		reproduction-report.md
 	find . -name __pycache__ -type d -exec rm -rf {} +

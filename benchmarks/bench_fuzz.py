@@ -20,27 +20,14 @@ Both searches spend the same budget:
   seeds, default knobs, no faults, exactly how the table grids sample.
 
 The benchmark then shrinks the first finding to a 1-minimal witness and
-replays its recorded trace, so every published ratio is backed by at
-least one bit-replayable counterexample.
-
-Run directly (writes ``benchmarks/results/fuzz.txt``)::
-
-    PYTHONPATH=src python benchmarks/bench_fuzz.py --budget 2000
-
-CI gate (reduced budget; fails unless the fuzzer finds at least
-``--min-ratio`` times as many distinct violating signatures)::
-
-    PYTHONPATH=src python benchmarks/bench_fuzz.py \
-        --budget 400 --check --min-ratio 1.5
+replays its recorded trace, so the published ratio is backed by at least
+one bit-replayable counterexample.  Both searches are seeded, so the
+counts in ``benchmarks/results/fuzz.txt`` regenerate exactly.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import time
-from pathlib import Path
-
+from benchmarks.conftest import save_result
 from repro.analysis.witness import violates
 from repro.fuzz import (
     FuzzConfig,
@@ -55,9 +42,9 @@ from repro.observability import replay_trace
 ROW = "aggressive"
 ALGORITHM = "AD-2"
 TARGET = "consistent"
-DEFAULT_BUDGET = 2000
+BUDGET = 2000
+FUZZ_SEED = 0
 MIN_RATIO = 1.5
-RESULT_PATH = Path(__file__).resolve().parent / "results" / "fuzz.txt"
 
 
 def uniform_baseline(config: FuzzConfig) -> dict:
@@ -82,42 +69,34 @@ def uniform_baseline(config: FuzzConfig) -> dict:
     }
 
 
-def run_comparison(budget: int, fuzz_seed: int = 0) -> dict:
+def run_comparison() -> dict:
     config = FuzzConfig(
         matrix="single",
         row=ROW,
         algorithm=ALGORITHM,
         target=TARGET,
-        budget=budget,
-        fuzz_seed=fuzz_seed,
+        budget=BUDGET,
+        fuzz_seed=FUZZ_SEED,
     )
-
-    start = time.perf_counter()
     fuzz = FuzzEngine(config).run()
-    fuzz_s = time.perf_counter() - start
-
-    start = time.perf_counter()
     uniform = uniform_baseline(config)
-    uniform_s = time.perf_counter() - start
 
     fuzz_violating = fuzz.distinct_violating_signatures
     uniform_violating = uniform["distinct_violating_signatures"]
     return {
         "cell": f"single/{ROW} {ALGORITHM} target={TARGET}",
-        "budget": budget,
-        "fuzz_seed": fuzz_seed,
+        "budget": BUDGET,
+        "fuzz_seed": FUZZ_SEED,
         "fuzz": {
             "distinct_violating_signatures": fuzz_violating,
             "distinct_signatures": fuzz.distinct_signatures,
             "corpus_size": fuzz.corpus_size,
             "features": fuzz.features,
-            "seconds": round(fuzz_s, 2),
         },
         "uniform": {
             "distinct_violating_signatures": uniform_violating,
             "distinct_signatures": uniform["distinct_signatures"],
             "violations": uniform["violations"],
-            "seconds": round(uniform_s, 2),
         },
         # Uniform finding zero would make the ratio infinite; clamp the
         # divisor so the comparison stays honest when that happens.
@@ -161,68 +140,17 @@ def format_result(comparison: dict, witness_line: str) -> str:
         f"(fuzz seed {comparison['fuzz_seed']}): "
         f"fuzz {fuzz['distinct_violating_signatures']} distinct violating "
         f"signatures ({fuzz['distinct_signatures']} total, corpus "
-        f"{fuzz['corpus_size']}, {fuzz['features']} features, "
-        f"{fuzz['seconds']}s) vs uniform "
+        f"{fuzz['corpus_size']}, {fuzz['features']} features) vs uniform "
         f"{uniform['distinct_violating_signatures']} "
         f"({uniform['violations']} raw violations, "
-        f"{uniform['distinct_signatures']} total signatures, "
-        f"{uniform['seconds']}s) — {comparison['ratio']}x. "
+        f"{uniform['distinct_signatures']} total signatures) — "
+        f"{comparison['ratio']}x. "
         + witness_line
     )
 
 
 def test_fuzz_vs_uniform(benchmark):
-    """Harness entry point: reduced-budget run with artifact output."""
-    from benchmarks.conftest import save_result
-
-    comparison = benchmark.pedantic(
-        lambda: run_comparison(budget=400), rounds=1, iterations=1
-    )
+    comparison = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     witness_line = minimize_first_finding(comparison)
     save_result("fuzz", format_result(comparison, witness_line))
     assert comparison["ratio"] >= MIN_RATIO
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    parser.add_argument("--fuzz-seed", type=int, default=0)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless the ratio clears --min-ratio",
-    )
-    parser.add_argument("--min-ratio", type=float, default=MIN_RATIO)
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help=f"write the result line here (default: {RESULT_PATH})",
-    )
-    args = parser.parse_args(argv)
-
-    comparison = run_comparison(args.budget, fuzz_seed=args.fuzz_seed)
-    witness_line = minimize_first_finding(comparison)
-    text = format_result(comparison, witness_line)
-    print(text)
-
-    if args.check:
-        if comparison["ratio"] < args.min_ratio:
-            print(
-                f"FAIL: ratio {comparison['ratio']} below "
-                f"{args.min_ratio}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"OK: ratio {comparison['ratio']} >= {args.min_ratio}")
-        return 0
-
-    output = args.output or RESULT_PATH
-    output.parent.mkdir(exist_ok=True)
-    output.write_text(text + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Membership benchmark — what detection + catch-up costs and buys.
+"""Membership benchmark — what detection + catch-up buys.
 
 Sweeps churn intensity × failure-detector timeout over the aggressive
 single-variable cell (the scenario whose historical condition makes
@@ -12,36 +12,19 @@ crash gaps *visible* as property violations) and reports, per intensity:
   recovery cell, the Figure-1-style payoff of the lifecycle;
 * **missed detections** — crashes the unreliable detector never noticed.
 
-Two gates ride on the numbers:
-
-1. the sweep must satisfy :func:`repro.faults.recovery_restores_alerts`
-   (recovery strictly reduces missed alerts wherever the baseline
-   misses any, and never makes them worse), and
-2. **membership-off overhead**: per-trial seconds on membership-*less*
-   specs must stay within ``--tolerance`` (default 1.05×) of the
-   committed baseline in ``BENCH_membership.json`` — the lifecycle
-   machinery must be free when it is switched off.
-
-Run directly (writes ``benchmarks/BENCH_membership.json``)::
-
-    PYTHONPATH=src python benchmarks/bench_membership.py
-
-CI churn-smoke gate (reduced trials, best-of-``--repeat`` timing)::
-
-    PYTHONPATH=src python benchmarks/bench_membership.py \
-        --trials 10 --repeat 3 --check --tolerance 1.05 \
-        --check-against benchmarks/BENCH_membership.json
+All of these are simulated-time quantities, so the artifact regenerates
+exactly.  The sweep must satisfy
+:func:`repro.faults.recovery_restores_alerts`: recovery strictly reduces
+missed alerts wherever the baseline misses any, and never makes them
+worse.  What the lifecycle costs in wall-clock is the
+``membership.cost_ratio`` metric of the ``chaos-churn-grid`` workload
+(``make perf WORKLOAD=chaos-churn-grid TRACE=1``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-import time
-from pathlib import Path
-
+from benchmarks.conftest import save_result
+from repro.accel import percentile
 from repro.faults import (
     churn_specs,
     churn_sweep,
@@ -55,18 +38,7 @@ DETECTION_TIMEOUTS = (None, 2.0, 4.0, 8.0)
 #: The recovery cell whose latency distributions are published.
 REFERENCE_TIMEOUT = 4.0
 CATCHUP_LATENCY = 2.0
-DEFAULT_TRIALS = 20
-DEFAULT_TOLERANCE = 1.05
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_membership.json"
-
-
-def percentile(samples: list[float], q: float) -> float | None:
-    """Nearest-rank percentile (no interpolation, no numpy)."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(q / 100 * (len(ordered) - 1))))
-    return ordered[rank]
+TRIALS = 20
 
 
 def _run_spec(spec):
@@ -84,7 +56,7 @@ def _run_spec(spec):
     )
 
 
-def latency_distributions(trials: int) -> dict:
+def latency_distributions() -> dict:
     """Per-intensity detection-latency and MTTR distributions at the
     reference recovery cell (same seeds the sweep's cells run)."""
     out = {}
@@ -94,7 +66,7 @@ def latency_distributions(trials: int) -> dict:
         missed = 0
         crashes = 0
         for spec in churn_specs(
-            intensity, REFERENCE_TIMEOUT, CATCHUP_LATENCY, trials
+            intensity, REFERENCE_TIMEOUT, CATCHUP_LATENCY, TRIALS
         ):
             plan = _run_spec(spec).membership
             detection.extend(plan.detection_latencies)
@@ -108,7 +80,6 @@ def latency_distributions(trials: int) -> dict:
             "mttr_p50": percentile(recovery, 50),
             "mttr_p99": percentile(recovery, 99),
             "missed_detections": missed,
-            "missed_detection_rate": round(missed / crashes, 3) if crashes else None,
         }
     return out
 
@@ -126,54 +97,21 @@ def miss_rates(cells) -> dict:
             "best_recovery_miss": round(best.mean_miss_fraction, 4),
             "best_detection_timeout": best.detection_timeout,
             "caught_up": best.caught_up,
-            "violations_steady_baseline": baseline.violations_steady,
-            "violations_degraded_best": best.violations_degraded,
-            "violations_steady_best": best.violations_steady,
         }
     return out
 
 
-def time_overhead(trials: int, repeat: int) -> dict:
-    """Best-of-``repeat`` per-trial seconds, membership off vs. on.
-
-    The *off* number is the gated one: specs identical to the baseline
-    churn cells (crash faults active, ``membership=None``) must not pay
-    for machinery they do not use.  The on/off ratio documents what the
-    lifecycle costs when it does run.
-    """
-    off_specs = churn_specs(1.0, None, CATCHUP_LATENCY, trials)
-    on_specs = churn_specs(1.0, REFERENCE_TIMEOUT, CATCHUP_LATENCY, trials)
-
-    def sweep(specs):
-        start = time.perf_counter()
-        for spec in specs:
-            spec.execute()
-        return time.perf_counter() - start
-
-    off = min(sweep(off_specs) for _ in range(repeat)) / trials
-    on = min(sweep(on_specs) for _ in range(repeat)) / trials
-    return {
-        "off_s_per_trial": round(off, 6),
-        "on_s_per_trial": round(on, 6),
-        "on_vs_off": round(on / off, 3) if off > 0 else None,
-    }
-
-
-def run_benchmark(trials: int, repeat: int) -> dict:
+def run_benchmark() -> dict:
     cells = churn_sweep(
         intensities=INTENSITIES,
         detection_timeouts=DETECTION_TIMEOUTS,
         catchup_latencies=(CATCHUP_LATENCY,),
-        trials=trials,
+        trials=TRIALS,
     )
     return {
-        "cell": "single/aggressive pass replication=2",
-        "trials": trials,
-        "python": platform.python_version(),
         "restores_alerts": recovery_restores_alerts(cells),
-        "latencies": latency_distributions(trials),
+        "latencies": latency_distributions(),
         "miss_rates": miss_rates(cells),
-        "timings": time_overhead(trials, repeat),
         "table": render_churn_table(cells),
     }
 
@@ -195,12 +133,6 @@ def format_result(result: dict) -> str:
             f"(detect={row['best_detection_timeout']:g}, "
             f"{row['caught_up']} updates caught up)"
         )
-    t = result["timings"]
-    lines.append(
-        f"membership off {t['off_s_per_trial'] * 1e3:.2f} ms/trial, "
-        f"on {t['on_s_per_trial'] * 1e3:.2f} ms/trial "
-        f"({t['on_vs_off']}x)"
-    )
     lines.append(
         "recovery restores alerts: "
         + ("YES" if result["restores_alerts"] else "NO")
@@ -208,76 +140,7 @@ def format_result(result: dict) -> str:
     return "\n".join(lines)
 
 
-def check(result: dict, baseline_path: Path, tolerance: float) -> int:
-    """The CI gates: the restoration claim plus the off-overhead bound."""
-    failures = []
-    if not result["restores_alerts"]:
-        failures.append("recovery does not reduce missed alerts vs crash-only")
-    if baseline_path.exists():
-        baseline = json.loads(baseline_path.read_text())
-        committed = baseline["timings"]["off_s_per_trial"]
-        measured = result["timings"]["off_s_per_trial"]
-        if measured > committed * tolerance:
-            failures.append(
-                f"membership-off overhead: {measured * 1e3:.2f} ms/trial "
-                f"exceeds {tolerance}x committed baseline "
-                f"({committed * 1e3:.2f} ms/trial)"
-            )
-    else:
-        failures.append(f"no committed baseline at {baseline_path}")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"OK: recovery restores alerts; membership-off "
-            f"{result['timings']['off_s_per_trial'] * 1e3:.2f} ms/trial "
-            f"within {tolerance}x baseline"
-        )
-    return 1 if failures else 0
-
-
 def test_membership_sweep(benchmark):
-    """Harness entry point: reduced-trials run with artifact output."""
-    from benchmarks.conftest import save_result
-
-    result = benchmark.pedantic(
-        lambda: run_benchmark(trials=10, repeat=1), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_benchmark, rounds=1, iterations=1)
     save_result("membership", format_result(result))
     assert result["restores_alerts"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless both gates pass (no JSON is written)",
-    )
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    parser.add_argument(
-        "--check-against", type=Path, default=RESULT_PATH,
-        help="committed baseline JSON for the overhead gate",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=None,
-        help=f"write the result JSON here (default: {RESULT_PATH})",
-    )
-    args = parser.parse_args(argv)
-
-    result = run_benchmark(args.trials, args.repeat)
-    print(format_result(result))
-
-    if args.check:
-        return check(result, args.check_against, args.tolerance)
-
-    output = args.output or RESULT_PATH
-    output.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,169 +1,59 @@
-"""Alert-quality benchmark: per-AD precision/recall curves plus the
-adaptive gate, emitted as ``BENCH_quality.json``.
+"""Alert-quality sweep: per-AD precision/recall curves plus the adaptive gates.
 
 Sweeps every static AD and the adaptive AD-7 over front-link loss ×
 chaos intensity on the historical *aggressive* row (degree-2 deltas:
 the row where the algorithms actually disagree on duplicates), scoring
-each run against the single-replica ground truth.  Two claims gate CI:
+each run against the single-replica ground truth.  Two claims are
+asserted:
 
 * the adaptive algorithm's missed-alert rate matches or beats every
   static algorithm at **every** sweep point (exact, not statistical —
   each point runs identical seeds across algorithms), and
-* its duplicate rate stays below AD-1's overall (the guard is not just
-  a pass-through in disguise).
-
-Regenerate the committed artifact / run the gates::
-
-    PYTHONPATH=src python benchmarks/bench_quality.py
-    PYTHONPATH=src python benchmarks/bench_quality.py --check
+* its mean duplicate rate stays at or below AD-1's (the recall guard is
+  not just a pass-through in disguise).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
-import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.quality import (  # noqa: E402
+from benchmarks.conftest import save_result
+from repro.quality import (
     adaptive_matches_best_static,
-    quality_json,
     quality_sweep,
     render_quality_table,
 )
 
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_quality.json"
-
-DEFAULT_TRIALS = 20
-DEFAULT_ROW = "aggressive"
-DEFAULT_UPDATES = 30
+ROW = "aggressive"
+TRIALS = 20
+N_UPDATES = 30
 
 
-def run_benchmark(
-    trials: int = DEFAULT_TRIALS,
-    row: str = DEFAULT_ROW,
-    n_updates: int = DEFAULT_UPDATES,
-) -> dict:
-    """One full sweep; returns the BENCH_quality.json document."""
-    started = time.perf_counter()
-    cells = quality_sweep(trials=trials, row=row, n_updates=n_updates)
-    elapsed = time.perf_counter() - started
-    result = quality_json(cells, row=row, trials=trials, n_updates=n_updates)
-    result["python"] = platform.python_version()
-    result["elapsed_s"] = round(elapsed, 3)
-    return result
-
-
-def _rates_by_algorithm(result: dict) -> dict:
+def mean_duplicate_rates(cells) -> dict[str, float]:
     """Sweep-wide mean duplicate rate per algorithm (equal cell weight)."""
-    sums: dict[str, list[float]] = {}
-    for cell in result["cells"]:
-        sums.setdefault(cell["algorithm"], []).append(cell["duplicate_rate"])
-    return {name: sum(rates) / len(rates) for name, rates in sums.items()}
-
-
-def format_result(result: dict) -> str:
-    lines = [
-        f"quality sweep: row={result['row']} matrix={result['matrix']} "
-        f"trials={result['trials']} updates={result['n_updates']} "
-        f"({result['elapsed_s']:.1f}s)",
-        "",
-    ]
-    header = (
-        f"{'loss':>5} {'chaos':>6} {'algorithm':>9} {'precision':>10} "
-        f"{'recall':>7} {'missed':>7} {'dup':>6} {'false':>6} "
-        f"{'lat-p50':>8} {'lat-p99':>8}"
-    )
-    lines.append(header)
-    for cell in result["cells"]:
-        p50 = cell["latency_p50"]
-        p99 = cell["latency_p99"]
-        lines.append(
-            f"{cell['front_loss']:>5g} {cell['intensity']:>6g} "
-            f"{cell['algorithm']:>9} {cell['precision']:>10.3f} "
-            f"{cell['recall']:>7.3f} {cell['missed_rate']:>7.3f} "
-            f"{cell['duplicate_rate']:>6.3f} {cell['false_rate']:>6.3f} "
-            f"{'      -' if p50 is None else f'{p50:>7.2f}':>8} "
-            f"{'      -' if p99 is None else f'{p99:>7.2f}':>8}"
-        )
-    gate = "YES" if result["adaptive_matches_best_static"] else "NO"
-    lines.append("")
-    lines.append(f"adaptive missed-alert rate <= best static everywhere: {gate}")
-    dup = _rates_by_algorithm(result)
-    lines.append(
-        "mean duplicate rate: "
-        + "  ".join(f"{name}={rate:.3f}" for name, rate in sorted(dup.items()))
-    )
-    return "\n".join(lines)
-
-
-def check(result: dict) -> int:
-    """The CI gates: the adaptive recall claim plus the guard's economy."""
-    failures = []
-    if not result["adaptive_matches_best_static"]:
-        failures.append(
-            "adaptive missed-alert rate exceeds a static algorithm's at "
-            "some (loss, intensity) point"
-        )
-    dup = _rates_by_algorithm(result)
-    if "adaptive" in dup and "AD-1" in dup and dup["adaptive"] > dup["AD-1"]:
-        failures.append(
-            f"adaptive mean duplicate rate {dup['adaptive']:.3f} exceeds "
-            f"AD-1's {dup['AD-1']:.3f} — the guard degenerated to pass-through"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            "OK: adaptive matches best-static missed rate at every sweep "
-            f"point; mean duplicate rate {dup.get('adaptive', 0.0):.3f} "
-            f"<= AD-1's {dup.get('AD-1', 0.0):.3f}"
-        )
-    return 1 if failures else 0
+    rates: dict[str, list[float]] = {}
+    for cell in cells:
+        rates.setdefault(cell.algorithm, []).append(cell.duplicate_rate)
+    return {name: sum(values) / len(values) for name, values in rates.items()}
 
 
 def test_quality_sweep(benchmark):
-    """Harness entry point: reduced-trials run with artifact output."""
-    from benchmarks.conftest import save_result
-
-    result = benchmark.pedantic(
-        lambda: run_benchmark(trials=5, n_updates=20), rounds=1, iterations=1
+    cells = benchmark.pedantic(
+        lambda: quality_sweep(trials=TRIALS, row=ROW, n_updates=N_UPDATES),
+        rounds=1,
+        iterations=1,
     )
-    save_result("quality", format_result(result))
-    assert result["adaptive_matches_best_static"]
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    parser.add_argument("--row", default=DEFAULT_ROW)
-    parser.add_argument("--updates", type=int, default=DEFAULT_UPDATES)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless both gates pass (no JSON is written)",
+    matches = adaptive_matches_best_static(cells)
+    duplicates = mean_duplicate_rates(cells)
+    save_result(
+        "quality",
+        f"quality sweep: row={ROW} matrix=single trials={TRIALS} "
+        f"updates={N_UPDATES}\n\n"
+        + render_quality_table(cells)
+        + "\n\nadaptive missed-alert rate <= best static everywhere: "
+        + ("YES" if matches else "NO")
+        + "\nmean duplicate rate: "
+        + "  ".join(
+            f"{name}={rate:.3f}" for name, rate in sorted(duplicates.items())
+        ),
     )
-    parser.add_argument(
-        "--output", type=Path, default=None,
-        help=f"write the result JSON here (default: {RESULT_PATH})",
-    )
-    args = parser.parse_args(argv)
-
-    result = run_benchmark(args.trials, args.row, args.updates)
-    print(format_result(result))
-
-    if args.check:
-        return check(result)
-
-    output = args.output or RESULT_PATH
-    output.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert matches
+    assert duplicates["adaptive"] <= duplicates["AD-1"], duplicates

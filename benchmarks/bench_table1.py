@@ -15,8 +15,7 @@ seed in the saved artifact.
 """
 
 from benchmarks.conftest import save_result
-from repro.analysis.parallel import build_table_parallel
-from repro.analysis.tables import render_table
+from repro.analysis.tables import build_table, render_table
 
 TRIALS = 150
 N_UPDATES = 40
@@ -24,7 +23,7 @@ N_UPDATES = 40
 
 def test_table1(benchmark):
     result = benchmark.pedantic(
-        lambda: build_table_parallel(
+        lambda: build_table(
             "table1", trials=TRIALS, n_updates=N_UPDATES, processes="auto"
         ),
         rounds=1,

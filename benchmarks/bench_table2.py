@@ -11,8 +11,7 @@ completeness in all lossy rows (Theorem 6's tradeoff, Example 2):
 """
 
 from benchmarks.conftest import save_result
-from repro.analysis.parallel import build_table_parallel
-from repro.analysis.tables import render_table
+from repro.analysis.tables import build_table, render_table
 
 TRIALS = 150
 N_UPDATES = 40
@@ -20,7 +19,7 @@ N_UPDATES = 40
 
 def test_table2(benchmark):
     result = benchmark.pedantic(
-        lambda: build_table_parallel(
+        lambda: build_table(
             "table2", trials=TRIALS, n_updates=N_UPDATES, processes="auto"
         ),
         rounds=1,

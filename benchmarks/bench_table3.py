@@ -20,8 +20,7 @@ orderedness/consistency cells.
 """
 
 from benchmarks.conftest import save_result
-from repro.analysis.parallel import build_table_parallel
-from repro.analysis.tables import render_table
+from repro.analysis.tables import build_table, render_table
 
 TRIALS = 60
 N_UPDATES = 20
@@ -32,7 +31,7 @@ COMPLETENESS_N = 8
 
 
 def _build(table_id):
-    return build_table_parallel(
+    return build_table(
         table_id,
         trials=TRIALS,
         n_updates=N_UPDATES,

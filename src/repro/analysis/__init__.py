@@ -27,7 +27,6 @@ from repro.analysis.compare import (
     compare_algorithms,
     compare_run,
 )
-from repro.analysis.parallel import build_table_parallel, run_trials
 from repro.analysis.latency import (
     LatencyStats,
     NotificationLatency,
@@ -71,10 +70,8 @@ __all__ = [
     "AlgorithmComparison",
     "ComparisonRow",
     "Counterexample",
-    "build_table_parallel",
     "compare_algorithms",
     "compare_run",
-    "run_trials",
     "LatencyStats",
     "NotificationLatency",
     "latency_stats",

@@ -19,6 +19,7 @@ from repro.analysis.experiments import (
     maximality_experiment,
 )
 from repro.analysis.tables import EXPECTED_GRIDS, build_table, render_table
+from repro.engine.core import TrialEngine
 
 __all__ = ["SectionResult", "ReproductionReport", "generate_report"]
 
@@ -76,11 +77,8 @@ def generate_report(
     pool serves all seven tables — with identical results, wall-clock
     divided.
     """
-    from repro.engine import resolve_processes
-
     if budget <= 0:
         raise ValueError("budget must be positive")
-    worker_count = resolve_processes(processes)
     report = ReproductionReport()
 
     # Property tables.
@@ -90,30 +88,19 @@ def generate_report(
     # the rarest events in the suite; keep a healthy floor even at tiny
     # budgets so the report doesn't flake.
     completeness_trials = _scaled(120, budget, minimum=40)
-    engine = None
-    if worker_count > 1:
-        from repro.engine import TrialEngine
-
-        engine = TrialEngine(processes=worker_count)
-    try:
+    with TrialEngine(processes=processes) as engine:
         for table_id in EXPECTED_GRIDS:
             start = time.perf_counter()
             multi = table_id in ("table3", "ad6", "ad1-multi")
-            table_kwargs = dict(
+            result = build_table(
+                table_id,
                 trials=multi_trials if multi else single_trials,
                 n_updates=20 if multi else 40,
                 base_seed=base_seed,
                 completeness_trials=completeness_trials if multi else 0,
                 completeness_n_updates=8,
+                engine=engine,
             )
-            if engine is not None:
-                from repro.analysis.parallel import build_table_parallel
-
-                result = build_table_parallel(
-                    table_id, engine=engine, **table_kwargs
-                )
-            else:
-                result = build_table(table_id, **table_kwargs)
             report.sections.append(
                 SectionResult(
                     name=f"Property grid: {table_id}",
@@ -122,9 +109,6 @@ def generate_report(
                     seconds=time.perf_counter() - start,
                 )
             )
-    finally:
-        if engine is not None:
-            engine.close()
 
     # Domination (Theorems 6 and 8).
     start = time.perf_counter()

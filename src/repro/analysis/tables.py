@@ -25,17 +25,13 @@ The expected grids below transcribe the paper:
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
+from repro.engine.core import TrialEngine
+from repro.engine.plan import plan_table, tabulate
 from repro.props.report import PropertyTally
-from repro.workloads.scenarios import (
-    MULTI_VARIABLE_SCENARIOS,
-    ROW_ORDER,
-    SINGLE_VARIABLE_SCENARIOS,
-    run_scenario,
-)
+from repro.workloads.scenarios import ROW_ORDER
 
 __all__ = [
     "EXPECTED_GRIDS",
@@ -155,6 +151,10 @@ def build_table(
     base_seed: int = 20010800,
     completeness_trials: int | None = None,
     completeness_n_updates: int = 8,
+    processes: int | str = 1,
+    chunksize: int | None = None,
+    engine: TrialEngine | None = None,
+    collect_counters: bool = False,
     kernel: str = "array",
 ) -> TableResult:
     """Run the full trial matrix for one table experiment.
@@ -167,33 +167,27 @@ def build_table(
     count explodes).  The grid-walk checker decides 8 readings per
     variable comfortably — the enumeration it replaced capped this knob
     at 5.
+
+    The matrix is laid out by :func:`repro.engine.plan.plan_table` and
+    executed on a :class:`~repro.engine.core.TrialEngine`, so the tallies
+    are identical whatever ``processes`` is.  Pass an existing ``engine``
+    to reuse its worker pool across several tables; otherwise a throwaway
+    one is created with ``processes``/``chunksize``.
     """
-    algorithm, multi = TABLE_CONFIG[table_id]
-    scenarios = MULTI_VARIABLE_SCENARIOS if multi else SINGLE_VARIABLE_SCENARIOS
-    if completeness_trials is None:
-        completeness_trials = trials if multi else 0
-    result = TableResult(table_id, algorithm, multi, trials)
-    for row in ROW_ORDER:
-        scenario = scenarios[row]
-        tally = PropertyTally()
-        # Stable per-cell seed offsets (zlib.crc32 is process-independent,
-        # unlike hash(), which PYTHONHASHSEED randomises).
-        cell_offset = zlib.crc32(f"{table_id}/{row}".encode()) % 100_000
-        for trial in range(trials):
-            seed = base_seed + cell_offset + trial
-            run = run_scenario(
-                scenario, algorithm, seed, n_updates=n_updates, kernel=kernel
-            )
-            tally.add(run.evaluate_properties(), seed=seed)
-        for trial in range(completeness_trials):
-            seed = base_seed + 7_000_000 + cell_offset + trial
-            run = run_scenario(
-                scenario, algorithm, seed, n_updates=completeness_n_updates,
-                kernel=kernel,
-            )
-            tally.add(run.evaluate_properties(), seed=seed)
-        result.tallies[row] = tally
-    return result
+    plan = plan_table(
+        table_id,
+        trials=trials,
+        n_updates=n_updates,
+        base_seed=base_seed,
+        completeness_trials=completeness_trials,
+        completeness_n_updates=completeness_n_updates,
+        collect_counters=collect_counters,
+        kernel=kernel,
+    )
+    if engine is not None:
+        return tabulate(plan, engine.run(plan.specs))
+    with TrialEngine(processes=processes, chunksize=chunksize) as own:
+        return tabulate(plan, own.run(plan.specs))
 
 
 _CHECK = "✓"

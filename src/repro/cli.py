@@ -51,34 +51,24 @@ __all__ = ["main"]
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine, resolve_processes
+    from repro.engine import TrialEngine
 
     table_ids = args.tables or list(EXPECTED_GRIDS)
+    for table_id in table_ids:
+        if table_id not in EXPECTED_GRIDS:
+            print(f"unknown table {table_id!r}; known: {list(EXPECTED_GRIDS)}")
+            return 2
+    kwargs = {"kernel": args.kernel, "collect_counters": args.counters}
+    if args.trials:
+        kwargs["trials"] = args.trials
+    if args.updates:
+        kwargs["n_updates"] = args.updates
     all_ok = True
     # One persistent engine serves every requested table: the worker pool
     # (and each worker's warmed imports) is reused across grids.
     with TrialEngine(processes=args.processes) as engine:
-        parallel = resolve_processes(args.processes) > 1
         for table_id in table_ids:
-            if table_id not in EXPECTED_GRIDS:
-                print(
-                    f"unknown table {table_id!r}; known: {list(EXPECTED_GRIDS)}"
-                )
-                return 2
-            kwargs = {"kernel": args.kernel}
-            if args.trials:
-                kwargs["trials"] = args.trials
-            if args.updates:
-                kwargs["n_updates"] = args.updates
-            if parallel or args.counters:
-                from repro.analysis.parallel import build_table_parallel
-
-                result = build_table_parallel(
-                    table_id, engine=engine,
-                    collect_counters=args.counters, **kwargs
-                )
-            else:
-                result = build_table(table_id, **kwargs)
+            result = build_table(table_id, engine=engine, **kwargs)
             print(render_table(result))
             if args.counters:
                 _print_table_counters(result)
@@ -1010,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_quality.add_argument(
         "--json", default=None, metavar="PATH",
-        help="also write the sweep as a BENCH_quality.json document",
+        help="also write the sweep document (axes, gate verdict, cells) as JSON",
     )
     p_quality.add_argument(
         "--check",

@@ -1,9 +1,8 @@
 """Planning the trial matrix of a table experiment.
 
 One place owns the spec layout — which (row, seed, n_updates) trials a
-table comprises and in what order — so the sequential builder, the
-parallel builder and the benchmark drivers cannot drift apart on seed
-derivation.
+table comprises and in what order — so the table builder, the CLI and
+the benchmark harness cannot drift apart on seed derivation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (analysis imports us back)
 __all__ = ["TablePlan", "plan_table", "tabulate"]
 
 #: Seed offset separating the short-trace completeness batch from the
-#: main batch (matches repro.analysis.tables.build_table).
+#: main batch.
 COMPLETENESS_SEED_OFFSET = 7_000_000
 
 
@@ -53,10 +52,10 @@ def plan_table(
 ) -> TablePlan:
     """Lay out every trial of a table experiment as TrialSpecs.
 
-    Seed derivation is identical to
-    :func:`repro.analysis.tables.build_table`: stable per-cell offsets
-    from ``zlib.crc32`` (process-independent, unlike ``hash()``), the
-    completeness batch displaced by :data:`COMPLETENESS_SEED_OFFSET`.
+    Seeds are stable per-cell offsets from ``zlib.crc32``
+    (process-independent, unlike ``hash()``, which PYTHONHASHSEED
+    randomises), the completeness batch displaced by
+    :data:`COMPLETENESS_SEED_OFFSET`.
 
     ``collect_counters`` runs every trial under a CountersTracer so the
     folded tallies carry aggregated per-stage observability counters

@@ -37,7 +37,6 @@ from repro.props.report import (
     PropertyReport,
     PropertyTally,
     evaluate_run,
-    legacy_completeness_backend,
 )
 from repro.props.statespace import (
     VerificationResult,
@@ -68,7 +67,6 @@ __all__ = [
     "check_completeness_multi",
     "check_completeness_multi_enumerated",
     "check_completeness_single",
-    "legacy_completeness_backend",
     "check_consistency_bruteforce",
     "check_consistency_multi",
     "check_consistency_single",

@@ -31,8 +31,8 @@ The multi-variable decision is implemented two ways:
   carries ``undecided=True`` instead of guessing (or raising); that
   cannot happen once ``limit`` reaches the grid size.
 * :func:`check_completeness_multi_enumerated` — the blind interleaving
-  enumeration.  Kept as the cross-validation oracle and as the benchmark
-  baseline; exponential, so only usable on short traces.
+  enumeration.  Kept as the cross-validation oracle; exponential, so
+  only usable on short traces.
 """
 
 from __future__ import annotations
@@ -344,10 +344,10 @@ def check_completeness_multi_enumerated(
     """Exhaustive-enumeration oracle for multi-variable completeness.
 
     The implementation :func:`check_completeness_multi` replaced; kept
-    for cross-validating the pruned search and as the benchmark baseline.
-    Raises RuntimeError when the interleaving count exceeds ``limit``
-    rather than guessing.  Failure diagnostics use the same canonical
-    interleaving as the DFS so the two backends are result-identical.
+    for cross-validating the grid walk.  Raises RuntimeError when the
+    interleaving count exceeds ``limit`` rather than guessing.  Failure
+    diagnostics use the same canonical interleaving as the grid walk so
+    the two are result-identical.
     """
     total = count_interleavings(per_variable_updates)
     if total > limit:

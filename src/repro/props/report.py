@@ -12,7 +12,6 @@ with the first witness retained for replay).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.core.alert import Alert
@@ -22,7 +21,6 @@ from repro.core.update import Update
 from repro.props.completeness import (
     CompletenessResult,
     check_completeness_multi,
-    check_completeness_multi_enumerated,
     check_completeness_single,
 )
 from repro.props.consistency import (
@@ -36,33 +34,11 @@ __all__ = [
     "PropertyReport",
     "PropertyTally",
     "evaluate_run",
-    "legacy_completeness_backend",
 ]
 
 #: Above this many interleavings, the exhaustive multi-variable
 #: completeness/consistency oracles are skipped (verdict None).
 DEFAULT_INTERLEAVING_LIMIT = 200_000
-
-_LEGACY_COMPLETENESS = False
-
-
-@contextmanager
-def legacy_completeness_backend():
-    """Route multi-variable completeness through the enumeration oracle.
-
-    A benchmarking/cross-validation hook: inside the context,
-    :func:`evaluate_run` decides multi-variable completeness with
-    :func:`~repro.props.completeness.check_completeness_multi_enumerated`
-    (the pre-engine implementation) instead of the pruned DFS.  Verdicts
-    are identical by construction; only the cost differs.
-    """
-    global _LEGACY_COMPLETENESS
-    previous = _LEGACY_COMPLETENESS
-    _LEGACY_COMPLETENESS = True
-    try:
-        yield
-    finally:
-        _LEGACY_COMPLETENESS = previous
 
 
 @dataclass(frozen=True)
@@ -161,12 +137,7 @@ def evaluate_run(
     # below the grid size.
     n_interleavings = count_interleavings(per_variable)
     if n_interleavings <= interleaving_limit:
-        checker = (
-            check_completeness_multi_enumerated
-            if _LEGACY_COMPLETENESS
-            else check_completeness_multi
-        )
-        complete = checker(
+        complete = check_completeness_multi(
             displayed, condition, per_variable, limit=interleaving_limit
         )
     else:

@@ -293,7 +293,7 @@ def quality_json(
     trials: int | None = None,
     n_updates: int | None = None,
 ) -> dict:
-    """The ``BENCH_quality.json`` document for a sweep's cells."""
+    """The sweep document ``repro quality --json`` writes for these cells."""
     return {
         "bench": "quality",
         "matrix": matrix,

@@ -18,9 +18,7 @@ Observability: attaching a tracer (any object with
 :mod:`repro.observability.tracer`) to :attr:`Kernel.tracer` records every
 schedule/fire/cancel/compact as a structured event.  With no tracer
 attached — the default — each hot-path operation pays exactly one
-attribute load and ``is None`` check, so tracing is effectively free when
-off (the disabled-path overhead is gated under 5% per trial by
-``benchmarks/bench_engine.py``).
+attribute load and ``is None`` check.
 """
 
 from __future__ import annotations

@@ -69,7 +69,12 @@ class TestTablesCommand:
         assert code == 0
 
     def test_unknown_table(self, capsys):
-        assert main(["tables", "table99"]) == 2
+        # Every id is validated before anything runs: a valid id in front
+        # of the bad one must not be rendered first.
+        assert main(["tables", "table1", "table99", "--trials", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown table 'table99'" in out
+        assert "table1:" not in out and "paper agreement" not in out
 
 
 class TestShrinkCommand:

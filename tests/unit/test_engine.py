@@ -196,29 +196,160 @@ class TestTablePlan:
             tabulate(plan, [])
 
 
+#: The TestGoldenEquivalence configuration, shared with the pinned layout.
+GOLDEN_KWARGS = dict(
+    trials=3,
+    n_updates=10,
+    base_seed=4242,
+    completeness_trials=3,
+    completeness_n_updates=5,
+)
+
+#: Per row: (first, last) seed of the main batch, then of the +7_000_000
+#: completeness batch, under GOLDEN_KWARGS.  Recorded from the seeds
+#: build_table passed to run_scenario while it still carried its own copy
+#: of the derivation (commit 8a7013f), so a drift in plan_table — now the
+#: only copy — cannot hide behind a comparison of the code with itself.
+PINNED_SEEDS = {
+    "table2": {
+        "lossless": (66143, 66145, 7066143, 7066145),
+        "non-historical": (10587, 10589, 7010587, 7010589),
+        "conservative": (82633, 82635, 7082633, 7082635),
+        "aggressive": (78779, 78781, 7078779, 7078781),
+    },
+    "table3": {
+        "lossless": (66949, 66951, 7066949, 7066951),
+        "non-historical": (94922, 94924, 7094922, 7094924),
+        "conservative": (27251, 27253, 7027251, 7027253),
+        "aggressive": (5240, 5242, 7005240, 7005242),
+    },
+}
+
+_MISSING_ONE = {"complete": "missing=1 extraneous=0"}
+
+#: Per table and row under GOLDEN_KWARGS: (first_unordered_seed,
+#: first_incomplete_seed, first_inconsistent_seed, witnesses); rows not
+#: listed witnessed no violation.  Recorded at the same commit.
+PINNED_WITNESSES = {
+    "table1": {
+        "non-historical": (
+            7041966, None, None,
+            {"ordered": "inversion in x at alert index 1"},
+        ),
+        "conservative": (None, 74367, None, _MISSING_ONE),
+        "aggressive": (
+            None, 89675, 89675,
+            {
+                "complete": "missing=0 extraneous=1",
+                "consistent": "alert #1 a(4x,3x) requires update 3 "
+                "received, but an earlier alert requires it missed",
+            },
+        ),
+    },
+    "table2": {
+        "conservative": (None, 82633, None, _MISSING_ONE),
+        "aggressive": (
+            None, 78779, 78780,
+            {
+                "complete": "missing=2 extraneous=1",
+                "consistent": "alert #2 a(7x,5x) requires update 6 "
+                "missed, but an earlier alert requires it received",
+            },
+        ),
+    },
+    "table3": {
+        "non-historical": (
+            None, 94922, None, {"complete": "missing=7 extraneous=11"},
+        ),
+        "conservative": (
+            None, 27251, None, {"complete": "missing=7 extraneous=6"},
+        ),
+        "aggressive": (
+            None, 5240, 5240,
+            {
+                "complete": "missing=8 extraneous=10",
+                "consistent": "update 4x is required received by one "
+                "alert and required missed by another",
+            },
+        ),
+    },
+    "ad3": {
+        "conservative": (None, 22265, None, _MISSING_ONE),
+        "aggressive": (
+            None, 5420, None, {"complete": "missing=3 extraneous=2"},
+        ),
+    },
+    "ad4": {
+        "non-historical": (None, 73725, None, _MISSING_ONE),
+        "conservative": (None, 7031833, None, _MISSING_ONE),
+        "aggressive": (None, 53001, None, _MISSING_ONE),
+    },
+    "ad6": {
+        "non-historical": (
+            None, 67900, None, {"complete": "missing=6 extraneous=12"},
+        ),
+        "conservative": (
+            None, 35101, None, {"complete": "missing=7 extraneous=3"},
+        ),
+        "aggressive": (
+            None, 10076, None, {"complete": "missing=8 extraneous=7"},
+        ),
+    },
+}
+
+
+class TestPinnedSeedLayout:
+    """plan_table is the only seed derivation; these literals are what it
+    must keep producing for every committed witness seed to stay valid."""
+
+    @pytest.mark.parametrize("table_id", sorted(PINNED_SEEDS))
+    def test_batch_boundaries(self, table_id):
+        plan = plan_table(table_id, **GOLDEN_KWARGS)
+        assert [spec.row for spec in plan.specs] == [
+            row for row in ROW_ORDER for _ in range(6)
+        ]
+        for row in ROW_ORDER:
+            main = [
+                spec.seed for spec in plan.specs
+                if spec.row == row and spec.n_updates == 10
+            ]
+            short = [
+                spec.seed for spec in plan.specs
+                if spec.row == row and spec.n_updates == 5
+            ]
+            assert (main[0], main[-1], short[0], short[-1]) == (
+                PINNED_SEEDS[table_id][row]
+            ), row
+
+    @pytest.mark.parametrize("table_id", sorted(PINNED_WITNESSES))
+    def test_first_violation_seeds_and_witnesses(self, table_id):
+        from repro.analysis.tables import build_table
+
+        result = build_table(table_id, **GOLDEN_KWARGS)
+        for row, tally in result.tallies.items():
+            assert (
+                tally.first_unordered_seed,
+                tally.first_incomplete_seed,
+                tally.first_inconsistent_seed,
+                tally.witnesses,
+            ) == PINNED_WITNESSES[table_id].get(row, (None, None, None, {})), row
+
+
 class TestGoldenEquivalence:
-    """build_table_parallel over a 4-worker pool must be bit-identical to
-    the sequential build_table — same tallies, witnesses and seeds — for
+    """build_table over a 4-worker pool must be bit-identical to the
+    inline processes=1 run — same tallies, witnesses and seeds — for
     every table the paper reports."""
 
     TABLE_IDS = ("table1", "table2", "table3", "ad3", "ad4", "ad6")
 
     def test_parallel_matches_sequential_everywhere(self):
-        from repro.analysis.parallel import build_table_parallel
         from repro.analysis.tables import build_table
 
-        kwargs = dict(
-            trials=3,
-            n_updates=10,
-            base_seed=4242,
-            completeness_trials=3,
-            completeness_n_updates=5,
-        )
         with TrialEngine(processes=4) as engine:
             for table_id in self.TABLE_IDS:
-                sequential = build_table(table_id, **kwargs)
-                parallel = build_table_parallel(
-                    table_id, engine=engine, **kwargs
+                sequential = build_table(table_id, **GOLDEN_KWARGS)
+                parallel = build_table(
+                    table_id, engine=engine, **GOLDEN_KWARGS
                 )
                 # PropertyTally is a plain dataclass: == compares every
                 # counter, first-violation seed and witness string.
@@ -226,6 +357,21 @@ class TestGoldenEquivalence:
                 assert (
                     parallel.measured_grid() == sequential.measured_grid()
                 ), table_id
+
+    def test_counters_ride_along_on_the_same_builder(self):
+        # What `repro tables --counters` runs: same verdicts as the plain
+        # table, and the summed counters do not depend on the pool.
+        from repro.analysis.tables import build_table
+
+        plain = build_table("table3", **GOLDEN_KWARGS)
+        inline = build_table("table3", collect_counters=True, **GOLDEN_KWARGS)
+        pooled = build_table(
+            "table3", collect_counters=True, processes=2, **GOLDEN_KWARGS
+        )
+        assert pooled.tallies == inline.tallies
+        assert inline.measured_grid() == plain.measured_grid()
+        for row, tally in inline.tallies.items():
+            assert tally.counters and not plain.tallies[row].counters, row
 
 
 class TestSweepEquivalence:

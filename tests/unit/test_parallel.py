@@ -1,46 +1,41 @@
-"""Unit tests for the parallel trial runner."""
+"""Unit tests for pooled trial execution (TrialEngine and build_table)."""
+
+import logging
 
 import pytest
 
-from repro.analysis.parallel import build_table_parallel, run_trial, run_trials
 from repro.analysis.tables import build_table
+from repro.engine import TrialEngine, TrialSpec
+
+SPECS = [TrialSpec("single", "aggressive", "AD-1", seed, 12) for seed in range(6)]
 
 
-class TestRunTrial:
-    def test_single_trial(self):
-        seed, report = run_trial(("single", "lossless", "AD-1", 42, 10, 2))
-        assert seed == 42
-        assert report.complete  # lossless under AD-1: Theorem 1
-
-    def test_multi_matrix(self):
-        _, report = run_trial(("multi", "non-historical", "AD-5", 7, 6, 2))
-        assert report.ordered
+def run_trials(specs, processes=1, chunksize=None):
+    with TrialEngine(processes=processes, chunksize=chunksize) as engine:
+        return engine.run(specs)
 
 
 class TestRunTrials:
-    SPECS = [("single", "aggressive", "AD-1", seed, 12, 2) for seed in range(6)]
-
     def test_sequential(self):
-        outcomes = run_trials(self.SPECS, processes=1)
-        assert [seed for seed, _ in outcomes] == list(range(6))
+        assert run_trials(SPECS, processes=1) == [s.execute() for s in SPECS]
 
     def test_parallel_matches_sequential(self):
-        sequential = run_trials(self.SPECS, processes=1)
-        parallel = run_trials(self.SPECS, processes=2)
-        assert [s for s, _ in sequential] == [s for s, _ in parallel]
-        for (_, r1), (_, r2) in zip(sequential, parallel):
-            assert r1.summary == r2.summary
+        sequential = run_trials(SPECS, processes=1)
+        parallel = run_trials(SPECS, processes=2)
+        assert [r.summary for r in sequential] == [r.summary for r in parallel]
 
     def test_invalid_processes(self):
         with pytest.raises(ValueError):
-            run_trials(self.SPECS, processes=0)
+            run_trials(SPECS, processes=0)
+        with pytest.raises(ValueError):
+            build_table("table2", trials=1, processes=0)
 
 
 class TestBuildTableParallel:
     def test_matches_sequential_build_table(self):
         kwargs = dict(trials=8, n_updates=12, base_seed=777)
         sequential = build_table("table2", **kwargs)
-        parallel = build_table_parallel("table2", processes=2, **kwargs)
+        parallel = build_table("table2", processes=2, **kwargs)
         for row in sequential.tallies:
             s, p = sequential.tallies[row], parallel.tallies[row]
             assert s.runs == p.runs
@@ -49,7 +44,7 @@ class TestBuildTableParallel:
             assert s.consistency_violations == p.consistency_violations
 
     def test_parallel_multi_table(self):
-        result = build_table_parallel(
+        result = build_table(
             "table3",
             trials=4,
             n_updates=10,
@@ -63,27 +58,31 @@ class TestBuildTableParallel:
 
 
 class TestRunTrialsRegressions:
-    SPECS = [("single", "aggressive", "AD-1", seed, 12, 2) for seed in range(6)]
-
     def test_single_spec_respects_result_despite_processes(self, caplog):
-        # The old code silently fell back to sequential for len(specs) < 2;
-        # now the inline shortcut is logged and still returns the result.
-        import logging
-
+        # A one-spec batch runs inline on a multi-process engine; the
+        # shortcut is logged and still returns that spec's report.
         with caplog.at_level(logging.DEBUG, logger="repro.engine.core"):
-            outcomes = run_trials(self.SPECS[:1], processes=4)
-        assert len(outcomes) == 1
-        assert outcomes[0][0] == self.SPECS[0][3]
+            reports = run_trials(SPECS[:1], processes=4)
+        assert reports == [SPECS[0].execute()]
         assert any("inline" in record.message for record in caplog.records)
 
     def test_chunksize_parameterized(self):
-        # Explicit chunk sizing (the old 4*processes divisor was fixed).
-        default = run_trials(self.SPECS, processes=2)
-        chunked = run_trials(self.SPECS, processes=2, chunksize=2)
-        assert [s for s, _ in default] == [s for s, _ in chunked]
-        for (_, r1), (_, r2) in zip(default, chunked):
-            assert r1.summary == r2.summary
+        default = run_trials(SPECS, processes=2)
+        chunked = run_trials(SPECS, processes=2, chunksize=2)
+        assert [r.summary for r in default] == [r.summary for r in chunked]
+        table = dict(trials=4, n_updates=10)
+        assert (
+            build_table("table2", processes=2, chunksize=1, **table).tallies
+            == build_table("table2", **table).tallies
+        )
 
     def test_auto_processes_accepted(self):
-        outcomes = run_trials(self.SPECS[:2], processes="auto")
-        assert [seed for seed, _ in outcomes] == [0, 1]
+        reports = run_trials(SPECS[:2], processes="auto")
+        assert [r.summary for r in reports] == [
+            spec.execute().summary for spec in SPECS[:2]
+        ]
+        table = dict(trials=2, n_updates=8)
+        assert (
+            build_table("table2", processes="auto", **table).tallies
+            == build_table("table2", **table).tallies
+        )

@@ -175,24 +175,3 @@ class TestUndecidedCompleteness:
         tally = PropertyTally()
         tally.add(report)
         assert tally.completeness_undecided == 0  # skipped, not undecided
-
-
-class TestLegacyBackend:
-    def test_legacy_and_dfs_agree(self):
-        from repro.props.report import legacy_completeness_backend
-
-        example = lemma_6_example()
-        displayed = [
-            example.alert_streams[0][0],
-            example.alert_streams[1][0],
-        ]
-        modern = evaluate_run(
-            example.condition, list(example.traces), displayed
-        )
-        with legacy_completeness_backend():
-            legacy = evaluate_run(
-                example.condition, list(example.traces), displayed
-            )
-        assert modern.summary == legacy.summary
-        assert modern.complete.missing == legacy.complete.missing
-        assert modern.complete.extraneous == legacy.complete.extraneous

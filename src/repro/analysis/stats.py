@@ -13,55 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-try:  # SciPy rides along with the optional numpy extra; see repro.accel.
-    from scipy.stats import norm as _scipy_norm
-except ImportError:  # pragma: no cover - exercised in no-scipy environments
-    _scipy_norm = None
+from statistics import NormalDist
 
 __all__ = ["RateEstimate", "wilson_interval", "estimate_rate", "rates_differ"]
 
-# Coefficients of Acklam's rational approximation to the inverse normal
-# CDF (relative error < 1.2e-9 everywhere) — the fallback when SciPy is
-# absent.  The z values used here (e.g. 1.95996... at 95%) agree with
-# scipy.stats.norm.ppf far beyond the precision any rate estimate needs.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _norm_ppf(p: float) -> float:
-    """Inverse standard-normal CDF (scipy when available, Acklam else)."""
-    if _scipy_norm is not None:
-        return float(_scipy_norm.ppf(p))
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return float("-inf")
-        if p == 1.0:
-            return float("inf")
-        return float("nan")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p <= p_high:
-        q = p - 0.5
-        r = q * q
-        return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
-    q = math.sqrt(-2 * math.log(1 - p))
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
+#: Inverse standard-normal CDF.  Callers pass p = 0.5 + confidence/2, so
+#: p ∈ (0.5, 1); the standard library agrees with ``scipy.stats.norm.ppf``
+#: to 1e-15 relative there.
+_norm_ppf = NormalDist().inv_cdf
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Any
 
 from repro.analysis.witness import Counterexample
@@ -88,6 +90,10 @@ def alert_from_json(data: dict[str, Any]) -> Alert:
     return Alert(str(data["condname"]), histories, str(data.get("source", "")))
 
 
+def _dumps_line(alert: Alert) -> str:
+    return json.dumps(alert_to_json(alert), sort_keys=True, separators=(",", ":"))
+
+
 def alert_canonical_line(alert: Alert) -> str:
     """One canonical JSON line per alert — the byte-identity carrier.
 
@@ -96,8 +102,38 @@ def alert_canonical_line(alert: Alert) -> str:
     every ``(seqno, value)`` history entry.  The service conformance
     harness (:mod:`repro.service`) frames these lines to compare a live
     runtime's displayed output against the simulator's.
+
+    The line is ``json.dumps(alert_to_json(alert), sort_keys=True,
+    separators=(",", ":"))`` byte for byte.  It is formatted directly —
+    the keys are fixed, snapshots keep their variables sorted, and JSON
+    renders a finite float as its ``repr`` — and only an alert carrying
+    anything but ``str`` names, ``int`` seqnos and finite ``float`` values
+    takes the detour through the dict and the general encoder.
     """
-    return json.dumps(alert_to_json(alert), sort_keys=True, separators=(",", ":"))
+    try:
+        histories = []
+        for var in alert.histories.variables:
+            entries = []
+            for update in alert.histories[var]:
+                seqno, value = update.seqno, update.value
+                if (
+                    type(seqno) is not int
+                    or type(value) is not float
+                    or not isfinite(value)
+                ):
+                    return _dumps_line(alert)
+                entries.append(
+                    f'{{"seqno":{seqno},"value":{value!r},'
+                    f'"var":{_quote(update.varname)}}}'
+                )
+            histories.append(f'{_quote(var)}:[{",".join(entries)}]')
+        return (
+            f'{{"condname":{_quote(alert.condname)},'
+            f'"histories":{{{",".join(histories)}}},'
+            f'"source":{_quote(alert.source)}}}'
+        )
+    except TypeError:  # _quote takes str only
+        return _dumps_line(alert)
 
 
 # -- conditions ----------------------------------------------------------------

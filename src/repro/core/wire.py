@@ -200,22 +200,32 @@ class FrameDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return the payloads completed by it, in order."""
-        self._buffer.extend(data)
+        """Absorb ``data``; return the payloads completed by it, in order.
+
+        One pass: an offset walks the buffer frame by frame and the
+        consumed prefix is trimmed once at the end.  A :class:`FrameError`
+        leaves the decoder poisoned — the stream has no next frame.
+        """
+        buffer = self._buffer
+        buffer.extend(data)
+        size = len(buffer)
+        header = _FRAME_HEADER.size
         payloads: list[bytes] = []
-        while len(self._buffer) >= _FRAME_HEADER.size:
-            (length,) = _FRAME_HEADER.unpack_from(self._buffer)
+        offset = 0
+        while size - offset >= header:
+            (length,) = _FRAME_HEADER.unpack_from(buffer, offset)
             if length > self.max_bytes:
                 raise FrameError(
                     f"declared frame length {length} exceeds the "
                     f"{self.max_bytes}-byte ceiling"
                 )
-            end = _FRAME_HEADER.size + length
-            if len(self._buffer) < end:
+            end = offset + header + length
+            if end > size:
                 break
-            payloads.append(bytes(self._buffer[_FRAME_HEADER.size:end]))
-            del self._buffer[:end]
-            self.frames_decoded += 1
+            payloads.append(bytes(buffer[offset + header:end]))
+            offset = end
+        del buffer[:offset]
+        self.frames_decoded += len(payloads)
         return payloads
 
     def close(self) -> None:

@@ -19,6 +19,12 @@ the property suite can assemble pipelines without sockets:
   arrival order with a reorder buffer released in precomputed stamp
   order, then filters online through the AD algorithm.
 
+Every stage moves a *batch* per suspension — ``get_many()`` hands it
+whatever its queue holds (at most the queue's capacity, in queue order),
+it loops over that in plain Python and forwards with one ``put_many``
+per downstream queue — so the per-delivery cost is the loop body, not a
+pair of coroutine calls per hop.
+
 End-of-stream uses the queue CLOSE sentinel: the router closes every
 CE queue, each CE closes the shared alert queue once, and the merger
 exits after seeing one CLOSE per CE — so every item enqueued before a
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable
+from typing import AsyncIterator, Awaitable, Callable
 
 from repro.core.alert import Alert
 from repro.core.update import Update
@@ -50,6 +56,19 @@ __all__ = [
 #: Optional test hook: awaited before each update is evaluated, letting
 #: property tests impose arbitrary per-CE pacing (slow consumers).
 Pace = Callable[[int, Update], Awaitable[None]]
+
+
+async def _batches(queue: BoundedQueue) -> AsyncIterator[list]:
+    """A single-producer queue's items, a batch at a time, up to its CLOSE
+    (with one producer the sentinel is the last thing ever queued)."""
+    while True:
+        batch = await queue.get_many()
+        if batch[-1] is CLOSE:
+            del batch[-1]
+            if batch:
+                yield batch
+            return
+        yield batch
 
 
 @dataclass(frozen=True)
@@ -109,23 +128,25 @@ async def shard_front(
     """
     forwarded = [0] * len(shard_queues)
     dropped = 0
-    while True:
-        item = await ingest.get()
-        if item is CLOSE:
-            break
-        _, update, _ = item
-        targets = routes.get(update.varname, ())
-        if not targets:
-            dropped += 1
-            continue
-        for shard in targets:
-            if not 0 <= shard < len(shard_queues):
-                raise FeedMismatchError(
-                    f"route for {update.varname!r} targets shard {shard}; "
-                    f"the ring has {len(shard_queues)} shards"
-                )
-            forwarded[shard] += 1
-            await shard_queues[shard].put(item)
+    async for batch in _batches(ingest):
+        per_shard: list[list] = [[] for _ in shard_queues]
+        for item in batch:
+            varname = item[1].varname
+            targets = routes.get(varname, ())
+            if not targets:
+                dropped += 1
+                continue
+            for shard in targets:
+                if not 0 <= shard < len(shard_queues):
+                    raise FeedMismatchError(
+                        f"route for {varname!r} targets shard {shard}; "
+                        f"the ring has {len(shard_queues)} shards"
+                    )
+                per_shard[shard].append(item)
+        for shard, routed in enumerate(per_shard):
+            if routed:
+                forwarded[shard] += len(routed)
+                await shard_queues[shard].put_many(routed)
     for queue in shard_queues:
         await queue.close()
     return ShardFrontResult(forwarded=tuple(forwarded), dropped=dropped)
@@ -140,28 +161,27 @@ async def drain_idle_shard(shard_index: int, updates: BoundedQueue) -> int:
     caller rather than silently evaluated on the wrong shard.
     """
     stray = 0
-    while True:
-        item = await updates.get()
-        if item is CLOSE:
-            return stray
-        stray += 1
+    async for batch in _batches(updates):
+        stray += len(batch)
+    return stray
 
 
 async def route_updates(
     ingest: BoundedQueue, ce_queues: list[BoundedQueue]
 ) -> None:
     """Fan ``(ce_index, update, ingest_ns)`` items out to per-CE queues."""
-    while True:
-        item = await ingest.get()
-        if item is CLOSE:
-            break
-        ce_index, update, ingest_ns = item
-        if not 0 <= ce_index < len(ce_queues):
-            raise FeedMismatchError(
-                f"delivery targets CE index {ce_index}; the feed declares "
-                f"{len(ce_queues)} CEs"
-            )
-        await ce_queues[ce_index].put((update, ingest_ns))
+    async for batch in _batches(ingest):
+        per_ce: list[list] = [[] for _ in ce_queues]
+        for ce_index, update, ingest_ns in batch:
+            if not 0 <= ce_index < len(ce_queues):
+                raise FeedMismatchError(
+                    f"delivery targets CE index {ce_index}; the feed declares "
+                    f"{len(ce_queues)} CEs"
+                )
+            per_ce[ce_index].append((update, ingest_ns))
+        for queue, routed in zip(ce_queues, per_ce):
+            if routed:
+                await queue.put_many(routed)
     for queue in ce_queues:
         await queue.close()
 
@@ -183,24 +203,24 @@ async def ce_replica(
     failure — it means the deliveries do not reproduce the run.
     """
     position = 0
-    while True:
-        item = await updates.get()
-        if item is CLOSE:
-            break
-        update, ingest_ns = item
-        if pace is not None:
-            await pace(ce_index, update)
-        alert = evaluator.ingest(update)
-        if alert is not None:
-            if position >= len(stamps):
-                raise FeedMismatchError(
-                    f"CE{ce_index + 1} raised alert #{position + 1} but the "
-                    f"feed recorded only {len(stamps)} arrival stamps"
+    async for batch in _batches(updates):
+        raised: list[StampedAlert] = []
+        for update, ingest_ns in batch:
+            if pace is not None:
+                await pace(ce_index, update)
+            alert = evaluator.ingest(update)
+            if alert is not None:
+                if position >= len(stamps):
+                    raise FeedMismatchError(
+                        f"CE{ce_index + 1} raised alert #{position + 1} but the "
+                        f"feed recorded only {len(stamps)} arrival stamps"
+                    )
+                raised.append(
+                    StampedAlert(ce_index, position, stamps[position], alert, ingest_ns)
                 )
-            await alerts.put(
-                StampedAlert(ce_index, position, stamps[position], alert, ingest_ns)
-            )
-            position += 1
+                position += 1
+        if raised:
+            await alerts.put_many(raised)
     if position != len(stamps):
         raise FeedMismatchError(
             f"CE{ce_index + 1} drained after {position} alerts; the feed "
@@ -239,19 +259,19 @@ async def ad_merge(
     released = 0
     closes = 0
     while closes < len(stamps):
-        item = await alerts.get()
-        if item is CLOSE:
-            closes += 1
-            continue
-        buffer[(item.ce_index, item.position)] = item
-        if len(buffer) > result.peak_reorder:
-            result.peak_reorder = len(buffer)
-        while released < len(order) and order[released] in buffer:
-            stamped = buffer.pop(order[released])
-            released += 1
-            result.arrivals.append(stamped.alert)
-            if algorithm.offer(stamped.alert):
-                result.display_latencies_ns.append(clock() - stamped.ingest_ns)
+        for item in await alerts.get_many():
+            if item is CLOSE:
+                closes += 1
+                continue
+            buffer[(item.ce_index, item.position)] = item
+            if len(buffer) > result.peak_reorder:
+                result.peak_reorder = len(buffer)
+            while released < len(order) and order[released] in buffer:
+                stamped = buffer.pop(order[released])
+                released += 1
+                result.arrivals.append(stamped.alert)
+                if algorithm.offer(stamped.alert):
+                    result.display_latencies_ns.append(clock() - stamped.ingest_ns)
     if released != len(order) or buffer:
         raise FeedMismatchError(
             f"merge drained after releasing {released}/{len(order)} stamped "

@@ -12,17 +12,33 @@ display byte-for-byte the same alert sequence as the simulator.
 Feeds are recorded from a :class:`~repro.engine.spec.TrialSpec` (which
 fully determines them), persist as JSONL (``repro.feed/1``), and stream
 over sockets as length-prefixed :mod:`repro.core.wire` frames carrying
-canonical JSON messages::
+protocol messages::
 
     {"type": "hello", "schema": "repro.feed/1", "spec": ..., "stamps": ...}
     {"type": "delivery", "ce": 0, "update": {"var": "x", "seqno": 1, ...}}
     ...
     {"type": "end"}
+
+Control messages (hello, end, result, error) travel as canonical JSON.  A
+``delivery`` — all but two frames of a feed — travels as a fixed binary
+record instead, the one encoding of it the wire accepts::
+
+    offset  size  field
+    0       1     tag 0x01 (a JSON payload starts with ``{``)
+    1       2     CE index, big-endian unsigned
+    3       8     seqno, big-endian unsigned
+    11      8     value, big-endian IEEE-754 double
+    19      >=1   varname, UTF-8, to the end of the frame
+
+:func:`encode_message` / :func:`decode_message` map both forms to and from
+the message dicts above; the server's reader skips the dict and takes
+:func:`decode_delivery` straight to an :class:`Update`.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -42,6 +58,7 @@ __all__ = [
     "feed_messages",
     "encode_message",
     "decode_message",
+    "decode_delivery",
 ]
 
 FEED_SCHEMA = "repro.feed/1"
@@ -51,18 +68,77 @@ class FeedSchemaError(ValueError):
     """Raised when a feed file/stream does not match the supported schema."""
 
 
+_DELIVERY_TAG = b"\x01"
+#: The fixed fields behind the tag: CE index, seqno, value.
+_DELIVERY_FIELDS = struct.Struct(">HQd")
+_VARNAME_AT = 1 + _DELIVERY_FIELDS.size
+
+
 def encode_message(message: dict[str, Any]) -> bytes:
-    """One protocol message as a length-prefixed canonical-JSON frame."""
-    return encode_frame(
-        json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
-    )
+    """One protocol message as a length-prefixed frame: a binary record
+    for a ``delivery``, canonical JSON for everything else."""
+    if message.get("type") != "delivery":
+        return encode_frame(
+            json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
+        )
+    try:
+        update = message["update"]
+        varname = update["var"].encode()
+        fields = _DELIVERY_FIELDS.pack(
+            message["ce"], update["seqno"], update["value"]
+        )
+    except (
+        struct.error, OverflowError, KeyError, TypeError, AttributeError,
+        UnicodeEncodeError,
+    ) as exc:
+        raise FeedSchemaError(
+            f"delivery does not fit the wire record ({exc}): {message!r}"
+        ) from exc
+    if not varname:
+        raise FeedSchemaError(f"delivery without a varname: {message!r}")
+    return encode_frame(_DELIVERY_TAG + fields + varname)
+
+
+def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
+    """``(ce_index, update)`` of a delivery record; ``None`` when the
+    payload does not carry the delivery tag (it is a JSON message)."""
+    if payload[:1] != _DELIVERY_TAG:
+        return None
+    try:
+        ce_index, seqno, value = _DELIVERY_FIELDS.unpack_from(payload, 1)
+        varname = payload[_VARNAME_AT:].decode()
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise FeedSchemaError(
+            f"malformed delivery record ({exc}): {payload[:80]!r}"
+        ) from exc
+    if not varname:
+        raise FeedSchemaError(f"delivery record without a varname: {payload!r}")
+    return ce_index, Update(varname, seqno, value)
 
 
 def decode_message(payload: bytes) -> dict[str, Any]:
     """Inverse of :func:`encode_message` (for one decoded frame payload)."""
-    message = json.loads(payload.decode())
+    delivery = decode_delivery(payload)
+    if delivery is not None:
+        ce_index, update = delivery
+        return {
+            "type": "delivery",
+            "ce": ce_index,
+            "update": update_to_json(update),
+        }
+    try:
+        message = json.loads(payload.decode())
+    except ValueError as exc:  # not UTF-8, not JSON, or an unknown record tag
+        raise FeedSchemaError(
+            f"malformed service message: {payload[:80]!r}"
+        ) from exc
     if not isinstance(message, dict) or "type" not in message:
         raise FeedSchemaError(f"malformed service message: {payload[:80]!r}")
+    if message["type"] == "delivery":
+        raise FeedSchemaError(
+            "a delivery travels as a binary record, not as JSON: "
+            f"{payload[:80]!r}"
+        )
     return message
 
 

@@ -51,6 +51,7 @@ from repro.service.feed import (
     FEED_SCHEMA,
     FeedSchemaError,
     UpdateFeed,
+    decode_delivery,
     decode_message,
     encode_message,
     feed_messages,
@@ -203,20 +204,22 @@ class MonitorService:
         from repro.props.report import evaluate_run
 
         decoder = FrameDecoder()
-        pending: list[dict[str, Any]] = []
 
-        async def next_message() -> dict[str, Any]:
-            while not pending:
+        async def read_frames() -> list[bytes]:
+            """The payloads of the next read that completes a frame."""
+            while True:
                 data = await reader.read(_READ_CHUNK)
                 if not data:
                     decoder.close()  # raises FrameError if mid-frame
                     raise FeedSchemaError(
                         "connection closed before the feed's end message"
                     )
-                pending.extend(map(decode_message, decoder.feed(data)))
-            return pending.pop(0)
+                payloads = decoder.feed(data)
+                if payloads:
+                    return payloads
 
-        hello = await next_message()
+        payloads = await read_frames()
+        hello = decode_message(payloads.pop(0))
         if hello["type"] != "hello":
             raise FeedSchemaError(f"expected hello, got {hello['type']!r}")
         if hello.get("schema") != FEED_SCHEMA:
@@ -233,7 +236,6 @@ class MonitorService:
 
         condition = TrialSpec(**spec).resolve_scenario().make_condition()
         algorithm = make_ad(spec["algorithm"], condition)
-        from repro.core.update import Update
 
         shard_cfg = self.config.shard_config()
         assignment = None
@@ -299,27 +301,36 @@ class MonitorService:
             merge_task = group.create_task(
                 ad_merge(algorithm, stamps, alert_queue)
             )
+            # The unit of work is one socket read: every delivery it
+            # completed goes to the ingest queue in one put_many, each
+            # stamped as its own record is decoded.  What the reader holds
+            # beside the queues is therefore at most one _READ_CHUNK of
+            # decoded deliveries — it does not read again until the queue
+            # took them all.
             while True:
-                message = await next_message()
-                if message["type"] == "end":
+                batch = []
+                for payload in payloads:
+                    delivery = decode_delivery(payload)
+                    if delivery is None:
+                        break
+                    batch.append((*delivery, time.monotonic_ns()))
+                if batch:
+                    await ingest.put_many(batch)
+                if len(batch) < len(payloads):
+                    message = decode_message(payloads[len(batch)])
+                    if message["type"] != "end":
+                        raise FeedSchemaError(
+                            f"unexpected message {message['type']!r} mid-feed"
+                        )
+                    trailing = len(payloads) - len(batch) - 1
+                    if trailing or decoder.buffered:
+                        raise FeedSchemaError(
+                            f"{trailing} frames and {decoder.buffered} bytes "
+                            "of a partial frame follow the end message"
+                        )
                     await ingest.close()
                     break
-                if message["type"] != "delivery":
-                    raise FeedSchemaError(
-                        f"unexpected message {message['type']!r} mid-feed"
-                    )
-                update = message["update"]
-                await ingest.put(
-                    (
-                        int(message["ce"]),
-                        Update(
-                            str(update["var"]),
-                            int(update["seqno"]),
-                            float(update["value"]),
-                        ),
-                        time.monotonic_ns(),
-                    )
-                )
+                payloads = await read_frames()
 
         merge = merge_task.result()
         displayed = algorithm.output
@@ -389,9 +400,21 @@ async def execute_feed(
     """Stream ``feed`` to a running service; await its result frame."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
+        # Frames joined into writes of at most _READ_CHUNK bytes (a larger
+        # frame goes alone), one drain() each.
+        frames: list[bytes] = []
+        size = 0
         for message in feed_messages(feed):
-            writer.write(encode_message(message))
-            await writer.drain()
+            frame = encode_message(message)
+            if frames and size + len(frame) > _READ_CHUNK:
+                writer.write(b"".join(frames))
+                await writer.drain()
+                frames.clear()
+                size = 0
+            frames.append(frame)
+            size += len(frame)
+        writer.write(b"".join(frames))
+        await writer.drain()
         decoder = FrameDecoder()
         payloads: list[bytes] = []
         while not payloads:

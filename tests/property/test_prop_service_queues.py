@@ -1,6 +1,6 @@
 """Property tests: the service pipeline loses nothing and never deadlocks.
 
-Three invariant families over randomized pacing, queue capacities and
+Four invariant families over randomized pacing, queue capacities and
 workloads:
 
 * **No update lost / FIFO preserved** — routing a random delivery
@@ -9,6 +9,11 @@ workloads:
   (per-variable FIFO follows: a CE's stream *is* delivery order).
 * **Backpressure never deadlocks** — every scenario runs under an
   ``asyncio.wait_for`` watchdog; a backpressure cycle would time out.
+* **Bulk transfer is the same queue** — producers mixing ``put`` with
+  ``put_many`` (slices larger than the capacity included), consumers
+  mixing ``get`` with ``get_many``, several producers sharing one queue
+  with one CLOSE each: nothing lost, per-producer FIFO, occupancy never
+  above the capacity.
 * **End-to-end conformance under stress** — the full asyncio service,
   squeezed through tiny queues with randomly paced CE consumers, still
   displays byte-identical output to the scheduler-free direct runtime.
@@ -129,6 +134,120 @@ class TestRouterPipeline:
             return out
 
         assert run_with_watchdog(scenario()) == items
+
+
+# -- bulk transfer ------------------------------------------------------------
+
+# One producer's script: slice lengths, 0 meaning a per-item ``put`` and
+# n >= 1 a ``put_many`` of n items (up to twice the largest capacity).
+producer_strategy = st.lists(st.integers(0, 16), max_size=12)
+
+
+class TestBulkTransfer:
+    @given(
+        producers=st.lists(producer_strategy, min_size=1, max_size=4),
+        capacity=st.integers(1, 8),
+        # The consumer's script, cycled: True = get_many, False = get.
+        bulk_gets=st.lists(st.booleans(), min_size=1, max_size=6),
+        consumer_yields=st.integers(0, 3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_bulk_and_single_transfer_conserves(
+        self, producers, capacity, bulk_gets, consumer_yields
+    ):
+        async def scenario():
+            queue = BoundedQueue("q", capacity)
+            sent: list[list[tuple[int, int]]] = [[] for _ in producers]
+            received: list[tuple[int, int]] = []
+            batch_sizes: list[int] = []
+
+            async def produce(who: int, slices: list[int]) -> None:
+                mine = sent[who]
+                for size in slices:
+                    batch = [(who, len(mine) + k) for k in range(max(size, 1))]
+                    mine.extend(batch)
+                    if size == 0:
+                        await queue.put(batch[0])
+                    else:
+                        await queue.put_many(batch)
+                    assert len(queue) <= capacity
+                await queue.close()
+
+            async def consume() -> None:
+                closes = turn = 0
+                while closes < len(producers):
+                    if bulk_gets[turn % len(bulk_gets)]:
+                        batch = await queue.get_many()
+                        assert batch  # never an empty batch
+                        batch_sizes.append(len(batch))
+                    else:
+                        batch = [await queue.get()]
+                    turn += 1
+                    for item in batch:
+                        if item is CLOSE:
+                            closes += 1
+                        else:
+                            received.append(item)
+                    for _ in range(consumer_yields):
+                        await asyncio.sleep(0)
+
+            async with asyncio.TaskGroup() as group:
+                group.create_task(consume())
+                for who, slices in enumerate(producers):
+                    group.create_task(produce(who, slices))
+            return queue, sent, received, batch_sizes
+
+        queue, sent, received, batch_sizes = run_with_watchdog(scenario())
+        total = sum(len(mine) for mine in sent)
+        assert len(received) == total  # nothing lost, nothing invented
+        for who, mine in enumerate(sent):  # per-producer FIFO
+            assert [item for item in received if item[0] == who] == mine
+        assert queue.stats.puts == queue.stats.gets == total
+        assert queue.stats.peak <= capacity
+        assert all(size <= capacity for size in batch_sizes)
+        assert len(queue) == 0
+
+    @given(capacity=st.integers(1, 8), extra=st.integers(1, 24))
+    @settings(max_examples=30, deadline=None)
+    def test_oversized_put_many_suspends_instead_of_overshooting(
+        self, capacity, extra
+    ):
+        # With no consumer, put_many fills the queue to the brim and waits:
+        # capacity counts items, not calls.
+        async def scenario():
+            queue = BoundedQueue("q", capacity)
+            items = list(range(capacity + extra))
+            producer = asyncio.create_task(queue.put_many(items))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert not producer.done()
+            assert len(queue) == capacity
+            assert queue.stats.blocked_puts == 1
+            drained: list[int] = []
+            while len(drained) < len(items):
+                drained.extend(await queue.get_many())
+            await producer
+            return drained == items and queue.stats.peak == capacity
+
+        assert run_with_watchdog(scenario())
+
+    def test_cancelled_waiter_passes_its_wakeup_on(self):
+        # Two producers wait on a full queue.  The first is woken by a get
+        # and cancelled before it runs (TaskGroup teardown does this): the
+        # wake-up must reach the second, or the free slot is never used.
+        async def scenario():
+            queue = BoundedQueue("q", 1)
+            await queue.put("head")
+            first = asyncio.create_task(queue.put("first"))
+            second = asyncio.create_task(queue.put_many(["second"]))
+            await asyncio.sleep(0)
+            assert await queue.get() == "head"  # wakes `first`
+            first.cancel()
+            assert await queue.get() == "second"
+            assert first.cancelled()
+            await second
+
+        run_with_watchdog(scenario())
 
 
 # -- full service under stress ------------------------------------------------

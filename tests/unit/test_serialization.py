@@ -4,10 +4,14 @@ counterexamples."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.alert import Alert
 from repro.core.condition import PredicateCondition, c1, c2, c3, cm
 from repro.core.evaluator import ConditionEvaluator
+from repro.core.history import HistorySnapshot
 from repro.core.serialization import (
+    alert_canonical_line,
     alert_from_json,
     alert_to_json,
     condition_from_json,
@@ -64,6 +68,61 @@ class TestAlertRoundTrip:
         data["histories"]["x"].reverse()  # breaks most-recent-first order
         with pytest.raises(ValueError):
             alert_from_json(data)
+
+
+# Names that need JSON escaping (quotes, backslashes, control characters,
+# non-ASCII, astral planes) mixed with plain ones.
+_names = st.one_of(
+    st.sampled_from(["x", "y", 'q"uote', "back\\slash", "new\nline", "é", "\U0001f600"]),
+    st.text(min_size=1, max_size=6),
+)
+# Finite floats take the direct path; ints, bools and non-finite floats the
+# json.dumps fallback.  The edge cases named are where repr and JSON could
+# conceivably part ways.
+_values = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1e22, 1e16, 1e-7, 0.1, 3000.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.integers(-10**6, 10**6),
+    st.booleans(),
+)
+
+
+@st.composite
+def _alerts(draw):
+    histories = {}
+    for var in draw(st.lists(_names, min_size=1, max_size=3, unique=True)):
+        seqnos = sorted(
+            draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=3, unique=True)),
+            reverse=True,
+        )
+        histories[var] = tuple(Update(var, seqno, draw(_values)) for seqno in seqnos)
+    return Alert(draw(_names), HistorySnapshot(histories), draw(st.one_of(st.just(""), _names)))
+
+
+class TestCanonicalLine:
+    @given(_alerts())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sorted_compact_json_dumps(self, alert):
+        assert alert_canonical_line(alert) == json.dumps(
+            alert_to_json(alert), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_multi_variable_histories_render_sorted(self):
+        alert = Alert(
+            "c",
+            HistorySnapshot({
+                "y": (Update("y", 2, 1e22),),
+                "x": (Update("x", 3, -0.0), Update("x", 1, 5e-324)),
+            }),
+            "CE2",
+        )
+        assert alert_canonical_line(alert) == (
+            '{"condname":"c","histories":{'
+            '"x":[{"seqno":3,"value":-0.0,"var":"x"},'
+            '{"seqno":1,"value":5e-324,"var":"x"}],'
+            '"y":[{"seqno":2,"value":1e+22,"var":"y"}]},"source":"CE2"}'
+        )
 
 
 class TestConditionRoundTrip:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.update import Update
-from repro.core.wire import iter_frames
+from repro.core.wire import FrameDecoder, encode_frame, iter_frames
 from repro.engine.spec import TrialSpec
 from repro.service import (
     CLOSE,
@@ -24,7 +27,12 @@ from repro.service import (
     loads_feed,
     record_feed,
 )
-from repro.service.feed import FeedSchemaError, decode_message, encode_message
+from repro.service.feed import (
+    FeedSchemaError,
+    decode_delivery,
+    decode_message,
+    encode_message,
+)
 from repro.service.server import execute_feed
 
 SPEC = TrialSpec(
@@ -78,6 +86,90 @@ class TestFeed:
 
     def test_recording_is_deterministic(self, feed):
         assert record_feed(SPEC) == feed
+
+
+# -- the delivery record ------------------------------------------------------
+
+def delivery(ce=0, var="x", seqno=1, value=0.0):
+    return {
+        "type": "delivery",
+        "ce": ce,
+        "update": {"var": var, "seqno": seqno, "value": value},
+    }
+
+
+def payload_of(frame: bytes) -> bytes:
+    (payload,) = iter_frames(frame)
+    return payload
+
+
+class TestDeliveryRecord:
+    def test_layout(self):
+        frame = encode_message(delivery(ce=2, var="x", seqno=7, value=3000.5))
+        assert len(frame) == 24  # against ~80 bytes of canonical JSON
+        assert payload_of(frame) == (
+            b"\x01" + struct.pack(">HQd", 2, 7, 3000.5) + b"x"
+        )
+        assert decode_delivery(payload_of(frame)) == (2, Update("x", 7, 3000.5))
+
+    @given(
+        ce=st.integers(0, 2**16 - 1),
+        var=st.text(min_size=1),
+        seqno=st.integers(0, 2**64 - 1),
+        value=st.floats(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, ce, var, seqno, value):
+        message = delivery(ce, var, seqno, value)
+        decoded = decode_message(payload_of(encode_message(message)))
+        # Bitwise on the value: NaN payloads and the sign of zero survive.
+        assert struct.pack(">d", decoded["update"].pop("value")) == struct.pack(
+            ">d", message["update"].pop("value")
+        )
+        assert decoded == message
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            delivery(ce=-1),
+            delivery(ce=2**16),
+            delivery(ce=1.0),
+            delivery(seqno=-1),
+            delivery(seqno=2**64),
+            delivery(value="hot"),
+            delivery(value=None),
+            delivery(value=10**400),
+            delivery(var=""),
+            delivery(var=b"x"),
+            delivery(var="\ud800"),  # a lone surrogate has no UTF-8 form
+            {"type": "delivery", "ce": 0},
+        ],
+        ids=repr,
+    )
+    def test_sender_rejects_what_the_record_cannot_carry(self, message):
+        with pytest.raises(FeedSchemaError):
+            encode_message(message)
+
+    def test_control_messages_stay_json(self):
+        for message in ({"type": "end"}, {"type": "error", "error": "x"}):
+            payload = payload_of(encode_message(message))
+            assert json.loads(payload) == message
+            assert decode_delivery(payload) is None
+            assert decode_message(payload) == message
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            b"\x02" + bytes(18) + b"x",  # unknown tag
+            b"not json",
+            b"[1, 2]",
+            json.dumps(delivery()).encode(),  # the retired JSON encoding
+        ],
+    )
+    def test_decode_rejects_with_schema_error(self, payload):
+        with pytest.raises(FeedSchemaError):
+            decode_message(payload)
 
 
 # -- offline runtimes ---------------------------------------------------------
@@ -223,6 +315,146 @@ class TestAsyncioService:
         )
         with pytest.raises(ServiceError, match="FeedMismatchError"):
             AsyncioServiceRuntime().execute(bad)
+
+
+# -- hostile and malformed streams -------------------------------------------
+
+async def converse(service: MonitorService, *writes: bytes) -> dict:
+    """Send raw bytes to a live service; return its one reply message."""
+    reader, writer = await asyncio.open_connection(service.host, service.port)
+    try:
+        for data in writes:
+            writer.write(data)
+            await writer.drain()
+        decoder = FrameDecoder()
+        while True:  # a hang is the failure this guards against
+            data = await asyncio.wait_for(reader.read(1 << 16), timeout=10)
+            assert data, "service closed the connection without a reply"
+            payloads = decoder.feed(data)
+            if payloads:
+                return decode_message(payloads[0])
+    finally:
+        writer.close()
+
+
+def with_service(scenario):
+    async def run():
+        service = MonitorService(ServiceConfig())
+        await service.start()
+        try:
+            return await asyncio.wait_for(scenario(service), timeout=60)
+        finally:
+            await service.stop()
+
+    return asyncio.run(run())
+
+
+class TestHostileStreams:
+    def test_malformed_records_end_in_an_error_frame(self, feed):
+        frames = [encode_message(m) for m in feed_messages(feed)]
+        hello, end = frames[0], frames[-1]
+        record = payload_of(frames[1])
+        hostile = [record[:cut] for cut in range(len(record))]  # strict prefixes
+        hostile += [
+            b"\x02" + record[1:],  # unknown tag
+            record[:19] + b"\xff\xfe",  # varname is not UTF-8
+            json.dumps(delivery()).encode(),  # JSON delivery mid-feed
+        ]
+
+        async def scenario(service):
+            replies = []
+            for payload in hostile:
+                # A valid delivery first, so the stages are mid-stream when
+                # the bad record arrives.
+                replies.append(await converse(
+                    service, hello + frames[1] + encode_frame(payload) + end
+                ))
+            return replies
+
+        for payload, reply in zip(hostile, with_service(scenario)):
+            assert reply["type"] == "error", payload
+            assert reply["error"].startswith("FeedSchemaError"), (payload, reply)
+
+    def test_out_of_range_ce_index_is_a_mismatch_not_a_hang(self, feed):
+        frames = [encode_message(m) for m in feed_messages(feed)]
+        stray = encode_message(delivery(ce=feed.replication))
+
+        async def scenario(service):
+            return await converse(
+                service, b"".join(frames[:5]) + stray + b"".join(frames[5:])
+            )
+
+        reply = with_service(scenario)
+        assert reply["type"] == "error"
+        assert reply["error"].startswith("FeedMismatchError: delivery targets CE")
+
+    def test_frames_after_end_are_an_error_not_a_silent_drop(self, feed):
+        frames = [encode_message(m) for m in feed_messages(feed)]
+        complete = b"".join(frames)
+
+        async def scenario(service):
+            return [
+                await converse(service, complete),
+                await converse(service, complete + frames[1] + frames[2]),
+                await converse(service, complete + frames[1][:3]),
+            ]
+
+        clean, trailing_frames, trailing_bytes = with_service(scenario)
+        assert clean["type"] == "result"
+        assert trailing_frames["type"] == "error"
+        assert trailing_frames["error"].startswith("FeedSchemaError: 2 frames")
+        assert trailing_bytes["type"] == "error"
+        assert "3 bytes of a partial frame" in trailing_bytes["error"]
+        assert trailing_bytes["error"].startswith("FeedSchemaError: 0 frames")
+
+
+class TestReaderBatches:
+    def test_one_put_many_per_read_never_a_put_per_delivery(self, monkeypatch):
+        # The unit of work between the socket and the AD is one socket
+        # read.  TCP decides how the stream splits into reads, so the two
+        # are counted and compared rather than derived from byte counts.
+        big = record_feed(dataclasses.replace(SPEC, n_updates=1600))
+        assert len(big.deliveries) >= 2000
+        reads: list[int] = []
+        bulk_puts: list[int] = []
+        single_puts: list[object] = []
+        put_many, put = BoundedQueue.put_many, BoundedQueue.put
+        run_pipeline = MonitorService._run_pipeline
+
+        async def counting_put_many(self, batch):
+            if self.name == "ingest":
+                bulk_puts.append(len(batch))
+            await put_many(self, batch)
+
+        async def counting_put(self, item):
+            if self.name == "ingest":
+                single_puts.append(item)
+            await put(self, item)
+
+        async def counting_pipeline(self, reader):
+            read = reader.read
+
+            async def counting_read(n):
+                data = await read(n)
+                if data:
+                    reads.append(len(data))
+                return data
+
+            reader.read = counting_read  # this connection's server side only
+            return await run_pipeline(self, reader)
+
+        monkeypatch.setattr(BoundedQueue, "put_many", counting_put_many)
+        monkeypatch.setattr(BoundedQueue, "put", counting_put)
+        monkeypatch.setattr(MonitorService, "_run_pipeline", counting_pipeline)
+        result = AsyncioServiceRuntime().execute(big)
+
+        assert not single_puts
+        assert 1 <= len(bulk_puts) <= len(reads)
+        assert sum(bulk_puts) == len(big.deliveries)
+        assert result.counters["service/put/ingest"] == len(big.deliveries)
+        # ... and a read is worth many deliveries, or nothing was gained.
+        assert len(bulk_puts) * 10 <= len(big.deliveries)
+        assert result.displayed_bytes() == DirectRuntime().execute(big).displayed_bytes()
 
 
 # -- bounded queue ------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Unit tests for the rate-estimate statistics helpers."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,3 +92,21 @@ class TestRatesDiffer:
     def test_degenerate_pooled_variance(self):
         assert not rates_differ(0, 50, 0, 50)
         assert rates_differ(50, 50, 0, 50)
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy is in no extra of pyproject.toml; importing it by accident
+    # costs 0.75 s and 65 MB in every process, `repro serve` included.
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

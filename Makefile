@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench perf report examples clean
+.PHONY: install test test-fast bench perf perf-pairs report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -27,6 +27,14 @@ TRACE ?= 0
 perf:  ## e.g. make perf WORKLOAD=chaos-churn-grid SEED=23 TRACE=1
 	$(PYTHON) benchmarks/perf/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 16 --trace $(TRACE)
+
+# The house rule of CONTRIBUTING.md: N alternating parent/change pairs of
+# one workload on one seed, each tree running its own benchmarks/perf.
+N ?= 10
+
+perf-pairs:  ## e.g. make perf-pairs BASE=HEAD~1 WORKLOAD=chaos-churn-grid SEED=7
+	$(PYTHON) tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(N)
 
 report:  ## one-shot reproduction verdict
 	$(PYTHON) -m repro report --budget 0.3 --output reproduction-report.md

@@ -27,8 +27,8 @@ from repro.displayers.registry import make_ad
 from repro.membership.config import MembershipConfig
 from repro.membership.registry import (
     MembershipPlan,
-    emit_membership_surface,
     membership_horizon,
+    membership_surface,
     plan_membership,
 )
 from repro.props.report import PropertyReport, evaluate_run
@@ -47,7 +47,7 @@ __all__ = [
     "SystemConfig",
     "RunResult",
     "MonitoringSystem",
-    "emit_fault_surface",
+    "planned_surface",
     "run_system",
 ]
 
@@ -195,52 +195,64 @@ class RunResult:
         return tuple(tuple(per_ce) for per_ce in stamps)
 
 
-def emit_fault_surface(config: SystemConfig, emit) -> None:
-    """Record the run's planned fault surface as structured events.
+def _window(window: tuple[float, float]) -> dict:
+    return dict(start=window[0], end=window[1])
 
-    Emitted once, before any simulated event, in a deterministic
-    order — so a trace of a fault-injected run carries the complete
-    fault model (every window and adversary parameter), not just the
-    runtime consequences, and replays bit-identically.  Both kernels
-    call this one function (as they do
-    :func:`~repro.membership.registry.emit_membership_surface`).
+
+def _burst_loss(params) -> dict:
+    return dict(
+        good_to_bad=params.good_to_bad, bad_to_good=params.bad_to_good,
+        loss_good=params.loss_good, loss_bad=params.loss_bad,
+    )
+
+
+def _duplication(adversary) -> dict:
+    return dict(prob=adversary.duplicate_prob, max_copies=adversary.max_copies)
+
+
+def planned_surface(config: SystemConfig, plan: MembershipPlan | None):
+    """The run's planned fault and membership surface as event groups.
+
+    Yields ``(stage, kind, node, items, payload)`` in a deterministic
+    order: one time-0 event per item, carrying ``payload(item)``.  The
+    object kernel emits them all before any simulated event — so a trace
+    of a fault-injected run carries the complete fault model (every
+    window and adversary parameter), not just the runtime consequences,
+    and replays bit-identically; the array kernel hands an order-free
+    tracer ``len(items)`` per group.  One description, so what is
+    counted cannot drift from what is emitted.
     """
     for index in sorted(config.crash_schedules):
-        for start, end in config.crash_schedules[index].windows:
-            emit(0.0, "fault", "ce-crash-window", f"CE{index + 1}",
-                 start=start, end=end)
+        yield ("fault", "ce-crash-window", f"CE{index + 1}",
+               config.crash_schedules[index].windows, _window)
     for varname in sorted(config.dm_crash_schedules):
-        for start, end in config.dm_crash_schedules[varname].windows:
-            emit(0.0, "fault", "dm-crash-window", f"DM-{varname}",
-                 start=start, end=end)
+        yield ("fault", "dm-crash-window", f"DM-{varname}",
+               config.dm_crash_schedules[varname].windows, _window)
     if config.ad_crash_schedule is not None:
-        for start, end in config.ad_crash_schedule.windows:
-            emit(0.0, "fault", "ad-crash-window", "AD", start=start, end=end)
+        yield ("fault", "ad-crash-window", "AD",
+               config.ad_crash_schedule.windows, _window)
     for index in sorted(config.front_outages):
-        for start, end in config.front_outages[index].windows:
-            emit(0.0, "fault", "front-outage-window", f"CE{index + 1}",
-                 start=start, end=end)
+        yield ("fault", "front-outage-window", f"CE{index + 1}",
+               config.front_outages[index].windows, _window)
     for index in sorted(config.back_outages):
-        for start, end in config.back_outages[index].windows:
-            emit(0.0, "fault", "back-outage-window", f"CE{index + 1}->AD",
-                 start=start, end=end)
+        yield ("fault", "back-outage-window", f"CE{index + 1}->AD",
+               config.back_outages[index].windows, _window)
     if config.front_loss_model is not None:
-        params = config.front_loss_model.params
-        emit(0.0, "fault", "burst-loss", "front",
-             good_to_bad=params.good_to_bad, bad_to_good=params.bad_to_good,
-             loss_good=params.loss_good, loss_bad=params.loss_bad)
+        yield ("fault", "burst-loss", "front",
+               (config.front_loss_model.params,), _burst_loss)
     if config.front_duplication is not None:
-        emit(0.0, "fault", "duplication", "front",
-             prob=config.front_duplication.duplicate_prob,
-             max_copies=config.front_duplication.max_copies)
+        yield ("fault", "duplication", "front",
+               (config.front_duplication,), _duplication)
     for side, spikes in (
         ("front", config.front_delay_spikes),
         ("back", config.back_delay_spikes),
     ):
         if spikes is not None:
-            for start, end in spikes.windows:
-                emit(0.0, "fault", "delay-spike-window", side,
-                     start=start, end=end, factor=spikes.factor)
+            yield ("fault", "delay-spike-window", side, spikes.windows,
+                   lambda window, factor=spikes.factor: dict(
+                       start=window[0], end=window[1], factor=factor))
+    if plan is not None:
+        yield from membership_surface(plan)
 
 
 class MonitoringSystem:
@@ -344,9 +356,11 @@ class MonitoringSystem:
                 ce.enable_membership()
 
         if tracer is not None:
-            emit_fault_surface(config, tracer.emit)
-            if self.membership_plan is not None:
-                emit_membership_surface(tracer.emit, self.membership_plan)
+            for stage, kind, node, items, payload in planned_surface(
+                config, self.membership_plan
+            ):
+                for item in items:
+                    tracer.emit(0.0, stage, kind, node, **payload(item))
 
     def _schedule_membership_events(self) -> None:
         """Schedule every planned rejoin/catch-up *before* any reading.

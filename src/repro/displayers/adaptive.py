@@ -38,10 +38,10 @@ same merged arrival order.
 
 Unlike AD-1…AD-6, the adaptive displayer updates policy state on
 *rejected* offers too (the window counters are its sensor).  It
-therefore overrides :meth:`offer` and caches the rejection reason the
-deciding constituent produced, so the observability contract — the
-reason reported for a rejection is the one computed by the state that
-made the decision — still holds.
+therefore overrides :meth:`offer` and remembers which rung rejected the
+last alert, so the observability contract — the reason reported for a
+rejection is the one computed by the state that made the decision —
+still holds.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ from random import Random
 
 from repro.core.alert import Alert, alert_event_key
 from repro.displayers.ad1 import AD1
-from repro.displayers.ad2 import AD2
-from repro.displayers.ad3 import AD3
 from repro.displayers.ad4 import AD4
-from repro.displayers.ad5 import AD5
 from repro.displayers.ad6 import AD6
 from repro.displayers.base import ADAlgorithm
 
@@ -70,12 +67,35 @@ _JITTER = (-2, -1, 0, 1, 2)
 GUARD_BACKOFF_FRACTION = 0.25
 
 
-def _ladder(varnames: tuple[str, ...]) -> list[ADAlgorithm]:
-    """Constituents in escalation order, least to most strict."""
+def _ladder(varnames: tuple[str, ...]) -> tuple[list[tuple], tuple]:
+    """``(algorithm, accepts)`` rungs in escalation order, least to most
+    strict, and the recorders that fold a displayed alert into the state
+    they share.
+
+    ``algorithm`` lends a rung its name and rejection reasons; ``accepts``
+    is that algorithm's filter *minus* duplicate suppression, which the
+    adaptive displayer does itself — once per offer, for every rung — so
+    the rungs' own duplicate memories are never written.  The top rung is
+    the paper's composition of the ones below it (AD-4 = AD-2 ∧ AD-3,
+    AD-6 = AD-5 ∧ multi-variable AD-3) and the lower rungs *are* its
+    parts: every rung observes the whole displayed sequence (the AD-4
+    composition discipline), so any of them is switch-ready.
+    """
     if len(varnames) == 1:
-        var = varnames[0]
-        return [AD1(), AD2(var), AD3(var), AD4(var)]
-    return [AD1(), AD5(varnames), AD6(varnames)]
+        top = AD4(varnames[0])
+        ad2, ad3 = top._ad2, top._ad3
+        tracker = ad3._tracker
+        return [
+            (AD1(), lambda alert: True),
+            (ad2, ad2._accept),
+            (ad3, lambda alert: not tracker.conflicts(alert)),
+            (top, lambda alert: ad2._accept(alert) and not tracker.conflicts(alert)),
+        ], (ad2._record, tracker.record)
+    top = AD6(varnames)
+    ad5 = top._ad5
+    return [
+        (AD1(), lambda alert: True), (ad5, ad5._accept), (top, top._accept),
+    ], (top._record,)
 
 
 class AdaptiveAD(ADAlgorithm):
@@ -97,7 +117,7 @@ class AdaptiveAD(ADAlgorithm):
             raise ValueError(f"window must be >= 4, got {window}")
         self.policy_seed = policy_seed
         self.window = window
-        self._ladder = _ladder(self.varnames)
+        self._ladder, self._recorders = _ladder(self.varnames)
         self._active = 0
         self._rng = Random(policy_seed)
         self._window_left = self._next_window_length()
@@ -115,17 +135,18 @@ class AdaptiveAD(ADAlgorithm):
         #: (offer_index, from_name, to_name) switch history.
         self._switches: list[tuple[int, str, str]] = []
         self._offers = 0
-        self._last_rejection: tuple[Alert, str] | None = None
+        #: The last rejected alert and the rung whose reason explains it.
+        self._last_rejection: tuple[Alert, ADAlgorithm] | None = None
 
     # -- introspection -------------------------------------------------------
     @property
     def active_name(self) -> str:
         """The name of the constituent currently making decisions."""
-        return self._ladder[self._active].name
+        return self._ladder[self._active][0].name
 
     @property
     def ladder_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self._ladder)
+        return tuple(algorithm.name for algorithm, _accepts in self._ladder)
 
     @property
     def switch_log(self) -> tuple[tuple[int, str, str], ...]:
@@ -150,7 +171,7 @@ class AdaptiveAD(ADAlgorithm):
             target = self._active
         if target != self._active:
             self._switches.append(
-                (self._offers, self.active_name, self._ladder[target].name)
+                (self._offers, self.active_name, self._ladder[target][0].name)
             )
             self._active = target
         for key in counts:
@@ -164,58 +185,55 @@ class AdaptiveAD(ADAlgorithm):
             self._evaluate_window()
 
     # -- the filter ----------------------------------------------------------
-    def _display(self, alert: Alert, key: tuple) -> None:
-        self._seen.add(alert.identity())
+    def _display(self, alert: Alert, identity: tuple, key: tuple) -> None:
+        self._seen.add(identity)
         self._detected.add(key)
-        # Every constituent observes the whole displayed sequence (the
-        # AD-4 composition discipline), so any rung is switch-ready.
-        for constituent in self._ladder:
-            constituent._record(alert)
+        for record in self._recorders:
+            record(alert)
         self._output.append(alert)
+
+    def _reject(self, alert: Alert, rung: ADAlgorithm, outcome: str) -> bool:
+        self._last_rejection = (alert, rung)
+        self._discarded.append(alert)
+        self._tick(outcome)
+        return False
 
     def offer(self, alert: Alert) -> bool:
         self._offers += 1
+        identity = alert.identity()
+        if identity in self._seen:
+            # AD-1's rejection, whichever rung is active.
+            return self._reject(alert, self._ladder[0][0], "duplicate")
         key = alert_event_key(alert, self.varnames)
-        if alert.identity() in self._seen:
-            reason = (
-                f"duplicate: history set of {alert.shorthand()} "
-                f"already displayed"
-            )
-            self._last_rejection = (alert, reason)
-            self._discarded.append(alert)
-            self._tick("duplicate")
-            return False
-        active = self._ladder[self._active]
-        if active._accept(alert):
-            self._display(alert, key)
+        rung, accepts = self._ladder[self._active]
+        if accepts(alert):
+            self._display(alert, identity, key)
             self._tick("display")
             return True
         if key not in self._detected:
             # Recall guard: a rejected but never-displayed event — show it.
-            self._display(alert, key)
+            self._display(alert, identity, key)
             self._tick("guard-override")
             return True
-        reason = active.rejection_reason(alert)
-        self._last_rejection = (alert, reason)
-        self._discarded.append(alert)
-        self._tick("filtered")
-        return False
+        return self._reject(alert, rung, "filtered")
 
     def rejection_reason(self, alert: Alert) -> str:
-        """The reason computed by the state that rejected ``alert``.
+        """The reason of the rung whose state rejected ``alert``.
 
         Policy state advances on rejections, so (unlike the static
-        algorithms) the post-offer state differs from the deciding one;
-        the reason is cached at decision time instead of recomputed.
+        algorithms) the rung active after the offer may not be the one
+        that decided; the deciding rung is remembered and asked here.
+        Its filter state moves only on a display, so until then the
+        reason is rendered against exactly the state that decided.
         """
-        if self._last_rejection is not None and self._last_rejection[0] == alert:
-            return self._last_rejection[1]
-        if alert.identity() in self._seen:
-            return (
-                f"duplicate: history set of {alert.shorthand()} "
-                f"already displayed"
-            )
-        return self._ladder[self._active].rejection_reason(alert)
+        last = self._last_rejection
+        if last is not None and (last[0] is alert or last[0] == alert):
+            rung = last[1]
+        elif alert.identity() in self._seen:
+            rung = self._ladder[0][0]
+        else:
+            rung = self._ladder[self._active][0]
+        return rung.rejection_reason(alert)
 
     def _accept(self, alert: Alert) -> bool:  # pragma: no cover - bypassed
         raise NotImplementedError("AdaptiveAD decides inside offer()")

@@ -23,8 +23,11 @@ link's seeded RNG stream:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
+
+from repro.simulation.failures import window_ends
 
 __all__ = [
     "GilbertElliottParams",
@@ -130,7 +133,11 @@ class DuplicationAdversary:
 
 @dataclass(frozen=True)
 class DelaySpikeSchedule:
-    """Congestion windows multiplying sampled link delays by ``factor``."""
+    """Congestion windows multiplying sampled link delays by ``factor``.
+
+    The windows are closed, sorted and disjoint, validated and indexed
+    exactly as a :class:`~repro.simulation.failures.CrashSchedule`'s.
+    """
 
     windows: tuple[tuple[float, float], ...] = ()
     factor: float = 1.0
@@ -138,13 +145,7 @@ class DelaySpikeSchedule:
     def __post_init__(self) -> None:
         if self.factor < 1.0:
             raise ValueError(f"spike factor must be >= 1, got {self.factor}")
-        previous_end = None
-        for start, end in self.windows:
-            if end < start:
-                raise ValueError(f"spike window end {end} before start {start}")
-            if previous_end is not None and start < previous_end:
-                raise ValueError("spike windows must be sorted and disjoint")
-            previous_end = end
+        object.__setattr__(self, "_ends", window_ends(self.windows, "spike"))
 
     @property
     def enabled(self) -> bool:
@@ -152,9 +153,7 @@ class DelaySpikeSchedule:
 
     def factor_at(self, time: float) -> float:
         """The delay multiplier in force at simulated ``time``."""
-        for start, end in self.windows:
-            if start <= time <= end:
-                return self.factor
-            if start > time:
-                break
-        return 1.0
+        index = bisect_left(self._ends, time)
+        if index == len(self._ends) or self.windows[index][0] > time:
+            return 1.0
+        return self.factor

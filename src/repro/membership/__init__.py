@@ -26,8 +26,8 @@ from repro.membership.detector import NodeView, node_view
 from repro.membership.registry import (
     MembershipPlan,
     RecoveryEvent,
-    emit_membership_surface,
     membership_horizon,
+    membership_surface,
     plan_membership,
 )
 from repro.membership.verdicts import churn_summary, classify_verdicts
@@ -41,9 +41,9 @@ __all__ = [
     "RecoveryEvent",
     "churn_summary",
     "classify_verdicts",
-    "emit_membership_surface",
     "membership_field_default",
     "membership_horizon",
+    "membership_surface",
     "node_view",
     "plan_membership",
 ]

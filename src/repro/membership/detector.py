@@ -24,12 +24,24 @@ missed-alert trade-off the membership benchmark sweeps.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.membership.config import MembershipConfig
 from repro.simulation.failures import CrashSchedule
 
-__all__ = ["NodeView", "node_view"]
+__all__ = ["NodeView", "covers", "node_view"]
+
+
+def covers(intervals: tuple[tuple[float, float], ...], time: float) -> bool:
+    """Is ``time`` inside one of the half-open ``[start, end)`` intervals?
+
+    The intervals are sorted and disjoint, so only the last one starting
+    at or before ``time`` can hold it.
+    """
+    index = bisect_right(intervals, (time, math.inf)) - 1
+    return index >= 0 and time < intervals[index][1]
 
 
 @dataclass(frozen=True)
@@ -51,12 +63,7 @@ class NodeView:
     missed_detections: int
 
     def believed_down(self, time: float) -> bool:
-        for suspected, restored in self.suspects:
-            if suspected <= time < restored:
-                return True
-            if suspected > time:
-                break
-        return False
+        return covers(self.suspects, time)
 
     @property
     def detection_latencies(self) -> tuple[float, ...]:
@@ -94,14 +101,20 @@ def node_view(
     delay = config.heartbeat_delay
     window = config.suspicion_window
 
+    # One sweep of the heartbeat grid k * interval against the sorted
+    # windows: emit while the grid point is before the next window, skip
+    # while it is inside it.
     heartbeats: list[float] = []
     k = 0
     t = 0.0
-    while t <= horizon:
-        if schedule.is_up(t):
+    for start, end in (*schedule.windows, (math.inf, math.inf)):
+        while t < start and t <= horizon:
             heartbeats.append(t)
-        k += 1
-        t = k * interval
+            k += 1
+            t = k * interval
+        while t <= end and t <= horizon:
+            k += 1
+            t = k * interval
     arrivals = [t + delay for t in heartbeats]
 
     detections: list[tuple[float, float]] = []
@@ -111,15 +124,10 @@ def node_view(
             continue
         # Last arrival the detector saw before the crash could possibly
         # silence the stream (emissions at t < start arrive < start+delay).
-        last_arrival = 0.0
-        for arrival in arrivals:
-            if arrival < start + delay:
-                last_arrival = arrival
-            else:
-                break
-        suspect_time = last_arrival + window
-        first_back = next((a for a in arrivals if a >= end), None)
-        restored = first_back if first_back is not None else horizon
+        seen = bisect_left(arrivals, start + delay)
+        suspect_time = (arrivals[seen - 1] if seen else 0.0) + window
+        back = bisect_left(arrivals, end)
+        restored = arrivals[back] if back < len(arrivals) else horizon
         if suspect_time < restored:
             detections.append((start, suspect_time))
         else:

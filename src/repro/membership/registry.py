@@ -21,11 +21,13 @@ decides exactly which updates the transfer must replay; see
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.membership.config import MembershipConfig
-from repro.membership.detector import NodeView, node_view
+from repro.membership.detector import NodeView, covers, node_view
 from repro.simulation.failures import CrashSchedule
 
 __all__ = [
@@ -33,8 +35,8 @@ __all__ = [
     "REJOIN_EPSILON",
     "MembershipPlan",
     "RecoveryEvent",
-    "emit_membership_surface",
     "membership_horizon",
+    "membership_surface",
     "plan_membership",
 ]
 
@@ -207,10 +209,9 @@ def plan_membership(
             complete = (
                 rejoin + attempts * config.retry_backoff + config.catchup_latency
             )
-            next_start = next(
-                (s for s, _e in schedules[i].windows if s > end), None
-            )
-            if next_start is not None and next_start <= complete:
+            windows = schedules[i].windows
+            following = bisect_right(windows, (end, math.inf))
+            if following < len(windows) and windows[following][0] <= complete:
                 event = RecoveryEvent(
                     i, start, end, rejoin, source, attempts, None, aborted=True
                 )
@@ -248,29 +249,25 @@ def _degraded_intervals(
     so one completion heals all earlier gaps too), or forever within the
     horizon if none succeeds.
     """
-    incomplete: list[list[tuple[float, float]]] = []
+    incomplete: list[tuple[tuple[float, float], ...]] = []
     for i in range(replication):
+        # Walked latest crash first, ``heal`` is the first successful
+        # completion at or after the window in hand.
         spans: list[tuple[float, float]] = []
-        windows = schedules[i].windows
-        for start, _end in windows:
-            if start >= horizon:
-                continue
-            heal = None
-            for later_start, _later_end in windows:
-                if later_start < start:
-                    continue
-                event = planned.get((i, later_start))
-                if event is not None and event.complete_time is not None:
-                    heal = event.complete_time
-                    break
-            spans.append((start, min(heal if heal is not None else horizon, horizon)))
+        heal = horizon
+        for start, _end in reversed(schedules[i].windows):
+            event = planned.get((i, start))
+            if event is not None and event.complete_time is not None:
+                heal = min(event.complete_time, horizon)
+            if start < horizon:
+                spans.append((start, heal))
         merged: list[tuple[float, float]] = []
-        for start, end in spans:
+        for start, end in reversed(spans):
             if merged and start <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], end))
             else:
                 merged.append((start, end))
-        incomplete.append(merged)
+        incomplete.append(tuple(merged))
 
     points = {0.0, horizon}
     for spans in incomplete:
@@ -283,11 +280,7 @@ def _degraded_intervals(
         if right <= left:
             continue
         mid = (left + right) / 2
-        complete_count = sum(
-            1
-            for spans in incomplete
-            if not any(s <= mid < e for s, e in spans)
-        )
+        complete_count = sum(1 for spans in incomplete if not covers(spans, mid))
         if complete_count < quorum:
             if out and out[-1][1] == left:
                 out[-1] = (out[-1][0], right)
@@ -296,17 +289,9 @@ def _degraded_intervals(
     return tuple(out)
 
 
-def emit_membership_surface(emit, plan: MembershipPlan) -> None:
-    """Record the planned lifecycle as time-0 ``membership``-stage events.
-
-    Both kernels call this same function right after their fault-surface
-    preamble, so the membership surface is bit-identical by construction;
-    only the *runtime* rejoin/catch-up events exercise each kernel's own
-    execution path.
-    """
+def _config_event(plan: MembershipPlan) -> dict:
     cfg = plan.config
-    emit(
-        0.0, "membership", "config", "",
+    return dict(
         heartbeat_interval=cfg.heartbeat_interval,
         heartbeat_delay=cfg.heartbeat_delay,
         detection_timeout=cfg.detection_timeout,
@@ -317,25 +302,39 @@ def emit_membership_surface(emit, plan: MembershipPlan) -> None:
         quorum=plan.quorum,
         horizon=plan.horizon,
     )
+
+
+def _recovery_event(event: RecoveryEvent) -> dict:
+    return dict(
+        window_start=event.window_start,
+        window_end=event.window_end,
+        rejoin=event.rejoin_time,
+        source=event.source,
+        attempts=event.attempts,
+        complete=event.complete_time,
+        aborted=event.aborted,
+    )
+
+
+def membership_surface(plan: MembershipPlan):
+    """The planned lifecycle as time-0 ``membership``-stage event groups.
+
+    Yields ``(stage, kind, node, items, payload)``: one event per item,
+    carrying ``payload(item)``.  The tail of
+    :func:`repro.components.system.planned_surface`, which says how the
+    two kernels read it; only the *runtime* rejoin/catch-up events
+    exercise each kernel's own execution path.
+    """
+    yield "membership", "config", "", (plan,), _config_event
     for view in plan.views:
-        for at in view.heartbeats:
-            emit(0.0, "membership", "heartbeat", view.name, at=at)
-        for suspected, restored in view.suspects:
-            emit(0.0, "membership", "suspect", view.name,
-                 at=suspected, restore=restored)
-        for crashed, detected in view.detections:
-            emit(0.0, "membership", "detection", view.name,
-                 crashed=crashed, detected=detected)
+        yield ("membership", "heartbeat", view.name, view.heartbeats,
+               lambda at: dict(at=at))
+        yield ("membership", "suspect", view.name, view.suspects,
+               lambda span: dict(at=span[0], restore=span[1]))
+        yield ("membership", "detection", view.name, view.detections,
+               lambda pair: dict(crashed=pair[0], detected=pair[1]))
     for event in plan.recoveries:
-        emit(
-            0.0, "membership", "recovery-plan", f"CE{event.ce_index + 1}",
-            window_start=event.window_start,
-            window_end=event.window_end,
-            rejoin=event.rejoin_time,
-            source=event.source,
-            attempts=event.attempts,
-            complete=event.complete_time,
-            aborted=event.aborted,
-        )
-    for start, end in plan.degraded:
-        emit(0.0, "membership", "below-quorum", "", start=start, end=end)
+        yield ("membership", "recovery-plan", f"CE{event.ce_index + 1}",
+               (event,), _recovery_event)
+    yield ("membership", "below-quorum", "", plan.degraded,
+           lambda span: dict(start=span[0], end=span[1]))

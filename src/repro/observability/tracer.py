@@ -106,7 +106,13 @@ class CountersTracer:
         self, stage: str, kind: str, node: str,
         reason: object | None = None, n: int = 1,
     ) -> None:
-        """The order-free hook: ``n`` occurrences of one event key at once."""
+        """The order-free hook: ``n`` occurrences of one event key at once.
+
+        ``reason`` is the event's reason payload or anything whose
+        ``str()`` is it: the array kernel passes AD rejection reasons
+        unrendered, so a tracer that ignores them (this one) never pays
+        for the text.
+        """
         if n:
             self.counts[f"{stage}/{kind}/{node}"] += n
 

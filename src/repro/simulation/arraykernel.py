@@ -43,12 +43,14 @@ authoritative — this module must follow it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.components.system import (
     MonitoringSystem,
     RunResult,
     SystemConfig,
     Workload,
-    emit_fault_surface,
+    planned_surface,
 )
 from repro.core.alert import Alert
 from repro.core.condition import Condition
@@ -57,11 +59,7 @@ from repro.core.update import Update
 from repro.displayers.ad5 import AD5
 from repro.displayers.base import ADAlgorithm
 from repro.displayers.registry import PassThrough, make_ad
-from repro.membership.registry import (
-    emit_membership_surface,
-    membership_horizon,
-    plan_membership,
-)
+from repro.membership.registry import membership_horizon, plan_membership
 from repro.simulation.kernel import SimulationError
 from repro.simulation.network import FixedDelay, PerLinkSkewDelay, UniformDelay
 from repro.simulation.rng import RandomStreams
@@ -118,6 +116,20 @@ def _sample_delay(
     if spikes is not None:
         delay *= spikes.factor_at(now)
     return delay
+
+
+class _Reason:
+    """Why the AD just rejected an alert, rendered only if the tracer
+    reads it (``str``): most counters are not keyed by reason."""
+
+    __slots__ = ("algorithm", "alert")
+
+    def __init__(self, algorithm: ADAlgorithm, alert: Alert) -> None:
+        self.algorithm = algorithm
+        self.alert = alert
+
+    def __str__(self) -> str:
+        return self.algorithm.rejection_reason(self.alert)
 
 
 class _Trial:
@@ -336,7 +348,10 @@ class _Trial:
             # sent_log append order is already (time, varname)-sorted;
             # the time filter matters because phase 1 has logged the
             # whole run's sends before any delivery fires.
-            knowledge = [u for t, u in self.sent_log if t < now]
+            # (A 1-tuple sorts before every same-time entry, and the
+            # comparison never reaches the updates.)
+            sent = self.sent_log[:bisect_left(self.sent_log, (now,))]
+            knowledge = [update for _time, update in sent]
         else:
             peer = int(event.source.rsplit(":CE", 1)[1]) - 1
             knowledge = self.evaluators[peer].received
@@ -405,7 +420,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
     The loops only tally their rare branches (drops, holds, buffering) in
     plain ints on the trial; :func:`_count_run` folds those and the
     lengths the phases produce into counters once the run is over.  The
-    one thing counted as it happens is the AD's rejection reason, which
+    one thing counted as it happens is an AD rejection: its reason
     depends on the filter state at decision time.
     """
     config = trial.config
@@ -762,14 +777,16 @@ def _run(trial: _Trial, count=None) -> RunResult:
         trial.filtered = tuple(filtered)
     else:
         offer = algorithm.offer
+        shown = 0
         for time, _brank, alert in back_events:
             ad_arrivals_append(alert)
             ad_times_append(time)
             if offer(alert):
-                if count is not None:
-                    count("ad", "display", "AD")
+                shown += 1
             elif count is not None:
-                count("ad", "filter", "AD", algorithm.rejection_reason(alert))
+                count("ad", "filter", "AD", _Reason(algorithm, alert))
+        if count is not None:
+            count("ad", "display", "AD", n=shown)
 
     if count is not None:
         _count_run(
@@ -863,11 +880,8 @@ def run_system_array(
     if tracer is None:
         return _run(trial)
     count = tracer.count
-
-    def surface(_time, stage, kind, node, **_data) -> None:
-        count(stage, kind, node)
-
-    emit_fault_surface(config, surface)
-    if trial.mem_on:
-        emit_membership_surface(surface, trial.mem_plan)
+    for stage, kind, node, items, _payload in planned_surface(
+        config, trial.mem_plan
+    ):
+        count(stage, kind, node, n=len(items))
     return _run(trial, count)

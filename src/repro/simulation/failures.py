@@ -14,47 +14,59 @@ much replication reduces the probability of a missed alert.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from random import Random
 
-__all__ = ["CrashSchedule", "random_crash_schedule"]
+__all__ = ["CrashSchedule", "random_crash_schedule", "window_ends"]
+
+
+def window_ends(
+    windows: Sequence[tuple[float, float]], kind: str
+) -> tuple[float, ...]:
+    """Validate a list of closed windows; return its end points.
+
+    Non-finite endpoints, inverted windows, and unsorted/overlapping
+    windows all raise (``kind`` names the windows in the message).  NaN
+    has to be rejected by name: every comparison against it is False, so
+    it passes the order checks and a schedule holding one silently
+    reports the node as always up.  Zero-length windows (``start ==
+    end``) and adjacent windows (one ends where the next begins) are
+    legal.  The ends of a valid list are non-decreasing, which is what
+    lets a schedule answer "which window could hold time t?" by
+    bisecting them: the first window whose end is at or after ``t``.
+    """
+    previous_end = None
+    for start, end in windows:
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(
+                f"{kind} window endpoints must be finite, got ({start}, {end})"
+            )
+        if end < start:
+            raise ValueError(f"{kind} window end {end} before start {start}")
+        if previous_end is not None and start < previous_end:
+            raise ValueError(
+                f"{kind} windows must be sorted and disjoint: window "
+                f"starting at {start} overlaps previous end {previous_end}"
+            )
+        previous_end = end
+    return tuple(end for _start, end in windows)
 
 
 @dataclass(frozen=True)
 class CrashSchedule:
     """Closed intervals [start, end] during which the node is down.
 
-    Construction validates the window list outright: non-finite
-    endpoints, inverted windows, and unsorted/overlapping windows all
-    raise immediately.  (NaN endpoints used to slip through — every
-    comparison against NaN is False, so ``is_up`` silently reported the
-    node as always up.)  Zero-length windows (``start == end``, down for
-    exactly one instant) and adjacent windows (one ends where the next
-    begins) are legal; ``next_up_time`` chains across the latter.
+    Construction validates the window list outright (see
+    :func:`window_ends`) and indexes it once; every lookup is a bisect.
+    ``next_up_time`` chains across adjacent windows.
     """
 
     windows: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        previous_end = None
-        for start, end in self.windows:
-            if not (math.isfinite(start) and math.isfinite(end)):
-                raise ValueError(
-                    f"crash window endpoints must be finite, got "
-                    f"({start}, {end})"
-                )
-            if end < start:
-                raise ValueError(
-                    f"crash window end {end} before start {start}"
-                )
-            if previous_end is not None and start < previous_end:
-                raise ValueError(
-                    f"crash windows must be sorted and disjoint: window "
-                    f"starting at {start} overlaps previous end "
-                    f"{previous_end}"
-                )
-            previous_end = end
+        object.__setattr__(self, "_ends", window_ends(self.windows, "crash"))
 
     @classmethod
     def never(cls) -> "CrashSchedule":
@@ -67,12 +79,8 @@ class CrashSchedule:
 
     def is_up(self, time: float) -> bool:
         """True iff the node is operational at simulated ``time``."""
-        for start, end in self.windows:
-            if start <= time <= end:
-                return False
-            if start > time:
-                break
-        return True
+        index = bisect_left(self._ends, time)
+        return index == len(self._ends) or self.windows[index][0] > time
 
     @property
     def total_downtime(self) -> float:
@@ -100,13 +108,13 @@ class CrashSchedule:
         closed, so recovery is modelled at ``end + epsilon``.  Chains
         across adjacent windows.
         """
-        current = time
-        for start, end in self.windows:
-            if start <= current <= end:
-                current = end + epsilon
-            elif start > current:
-                break
-        return current
+        windows = self.windows
+        index = bisect_left(self._ends, time)
+        while index < len(windows) and windows[index][0] <= time:
+            if time <= windows[index][1]:
+                time = windows[index][1] + epsilon
+            index += 1
+        return time
 
 
 def random_crash_schedule(

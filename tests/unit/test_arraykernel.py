@@ -24,6 +24,7 @@ from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
 from repro.displayers.registry import make_ad
 from repro.faults.model import (
+    DelaySpikeSchedule,
     DuplicationAdversary,
     GilbertElliottLoss,
     GilbertElliottParams,
@@ -254,6 +255,62 @@ def test_counting_tracers_never_build_the_object_kernel(monkeypatch, tracer_type
             condition, workload, _churn_config(), seed=17,
             tracer=MemoryTracer(), kernel="array",
         )
+
+
+def _every_surface_config():
+    """Membership on, and one of every planned fault: each kind of
+    time-0 surface event occurs (some in several windows or on several
+    nodes), the adaptive AD rejects for more than one reason."""
+    return SystemConfig(
+        replication=3,
+        ad_algorithm="adaptive",
+        front_loss_model=GilbertElliottLoss(
+            GilbertElliottParams(0.2, 0.4, 0.05, 0.7)
+        ),
+        front_duplication=DuplicationAdversary(duplicate_prob=0.3, max_copies=2),
+        crash_schedules={
+            0: CrashSchedule(windows=((30.0, 80.0), (120.0, 121.0))),
+            2: CrashSchedule(windows=((60.0, 100.0),)),
+        },
+        dm_crash_schedules={"x": CrashSchedule(windows=((150.0, 160.0),))},
+        ad_crash_schedule=CrashSchedule(windows=((40.0, 55.0),)),
+        front_outages={1: CrashSchedule(windows=((10.0, 25.0),))},
+        back_outages={0: CrashSchedule(windows=((85.0, 95.0),))},
+        front_delay_spikes=DelaySpikeSchedule(((20.0, 40.0), (90.0, 110.0)), 3.0),
+        back_delay_spikes=DelaySpikeSchedule(((0.0, 200.0),), 2.0),
+        membership=MembershipConfig(detection_timeout=1.0, catchup_latency=2.0),
+    )
+
+
+@pytest.mark.parametrize("tracer_type", [CountersTracer, ReasonCountersTracer])
+def test_the_counted_surface_is_the_emitted_surface(tracer_type):
+    """The array kernel counts the planned surface a group at a time and
+    the object kernel emits it an event at a time, from one description:
+    the counters must agree key for key, every surface kind included."""
+    condition, workload = c2(), _workload(23, n=40)
+    counters = {}
+    for kernel in ("object", "array"):
+        tracer = tracer_type()
+        run_system(
+            condition, workload, _every_surface_config(), seed=23,
+            tracer=tracer, kernel=kernel,
+        )
+        counters[kernel] = tracer.as_dict()
+    assert counters["array"] == counters["object"]
+    surface = {
+        key.rsplit("/", 1)[0] for key in counters["array"]
+        if key.startswith(("fault/", "membership/"))
+    }
+    assert surface >= {
+        "fault/ce-crash-window", "fault/dm-crash-window",
+        "fault/ad-crash-window", "fault/front-outage-window",
+        "fault/back-outage-window", "fault/burst-loss", "fault/duplication",
+        "fault/delay-spike-window", "membership/config",
+        "membership/heartbeat", "membership/suspect", "membership/detection",
+        "membership/recovery-plan", "membership/below-quorum",
+    }
+    assert counters["array"]["fault/ce-crash-window/CE1"] == 2
+    assert counters["array"]["fault/delay-spike-window/front"] == 2
 
 
 def test_compiled_closure_matches_condition_evaluate():

@@ -123,6 +123,20 @@ class TestDelaySpikeSchedule:
             DelaySpikeSchedule(((10.0, 20.0),), factor=0.5)
         with pytest.raises(ValueError):
             DelaySpikeSchedule(((10.0, 5.0),), factor=2.0)
+        with pytest.raises(ValueError, match="sorted"):
+            DelaySpikeSchedule(((10.0, 20.0), (15.0, 30.0)), factor=2.0)
+
+    @pytest.mark.parametrize("windows", [
+        ((float("nan"), 5.0),),
+        # NaN fails every comparison, so it used to pass the order check.
+        ((1.0, float("nan")), (0.5, 2.0)),
+        ((0.0, float("inf")),),
+    ])
+    def test_non_finite_windows_rejected_like_a_crash_schedules(self, windows):
+        with pytest.raises(ValueError, match="spike window endpoints must be finite"):
+            DelaySpikeSchedule(windows, factor=3.0)
+        with pytest.raises(ValueError, match="crash window endpoints must be finite"):
+            CrashSchedule(windows)
 
 
 class TestFaultProfileScaling:

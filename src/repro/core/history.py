@@ -91,7 +91,7 @@ class HistorySnapshot:
 
     def seqnos(self, varname: str) -> tuple[int, ...]:
         """All seqnos in Hx, most recent first."""
-        return tuple(u.seqno for u in self._entries[varname])
+        return tuple([u.seqno for u in self._entries[varname]])
 
     def identity(self) -> tuple:
         """Hashable identity: variable → (seqno, ...) pairs.
@@ -100,10 +100,15 @@ class HistorySnapshot:
         its snapshot value in a correct system, and AD algorithms in the
         paper compare histories by their sequence numbers.
         """
-        return tuple(
-            (var, tuple(u.seqno for u in updates))
-            for var, updates in self._entries.items()
-        )
+        # Plain loops: a generator expression per variable costs a frame
+        # each, and this runs once per alert an AD or a checker hashes.
+        identity = []
+        for var, updates in self._entries.items():
+            seqnos = []
+            for update in updates:
+                seqnos.append(update.seqno)
+            identity.append((var, tuple(seqnos)))
+        return tuple(identity)
 
     def __hash__(self) -> int:
         return hash(self.identity())

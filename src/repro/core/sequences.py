@@ -36,6 +36,7 @@ __all__ = [
     "merge_ordered",
     "project_seqnos",
     "spanning_set",
+    "history_gaps",
     "first_inversion",
 ]
 
@@ -181,3 +182,22 @@ def spanning_set(values: Iterable[int]) -> frozenset[int]:
     if not collected:
         return frozenset()
     return frozenset(range(min(collected), max(collected) + 1))
+
+
+_NO_GAPS: frozenset[int] = frozenset()
+
+
+def history_gaps(seqnos: Sequence[int]) -> frozenset[int]:
+    """``SpanningSet(Hx) ∖ Hx`` of one history (Figure A-3's *Missed*).
+
+    ``seqnos`` is a non-empty most-recent-first history, so it strictly
+    decreases from its head to its tail: it spans ``head − tail + 1``
+    integers and has a gap exactly when it holds fewer.  A history
+    without one — every degree-1 history, every window of a lossless
+    link — gets the same empty set and builds nothing.
+    ``history_gaps((5, 2, 1)) == {3, 4}``.
+    """
+    head, tail = seqnos[0], seqnos[-1]
+    if len(seqnos) == head - tail + 1:
+        return _NO_GAPS
+    return frozenset(range(tail + 1, head)).difference(seqnos)

@@ -37,7 +37,7 @@ can reuse it for the multi-variable extension of Figure A-6.
 from __future__ import annotations
 
 from repro.core.alert import Alert
-from repro.core.sequences import spanning_set
+from repro.core.sequences import history_gaps
 from repro.displayers.base import ADAlgorithm
 
 __all__ = ["AD3", "ConflictTracker"]
@@ -53,23 +53,22 @@ class ConflictTracker:
 
     def conflicts(self, alert: Alert) -> bool:
         """Would displaying ``alert`` put some seqno in a conflicting state?"""
-        if self.varname not in alert.histories:
+        histories = alert.histories
+        if self.varname not in histories:
             return False
-        history = set(alert.histories.seqnos(self.varname))
-        if history & self.missed:
+        history = histories.seqnos(self.varname)
+        if not self.missed.isdisjoint(history):
             return True
-        gaps = spanning_set(history) - frozenset(history)
-        if gaps & self.received:
-            return True
-        return False
+        return not self.received.isdisjoint(history_gaps(history))
 
     def record(self, alert: Alert) -> None:
         """Fold an accepted alert's history into Received/Missed."""
-        if self.varname not in alert.histories:
+        histories = alert.histories
+        if self.varname not in histories:
             return
-        history = set(alert.histories.seqnos(self.varname))
-        self.received |= history
-        self.missed |= spanning_set(history) - frozenset(history)
+        history = histories.seqnos(self.varname)
+        self.received.update(history)
+        self.missed |= history_gaps(history)
 
     def snapshot(self) -> tuple[frozenset[int], frozenset[int]]:
         """(Received, Missed) — the AD's U′ witness components."""

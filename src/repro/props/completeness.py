@@ -48,6 +48,7 @@ from repro.core.reference import (
     count_interleavings,
     interleavings,
 )
+from repro.core.sequences import is_strictly_ordered
 from repro.core.update import Update
 
 __all__ = [
@@ -98,14 +99,75 @@ def check_completeness_single(
     """Single-variable completeness: ΦA = ΦT(U1 ⊔ U2).
 
     ``merged_updates`` is the already-merged ``U1 ⊔ U2`` (see
-    :func:`repro.core.reference.merge_single_variable`).
+    :func:`repro.core.reference.merge_single_variable`); updates of
+    other variables in it are ignored, as a CE ignores them.
+
+    **The windows.**  With one variable there is one interleaving, and
+    T's state after the first ``pos`` updates of the x-run is the window
+    of its last ``degree`` seqnos.  So ΦT(U1 ⊔ U2) is read off a single
+    walk over positions ``degree … len(run)``: T raises at a position
+    iff the condition's compiled closure holds on that window, and the
+    alert it would raise is named by the window's seqno tuple.  No
+    evaluator runs and no alert is built.
+
+    **ΦA on the same keys.**  A displayed alert of this condition over
+    exactly this variable is its history's seqno tuple; any other alert
+    is one T never raises — extraneous at once.  The verdict compares
+    two sets of int tuples, and identities ``(condname, ((var,
+    seqnos),))`` are rendered only for their symmetric difference.
+
+    Same two layers as :func:`check_completeness_multi` with the grid
+    collapsed to a line: a single path, so no residue search is left.
+
+    Raises ValueError when the x-run's seqnos do not strictly increase
+    (the front links deliver in order; T is undefined on such a run).
     """
-    expected = alert_identity_set(apply_T(condition, merged_updates))
-    actual = alert_identity_set(alerts)
+    variables = condition.variables
+    if len(variables) != 1:
+        raise ValueError(
+            "check_completeness_single needs a single-variable condition; "
+            f"{condition.name!r} has variables {variables}"
+        )
+    var = variables[0]
+    degree = condition.degree(var)
+    condname = condition.name
+
+    run = [update for update in merged_updates if update.varname == var]
+    seqnos = [update.seqno for update in run]
+    if not is_strictly_ordered(seqnos):
+        raise ValueError(
+            f"the merged {var!r} run is not strictly ordered: {seqnos}"
+        )
+    # Most recent first, as a history is: the window at position ``pos``
+    # is then the one slice ``[n - pos : n - pos + degree]``.
+    run.reverse()
+    seqnos.reverse()
+
+    holds = compile_condition(condition)
+    expected: set[tuple[int, ...]] = set()
+    for start in range(len(seqnos) - degree, -1, -1):
+        if holds(run[start : start + degree]):
+            expected.add(tuple(seqnos[start : start + degree]))
+
+    actual: set[tuple[int, ...]] = set()
+    foreign: set[tuple] = set()
+    for alert in alerts:
+        histories = alert.histories
+        if alert.condname != condname or histories.variables != variables:
+            foreign.add(alert.identity())
+        else:
+            actual.add(histories.seqnos(var))
+
+    if expected == actual and not foreign:
+        return CompletenessResult(True)
+
+    def identities(keys: set[tuple[int, ...]]) -> set[tuple]:
+        return {(condname, ((var, key),)) for key in keys}
+
     return CompletenessResult(
-        complete=(expected == actual),
-        missing=frozenset(expected - actual),
-        extraneous=frozenset(actual - expected),
+        False,
+        missing=frozenset(identities(expected - actual)),
+        extraneous=frozenset(identities(actual - expected) | foreign),
     )
 
 

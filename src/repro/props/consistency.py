@@ -39,12 +39,10 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition
 from repro.core.history import HistorySnapshot
-from repro.core.sequences import spanning_set
+from repro.core.sequences import history_gaps
 from repro.core.update import Update
 
 __all__ = [
@@ -96,11 +94,9 @@ def check_consistency_single(
     received: set[int] = set()
     missed: set[int] = set()
     for index, alert in enumerate(alerts):
-        history = set(alert.histories.seqnos(varname))
-        gaps = spanning_set(history) - frozenset(history)
-        conflict_recv = history & missed
-        if conflict_recv:
-            seqno = min(conflict_recv)
+        history = alert.histories.seqnos(varname)
+        if not missed.isdisjoint(history):
+            seqno = min(missed.intersection(history))
             return ConsistencyResult(
                 False,
                 conflict=(
@@ -108,18 +104,19 @@ def check_consistency_single(
                     f"{seqno} received, but an earlier alert requires it missed"
                 ),
             )
-        conflict_miss = gaps & received
-        if conflict_miss:
-            seqno = min(conflict_miss)
-            return ConsistencyResult(
-                False,
-                conflict=(
-                    f"alert #{index} {alert.shorthand()} requires update "
-                    f"{seqno} missed, but an earlier alert requires it received"
-                ),
-            )
-        received |= history
-        missed |= gaps
+        gaps = history_gaps(history)
+        if gaps:
+            if not received.isdisjoint(gaps):
+                seqno = min(received & gaps)
+                return ConsistencyResult(
+                    False,
+                    conflict=(
+                        f"alert #{index} {alert.shorthand()} requires update "
+                        f"{seqno} missed, but an earlier alert requires it received"
+                    ),
+                )
+            missed |= gaps
+        received.update(history)
     return ConsistencyResult(True, witness_received=frozenset(received))
 
 
@@ -127,7 +124,7 @@ def build_precedence_graph(
     alerts: Iterable[Alert],
     variables: Sequence[str],
     max_seqnos: dict[str, int] | None = None,
-) -> nx.DiGraph:
+) -> "networkx.DiGraph":
     """The Lemma-5 precedence graph over update instances ``(var, seqno)``.
 
     Edges:
@@ -137,7 +134,13 @@ def build_precedence_graph(
       ``(v, a.seqno.v) → (w, a.seqno.w + 1)`` (Requirement 1) — the
       triggering v-update must precede the first w-update *newer* than the
       alert's w-history head.
+
+    networkx is imported here, not at module scope: nothing in ``src/``
+    calls this function, and every process that imports the checkers
+    would otherwise pay for the import.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     alerts = list(alerts)
     highest: dict[str, int] = dict(max_seqnos or {})
@@ -225,7 +228,7 @@ def check_consistency_multi(
                 continue
             seqnos = [update.seqno for update in history]
             needed.update(seqnos)
-            absent.update(spanning_set(seqnos).difference(seqnos))
+            absent.update(history_gaps(seqnos))
     for var in variables:
         conflict = required[var] & missed[var]
         if conflict:

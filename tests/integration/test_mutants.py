@@ -199,9 +199,12 @@ def _mutant(function, old: str | None = None, new: str = ""):
     return namespace[function.__name__]
 
 
-def _killed_by_crossvalidation(disagrees, examples: int = 600) -> bool:
-    """Does the cross-validation strategy produce a case on which the
-    candidate disagrees with its oracle?  (Derandomized, no shrinking.)"""
+def _killed_by_crossvalidation(
+    disagrees, strategy=None, examples: int = 600
+) -> bool:
+    """Does the cross-validation strategy (``lossy_two_variable_runs``
+    unless another is given) produce a case on which the candidate
+    disagrees with its oracle?  (Derandomized, no shrinking.)"""
     from hypothesis import Phase, given, settings
 
     from tests.property.test_prop_checker_crossvalidation import (
@@ -212,7 +215,7 @@ def _killed_by_crossvalidation(disagrees, examples: int = 600) -> bool:
         max_examples=examples, deadline=None, database=None,
         derandomize=True, phases=[Phase.generate],
     )
-    @given(lossy_two_variable_runs())
+    @given(strategy if strategy is not None else lossy_two_variable_runs())
     def hunt(case):
         assert not disagrees(*case)
 
@@ -252,8 +255,39 @@ class TestCheckerFirstLayerMutantsCaught:
 
         return disagrees
 
+    @staticmethod
+    def single_completeness(candidate):
+        """``(disagrees, strategy)`` for ``check_completeness_single``."""
+        from tests.property.test_prop_checker_crossvalidation import (
+            completeness_single_by_rerunning_T,
+            lossy_single_variable_runs,
+        )
+
+        def disagrees(condition, merged, displayed):
+            return candidate(
+                displayed, condition, merged
+            ) != completeness_single_by_rerunning_T(displayed, condition, merged)
+
+        return disagrees, lossy_single_variable_runs()
+
+    @staticmethod
+    def gaps(candidate):
+        """``(disagrees, strategy)`` for ``history_gaps``."""
+        from hypothesis import strategies as st
+
+        from tests.property.test_prop_sequences import histories
+
+        def disagrees(history):
+            return candidate(history) != spanning_set(history) - set(history)
+
+        return disagrees, st.tuples(histories())
+
     def test_unmutated_copies_survive(self):
-        from repro.props.completeness import check_completeness_multi
+        from repro.core.sequences import history_gaps
+        from repro.props.completeness import (
+            check_completeness_multi,
+            check_completeness_single,
+        )
         from repro.props.consistency import check_consistency_multi
 
         assert not _killed_by_crossvalidation(
@@ -261,6 +295,13 @@ class TestCheckerFirstLayerMutantsCaught:
         )
         assert not _killed_by_crossvalidation(
             self.consistency(_mutant(check_consistency_multi)), examples=200
+        )
+        assert not _killed_by_crossvalidation(
+            *self.single_completeness(_mutant(check_completeness_single)),
+            examples=200,
+        )
+        assert not _killed_by_crossvalidation(
+            *self.gaps(_mutant(history_gaps)), examples=200
         )
 
     def test_ordered_shortcut_before_the_membership_check(self):
@@ -317,3 +358,50 @@ class TestCheckerFirstLayerMutantsCaught:
             "or (raises(step) and step not in wanted)", "or raises(step)",
         )
         assert _killed_by_crossvalidation(self.completeness(mutant))
+
+    def test_window_off_by_one(self):
+        """Mutant: a raising position is keyed by the window one update
+        older than the one the condition was asked about."""
+        from repro.props.completeness import check_completeness_single
+
+        mutant = _mutant(
+            check_completeness_single,
+            "expected.add(tuple(seqnos[start : start + degree]))",
+            "expected.add(tuple(seqnos[start + 1 : start + degree + 1]))",
+        )
+        assert _killed_by_crossvalidation(*self.single_completeness(mutant))
+
+    def test_degree_th_position_skipped(self):
+        """Mutant: the walk starts one position late, as if H were still
+        undefined when its ``degree``-th update arrives."""
+        from repro.props.completeness import check_completeness_single
+
+        mutant = _mutant(
+            check_completeness_single,
+            "range(len(seqnos) - degree, -1, -1)",
+            "range(len(seqnos) - degree - 1, -1, -1)",
+        )
+        assert _killed_by_crossvalidation(*self.single_completeness(mutant))
+
+    def test_condname_check_dropped(self):
+        """Mutant: another condition's alert over the same history is
+        taken for this condition's."""
+        from repro.props.completeness import check_completeness_single
+
+        mutant = _mutant(
+            check_completeness_single,
+            "if alert.condname != condname or histories.variables != variables:",
+            "if histories.variables != variables:",
+        )
+        assert _killed_by_crossvalidation(*self.single_completeness(mutant))
+
+    def test_consecutive_window_shortcut_for_every_window(self):
+        """Mutant: every history is waved through as gap-free, so
+        Missed never grows."""
+        from repro.core.sequences import history_gaps
+
+        mutant = _mutant(
+            history_gaps,
+            "if len(seqnos) == head - tail + 1:", "if True:",
+        )
+        assert _killed_by_crossvalidation(*self.gaps(mutant))

@@ -16,7 +16,12 @@ histories, incomparable heads and skipped targets all occur
 (``tests/integration/test_mutants.py`` shows it kills each first-layer
 mutant).
 
-The differential tests at the bottom cross-validate a different pair of
+:func:`lossy_single_variable_runs` does the same for the single-variable
+checkers, whose oracles are the bodies they had before they were
+rewritten over seqno windows: ``T`` re-run on the merged run with every
+alert rebuilt, and ``spanning_set(h) − h`` per alert.
+
+The engine differential tests cross-validate a different pair of
 paths: the :class:`~repro.engine.core.TrialEngine` spec pipeline against
 a direct :func:`~repro.workloads.scenarios.run_scenario` call, on
 fault-laden specs — same verdicts, same observability counters, same
@@ -25,17 +30,31 @@ delivery stats, whichever road a trial takes.
 
 from dataclasses import replace as dc_replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.condition import PredicateCondition, c2, cm
+from repro.core.alert import Alert, alert_identity_set, make_alert
+from repro.core.condition import (
+    ExpressionCondition,
+    PredicateCondition,
+    c1,
+    c2,
+    c3,
+    cm,
+)
 from repro.core.evaluator import ConditionEvaluator
-from repro.core.reference import combine_received, interleavings
+from repro.core.expressions import H
+from repro.core.reference import apply_T, combine_received, interleavings
+from repro.core.sequences import spanning_set
 from repro.core.update import Update
 from repro.props.completeness import (
+    CompletenessResult,
     check_completeness_multi,
     check_completeness_multi_enumerated,
+    check_completeness_single,
 )
 from repro.props.consistency import (
+    ConsistencyResult,
     check_consistency_bruteforce,
     check_consistency_multi,
     check_consistency_single,
@@ -285,3 +304,149 @@ def test_completeness_without_a_compiled_closure(run, rng):
     assert check_completeness_multi(
         displayed, condition, per_var
     ) == check_completeness_multi_enumerated(displayed, condition, per_var)
+
+
+# ---------------------------------------------------------------------------
+# Single-variable checkers against the bodies they replaced.
+# ---------------------------------------------------------------------------
+
+def completeness_single_by_rerunning_T(alerts, condition, merged_updates):
+    """``check_completeness_single`` as it was: T over the merged run,
+    every alert and snapshot rebuilt, two identity sets compared."""
+    expected = alert_identity_set(apply_T(condition, merged_updates))
+    actual = alert_identity_set(alerts)
+    return CompletenessResult(
+        complete=(expected == actual),
+        missing=frozenset(expected - actual),
+        extraneous=frozenset(actual - expected),
+    )
+
+
+def consistency_single_by_spanning_sets(alerts, varname):
+    """``check_consistency_single`` as it was: Figure A-3's sets built
+    per alert from ``spanning_set``."""
+    received, missed = set(), set()
+    for index, alert in enumerate(alerts):
+        history = set(alert.histories.seqnos(varname))
+        gaps = spanning_set(history) - frozenset(history)
+        for clash, need, other in (
+            (history & missed, "received", "missed"),
+            (gaps & received, "missed", "received"),
+        ):
+            if clash:
+                return ConsistencyResult(
+                    False,
+                    conflict=(
+                        f"alert #{index} {alert.shorthand()} requires update "
+                        f"{min(clash)} {need}, but an earlier alert requires "
+                        f"it {other}"
+                    ),
+                )
+        received |= history
+        missed |= gaps
+    return ConsistencyResult(True, witness_received=frozenset(received))
+
+
+def _seqno_parity(h):
+    return (h["x"][0].seqno + h["x"][-1].seqno) % 3 != 0
+
+
+#: Degree 1 to 3, aggressive and conservative, compiled and not: the
+#: predicate and the ``as_conservative`` wrapper are evaluated through
+#: ``compile_condition``'s snapshot detour.
+SINGLE_VARIABLE_CONDITIONS = (
+    c1(threshold=200.0),
+    c2(delta=100.0),
+    c3(delta=100.0),
+    ExpressionCondition("rise3", H.x[0].value - H.x[-2].value > 100.0),
+    ExpressionCondition(
+        "rise3c", H.x[0].value - H.x[-2].value > 100.0, conservative=True
+    ),
+    PredicateCondition("parity", {"x": 2}, _seqno_parity),
+    c2(delta=100.0).as_conservative(),
+)
+
+
+@st.composite
+def lossy_single_variable_runs(draw):
+    """``(condition, merged, displayed)`` for two lossy CEs on one variable.
+
+    The sent run may be shorter than the condition's degree (or empty);
+    each CE loses its own updates, so an aggressive condition raises
+    gap-history alerts T never would on the merged run.  ``displayed`` is
+    any selection of the two CEs' alerts in any order, sometimes with an
+    alert of another condition name, of another variable, or of an extra
+    variable among them; ``merged`` is U1 ⊔ U2, sometimes interleaved
+    with updates of a variable the condition does not read.
+    """
+    condition = draw(st.sampled_from(SINGLE_VARIABLE_CONDITIONS))
+    values = st.sampled_from((0.0, 150.0, 300.0, 450.0))
+    sent = [
+        Update("x", seqno, value)
+        for seqno, value in enumerate(draw(st.lists(values, max_size=7)), 1)
+    ]
+    traces, alerts = [], []
+    for source in ("CE1", "CE2"):
+        trace = [u for u in sent if draw(st.integers(0, 3)) > 0]
+        traces.append(trace)
+        alerts.extend(ConditionEvaluator(condition, source).ingest_all(trace))
+    chosen = [a for a in alerts if draw(st.integers(0, 3)) > 0]
+    stranger = draw(st.integers(0, 7))
+    if stranger == 0 and alerts:
+        # Same history, another condition's name.
+        chosen.append(Alert("other", draw(st.sampled_from(alerts)).histories))
+    elif stranger == 1:
+        chosen.append(make_alert(condition.name, {"y": [Update("y", 1, 0.0)]}))
+    elif stranger == 2 and alerts:
+        histories = draw(st.sampled_from(alerts)).histories
+        chosen.append(make_alert(
+            condition.name, {"x": histories["x"], "y": [Update("y", 1, 0.0)]}
+        ))
+    displayed = draw(st.permutations(chosen))
+    merged = combine_received(traces, ("x",))["x"]
+    for seqno in range(1, draw(st.integers(0, 2)) + 1):
+        merged.insert(
+            draw(st.integers(0, len(merged))), Update("y", seqno, 300.0)
+        )
+    return condition, merged, displayed
+
+
+@settings(max_examples=300, deadline=None)
+@given(lossy_single_variable_runs())
+def test_window_completeness_equals_rerunning_T(case):
+    """Verdict, ``missing`` and ``extraneous`` — the whole dataclass."""
+    condition, merged, displayed = case
+    assert check_completeness_single(
+        displayed, condition, merged
+    ) == completeness_single_by_rerunning_T(displayed, condition, merged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lossy_single_variable_runs())
+def test_single_consistency_equals_the_spanning_set_form(case):
+    """Verdict, witness and the conflict sentence, on the alerts that
+    carry the variable at all."""
+    _, _, displayed = case
+    displayed = [a for a in displayed if "x" in a.histories]
+    assert check_consistency_single(
+        displayed, "x"
+    ) == consistency_single_by_spanning_sets(displayed, "x")
+
+
+@settings(max_examples=50, deadline=None)
+@given(lossy_single_variable_runs(), st.data())
+def test_window_completeness_rejects_a_repeated_seqno(case, data):
+    """T is undefined on a run that is not strictly ordered; the
+    evaluator the checker no longer builds raised, and so does it."""
+    condition, merged, displayed = case
+    run = [u for u in merged if u.varname == "x"]
+    if not run:
+        return
+    again = data.draw(st.sampled_from(run))
+    merged.insert(
+        data.draw(st.integers(merged.index(again) + 1, len(merged))), again
+    )
+    with pytest.raises(ValueError):
+        completeness_single_by_rerunning_T(displayed, condition, merged)
+    with pytest.raises(ValueError):
+        check_completeness_single(displayed, condition, merged)

@@ -3,6 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.core.sequences import (
+    history_gaps,
     is_ordered,
     is_subsequence,
     merge_ordered,
@@ -14,6 +15,18 @@ from repro.core.sequences import (
 seqnos = st.integers(min_value=0, max_value=60)
 ordered_lists = st.lists(seqnos, max_size=25).map(sorted)
 dedup_ordered_lists = st.lists(seqnos, max_size=25, unique=True).map(sorted)
+
+
+@st.composite
+def histories(draw):
+    """A history's seqnos as a snapshot holds them — non-empty, most
+    recent first — with steps of 1 (consecutive) and more (a gap) mixed."""
+    seqno = draw(seqnos)
+    history = [seqno]
+    for step in draw(st.lists(st.integers(1, 3), max_size=5)):
+        seqno += step
+        history.append(seqno)
+    return tuple(reversed(history))
 
 
 @given(ordered_lists, ordered_lists)
@@ -90,3 +103,10 @@ def test_spanning_set_is_contiguous(values):
 @given(dedup_ordered_lists, dedup_ordered_lists)
 def test_merge_ordered_equals_sorted_set_union(s1, s2):
     assert merge_ordered(list(s1), list(s2)) == sorted(set(s1) | set(s2))
+
+
+@given(histories())
+def test_history_gaps_is_the_spanning_set_minus_the_history(history):
+    # The expression check_consistency_single and AD-3's ConflictTracker
+    # each computed inline before history_gaps existed.
+    assert history_gaps(history) == spanning_set(history) - frozenset(history)

@@ -1,5 +1,6 @@
 """Unit tests for the rate-estimate statistics helpers."""
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -94,9 +95,8 @@ class TestRatesDiffer:
         assert rates_differ(50, 50, 0, 50)
 
 
-def test_importing_the_cli_does_not_import_scipy():
-    # scipy is in no extra of pyproject.toml; importing it by accident
-    # costs 0.75 s and 65 MB in every process, `repro serve` included.
+@functools.cache
+def _top_level_modules_after_importing_the_cli() -> frozenset[str]:
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -104,9 +104,24 @@ def test_importing_the_cli_does_not_import_scipy():
     )
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.cli; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         "import sys, repro.cli; "
+         "print(*sorted({m.split('.')[0] for m in sys.modules}))"],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return frozenset(result.stdout.split())
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy is in no extra of pyproject.toml; importing it by accident
+    # costs 0.75 s and 65 MB in every process, `repro serve` included.
+    assert "scipy" not in _top_level_modules_after_importing_the_cli()
+
+
+def test_importing_the_cli_imports_neither_networkx_nor_numpy():
+    # networkx serves one function only tests call (imported inside it);
+    # numpy is no dependency at all.  Together 0.23 s and 27 MB of every
+    # process, `repro serve` included.
+    loaded = _top_level_modules_after_importing_the_cli()
+    assert "repro" in loaded
+    assert not {"networkx", "numpy"} & loaded

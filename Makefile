@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench perf perf-pairs report examples clean
+.PHONY: install test test-fast bench artifacts-check perf perf-pairs report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -17,6 +17,17 @@ test-fast:  ## skip the slow end-to-end suites
 
 bench:  ## regenerate every paper artifact (benchmarks/results/)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The seconds-fast regenerators must leave their tracked artifacts
+# byte-identical (CI job artifact-drift runs the same two commands).
+ARTIFACTS = quality availability availability_chaos membership \
+	ablation_loss ablation_replication
+
+artifacts-check:  ## regenerate the sweep artifacts; fail on any drift
+	$(PYTHON) -m pytest benchmarks/bench_quality.py \
+		benchmarks/bench_availability.py benchmarks/bench_membership.py \
+		benchmarks/bench_ablation.py --benchmark-only -q
+	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/results/%.txt)
 
 # The repo benchmark (BENCHMARK.json): one workload, one seed, one JSON
 # line of end-to-end metrics; TRACE=1 is the per-layer traced run.

@@ -10,15 +10,13 @@ Used by ``benchmarks/bench_ablation.py``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.engine.core import INLINE_ENGINE, TrialEngine, fold_tally
+from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
 from repro.props.report import PropertyTally
-from repro.workloads.scenarios import Scenario, run_scenario
-
-if TYPE_CHECKING:
-    from repro.engine.core import TrialEngine
+from repro.workloads.scenarios import Scenario
 
 __all__ = ["SweepPoint", "loss_sweep", "replication_sweep", "render_sweep"]
 
@@ -57,64 +55,50 @@ class SweepPoint:
         )
 
 
-def _registry_coordinates(scenario: Scenario) -> tuple[str, str] | None:
-    """The (matrix, row) naming ``scenario`` in the module matrices, if any.
+def _registry_coordinates(scenario: Scenario) -> tuple[str, str]:
+    """The (matrix, row) naming ``scenario`` in the module matrices.
 
-    Sweep points can only fan out through the trial engine when workers
-    can re-resolve the scenario by name; ad-hoc Scenario objects fall back
-    to the inline loop.
+    Sweep trials are :class:`~repro.engine.spec.TrialSpec` s, which name
+    their scenario so that any process can re-resolve it.
     """
-    from repro.engine.spec import SCENARIO_MATRICES
-
     for matrix, scenarios in SCENARIO_MATRICES.items():
         if scenarios.get(scenario.key) is scenario:
             return matrix, scenario.key
-    return None
+    raise ValueError(
+        f"scenario {scenario.key!r} is not a row of "
+        "repro.engine.spec.SCENARIO_MATRICES; sweeps run registered rows"
+    )
 
 
-def _sweep_tally(
+def _sweep(
+    parameter: str,
+    values: Sequence[float],
+    seed_of: Callable[[float], int],
     scenario: Scenario,
     algorithm: str,
     trials: int,
     n_updates: int,
-    base_seed: int,
-    replication: int = 2,
-    front_loss: float | None = None,
-    engine: "TrialEngine | None" = None,
-) -> PropertyTally:
-    coordinates = _registry_coordinates(scenario) if engine is not None else None
-    if coordinates is not None:
-        from repro.engine.spec import TrialSpec
+    engine: TrialEngine,
+) -> list[SweepPoint]:
+    """One point per value of the spec knob named ``parameter``, each on
+    ``trials`` seeds from ``seed_of(value)``, the series as one batch."""
+    matrix, row = _registry_coordinates(scenario)
 
-        matrix, row = coordinates
-        specs = [
+    def specs_of(value):
+        start = seed_of(value)
+        return [
             TrialSpec(
-                matrix,
-                row,
-                algorithm,
-                base_seed + trial,
-                n_updates,
-                replication=replication,
-                front_loss=front_loss,
+                matrix, row, algorithm, start + trial, n_updates,
+                **{parameter: value},
             )
             for trial in range(trials)
         ]
-        return engine.run_tally(specs)
-    if front_loss is not None:
-        from dataclasses import replace
 
-        scenario = replace(scenario, front_loss=front_loss)
-    tally = PropertyTally()
-    for trial in range(trials):
-        run = run_scenario(
-            scenario,
-            algorithm,
-            base_seed + trial,
-            n_updates=n_updates,
-            replication=replication,
-        )
-        tally.add(run.evaluate_properties(), seed=base_seed + trial)
-    return tally
+    def fold(value, specs, reports):
+        tally = fold_tally(specs, reports)
+        return SweepPoint.from_tally(parameter, value, algorithm, tally)
+
+    return engine.run_grid([(value,) for value in values], specs_of, fold)
 
 
 def loss_sweep(
@@ -124,27 +108,17 @@ def loss_sweep(
     trials: int = 60,
     n_updates: int = 30,
     base_seed: int = 515000,
-    engine: "TrialEngine | None" = None,
+    engine: TrialEngine = INLINE_ENGINE,
 ) -> list[SweepPoint]:
     """Violation rates vs front-link loss probability.
 
     The scenario's own loss setting is overridden at each sweep point
-    (via the ``front_loss`` spec override when an ``engine`` is given and
-    the scenario is a registry row, else via a shallow copy).
+    through the spec's ``front_loss`` knob.
     """
-    points = []
-    for loss in loss_probs:
-        tally = _sweep_tally(
-            scenario,
-            algorithm,
-            trials,
-            n_updates,
-            base_seed + int(loss * 10_000),
-            front_loss=loss,
-            engine=engine,
-        )
-        points.append(SweepPoint.from_tally("front_loss", loss, algorithm, tally))
-    return points
+    return _sweep(
+        "front_loss", loss_probs, lambda loss: base_seed + int(loss * 10_000),
+        scenario, algorithm, trials, n_updates, engine,
+    )
 
 
 def replication_sweep(
@@ -154,7 +128,7 @@ def replication_sweep(
     trials: int = 60,
     n_updates: int = 30,
     base_seed: int = 525000,
-    engine: "TrialEngine | None" = None,
+    engine: TrialEngine = INLINE_ENGINE,
 ) -> list[SweepPoint]:
     """Violation rates vs number of CEs.
 
@@ -164,21 +138,10 @@ def replication_sweep(
     interleavings, not new failure modes) and shows how much more often
     the ✗ cells bite.
     """
-    points = []
-    for replication in replications:
-        tally = _sweep_tally(
-            scenario,
-            algorithm,
-            trials,
-            n_updates,
-            base_seed + replication * 97,
-            replication=replication,
-            engine=engine,
-        )
-        points.append(
-            SweepPoint.from_tally("replication", replication, algorithm, tally)
-        )
-    return points
+    return _sweep(
+        "replication", replications, lambda count: base_seed + count * 97,
+        scenario, algorithm, trials, n_updates, engine,
+    )
 
 
 def render_sweep(title: str, points: Sequence[SweepPoint]) -> str:

@@ -119,14 +119,10 @@ class TableResult:
     tallies: dict[str, PropertyTally] = field(default_factory=dict)
 
     def measured_grid(self) -> dict[str, tuple[bool | None, bool | None, bool | None]]:
-        grid = {}
-        for row, tally in self.tallies.items():
-            grid[row] = (
-                tally.always_ordered,
-                tally.always_complete,
-                tally.always_consistent,
-            )
-        return grid
+        return {
+            row: tuple(tally.cell().values())
+            for row, tally in self.tallies.items()
+        }
 
     def matches_paper(self) -> bool:
         return grid_matches(self.measured_grid(), EXPECTED_GRIDS[self.table_id])
@@ -184,10 +180,8 @@ def build_table(
         collect_counters=collect_counters,
         kernel=kernel,
     )
-    if engine is not None:
-        return tabulate(plan, engine.run(plan.specs))
     with TrialEngine(processes=processes, chunksize=chunksize) as own:
-        return tabulate(plan, own.run(plan.specs))
+        return tabulate(plan, (engine or own).run(plan.specs))
 
 
 _CHECK = "✓"
@@ -213,15 +207,10 @@ def render_table(result: TableResult) -> str:
         f"{'Scenario':<16} {'Ord.':>10} {'Comp.':>10} {'Cons.':>10}   paper / measured"
     )
     agreement = True
+    measured = result.measured_grid()
     for row in ROW_ORDER:
-        tally = result.tallies[row]
-        measured = (
-            tally.always_ordered,
-            tally.always_complete,
-            tally.always_consistent,
-        )
         cells = []
-        for got, want in zip(measured, expected[row]):
+        for got, want in zip(measured[row], expected[row]):
             ok = got is None or got == want
             agreement = agreement and ok
             cells.append(f"{_mark(want)}/{_mark(got)}{'' if ok else ' !'}")

@@ -172,7 +172,7 @@ _FUZZ_TARGETS = {
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine, resolve_processes
+    from repro.engine import TrialEngine
     from repro.fuzz import FuzzConfig, FuzzEngine, shrink_spec
     from repro.observability import replay_trace
 
@@ -189,11 +189,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         replication=args.replication,
         kernel=args.kernel,
     )
-    if resolve_processes(args.processes) > 1:
-        with TrialEngine(processes=args.processes) as engine:
-            result = FuzzEngine(config, engine=engine).run()
-    else:
-        result = FuzzEngine(config).run()
+    with TrialEngine(processes=args.processes) as engine:
+        result = FuzzEngine(config, engine=engine).run()
 
     print(
         f"fuzz: {config.matrix}/{config.row} {config.algorithm} "
@@ -283,42 +280,31 @@ def _cmd_availability(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.churn:
         return _cmd_chaos_churn(args)
-    from repro.engine import TrialEngine, resolve_processes
+    from repro.engine import TrialEngine
     from repro.faults import (
         chaos_sweep,
         render_chaos_table,
         replication_reduces_misses,
     )
 
-    engine = None
-    kwargs = dict(
-        intensities=args.intensities,
-        replications=args.replications,
-        trials=args.trials,
-        row=args.row,
-        algorithm=args.algorithm,
-        n_updates=args.updates,
-        kernel=args.kernel,
-    )
-    if resolve_processes(args.processes) > 1:
-        with TrialEngine(processes=args.processes) as engine:
-            cells = chaos_sweep(engine=engine, **kwargs)
-    else:
-        cells = chaos_sweep(**kwargs)
+    with TrialEngine(processes=args.processes) as engine:
+        cells = chaos_sweep(
+            intensities=args.intensities,
+            replications=args.replications,
+            trials=args.trials,
+            row=args.row,
+            algorithm=args.algorithm,
+            n_updates=args.updates,
+            kernel=args.kernel,
+            engine=engine,
+        )
     print(render_chaos_table(cells))
     shape_ok = replication_reduces_misses(cells)
     print(
         "replication reduces missed alerts: "
         f"{'YES' if shape_ok else 'NO'} (the Figure-1 claim)"
     )
-    witnessed = sorted(
-        {
-            (prop, seed)
-            for cell in cells
-            for prop, seed in cell.witness_seeds.items()
-        }
-    )
-    if witnessed:
+    if any(cell.witness_seeds for cell in cells):
         print(
             "replay a witness with: repro trace record "
             f"{args.row} --algorithm {args.algorithm} "
@@ -328,7 +314,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_quality(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine, resolve_processes
+    from repro.engine import TrialEngine
     from repro.quality import (
         adaptive_matches_best_static,
         quality_json,
@@ -336,22 +322,19 @@ def _cmd_quality(args: argparse.Namespace) -> int:
         render_quality_table,
     )
 
-    kwargs = dict(
-        algorithms=args.algorithms,
-        losses=args.losses,
-        intensities=args.intensities,
-        trials=args.trials,
-        row=args.row,
-        matrix=args.matrix,
-        n_updates=args.updates,
-        replication=args.replication,
-        kernel=args.kernel,
-    )
-    if resolve_processes(args.processes) > 1:
-        with TrialEngine(processes=args.processes) as engine:
-            cells = quality_sweep(engine=engine, **kwargs)
-    else:
-        cells = quality_sweep(**kwargs)
+    with TrialEngine(processes=args.processes) as engine:
+        cells = quality_sweep(
+            algorithms=args.algorithms,
+            losses=args.losses,
+            intensities=args.intensities,
+            trials=args.trials,
+            row=args.row,
+            matrix=args.matrix,
+            n_updates=args.updates,
+            replication=args.replication,
+            kernel=args.kernel,
+            engine=engine,
+        )
     print(render_quality_table(cells))
     gate = adaptive_matches_best_static(cells)
     print(
@@ -378,31 +361,27 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_churn(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine, resolve_processes
+    from repro.engine import TrialEngine
     from repro.faults import (
         churn_sweep,
         recovery_restores_alerts,
         render_churn_table,
     )
 
-    intensities = [i for i in args.intensities if i > 0] or [1.0]
-    kwargs = dict(
-        intensities=intensities,
-        detection_timeouts=[None, *args.detection_timeouts],
-        catchup_latencies=args.catchup_latencies,
-        trials=args.trials,
-        row=args.row,
-        algorithm=args.algorithm,
-        n_updates=args.updates,
-        replication=max(args.replications),
-        kernel=args.kernel,
-        catchup_source=args.catchup_source,
-    )
-    if resolve_processes(args.processes) > 1:
-        with TrialEngine(processes=args.processes) as engine:
-            cells = churn_sweep(engine=engine, **kwargs)
-    else:
-        cells = churn_sweep(**kwargs)
+    with TrialEngine(processes=args.processes) as engine:
+        cells = churn_sweep(
+            intensities=[i for i in args.intensities if i > 0] or [1.0],
+            detection_timeouts=[None, *args.detection_timeouts],
+            catchup_latencies=args.catchup_latencies,
+            trials=args.trials,
+            row=args.row,
+            algorithm=args.algorithm,
+            n_updates=args.updates,
+            replication=max(args.replications),
+            kernel=args.kernel,
+            catchup_source=args.catchup_source,
+            engine=engine,
+        )
     print(render_churn_table(cells))
     restored = recovery_restores_alerts(cells)
     print(
@@ -439,35 +418,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.engine.spec import TrialSpec
     from repro.observability import record_trial
 
-    _scenario_for(args.row, args.multi)  # validate the row early
-    matrix = "multi" if args.multi else "single"
-    faults = None
-    if args.chaos is not None:
-        from repro.faults import DEFAULT_CHAOS_PROFILE
-
-        faults = DEFAULT_CHAOS_PROFILE.scaled(args.chaos)
-        if faults.is_clean:
-            faults = None
-    membership = None
-    if args.membership:
-        from repro.membership import MembershipConfig
-
-        membership = MembershipConfig(
-            detection_timeout=args.detection_timeout,
-            catchup_latency=args.catchup_latency,
-            catchup_source=args.catchup_source,
-        )
-    spec = TrialSpec(
-        matrix, args.row, args.algorithm, args.seed, args.updates,
-        args.replication, faults=faults, kernel=args.kernel,
-        membership=membership, sharding=_sharding_from_args(args),
-    )
+    spec = _spec_from_args(args)
     trace = record_trial(spec)
     out = args.out or (
-        f"trace_{matrix}_{args.row}_{args.algorithm}_seed{args.seed}.jsonl"
+        f"trace_{spec.matrix}_{args.row}_{args.algorithm}_seed{args.seed}.jsonl"
     )
     path = trace.write(out)
     print(f"recorded {len(trace.events)} events to {path}")
@@ -507,40 +463,41 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _feed_spec_from_args(args: argparse.Namespace):
-    """Build the TrialSpec a ``repro feed record`` invocation describes."""
+def _spec_from_args(args: argparse.Namespace):
+    """The TrialSpec a ``trace record`` / ``feed record`` call describes."""
     from repro.engine.spec import TrialSpec
 
     _scenario_for(args.row, args.multi)  # validate the row early
-    matrix = "multi" if args.multi else "single"
     faults = None
     if args.chaos is not None:
         from repro.faults import DEFAULT_CHAOS_PROFILE
 
-        faults = DEFAULT_CHAOS_PROFILE.scaled(args.chaos)
-        if faults.is_clean:
-            faults = None
+        faults = DEFAULT_CHAOS_PROFILE.scaled(args.chaos).or_none()
+    membership = None
+    if getattr(args, "membership", False):
+        from repro.membership import MembershipConfig
+
+        membership = MembershipConfig(
+            detection_timeout=args.detection_timeout,
+            catchup_latency=args.catchup_latency,
+            catchup_source=args.catchup_source,
+        )
+    sharding = None
+    if args.shards and args.shards > 1:
+        from repro.sharding import ShardConfig
+
+        sharding = ShardConfig(shards=args.shards)
     return TrialSpec(
-        matrix, args.row, args.algorithm, args.seed, args.updates,
-        args.replication, faults=faults, kernel=args.kernel,
-        sharding=_sharding_from_args(args),
+        "multi" if args.multi else "single", args.row, args.algorithm,
+        args.seed, args.updates, args.replication, faults=faults,
+        kernel=args.kernel, membership=membership, sharding=sharding,
     )
-
-
-def _sharding_from_args(args: argparse.Namespace):
-    """A ShardConfig from a ``--shards N`` flag (None when unsharded)."""
-    shards = getattr(args, "shards", None)
-    if not shards or shards <= 1:
-        return None
-    from repro.sharding import ShardConfig
-
-    return ShardConfig(shards=shards)
 
 
 def _cmd_feed_record(args: argparse.Namespace) -> int:
     from repro.service import record_feed
 
-    spec = _feed_spec_from_args(args)
+    spec = _spec_from_args(args)
     feed = record_feed(spec)
     out = args.out or (
         f"feed_{spec.matrix}_{args.row}_{args.algorithm}_seed{args.seed}.jsonl"
@@ -692,6 +649,43 @@ def _processes_arg(value: str) -> int | str:
     return count
 
 
+_KERNEL_HELP = "trial executor (array = fast path, object = oracle)"
+
+
+def _add_kernel(parser: argparse.ArgumentParser, help: str = _KERNEL_HELP) -> None:
+    parser.add_argument(
+        "--kernel", choices=("object", "array"), default="array", help=help
+    )
+
+
+def _add_processes(parser: argparse.ArgumentParser, what: str = "trials") -> None:
+    parser.add_argument(
+        "--processes",
+        type=_processes_arg,
+        default=1,
+        help=f"fan {what} out over N worker processes ('auto' = CPU count)",
+    )
+
+
+def _add_trial_coordinates(parser: argparse.ArgumentParser) -> None:
+    """The positional row plus the knobs naming one recorded trial."""
+    parser.add_argument("row", choices=list(ROW_ORDER))
+    parser.add_argument("--algorithm", default="AD-1")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--updates", type=int, default=30)
+    parser.add_argument("--replication", type=int, default=2)
+    parser.add_argument("--multi", action="store_true")
+
+
+def _add_catchup_source(parser: argparse.ArgumentParser, mode: str) -> None:
+    parser.add_argument(
+        "--catchup-source",
+        choices=("peer-then-log", "peer", "log", "none"),
+        default="peer-then-log",
+        help=f"({mode}) where a recovering CE replays history from",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -703,19 +697,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("tables", nargs="*", help="table ids (default: all)")
     p_tables.add_argument("--trials", type=int, default=None)
     p_tables.add_argument("--updates", type=int, default=None)
-    p_tables.add_argument(
-        "--kernel",
-        choices=("object", "array"),
-        default="array",
-        help="trial executor: struct-of-arrays fast path (default) or the "
+    _add_kernel(
+        p_tables,
+        "trial executor: struct-of-arrays fast path (default) or the "
         "event-object oracle (differentially identical, slower)",
     )
-    p_tables.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=1,
-        help="fan trials out over N worker processes ('auto' = CPU count)",
-    )
+    _add_processes(p_tables)
     p_tables.add_argument(
         "--counters",
         action="store_true",
@@ -729,10 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("--seed", type=int, default=0)
     p_scenario.add_argument("--updates", type=int, default=30)
     p_scenario.add_argument("--multi", action="store_true")
-    p_scenario.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="trial executor (array = fast path, object = oracle)",
-    )
+    _add_kernel(p_scenario)
     p_scenario.add_argument("--timeline", action="store_true")
     p_scenario.add_argument(
         "--counters",
@@ -748,16 +732,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_trec = trace_sub.add_parser(
         "record", help="run one trial under a recorder and write its trace"
     )
-    p_trec.add_argument("row", choices=list(ROW_ORDER))
-    p_trec.add_argument("--algorithm", default="AD-1")
-    p_trec.add_argument("--seed", type=int, default=0)
-    p_trec.add_argument("--updates", type=int, default=30)
-    p_trec.add_argument("--replication", type=int, default=2)
-    p_trec.add_argument("--multi", action="store_true")
-    p_trec.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="kernel named in the trace header (the ordered event stream "
-             "is always recorded on the object kernel; both replay alike)",
+    _add_trial_coordinates(p_trec)
+    _add_kernel(
+        p_trec,
+        "kernel named in the trace header (the ordered event stream "
+        "is always recorded on the object kernel; both replay alike)",
     )
     p_trec.add_argument("--out", default=None, help="output .jsonl path")
     p_trec.add_argument(
@@ -783,12 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--catchup-latency", type=float, default=2.0,
         help="(--membership) state-transfer latency per recovery",
     )
-    p_trec.add_argument(
-        "--catchup-source",
-        choices=("peer-then-log", "peer", "log", "none"),
-        default="peer-then-log",
-        help="(--membership) where a recovering CE replays history from",
-    )
+    _add_catchup_source(p_trec, "--membership")
     p_trec.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="place the run on an N-shard consistent-hash ring; sharding "
@@ -840,22 +814,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--updates", type=int, default=20,
                         help="baseline reading count for initial inputs")
     p_fuzz.add_argument("--replication", type=int, default=2)
-    p_fuzz.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="trial executor every campaign spec runs under",
-    )
+    _add_kernel(p_fuzz, "trial executor every campaign spec runs under")
     p_fuzz.add_argument(
         "--fuzz-seed", type=int, default=0,
         help="seed of the fuzzer's own RNG streams (campaigns replay)",
     )
     p_fuzz.add_argument("--batch", type=int, default=32,
                         help="specs scheduled per engine batch")
-    p_fuzz.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=1,
-        help="fan batches out over N worker processes ('auto' = CPU count)",
-    )
+    _add_processes(p_fuzz, "batches")
     p_fuzz.add_argument(
         "--minimize",
         action="store_true",
@@ -907,16 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--row", choices=list(ROW_ORDER), default="non-historical")
     p_chaos.add_argument("--algorithm", default="AD-4")
     p_chaos.add_argument("--updates", type=int, default=30)
-    p_chaos.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="trial executor (array = fast path, object = oracle)",
-    )
-    p_chaos.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=1,
-        help="fan trials out over N worker processes ('auto' = CPU count)",
-    )
+    _add_kernel(p_chaos)
+    _add_processes(p_chaos)
     p_chaos.add_argument(
         "--churn",
         action="store_true",
@@ -940,12 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[2.0],
         help="(--churn) state-transfer latencies per recovery",
     )
-    p_chaos.add_argument(
-        "--catchup-source",
-        choices=("peer-then-log", "peer", "log", "none"),
-        default="peer-then-log",
-        help="(--churn) where a recovering CE replays history from",
-    )
+    _add_catchup_source(p_chaos, "--churn")
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_quality = sub.add_parser(
@@ -988,16 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_quality.add_argument("--updates", type=int, default=30)
     p_quality.add_argument("--replication", type=int, default=2)
-    p_quality.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="trial executor (array = fast path, object = oracle)",
-    )
-    p_quality.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=1,
-        help="fan trials out over N worker processes ('auto' = CPU count)",
-    )
+    _add_kernel(p_quality)
+    _add_processes(p_quality)
     p_quality.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the sweep document (axes, gate verdict, cells) as JSON",
@@ -1019,16 +964,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one trial and record its update feed (deliveries + "
         "arrival stamps) for service replay",
     )
-    p_frec.add_argument("row", choices=list(ROW_ORDER))
-    p_frec.add_argument("--algorithm", default="AD-1")
-    p_frec.add_argument("--seed", type=int, default=0)
-    p_frec.add_argument("--updates", type=int, default=30)
-    p_frec.add_argument("--replication", type=int, default=2)
-    p_frec.add_argument("--multi", action="store_true")
-    p_frec.add_argument(
-        "--kernel", choices=("object", "array"), default="array",
-        help="recording executor (both record identical feeds)",
-    )
+    _add_trial_coordinates(p_frec)
+    _add_kernel(p_frec, "recording executor (both record identical feeds)")
     p_frec.add_argument(
         "--chaos", type=float, default=None, metavar="INTENSITY",
         help="inject faults at this chaos intensity (default profile)",
@@ -1128,12 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--output", default=None, help="write the report to this file"
     )
-    p_report.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=1,
-        help="fan table trials out over N worker processes ('auto' = CPU count)",
-    )
+    _add_processes(p_report, "table trials")
     p_report.set_defaults(func=_cmd_report)
 
     return parser

@@ -14,6 +14,7 @@ this package turns them into a planned, batched, reusable-pool workload:
 
 from repro.engine.core import (
     DEFAULT_CHUNKS_PER_WORKER,
+    INLINE_ENGINE,
     MAX_CHUNKSIZE,
     TrialEngine,
     default_chunksize,
@@ -24,6 +25,7 @@ from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
 
 __all__ = [
     "DEFAULT_CHUNKS_PER_WORKER",
+    "INLINE_ENGINE",
     "MAX_CHUNKSIZE",
     "SCENARIO_MATRICES",
     "TablePlan",

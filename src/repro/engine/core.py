@@ -4,9 +4,9 @@
 :class:`~repro.engine.spec.TrialSpec` batches over it.  Compared with the
 one-shot ``Pool`` the old ``run_trials`` spun up per call:
 
-* the pool (and each worker's imported scenario matrices, warmed by the
-  spawn-safe initializer) is reused across batches — ``repro report``
-  submits seven tables to the same workers;
+* the pool (and each worker's imported scenario matrices) is reused
+  across batches — ``repro report`` submits seven tables to the same
+  workers;
 * specs are index-tagged and submitted through ``imap_unordered``, so a
   straggler trial never blocks completed chunks from returning; results
   are reassembled into spec order before returning;
@@ -15,22 +15,27 @@ one-shot ``Pool`` the old ``run_trials`` spun up per call:
   sets the wall-clock.
 
 ``processes="auto"`` sizes the pool to the machine.  ``processes=1``
-executes inline — no pool, no pickling — and is bit-identical to the
-sequential paths by construction.
+executes inline — no pool, no pickling.  :data:`INLINE_ENGINE` is that
+engine, shared: the default of every ``engine=`` parameter, so a sweep
+has one code path whether or not a pool is behind it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from itertools import islice
 from multiprocessing import Pool
+from typing import Any
 
 from repro.engine.spec import TrialSpec
-from repro.props.report import PropertyReport
+from repro.props.report import PropertyReport, PropertyTally
 
 __all__ = [
+    "INLINE_ENGINE",
     "TrialEngine",
+    "fold_tally",
     "resolve_processes",
     "default_chunksize",
     "DEFAULT_CHUNKS_PER_WORKER",
@@ -69,17 +74,6 @@ def default_chunksize(n_specs: int, processes: int) -> int:
         return 1
     target = -(-n_specs // (DEFAULT_CHUNKS_PER_WORKER * processes))
     return max(1, min(MAX_CHUNKSIZE, target))
-
-
-def _worker_init() -> None:
-    """Pool initializer: import and resolve the scenario matrices once.
-
-    Under the ``spawn`` start method each worker begins with a blank
-    interpreter; importing here moves the (non-trivial) module import cost
-    out of the first task of every chunk.  Under ``fork`` it is a no-op
-    re-import of already-cached modules.
-    """
-    import repro.engine.spec  # noqa: F401  (resolves SCENARIO_MATRICES)
 
 
 def _execute_indexed(item: tuple[int, TrialSpec]) -> tuple[int, PropertyReport]:
@@ -122,7 +116,7 @@ class TrialEngine:
     def _ensure_pool(self) -> Pool:
         if self._pool is None:
             logger.debug("starting trial pool with %d workers", self.processes)
-            self._pool = Pool(processes=self.processes, initializer=_worker_init)
+            self._pool = Pool(processes=self.processes)
         return self._pool
 
     def run(
@@ -164,13 +158,43 @@ class TrialEngine:
             results[index] = report
         return results
 
+    def run_grid(
+        self,
+        points: Sequence[tuple],
+        specs_of: Callable[..., Sequence[TrialSpec]],
+        fold: Callable[..., Any],
+    ) -> list:
+        """Run a sweep: one folded result per grid point.
+
+        ``specs_of(*point)`` lays each cell out; the whole grid executes
+        as one batch (not one per cell, so a pool never waits at a
+        barrier for the slowest trial of each small cell); each cell's
+        slice of the reports is folded by ``fold(*point, specs, reports)``.
+        """
+        grid = [specs_of(*point) for point in points]
+        reports = iter(self.run([spec for cell in grid for spec in cell]))
+        return [
+            fold(*point, cell, list(islice(reports, len(cell))))
+            for point, cell in zip(points, grid)
+        ]
+
     def run_tally(
         self, specs: Sequence[TrialSpec], chunksize: int | None = None
-    ):
+    ) -> PropertyTally:
         """Execute ``specs`` and fold the reports into one PropertyTally."""
-        from repro.props.report import PropertyTally
+        return fold_tally(specs, self.run(specs, chunksize=chunksize))
 
-        tally = PropertyTally()
-        for spec, report in zip(specs, self.run(specs, chunksize=chunksize)):
-            tally.add(report, seed=spec.seed)
-        return tally
+
+def fold_tally(
+    specs: Sequence[TrialSpec], reports: Sequence[PropertyReport]
+) -> PropertyTally:
+    """Fold spec-ordered reports into one tally, seeds as witnesses."""
+    tally = PropertyTally()
+    for spec, report in zip(specs, reports):
+        tally.add(report, seed=spec.seed)
+    return tally
+
+
+#: The shared inline engine (``processes=1`` never owns a pool, so it
+#: needs no ``close``): what every ``engine=`` parameter defaults to.
+INLINE_ENGINE = TrialEngine(processes=1)

@@ -8,6 +8,7 @@ the benchmark harness cannot drift apart on seed derivation.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,11 +19,45 @@ from repro.workloads.scenarios import ROW_ORDER
 if TYPE_CHECKING:  # imported lazily at runtime (analysis imports us back)
     from repro.analysis.tables import TableResult
 
-__all__ = ["TablePlan", "plan_table", "tabulate"]
+__all__ = ["TablePlan", "cell_specs", "plan_table", "require_axes", "tabulate"]
 
 #: Seed offset separating the short-trace completeness batch from the
 #: main batch.
 COMPLETENESS_SEED_OFFSET = 7_000_000
+
+
+def cell_specs(
+    key: str,
+    base_seed: int,
+    trials: int,
+    matrix: str,
+    row: str,
+    algorithm: str,
+    n_updates: int,
+    **knobs,
+) -> list[TrialSpec]:
+    """The specs of the grid cell named ``key``, in ascending-seed order:
+    one scenario cell on ``trials`` consecutive seeds from ``base_seed``
+    plus a stable per-cell offset.
+
+    The offset is ``zlib.crc32`` (process-independent, unlike ``hash()``,
+    which PYTHONHASHSEED randomises), so the key string *is* the seed
+    block: cells with different keys never share trials, cells that
+    share a key replay identical schedules, and any witness seed pins
+    down its exact trial.
+    """
+    start = base_seed + zlib.crc32(key.encode()) % 100_000
+    return [
+        TrialSpec(matrix, row, algorithm, start + trial, n_updates, **knobs)
+        for trial in range(trials)
+    ]
+
+
+def require_axes(**axes: Sequence) -> None:
+    """Reject a sweep whose grid would be empty, naming the empty axis."""
+    for name, values in axes.items():
+        if not len(values):
+            raise ValueError(f"sweep axis {name!r} is empty")
 
 
 @dataclass(frozen=True)
@@ -52,10 +87,8 @@ def plan_table(
 ) -> TablePlan:
     """Lay out every trial of a table experiment as TrialSpecs.
 
-    Seeds are stable per-cell offsets from ``zlib.crc32``
-    (process-independent, unlike ``hash()``, which PYTHONHASHSEED
-    randomises), the completeness batch displaced by
-    :data:`COMPLETENESS_SEED_OFFSET`.
+    Each row is one :func:`cell_specs` block, the completeness batch the
+    same block displaced by :data:`COMPLETENESS_SEED_OFFSET`.
 
     ``collect_counters`` runs every trial under a CountersTracer so the
     folded tallies carry aggregated per-stage observability counters
@@ -72,29 +105,21 @@ def plan_table(
     if completeness_trials is None:
         completeness_trials = trials if multi else 0
 
+    batches = (
+        (base_seed, trials, n_updates),
+        (
+            base_seed + COMPLETENESS_SEED_OFFSET,
+            completeness_trials,
+            completeness_n_updates,
+        ),
+    )
     specs: list[TrialSpec] = []
     for row in ROW_ORDER:
-        cell_offset = zlib.crc32(f"{table_id}/{row}".encode()) % 100_000
-        for trial in range(trials):
-            specs.append(
-                TrialSpec(
-                    matrix, row, algorithm, base_seed + cell_offset + trial,
-                    n_updates, collect_counters=collect_counters,
-                    faults=faults, kernel=kernel,
-                )
-            )
-        for trial in range(completeness_trials):
-            specs.append(
-                TrialSpec(
-                    matrix,
-                    row,
-                    algorithm,
-                    base_seed + COMPLETENESS_SEED_OFFSET + cell_offset + trial,
-                    completeness_n_updates,
-                    collect_counters=collect_counters,
-                    faults=faults,
-                    kernel=kernel,
-                )
+        for base, count, length in batches:
+            specs += cell_specs(
+                f"{table_id}/{row}", base, count, matrix, row, algorithm,
+                length, collect_counters=collect_counters, faults=faults,
+                kernel=kernel,
             )
     return TablePlan(table_id, algorithm, multi, trials, tuple(specs))
 
@@ -107,11 +132,9 @@ def tabulate(plan: TablePlan, reports: list[PropertyReport]) -> "TableResult":
         raise ValueError(
             f"{len(reports)} reports for {len(plan.specs)} planned trials"
         )
-    result = TableResult(
-        plan.table_id, plan.algorithm, plan.multi_variable, plan.trials
-    )
     tallies = {row: PropertyTally() for row in ROW_ORDER}
     for spec, report in zip(plan.specs, reports):
         tallies[spec.row].add(report, seed=spec.seed)
-    result.tallies.update(tallies)
-    return result
+    return TableResult(
+        plan.table_id, plan.algorithm, plan.multi_variable, plan.trials, tallies
+    )

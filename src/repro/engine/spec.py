@@ -15,14 +15,15 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.props.report import PropertyReport
+from repro.workloads import scenarios
 from repro.workloads.scenarios import (
     MULTI_VARIABLE_SCENARIOS,
     SINGLE_VARIABLE_SCENARIOS,
     Scenario,
-    run_scenario,
 )
 
 if TYPE_CHECKING:
+    from repro.components.system import RunResult
     from repro.faults.plan import FaultProfile
     from repro.membership.config import MembershipConfig
     from repro.sharding.ring import ShardConfig
@@ -111,18 +112,21 @@ class TrialSpec:
             scenario = replace(scenario, front_loss=self.front_loss)
         return scenario
 
-    def execute(self) -> PropertyReport:
-        """Run the trial and decide its properties (in any process)."""
-        tracer = None
-        if self.collect_coverage:
-            from repro.observability.tracer import ReasonCountersTracer
+    def bare(self) -> "TrialSpec":
+        """This spec with the collection flags off: the canonical form a
+        witness is shrunk, recorded and replayed in."""
+        return replace(
+            self,
+            collect_counters=False,
+            collect_coverage=False,
+            collect_delivery=False,
+        )
 
-            tracer = ReasonCountersTracer()
-        elif self.collect_counters:
-            from repro.observability.tracer import CountersTracer
-
-            tracer = CountersTracer()
-        run = run_scenario(
+    def run(self, tracer: object | None = None) -> "RunResult":
+        """Simulate the trial: the one place a spec becomes a
+        ``run_scenario`` call, so no knob can be dropped on the way.
+        (Looked up on the module so patches of ``scenarios`` bind.)"""
+        return scenarios.run_scenario(
             self.resolve_scenario(),
             self.algorithm,
             self.seed,
@@ -134,6 +138,19 @@ class TrialSpec:
             membership=self.membership,
             sharding=self.sharding,
         )
+
+    def execute(self) -> PropertyReport:
+        """Run the trial and decide its properties (in any process)."""
+        tracer = None
+        if self.collect_coverage:
+            from repro.observability.tracer import ReasonCountersTracer
+
+            tracer = ReasonCountersTracer()
+        elif self.collect_counters:
+            from repro.observability.tracer import CountersTracer
+
+            tracer = CountersTracer()
+        run = self.run(tracer)
         report = run.evaluate_properties()
         if tracer is not None:
             report = replace(report, counters=tracer.as_dict())

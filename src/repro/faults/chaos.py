@@ -13,23 +13,27 @@ scaled to the intensity, then reports
 * ground-truth alert delivery (missed-alert fractions), whose decrease
   in the replication factor *is* the Figure-1 claim.
 
-Trials fan out through the same :class:`~repro.engine.core.TrialEngine`
-as the table grids, so chaos sweeps parallelise for free.
+A sweep lays its whole grid out as specs, runs it as one batch on a
+:class:`~repro.engine.core.TrialEngine` (the inline one unless a pooled
+one is passed) and folds each cell's slice of the reports.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
+from repro.accel import mean
+from repro.engine.core import INLINE_ENGINE, TrialEngine, fold_tally
+from repro.engine.plan import cell_specs, require_axes
 from repro.engine.spec import TrialSpec
 from repro.faults.plan import (
     DEFAULT_CHAOS_PROFILE,
     DEFAULT_CHURN_PROFILE,
     FaultProfile,
 )
-from repro.props.report import PropertyReport
+from repro.props.report import PropertyReport, PropertyTally
 
 __all__ = [
     "ChaosCell",
@@ -46,9 +50,6 @@ __all__ = [
 
 #: Default base seed for chaos sweeps (distinct from the table grids').
 CHAOS_BASE_SEED = 20010900
-
-#: The three properties a cell tracks, in display order.
-PROPERTIES = ("ordered", "complete", "consistent")
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,74 @@ def chaos_specs(
 ) -> list[TrialSpec]:
     """The trial specs of one sweep cell, in ascending-seed order.
 
-    Seed derivation mirrors :func:`repro.engine.plan.plan_table`: a
-    stable crc32 cell offset, so cells never share seeds and any witness
-    seed pins down its exact trial.
+    The seed block is that of :func:`repro.engine.plan.cell_specs` for
+    the key below, so cells never share seeds and any witness seed pins
+    down its exact trial.
     """
-    cell = f"chaos/{matrix}/{row}/{algorithm}/{replication}/{intensity:g}"
-    offset = zlib.crc32(cell.encode()) % 100_000
-    faults = profile.scaled(intensity)
-    if faults.is_clean:
-        faults = None
-    return [
-        TrialSpec(
-            matrix,
-            row,
-            algorithm,
-            base_seed + offset + trial,
-            n_updates,
-            replication=replication,
-            faults=faults,
-            collect_delivery=True,
-            kernel=kernel,
-        )
-        for trial in range(trials)
-    ]
+    return cell_specs(
+        f"chaos/{matrix}/{row}/{algorithm}/{replication}/{intensity:g}",
+        base_seed,
+        trials,
+        matrix,
+        row,
+        algorithm,
+        n_updates,
+        replication=replication,
+        faults=profile.scaled(intensity).or_none(),
+        collect_delivery=True,
+        kernel=kernel,
+    )
+
+
+def _shared_columns(
+    tally: PropertyTally, reports: Sequence[PropertyReport]
+) -> dict:
+    """The columns both cell types share, as constructor keywords: the
+    verdict columns read off the cell's tally, the delivery columns
+    summed here.
+
+    Specs are in ascending-seed order, so the tally's first violating
+    seed per property is the minimal one.
+    """
+    verdicts = {
+        "ordered": (
+            tally.ordered_violations, tally.runs, tally.first_unordered_seed
+        ),
+        "complete": (
+            tally.completeness_violations,
+            tally.completeness_checked,
+            tally.first_incomplete_seed,
+        ),
+        "consistent": (
+            tally.consistency_violations,
+            tally.consistency_checked,
+            tally.first_inconsistent_seed,
+        ),
+    }
+    total_miss = 0.0
+    runs_with_miss = 0
+    for report in reports:
+        expected = report.delivery["expected"]
+        missed = expected - report.delivery["delivered"]
+        if expected:
+            total_miss += missed / expected
+        if missed > 0:
+            runs_with_miss += 1
+    trials = tally.runs
+    return dict(
+        trials=trials,
+        survival={
+            prop: 1.0 - violations / checked if checked else None
+            for prop, (violations, checked, _) in verdicts.items()
+        },
+        witness_seeds={
+            prop: seed
+            for prop, (_, _, seed) in verdicts.items()
+            if seed is not None
+        },
+        mean_miss_fraction=total_miss / trials if trials else 0.0,
+        any_miss_fraction=runs_with_miss / trials if trials else 0.0,
+    )
 
 
 def _fold_cell(
@@ -115,45 +161,8 @@ def _fold_cell(
     specs: Sequence[TrialSpec],
     reports: Sequence[PropertyReport],
 ) -> ChaosCell:
-    violations = dict.fromkeys(PROPERTIES, 0)
-    checked = dict.fromkeys(PROPERTIES, 0)
-    witnesses: dict[str, int] = {}
-    total_miss = 0.0
-    runs_with_miss = 0
-    for spec, report in zip(specs, reports):
-        for prop, verdict in report.summary.items():
-            if verdict is None:
-                continue
-            checked[prop] += 1
-            if not verdict:
-                violations[prop] += 1
-                if prop not in witnesses or spec.seed < witnesses[prop]:
-                    witnesses[prop] = spec.seed
-        delivery = report.delivery or {}
-        expected = delivery.get("expected", 0)
-        missed = expected - delivery.get("delivered", 0)
-        if expected:
-            total_miss += missed / expected
-        if missed > 0:
-            runs_with_miss += 1
-    trials = len(specs)
-    survival: dict[str, float | None] = {
-        prop: (
-            None
-            if checked[prop] == 0
-            else 1.0 - violations[prop] / checked[prop]
-        )
-        for prop in PROPERTIES
-    }
-    return ChaosCell(
-        intensity=intensity,
-        replication=replication,
-        trials=trials,
-        survival=survival,
-        witness_seeds=witnesses,
-        mean_miss_fraction=total_miss / trials if trials else 0.0,
-        any_miss_fraction=runs_with_miss / trials if trials else 0.0,
-    )
+    tally = fold_tally(specs, reports)
+    return ChaosCell(intensity, replication, **_shared_columns(tally, reports))
 
 
 def chaos_sweep(
@@ -166,36 +175,52 @@ def chaos_sweep(
     n_updates: int = 30,
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
-    engine=None,
+    engine: TrialEngine = INLINE_ENGINE,
     kernel: str = "array",
 ) -> list[ChaosCell]:
     """Sweep fault intensity × replication; one folded cell per point.
 
-    ``engine`` is an optional :class:`~repro.engine.core.TrialEngine`;
-    without one, trials execute inline.  Either way the verdicts are
-    identical — the engine only changes where trials run.
+    ``engine`` only changes where trials run (inline by default, or a
+    pooled :class:`~repro.engine.core.TrialEngine`), never the verdicts.
     """
-    cells: list[ChaosCell] = []
-    for intensity in intensities:
-        for replication in replications:
-            specs = chaos_specs(
-                intensity,
-                replication,
-                trials,
-                row=row,
-                matrix=matrix,
-                algorithm=algorithm,
-                n_updates=n_updates,
-                base_seed=base_seed,
-                profile=profile,
-                kernel=kernel,
-            )
-            if engine is not None:
-                reports = engine.run(specs)
-            else:
-                reports = [spec.execute() for spec in specs]
-            cells.append(_fold_cell(intensity, replication, specs, reports))
-    return cells
+    require_axes(intensities=intensities, replications=replications)
+    specs_of = partial(
+        chaos_specs, trials=trials, row=row, matrix=matrix,
+        algorithm=algorithm, n_updates=n_updates, base_seed=base_seed,
+        profile=profile, kernel=kernel,
+    )
+    points = [(i, r) for i in intensities for r in replications]
+    return engine.run_grid(points, specs_of, _fold_cell)
+
+
+def _by_intensity(cells: Sequence) -> list[list]:
+    groups: dict[float, list] = {}
+    for cell in cells:
+        groups.setdefault(cell.intensity, []).append(cell)
+    return list(groups.values())
+
+
+def _never_worse_and_helps(judged, tolerance: float) -> bool:
+    """The shape both sweep gates share.  ``judged`` yields, per
+    intensity, the ``(reference, candidate)`` pairs (the first reference
+    is the baseline) and the best cell: no candidate may miss more than
+    its reference plus ``tolerance``, and if any baseline misses alerts
+    at all, some best cell must strictly improve on its baseline."""
+    helped = False
+    needs_help = False
+    for pairs, best in judged:
+        base = pairs[0][0]
+        for reference, candidate in pairs:
+            if (
+                candidate.mean_miss_fraction
+                > reference.mean_miss_fraction + tolerance
+            ):
+                return False
+        if base.mean_miss_fraction > tolerance:
+            needs_help = True
+            if best.mean_miss_fraction < base.mean_miss_fraction:
+                helped = True
+    return helped or not needs_help
 
 
 def replication_reduces_misses(
@@ -205,24 +230,14 @@ def replication_reduces_misses(
     never increases the missed-alert fraction by more than ``tolerance``
     (sampling slack), and it strictly helps somewhere whenever any
     single-CE cell misses alerts at all."""
-    by_intensity: dict[float, list[ChaosCell]] = {}
-    for cell in cells:
-        by_intensity.setdefault(cell.intensity, []).append(cell)
-    helped = False
-    needs_help = False
-    for intensity, group in by_intensity.items():
-        group = sorted(group, key=lambda c: c.replication)
-        if len(group) < 2:
-            continue
-        for lower, higher in zip(group, group[1:]):
-            if higher.mean_miss_fraction > lower.mean_miss_fraction + tolerance:
-                return False
-        base, best = group[0], group[-1]
-        if base.mean_miss_fraction > tolerance:
-            needs_help = True
-            if best.mean_miss_fraction < base.mean_miss_fraction:
-                helped = True
-    return helped or not needs_help
+    groups = [
+        sorted(group, key=lambda c: c.replication)
+        for group in _by_intensity(cells)
+    ]
+    return _never_worse_and_helps(
+        ((list(zip(g, g[1:])), g[-1]) for g in groups if len(g) >= 2),
+        tolerance,
+    )
 
 
 @dataclass(frozen=True)
@@ -281,11 +296,6 @@ def churn_specs(
     """
     from repro.membership.config import MembershipConfig
 
-    cell = f"churn/{matrix}/{row}/{algorithm}/{replication}/{intensity:g}"
-    offset = zlib.crc32(cell.encode()) % 100_000
-    faults = profile.scaled(intensity)
-    if faults.is_clean:
-        faults = None
     membership = None
     if detection_timeout is not None:
         membership = MembershipConfig(
@@ -293,22 +303,21 @@ def churn_specs(
             catchup_latency=catchup_latency,
             catchup_source=catchup_source,
         )
-    return [
-        TrialSpec(
-            matrix,
-            row,
-            algorithm,
-            base_seed + offset + trial,
-            n_updates,
-            replication=replication,
-            front_loss=0.0,
-            faults=faults,
-            collect_delivery=True,
-            kernel=kernel,
-            membership=membership,
-        )
-        for trial in range(trials)
-    ]
+    return cell_specs(
+        f"churn/{matrix}/{row}/{algorithm}/{replication}/{intensity:g}",
+        base_seed,
+        trials,
+        matrix,
+        row,
+        algorithm,
+        n_updates,
+        replication=replication,
+        front_loss=0.0,
+        faults=profile.scaled(intensity).or_none(),
+        collect_delivery=True,
+        kernel=kernel,
+        membership=membership,
+    )
 
 
 def _fold_churn_cell(
@@ -318,58 +327,34 @@ def _fold_churn_cell(
     specs: Sequence[TrialSpec],
     reports: Sequence[PropertyReport],
 ) -> ChurnCell:
-    base = _fold_cell(intensity, 0, specs, reports)
-    degraded_runs = 0
-    degraded_fraction = 0.0
-    violations_degraded = 0
-    violations_steady = 0
-    caught_up = 0
-    detection_latencies: list[float] = []
-    recovery_latencies: list[float] = []
-    for report in reports:
-        churn = report.churn
-        violated = sum(
-            1 for verdict in report.summary.values() if verdict is False
-        )
-        if churn is None:
-            violations_steady += violated
-            continue
-        if churn["below_quorum"]:
-            degraded_runs += 1
-            violations_degraded += violated
-        else:
-            violations_steady += violated
-        degraded_fraction += churn["degraded_fraction"]
-        caught_up += churn["caught_up"]
-        if churn["mean_detection_latency"] is not None:
-            detection_latencies.append(churn["mean_detection_latency"])
-        if churn["mean_time_to_recover"] is not None:
-            recovery_latencies.append(churn["mean_time_to_recover"])
-    trials = len(specs)
+    tally = fold_tally(specs, reports)
+    # The tally splits violations only over membership-on runs; the
+    # membership-off baseline has no churn context and is all steady.
+    violations = (
+        tally.ordered_violations
+        + tally.completeness_violations
+        + tally.consistency_violations
+    )
+    churns = [r.churn for r in reports if r.churn is not None]
+    degraded_fraction = sum(churn["degraded_fraction"] for churn in churns)
+    trials = tally.runs
+
+    def mean_of(key: str) -> float | None:
+        values = [c[key] for c in churns if c[key] is not None]
+        return mean(values) if values else None
+
     return ChurnCell(
-        intensity=intensity,
-        detection_timeout=detection_timeout,
-        catchup_latency=catchup_latency,
-        trials=trials,
-        survival=base.survival,
-        witness_seeds=base.witness_seeds,
-        mean_miss_fraction=base.mean_miss_fraction,
-        any_miss_fraction=base.any_miss_fraction,
-        degraded_runs=degraded_runs / trials if trials else 0.0,
+        intensity,
+        detection_timeout,
+        catchup_latency,
+        **_shared_columns(tally, reports),
+        degraded_runs=tally.degraded_runs / trials if trials else 0.0,
         degraded_fraction=degraded_fraction / trials if trials else 0.0,
-        violations_degraded=violations_degraded,
-        violations_steady=violations_steady,
-        caught_up=caught_up,
-        mean_detection_latency=(
-            sum(detection_latencies) / len(detection_latencies)
-            if detection_latencies
-            else None
-        ),
-        mean_time_to_recover=(
-            sum(recovery_latencies) / len(recovery_latencies)
-            if recovery_latencies
-            else None
-        ),
+        violations_degraded=tally.violations_degraded,
+        violations_steady=violations - tally.violations_degraded,
+        caught_up=sum(churn["caught_up"] for churn in churns),
+        mean_detection_latency=mean_of("mean_detection_latency"),
+        mean_time_to_recover=mean_of("mean_time_to_recover"),
     )
 
 
@@ -385,7 +370,7 @@ def churn_sweep(
     replication: int = 2,
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHURN_PROFILE,
-    engine=None,
+    engine: TrialEngine = INLINE_ENGINE,
     kernel: str = "array",
     catchup_source: str = "peer-then-log",
 ) -> list[ChurnCell]:
@@ -396,36 +381,26 @@ def churn_sweep(
     recovery) on the same seeds as the membership cells, so the sweep
     directly reports what detection + catch-up buys back.
     """
-    cells: list[ChurnCell] = []
-    for intensity in intensities:
-        for timeout in detection_timeouts:
-            latencies = catchup_latencies if timeout is not None else (
-                catchup_latencies[0],
-            )
-            for latency in latencies:
-                specs = churn_specs(
-                    intensity,
-                    timeout,
-                    latency,
-                    trials,
-                    row=row,
-                    matrix=matrix,
-                    algorithm=algorithm,
-                    n_updates=n_updates,
-                    replication=replication,
-                    base_seed=base_seed,
-                    profile=profile,
-                    kernel=kernel,
-                    catchup_source=catchup_source,
-                )
-                if engine is not None:
-                    reports = engine.run(specs)
-                else:
-                    reports = [spec.execute() for spec in specs]
-                cells.append(
-                    _fold_churn_cell(intensity, timeout, latency, specs, reports)
-                )
-    return cells
+    require_axes(
+        intensities=intensities,
+        detection_timeouts=detection_timeouts,
+        catchup_latencies=catchup_latencies,
+    )
+    specs_of = partial(
+        churn_specs, trials=trials, row=row, matrix=matrix,
+        algorithm=algorithm, n_updates=n_updates, replication=replication,
+        base_seed=base_seed, profile=profile, kernel=kernel,
+        catchup_source=catchup_source,
+    )
+    points = [
+        (intensity, timeout, latency)
+        for intensity in intensities
+        for timeout in detection_timeouts
+        for latency in (
+            catchup_latencies if timeout is not None else catchup_latencies[:1]
+        )
+    ]
+    return engine.run_grid(points, specs_of, _fold_churn_cell)
 
 
 def recovery_restores_alerts(
@@ -435,34 +410,34 @@ def recovery_restores_alerts(
     baseline (membership off) misses alerts, the best recovery cell
     strictly reduces the missed-alert fraction, and no recovery cell is
     worse than the baseline by more than ``tolerance``."""
-    by_intensity: dict[float, list[ChurnCell]] = {}
-    for cell in cells:
-        by_intensity.setdefault(cell.intensity, []).append(cell)
-    helped = False
-    needs_help = False
-    for _intensity, group in by_intensity.items():
-        baselines = [c for c in group if c.detection_timeout is None]
-        recovered = [c for c in group if c.detection_timeout is not None]
-        if not baselines or not recovered:
-            continue
-        baseline = baselines[0]
-        for cell in recovered:
-            if cell.mean_miss_fraction > baseline.mean_miss_fraction + tolerance:
-                return False
-        if baseline.mean_miss_fraction > tolerance:
-            needs_help = True
-            best = min(recovered, key=lambda c: c.mean_miss_fraction)
-            if best.mean_miss_fraction < baseline.mean_miss_fraction:
-                helped = True
-    return helped or not needs_help
+
+    def judged():
+        for group in _by_intensity(cells):
+            baselines = [c for c in group if c.detection_timeout is None]
+            recovered = [c for c in group if c.detection_timeout is not None]
+            if baselines and recovered:
+                best = min(recovered, key=lambda c: c.mean_miss_fraction)
+                yield [(baselines[0], cell) for cell in recovered], best
+
+    return _never_worse_and_helps(judged(), tolerance)
 
 
-def render_churn_table(cells: Sequence[ChurnCell]) -> str:
-    """Fixed-width text table of a churn sweep, one line per cell."""
+def _verdict_columns(cell: "ChaosCell | ChurnCell") -> str:
+    """The survival and mean-miss columns both tables print."""
 
     def rate(value: float | None) -> str:
         return "   n/a" if value is None else f"{value:>6.2f}"
 
+    return (
+        f"{rate(cell.survival['ordered']):>8} "
+        f"{rate(cell.survival['complete']):>9} "
+        f"{rate(cell.survival['consistent']):>11} "
+        f"{cell.mean_miss_fraction:>10.3f}"
+    )
+
+
+def render_churn_table(cells: Sequence[ChurnCell]) -> str:
+    """Fixed-width text table of a churn sweep, one line per cell."""
     lines = [
         f"{'chaos':>6} {'detect':>7} {'catchup':>8} {'ordered':>8} "
         f"{'complete':>9} {'consistent':>11} {'mean miss':>10} "
@@ -479,10 +454,7 @@ def render_churn_table(cells: Sequence[ChurnCell]) -> str:
         )
         lines.append(
             f"{cell.intensity:>6g} {detect} {cell.catchup_latency:>8g} "
-            f"{rate(cell.survival['ordered']):>8} "
-            f"{rate(cell.survival['complete']):>9} "
-            f"{rate(cell.survival['consistent']):>11} "
-            f"{cell.mean_miss_fraction:>10.3f} "
+            f"{_verdict_columns(cell)} "
             f"{cell.violations_degraded:>9} {cell.violations_steady:>9} "
             f"{cell.caught_up:>10} {mttr}"
         )
@@ -491,10 +463,6 @@ def render_churn_table(cells: Sequence[ChurnCell]) -> str:
 
 def render_chaos_table(cells: Sequence[ChaosCell]) -> str:
     """Fixed-width text table of a sweep, one line per cell."""
-
-    def rate(value: float | None) -> str:
-        return "   n/a" if value is None else f"{value:>6.2f}"
-
     lines = [
         f"{'chaos':>6} {'CEs':>4} {'ordered':>8} {'complete':>9} "
         f"{'consistent':>11} {'mean miss':>10} {'any-miss':>9}  witnesses"
@@ -508,10 +476,7 @@ def render_chaos_table(cells: Sequence[ChaosCell]) -> str:
         )
         lines.append(
             f"{cell.intensity:>6g} {cell.replication:>4} "
-            f"{rate(cell.survival['ordered']):>8} "
-            f"{rate(cell.survival['complete']):>9} "
-            f"{rate(cell.survival['consistent']):>11} "
-            f"{cell.mean_miss_fraction:>10.3f} {cell.any_miss_fraction:>9.2f}  "
+            f"{_verdict_columns(cell)} {cell.any_miss_fraction:>9.2f}  "
             f"{witnesses}"
         )
     return "\n".join(lines)

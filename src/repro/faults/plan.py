@@ -49,6 +49,14 @@ __all__ = [
 ]
 
 
+def _union(a: Mapping, b: Mapping) -> dict:
+    """Per-key :meth:`CrashSchedule.union` of two window maps."""
+    out = dict(a)
+    for key, schedule in b.items():
+        out[key] = out[key].union(schedule) if key in out else schedule
+    return out
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """The concrete fault surface of one run."""
@@ -103,24 +111,17 @@ class FaultPlan:
         the stochastic adversaries and spike schedules ``other`` wins
         where both plans set one (last-writer-wins, like config overlays).
         """
-
-        def merged(a: Mapping, b: Mapping) -> dict:
-            out = dict(a)
-            for key, schedule in b.items():
-                out[key] = out[key].union(schedule) if key in out else schedule
-            return out
-
         ad_crash = self.ad_crash
         if other.ad_crash is not None:
             ad_crash = (
                 other.ad_crash if ad_crash is None else ad_crash.union(other.ad_crash)
             )
         return FaultPlan(
-            ce_crashes=merged(self.ce_crashes, other.ce_crashes),
-            dm_crashes=merged(self.dm_crashes, other.dm_crashes),
+            ce_crashes=_union(self.ce_crashes, other.ce_crashes),
+            dm_crashes=_union(self.dm_crashes, other.dm_crashes),
             ad_crash=ad_crash,
-            front_outages=merged(self.front_outages, other.front_outages),
-            back_outages=merged(self.back_outages, other.back_outages),
+            front_outages=_union(self.front_outages, other.front_outages),
+            back_outages=_union(self.back_outages, other.back_outages),
             burst_loss=other.burst_loss or self.burst_loss,
             duplication=other.duplication or self.duplication,
             front_delay_spikes=other.front_delay_spikes or self.front_delay_spikes,
@@ -137,13 +138,6 @@ class FaultPlan:
         """
         if self.is_clean:
             return config
-
-        def merged(a: Mapping, b: Mapping) -> dict:
-            out = dict(a)
-            for key, schedule in b.items():
-                out[key] = out[key].union(schedule) if key in out else schedule
-            return out
-
         ad_crash = config.ad_crash_schedule
         if self.ad_crash is not None and self.ad_crash.windows:
             ad_crash = (
@@ -151,11 +145,11 @@ class FaultPlan:
             )
         return replace(
             config,
-            crash_schedules=merged(config.crash_schedules, self.ce_crashes),
-            dm_crash_schedules=merged(config.dm_crash_schedules, self.dm_crashes),
+            crash_schedules=_union(config.crash_schedules, self.ce_crashes),
+            dm_crash_schedules=_union(config.dm_crash_schedules, self.dm_crashes),
             ad_crash_schedule=ad_crash,
-            front_outages=merged(config.front_outages, self.front_outages),
-            back_outages=merged(config.back_outages, self.back_outages),
+            front_outages=_union(config.front_outages, self.front_outages),
+            back_outages=_union(config.back_outages, self.back_outages),
             front_loss_model=(
                 self.burst_loss.make_model()
                 if self.burst_loss is not None and self.burst_loss.enabled
@@ -402,6 +396,12 @@ class FaultProfile:
             1.0 + (self.delay_spike_factor - 1.0) * intensity
         )
         return replace(self, **changes)
+
+    def or_none(self) -> "FaultProfile | None":
+        """This profile, or ``None`` when it is clean — the value a
+        ``TrialSpec.faults`` takes, so a fault-free trial (an intensity-0
+        sweep cell, a fully shrunk witness) has one spelling."""
+        return None if self.is_clean else self
 
     def materialize(
         self,

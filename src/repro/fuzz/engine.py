@@ -3,7 +3,7 @@
 :class:`FuzzEngine` keeps a corpus of :class:`~repro.engine.spec.TrialSpec`
 inputs for one scenario cell, mutates them through the catalog in
 :mod:`repro.fuzz.mutate`, executes batches through the existing
-:class:`~repro.engine.core.TrialEngine` worker pool (or inline), and
+:class:`~repro.engine.core.TrialEngine` (inline unless given a pool), and
 
 * **retains** an input in the corpus when its behaviour signature
   (:func:`~repro.fuzz.coverage.coverage_signature`) contains any feature
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from repro.analysis.witness import find_violation, violates
+from repro.engine.core import INLINE_ENGINE, TrialEngine
 from repro.engine.spec import TrialSpec
 from repro.faults.plan import DEFAULT_CHAOS_PROFILE
 from repro.fuzz.coverage import coverage_signature, signature_key
@@ -81,6 +82,20 @@ class FuzzConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    def clean_spec(self, seed: int) -> TrialSpec:
+        """The campaign's scenario cell at ``seed``: default knobs, no
+        faults, coverage-observable."""
+        return TrialSpec(
+            self.matrix,
+            self.row,
+            self.algorithm,
+            seed,
+            self.n_updates,
+            replication=self.replication,
+            collect_coverage=True,
+            kernel=self.kernel,
+        )
+
     def initial_specs(self) -> list[TrialSpec]:
         """The seed corpus: a few clean runs plus one chaos-profile run.
 
@@ -90,16 +105,7 @@ class FuzzConfig:
         """
         rng = Random(f"fuzz/initial/{self.fuzz_seed}")
         specs = [
-            TrialSpec(
-                self.matrix,
-                self.row,
-                self.algorithm,
-                rng.randrange(1 << 31),
-                self.n_updates,
-                replication=self.replication,
-                collect_coverage=True,
-                kernel=self.kernel,
-            )
+            self.clean_spec(rng.randrange(1 << 31))
             for _ in range(max(1, self.initial_inputs))
         ]
         specs.append(
@@ -127,12 +133,7 @@ class Finding:
     def witness_spec(self) -> TrialSpec:
         """The spec stripped of collection flags — the canonical witness
         input to shrink, record and replay."""
-        return replace(
-            self.spec,
-            collect_counters=False,
-            collect_coverage=False,
-            collect_delivery=False,
-        )
+        return self.spec.bare()
 
 
 @dataclass
@@ -161,16 +162,13 @@ def _violation_of(report: PropertyReport, target: str | None) -> str | None:
 
 
 class FuzzEngine:
-    """Runs one campaign; optionally fans batches out over a TrialEngine."""
+    """Runs one campaign, each batch on ``engine`` (inline by default)."""
 
-    def __init__(self, config: FuzzConfig, engine=None) -> None:
+    def __init__(
+        self, config: FuzzConfig, engine: TrialEngine = INLINE_ENGINE
+    ) -> None:
         self.config = config
         self.engine = engine
-
-    def _execute(self, specs: list[TrialSpec]) -> list[PropertyReport]:
-        if self.engine is not None:
-            return self.engine.run(specs)
-        return [spec.execute() for spec in specs]
 
     def run(self) -> FuzzResult:
         config = self.config
@@ -204,7 +202,7 @@ class FuzzEngine:
         batch = config.initial_specs()
         tried.update(batch)
         while batch:
-            for spec, report in zip(batch, self._execute(batch)):
+            for spec, report in zip(batch, self.engine.run(batch)):
                 ingest(spec, report)
             result.executed += len(batch)
             remaining = config.budget - result.executed
@@ -247,16 +245,4 @@ def uniform_specs(config: FuzzConfig, base_seed: int = FUZZ_BASE_SEED) -> list[T
     """The uniform-sampling baseline at the same budget: sequential seeds
     on the campaign's scenario cell with the default knobs and no faults —
     exactly how the table grids sample, made coverage-observable."""
-    return [
-        TrialSpec(
-            config.matrix,
-            config.row,
-            config.algorithm,
-            base_seed + trial,
-            config.n_updates,
-            replication=config.replication,
-            collect_coverage=True,
-            kernel=config.kernel,
-        )
-        for trial in range(config.budget)
-    ]
+    return [config.clean_spec(base_seed + trial) for trial in range(config.budget)]

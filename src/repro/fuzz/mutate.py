@@ -119,7 +119,7 @@ def _mutate_fault_field(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
     profile = spec.faults if spec.faults is not None else FaultProfile()
     templates = _KIND_TEMPLATES[PROFILE_FIELD_KINDS[name]]
     profile = profile.with_value(name, rng.choice(templates))
-    return replace(spec, faults=None if profile.is_clean else profile)
+    return replace(spec, faults=profile.or_none())
 
 
 def _transplant_chaos(spec: TrialSpec, rng: Random, limits) -> TrialSpec:

@@ -42,18 +42,13 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.witness import Counterexample, counterexample_from_run, violates
 from repro.engine.spec import TrialSpec
-from repro.faults.plan import (
-    PROFILE_FIELD_KINDS,
-    FaultProfile,
-    profile_field_identity,
-)
+from repro.faults.plan import PROFILE_FIELD_KINDS, profile_field_identity
 from repro.membership.config import (
     MEMBERSHIP_FIELD_KINDS,
     membership_field_default,
 )
 from repro.sharding.ring import shard_field_default
 from repro.observability.replay import RecordedTrace, record_trial
-from repro.workloads.scenarios import run_scenario
 
 __all__ = ["ShrinkResult", "shrink_spec"]
 
@@ -98,21 +93,6 @@ class ShrinkResult:
         return "\n".join(lines)
 
 
-def _normalize(spec: TrialSpec) -> TrialSpec:
-    return replace(
-        spec,
-        collect_counters=False,
-        collect_coverage=False,
-        collect_delivery=False,
-    )
-
-
-def _snap_profile(profile: FaultProfile | None) -> FaultProfile | None:
-    if profile is not None and profile.is_clean:
-        return None
-    return profile
-
-
 def _profile_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
     """Zero-then-halve candidates for every active fault-profile field."""
     profile = spec.faults
@@ -123,18 +103,14 @@ def _profile_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
         identity = profile_field_identity(name)
         if abs(value - identity) < _EPSILON:
             continue
-        yield replace(
-            spec, faults=_snap_profile(profile.with_value(name, identity))
-        )
+        yield replace(spec, faults=profile.with_value(name, identity).or_none())
         if PROFILE_FIELD_KINDS[name] == "count":
             halved = value - 1
         else:
             halved = identity + (value - identity) / 2
             if abs(halved - identity) < _EPSILON:
                 continue  # the zero candidate above already covers it
-        yield replace(
-            spec, faults=_snap_profile(profile.with_value(name, halved))
-        )
+        yield replace(spec, faults=profile.with_value(name, halved).or_none())
 
 
 def _membership_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
@@ -211,7 +187,7 @@ def shrink_spec(
     ``ValueError`` otherwise — shrinking a non-violation would "succeed"
     vacuously and hide fuzzer false positives).
     """
-    spec = _normalize(spec)
+    spec = spec.bare()
     cache: dict[TrialSpec, bool] = {}
     attempts = 0
 
@@ -255,17 +231,7 @@ def shrink_spec(
                     restart = True
                     break
 
-    run = run_scenario(
-        spec.resolve_scenario(),
-        spec.algorithm,
-        spec.seed,
-        n_updates=spec.n_updates,
-        replication=spec.replication,
-        faults=spec.faults,
-        membership=spec.membership,
-        sharding=spec.sharding,
-    )
-    counterexample = counterexample_from_run(run, target=target)
+    counterexample = counterexample_from_run(spec.run(), target=target)
     assert counterexample is not None  # still_violates(spec) held above
     return ShrinkResult(
         spec=spec,

@@ -94,21 +94,9 @@ def record_trial(spec) -> RecordedTrace:
     the scenario matrices.
     """
     from repro.analysis.metrics import collect_metrics
-    from repro.workloads.scenarios import run_scenario
 
     recorder = MemoryTracer()
-    run = run_scenario(
-        spec.resolve_scenario(),
-        spec.algorithm,
-        spec.seed,
-        n_updates=spec.n_updates,
-        replication=spec.replication,
-        tracer=recorder,
-        faults=getattr(spec, "faults", None),
-        kernel=getattr(spec, "kernel", "array"),
-        membership=getattr(spec, "membership", None),
-        sharding=getattr(spec, "sharding", None),
-    )
+    run = spec.run(recorder)
     return RecordedTrace(
         spec=_canonical(asdict(spec)),
         events=tuple(recorder.events),

@@ -15,17 +15,18 @@ Fault intensity scales :data:`~repro.faults.plan.DEFAULT_CHAOS_PROFILE`
 so the intensity axis doubles as the delay axis: latency percentiles
 rise with it even where recall holds.
 
-Trials fan out through the same :class:`~repro.engine.core.TrialEngine`
-as the table grids and chaos sweeps.
+The whole grid runs as one batch on a
+:class:`~repro.engine.core.TrialEngine`, like the chaos sweeps.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.accel import percentile
+from repro.engine.core import INLINE_ENGINE, TrialEngine
+from repro.engine.plan import cell_specs, require_axes
 from repro.engine.spec import TrialSpec
 from repro.faults.plan import DEFAULT_CHAOS_PROFILE, FaultProfile
 from repro.props.report import PropertyReport
@@ -47,6 +48,12 @@ QUALITY_BASE_SEED = 20011000
 DEFAULT_ALGORITHMS = ("AD-1", "AD-2", "AD-3", "AD-4", "adaptive")
 DEFAULT_LOSSES = (0.0, 0.15, 0.3)
 DEFAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0)
+
+
+#: The trial-mean rates of a cell (rounded in its JSON form).
+_RATE_FIELDS = (
+    "precision", "recall", "missed_rate", "duplicate_rate", "false_rate"
+)
 
 
 @dataclass(frozen=True)
@@ -77,26 +84,10 @@ class QualityCell:
     latency_samples: int
 
     def as_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "front_loss": self.front_loss,
-            "intensity": self.intensity,
-            "replication": self.replication,
-            "trials": self.trials,
-            "expected": self.expected,
-            "detected": self.detected,
-            "duplicates": self.duplicates,
-            "false_alerts": self.false_alerts,
-            "displayed": self.displayed,
-            "precision": round(self.precision, 6),
-            "recall": round(self.recall, 6),
-            "missed_rate": round(self.missed_rate, 6),
-            "duplicate_rate": round(self.duplicate_rate, 6),
-            "false_rate": round(self.false_rate, 6),
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
-            "latency_samples": self.latency_samples,
-        }
+        document = asdict(self)
+        for name in _RATE_FIELDS:
+            document[name] = round(document[name], 6)
+        return document
 
 
 def quality_specs(
@@ -118,26 +109,20 @@ def quality_specs(
     algorithm, so every algorithm at one (row, loss, intensity,
     replication) point replays identical simulated schedules.
     """
-    cell = f"quality/{matrix}/{row}/{front_loss:g}/{intensity:g}/{replication}"
-    offset = zlib.crc32(cell.encode()) % 100_000
-    faults = profile.scaled(intensity)
-    if faults.is_clean:
-        faults = None
-    return [
-        TrialSpec(
-            matrix,
-            row,
-            algorithm,
-            base_seed + offset + trial,
-            n_updates,
-            replication=replication,
-            front_loss=front_loss,
-            faults=faults,
-            collect_quality=True,
-            kernel=kernel,
-        )
-        for trial in range(trials)
-    ]
+    return cell_specs(
+        f"quality/{matrix}/{row}/{front_loss:g}/{intensity:g}/{replication}",
+        base_seed,
+        trials,
+        matrix,
+        row,
+        algorithm,
+        n_updates,
+        replication=replication,
+        front_loss=front_loss,
+        faults=profile.scaled(intensity).or_none(),
+        collect_quality=True,
+        kernel=kernel,
+    )
 
 
 def _fold_cell(
@@ -145,27 +130,28 @@ def _fold_cell(
     front_loss: float,
     intensity: float,
     replication: int,
+    _specs: Sequence[TrialSpec],
     reports: Sequence[PropertyReport],
 ) -> QualityCell:
     expected = detected = duplicates = false_alerts = displayed = 0
     precision_sum = recall_sum = missed_sum = dup_rate_sum = false_rate_sum = 0.0
     latencies: list[float] = []
     for report in reports:
-        quality = report.quality or {}
-        expected += quality.get("expected", 0)
-        detected += quality.get("detected", 0)
-        duplicates += quality.get("duplicates", 0)
-        false_alerts += quality.get("false_alerts", 0)
-        shown = quality.get("displayed", 0)
+        quality = report.quality
+        exp, det, shown = (
+            quality["expected"], quality["detected"], quality["displayed"]
+        )
+        expected += exp
+        detected += det
         displayed += shown
-        exp = quality.get("expected", 0)
-        det = quality.get("detected", 0)
+        duplicates += quality["duplicates"]
+        false_alerts += quality["false_alerts"]
         precision_sum += det / shown if shown else 1.0
         recall_sum += det / exp if exp else 1.0
         missed_sum += (exp - det) / exp if exp else 0.0
-        dup_rate_sum += quality.get("duplicates", 0) / shown if shown else 0.0
-        false_rate_sum += quality.get("false_alerts", 0) / shown if shown else 0.0
-        latencies.extend(quality.get("latency_samples", ()))
+        dup_rate_sum += quality["duplicates"] / shown if shown else 0.0
+        false_rate_sum += quality["false_alerts"] / shown if shown else 0.0
+        latencies.extend(quality["latency_samples"])
     trials = len(reports)
     return QualityCell(
         algorithm=algorithm,
@@ -200,41 +186,30 @@ def quality_sweep(
     replication: int = 2,
     base_seed: int = QUALITY_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
-    engine=None,
+    engine: TrialEngine = INLINE_ENGINE,
     kernel: str = "array",
 ) -> list[QualityCell]:
     """Sweep algorithm × loss × fault intensity; one folded cell each.
 
-    ``engine`` is an optional :class:`~repro.engine.core.TrialEngine`;
-    without one, trials execute inline with identical results.
+    ``engine`` only changes where trials run (inline by default), never
+    the results.
     """
-    cells: list[QualityCell] = []
-    for front_loss in losses:
-        for intensity in intensities:
-            for algorithm in algorithms:
-                specs = quality_specs(
-                    algorithm,
-                    front_loss,
-                    intensity,
-                    trials,
-                    row=row,
-                    matrix=matrix,
-                    n_updates=n_updates,
-                    replication=replication,
-                    base_seed=base_seed,
-                    profile=profile,
-                    kernel=kernel,
-                )
-                if engine is not None:
-                    reports = engine.run(specs)
-                else:
-                    reports = [spec.execute() for spec in specs]
-                cells.append(
-                    _fold_cell(
-                        algorithm, front_loss, intensity, replication, reports
-                    )
-                )
-    return cells
+    require_axes(algorithms=algorithms, losses=losses, intensities=intensities)
+
+    def specs_of(algorithm, front_loss, intensity, replication):
+        return quality_specs(
+            algorithm, front_loss, intensity, trials, row=row, matrix=matrix,
+            n_updates=n_updates, replication=replication, base_seed=base_seed,
+            profile=profile, kernel=kernel,
+        )
+
+    points = [
+        (algorithm, front_loss, intensity, replication)
+        for front_loss in losses
+        for intensity in intensities
+        for algorithm in algorithms
+    ]
+    return engine.run_grid(points, specs_of, _fold_cell)
 
 
 def adaptive_matches_best_static(

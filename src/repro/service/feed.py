@@ -242,24 +242,10 @@ def feed_from_run(spec: dict[str, Any], run) -> UpdateFeed:
 
 def record_feed(spec) -> UpdateFeed:
     """Execute a :class:`~repro.engine.spec.TrialSpec`; record its feed."""
-    import json as _json
     from dataclasses import asdict
 
-    from repro.workloads.scenarios import run_scenario
-
-    run = run_scenario(
-        spec.resolve_scenario(),
-        spec.algorithm,
-        spec.seed,
-        n_updates=spec.n_updates,
-        replication=spec.replication,
-        faults=spec.faults,
-        kernel=spec.kernel,
-        membership=spec.membership,
-        sharding=spec.sharding,
-    )
-    canonical = _json.loads(_json.dumps(asdict(spec), sort_keys=True))
-    return feed_from_run(canonical, run)
+    canonical = json.loads(json.dumps(asdict(spec), sort_keys=True))
+    return feed_from_run(canonical, spec.run())
 
 
 def loads_feed(text: str) -> UpdateFeed:

@@ -33,7 +33,7 @@ from typing import Any, Protocol, runtime_checkable
 from repro.core.alert import Alert
 from repro.core.serialization import alert_canonical_line
 from repro.core.wire import encode_frame
-from repro.service.feed import UpdateFeed, record_feed
+from repro.service.feed import UpdateFeed
 
 __all__ = [
     "FeedMismatchError",
@@ -136,22 +136,8 @@ class KernelRuntime:
     def execute(self, feed: UpdateFeed) -> FeedResult:
         from repro.observability.tracer import CountersTracer
 
-        spec = feed.make_spec(kernel=self.kernel)
         tracer = CountersTracer()
-        from repro.workloads.scenarios import run_scenario
-
-        run = run_scenario(
-            spec.resolve_scenario(),
-            spec.algorithm,
-            spec.seed,
-            n_updates=spec.n_updates,
-            replication=spec.replication,
-            tracer=tracer,
-            faults=spec.faults,
-            kernel=spec.kernel,
-            membership=spec.membership,
-            sharding=spec.sharding,
-        )
+        run = feed.make_spec(kernel=self.kernel).run(tracer)
         if run.received != feed.per_ce():
             raise FeedMismatchError(
                 f"{self.name}: re-executing the spec delivered different "
@@ -343,9 +329,3 @@ def default_runtimes(include_service: bool = True) -> "list[Runtime]":
 
         runtimes.append(AsyncioServiceRuntime())
     return runtimes
-
-
-def record_and_check(spec, runtimes: "list[Runtime] | None" = None):
-    """Record a fresh feed from ``spec`` and conformance-check it."""
-    feed = record_feed(spec)
-    return feed, check_conformance(feed, runtimes)

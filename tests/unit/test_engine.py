@@ -374,19 +374,222 @@ class TestGoldenEquivalence:
             assert tally.counters and not plain.tallies[row].counters, row
 
 
+def _small_sweeps():
+    """name -> callable(engine) running a small instance of each sweep
+    family; every result compares with plain ``==``."""
+    from repro.analysis.sweeps import loss_sweep, replication_sweep
+    from repro.faults import chaos_sweep, churn_sweep
+    from repro.fuzz import FuzzConfig, FuzzEngine
+    from repro.quality import quality_sweep
+    from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
+
+    scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
+
+    def fuzz(engine):
+        result = FuzzEngine(FuzzConfig(budget=60), engine=engine).run()
+        return result.executed, result.corpus_size, result.findings
+
+    return {
+        "loss_sweep": lambda engine: loss_sweep(
+            scenario, "AD-1", (0.0, 0.3), trials=4, n_updates=10, engine=engine
+        ),
+        "replication_sweep": lambda engine: replication_sweep(
+            scenario, "AD-1", (1, 3), trials=4, n_updates=10, engine=engine
+        ),
+        "chaos_sweep": lambda engine: chaos_sweep(
+            (0.0, 1.5), (1, 2), trials=4, n_updates=12, engine=engine
+        ),
+        "churn_sweep": lambda engine: churn_sweep(
+            (1.0, 2.0), (None, 4.0), (1.0, 2.0), trials=4, engine=engine
+        ),
+        "quality_sweep": lambda engine: quality_sweep(
+            ("AD-1", "adaptive"), (0.0, 0.3), (0.0, 1.0), trials=3,
+            n_updates=12, engine=engine,
+        ),
+        "FuzzEngine": fuzz,
+    }
+
+
 class TestSweepEquivalence:
-    def test_engine_sweep_matches_inline(self):
-        from repro.analysis.sweeps import loss_sweep
+    """Every sweep is one plan on one engine: the default (inline) engine
+    and a two-worker pool must fold to equal cells."""
+
+    @pytest.mark.parametrize("name", sorted(_small_sweeps()))
+    def test_engine_sweep_matches_inline(self, name):
+        from repro.engine import INLINE_ENGINE
+
+        sweep = _small_sweeps()[name]
+        inline = sweep(INLINE_ENGINE)
+        with TrialEngine(processes=2) as engine:
+            pooled = sweep(engine)
+        assert inline and inline == pooled
+
+    def test_default_engine_is_the_inline_engine(self):
+        import inspect
+
+        from repro.analysis.sweeps import loss_sweep, replication_sweep
+        from repro.engine import INLINE_ENGINE
+        from repro.faults import chaos_sweep, churn_sweep
+        from repro.fuzz import FuzzEngine
+        from repro.quality import quality_sweep
+
+        assert INLINE_ENGINE.processes == 1
+        for function in (
+            loss_sweep, replication_sweep, chaos_sweep, churn_sweep,
+            quality_sweep, FuzzEngine.__init__,
+        ):
+            default = inspect.signature(function).parameters["engine"].default
+            assert default is INLINE_ENGINE, function
+
+    def test_unregistered_scenario_is_a_value_error_naming_the_registry(self):
+        from dataclasses import replace
+
+        from repro.analysis.sweeps import loss_sweep, replication_sweep
         from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
 
-        scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
-        inline = loss_sweep(scenario, "AD-1", (0.0, 0.3), trials=4, n_updates=10)
-        with TrialEngine(processes=2) as engine:
-            pooled = loss_sweep(
-                scenario, "AD-1", (0.0, 0.3), trials=4, n_updates=10,
-                engine=engine,
+        adhoc = replace(SINGLE_VARIABLE_SCENARIOS["aggressive"], front_loss=0.1)
+        for sweep, values in ((loss_sweep, (0.2,)), (replication_sweep, (2,))):
+            with pytest.raises(ValueError, match="SCENARIO_MATRICES"):
+                sweep(adhoc, "AD-1", values, trials=1, n_updates=5)
+
+    @pytest.mark.parametrize(
+        "sweep, axes, empty",
+        [
+            ("chaos_sweep", dict(intensities=()), "intensities"),
+            ("chaos_sweep", dict(replications=()), "replications"),
+            (
+                "churn_sweep",
+                dict(detection_timeouts=(None, 2.0), catchup_latencies=()),
+                "catchup_latencies",
+            ),
+            ("churn_sweep", dict(detection_timeouts=()), "detection_timeouts"),
+            ("quality_sweep", dict(algorithms=()), "algorithms"),
+            ("quality_sweep", dict(losses=()), "losses"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_empty_axis_is_rejected_by_name(self, sweep, axes, empty):
+        import repro.faults
+        import repro.quality
+
+        function = getattr(repro.faults, sweep, None) or getattr(
+            repro.quality, sweep
+        )
+        with pytest.raises(ValueError, match=f"'{empty}' is empty"):
+            function(trials=1, **axes)
+
+
+class TestPinnedCellSeeds:
+    """The seed block of a cell is ``base_seed + crc32(key) % 100_000``
+    of its key string; these literals (taken from the commit before the
+    layouts were merged into ``engine.plan.cell_specs``) must not move,
+    or every recorded witness seed stops naming its trial."""
+
+    def test_first_and_last_seed_of_each_layout(self):
+        from repro.faults import chaos_specs, churn_specs
+        from repro.quality.sweep import quality_specs
+
+        def ends(specs):
+            return specs[0].seed, specs[-1].seed
+
+        assert ends(plan_table("table3", trials=3).specs) == (20073507, 27011800)
+        assert ends(chaos_specs(1.0, 2, 3)) == (20099646, 20099648)
+        assert ends(churn_specs(1.0, 4.0, 2.0, 3)) == (20092306, 20092308)
+        assert ends(
+            quality_specs("adaptive", 0.2, 1.0, 3, row="aggressive")
+        ) == (20035070, 20035072)
+
+    def test_cells_that_must_replay_identical_schedules_share_seeds(self):
+        from repro.faults import churn_specs
+        from repro.quality.sweep import quality_specs
+
+        def seeds(specs):
+            return [spec.seed for spec in specs]
+
+        # Churn: one block per intensity, whatever the recovery knobs.
+        assert seeds(churn_specs(1.0, None, 2.0, 5)) == seeds(
+            churn_specs(1.0, 6.0, 4.0, 5)
+        )
+        # Quality: one block per (loss, intensity), whatever the algorithm.
+        assert seeds(quality_specs("AD-1", 0.3, 1.0, 5)) == seeds(
+            quality_specs("adaptive", 0.3, 1.0, 5)
+        )
+
+
+class TestOneRunSite:
+    """``TrialSpec.run`` is the only expansion of a spec into
+    ``run_scenario``: no entry point may drop a knob on the way."""
+
+    @pytest.fixture
+    def spec(self):
+        from repro.faults.plan import DEFAULT_CHAOS_PROFILE
+        from repro.membership.config import MembershipConfig
+        from repro.sharding.ring import ShardConfig
+
+        # Violates consistency, so shrink_spec accepts it.
+        return TrialSpec(
+            "single", "aggressive", "AD-1", 0, 12, replication=2,
+            front_loss=0.3, faults=DEFAULT_CHAOS_PROFILE.scaled(0.5),
+            kernel="object", membership=MembershipConfig(),
+            sharding=ShardConfig(shards=2),
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.workloads import scenarios
+
+        seen = []
+        real = scenarios.run_scenario
+
+        def spy(scenario, algorithm, seed, **knobs):
+            seen.append((scenario.front_loss, algorithm, seed, knobs))
+            return real(scenario, algorithm, seed, **knobs)
+
+        monkeypatch.setattr(scenarios, "run_scenario", spy)
+        return seen
+
+    @staticmethod
+    def assert_every_call_carries(spec, calls, expected_calls):
+        assert len(calls) == expected_calls
+        for front_loss, algorithm, seed, knobs in calls:
+            knobs = {k: v for k, v in knobs.items() if k != "tracer"}
+            assert (front_loss, algorithm, seed, knobs) == (
+                spec.front_loss,
+                spec.algorithm,
+                spec.seed,
+                dict(
+                    n_updates=spec.n_updates,
+                    replication=spec.replication,
+                    faults=spec.faults,
+                    kernel="object",
+                    membership=spec.membership,
+                    sharding=spec.sharding,
+                ),
             )
-        assert inline == pooled
+
+    def test_shrink_spec(self, spec, calls):
+        from repro.fuzz import shrink_spec
+
+        # No reduction allowed: the violation check, the final
+        # counterexample run and the recorded trace all run `spec`.
+        shrunk = shrink_spec(
+            spec, "consistent", min_updates=spec.n_updates, max_passes=0
+        )
+        assert shrunk.spec == spec
+        self.assert_every_call_carries(spec, calls, 3)
+
+    def test_record_trial(self, spec, calls):
+        from repro.observability import record_trial
+
+        record_trial(spec)
+        self.assert_every_call_carries(spec, calls, 1)
+
+    def test_record_feed_and_kernel_runtime(self, spec, calls):
+        from repro.service import KernelRuntime, record_feed
+
+        feed = record_feed(spec)
+        KernelRuntime("object").execute(feed)
+        self.assert_every_call_carries(spec, calls, 2)
 
 
 class TestCompletenessCeiling:

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench artifacts-check perf perf-pairs report examples clean
+.PHONY: install test test-fast bench artifacts-check perf perf-pairs gc-share report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -46,6 +46,9 @@ N ?= 10
 perf-pairs:  ## e.g. make perf-pairs BASE=HEAD~1 WORKLOAD=chaos-churn-grid SEED=7
 	$(PYTHON) tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 		--seed $(SEED) --pairs $(N)
+
+gc-share:  ## what the cyclic collector costs on each in-process path
+	$(PYTHON) tools/gc_share.py --seed $(SEED)
 
 report:  ## one-shot reproduction verdict
 	$(PYTHON) -m repro report --budget 0.3 --output reproduction-report.md

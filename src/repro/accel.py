@@ -1,4 +1,4 @@
-"""Summary statistics over small float samples: mean, median, percentile.
+"""Process-level helpers: small-sample statistics and the collector scope.
 
 Four callers (``quality.metrics``, ``quality.sweep``,
 ``analysis.latency``, the server's result-frame percentiles) each
@@ -7,17 +7,43 @@ standard library — no optional numeric dependency, one code path.
 :func:`percentile` interpolates linearly at the fractional rank
 ``q/100 * (n-1)`` — the default of the array libraries these numbers
 were first published with, so they keep the definition readers expect.
+
+:func:`collector_paused` is the one place the cyclic collector is
+switched: a batch's ``Update`` → ``HistorySnapshot`` → ``Alert`` graph is
+acyclic and dies with the batch's result, so a generational collection
+mid-batch re-walks survivors and frees nothing (DESIGN.md, *Collector
+policy*).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import gc
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 
 __all__ = [
+    "collector_paused",
     "mean",
     "median",
     "percentile",
 ]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the ``with`` body.
+
+    Restores the caller's state, not "on": nested scopes and a caller
+    that had already disabled collection both come out as they went in.
+    Reference counting still frees everything acyclic as it dies.
+    """
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
 
 
 def mean(values: Sequence[float]) -> float:

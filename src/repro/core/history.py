@@ -29,7 +29,7 @@ from repro.core.update import Update
 __all__ = ["HistorySnapshot", "history_is_consecutive"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistorySnapshot:
     """Immutable copy of H at alert time; the ``histories`` field of alerts.
 

@@ -30,7 +30,7 @@ _SHORTHAND_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Update:
     """A single data update ``u(varname, seqno, value)``.
 

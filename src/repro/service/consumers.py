@@ -71,7 +71,7 @@ async def _batches(queue: BoundedQueue) -> AsyncIterator[list]:
         yield batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampedAlert:
     """An alert paired with its recorded back-link arrival stamp."""
 

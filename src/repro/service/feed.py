@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -59,6 +59,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "decode_delivery",
+    "decode_hello",
 ]
 
 FEED_SCHEMA = "repro.feed/1"
@@ -140,6 +141,63 @@ def decode_message(payload: bytes) -> dict[str, Any]:
             f"{payload[:80]!r}"
         )
     return message
+
+
+def decode_hello(hello: dict[str, Any]):
+    """``(TrialSpec, stamps)`` of a decoded ``hello`` message.
+
+    Everything in a hello comes from the peer, so whatever is wrong with
+    it is a :class:`FeedSchemaError` naming the field at fault — never
+    the ``KeyError`` / ``TypeError`` of the code that first tripped on it.
+    """
+    from repro.displayers.registry import algorithm_names
+    from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
+
+    if hello["type"] != "hello":
+        raise FeedSchemaError(f"expected hello, got {hello['type']!r}")
+    if hello.get("schema") != FEED_SCHEMA:
+        raise FeedSchemaError(
+            f"unsupported feed schema {hello.get('schema')!r}"
+        )
+    for name in ("spec", "stamps"):
+        if name not in hello:
+            raise FeedSchemaError(f"hello has no {name!r} field")
+    spec = hello["spec"]
+    if not isinstance(spec, dict):
+        raise FeedSchemaError(f"hello field 'spec' is not an object: {spec!r}")
+    spec_fields = {field.name: field for field in fields(TrialSpec)}
+    for name in spec:
+        if name not in spec_fields:
+            raise FeedSchemaError(f"hello spec has an unknown field {name!r}")
+    for name, field in spec_fields.items():
+        if field.default is MISSING and name not in spec:
+            raise FeedSchemaError(f"hello spec has no {name!r} field")
+
+    def named(name: str, known) -> str:
+        value = spec[name]
+        if not isinstance(value, str) or value not in known:
+            raise FeedSchemaError(
+                f"hello spec field {name!r} is {value!r}; known: {sorted(known)}"
+            )
+        return value
+
+    named("row", SCENARIO_MATRICES[named("matrix", SCENARIO_MATRICES)])
+    named("algorithm", algorithm_names())
+    try:
+        trial = TrialSpec(**spec)
+    except (TypeError, ValueError) as exc:  # a nested faults/membership dict
+        raise FeedSchemaError(f"hello field 'spec' is malformed ({exc})") from exc
+    try:
+        stamps = tuple(
+            tuple((float(time), int(seq)) for time, seq in per_ce)
+            for per_ce in hello["stamps"]
+        )
+    except (TypeError, ValueError) as exc:
+        raise FeedSchemaError(
+            "hello field 'stamps' is not a list, per CE, of [time, index] "
+            f"pairs ({exc})"
+        ) from exc
+    return trial, stamps
 
 
 @dataclass(frozen=True)

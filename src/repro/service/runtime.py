@@ -30,6 +30,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Protocol, runtime_checkable
 
+from repro.accel import collector_paused
 from repro.core.alert import Alert
 from repro.core.serialization import alert_canonical_line
 from repro.core.wire import encode_frame
@@ -171,19 +172,23 @@ class DirectRuntime:
         from repro.displayers.registry import make_ad
         from repro.props.report import evaluate_run
 
-        condition = feed.condition()
-        streams = feed.per_ce()
-        per_ce_alerts: list[tuple[Alert, ...]] = []
-        for ce_index, stream in enumerate(streams):
-            evaluator = ConditionEvaluator(condition, source=f"CE{ce_index + 1}")
-            for update in stream:
-                evaluator.ingest(update)
-            per_ce_alerts.append(evaluator.alerts)
-        arrivals = merge_stamped(tuple(per_ce_alerts), feed.stamps)
-        algorithm = make_ad(feed.spec["algorithm"], condition)
-        algorithm.offer_all(arrivals)
-        displayed = algorithm.output
-        report = evaluate_run(condition, streams, displayed)
+        # Every alert lives until the verdicts are out; none is cyclic.
+        with collector_paused():
+            condition = feed.condition()
+            streams = feed.per_ce()
+            per_ce_alerts: list[tuple[Alert, ...]] = []
+            for ce_index, stream in enumerate(streams):
+                evaluator = ConditionEvaluator(
+                    condition, source=f"CE{ce_index + 1}"
+                )
+                for update in stream:
+                    evaluator.ingest(update)
+                per_ce_alerts.append(evaluator.alerts)
+            arrivals = merge_stamped(tuple(per_ce_alerts), feed.stamps)
+            algorithm = make_ad(feed.spec["algorithm"], condition)
+            algorithm.offer_all(arrivals)
+            displayed = algorithm.output
+            report = evaluate_run(condition, streams, displayed)
         return FeedResult(
             runtime=self.name,
             displayed=displayed,

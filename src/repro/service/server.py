@@ -23,6 +23,13 @@ latency percentiles — once the merge task has released every stamped
 alert.  :meth:`MonitorService.stop` likewise waits for in-flight
 connections before closing the listener.
 
+A connection's payload graph (updates, snapshots, alerts, stamped alerts)
+lives until its reply is out and none of it is cyclic, so the cyclic
+collector is paused while any pipeline is live
+(:func:`~repro.accel.collector_paused`) and run once per connection at
+close, after the reply is on the wire — which is also what reclaims the
+few cycles asyncio itself leaves behind per connection.
+
 :class:`AsyncioServiceRuntime` wraps the whole client/server round trip
 behind the :class:`~repro.service.runtime.Runtime` interface so the
 conformance harness can diff it against the simulator kernels.
@@ -31,11 +38,14 @@ conformance harness can diff it against the simulator kernels.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
+from repro.accel import collector_paused
 from repro.core.serialization import alert_canonical_line, alert_from_json
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
@@ -48,10 +58,10 @@ from repro.service.consumers import (
     shard_front,
 )
 from repro.service.feed import (
-    FEED_SCHEMA,
     FeedSchemaError,
     UpdateFeed,
     decode_delivery,
+    decode_hello,
     decode_message,
     encode_message,
     feed_messages,
@@ -132,6 +142,13 @@ class MonitorService:
         self.connections_handled = 0
         self._server: asyncio.AbstractServer | None = None
         self._handlers: set[asyncio.Task] = set()
+        #: Set by every handler as it finishes; ``serve_until`` sleeps on it.
+        self._connection_closed = asyncio.Event()
+        #: Pipelines between their start and their drained reply, and the
+        #: one collector pause they share (connections do not nest, so
+        #: each cannot hold its own: the first to finish would end it).
+        self._live_pipelines = 0
+        self._collector_pause = ExitStack()
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -163,12 +180,13 @@ class MonitorService:
         """Run until cancelled, or (``once``) until one connection finishes."""
         if self._server is None:
             await self.start()
-        target = self.connections_handled + 1
+        self._connection_closed.clear()
         try:
-            while True:
-                await asyncio.sleep(0.05)
-                if once and self.connections_handled >= target and not self._handlers:
-                    return
+            if once:
+                # stop() then waits out whatever else is in flight.
+                await self._connection_closed.wait()
+            else:
+                await asyncio.get_running_loop().create_future()
         finally:
             await self.stop()
 
@@ -177,26 +195,46 @@ class MonitorService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
+        self._handlers.add(task)
+        task.add_done_callback(self._connection_done)
         try:
-            try:
-                result = await self._run_pipeline(reader)
-                writer.write(encode_message({"type": "result", **result}))
-            except Exception as exc:  # reported to the client, not fatal
-                writer.write(
-                    encode_message({"type": "error", "error": _describe(exc)})
-                )
-            await writer.drain()
+            with self._pipeline_live():
+                try:
+                    result = await self._run_pipeline(reader)
+                    writer.write(encode_message({"type": "result", **result}))
+                except Exception as exc:  # reported to the client, not fatal
+                    writer.write(
+                        encode_message({"type": "error", "error": _describe(exc)})
+                    )
+                await writer.drain()
         finally:
             self.connections_handled += 1
-            if task is not None:
-                self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):  # pragma: no cover
                 pass
+
+    def _connection_done(self, task: asyncio.Task) -> None:
+        # The reply is on the wire, so nobody waits for this collection,
+        # and the handler's frame is gone, so it reaches the one cycle a
+        # connection leaves (asyncio's transport and its read callback).
+        gc.collect()
+        self._handlers.discard(task)
+        self._connection_closed.set()
+
+    @contextmanager
+    def _pipeline_live(self) -> Iterator[None]:
+        """Hold the service's collector pause while this pipeline runs."""
+        if not self._live_pipelines:
+            self._collector_pause.enter_context(collector_paused())
+        self._live_pipelines += 1
+        try:
+            yield
+        finally:
+            self._live_pipelines -= 1
+            if not self._live_pipelines:
+                self._collector_pause.close()
 
     async def _run_pipeline(self, reader: asyncio.StreamReader) -> dict[str, Any]:
         from repro.displayers.registry import make_ad
@@ -219,23 +257,9 @@ class MonitorService:
                     return payloads
 
         payloads = await read_frames()
-        hello = decode_message(payloads.pop(0))
-        if hello["type"] != "hello":
-            raise FeedSchemaError(f"expected hello, got {hello['type']!r}")
-        if hello.get("schema") != FEED_SCHEMA:
-            raise FeedSchemaError(
-                f"unsupported feed schema {hello.get('schema')!r}"
-            )
-        spec = hello["spec"]
-        stamps = tuple(
-            tuple((float(t), int(i)) for t, i in per_ce)
-            for per_ce in hello["stamps"]
-        )
-
-        from repro.engine.spec import TrialSpec
-
-        condition = TrialSpec(**spec).resolve_scenario().make_condition()
-        algorithm = make_ad(spec["algorithm"], condition)
+        spec, stamps = decode_hello(decode_message(payloads.pop(0)))
+        condition = spec.resolve_scenario().make_condition()
+        algorithm = make_ad(spec.algorithm, condition)
 
         shard_cfg = self.config.shard_config()
         assignment = None

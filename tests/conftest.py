@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.alert import Alert, make_alert
@@ -52,6 +55,60 @@ def alert_xy(x_seqno: int, y_seqno: int, cond: str = "cm") -> Alert:
         cond,
         {"x": [Update("x", x_seqno, 0.0)], "y": [Update("y", y_seqno, 0.0)]},
     )
+
+
+@contextmanager
+def collections_started():
+    """The generations of every cyclic collection that starts inside the
+    ``with`` body, automatic or explicit, in order (``gc.callbacks``)."""
+    started: list[int] = []
+
+    def on_collection(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(on_collection)
+
+
+@contextmanager
+def collections_until_last_return(owner, name: str):
+    """The collections that start between entering the ``with`` body and
+    the last return of ``owner.name`` inside it — a probe for "did any
+    collection start while this scope was still doing its work"."""
+    fn = getattr(owner, name)
+    seen: list[int] = []
+
+    def probed(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seen[:] = started
+
+    with collections_started() as started, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(owner, name, probed)
+        yield seen
+
+
+class Knot:
+    """Cyclic garbage on request: ``Knot()`` references itself, so only
+    the cyclic collector can reclaim it (watch it through a weakref)."""
+
+    def __init__(self) -> None:
+        self.me = self
+
+
+@pytest.fixture
+def collector_restored():
+    """Leave the collector as the test found it, whatever the test did."""
+    was = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture

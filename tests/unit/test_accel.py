@@ -1,10 +1,13 @@
-"""Unit tests for the summary statistics in :mod:`repro.accel`."""
+"""Unit tests for :mod:`repro.accel`: summary statistics, collector scope."""
 
+import gc
 import statistics
+import weakref
 
 import pytest
 
 from repro import accel
+from tests.conftest import Knot, collections_started
 
 VALUES = [3.25, 1.5, 9.75, 4.5, 2.0, 8.5, 5.125]
 
@@ -69,3 +72,40 @@ def test_latency_stats():
     assert stats.median == pytest.approx(6.0)
     assert stats.p95 == pytest.approx(7.8)
     assert stats.miss_fraction == pytest.approx(1 / 3)
+
+
+# -- collector_paused ---------------------------------------------------------
+
+@pytest.mark.parametrize("before", [True, False])
+def test_collector_paused_restores_the_callers_state(before, collector_restored):
+    (gc.enable if before else gc.disable)()
+    with accel.collector_paused():
+        assert not gc.isenabled()
+    assert gc.isenabled() is before
+    with pytest.raises(KeyError):
+        with accel.collector_paused():
+            raise KeyError("inside")
+    assert gc.isenabled() is before
+
+
+def test_collector_paused_nests(collector_restored):
+    gc.enable()
+    with accel.collector_paused():
+        with accel.collector_paused():
+            assert not gc.isenabled()
+        # The inner scope found it off and leaves it off.
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_collector_paused_defers_cycles_it_does_not_leak_them(collector_restored):
+    gc.enable()
+    with collections_started() as started:
+        with accel.collector_paused():
+            knot = weakref.ref(Knot())
+            churn = [[] for _ in range(5_000)]  # 7 young generations' worth
+            assert not started and knot() is not None
+        del churn
+        churn = [[] for _ in range(5_000)]
+    # Back on, the ordinary young collection finds it.
+    assert started and knot() is None

@@ -229,4 +229,5 @@ class TestFeedCommands:
             assert "latency" in text
         finally:
             thread.join(timeout=10)
+            loop.close()
         assert service.connections_handled == 1

@@ -1,7 +1,10 @@
 """Unit tests for JSON serialization of traces, alerts, conditions and
 counterexamples."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,7 @@ from repro.core.serialization import (
     update_to_json,
 )
 from repro.core.update import Update, parse_trace
+from repro.service.consumers import StampedAlert
 
 
 class TestUpdateRoundTrip:
@@ -123,6 +127,76 @@ class TestCanonicalLine:
             '{"seqno":1,"value":5e-324,"var":"x"}],'
             '"y":[{"seqno":2,"value":1e+22,"var":"y"}]},"source":"CE2"}'
         )
+
+
+class TestSlottedPayloads:
+    """The four payload classes a batch holds by the 10^5 are slotted;
+    nothing a caller could see of them changed with the layout."""
+
+    @staticmethod
+    def payloads(alert):
+        update = alert.histories[alert.variables[0]][0]
+        stamped = StampedAlert(1, 0, (2.5, 7), alert, 123)
+        return [update, alert.histories, alert, stamped]
+
+    @given(_alerts())
+    @settings(max_examples=50, deadline=None)
+    def test_no_dict_and_no_stray_attributes(self, alert):
+        for payload in self.payloads(alert):
+            assert not hasattr(payload, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                payload.stray = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(payload, dataclasses.fields(payload)[0].name, None)
+
+    @given(_alerts())
+    @settings(max_examples=100, deadline=None)
+    def test_copies_are_equal_and_hash_equal(self, alert):
+        for payload in self.payloads(alert):
+            for copied in (
+                pickle.loads(pickle.dumps(payload)),
+                copy.deepcopy(payload),
+                dataclasses.replace(payload),
+            ):
+                assert copied is not payload
+                assert copied == payload
+                assert hash(copied) == hash(payload)
+        # ... down to what equality does not look at.
+        restored = pickle.loads(pickle.dumps(alert))
+        assert alert_canonical_line(restored) == alert_canonical_line(alert)
+
+    @given(_alerts(), _values, _names)
+    @settings(max_examples=100, deadline=None)
+    def test_identity_is_seqnos_only(self, alert, value, source):
+        histories = alert.histories
+        assert histories.identity() == tuple(
+            (var, tuple(update.seqno for update in histories[var]))
+            for var in sorted(histories.variables)
+        )
+        assert alert.identity() == (alert.condname, histories.identity())
+        # Values and the emitting CE are evidence, not identity.
+        revalued = HistorySnapshot(
+            {var: tuple(u.replace_value(value) for u in histories[var])
+             for var in histories}
+        )
+        assert revalued == histories and hash(revalued) == hash(histories)
+        assert Alert(alert.condname, revalued, source) == alert
+        assert alert.with_source(source).identity() == alert.identity()
+        assert HistorySnapshot.from_trusted(
+            {var: histories[var] for var in histories}
+        ) == histories
+        # One more x-update in H is a different H.
+        var = histories.variables[0]
+        longer = (Update(var, histories.seqno(var) + 1, 0.0), *histories[var])
+        assert HistorySnapshot({**{v: histories[v] for v in histories}, var: longer}) != histories
+        assert histories != histories.identity()
+
+    def test_the_evaluators_trusted_constructor_fills_the_same_slots(self):
+        ce = ConditionEvaluator(c2(), source="CE1")
+        (alert,) = ce.ingest_all(parse_trace("1x(100), 3x(400)"))
+        assert alert == Alert("c2", HistorySnapshot({"x": tuple(reversed(ce.received))}))
+        assert (alert.source, alert.histories.seqnos("x")) == ("CE1", (3, 1))
+        assert pickle.loads(pickle.dumps(alert)).source == "CE1"
 
 
 class TestConditionRoundTrip:

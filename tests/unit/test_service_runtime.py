@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import json
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,8 @@ from repro.service.feed import (
     decode_message,
     encode_message,
 )
-from repro.service.server import execute_feed
+from repro.service.server import ServiceError, execute_feed
+from tests.conftest import Knot, collections_started
 
 SPEC = TrialSpec(
     matrix="single", row="aggressive", algorithm="AD-3", seed=7, n_updates=25
@@ -406,6 +409,186 @@ class TestHostileStreams:
         assert trailing_bytes["type"] == "error"
         assert "3 bytes of a partial frame" in trailing_bytes["error"]
         assert trailing_bytes["error"].startswith("FeedSchemaError: 0 frames")
+
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            pytest.param(lambda h: h.pop("spec"), "no 'spec' field", id="no-spec"),
+            pytest.param(lambda h: h.pop("stamps"), "no 'stamps' field", id="no-stamps"),
+            pytest.param(
+                lambda h: h["spec"].update(bogus=1), "unknown field 'bogus'",
+                id="unknown-spec-field",
+            ),
+            pytest.param(
+                lambda h: h.update(stamps=[[1.0], []]), "field 'stamps'",
+                id="stamp-not-a-pair",
+            ),
+            pytest.param(
+                lambda h: h["spec"].update(row="nope"), "field 'row' is 'nope'",
+                id="unknown-row",
+            ),
+            pytest.param(
+                lambda h: h["spec"].update(algorithm="AD-9"),
+                "field 'algorithm' is 'AD-9'",
+                id="unknown-algorithm",
+            ),
+            pytest.param(
+                lambda h: h["spec"].pop("seed"), "no 'seed' field",
+                id="missing-spec-field",
+            ),
+            pytest.param(
+                lambda h: h["spec"].update(matrix=["single"]), "field 'matrix'",
+                id="unhashable-matrix",
+            ),
+            pytest.param(
+                lambda h: h["spec"].update(faults={"bogus": 1}),
+                "field 'spec' is malformed",
+                id="nested-config",
+            ),
+        ],
+    )
+    def test_a_malformed_hello_is_a_named_error(self, feed, tamper, named):
+        hello, *rest = feed_messages(feed)
+        hello = json.loads(json.dumps(hello))
+        tamper(hello)
+        stream = b"".join(encode_message(m) for m in [hello, *rest])
+
+        reply = with_service(lambda service: converse(service, stream))
+        assert reply["type"] == "error"
+        assert reply["error"].startswith("FeedSchemaError: hello "), reply
+        assert named in reply["error"], reply
+
+
+class TestIdleServer:
+    def test_serve_once_returns_at_the_close_without_a_timer(self, feed, monkeypatch):
+        async def no_polling(*args, **kwargs):
+            raise AssertionError("the server polled: asyncio.sleep was called")
+
+        async def run():
+            service = MonitorService(ServiceConfig())
+            await service.start()
+            serving = asyncio.ensure_future(service.serve_until(once=True))
+            result = await execute_feed(feed, service.host, service.port)
+            await asyncio.wait_for(serving, timeout=10)
+            return service, result
+
+        monkeypatch.setattr(asyncio, "sleep", no_polling)
+        service, result = asyncio.run(run())
+        assert service.connections_handled == 1
+        assert result.displayed_bytes() == DirectRuntime().execute(feed).displayed_bytes()
+
+    def test_serve_forever_is_cancelled_not_timed_out(self):
+        async def run():
+            service = MonitorService(ServiceConfig())
+            serving = asyncio.ensure_future(service.serve_until())
+            while service._server is None:
+                await asyncio.sleep(0)
+            serving.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await serving
+            return service
+
+        assert asyncio.run(run())._server is None  # stopped on the way out
+
+
+class TestCollectorScope:
+    """The service pauses the cyclic collector while a pipeline is live
+    and collects once per connection at close (DESIGN.md, Collector policy)."""
+
+    @pytest.fixture(scope="class")
+    def long_feed(self):
+        long = record_feed(dataclasses.replace(SPEC, n_updates=2_000))
+        assert len(long.deliveries) >= 2_000
+        return long
+
+    def test_no_collection_starts_while_a_connection_streams(
+        self, long_feed, monkeypatch, collector_restored
+    ):
+        run_pipeline = MonitorService._run_pipeline
+        inside: list[int] = []
+        enabled_at_update = set()
+
+        async def probed_pipeline(self, reader):
+            # In-process the client encodes its first frames with the
+            # collector on, before the server has read a byte: count from
+            # the pipeline's start, not from the connection's.
+            entered = len(started)
+            try:
+                return await run_pipeline(self, reader)
+            finally:
+                inside.extend(started[entered:])
+
+        async def pace(ce_index, update):
+            enabled_at_update.add(gc.isenabled())
+
+        monkeypatch.setattr(MonitorService, "_run_pipeline", probed_pipeline)
+        gc.enable()
+        with collections_started() as started:
+            result = AsyncioServiceRuntime(pace=pace).execute(long_feed)
+        assert len(result.displayed) > 100
+        assert enabled_at_update == {False}
+        assert inside == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("before", [True, False])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_stop_hands_back_the_collector_it_found(
+        self, feed, before, tampered, collector_restored
+    ):
+        if tampered:
+            feed = dataclasses.replace(
+                feed, stamps=(feed.stamps[0][:-1], *feed.stamps[1:])
+            )
+
+        async def run():
+            service = MonitorService(ServiceConfig())
+            await service.start()
+            try:
+                return await execute_feed(feed, service.host, service.port)
+            except ServiceError as exc:
+                return exc
+            finally:
+                await service.stop()
+
+        (gc.enable if before else gc.disable)()
+        outcome = asyncio.run(run())
+        assert gc.isenabled() is before
+        assert isinstance(outcome, ServiceError) is tampered
+
+    def test_a_cycle_built_in_the_pipeline_is_gone_at_close(
+        self, feed, collector_restored
+    ):
+        knots = []
+
+        async def pace(ce_index, update):
+            knots.append(weakref.ref(Knot()))
+
+        # The caller's collector is off and stays off, so only the
+        # service's own collect-at-close can be what reclaims them.
+        gc.disable()
+        AsyncioServiceRuntime(pace=pace).execute(feed)
+        assert not gc.isenabled()
+        assert len(knots) == len(feed.deliveries)
+        assert all(knot() is None for knot in knots)
+
+    def test_fifty_connections_leave_no_more_behind_than_one(
+        self, feed, collector_restored
+    ):
+        async def run():
+            service = MonitorService(ServiceConfig())
+            await service.start()
+            counts = []
+            try:
+                for _ in range(50):
+                    await execute_feed(feed, service.host, service.port)
+                    counts.append(len(gc.get_objects()))
+            finally:
+                await service.stop()
+            return counts
+
+        gc.disable()  # as above: what is reclaimed, the service reclaimed
+        counts = asyncio.run(run())
+        assert counts[-1] - counts[0] < 100, counts
 
 
 class TestReaderBatches:

@@ -8,11 +8,15 @@ the conformance report's divergence locator (which must name the first
 diverging alert, not just digests).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.condition import c1, cm
 from repro.core.update import Update
 from repro.engine.spec import TrialSpec
+from repro.props import report
 from repro.service.feed import record_feed
 from repro.service.runtime import ConformanceReport, DirectRuntime
 from repro.sharding import (
@@ -26,7 +30,10 @@ from repro.sharding import (
     moved_keys,
     shard_field_default,
     split_feed,
+    tenants,
 )
+from repro.sharding.tenants import run_shard, zipfian_update_counts
+from tests.conftest import Knot, collections_until_last_return
 
 
 class TestShardConfig:
@@ -217,6 +224,55 @@ class TestShardedRuntimeBookkeeping:
     def test_runtime_name_exposes_layout(self):
         runtime = ShardedRuntime(ShardConfig(shards=3))
         assert runtime.name == "sharded[3]:direct"
+
+
+class TestCollectorScope:
+    """``run_shard`` and ``DirectRuntime.execute`` hold their payload
+    graph with the cyclic collector paused (DESIGN.md, Collector policy)."""
+
+    TENANTS = 300
+
+    def run_population(self):
+        counts = dict(enumerate(zipfian_update_counts(self.TENANTS, 6_000, seed=7)))
+        return run_shard(0, list(range(self.TENANTS)), 7, update_counts=counts)
+
+    def test_no_collection_starts_inside_run_shard(self, collector_restored):
+        gc.enable()
+        with collections_until_last_return(tenants, "run_tenant") as started:
+            result = self.run_population()
+        assert result.tenants == self.TENANTS and result.alerts > 0
+        assert started == []
+        assert gc.isenabled()
+
+    def test_no_collection_starts_inside_direct_execute(self, collector_restored):
+        feed = record_feed(TrialSpec("single", "aggressive", "AD-3", 7, 1_000))
+        gc.enable()
+        with collections_until_last_return(report, "evaluate_run") as started:
+            result = DirectRuntime().execute(feed)
+        assert len(result.displayed) > 100
+        assert started == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("before", [True, False])
+    def test_a_cycle_built_inside_is_reclaimed_after(
+        self, before, monkeypatch, collector_restored
+    ):
+        knots = []
+        run_tenant = tenants.run_tenant
+
+        def knotted(*args, **kwargs):
+            knots.append(weakref.ref(Knot()))
+            return run_tenant(*args, **kwargs)
+
+        monkeypatch.setattr(tenants, "run_tenant", knotted)
+        (gc.enable if before else gc.disable)()
+        self.run_population()
+        # The scope hands back the collector it was given ...
+        assert gc.isenabled() is before
+        assert len(knots) == self.TENANTS
+        # ... and nothing it deferred is out of an ordinary collection's reach.
+        gc.collect(0)
+        assert all(knot() is None for knot in knots)
 
 
 class TestConformanceDivergence:

@@ -19,14 +19,16 @@ bench:  ## regenerate every paper artifact (benchmarks/results/)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The seconds-fast regenerators must leave their tracked artifacts
-# byte-identical (CI job artifact-drift runs the same two commands).
+# byte-identical (CI jobs artifact-drift and, for fuzz, fuzz-smoke run
+# the same commands).
 ARTIFACTS = quality availability availability_chaos membership \
-	ablation_loss ablation_replication
+	ablation_loss ablation_replication fuzz
 
 artifacts-check:  ## regenerate the sweep artifacts; fail on any drift
 	$(PYTHON) -m pytest benchmarks/bench_quality.py \
 		benchmarks/bench_availability.py benchmarks/bench_membership.py \
-		benchmarks/bench_ablation.py --benchmark-only -q
+		benchmarks/bench_ablation.py benchmarks/bench_fuzz.py \
+		--benchmark-only -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/results/%.txt)
 
 # The repo benchmark (BENCHMARK.json): one workload, one seed, one JSON

@@ -12,6 +12,7 @@ table grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from importlib import import_module
 from typing import TYPE_CHECKING
 
 from repro.props.report import PropertyReport
@@ -35,6 +36,15 @@ SCENARIO_MATRICES = {
     "single": SINGLE_VARIABLE_SCENARIOS,
     "multi": MULTI_VARIABLE_SCENARIOS,
 }
+
+#: The knob-set fields a header carries as plain dicts, and where their
+#: classes live (imported on first use: ``repro.sharding`` pulls in the
+#: service runtime).
+_KNOB_SETS = (
+    ("faults", "repro.faults.plan", "FaultProfile"),
+    ("membership", "repro.membership.config", "MembershipConfig"),
+    ("sharding", "repro.sharding.ring", "ShardConfig"),
+)
 
 
 @dataclass(frozen=True)
@@ -89,22 +99,11 @@ class TrialSpec:
     sharding: "ShardConfig | None" = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.faults, dict):
-            from repro.faults.plan import FaultProfile
-
-            object.__setattr__(self, "faults", FaultProfile(**self.faults))
-        if isinstance(self.membership, dict):
-            from repro.membership.config import MembershipConfig
-
-            object.__setattr__(
-                self, "membership", MembershipConfig(**self.membership)
-            )
-        if isinstance(self.sharding, dict):
-            from repro.sharding.ring import ShardConfig
-
-            object.__setattr__(
-                self, "sharding", ShardConfig(**self.sharding)
-            )
+        for name, module, cls in _KNOB_SETS:
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                cls = getattr(import_module(module), cls)
+                object.__setattr__(self, name, cls(**value))
 
     def resolve_scenario(self) -> Scenario:
         scenario = SCENARIO_MATRICES[self.matrix][self.row]

@@ -40,10 +40,8 @@ from repro.faults.model import (
 from repro.faults.plan import (
     DEFAULT_CHAOS_PROFILE,
     DEFAULT_CHURN_PROFILE,
-    PROFILE_FIELD_KINDS,
     FaultPlan,
     FaultProfile,
-    profile_field_identity,
 )
 
 __all__ = [
@@ -51,8 +49,6 @@ __all__ = [
     "ChurnCell",
     "DEFAULT_CHAOS_PROFILE",
     "DEFAULT_CHURN_PROFILE",
-    "PROFILE_FIELD_KINDS",
-    "profile_field_identity",
     "DelaySpikeSchedule",
     "DuplicationAdversary",
     "FaultPlan",

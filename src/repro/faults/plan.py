@@ -10,13 +10,13 @@ from *how it was drawn*:
   a :class:`~repro.components.system.SystemConfig` with
   :meth:`FaultPlan.apply_to`.
 * :class:`FaultProfile` — the *distribution* those windows are drawn
-  from: plain scalar rates and probabilities, picklable and
-  JSON-round-trippable, so it can ride on a
-  :class:`~repro.engine.spec.TrialSpec` across process boundaries and
-  through trace headers.  :meth:`FaultProfile.materialize` draws a
-  concrete plan from a run's named RNG streams — fault draws never shift
-  the workload or link streams, so a zero-rate profile is bit-identical
-  to no profile at all.
+  from: plain scalar rates and probabilities, each declared as a
+  :mod:`repro.knobs` kind, picklable and JSON-round-trippable, so it can
+  ride on a :class:`~repro.engine.spec.TrialSpec` across process
+  boundaries and through trace headers.
+  :meth:`FaultProfile.materialize` draws a concrete plan from a run's
+  named RNG streams — fault draws never shift the workload or link
+  streams, so a zero-rate profile is bit-identical to no profile at all.
 
 Intensity sweeps (the ``repro chaos`` CLI) use :meth:`FaultProfile.scaled`
 to turn one profile into a family parameterised by a single chaos knob.
@@ -25,13 +25,23 @@ to turn one profile into a family parameterised by a single chaos knob.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.model import (
     DelaySpikeSchedule,
     DuplicationAdversary,
     GilbertElliottParams,
+)
+from repro.knobs import (
+    COPIES,
+    FACTOR,
+    MEAN,
+    PROB,
+    RATE,
+    RECOVERY,
+    KnobSet,
+    knob,
 )
 from repro.simulation.failures import CrashSchedule, random_crash_schedule
 
@@ -44,8 +54,6 @@ __all__ = [
     "FaultProfile",
     "DEFAULT_CHAOS_PROFILE",
     "DEFAULT_CHURN_PROFILE",
-    "PROFILE_FIELD_KINDS",
-    "profile_field_identity",
 ]
 
 
@@ -255,56 +263,10 @@ _SCALED_FIELDS = (
     "duplicate_prob",
     "delay_spike_rate",
 )
-#: Probability-valued fields among the scaled set (clamped to [0, 1]).
-_PROB_FIELDS = {"burst_good_to_bad", "burst_loss_good", "duplicate_prob"}
-
-#: What kind of knob each profile field is — the machine-readable shape
-#: the fuzzer's mutator and the witness shrinker walk instead of
-#: hard-coding field names: ``rate``/``mean`` are non-negative reals,
-#: ``prob`` clamps to [0, 1], ``factor`` floors at 1 (a delay
-#: multiplier), ``count`` is an integer >= 1.
-PROFILE_FIELD_KINDS: dict[str, str] = {
-    "ce_crash_rate": "rate",
-    "ce_mean_repair": "mean",
-    "dm_crash_rate": "rate",
-    "dm_mean_repair": "mean",
-    "ad_crash_rate": "rate",
-    "ad_mean_repair": "mean",
-    "front_outage_rate": "rate",
-    "front_mean_outage": "mean",
-    "back_outage_rate": "rate",
-    "back_mean_outage": "mean",
-    "burst_good_to_bad": "prob",
-    "burst_bad_to_good": "prob",
-    "burst_loss_good": "prob",
-    "burst_loss_bad": "prob",
-    "duplicate_prob": "prob",
-    "max_duplicates": "count",
-    "delay_spike_rate": "rate",
-    "delay_spike_mean": "mean",
-    "delay_spike_factor": "factor",
-}
-
-
-def profile_field_identity(name: str) -> float | int:
-    """The *inert* value of a profile field — the one that disables it.
-
-    Zero for rates/means and most probabilities; 1 for the spike factor
-    (no amplification) and the duplicate count (one extra copy, inert
-    while ``duplicate_prob`` is 0); 1 for ``burst_bad_to_good``, whose
-    identity is instant recovery, not zero (a 0 recovery probability
-    makes bursts *permanent*).
-    """
-    if name in ("delay_spike_factor", "max_duplicates", "burst_bad_to_good"):
-        return 1
-    kind = PROFILE_FIELD_KINDS[name]
-    if kind not in ("rate", "mean", "prob"):
-        raise KeyError(f"unknown profile field {name!r}")
-    return 0
 
 
 @dataclass(frozen=True)
-class FaultProfile:
+class FaultProfile(KnobSet):
     """Scalar fault-distribution knobs; the picklable spec-level carrier.
 
     All-zero rates (the default) materialize to a clean plan, so a
@@ -313,31 +275,25 @@ class FaultProfile:
     are exponential means.
     """
 
-    ce_crash_rate: float = 0.0
-    ce_mean_repair: float = 0.0
-    dm_crash_rate: float = 0.0
-    dm_mean_repair: float = 0.0
-    ad_crash_rate: float = 0.0
-    ad_mean_repair: float = 0.0
-    front_outage_rate: float = 0.0
-    front_mean_outage: float = 0.0
-    back_outage_rate: float = 0.0
-    back_mean_outage: float = 0.0
-    burst_good_to_bad: float = 0.0
-    burst_bad_to_good: float = 1.0
-    burst_loss_good: float = 0.0
-    burst_loss_bad: float = 0.0
-    duplicate_prob: float = 0.0
-    max_duplicates: int = 1
-    delay_spike_rate: float = 0.0
-    delay_spike_mean: float = 0.0
-    delay_spike_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < 0:
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
+    ce_crash_rate: float = knob(0.0, RATE)
+    ce_mean_repair: float = knob(0.0, MEAN)
+    dm_crash_rate: float = knob(0.0, RATE)
+    dm_mean_repair: float = knob(0.0, MEAN)
+    ad_crash_rate: float = knob(0.0, RATE)
+    ad_mean_repair: float = knob(0.0, MEAN)
+    front_outage_rate: float = knob(0.0, RATE)
+    front_mean_outage: float = knob(0.0, MEAN)
+    back_outage_rate: float = knob(0.0, RATE)
+    back_mean_outage: float = knob(0.0, MEAN)
+    burst_good_to_bad: float = knob(0.0, PROB)
+    burst_bad_to_good: float = knob(1.0, RECOVERY)
+    burst_loss_good: float = knob(0.0, PROB)
+    burst_loss_bad: float = knob(0.0, PROB)
+    duplicate_prob: float = knob(0.0, PROB)
+    max_duplicates: int = knob(1, COPIES)
+    delay_spike_rate: float = knob(0.0, RATE)
+    delay_spike_mean: float = knob(0.0, MEAN)
+    delay_spike_factor: float = knob(1.0, FACTOR)
 
     @property
     def is_clean(self) -> bool:
@@ -348,34 +304,19 @@ class FaultProfile:
             and self.ad_crash_rate == 0
             and self.front_outage_rate == 0
             and self.back_outage_rate == 0
-            and not GilbertElliottParams(
-                self.burst_good_to_bad,
-                min(self.burst_bad_to_good, 1.0),
-                self.burst_loss_good,
-                self.burst_loss_bad,
-            ).enabled
+            and not self._burst_loss().enabled
             and self.duplicate_prob == 0
             and self.delay_spike_rate == 0
         )
 
-    def with_value(self, name: str, value: float) -> "FaultProfile":
-        """This profile with one field replaced, clamped to its kind.
-
-        Probabilities clamp to [0, 1], the spike factor floors at 1, the
-        duplicate count floors at 1 (and truncates to int), and every
-        other knob floors at 0 — so arbitrary mutated/halved values
-        always yield a constructible profile.
-        """
-        kind = PROFILE_FIELD_KINDS[name]
-        if kind == "prob":
-            value = min(max(value, 0.0), 1.0)
-        elif kind == "factor":
-            value = max(value, 1.0)
-        elif kind == "count":
-            value = max(int(value), 1)
-        else:
-            value = max(value, 0.0)
-        return replace(self, **{name: value})
+    def _burst_loss(self) -> GilbertElliottParams:
+        """The burst-loss chain, with probabilities above 1 clamped."""
+        return GilbertElliottParams(
+            good_to_bad=min(self.burst_good_to_bad, 1.0),
+            bad_to_good=min(self.burst_bad_to_good, 1.0),
+            loss_good=min(self.burst_loss_good, 1.0),
+            loss_bad=min(self.burst_loss_bad, 1.0),
+        )
 
     def scaled(self, intensity: float) -> "FaultProfile":
         """This profile with every fault *rate* scaled by ``intensity``.
@@ -386,12 +327,11 @@ class FaultProfile:
         """
         if intensity < 0:
             raise ValueError(f"intensity must be non-negative, got {intensity}")
-        changes: dict[str, float] = {}
-        for name in _SCALED_FIELDS:
-            value = getattr(self, name) * intensity
-            if name in _PROB_FIELDS:
-                value = min(value, 1.0)
-            changes[name] = value
+        kinds = dict(self.knobs())
+        changes = {
+            name: kinds[name].clamp(getattr(self, name) * intensity)
+            for name in _SCALED_FIELDS
+        }
         changes["delay_spike_factor"] = (
             1.0 + (self.delay_spike_factor - 1.0) * intensity
         )
@@ -458,12 +398,7 @@ class FaultProfile:
                 self.ad_crash_rate,
                 self.ad_mean_repair,
             )
-        burst = GilbertElliottParams(
-            good_to_bad=min(self.burst_good_to_bad, 1.0),
-            bad_to_good=min(self.burst_bad_to_good, 1.0),
-            loss_good=min(self.burst_loss_good, 1.0),
-            loss_bad=min(self.burst_loss_bad, 1.0),
-        )
+        burst = self._burst_loss()
         duplication = DuplicationAdversary(
             duplicate_prob=min(self.duplicate_prob, 1.0),
             max_copies=max(1, int(self.max_duplicates)),

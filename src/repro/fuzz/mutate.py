@@ -5,9 +5,10 @@ already carries the scenario cell, seed, reading count, replication, the
 sweepable front-loss override and an optional
 :class:`~repro.faults.plan.FaultProfile>`).  Mutations draw from a
 dedicated fuzz RNG — never from the simulation's own streams — and only
-produce values the simulator accepts, using the profile-field metadata
-(:data:`~repro.faults.plan.PROFILE_FIELD_KINDS`) instead of hard-coded
-field lists so new fault knobs become mutable automatically.
+produce values the simulator accepts: a fault-profile or membership knob
+is set to one of its :mod:`repro.knobs` kind's templates through the
+clamping ``with_value``, so a newly declared knob is mutable
+automatically.
 
 The catalog deliberately mixes small nudges (seed ±k, a few readings
 more or less) with template jumps (a chaos-profile transplant, a fresh
@@ -18,59 +19,26 @@ jumps escape plateaus.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from random import Random
 
 from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
 from repro.faults.plan import (
     DEFAULT_CHAOS_PROFILE,
     DEFAULT_CHURN_PROFILE,
-    PROFILE_FIELD_KINDS,
     FaultProfile,
 )
-from repro.membership.config import (
-    MEMBERSHIP_FIELD_KINDS,
-    MembershipConfig,
-)
+from repro.knobs import SHARDS, KnobSet
+from repro.membership.config import MembershipConfig
 from repro.sharding.ring import ShardConfig
 
 __all__ = ["MutationLimits", "mutate_spec"]
-
-#: Value templates per profile-field kind — chosen to straddle the
-#: regimes that matter over a run horizon of a few hundred time units
-#: (readings arrive every 10 units).
-_KIND_TEMPLATES: dict[str, tuple[float, ...]] = {
-    "rate": (0.0, 0.002, 0.004, 0.008, 0.016, 0.03),
-    "mean": (0.0, 10.0, 25.0, 40.0, 80.0),
-    "prob": (0.0, 0.05, 0.15, 0.4, 0.8),
-    "factor": (1.0, 2.0, 4.0, 6.0, 10.0),
-    "count": (1, 2, 3),
-}
 
 #: Front-link loss overrides worth visiting (None = the scenario's own).
 _LOSS_TEMPLATES = (None, 0.0, 0.1, 0.3, 0.5, 0.7)
 
 #: Chaos intensities for whole-profile transplants.
 _CHAOS_INTENSITIES = (0.25, 0.5, 1.0, 2.0)
-
-#: Value templates per membership-field kind (see
-#: :data:`~repro.membership.config.MEMBERSHIP_FIELD_KINDS`).  Means cover
-#: detection timeouts and catch-up/backoff latencies from instant to
-#: longer than a crash repair; intervals straddle the reading cadence.
-_MEMBERSHIP_TEMPLATES: dict[str, tuple] = {
-    "interval": (1.0, 2.5, 5.0, 10.0, 20.0),
-    "mean": (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
-    "count": (1, 2, 3),
-    "choice": ("peer-then-log", "peer", "log", "none"),
-}
-
-#: Shard counts worth visiting (sharding is semantics-neutral by
-#: contract — the fuzzer hunts for specs where that contract breaks).
-_SHARD_TEMPLATES = (1, 2, 3, 4, 8)
-
-#: Ring-shape knobs: virtual-node counts straddle badly- and
-#: well-balanced rings; seeds re-dice every ownership boundary.
-_VNODE_TEMPLATES = (1, 4, 16, 64, 128)
-_RING_SEED_TEMPLATES = (0, 1, 2, 7, 97)
 
 
 class MutationLimits:
@@ -114,12 +82,22 @@ def _mutate_loss(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
     return replace(spec, front_loss=rng.choice(_LOSS_TEMPLATES))
 
 
-def _mutate_fault_field(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
-    name = rng.choice(sorted(PROFILE_FIELD_KINDS))
-    profile = spec.faults if spec.faults is not None else FaultProfile()
-    templates = _KIND_TEMPLATES[PROFILE_FIELD_KINDS[name]]
-    profile = profile.with_value(name, rng.choice(templates))
-    return replace(spec, faults=profile.or_none())
+def _mutate_knob(
+    attr: str, fresh: KnobSet, spec: TrialSpec, rng: Random, limits
+) -> TrialSpec:
+    """Set one knob of the spec's ``attr`` knob set (``fresh`` when it
+    has none) to a template of its kind — a crash rate, a burst
+    probability, a detection timeout, a catch-up source — keeping a
+    clean fault profile as ``None``."""
+    config = getattr(spec, attr)
+    if config is None:
+        config = fresh
+    kinds = dict(config.knobs())
+    name = rng.choice(sorted(kinds))
+    config = config.with_value(name, rng.choice(kinds[name].templates))
+    if attr == "faults":
+        config = config.or_none()
+    return replace(spec, **{attr: config})
 
 
 def _transplant_chaos(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
@@ -129,15 +107,6 @@ def _transplant_chaos(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
 
 def _drop_faults(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
     return replace(spec, faults=None)
-
-
-def _mutate_membership_field(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
-    """Turn one membership knob (detection timeout, heartbeat cadence,
-    suspicion threshold, catch-up latency/backoff/source)."""
-    name = rng.choice(sorted(MEMBERSHIP_FIELD_KINDS))
-    config = spec.membership if spec.membership is not None else MembershipConfig()
-    templates = _MEMBERSHIP_TEMPLATES[MEMBERSHIP_FIELD_KINDS[name]]
-    return replace(spec, membership=config.with_value(name, rng.choice(templates)))
 
 
 def _toggle_membership(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
@@ -171,11 +140,11 @@ def _mutate_row(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
 def _mutate_shards(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
     """Move the run to a different shard count (1 = drop sharding)."""
     current = spec.sharding.shards if spec.sharding is not None else 1
-    count = rng.choice([n for n in _SHARD_TEMPLATES if n != current])
+    count = rng.choice([n for n in SHARDS.templates if n != current])
     if count == 1:
         return replace(spec, sharding=None)
     base = spec.sharding if spec.sharding is not None else ShardConfig()
-    return replace(spec, sharding=base.resized(count))
+    return replace(spec, sharding=base.with_value("shards", count))
 
 
 def _mutate_ring(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
@@ -183,10 +152,8 @@ def _mutate_ring(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
     virtual-node or ring-seed knob, so ownership boundaries move while
     the fleet size stays put (a pure ring-resize/re-dice probe)."""
     base = spec.sharding if spec.sharding is not None else ShardConfig(shards=2)
-    if rng.random() < 0.5:
-        base = base.with_value("virtual_nodes", rng.choice(_VNODE_TEMPLATES))
-    else:
-        base = base.with_value("ring_seed", rng.choice(_RING_SEED_TEMPLATES))
+    name = "virtual_nodes" if rng.random() < 0.5 else "ring_seed"
+    base = base.with_value(name, rng.choice(dict(base.knobs())[name].templates))
     return replace(spec, sharding=base)
 
 
@@ -196,9 +163,9 @@ def _mutate_ring(spec: TrialSpec, rng: Random, limits) -> TrialSpec:
 _CATALOG = (
     (_mutate_seed, 4),
     (_nudge_seed, 4),
-    (_mutate_fault_field, 4),
+    (partial(_mutate_knob, "faults", FaultProfile()), 4),
     (_mutate_updates, 3),
-    (_mutate_membership_field, 3),
+    (partial(_mutate_knob, "membership", MembershipConfig()), 3),
     (_mutate_loss, 2),
     (_mutate_row, 2),
     (_transplant_chaos, 1),

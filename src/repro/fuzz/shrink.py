@@ -11,16 +11,15 @@ violated.  The reduction catalog:
 * drop a reading (``n_updates`` − 1, down to a floor),
 * drop a CE replica (``replication`` − 1, down to 1),
 * zero the front-link loss override, or halve it,
-* zero a fault-profile field to its inert value
-  (:func:`~repro.faults.plan.profile_field_identity` — crash rates and
-  loss probabilities to 0, the delay-spike factor to 1, ...), or halve
-  its distance from that value,
-* drop the membership config entirely (back to static membership), or
-  snap one membership knob to its default
-  (:func:`~repro.membership.config.membership_field_default`),
 * drop the shard ring entirely (back to one shard — sharding is
-  semantics-neutral, so a surviving violation indicts the core), walk
-  the shard count down, or snap a ring-shape knob to its default,
+  semantics-neutral, so a surviving violation indicts the core), or the
+  membership config (back to static membership),
+* move one knob of the ring, the fault profile or the membership config
+  toward its inert value (:meth:`~repro.knobs.KnobSet.inert` — crash
+  rates and loss probabilities to 0, the delay-spike factor to 1,
+  membership and ring-shape knobs to their defaults) as its
+  :mod:`repro.knobs` kind says: snap to it, halve the distance, or walk
+  the shard count down,
 
 with a binary-descent accelerator on ``n_updates`` before the greedy
 passes.  The result is **1-minimal over the catalog**: no single
@@ -42,12 +41,7 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.witness import Counterexample, counterexample_from_run, violates
 from repro.engine.spec import TrialSpec
-from repro.faults.plan import PROFILE_FIELD_KINDS, profile_field_identity
-from repro.membership.config import (
-    MEMBERSHIP_FIELD_KINDS,
-    membership_field_default,
-)
-from repro.sharding.ring import shard_field_default
+from repro.knobs import Kind
 from repro.observability.replay import RecordedTrace, record_trial
 
 __all__ = ["ShrinkResult", "shrink_spec"]
@@ -93,66 +87,44 @@ class ShrinkResult:
         return "\n".join(lines)
 
 
-def _profile_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
-    """Zero-then-halve candidates for every active fault-profile field."""
-    profile = spec.faults
-    if profile is None:
-        return
-    for name in PROFILE_FIELD_KINDS:
-        value = getattr(profile, name)
-        identity = profile_field_identity(name)
-        if abs(value - identity) < _EPSILON:
-            continue
-        yield replace(spec, faults=profile.with_value(name, identity).or_none())
-        if PROFILE_FIELD_KINDS[name] == "count":
-            halved = value - 1
+def _moves(kind: Kind, value, inert) -> Iterator:
+    """The values one knob may shrink to, nearest the inert one first."""
+    if kind.shrink == "snap":
+        if value != inert:
+            yield inert
+    elif kind.shrink == "step":
+        if value - 1 > inert:
+            yield value - 1
+    elif abs(value - inert) >= _EPSILON:  # "halve"
+        yield inert
+        if kind.cast is int:
+            yield value - 1
         else:
-            halved = identity + (value - identity) / 2
-            if abs(halved - identity) < _EPSILON:
-                continue  # the zero candidate above already covers it
-        yield replace(spec, faults=profile.with_value(name, halved).or_none())
+            halved = inert + (value - inert) / 2
+            if abs(halved - inert) >= _EPSILON:  # else the snap covers it
+                yield halved
 
 
-def _membership_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
-    """Drop the recovery lifecycle, or snap one knob back to default.
+def _knob_steps(spec: TrialSpec, attr: str) -> Iterator[TrialSpec]:
+    """Drop the spec's ``attr`` knob set, then move one knob at a time.
 
-    Dropping first asks the cheapest question — "does the violation need
-    membership at all?" — and the per-field snaps then normalize any
-    surviving config toward :class:`MembershipConfig()` so witnesses
-    from different fuzz paths converge on the same canonical knobs.
+    Dropping first asks the cheapest question — does the violation need
+    sharding or membership at all? — and the moves then normalize a
+    surviving config, so witnesses from different fuzz paths converge on
+    the same canonical knobs.  A fault profile is not dropped whole: it
+    becomes ``None`` (:meth:`~repro.faults.plan.FaultProfile.or_none`)
+    as its last active knob reaches its inert value.
     """
-    config = spec.membership
+    config = getattr(spec, attr)
     if config is None:
         return
-    yield replace(spec, membership=None)
-    for name in MEMBERSHIP_FIELD_KINDS:
-        default = membership_field_default(name)
-        if getattr(config, name) == default:
-            continue
-        yield replace(spec, membership=config.with_value(name, default))
-
-
-def _sharding_steps(spec: TrialSpec) -> Iterator[TrialSpec]:
-    """Drop sharding, or snap the surviving ring toward one shard.
-
-    The drop-to-one-shard step mirrors the membership drop: sharding is
-    semantics-neutral by contract, so a violation that survives the
-    drop indicts the core semantics, while one that *needs* the ring is
-    a sharding bug worth a minimal ring.  After the drop fails, the
-    snaps walk ``shards`` down to the smallest still-violating count
-    and normalize the ring-shape knobs to their defaults.
-    """
-    config = spec.sharding
-    if config is None:
-        return
-    yield replace(spec, sharding=None)
-    if config.shards > 2:
-        yield replace(spec, sharding=config.resized(config.shards - 1))
-    for name in ("virtual_nodes", "ring_seed"):
-        default = shard_field_default(name)
-        if getattr(config, name) == default:
-            continue
-        yield replace(spec, sharding=config.with_value(name, default))
+    faults = attr == "faults"
+    if not faults:
+        yield replace(spec, **{attr: None})
+    for name, kind in config.knobs():
+        for value in _moves(kind, getattr(config, name), config.inert(name)):
+            moved = config.with_value(name, value)
+            yield replace(spec, **{attr: moved.or_none() if faults else moved})
 
 
 def _candidates(spec: TrialSpec, min_updates: int) -> Iterator[TrialSpec]:
@@ -170,9 +142,8 @@ def _candidates(spec: TrialSpec, min_updates: int) -> Iterator[TrialSpec]:
         halved = spec.front_loss / 2
         if halved > _EPSILON:
             yield replace(spec, front_loss=halved)
-    yield from _sharding_steps(spec)
-    yield from _profile_steps(spec)
-    yield from _membership_steps(spec)
+    for attr in ("sharding", "faults", "membership"):
+        yield from _knob_steps(spec, attr)
 
 
 def shrink_spec(

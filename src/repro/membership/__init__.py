@@ -16,12 +16,7 @@ that happened while the replica set was below quorum from steady-state
 ones — the distinction the churn chaos sweeps report.
 """
 
-from repro.membership.config import (
-    CATCHUP_SOURCES,
-    MEMBERSHIP_FIELD_KINDS,
-    MembershipConfig,
-    membership_field_default,
-)
+from repro.membership.config import CATCHUP_SOURCES, MembershipConfig
 from repro.membership.detector import NodeView, node_view
 from repro.membership.registry import (
     MembershipPlan,
@@ -34,14 +29,12 @@ from repro.membership.verdicts import churn_summary, classify_verdicts
 
 __all__ = [
     "CATCHUP_SOURCES",
-    "MEMBERSHIP_FIELD_KINDS",
     "MembershipConfig",
     "MembershipPlan",
     "NodeView",
     "RecoveryEvent",
     "churn_summary",
     "classify_verdicts",
-    "membership_field_default",
     "membership_horizon",
     "membership_surface",
     "node_view",

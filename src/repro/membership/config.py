@@ -6,45 +6,28 @@ the (deliberately unreliable) failure detector is, and how a recovering
 CE re-acquires the history it missed.  Like
 :class:`~repro.faults.plan.FaultProfile` it is all scalars, so it rides
 on :class:`~repro.engine.spec.TrialSpec` across process boundaries and
-trace headers unchanged, and :data:`MEMBERSHIP_FIELD_KINDS` gives the
-fuzzer's mutation catalog typed access to every knob.
+trace headers unchanged; each field is a :mod:`repro.knobs` kind, which
+is what its validation and the fuzzer's mutation and shrink steps read.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
-__all__ = [
-    "CATCHUP_SOURCES",
-    "MEMBERSHIP_FIELD_KINDS",
-    "MembershipConfig",
-    "membership_field_default",
-]
+from repro.knobs import DELAY, INTERVAL, SOURCE, THRESHOLD, KnobSet, knob
+
+__all__ = ["CATCHUP_SOURCES", "MembershipConfig"]
 
 #: Where a recovering CE replays its missed history H from, in order of
 #: preference.  "peer-then-log" tries live peers first (a state-transfer
 #: over the back-plane) and falls back to the append-only DM broadcast
 #: log; "none" models restart *without* catch-up — the node rejoins with
 #: a hole in its history (the pre-membership behaviour, made explicit).
-CATCHUP_SOURCES = ("peer-then-log", "peer", "log", "none")
-
-#: Knob name -> mutation kind, mirroring PROFILE_FIELD_KINDS:
-#: "interval" (strictly positive time), "mean" (non-negative time),
-#: "count" (integer >= 1), "choice" (one of CATCHUP_SOURCES).
-MEMBERSHIP_FIELD_KINDS: dict[str, str] = {
-    "heartbeat_interval": "interval",
-    "heartbeat_delay": "mean",
-    "detection_timeout": "mean",
-    "suspicion_threshold": "count",
-    "catchup_latency": "mean",
-    "retry_backoff": "mean",
-    "catchup_source": "choice",
-}
+CATCHUP_SOURCES = SOURCE.templates
 
 
 @dataclass(frozen=True)
-class MembershipConfig:
+class MembershipConfig(KnobSet):
     """Failure-detector and crash-recovery parameters for one run.
 
     Defaults are tuned to the simulator's scale (readings every 10 time
@@ -53,82 +36,28 @@ class MembershipConfig:
     """
 
     #: Period of heartbeat emission from every CE and the AD.
-    heartbeat_interval: float = 5.0
+    heartbeat_interval: float = knob(5.0, INTERVAL)
     #: Fixed heartbeat propagation delay (registration at time 0).
-    heartbeat_delay: float = 0.5
+    heartbeat_delay: float = knob(0.5, DELAY)
     #: Base timeout of the unreliable failure detector.
-    detection_timeout: float = 4.0
+    detection_timeout: float = knob(4.0, DELAY)
     #: How many consecutive timeouts a silence must span before the node
     #: is suspected (the timeout × suspicion-counter detector family):
     #: a node is believed down once no heartbeat has arrived for
     #: ``suspicion_threshold * detection_timeout`` time units.
-    suspicion_threshold: int = 2
+    suspicion_threshold: int = knob(2, THRESHOLD)
     #: Time to transfer and replay the missed history once a source is
     #: reached (state-transfer cost).
-    catchup_latency: float = 2.0
+    catchup_latency: float = knob(2.0, DELAY)
     #: Cost of each catch-up attempt against a peer the detector
     #: believed alive but that cannot actually serve (itself down or
     #: still state-incomplete): a timed-out transfer before trying the
     #: next source.
-    retry_backoff: float = 1.0
+    retry_backoff: float = knob(1.0, DELAY)
     #: History source policy; see :data:`CATCHUP_SOURCES`.
-    catchup_source: str = "peer-then-log"
-
-    def __post_init__(self) -> None:
-        for name in (
-            "heartbeat_interval",
-            "heartbeat_delay",
-            "detection_timeout",
-            "catchup_latency",
-            "retry_backoff",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
-            )
-        for name in (
-            "heartbeat_delay", "detection_timeout",
-            "catchup_latency", "retry_backoff",
-        ):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
-        if self.suspicion_threshold < 1:
-            raise ValueError(
-                f"suspicion_threshold must be >= 1, got {self.suspicion_threshold}"
-            )
-        if self.catchup_source not in CATCHUP_SOURCES:
-            raise ValueError(
-                f"catchup_source must be one of {CATCHUP_SOURCES}, "
-                f"got {self.catchup_source!r}"
-            )
+    catchup_source: str = knob("peer-then-log", SOURCE)
 
     @property
     def suspicion_window(self) -> float:
         """Silence length after which a node is believed down."""
         return self.suspicion_threshold * self.detection_timeout
-
-    def with_value(self, name: str, value) -> "MembershipConfig":
-        """This config with one knob replaced, clamped to its kind, so
-        arbitrary mutated/halved values always construct."""
-        kind = MEMBERSHIP_FIELD_KINDS[name]
-        if kind == "interval":
-            value = max(float(value), 1e-3)
-        elif kind == "count":
-            value = max(int(value), 1)
-        elif kind == "choice":
-            value = str(value)
-        else:
-            value = max(float(value), 0.0)
-        return replace(self, **{name: value})
-
-
-def membership_field_default(name: str):
-    """The default value of one knob (the shrinker's identity target)."""
-    for f in fields(MembershipConfig):
-        if f.name == name:
-            return f.default
-    raise KeyError(name)

@@ -15,13 +15,7 @@ verdicts to the single-set reference.
 """
 
 from repro.sharding.handoff import ShardHost, ShardState
-from repro.sharding.ring import (
-    SHARD_FIELD_KINDS,
-    HashRing,
-    ShardConfig,
-    moved_keys,
-    shard_field_default,
-)
+from repro.sharding.ring import HashRing, ShardConfig, moved_keys
 from repro.sharding.router import ShardAssignment, assign_condition, split_feed
 from repro.sharding.runtime import (
     ShardedRuntime,
@@ -30,10 +24,8 @@ from repro.sharding.runtime import (
 )
 
 __all__ = [
-    "SHARD_FIELD_KINDS",
     "HashRing",
     "ShardConfig",
-    "shard_field_default",
     "moved_keys",
     "ShardAssignment",
     "assign_condition",

@@ -4,8 +4,8 @@ A :class:`ShardConfig` names a ring the way
 :class:`~repro.faults.plan.FaultProfile` names a fault surface: all
 scalars, picklable, hashable, JSON-round-trippable, so it rides on a
 :class:`~repro.engine.spec.TrialSpec` across process boundaries and
-through trace/feed headers unchanged.  :data:`SHARD_FIELD_KINDS` gives
-the fuzzer's mutation catalog typed access to every knob.
+through trace/feed headers unchanged; its fields are :mod:`repro.knobs`
+kinds, like the fault profile's.
 
 :class:`HashRing` materializes the config into the classic structure:
 every shard contributes ``virtual_nodes`` points on a 64-bit circle
@@ -22,77 +22,33 @@ makes a live rebalance (ring resize → per-variable state handoff) cheap.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Iterable, Mapping
 
-__all__ = [
-    "SHARD_FIELD_KINDS",
-    "ShardConfig",
-    "HashRing",
-    "shard_field_default",
-    "moved_keys",
-]
+from repro.knobs import RING_SEED, SHARDS, VIRTUAL_NODES, KnobSet, knob
 
-#: Knob name -> mutation kind, mirroring PROFILE_FIELD_KINDS /
-#: MEMBERSHIP_FIELD_KINDS: "count" (integer >= 1), "seed" (integer >= 0).
-SHARD_FIELD_KINDS: dict[str, str] = {
-    "shards": "count",
-    "virtual_nodes": "count",
-    "ring_seed": "seed",
-}
+__all__ = ["ShardConfig", "HashRing", "moved_keys"]
 
 
 @dataclass(frozen=True)
-class ShardConfig:
+class ShardConfig(KnobSet):
     """One ring: how many shards, how finely diced, under which salt."""
 
     #: Number of shards (independent per-shard replica sets + AD merges).
-    shards: int = 1
+    shards: int = knob(1, SHARDS)
     #: Ring points per shard.  More points → tighter balance bound at
     #: O(shards × virtual_nodes log ·) ring build cost; 64 keeps the
     #: max/mean load under ~1.5 for the shard counts swept here.
-    virtual_nodes: int = 64
+    virtual_nodes: int = knob(64, VIRTUAL_NODES)
     #: Salt folded into every ring-point hash, so rings can be re-diced
     #: (e.g. by the fuzzer) without changing any other knob.
-    ring_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.virtual_nodes < 1:
-            raise ValueError(
-                f"virtual_nodes must be >= 1, got {self.virtual_nodes}"
-            )
-        if self.ring_seed < 0:
-            raise ValueError(f"ring_seed must be >= 0, got {self.ring_seed}")
+    ring_seed: int = knob(0, RING_SEED)
 
     @property
     def is_single(self) -> bool:
         """True iff the ring cannot split anything (one shard)."""
         return self.shards == 1
-
-    def resized(self, shards: int) -> "ShardConfig":
-        """The same ring dicing with a different shard count."""
-        return replace(self, shards=shards)
-
-    def with_value(self, name: str, value) -> "ShardConfig":
-        """This config with one knob replaced, clamped to its kind, so
-        arbitrary mutated values always construct."""
-        kind = SHARD_FIELD_KINDS[name]
-        if kind == "count":
-            value = max(int(value), 1)
-        else:  # "seed"
-            value = max(int(value), 0)
-        return replace(self, **{name: value})
-
-
-def shard_field_default(name: str):
-    """The default value of one knob (the shrinker's identity target)."""
-    for f in fields(ShardConfig):
-        if f.name == name:
-            return f.default
-    raise KeyError(name)
 
 
 def _hash64(key: str) -> int:

@@ -115,7 +115,7 @@ def test_ring_growth_moves_keys_only_to_the_new_shard(
         shards=shards, virtual_nodes=virtual_nodes, ring_seed=ring_seed
     )
     before = HashRing(config).assignment(key_list)
-    after = HashRing(config.resized(shards + 1)).assignment(key_list)
+    after = HashRing(config.with_value("shards", shards + 1)).assignment(key_list)
     for key, (old, new) in moved_keys(before, after).items():
         assert new == shards, (
             f"{key!r} moved {old}→{new}, but growing to {shards + 1} "

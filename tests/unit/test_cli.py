@@ -149,6 +149,16 @@ class TestExperimentsCommands:
         out = capsys.readouterr().out
         assert "mean miss" in out
 
+    def test_chaos_smoke_gate(self, capsys):
+        # The exact argument list of CI's chaos-smoke job, so the job and
+        # this suite cannot disagree.  (At --trials 15 three CEs at
+        # intensity 2 happen to miss more alerts than two, 0.447 vs 0.419.)
+        assert main([
+            "chaos", "--intensities", "0", "1", "2",
+            "--replications", "1", "2", "3", "--trials", "30", "--updates", "25",
+        ]) == 0
+        assert "replication reduces missed alerts: YES" in capsys.readouterr().out
+
 
 class TestFeedCommands:
     def test_record_and_conform(self, tmp_path, capsys):

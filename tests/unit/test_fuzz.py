@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.witness import violates
 from repro.engine.spec import TrialSpec
-from repro.faults import DEFAULT_CHAOS_PROFILE, PROFILE_FIELD_KINDS
+from repro.faults import DEFAULT_CHAOS_PROFILE
 from repro.fuzz import (
     FuzzConfig,
     FuzzEngine,
@@ -125,16 +125,10 @@ class TestMutateSpec:
                 assert 0.0 <= spec.front_loss <= 1.0
             if spec.faults is not None:
                 assert not spec.faults.is_clean
-                for name, kind in PROFILE_FIELD_KINDS.items():
-                    value = getattr(spec.faults, name)
-                    if kind == "prob":
-                        assert 0.0 <= value <= 1.0
-                    elif kind == "factor":
-                        assert value >= 1.0
-                    elif kind == "count":
-                        assert value >= 1
-                    else:
-                        assert value >= 0.0
+                for name, kind in spec.faults.knobs():
+                    # A probability in [0, 1], a delay factor >= 1, a
+                    # copy count >= 1, any other fault knob >= 0.
+                    assert kind.floor <= getattr(spec.faults, name) <= kind.cap
 
     def test_never_touches_matrix_or_algorithm(self):
         # The row may jump (to any row of the same matrix, including the
@@ -278,6 +272,9 @@ class TestFaultProfileMutationSupport:
             == 1.0
         )
         assert profile.with_value("max_duplicates", 0).max_duplicates == 1
+        # An untyped kind keeps the value's own type: a shrunk witness
+        # header prints ``"ce_crash_rate": 0``.
+        assert type(profile.with_value("ce_crash_rate", 0).ce_crash_rate) is int
 
     def test_with_value_rejects_unknown_fields(self):
         with pytest.raises(KeyError):
@@ -324,14 +321,14 @@ class TestShardingMutationAndShrink:
             assert count != 3
 
     def test_sharding_shrink_steps_drop_first_then_normalize(self):
-        from repro.fuzz.shrink import _sharding_steps
+        from repro.fuzz.shrink import _knob_steps
         from repro.sharding import ShardConfig
 
         spec = TrialSpec(
             "single", "aggressive", "AD-2", 0, 10,
             sharding=ShardConfig(shards=4, virtual_nodes=16, ring_seed=2),
         )
-        steps = list(_sharding_steps(spec))
+        steps = list(_knob_steps(spec, "sharding"))
         assert steps[0].sharding is None  # cheapest question first
         assert steps[1].sharding == ShardConfig(
             shards=3, virtual_nodes=16, ring_seed=2
@@ -341,9 +338,9 @@ class TestShardingMutationAndShrink:
             ShardConfig(shards=4, virtual_nodes=64, ring_seed=2),
             ShardConfig(shards=4, virtual_nodes=16, ring_seed=0),
         }
-        assert list(_sharding_steps(TrialSpec(
+        assert list(_knob_steps(TrialSpec(
             "single", "aggressive", "AD-2", 0, 10
-        ))) == []
+        ), "sharding")) == []
 
     def test_shrink_drops_sharding_and_matches_unsharded_witness(self):
         """Shrink soundness: sharding is semantics-neutral, so the

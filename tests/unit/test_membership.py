@@ -11,11 +11,9 @@ from repro.membership import (
     MembershipPlan,
     churn_summary,
     classify_verdicts,
-    membership_field_default,
     node_view,
     plan_membership,
 )
-from repro.membership.config import MEMBERSHIP_FIELD_KINDS
 from repro.props.report import PropertyTally
 from repro.simulation.failures import CrashSchedule
 
@@ -64,16 +62,16 @@ class TestMembershipConfig:
 
     def test_field_kinds_cover_every_field(self):
         import dataclasses
-        assert set(MEMBERSHIP_FIELD_KINDS) == {
+        assert [name for name, _ in MembershipConfig.knobs()] == [
             f.name for f in dataclasses.fields(MembershipConfig)
-        }
+        ]
 
-    def test_field_defaults_round_trip(self):
+    def test_inert_values_are_the_defaults(self):
         config = MembershipConfig()
-        for name in MEMBERSHIP_FIELD_KINDS:
-            assert getattr(config, name) == membership_field_default(name)
+        for name, _ in MembershipConfig.knobs():
+            assert getattr(config, name) == MembershipConfig.inert(name)
         with pytest.raises(KeyError):
-            membership_field_default("nope")
+            MembershipConfig.inert("nope")
 
 
 # -------------------------------------------------------------- detector

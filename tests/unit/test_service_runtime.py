@@ -445,6 +445,14 @@ class TestHostileStreams:
                 "field 'spec' is malformed",
                 id="nested-config",
             ),
+            pytest.param(
+                # JSON's ``Infinity``: a run with it would divide by zero.
+                lambda h: h["spec"].update(
+                    faults={"ce_crash_rate": 0.01, "ce_mean_repair": float("inf")}
+                ),
+                "ce_mean_repair must be finite",
+                id="non-finite-knob",
+            ),
         ],
     )
     def test_a_malformed_hello_is_a_named_error(self, feed, tamper, named):

@@ -20,7 +20,6 @@ from repro.props import report
 from repro.service.feed import record_feed
 from repro.service.runtime import ConformanceReport, DirectRuntime
 from repro.sharding import (
-    SHARD_FIELD_KINDS,
     HashRing,
     ShardConfig,
     ShardedRuntime,
@@ -28,7 +27,6 @@ from repro.sharding import (
     ShardState,
     assign_condition,
     moved_keys,
-    shard_field_default,
     split_feed,
     tenants,
 )
@@ -62,20 +60,19 @@ class TestShardConfig:
         assert config.with_value("ring_seed", -7).ring_seed == 0
         assert config.with_value("shards", 8).shards == 8
 
-    def test_resized_keeps_ring_shape(self):
+    def test_shard_count_change_keeps_ring_shape(self):
         config = ShardConfig(shards=2, virtual_nodes=16, ring_seed=3)
-        resized = config.resized(5)
+        resized = config.with_value("shards", 5)
         assert resized.shards == 5
         assert resized.virtual_nodes == 16
         assert resized.ring_seed == 3
 
     def test_field_metadata_covers_every_knob(self):
-        assert set(SHARD_FIELD_KINDS) == {
+        assert [name for name, _ in ShardConfig.knobs()] == [
             "shards", "virtual_nodes", "ring_seed",
-        }
-        for name in SHARD_FIELD_KINDS:
-            default = shard_field_default(name)
-            assert getattr(ShardConfig(), name) == default
+        ]
+        for name, _ in ShardConfig.knobs():
+            assert getattr(ShardConfig(), name) == ShardConfig.inert(name)
 
     def test_spec_round_trips_sharding_as_dict(self):
         # Trace/feed headers reconstruct specs from plain JSON dicts.

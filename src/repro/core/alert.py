@@ -49,7 +49,8 @@ class Alert:
         return self.histories.variables
 
     def identity(self) -> tuple:
-        """Hashable identity used for ΦA set comparisons and by AD-1."""
+        """Hashable identity used for ΦA set comparisons and by AD-1
+        (the seqno half is the snapshot's memo)."""
         return (self.condname, self.histories.identity())
 
     def with_source(self, source: str) -> "Alert":

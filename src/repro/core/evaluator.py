@@ -128,6 +128,7 @@ class ConditionEvaluator:
             entries[var] = tuple(buffer)
         snapshot = _new(HistorySnapshot)
         _oset(snapshot, "_entries", entries)
+        _oset(snapshot, "_identity", None)
         alert = _new(Alert)
         _oset(alert, "condname", self.condition.name)
         _oset(alert, "histories", snapshot)

@@ -22,11 +22,13 @@ and conflict detection.  The live, growing H of a CE is kept by
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.update import Update
 
 __all__ = ["HistorySnapshot", "history_is_consecutive"]
+
+_oset = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,9 +37,16 @@ class HistorySnapshot:
 
     Hashable so AD-1 can use alert identity ("two alerts are identical if
     their history sets H are the same") directly as a set member.
+
+    The seqno identity is computed the first time it is asked for and
+    kept: every AD filter, checker and hash of the alert reads the same
+    tuples.  Every constructor leaves the memo ``None``.
     """
 
     _entries: Mapping[str, tuple[Update, ...]]
+    _identity: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -69,7 +78,8 @@ class HistorySnapshot:
         completeness search.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "_entries", dict(sorted(entries.items())))
+        _oset(self, "_entries", dict(sorted(entries.items())))
+        _oset(self, "_identity", None)
         return self
 
     @property
@@ -91,7 +101,10 @@ class HistorySnapshot:
 
     def seqnos(self, varname: str) -> tuple[int, ...]:
         """All seqnos in Hx, most recent first."""
-        return tuple([u.seqno for u in self._entries[varname]])
+        for var, seqnos in self.identity():
+            if var == varname:
+                return seqnos
+        raise KeyError(varname)
 
     def identity(self) -> tuple:
         """Hashable identity: variable → (seqno, ...) pairs.
@@ -100,15 +113,20 @@ class HistorySnapshot:
         its snapshot value in a correct system, and AD algorithms in the
         paper compare histories by their sequence numbers.
         """
+        identity = self._identity
+        if identity is not None:
+            return identity
         # Plain loops: a generator expression per variable costs a frame
-        # each, and this runs once per alert an AD or a checker hashes.
-        identity = []
+        # each, and this runs once per snapshot.
+        pairs = []
         for var, updates in self._entries.items():
             seqnos = []
             for update in updates:
                 seqnos.append(update.seqno)
-            identity.append((var, tuple(seqnos)))
-        return tuple(identity)
+            pairs.append((var, tuple(seqnos)))
+        identity = tuple(pairs)
+        _oset(self, "_identity", identity)
+        return identity
 
     def __hash__(self) -> int:
         return hash(self.identity())

@@ -10,14 +10,14 @@ the property suite can assemble pipelines without sockets:
   streams).
 * :func:`ce_replica` — one per CE: a stateful online consumer wrapping
   a :class:`~repro.core.evaluator.ConditionEvaluator`; every alert it
-  raises is paired with its pre-recorded arrival stamp and pushed into
-  the **shared** alert queue.
+  raises goes into the **shared** alert queue as a plain
+  ``(ce_index, alert, ingest_ns)`` tuple.
 * :func:`ad_merge` — the AD-side consumer.  All CEs fan into one
   bounded queue (a per-CE queue k-way merge can deadlock: the merger
   awaits one CE's head while another CE blocks on its own full queue
-  and the router blocks behind *it*); the merger re-establishes the
-  arrival order with a reorder buffer released in precomputed stamp
-  order, then filters online through the AD algorithm.
+  and the router blocks behind *it*); the merger files each arrival
+  into its CE's FIFO, releases CE heads in recorded stamp order, and
+  filters online through the AD algorithm.
 
 Every stage moves a *batch* per suspension — ``get_many()`` hands it
 whatever its queue holds (at most the queue's capacity, in queue order),
@@ -34,7 +34,9 @@ close is consumed first, which is the graceful-drain guarantee.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import AsyncIterator, Awaitable, Callable
 
 from repro.core.alert import Alert
@@ -43,7 +45,6 @@ from repro.service.queues import CLOSE, BoundedQueue
 from repro.service.runtime import FeedMismatchError
 
 __all__ = [
-    "StampedAlert",
     "MergeResult",
     "ShardFrontResult",
     "route_updates",
@@ -69,21 +70,6 @@ async def _batches(queue: BoundedQueue) -> AsyncIterator[list]:
                 yield batch
             return
         yield batch
-
-
-@dataclass(frozen=True, slots=True)
-class StampedAlert:
-    """An alert paired with its recorded back-link arrival stamp."""
-
-    ce_index: int
-    #: Position in the CE's own alert stream (FIFO back link ⇒ the
-    #: position indexes the CE's stamp list).
-    position: int
-    stamp: tuple[float, int]
-    alert: Alert
-    #: ``time.monotonic_ns()`` when the triggering update entered the
-    #: service — the start of the update→alert latency measurement.
-    ingest_ns: int
 
 
 @dataclass
@@ -195,36 +181,39 @@ async def ce_replica(
     *,
     pace: Pace | None = None,
 ) -> None:
-    """Evaluate one CE's update stream; emit stamped alerts.
+    """Evaluate one CE's update stream; emit ``(ce_index, alert,
+    ingest_ns)`` items, ``ingest_ns`` being when the triggering update
+    entered the service (the start of the update→display latency).
 
     ``evaluator`` is a fresh :class:`ConditionEvaluator` (passed in, not
-    constructed, so tests can inspect it afterwards).  Raising more or
-    fewer alerts than the feed recorded stamps for is a conformance
-    failure — it means the deliveries do not reproduce the run.
+    constructed, so tests can inspect it afterwards).  Back links are
+    FIFO, so the k-th item stands for the CE's k-th recorded stamp.
+    Raising more or fewer alerts than the feed recorded stamps for is a
+    conformance failure — it means the deliveries do not reproduce the
+    run.
     """
+    recorded = len(stamps)
     position = 0
     async for batch in _batches(updates):
-        raised: list[StampedAlert] = []
+        raised: list[tuple[int, Alert, int]] = []
         for update, ingest_ns in batch:
             if pace is not None:
                 await pace(ce_index, update)
             alert = evaluator.ingest(update)
             if alert is not None:
-                if position >= len(stamps):
+                if position >= recorded:
                     raise FeedMismatchError(
                         f"CE{ce_index + 1} raised alert #{position + 1} but the "
-                        f"feed recorded only {len(stamps)} arrival stamps"
+                        f"feed recorded only {recorded} arrival stamps"
                     )
-                raised.append(
-                    StampedAlert(ce_index, position, stamps[position], alert, ingest_ns)
-                )
+                raised.append((ce_index, alert, ingest_ns))
                 position += 1
         if raised:
             await alerts.put_many(raised)
-    if position != len(stamps):
+    if position != recorded:
         raise FeedMismatchError(
             f"CE{ce_index + 1} drained after {position} alerts; the feed "
-            f"recorded {len(stamps)}"
+            f"recorded {recorded}"
         )
     await alerts.close()
 
@@ -238,43 +227,56 @@ async def ad_merge(
 ) -> MergeResult:
     """Re-establish arrival order and filter online through the AD.
 
-    The total arrival order is known up front — it is the sorted union
-    of the feed's stamps (``(time, global_index)`` is unique) — but
-    alerts reach the shared queue in whatever order the CE tasks ran.
-    A reorder buffer holds early arrivals; alerts are released to the
-    AD exactly in stamp order, so the displayed sequence is independent
-    of task scheduling.  Consumes one CLOSE per CE, then verifies the
-    order was fully released.
+    The total arrival order is the feed's stamps ordered by ``(time,
+    global_index)``, which is unique.  Back links are FIFO, so each CE's
+    items reach the shared queue in its own stamp order, but the CEs
+    interleave in whatever order their tasks ran.  Each item waits in
+    its CE's FIFO; a k-entry heap of every CE's next recorded stamp
+    names the CE whose head comes next, and heads are released while
+    that CE has one waiting.  The AD therefore sees exactly the stamp
+    order, independent of task scheduling, at O(log k) per release.
+    Consumes one CLOSE per CE, then verifies that every stamp was
+    released and nothing is left waiting.
     """
-    order = [
-        (ce_index, position)
-        for _, ce_index, position in sorted(
-            (stamp, ce_index, position)
-            for ce_index, per_ce in enumerate(stamps)
-            for position, stamp in enumerate(per_ce)
-        )
-    ]
     result = MergeResult()
-    buffer: dict[tuple[int, int], StampedAlert] = {}
-    released = 0
+    arrivals = result.arrivals
+    latencies = result.display_latencies_ns
+    offer = algorithm.offer
+    waiting: list[deque] = [deque() for _ in stamps]
+    upcoming = [iter(per_ce) for per_ce in stamps]
+    #: ``(next unreleased stamp, ce_index)`` of every CE with stamps left.
+    heads = [(next(it), ce) for ce, it in enumerate(upcoming) if stamps[ce]]
+    heapify(heads)
+    buffered = 0
     closes = 0
     while closes < len(stamps):
         for item in await alerts.get_many():
             if item is CLOSE:
                 closes += 1
                 continue
-            buffer[(item.ce_index, item.position)] = item
-            if len(buffer) > result.peak_reorder:
-                result.peak_reorder = len(buffer)
-            while released < len(order) and order[released] in buffer:
-                stamped = buffer.pop(order[released])
-                released += 1
-                result.arrivals.append(stamped.alert)
-                if algorithm.offer(stamped.alert):
-                    result.display_latencies_ns.append(clock() - stamped.ingest_ns)
-    if released != len(order) or buffer:
+            waiting[item[0]].append(item)
+            buffered += 1
+            if buffered > result.peak_reorder:
+                result.peak_reorder = buffered
+            while heads:
+                ce_index = heads[0][1]
+                queue = waiting[ce_index]
+                if not queue:
+                    break
+                _, alert, ingest_ns = queue.popleft()
+                buffered -= 1
+                stamp = next(upcoming[ce_index], None)
+                if stamp is None:
+                    heappop(heads)
+                else:
+                    heapreplace(heads, (stamp, ce_index))
+                arrivals.append(alert)
+                if offer(alert):
+                    latencies.append(clock() - ingest_ns)
+    expected = sum(map(len, stamps))
+    if len(arrivals) != expected or buffered:
         raise FeedMismatchError(
-            f"merge drained after releasing {released}/{len(order)} stamped "
-            f"alerts ({len(buffer)} stranded in the reorder buffer)"
+            f"merge drained after releasing {len(arrivals)}/{expected} stamped "
+            f"alerts ({buffered} stranded in the reorder buffer)"
         )
     return result

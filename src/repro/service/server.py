@@ -23,9 +23,10 @@ latency percentiles — once the merge task has released every stamped
 alert.  :meth:`MonitorService.stop` likewise waits for in-flight
 connections before closing the listener.
 
-A connection's payload graph (updates, snapshots, alerts, stamped alerts)
-lives until its reply is out and none of it is cyclic, so the cyclic
-collector is paused while any pipeline is live
+A connection's payload graph (updates, snapshots, alerts and the
+``(ce, alert, ingest_ns)`` tuples between CE and merge) lives until its
+reply is out and none of it is cyclic, so the cyclic collector is
+paused while any pipeline is live
 (:func:`~repro.accel.collector_paused`) and run once per connection at
 close, after the reply is on the wire — which is also what reclaims the
 few cycles asyncio itself leaves behind per connection.

@@ -30,7 +30,6 @@ from repro.core.serialization import (
     update_to_json,
 )
 from repro.core.update import Update, parse_trace
-from repro.service.consumers import StampedAlert
 
 
 class TestUpdateRoundTrip:
@@ -130,14 +129,13 @@ class TestCanonicalLine:
 
 
 class TestSlottedPayloads:
-    """The four payload classes a batch holds by the 10^5 are slotted;
+    """The three payload classes a batch holds by the 10^5 are slotted;
     nothing a caller could see of them changed with the layout."""
 
     @staticmethod
     def payloads(alert):
         update = alert.histories[alert.variables[0]][0]
-        stamped = StampedAlert(1, 0, (2.5, 7), alert, 123)
-        return [update, alert.histories, alert, stamped]
+        return [update, alert.histories, alert]
 
     @given(_alerts())
     @settings(max_examples=50, deadline=None)
@@ -197,6 +195,89 @@ class TestSlottedPayloads:
         assert alert == Alert("c2", HistorySnapshot({"x": tuple(reversed(ce.received))}))
         assert (alert.source, alert.histories.seqnos("x")) == ("CE1", (3, 1))
         assert pickle.loads(pickle.dumps(alert)).source == "CE1"
+
+
+def identity_from_scratch(snapshot):
+    return tuple(
+        (var, tuple(update.seqno for update in snapshot[var]))
+        for var in sorted(snapshot.variables)
+    )
+
+
+def evaluated_snapshot(histories):
+    """The snapshot an always-true condition's evaluator raises on H."""
+    condition = PredicateCondition(
+        "p", {var: len(histories[var]) for var in histories}, lambda h: True
+    )
+    evaluator = ConditionEvaluator(condition)
+    for var in histories:
+        for update in reversed(histories[var]):
+            evaluator.ingest(update)
+    return evaluator.alerts[-1].histories
+
+
+class TestSnapshotMemo:
+    """A snapshot computes its seqno identity once and keeps it; every
+    way of making one answers exactly as a from-scratch computation."""
+
+    @staticmethod
+    def constructions(alert):
+        histories = alert.histories
+        entries = {var: histories[var] for var in histories}
+        fresh = {
+            "init": HistorySnapshot(entries),
+            "from_trusted": HistorySnapshot.from_trusted(entries),
+            "evaluator": evaluated_snapshot(histories),
+            "alert_from_json": alert_from_json(alert_to_json(alert)).histories,
+        }
+        for snapshot in fresh.values():
+            assert snapshot._identity is None
+        memoized = HistorySnapshot(entries)
+        memoized.identity()
+        made = dict(fresh)
+        for name, original in (("plain", HistorySnapshot(entries)), ("memoized", memoized)):
+            made[f"pickle-{name}"] = pickle.loads(pickle.dumps(original))
+            made[f"deepcopy-{name}"] = copy.deepcopy(original)
+            made[f"replace-{name}"] = dataclasses.replace(original)
+        assert made["replace-memoized"]._identity is None
+        made["memoized"] = memoized
+        return made
+
+    @given(_alerts())
+    @settings(max_examples=100, deadline=None)
+    def test_every_construction_answers_as_from_scratch(self, alert):
+        expected = identity_from_scratch(alert.histories)
+        for name, snapshot in self.constructions(alert).items():
+            assert snapshot.identity() == expected, name
+            for var, seqnos in expected:
+                assert snapshot.seqnos(var) == seqnos, name
+            assert Alert(alert.condname, snapshot).identity() == (
+                alert.condname, expected
+            ), name
+
+    @given(_alerts())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_and_unmemoized_compare_and_hash_equal(self, alert):
+        snapshots = list(self.constructions(alert).values())
+        unmemoized = HistorySnapshot.from_trusted(
+            {var: alert.histories[var] for var in alert.histories}
+        )
+        for snapshot in snapshots:
+            assert snapshot == unmemoized and unmemoized == snapshot
+            assert hash(snapshot) == hash(unmemoized)
+            assert Alert(alert.condname, snapshot) == Alert(alert.condname, unmemoized)
+        assert len(set(snapshots)) == 1
+
+    def test_computed_once_then_shared(self):
+        snapshot = HistorySnapshot(
+            {"y": (Update("y", 4),), "x": (Update("x", 5), Update("x", 2))}
+        )
+        identity = snapshot.identity()
+        assert snapshot.identity() is identity
+        assert snapshot.seqnos("x") is identity[0][1]
+        assert Alert("c", snapshot).identity()[1] is identity
+        with pytest.raises(KeyError):
+            snapshot.seqnos("z")
 
 
 class TestConditionRoundTrip:

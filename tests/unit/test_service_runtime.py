@@ -424,6 +424,12 @@ class TestHostileStreams:
                 id="stamp-not-a-pair",
             ),
             pytest.param(
+                # The merge releases a CE's alerts in its stamps' order.
+                lambda h: h["stamps"][0].reverse(),
+                "field 'stamps' of CE1 is not in (time, index) order",
+                id="stamps-out-of-order",
+            ),
+            pytest.param(
                 lambda h: h["spec"].update(row="nope"), "field 'row' is 'nope'",
                 id="unknown-row",
             ),

@@ -5,6 +5,9 @@ The figure of merit is **distinct violating coverage signatures** (see
 violating the target property a search finds for a fixed number of
 simulator runs.  Raw violation *counts* would reward finding the same
 boring violation two thousand times; distinct signatures reward breadth.
+Breadth is also reported directly: the union of ``hit:`` features (which
+drop, fault and rejection points fired) over each search's findings, and
+the fuzzer's union must contain uniform sampling's.
 
 The cell under test is Table 2's consistency ✗-cell — the aggressive
 single-variable row under AD-2, the weakest algorithm whose grid leaves
@@ -15,7 +18,7 @@ tests pin that separately.)
 Both searches spend the same budget:
 
 * **fuzz**: :class:`repro.fuzz.engine.FuzzEngine` with its default
-  corpus/mutation settings;
+  corpus and reseeding settings;
 * **uniform**: :func:`repro.fuzz.engine.uniform_specs` — sequential
   seeds, default knobs, no faults, exactly how the table grids sample.
 
@@ -47,6 +50,11 @@ FUZZ_SEED = 0
 MIN_RATIO = 1.5
 
 
+def hit_union(signatures) -> set[str]:
+    """The ``hit:`` features over a set of signatures."""
+    return {f for signature in signatures for f in signature if f.startswith("hit:")}
+
+
 def uniform_baseline(config: FuzzConfig) -> dict:
     """Distinct (violating) signatures from uniform sampling at the same
     budget, scored with the exact signature the fuzzer uses."""
@@ -66,6 +74,7 @@ def uniform_baseline(config: FuzzConfig) -> dict:
         "distinct_signatures": len(signatures),
         "distinct_violating_signatures": len(violating),
         "violations": violations,
+        "hits": hit_union(violating),
     }
 
 
@@ -92,12 +101,9 @@ def run_comparison() -> dict:
             "distinct_signatures": fuzz.distinct_signatures,
             "corpus_size": fuzz.corpus_size,
             "features": fuzz.features,
+            "hits": hit_union(f.signature for f in fuzz.findings),
         },
-        "uniform": {
-            "distinct_violating_signatures": uniform_violating,
-            "distinct_signatures": uniform["distinct_signatures"],
-            "violations": uniform["violations"],
-        },
+        "uniform": uniform,
         # Uniform finding zero would make the ratio infinite; clamp the
         # divisor so the comparison stays honest when that happens.
         "ratio": round(fuzz_violating / max(1, uniform_violating), 2),
@@ -144,7 +150,8 @@ def format_result(comparison: dict, witness_line: str) -> str:
         f"{uniform['distinct_violating_signatures']} "
         f"({uniform['violations']} raw violations, "
         f"{uniform['distinct_signatures']} total signatures) — "
-        f"{comparison['ratio']}x. "
+        f"{comparison['ratio']}x. hit: features over findings: fuzz "
+        f"{len(fuzz['hits'])}, uniform {len(uniform['hits'])}. "
         + witness_line
     )
 
@@ -154,3 +161,4 @@ def test_fuzz_vs_uniform(benchmark):
     witness_line = minimize_first_finding(comparison)
     save_result("fuzz", format_result(comparison, witness_line))
     assert comparison["ratio"] >= MIN_RATIO
+    assert comparison["fuzz"]["hits"] >= comparison["uniform"]["hits"]

@@ -177,18 +177,22 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.observability import replay_trace
 
     _scenario_for(args.row, args.multi)  # validate the row early
-    config = FuzzConfig(
-        matrix="multi" if args.multi else "single",
-        row=args.row,
-        algorithm=args.algorithm,
-        target=_FUZZ_TARGETS[args.target],
-        budget=args.budget,
-        fuzz_seed=args.fuzz_seed,
-        batch_size=args.batch,
-        n_updates=args.updates,
-        replication=args.replication,
-        kernel=args.kernel,
-    )
+    try:
+        config = FuzzConfig(
+            matrix="multi" if args.multi else "single",
+            row=args.row,
+            algorithm=args.algorithm,
+            target=_FUZZ_TARGETS[args.target],
+            budget=args.budget,
+            fuzz_seed=args.fuzz_seed,
+            batch_size=args.batch,
+            n_updates=args.updates,
+            replication=args.replication,
+            kernel=args.kernel,
+        )
+    except ValueError as exc:
+        print(f"repro fuzz: error: {exc}", file=sys.stderr)
+        return 2
     with TrialEngine(processes=args.processes) as engine:
         result = FuzzEngine(config, engine=engine).run()
 
@@ -649,6 +653,19 @@ def _processes_arg(value: str) -> int | str:
     return count
 
 
+def _non_negative_int(value: str) -> int:
+    """argparse type for a count that may be zero."""
+    try:
+        count = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {value!r}"
+        ) from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {count}")
+    return count
+
+
 _KERNEL_HELP = "trial executor (array = fast path, object = oracle)"
 
 
@@ -812,7 +829,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--algorithm", default="AD-2")
     p_fuzz.add_argument("--multi", action="store_true")
     p_fuzz.add_argument("--updates", type=int, default=20,
-                        help="baseline reading count for initial inputs")
+                        help="reading count of every campaign spec")
     p_fuzz.add_argument("--replication", type=int, default=2)
     _add_kernel(p_fuzz, "trial executor every campaign spec runs under")
     p_fuzz.add_argument(
@@ -829,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "each recorded trace replays bit-identically",
     )
     p_fuzz.add_argument(
-        "--minimize-limit", type=int, default=3,
+        "--minimize-limit", type=_non_negative_int, default=3,
         help="findings to minimize (they are deduplicated by signature)",
     )
     p_fuzz.add_argument(

@@ -159,12 +159,9 @@ class RunResult:
     #: derived analytically and attached after the run.
     sharding: object | None = None
 
-    def evaluate_properties(self, interleaving_limit: int | None = None) -> PropertyReport:
+    def evaluate_properties(self) -> PropertyReport:
         """Decide orderedness/completeness/consistency for this run."""
-        kwargs = {}
-        if interleaving_limit is not None:
-            kwargs["interleaving_limit"] = interleaving_limit
-        return evaluate_run(self.condition, self.received, self.displayed, **kwargs)
+        return evaluate_run(self.condition, self.received, self.displayed)
 
     @property
     def all_generated(self) -> tuple[Alert, ...]:

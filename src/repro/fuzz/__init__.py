@@ -7,9 +7,9 @@ a correctness tool that *searches*:
 * :mod:`repro.fuzz.coverage` — behaviour signatures of runs (which drop
   and AD-rejection reasons fired, per-stage count buckets, the property
   verdict vector);
-* :mod:`repro.fuzz.mutate` — mutations over ``TrialSpec × FaultProfile``;
 * :mod:`repro.fuzz.engine` — the corpus-keeping fuzz loop
-  (:class:`FuzzEngine`), scheduling batches through the existing
+  (:class:`FuzzEngine`), which reseeds corpus entries that reached new
+  coverage, scheduling batches through the existing
   :class:`~repro.engine.core.TrialEngine` pool and deduplicating
   findings by violating signature;
 * :mod:`repro.fuzz.shrink` — generalized delta debugging of a violating
@@ -30,7 +30,6 @@ from repro.fuzz.engine import (
     FuzzResult,
     uniform_specs,
 )
-from repro.fuzz.mutate import MutationLimits, mutate_spec
 from repro.fuzz.shrink import ShrinkResult, shrink_spec
 
 __all__ = [
@@ -39,10 +38,8 @@ __all__ = [
     "FuzzConfig",
     "FuzzEngine",
     "FuzzResult",
-    "MutationLimits",
     "ShrinkResult",
     "coverage_signature",
-    "mutate_spec",
     "new_features",
     "shrink_spec",
     "signature_key",

@@ -1,9 +1,10 @@
-"""The coverage-guided mutational fuzz loop.
+"""The coverage-guided reseeding fuzz loop.
 
 :class:`FuzzEngine` keeps a corpus of :class:`~repro.engine.spec.TrialSpec`
-inputs for one scenario cell, mutates them through the catalog in
-:mod:`repro.fuzz.mutate`, executes batches through the existing
-:class:`~repro.engine.core.TrialEngine` (inline unless given a pool), and
+inputs for one scenario cell.  A child is a corpus entry, picked with a
+bias toward recent additions, run again under a fresh seed; batches go
+through the existing :class:`~repro.engine.core.TrialEngine` (inline
+unless given a pool), and the loop
 
 * **retains** an input in the corpus when its behaviour signature
   (:func:`~repro.fuzz.coverage.coverage_signature`) contains any feature
@@ -15,11 +16,16 @@ inputs for one scenario cell, mutates them through the catalog in
   (what ``benchmarks/bench_fuzz.py`` compares against uniform random
   sampling).
 
-Everything is deterministic in ``FuzzConfig.fuzz_seed``: mutation draws
-come from one dedicated ``random.Random``, batches preserve submission
-order through the engine, and duplicate specs are skipped before
-execution — so a campaign's findings replay exactly, and each finding's
-spec can be handed to :func:`repro.fuzz.shrink.shrink_spec` and
+Reseeding keeps everything but the seed, so what a campaign can reach
+is fixed by its initial corpus (:meth:`FuzzConfig.initial_specs`).  At
+equal budget it finds more violating signatures than any knob-mutation
+catalogue measured (EXPERIMENTS.md, "Fuzzing").
+
+Everything is deterministic in ``FuzzConfig.fuzz_seed``: seed draws come
+from one dedicated ``random.Random``, batches preserve submission order
+through the engine, and duplicate specs are skipped before execution —
+so a campaign's findings replay exactly, and each finding's spec can be
+handed to :func:`repro.fuzz.shrink.shrink_spec` and
 :func:`repro.observability.replay.record_trial` for a bit-replayable
 minimized witness.
 """
@@ -34,7 +40,6 @@ from repro.engine.core import INLINE_ENGINE, TrialEngine
 from repro.engine.spec import TrialSpec
 from repro.faults.plan import DEFAULT_CHAOS_PROFILE
 from repro.fuzz.coverage import coverage_signature, signature_key
-from repro.fuzz.mutate import MutationLimits, mutate_spec
 from repro.props.report import PropertyReport
 
 __all__ = ["FuzzConfig", "Finding", "FuzzResult", "FuzzEngine", "uniform_specs"]
@@ -44,6 +49,11 @@ __all__ = ["FuzzConfig", "Finding", "FuzzResult", "FuzzEngine", "uniform_specs"]
 FUZZ_BASE_SEED = 20010901
 
 _TARGETS = ("ordered", "complete", "consistent")
+
+#: Clean entries in the initial corpus.
+_INITIAL_CLEAN = 8
+#: Chaos intensities of the initial corpus's fault-profile entries.
+_INITIAL_CHAOS = (0.5, 2.0)
 
 
 @dataclass(frozen=True)
@@ -59,16 +69,13 @@ class FuzzConfig:
     #: Total simulator runs the campaign may spend (initial corpus
     #: included).
     budget: int = 1000
-    #: Seed of the fuzzer's own RNG stream (mutation/selection draws).
+    #: Seed of the fuzzer's own RNG stream (selection and seed draws).
     fuzz_seed: int = 0
     #: Specs submitted to the trial engine per round.
     batch_size: int = 32
-    #: Reading count of the initial corpus entries.
+    #: Reading count of every campaign spec.
     n_updates: int = 20
     replication: int = 2
-    #: How many clean-seed entries the initial corpus starts from.
-    initial_inputs: int = 8
-    limits: MutationLimits = field(default_factory=MutationLimits)
     #: Trial executor every campaign spec runs under ("array" | "object").
     kernel: str = "array"
 
@@ -81,6 +88,10 @@ class FuzzConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.n_updates < 1:
+            raise ValueError(f"n_updates must be >= 1, got {self.n_updates}")
+        if self.replication < 1:
+            raise ValueError(f"replication must be >= 1, got {self.replication}")
 
     def clean_spec(self, seed: int) -> TrialSpec:
         """The campaign's scenario cell at ``seed``: default knobs, no
@@ -97,24 +108,27 @@ class FuzzConfig:
         )
 
     def initial_specs(self) -> list[TrialSpec]:
-        """The seed corpus: a few clean runs plus one chaos-profile run.
+        """The seed corpus: clean runs plus chaos-profile runs.
 
-        Seeds are spread deterministically from the fuzz seed; the chaos
-        entry makes every fault-surface feature *reachable* by mutation
-        from round one instead of waiting for a lucky transplant.
+        Seeds are spread deterministically from the fuzz seed.  A child
+        keeps its parent's fault profile, so these entries fix what the
+        campaign can reach: the heavy chaos entry is the one whose runs
+        reach a front-link datagram dropped as late
+        (``link/drop:reorder``).
         """
         rng = Random(f"fuzz/initial/{self.fuzz_seed}")
         specs = [
             self.clean_spec(rng.randrange(1 << 31))
-            for _ in range(max(1, self.initial_inputs))
+            for _ in range(_INITIAL_CLEAN)
         ]
-        specs.append(
+        specs += [
             replace(
                 specs[0],
                 seed=rng.randrange(1 << 31),
-                faults=DEFAULT_CHAOS_PROFILE.scaled(0.5),
+                faults=DEFAULT_CHAOS_PROFILE.scaled(intensity),
             )
-        )
+            for intensity in _INITIAL_CHAOS
+        ]
         return specs[: self.budget]
 
 
@@ -172,7 +186,7 @@ class FuzzEngine:
 
     def run(self) -> FuzzResult:
         config = self.config
-        rng = Random(f"fuzz/mutate/{config.fuzz_seed}")
+        rng = Random(f"fuzz/reseed/{config.fuzz_seed}")
         result = FuzzResult(config=config)
         corpus: list[TrialSpec] = []
         seen_features: set[str] = set()
@@ -209,19 +223,12 @@ class FuzzEngine:
             if remaining <= 0:
                 break
             batch = []
-            misses = 0
             while len(batch) < min(config.batch_size, remaining):
                 parent = self._pick_parent(corpus, rng)
-                child = mutate_spec(parent, rng, config.limits)
-                if misses >= 32:
-                    # The neighbourhood is exhausted; force a fresh seed,
-                    # which collides with vanishing probability.
-                    child = replace(child, seed=rng.randrange(1 << 31))
+                child = replace(parent, seed=rng.randrange(1 << 31))
                 if child in tried:
-                    misses += 1
                     result.skipped_duplicates += 1
                     continue
-                misses = 0
                 tried.add(child)
                 batch.append(child)
 
@@ -232,7 +239,7 @@ class FuzzEngine:
 
     @staticmethod
     def _pick_parent(corpus: list[TrialSpec], rng: Random) -> TrialSpec:
-        """Corpus entry to mutate, biased toward recent additions.
+        """Corpus entry to reseed, biased toward recent additions.
 
         Recent entries embody the newest behaviour; squaring the uniform
         draw skews selection toward the tail without starving the head.

@@ -3,13 +3,13 @@
 :class:`~repro.faults.plan.FaultProfile`,
 :class:`~repro.membership.config.MembershipConfig` and
 :class:`~repro.sharding.ring.ShardConfig` ride on a
-:class:`~repro.engine.spec.TrialSpec` and span the fault surface the
-fuzzer explores.  Each of their fields is declared with :func:`knob`,
-which puts a :class:`Kind` in the field's metadata, and everything that
-treats a field as "a rate" or "a count" reads that one declaration: the
-constructor's domain check, the clamping setter
-(:meth:`KnobSet.with_value`), the fuzzer's value templates and the value
-the shrinker moves a knob toward (:meth:`KnobSet.inert`).
+:class:`~repro.engine.spec.TrialSpec` and describe a run's fault,
+recovery and sharding surface.  Each of their fields is declared with
+:func:`knob`, which puts a :class:`Kind` in the field's metadata, and
+everything that treats a field as "a rate" or "a count" reads that one
+declaration: the constructor's domain check, the clamping setter
+(:meth:`KnobSet.with_value`) and the value the shrinker moves a knob
+toward (:meth:`KnobSet.inert`).
 
 Metadata rather than fields: a kind adds no dataclass field, so
 ``asdict``, ``==``, ``hash``, pickling and the JSON a trace or feed
@@ -28,16 +28,14 @@ __all__ = ["Kind", "KnobSet", "knob"]
 
 @dataclass(frozen=True)
 class Kind:
-    """What one kind of knob accepts, clamps to, is fuzzed with and
-    shrinks toward."""
+    """What one kind of knob accepts, clamps to and shrinks toward."""
 
-    #: Values the fuzzer's mutation catalog draws (for a choice: the
-    #: choices).
-    templates: tuple
     #: ``with_value`` converts with this first — ``int`` makes a count,
-    #: ``str`` a choice among ``templates``; ``None`` keeps the value's
+    #: ``str`` a choice among ``choices``; ``None`` keeps the value's
     #: own type, so a fault knob set to ``0`` stores the int ``0``.
     cast: Callable[[Any], Any] | None = None
+    #: The values a ``str`` kind accepts.
+    choices: tuple = ()
     #: ... then clamps into ``[floor, cap]``.
     floor: float = 0.0
     cap: float = math.inf
@@ -65,9 +63,9 @@ class Kind:
         """Raise ``ValueError`` naming ``name`` unless ``value`` is in
         this kind's domain."""
         if self.cast is str:
-            if value not in self.templates:
+            if value not in self.choices:
                 raise ValueError(
-                    f"{name} must be one of {self.templates}, got {value!r}"
+                    f"{name} must be one of {self.choices}, got {value!r}"
                 )
         elif not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -107,37 +105,32 @@ class KnobSet:
 
     def with_value(self, name: str, value: Any):
         """This config with ``name`` set to ``value`` clamped by its kind,
-        so an arbitrary mutated or halved value always constructs."""
+        so an arbitrary or halved value always constructs."""
         kind = self.__dataclass_fields__[name].metadata["kind"]
         return replace(self, **{name: kind.clamp(value)})
 
 
 # -- FaultProfile: non-negative reals that keep the type they are given.
-# Templates straddle the regimes that matter over a run horizon of a few
-# hundred time units (readings arrive every 10 units).
-RATE = Kind((0.0, 0.002, 0.004, 0.008, 0.016, 0.03), inert=0, shrink="halve")
-MEAN = Kind((0.0, 10.0, 25.0, 40.0, 80.0), inert=0, shrink="halve")
-PROB = Kind((0.0, 0.05, 0.15, 0.4, 0.8), cap=1.0, inert=0, shrink="halve")
+#: A rate or a mean time (repair, outage, spike length).
+RATE = MEAN = Kind(inert=0, shrink="halve")
+PROB = Kind(cap=1.0, inert=0, shrink="halve")
 #: A recovery probability: 0 would make bursts permanent, 1 (instant
 #: recovery) is what switches it off.
 RECOVERY = replace(PROB, inert=1)
 #: A delay multiplier: 1 is no amplification.
-FACTOR = Kind((1.0, 2.0, 4.0, 6.0, 10.0), floor=1.0, inert=1, shrink="halve")
+FACTOR = Kind(floor=1.0, inert=1, shrink="halve")
 #: Extra copies, inert while the duplicate probability is 0.
-COPIES = Kind((1, 2, 3), cast=int, floor=1, inert=1, shrink="halve")
+COPIES = Kind(cast=int, floor=1, inert=1, shrink="halve")
 
 # -- MembershipConfig: times stored as floats; the shrinker snaps every
-# knob to its default.  Means cover timeouts and catch-up/backoff
-# latencies from instant to longer than a crash repair; intervals
-# straddle the reading cadence.
-INTERVAL = Kind((1.0, 2.5, 5.0, 10.0, 20.0), cast=float, floor=1e-3, strict=True)
-DELAY = Kind((0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0), cast=float)
-THRESHOLD = Kind((1, 2, 3), cast=int, floor=1, least=1)
-SOURCE = Kind(("peer-then-log", "peer", "log", "none"), cast=str)
+# knob to its default.
+INTERVAL = Kind(cast=float, floor=1e-3, strict=True)
+DELAY = Kind(cast=float)
+THRESHOLD = Kind(cast=int, floor=1, least=1)
+SOURCE = Kind(cast=str, choices=("peer-then-log", "peer", "log", "none"))
 
-# -- ShardConfig.  Sharding is semantics-neutral by contract; the fuzzer
-# hunts for specs where that breaks.  Virtual-node counts straddle
-# badly- and well-balanced rings; seeds re-dice every ownership boundary.
-SHARDS = Kind((1, 2, 3, 4, 8), cast=int, floor=1, least=1, shrink="step")
-VIRTUAL_NODES = Kind((1, 4, 16, 64, 128), cast=int, floor=1, least=1)
-RING_SEED = Kind((0, 1, 2, 7, 97), cast=int, floor=0)
+# -- ShardConfig.  Sharding is semantics-neutral by contract; the
+# shrinker walks the shard count down and snaps the ring shape.
+SHARDS = Kind(cast=int, floor=1, least=1, shrink="step")
+VIRTUAL_NODES = Kind(cast=int, floor=1, least=1)
+RING_SEED = Kind(cast=int, floor=0)

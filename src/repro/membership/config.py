@@ -7,7 +7,7 @@ CE re-acquires the history it missed.  Like
 :class:`~repro.faults.plan.FaultProfile` it is all scalars, so it rides
 on :class:`~repro.engine.spec.TrialSpec` across process boundaries and
 trace headers unchanged; each field is a :mod:`repro.knobs` kind, which
-is what its validation and the fuzzer's mutation and shrink steps read.
+is what its validation and the shrinker's steps read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["CATCHUP_SOURCES", "MembershipConfig"]
 #: over the back-plane) and falls back to the append-only DM broadcast
 #: log; "none" models restart *without* catch-up — the node rejoins with
 #: a hole in its history (the pre-membership behaviour, made explicit).
-CATCHUP_SOURCES = SOURCE.templates
+CATCHUP_SOURCES = SOURCE.choices
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from repro.props.completeness import (
     CompletenessResult,
     check_completeness,
     check_completeness_multi,
-    check_completeness_multi_enumerated,
     check_completeness_single,
 )
 from repro.props.consistency import (
@@ -65,7 +64,6 @@ __all__ = [
     "build_precedence_graph",
     "check_completeness",
     "check_completeness_multi",
-    "check_completeness_multi_enumerated",
     "check_completeness_single",
     "check_consistency_bruteforce",
     "check_consistency_multi",

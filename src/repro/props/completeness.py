@@ -30,9 +30,9 @@ The multi-variable decision is implemented two ways:
   bounds the number of explored states — when exceeded the result
   carries ``undecided=True`` instead of guessing (or raising); that
   cannot happen once ``limit`` reaches the grid size.
-* :func:`check_completeness_multi_enumerated` — the blind interleaving
-  enumeration.  Kept as the cross-validation oracle; exponential, so
-  only usable on short traces.
+
+The blind interleaving enumeration it replaced is the test suite's
+cross-validation oracle (``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ from dataclasses import dataclass, field
 
 from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition, compile_condition
-from repro.core.reference import (
-    apply_T,
-    combine_received,
-    count_interleavings,
-    interleavings,
-)
+# Nothing here calls ``apply_T``; it stays bound because the traced
+# benchmark harness patches ``repro.props.completeness.apply_T``.
+from repro.core.reference import apply_T, combine_received  # noqa: F401
 from repro.core.sequences import is_strictly_ordered
 from repro.core.update import Update
 
@@ -55,7 +52,6 @@ __all__ = [
     "CompletenessResult",
     "check_completeness_single",
     "check_completeness_multi",
-    "check_completeness_multi_enumerated",
     "check_completeness",
 ]
 
@@ -183,18 +179,6 @@ def _canonical_interleaving(
     return canonical
 
 
-def _failure_diagnostics(
-    actual: frozenset[tuple],
-    condition: Condition,
-    variables: Sequence[str],
-    per_variable: dict[str, Sequence[Update]],
-) -> tuple[frozenset[tuple], frozenset[tuple]]:
-    expected = alert_identity_set(
-        apply_T(condition, _canonical_interleaving(variables, per_variable))
-    )
-    return frozenset(expected - actual), frozenset(actual - expected)
-
-
 def check_completeness_multi(
     alerts: Sequence[Alert],
     condition: Condition,
@@ -246,7 +230,7 @@ def check_completeness_multi(
 
     ``limit`` bounds explored states; exceeding it yields
     ``undecided=True`` rather than a guess.  Raises ValueError when a run
-    repeats a seqno (the enumeration oracle rejects such runs too).
+    repeats a seqno.
     """
     actual = alert_identity_set(alerts)
     degrees = condition.degrees
@@ -395,47 +379,6 @@ def check_completeness_multi(
         witness.extend(reversed(leg))
         here = goal
     return CompletenessResult(True, witness_interleaving=tuple(witness))
-
-
-def check_completeness_multi_enumerated(
-    alerts: Sequence[Alert],
-    condition: Condition,
-    per_variable_updates: dict[str, Sequence[Update]],
-    limit: int = 500_000,
-) -> CompletenessResult:
-    """Exhaustive-enumeration oracle for multi-variable completeness.
-
-    The implementation :func:`check_completeness_multi` replaced; kept
-    for cross-validating the grid walk.  Raises RuntimeError when the
-    interleaving count exceeds ``limit`` rather than guessing.  Failure
-    diagnostics use the same canonical interleaving as the grid walk so
-    the two are result-identical.
-    """
-    total = count_interleavings(per_variable_updates)
-    if total > limit:
-        raise RuntimeError(
-            f"{total} interleavings exceed limit={limit}; shorten the traces "
-            "for exhaustive multi-variable completeness checking"
-        )
-    actual = alert_identity_set(alerts)
-    for candidate in interleavings(
-        {var: list(seq) for var, seq in per_variable_updates.items()}
-    ):
-        expected = alert_identity_set(apply_T(condition, candidate))
-        if expected == actual:
-            return CompletenessResult(
-                True, witness_interleaving=tuple(candidate)
-            )
-    variables = [
-        var for var, seq in per_variable_updates.items() if len(seq) > 0
-    ]
-    missing, extraneous = _failure_diagnostics(
-        actual,
-        condition,
-        variables,
-        {var: list(per_variable_updates[var]) for var in variables},
-    )
-    return CompletenessResult(False, missing=missing, extraneous=extraneous)
 
 
 def check_completeness(

@@ -42,7 +42,7 @@ class ShardConfig(KnobSet):
     #: max/mean load under ~1.5 for the shard counts swept here.
     virtual_nodes: int = knob(64, VIRTUAL_NODES)
     #: Salt folded into every ring-point hash, so rings can be re-diced
-    #: (e.g. by the fuzzer) without changing any other knob.
+    #: without changing any other knob.
     ring_seed: int = knob(0, RING_SEED)
 
     @property

@@ -49,7 +49,7 @@ __all__ = [
 #: Row order of Tables 1-3.  The diversity rows below (bursty, zipfian,
 #: correlated) are deliberately *not* listed here: the paper's tables —
 #: and their golden fixtures — iterate only these four rows, while chaos
-#: sweeps, quality sweeps and the fuzzer draw from the full matrices.
+#: sweeps, quality sweeps and fuzz campaigns take any matrix row.
 ROW_ORDER = ("lossless", "non-historical", "conservative", "aggressive")
 
 #: Extra traffic-shape rows (ROADMAP item 3).  "bursty" exists in both

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import gc
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import pytest
 
-from repro.core.alert import Alert, make_alert
-from repro.core.condition import c1, c2, c3, cm
+from repro.core.alert import Alert, alert_identity_set, make_alert
+from repro.core.condition import Condition, c1, c2, c3, cm
 from repro.core.history import HistorySnapshot
+from repro.core.reference import apply_T, count_interleavings, interleavings
 from repro.core.update import Update, parse_trace
+from repro.props.completeness import CompletenessResult
 
 
 def u(text: str) -> Update:
@@ -54,6 +57,42 @@ def alert_xy(x_seqno: int, y_seqno: int, cond: str = "cm") -> Alert:
     return make_alert(
         cond,
         {"x": [Update("x", x_seqno, 0.0)], "y": [Update("y", y_seqno, 0.0)]},
+    )
+
+
+def check_completeness_multi_enumerated(
+    alerts: Sequence[Alert],
+    condition: Condition,
+    per_variable_updates: dict[str, Sequence[Update]],
+    limit: int = 500_000,
+) -> CompletenessResult:
+    """Exhaustive-enumeration oracle for multi-variable completeness.
+
+    The implementation :func:`~repro.props.completeness.check_completeness_multi`
+    replaced; kept for cross-validating the grid walk.  Raises
+    RuntimeError when the interleaving count exceeds ``limit`` rather
+    than guessing.  Failure diagnostics use the grid walk's canonical
+    interleaving (each run appended whole, in variable order), so the
+    two are result-identical.
+    """
+    total = count_interleavings(per_variable_updates)
+    if total > limit:
+        raise RuntimeError(
+            f"{total} interleavings exceed limit={limit}; shorten the traces "
+            "for exhaustive multi-variable completeness checking"
+        )
+    actual = alert_identity_set(alerts)
+    for candidate in interleavings(
+        {var: list(seq) for var, seq in per_variable_updates.items()}
+    ):
+        if alert_identity_set(apply_T(condition, candidate)) == actual:
+            return CompletenessResult(True, witness_interleaving=tuple(candidate))
+    canonical = [update for seq in per_variable_updates.values() for update in seq]
+    expected = alert_identity_set(apply_T(condition, canonical))
+    return CompletenessResult(
+        False,
+        missing=frozenset(expected - actual),
+        extraneous=frozenset(actual - expected),
     )
 
 

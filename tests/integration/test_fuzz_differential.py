@@ -11,13 +11,13 @@ verdicts and the replay model have diverged.
 
 The oracle only applies to fault-free findings: the exhaustive checker
 re-runs the CE stage deterministically from the received traces, which a
-crashed or suppressed CE in the original run would desynchronize.  The
-mutation limits keep reading counts small so alert streams stay inside
-the interleaving budget.
+crashed or suppressed CE in the original run would desynchronize.  Every
+campaign spec keeps the configured eight readings, so alert streams stay
+inside the interleaving budget.
 """
 
 from repro.displayers.registry import make_ad
-from repro.fuzz import FuzzConfig, FuzzEngine, MutationLimits
+from repro.fuzz import FuzzConfig, FuzzEngine
 from repro.props.exhaustive import classify_trace_pair, count_merge_orders
 from repro.workloads.scenarios import run_scenario
 
@@ -38,8 +38,6 @@ def _campaign() -> FuzzConfig:
         budget=150,
         fuzz_seed=1,
         n_updates=8,
-        limits=MutationLimits(min_updates=4, max_updates=10,
-                              max_replication=2),
     )
 
 

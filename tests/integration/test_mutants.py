@@ -235,7 +235,7 @@ class TestCheckerFirstLayerMutantsCaught:
 
     @staticmethod
     def completeness(candidate):
-        from repro.props.completeness import check_completeness_multi_enumerated
+        from tests.conftest import check_completeness_multi_enumerated
 
         def disagrees(condition, per_var, displayed):
             return candidate(

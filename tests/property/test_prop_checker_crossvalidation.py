@@ -50,7 +50,6 @@ from repro.core.update import Update
 from repro.props.completeness import (
     CompletenessResult,
     check_completeness_multi,
-    check_completeness_multi_enumerated,
     check_completeness_single,
 )
 from repro.props.consistency import (
@@ -60,6 +59,7 @@ from repro.props.consistency import (
     check_consistency_single,
 )
 from repro.workloads.scenarios import cm_historical
+from tests.conftest import check_completeness_multi_enumerated
 
 
 @st.composite

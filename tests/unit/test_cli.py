@@ -132,6 +132,24 @@ class TestFuzzCommand:
             args = parser.parse_args(["fuzz", "--target", spelling])
             assert callable(args.func)
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--updates", "0"], "n_updates must be >= 1, got 0"),
+        (["--updates", "-3"], "n_updates must be >= 1, got -3"),
+        (["--replication", "0"], "replication must be >= 1, got 0"),
+    ], ids=["updates-0", "updates-minus-3", "replication-0"])
+    def test_bad_campaign_is_a_one_line_error(self, capsys, flags, message):
+        # Refused before any run: no "no violations found", no traceback.
+        assert main(["fuzz", "--budget", "20", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro fuzz: error: {message}\n"
+
+    def test_negative_minimize_limit_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fuzz", "--minimize-limit", "-1"])
+        assert exc.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestExperimentsCommands:
     def test_domination_small(self, capsys):

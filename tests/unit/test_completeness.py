@@ -15,12 +15,11 @@ from repro.core.update import parse_trace
 from repro.props.completeness import (
     check_completeness,
     check_completeness_multi,
-    check_completeness_multi_enumerated,
     check_completeness_single,
 )
 from repro.workloads.scenarios import cm_historical
 from repro.workloads.traces import lemma_6_example
-from tests.conftest import alert_xy
+from tests.conftest import alert_xy, check_completeness_multi_enumerated
 
 
 class TestSingleVariable:

@@ -2,12 +2,12 @@
 
 Campaign-level behaviour (differential oracles, shrinker laws, pinned
 minimal witnesses) lives in the integration and property suites; here we
-pin the value-object semantics: signature extraction, mutation bounds,
-config validation, corpus/finding bookkeeping, and the shrinker's
+pin the value-object semantics: signature extraction, config
+validation, reseeding, corpus/finding bookkeeping, and the shrinker's
 contract on single inputs.
 """
 
-from random import Random
+from dataclasses import replace
 
 import pytest
 
@@ -17,14 +17,13 @@ from repro.faults import DEFAULT_CHAOS_PROFILE
 from repro.fuzz import (
     FuzzConfig,
     FuzzEngine,
-    MutationLimits,
     coverage_signature,
-    mutate_spec,
     new_features,
     shrink_spec,
     signature_key,
     uniform_specs,
 )
+from repro.engine import INLINE_ENGINE
 from repro.fuzz.coverage import covered_kind
 from repro.observability import replay_trace
 
@@ -95,66 +94,6 @@ class TestCoverageSignature:
         assert "verdict:complete:False" in fresh
 
 
-BASE_SPEC = TrialSpec(
-    "single", "aggressive", "AD-2", 7, 20, replication=2,
-    collect_coverage=True,
-)
-
-
-class TestMutateSpec:
-    def test_deterministic_in_the_rng(self):
-        children_a = [
-            mutate_spec(BASE_SPEC, Random("m/0")) for _ in range(20)
-        ]
-        children_b = [
-            mutate_spec(BASE_SPEC, Random("m/0")) for _ in range(20)
-        ]
-        assert children_a == children_b
-
-    def test_respects_limits_and_simulator_domains(self):
-        limits = MutationLimits(min_updates=4, max_updates=40,
-                                max_replication=3)
-        rng = Random("m/1")
-        spec = BASE_SPEC
-        for _ in range(300):
-            spec = mutate_spec(spec, rng, limits)
-            assert limits.min_updates <= spec.n_updates <= limits.max_updates
-            assert 1 <= spec.replication <= limits.max_replication
-            assert spec.seed >= 0
-            if spec.front_loss is not None:
-                assert 0.0 <= spec.front_loss <= 1.0
-            if spec.faults is not None:
-                assert not spec.faults.is_clean
-                for name, kind in spec.faults.knobs():
-                    # A probability in [0, 1], a delay factor >= 1, a
-                    # copy count >= 1, any other fault knob >= 0.
-                    assert kind.floor <= getattr(spec.faults, name) <= kind.cap
-
-    def test_never_touches_matrix_or_algorithm(self):
-        # The row may jump (to any row of the same matrix, including the
-        # diversity traffic shapes), but the matrix and algorithm pin the
-        # fuzz campaign's cell: changing them would change which
-        # single-variable algorithms are even constructible.
-        from repro.engine.spec import SCENARIO_MATRICES
-
-        rng = Random("m/2")
-        rows = set()
-        for _ in range(100):
-            child = mutate_spec(BASE_SPEC, rng)
-            assert child.matrix == BASE_SPEC.matrix
-            assert child.algorithm == BASE_SPEC.algorithm
-            assert child.row in SCENARIO_MATRICES[child.matrix]
-            assert child.collect_coverage
-            rows.add(child.row)
-        assert len(rows) > 1  # the row-jump mutation is actually live
-
-    def test_bad_limits_rejected(self):
-        with pytest.raises(ValueError):
-            MutationLimits(min_updates=0)
-        with pytest.raises(ValueError):
-            MutationLimits(min_updates=10, max_updates=5)
-
-
 class TestFuzzConfig:
     def test_rejects_unknown_target_and_bad_budget(self):
         with pytest.raises(ValueError):
@@ -165,14 +104,33 @@ class TestFuzzConfig:
             FuzzConfig(batch_size=0)
         assert FuzzConfig(target=None).target is None
 
+    @pytest.mark.parametrize(
+        "name,value", [("n_updates", 0), ("n_updates", -3), ("replication", 0)]
+    )
+    def test_rejects_a_count_below_one(self, name, value):
+        # Every child keeps the configured counts, so nothing downstream
+        # would clamp a bad one.
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            FuzzConfig(**{name: value})
+
     def test_initial_specs_deterministic_and_coverage_enabled(self):
         config = FuzzConfig(fuzz_seed=3)
         first = config.initial_specs()
         assert first == FuzzConfig(fuzz_seed=3).initial_specs()
         assert first != FuzzConfig(fuzz_seed=4).initial_specs()
         assert all(spec.collect_coverage for spec in first)
-        # One entry seeds the fault surface so mutation can reach it.
-        assert sum(spec.faults is not None for spec in first) == 1
+
+    def test_initial_corpus_carries_a_mild_and_a_heavy_chaos_profile(self):
+        # Reseeding never changes a fault profile, so these two entries
+        # are the campaign's whole fault surface.
+        profiles = [
+            spec.faults for spec in FuzzConfig().initial_specs()
+            if spec.faults is not None
+        ]
+        assert profiles == [
+            DEFAULT_CHAOS_PROFILE.scaled(0.5),
+            DEFAULT_CHAOS_PROFILE.scaled(2.0),
+        ]
 
     def test_initial_specs_respect_a_tiny_budget(self):
         assert len(FuzzConfig(budget=3).initial_specs()) == 3
@@ -188,8 +146,39 @@ class TestUniformSpecs:
         assert all(spec.faults is None for spec in specs)
 
 
+class _RecordingEngine:
+    """The inline trial engine, keeping every batch it was handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def run(self, batch):
+        self.batches.append(list(batch))
+        return INLINE_ENGINE.run(batch)
+
+
+def _campaign_batches(config):
+    engine = _RecordingEngine()
+    FuzzEngine(config, engine=engine).run()
+    return engine.batches
+
+
 class TestFuzzEngine:
     CONFIG = FuzzConfig(budget=80, batch_size=16)
+
+    def test_child_differs_from_its_parent_only_in_seed(self):
+        initial, *children = _campaign_batches(self.CONFIG)
+        assert initial == self.CONFIG.initial_specs()
+        # Every corpus entry descends from an initial spec by reseeding,
+        # so each child is an initial spec under another seed.
+        for child in (spec for batch in children for spec in batch):
+            assert child not in initial
+            assert any(replace(spec, seed=child.seed) == child for spec in initial)
+
+    def test_campaign_is_a_function_of_the_fuzz_seed(self):
+        same = _campaign_batches(self.CONFIG)
+        assert same == _campaign_batches(self.CONFIG)
+        assert same != _campaign_batches(replace(self.CONFIG, fuzz_seed=1))
 
     def test_campaign_is_deterministic(self):
         first = FuzzEngine(self.CONFIG).run()
@@ -282,43 +271,7 @@ class TestFaultProfileMutationSupport:
 
 
 class TestShardingMutationAndShrink:
-    """The shard-count/ring mutators and the drop-to-one-shard shrink step."""
-
-    def test_mutated_shard_configs_stay_valid(self):
-        from random import Random
-
-        from repro.fuzz.mutate import _mutate_ring, _mutate_shards
-
-        rng = Random("shard/0")
-        spec = BASE_SPEC
-        saw_sharded = saw_unsharded = False
-        for _ in range(200):
-            spec = rng.choice((_mutate_shards, _mutate_ring))(spec, rng, None)
-            if spec.sharding is None:
-                saw_unsharded = True
-            else:
-                saw_sharded = True
-                assert spec.sharding.shards >= 1
-                assert spec.sharding.virtual_nodes >= 1
-                assert spec.sharding.ring_seed >= 0
-        # The catalog must both attach rings and drop back to one shard.
-        assert saw_sharded and saw_unsharded
-
-    def test_shard_mutator_never_repeats_the_current_count(self):
-        from random import Random
-
-        from repro.fuzz.mutate import _mutate_shards
-        from repro.sharding import ShardConfig
-
-        rng = Random("shard/1")
-        spec = TrialSpec(
-            BASE_SPEC.matrix, BASE_SPEC.row, BASE_SPEC.algorithm, 0, 10,
-            sharding=ShardConfig(shards=3),
-        )
-        for _ in range(50):
-            child = _mutate_shards(spec, rng, None)
-            count = 1 if child.sharding is None else child.sharding.shards
-            assert count != 3
+    """The drop-to-one-shard shrink step."""
 
     def test_sharding_shrink_steps_drop_first_then_normalize(self):
         from repro.fuzz.shrink import _knob_steps

@@ -1,12 +1,12 @@
 """The knob-set declaration (:mod:`repro.knobs`) and what reads it.
 
 FaultProfile, MembershipConfig and ShardConfig declare each field's kind
-once; construction, ``with_value``, the fuzzer's mutation catalog and the
-shrinker's steps all read that declaration.  The per-config kind tables,
-setters, validators and shrink-step generators it replaced are kept here
-as oracles, and the mutation stream, the shrink candidates and the JSON
-of every config they produce are pinned by digests taken from that
-implementation.
+once; construction, ``with_value`` and the shrinker's steps all read
+that declaration.  The per-config kind tables, setters, validators and
+shrink-step generators it replaced are kept here as oracles, and the
+shrink candidates and the JSON of every config they produce are pinned
+by digests taken from that implementation, over specs drawn by a frozen
+copy of the knob-mutation catalogue the fuzzer once used.
 """
 
 import dataclasses
@@ -21,13 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.spec import TrialSpec
+from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
 from repro.faults.plan import (
     DEFAULT_CHAOS_PROFILE,
     DEFAULT_CHURN_PROFILE,
     FaultProfile,
 )
-from repro.fuzz.mutate import mutate_spec
 from repro.fuzz.shrink import _EPSILON, _candidates
 from repro.knobs import Kind
 from repro.membership.config import MembershipConfig
@@ -62,6 +61,31 @@ OLD_MEMBERSHIP_KINDS = dict(
     catchup_latency="mean", retry_backoff="mean", catchup_source="choice",
 )
 OLD_CATCHUP_SOURCES = ("peer-then-log", "peer", "log", "none")
+#: The values each knob's mutator drew, straddling the regimes that
+#: matter over a run horizon of a few hundred time units.
+_DELAYS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+OLD_TEMPLATES = {
+    **{
+        name: dict(
+            rate=(0.0, 0.002, 0.004, 0.008, 0.016, 0.03),
+            mean=(0.0, 10.0, 25.0, 40.0, 80.0),
+            prob=(0.0, 0.05, 0.15, 0.4, 0.8),
+            factor=(1.0, 2.0, 4.0, 6.0, 10.0),
+            count=(1, 2, 3),
+        )[kind]
+        for name, kind in OLD_PROFILE_KINDS.items()
+    },
+    "heartbeat_interval": (1.0, 2.5, 5.0, 10.0, 20.0),
+    "heartbeat_delay": _DELAYS,
+    "detection_timeout": _DELAYS,
+    "suspicion_threshold": (1, 2, 3),
+    "catchup_latency": _DELAYS,
+    "retry_backoff": _DELAYS,
+    "catchup_source": OLD_CATCHUP_SOURCES,
+    "shards": (1, 2, 3, 4, 8),
+    "virtual_nodes": (1, 4, 16, 64, 128),
+    "ring_seed": (0, 1, 2, 7, 97),
+}
 
 
 def old_profile_identity(name):
@@ -178,22 +202,107 @@ def old_candidates(spec, min_updates):
     yield from old_membership_steps(spec)
 
 
+# The fuzzer's knob-mutation catalogue, frozen: it draws the 2,000 specs
+# the goldens below are taken over.  Limits: 4..40 readings, 1..3 CEs.
+_CHAOS_INTENSITIES = (0.25, 0.5, 1.0, 2.0)
+
+
+def _old_mutate_knob(attr, fresh, spec, rng):
+    config = getattr(spec, attr)
+    if config is None:
+        config = fresh
+    name = rng.choice(sorted(dict(config.knobs())))
+    config = config.with_value(name, rng.choice(OLD_TEMPLATES[name]))
+    if attr == "faults":
+        config = config.or_none()
+    return replace(spec, **{attr: config})
+
+
+def _old_mutate_row(spec, rng):
+    others = [row for row in sorted(SCENARIO_MATRICES[spec.matrix]) if row != spec.row]
+    return replace(spec, row=rng.choice(others)) if others else spec
+
+
+def _old_mutate_shards(spec, rng):
+    current = spec.sharding.shards if spec.sharding is not None else 1
+    count = rng.choice([n for n in OLD_TEMPLATES["shards"] if n != current])
+    if count == 1:
+        return replace(spec, sharding=None)
+    base = spec.sharding if spec.sharding is not None else ShardConfig()
+    return replace(spec, sharding=base.with_value("shards", count))
+
+
+def _old_mutate_ring(spec, rng):
+    base = spec.sharding if spec.sharding is not None else ShardConfig(shards=2)
+    name = "virtual_nodes" if rng.random() < 0.5 else "ring_seed"
+    base = base.with_value(name, rng.choice(OLD_TEMPLATES[name]))
+    return replace(spec, sharding=base)
+
+
+def _old_toggle_membership(spec, rng):
+    if spec.membership is not None:
+        return replace(spec, membership=None)
+    return replace(spec, membership=MembershipConfig())
+
+
+#: (mutation, weight), in catalogue order.
+_OLD_CATALOG = (
+    (lambda spec, rng: replace(spec, seed=rng.randrange(1 << 31)), 4),
+    (lambda spec, rng: replace(
+        spec, seed=abs(spec.seed + rng.choice((-16, -4, -2, -1, 1, 2, 4, 16)))
+    ), 4),
+    (lambda spec, rng: _old_mutate_knob("faults", FaultProfile(), spec, rng), 4),
+    (lambda spec, rng: replace(
+        spec,
+        n_updates=min(max(spec.n_updates + rng.choice((-6, -3, -1, 1, 3, 6)), 4), 40),
+    ), 3),
+    (lambda spec, rng: _old_mutate_knob(
+        "membership", MembershipConfig(), spec, rng
+    ), 3),
+    (lambda spec, rng: replace(
+        spec, front_loss=rng.choice((None, 0.0, 0.1, 0.3, 0.5, 0.7))
+    ), 2),
+    (_old_mutate_row, 2),
+    (lambda spec, rng: replace(
+        spec, faults=DEFAULT_CHAOS_PROFILE.scaled(rng.choice(_CHAOS_INTENSITIES))
+    ), 1),
+    (lambda spec, rng: replace(
+        spec,
+        faults=DEFAULT_CHURN_PROFILE.scaled(rng.choice(_CHAOS_INTENSITIES)),
+        membership=MembershipConfig(),
+    ), 1),
+    (lambda spec, rng: replace(spec, replication=rng.randint(1, 3)), 1),
+    (lambda spec, rng: replace(spec, faults=None), 1),
+    (_old_toggle_membership, 1),
+    (_old_mutate_shards, 1),
+    (_old_mutate_ring, 1),
+)
+_OLD_MUTATIONS = tuple(m for m, w in _OLD_CATALOG for _ in range(w))
+
+
+def old_mutate_spec(spec, rng):
+    """One child of ``spec``: 1–2 catalogue mutations stacked."""
+    for _ in range(rng.randint(1, 2)):
+        spec = rng.choice(_OLD_MUTATIONS)(spec, rng)
+    return spec
+
+
 # ---------------------------------------------------------- strategies
 
 def knob_values(cls, name, kind):
-    """Values a constructor accepts: templates, the inert value and
-    values just off it, ints where a witness header carries them, and
+    """Values a constructor accepts: the old templates, the inert value
+    and values just off it, ints where a witness header carries them, and
     arbitrary in-domain numbers."""
     if kind.cast is str:
-        return st.sampled_from(kind.templates)
+        return st.sampled_from(kind.choices)
     inert = cls.inert(name)
-    values = st.sampled_from(kind.templates) | st.just(inert)
+    values = st.sampled_from(OLD_TEMPLATES[name]) | st.just(inert)
     if kind.cast is int:
         return values | st.integers(int(kind.least), 9)
     return (
         values
         | st.floats(0.0, 2e-6).map(lambda offset: inert + offset)
-        | st.floats(kind.least, 2 * max(kind.templates), exclude_min=kind.strict)
+        | st.floats(kind.least, 2 * max(OLD_TEMPLATES[name]), exclude_min=kind.strict)
         | st.integers(1 if kind.strict else 0, 3)
     )
 
@@ -217,18 +326,17 @@ specs = st.builds(
 
 def numbers_for(kind):
     if kind.cast is str:
-        return st.sampled_from(kind.templates) | st.text(max_size=4)
+        return st.sampled_from(kind.choices) | st.text(max_size=4)
     return st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10, 10**6)
 
 
 # ------------------------------------------------------------- goldens
 
-#: sha256 over ``repr`` of 2,000 chained ``mutate_spec`` children, over
-#: ``repr`` of every shrink candidate of each, and over
-#: ``json.dumps(asdict(config))`` of the default, chaos and churn configs
-#: and every config those specs carry — all taken from the per-config
-#: tables and setters the kinds replaced.
-MUTATION_DIGEST = "6335d7b362e63b259871919e1ca1ca12dd401303f9dc94993c6c12fc2679fd23"
+#: sha256 over ``repr`` of every shrink candidate of 2,000 chained
+#: ``old_mutate_spec`` children, and over ``json.dumps(asdict(config))``
+#: of the default, chaos and churn configs and every config those specs
+#: carry — all taken from the per-config tables and setters the kinds
+#: replaced.
 CANDIDATES_DIGEST = "d6e5d30628c87c22dc5e4c086a8e1e58ff10b94acea045fe318d684b05e4f0cd"
 CONFIG_JSON_DIGEST = "b051d5db4db2cdacb495ccc6bd0d4447faf3d0d83a1d9e5c619dc1e76d40ac1f"
 
@@ -246,7 +354,7 @@ def children():
     rng = Random("knobs/golden")
     out = []
     for _ in range(2000):
-        spec = mutate_spec(spec, rng)
+        spec = old_mutate_spec(spec, rng)
         out.append(spec)
     return out
 
@@ -257,9 +365,6 @@ def candidates(children):
 
 
 class TestGoldens:
-    def test_mutation_stream(self, children):
-        assert _digest(map(repr, children)) == MUTATION_DIGEST
-
     def test_shrink_candidates(self, candidates):
         assert len(candidates) == 44458
         assert _digest(map(repr, candidates)) == CANDIDATES_DIGEST
@@ -293,7 +398,7 @@ def test_candidates_match_the_per_config_step_generators(spec, min_updates):
 def test_with_value_matches_the_per_config_setters(data):
     cls, name, kind = data.draw(st.sampled_from(KNOBS))
     value = data.draw(numbers_for(kind).filter(
-        lambda v: kind.cast is not str or v in kind.templates
+        lambda v: kind.cast is not str or v in kind.choices
     ))
     config = data.draw(configs(cls))
     assert repr(config.with_value(name, value)) == repr(
@@ -352,7 +457,7 @@ class TestDeclaration:
 def test_with_value_constructs_and_is_idempotent(data):
     cls, name, kind = data.draw(st.sampled_from(KNOBS))
     value = data.draw(numbers_for(kind).filter(
-        lambda v: kind.cast is not str or v in kind.templates
+        lambda v: kind.cast is not str or v in kind.choices
     ))
     config = cls().with_value(name, value)
     assert repr(config.with_value(name, getattr(config, name))) == repr(config)

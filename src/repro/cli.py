@@ -486,15 +486,10 @@ def _spec_from_args(args: argparse.Namespace):
             catchup_latency=args.catchup_latency,
             catchup_source=args.catchup_source,
         )
-    sharding = None
-    if args.shards and args.shards > 1:
-        from repro.sharding import ShardConfig
-
-        sharding = ShardConfig(shards=args.shards)
     return TrialSpec(
         "multi" if args.multi else "single", args.row, args.algorithm,
         args.seed, args.updates, args.replication, faults=faults,
-        kernel=args.kernel, membership=membership, sharding=sharding,
+        kernel=args.kernel, membership=membership,
     )
 
 
@@ -518,14 +513,9 @@ def _cmd_feed_conform(args: argparse.Namespace) -> int:
     from repro.service import check_conformance, default_runtimes, load_feed
 
     feed = load_feed(args.path)
-    runtimes = default_runtimes(include_service=not args.no_service)
-    if args.shards:
-        from repro.sharding import sharded_runtimes
-
-        runtimes.extend(
-            sharded_runtimes([n for n in args.shards if n > 1])
-        )
-    report = check_conformance(feed, runtimes)
+    report = check_conformance(
+        feed, default_runtimes(include_service=not args.no_service)
+    )
     for result in report.results:
         latency = ""
         if result.latency_ms:
@@ -582,22 +572,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import MonitorService, ServiceConfig
 
     config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        queue_capacity=args.queue_capacity,
-        high_water=args.high_water,
-        shards=args.shards,
-        virtual_nodes=args.virtual_nodes,
-        ring_seed=args.ring_seed,
+        host=args.host, port=args.port, queue_capacity=args.queue_capacity
     )
     service = MonitorService(config)
 
     async def run() -> None:
         await service.start()
-        sharded = f" ({args.shards} shards)" if args.shards > 1 else ""
         print(
-            f"monitoring service listening on "
-            f"{service.host}:{service.port}{sharded}",
+            f"monitoring service listening on {service.host}:{service.port}",
             flush=True,
         )
         try:
@@ -780,11 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="(--membership) state-transfer latency per recovery",
     )
     _add_catchup_source(p_trec, "--membership")
-    p_trec.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="place the run on an N-shard consistent-hash ring; sharding "
-        "is semantics-neutral, so the trace still replays bit-identically",
-    )
     p_trec.set_defaults(func=_cmd_trace_record)
     p_trep = trace_sub.add_parser(
         "replay",
@@ -987,11 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos", type=float, default=None, metavar="INTENSITY",
         help="inject faults at this chaos intensity (default profile)",
     )
-    p_frec.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="record the feed with an N-shard ring config in its spec "
-        "(semantics-neutral; the feed bytes do not change)",
-    )
     p_frec.add_argument("--out", default=None, help="output .jsonl path")
     p_frec.set_defaults(func=_cmd_feed_record)
     p_fcon = feed_sub.add_parser(
@@ -1003,11 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcon.add_argument(
         "--no-service", action="store_true",
         help="skip the asyncio service runtime (no sockets)",
-    )
-    p_fcon.add_argument(
-        "--shards", type=int, nargs="+", default=None, metavar="N",
-        help="also run the feed through sharded runtimes at these shard "
-        "counts (e.g. --shards 1 2 3 8) and hold them byte-identical",
     )
     p_fcon.set_defaults(func=_cmd_feed_conform)
     p_fsend = feed_sub.add_parser(
@@ -1036,25 +1003,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound of every inter-stage pipeline queue",
     )
     p_serve.add_argument(
-        "--high-water", type=int, default=None,
-        help="throttle-reporting mark (default: 3/4 of capacity)",
-    )
-    p_serve.add_argument(
         "--once", action="store_true",
         help="exit after serving one connection (CI smoke mode)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shard the pipeline over an N-shard consistent-hash ring "
-        "(tenant front + per-shard ingest queues; 1 = unsharded)",
-    )
-    p_serve.add_argument(
-        "--virtual-nodes", type=int, default=64,
-        help="(--shards) virtual nodes per shard on the ring",
-    )
-    p_serve.add_argument(
-        "--ring-seed", type=int, default=0,
-        help="(--shards) seed of the ring's hash positions",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -152,12 +152,6 @@ class RunResult:
     caught_up: tuple[int, ...] = ()
     #: The executed membership plan (None when membership is off).
     membership: MembershipPlan | None = None
-    #: Where this run's condition and variables live on the shard ring
-    #: (a :class:`~repro.sharding.router.ShardAssignment`; None when the
-    #: run is unsharded).  Sharding is semantics-neutral by construction
-    #: — it never perturbs the event schedule — so the assignment is
-    #: derived analytically and attached after the run.
-    sharding: object | None = None
 
     def evaluate_properties(self) -> PropertyReport:
         """Decide orderedness/completeness/consistency for this run."""

@@ -11,7 +11,7 @@ table grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import import_module
 from typing import TYPE_CHECKING
 
@@ -27,9 +27,8 @@ if TYPE_CHECKING:
     from repro.components.system import RunResult
     from repro.faults.plan import FaultProfile
     from repro.membership.config import MembershipConfig
-    from repro.sharding.ring import ShardConfig
 
-__all__ = ["TrialSpec", "SCENARIO_MATRICES"]
+__all__ = ["TrialSpec", "SCENARIO_MATRICES", "check_spec_fields"]
 
 #: The resolvable scenario matrices, by TrialSpec.matrix name.
 SCENARIO_MATRICES = {
@@ -38,12 +37,10 @@ SCENARIO_MATRICES = {
 }
 
 #: The knob-set fields a header carries as plain dicts, and where their
-#: classes live (imported on first use: ``repro.sharding`` pulls in the
-#: service runtime).
+#: classes live (imported on first use).
 _KNOB_SETS = (
     ("faults", "repro.faults.plan", "FaultProfile"),
     ("membership", "repro.membership.config", "MembershipConfig"),
-    ("sharding", "repro.sharding.ring", "ShardConfig"),
 )
 
 
@@ -90,13 +87,6 @@ class TrialSpec:
     #: report carries the run's churn digest (``PropertyReport.churn``).
     #: Dicts (from trace headers) are coerced like ``faults``.
     membership: "MembershipConfig | None" = None
-    #: Optional shard-ring config (see :mod:`repro.sharding`): the run's
-    #: condition is placed on the consistent-hash ring and the resulting
-    #: assignment attached to the run.  Sharding is semantics-neutral
-    #: (conformance-enforced), so this knob never changes verdicts or
-    #: traces — it records *where* the run would execute at scale.
-    #: Dicts (from trace/feed headers) are coerced like ``faults``.
-    sharding: "ShardConfig | None" = None
 
     def __post_init__(self) -> None:
         for name, module, cls in _KNOB_SETS:
@@ -135,7 +125,6 @@ class TrialSpec:
             faults=self.faults,
             kernel=self.kernel,
             membership=self.membership,
-            sharding=self.sharding,
         )
 
     def execute(self) -> PropertyReport:
@@ -174,3 +163,18 @@ class TrialSpec:
 
             report = replace(report, quality=alert_quality(run).as_dict())
         return report
+
+
+def check_spec_fields(spec: object, error: type[ValueError], where: str) -> None:
+    """Raise ``error`` naming the field at fault unless ``spec`` — the
+    serialized :class:`TrialSpec` of a trace or feed header — is an object
+    with every field the spec requires and no other."""
+    if not isinstance(spec, dict):
+        raise error(f"{where} is not an object: {spec!r}")
+    declared = {field.name: field for field in fields(TrialSpec)}
+    for name in spec:
+        if name not in declared:
+            raise error(f"{where} has an unknown field {name!r}")
+    for name, field in declared.items():
+        if field.default is MISSING and name not in spec:
+            raise error(f"{where} has no {name!r} field")

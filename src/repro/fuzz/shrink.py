@@ -11,15 +11,12 @@ violated.  The reduction catalog:
 * drop a reading (``n_updates`` − 1, down to a floor),
 * drop a CE replica (``replication`` − 1, down to 1),
 * zero the front-link loss override, or halve it,
-* drop the shard ring entirely (back to one shard — sharding is
-  semantics-neutral, so a surviving violation indicts the core), or the
-  membership config (back to static membership),
-* move one knob of the ring, the fault profile or the membership config
-  toward its inert value (:meth:`~repro.knobs.KnobSet.inert` — crash
-  rates and loss probabilities to 0, the delay-spike factor to 1,
-  membership and ring-shape knobs to their defaults) as its
-  :mod:`repro.knobs` kind says: snap to it, halve the distance, or walk
-  the shard count down,
+* drop the membership config (back to static membership),
+* move one knob of the fault profile or the membership config toward
+  its inert value (:meth:`~repro.knobs.KnobSet.inert` — crash rates and
+  loss probabilities to 0, the delay-spike factor to 1, membership
+  knobs to their defaults) as its :mod:`repro.knobs` kind says: snap to
+  it or halve the distance,
 
 with a binary-descent accelerator on ``n_updates`` before the greedy
 passes.  The result is **1-minimal over the catalog**: no single
@@ -75,12 +72,7 @@ class ShrinkResult:
             f"replication={spec.replication}"
             + ("" if spec.front_loss is None else f" front_loss={spec.front_loss:g}")
             + ("" if spec.faults is None else " (faults attached)")
-            + ("" if spec.membership is None else " (membership attached)")
-            + (
-                ""
-                if spec.sharding is None
-                else f" (sharded x{spec.sharding.shards})"
-            ),
+            + ("" if spec.membership is None else " (membership attached)"),
             f"({self.attempts} shrink runs, {self.passes} passes)",
             self.counterexample.describe(),
         ]
@@ -92,9 +84,6 @@ def _moves(kind: Kind, value, inert) -> Iterator:
     if kind.shrink == "snap":
         if value != inert:
             yield inert
-    elif kind.shrink == "step":
-        if value - 1 > inert:
-            yield value - 1
     elif abs(value - inert) >= _EPSILON:  # "halve"
         yield inert
         if kind.cast is int:
@@ -109,7 +98,7 @@ def _knob_steps(spec: TrialSpec, attr: str) -> Iterator[TrialSpec]:
     """Drop the spec's ``attr`` knob set, then move one knob at a time.
 
     Dropping first asks the cheapest question — does the violation need
-    sharding or membership at all? — and the moves then normalize a
+    membership at all? — and the moves then normalize a
     surviving config, so witnesses from different fuzz paths converge on
     the same canonical knobs.  A fault profile is not dropped whole: it
     becomes ``None`` (:meth:`~repro.faults.plan.FaultProfile.or_none`)
@@ -142,7 +131,7 @@ def _candidates(spec: TrialSpec, min_updates: int) -> Iterator[TrialSpec]:
         halved = spec.front_loss / 2
         if halved > _EPSILON:
             yield replace(spec, front_loss=halved)
-    for attr in ("sharding", "faults", "membership"):
+    for attr in ("faults", "membership"):
         yield from _knob_steps(spec, attr)
 
 

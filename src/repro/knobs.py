@@ -1,15 +1,15 @@
 """Knob sets: all-scalar configs whose fields each declare their kind.
 
-:class:`~repro.faults.plan.FaultProfile`,
-:class:`~repro.membership.config.MembershipConfig` and
-:class:`~repro.sharding.ring.ShardConfig` ride on a
-:class:`~repro.engine.spec.TrialSpec` and describe a run's fault,
-recovery and sharding surface.  Each of their fields is declared with
-:func:`knob`, which puts a :class:`Kind` in the field's metadata, and
-everything that treats a field as "a rate" or "a count" reads that one
-declaration: the constructor's domain check, the clamping setter
-(:meth:`KnobSet.with_value`) and the value the shrinker moves a knob
-toward (:meth:`KnobSet.inert`).
+:class:`~repro.faults.plan.FaultProfile` and
+:class:`~repro.membership.config.MembershipConfig` ride on a
+:class:`~repro.engine.spec.TrialSpec` and describe a run's fault and
+recovery surface; :class:`~repro.sharding.ring.ShardConfig` names the
+ring a tenant population is partitioned over.  Each of their fields is
+declared with :func:`knob`, which puts a :class:`Kind` in the field's
+metadata, and everything that treats a field as "a rate" or "a count"
+reads that one declaration: the constructor's domain check, the
+clamping setter (:meth:`KnobSet.with_value`) and the value the shrinker
+moves a knob toward (:meth:`KnobSet.inert`).
 
 Metadata rather than fields: a kind adds no dataclass field, so
 ``asdict``, ``==``, ``hash``, pickling and the JSON a trace or feed
@@ -48,8 +48,7 @@ class Kind:
     inert: Any = None
     #: How the shrinker moves the knob: ``"snap"`` to its inert value;
     #: ``"halve"``: snap, then halve the distance (a count steps down by
-    #: one); ``"step"``: step down by one while above the inert value
-    #: plus one (dropping the whole config asks about the inert value).
+    #: one).
     shrink: str = "snap"
 
     def clamp(self, value: Any) -> Any:
@@ -129,8 +128,7 @@ DELAY = Kind(cast=float)
 THRESHOLD = Kind(cast=int, floor=1, least=1)
 SOURCE = Kind(cast=str, choices=("peer-then-log", "peer", "log", "none"))
 
-# -- ShardConfig.  Sharding is semantics-neutral by contract; the
-# shrinker walks the shard count down and snaps the ring shape.
-SHARDS = Kind(cast=int, floor=1, least=1, shrink="step")
+# -- ShardConfig: a ring's shape, for the multi-tenant path.
+SHARDS = Kind(cast=int, floor=1, least=1)
 VIRTUAL_NODES = Kind(cast=int, floor=1, least=1)
 RING_SEED = Kind(cast=int, floor=0)

@@ -117,6 +117,9 @@ def load_trace(path: str | Path) -> RecordedTrace:
         raise TraceSchemaError(
             f"unsupported trace schema {schema!r} (supported: {SCHEMA_VERSION!r})"
         )
+    from repro.engine.spec import check_spec_fields
+
+    check_spec_fields(header.get("spec"), TraceSchemaError, f"{path}: trace spec")
     events: list[TraceEvent] = []
     metrics: dict[str, Any] = {}
     for lineno, line in enumerate(lines[1:], start=2):

@@ -46,12 +46,9 @@ from repro.service.runtime import FeedMismatchError
 
 __all__ = [
     "MergeResult",
-    "ShardFrontResult",
     "route_updates",
     "ce_replica",
     "ad_merge",
-    "shard_front",
-    "drain_idle_shard",
 ]
 
 #: Optional test hook: awaited before each update is evaluated, letting
@@ -82,74 +79,6 @@ class MergeResult:
     display_latencies_ns: list[int] = field(default_factory=list)
     #: Largest reorder buffer the merge ever held (stamp-skew bound).
     peak_reorder: int = 0
-
-
-@dataclass
-class ShardFrontResult:
-    """What the tenant-aware shard front observed."""
-
-    #: Deliveries forwarded to each shard's ingest queue, by shard index.
-    forwarded: tuple[int, ...] = ()
-    #: Deliveries whose variable no hosted condition references (the CEs
-    #: would have silently ignored them; the front drops them earlier).
-    dropped: int = 0
-
-
-async def shard_front(
-    ingest: BoundedQueue,
-    shard_queues: list[BoundedQueue],
-    routes: dict[str, tuple[int, ...]],
-) -> ShardFrontResult:
-    """Fan the connection's delivery stream out to per-shard ingest queues.
-
-    The multi-tenant front of a sharded deployment: every delivery is
-    forwarded to the shards whose hosted conditions reference its
-    variable (``routes`` — see
-    :meth:`~repro.sharding.router.ShardAssignment.route`), unreferenced
-    variables are dropped at the door, and per-CE FIFO order is
-    preserved per shard because the front filters without reordering.
-    On the client's end-of-feed CLOSE, every shard queue is closed so
-    the graceful drain reaches all shard pipelines — including idle
-    ones (:func:`drain_idle_shard`).
-    """
-    forwarded = [0] * len(shard_queues)
-    dropped = 0
-    async for batch in _batches(ingest):
-        per_shard: list[list] = [[] for _ in shard_queues]
-        for item in batch:
-            varname = item[1].varname
-            targets = routes.get(varname, ())
-            if not targets:
-                dropped += 1
-                continue
-            for shard in targets:
-                if not 0 <= shard < len(shard_queues):
-                    raise FeedMismatchError(
-                        f"route for {varname!r} targets shard {shard}; "
-                        f"the ring has {len(shard_queues)} shards"
-                    )
-                per_shard[shard].append(item)
-        for shard, routed in enumerate(per_shard):
-            if routed:
-                forwarded[shard] += len(routed)
-                await shard_queues[shard].put_many(routed)
-    for queue in shard_queues:
-        await queue.close()
-    return ShardFrontResult(forwarded=tuple(forwarded), dropped=dropped)
-
-
-async def drain_idle_shard(shard_index: int, updates: BoundedQueue) -> int:
-    """Consumer for a shard hosting none of this feed's conditions.
-
-    An idle shard still participates in the drain protocol (its queue
-    must see the CLOSE before the pipeline can finish), and anything it
-    *does* receive is a routing bug — counted and surfaced by the
-    caller rather than silently evaluated on the wrong shard.
-    """
-    stray = 0
-    async for batch in _batches(updates):
-        stray += len(batch)
-    return stray
 
 
 async def route_updates(

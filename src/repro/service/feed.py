@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from operator import le
 from pathlib import Path
 from typing import Any, Iterator
@@ -162,7 +162,7 @@ def decode_hello(hello: dict[str, Any]):
     the ``KeyError`` / ``TypeError`` of the code that first tripped on it.
     """
     from repro.displayers.registry import algorithm_names
-    from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
+    from repro.engine.spec import SCENARIO_MATRICES, TrialSpec, check_spec_fields
 
     if hello["type"] != "hello":
         raise FeedSchemaError(f"expected hello, got {hello['type']!r}")
@@ -174,15 +174,7 @@ def decode_hello(hello: dict[str, Any]):
         if name not in hello:
             raise FeedSchemaError(f"hello has no {name!r} field")
     spec = hello["spec"]
-    if not isinstance(spec, dict):
-        raise FeedSchemaError(f"hello field 'spec' is not an object: {spec!r}")
-    spec_fields = {field.name: field for field in fields(TrialSpec)}
-    for name in spec:
-        if name not in spec_fields:
-            raise FeedSchemaError(f"hello spec has an unknown field {name!r}")
-    for name, field in spec_fields.items():
-        if field.default is MISSING and name not in spec:
-            raise FeedSchemaError(f"hello spec has no {name!r} field")
+    check_spec_fields(spec, FeedSchemaError, "hello spec")
 
     def named(name: str, known) -> str:
         value = spec[name]
@@ -338,6 +330,9 @@ def loads_feed(text: str) -> UpdateFeed:
             f"unsupported feed schema {header.get('schema')!r} "
             f"(supported: {FEED_SCHEMA!r})"
         )
+    from repro.engine.spec import check_spec_fields
+
+    check_spec_fields(header.get("spec"), FeedSchemaError, "feed header spec")
     stamps: dict[int, tuple[tuple[float, int], ...]] = {}
     deliveries: list[tuple[int, Update]] = []
     for lineno, line in enumerate(lines[1:], start=2):

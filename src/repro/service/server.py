@@ -50,14 +50,7 @@ from repro.accel import collector_paused
 from repro.core.serialization import alert_canonical_line, alert_from_json
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
-from repro.service.consumers import (
-    Pace,
-    ad_merge,
-    ce_replica,
-    drain_idle_shard,
-    route_updates,
-    shard_front,
-)
+from repro.service.consumers import Pace, ad_merge, ce_replica, route_updates
 from repro.service.feed import (
     FeedSchemaError,
     UpdateFeed,
@@ -68,7 +61,7 @@ from repro.service.feed import (
     feed_messages,
 )
 from repro.service.queues import BoundedQueue
-from repro.service.runtime import FeedMismatchError, FeedResult
+from repro.service.runtime import FeedResult
 
 __all__ = [
     "ServiceConfig",
@@ -92,40 +85,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: 0 = ephemeral; the bound port is on ``MonitorService.port``.
     port: int = 0
-    #: Capacity of every inter-stage queue.
+    #: Capacity of every inter-stage queue; each reports throttling at
+    #: ¾ of it, so load-leveling is observable before the hard stall.
     queue_capacity: int = 64
-    #: Throttle-reporting mark; None = ¾ of capacity (so load-leveling
-    #: is observable before the hard stall).
-    high_water: int | None = None
-    #: Shard count of the consistent-hash ring.  1 = the unsharded
-    #: pipeline; >1 inserts the tenant-aware shard front (per-shard
-    #: ingest queues, the condition's home shard runs the CE/AD
-    #: pipeline, idle shards only participate in the drain).  Sharding
-    #: is semantics-neutral: the result frame is byte-identical for
-    #: every shard count, which the conformance matrix enforces.
-    shards: int = 1
-    #: Virtual nodes per shard on the ring (balance knob).
-    virtual_nodes: int = 64
-    #: Seed of the ring's hash positions.
-    ring_seed: int = 0
-
-    def effective_high_water(self) -> int:
-        if self.high_water is not None:
-            return self.high_water
-        return max(1, (self.queue_capacity * 3) // 4)
-
-    def shard_config(self):
-        """The ring config this service places conditions on, or None
-        when unsharded."""
-        if self.shards <= 1:
-            return None
-        from repro.sharding.ring import ShardConfig
-
-        return ShardConfig(
-            shards=self.shards,
-            virtual_nodes=self.virtual_nodes,
-            ring_seed=self.ring_seed,
-        )
 
 
 class MonitorService:
@@ -262,16 +224,9 @@ class MonitorService:
         condition = spec.resolve_scenario().make_condition()
         algorithm = make_ad(spec.algorithm, condition)
 
-        shard_cfg = self.config.shard_config()
-        assignment = None
-        if shard_cfg is not None:
-            from repro.sharding.router import assign_condition
-
-            assignment = assign_condition(condition, shard_cfg)
-
         tracer = CountersTracer()
         capacity = self.config.queue_capacity
-        high_water = self.config.effective_high_water()
+        high_water = max(1, (capacity * 3) // 4)
 
         def queue(name: str) -> BoundedQueue:
             return BoundedQueue(
@@ -279,11 +234,6 @@ class MonitorService:
             )
 
         ingest = queue("ingest")
-        shard_queues: list[BoundedQueue] = []
-        if assignment is not None:
-            shard_queues = [
-                queue(f"shard{index}") for index in range(shard_cfg.shards)
-            ]
         ce_queues = [queue(f"ce{i + 1}") for i in range(len(stamps))]
         alert_queue = queue("alerts")
         evaluators = [
@@ -291,27 +241,8 @@ class MonitorService:
             for i in range(len(stamps))
         ]
 
-        front_task = None
-        idle_tasks: list[asyncio.Task] = []
         async with asyncio.TaskGroup() as group:
-            if assignment is not None:
-                # Tenant front: deliveries fan out to per-shard ingest
-                # queues; only the condition's home shard evaluates, the
-                # rest drain (and must stay empty — one hosted condition).
-                front_task = group.create_task(
-                    shard_front(ingest, shard_queues, assignment.routes)
-                )
-                idle_tasks = [
-                    group.create_task(
-                        drain_idle_shard(index, shard_queues[index])
-                    )
-                    for index in range(shard_cfg.shards)
-                    if index != assignment.home
-                ]
-                ce_source = shard_queues[assignment.home]
-            else:
-                ce_source = ingest
-            group.create_task(route_updates(ce_source, ce_queues))
+            group.create_task(route_updates(ingest, ce_queues))
             for index, evaluator in enumerate(evaluators):
                 group.create_task(
                     ce_replica(
@@ -364,26 +295,8 @@ class MonitorService:
             tuple(evaluator.received for evaluator in evaluators),
             displayed,
         )
-        for stage_queue in [ingest, *shard_queues, *ce_queues, alert_queue]:
+        for stage_queue in [ingest, *ce_queues, alert_queue]:
             tracer.merge(stage_queue.stats.as_counters(stage_queue.name))
-        result_extra: dict[str, Any] = {}
-        if assignment is not None:
-            front = front_task.result()
-            stray = sum(task.result() for task in idle_tasks)
-            if stray:
-                raise FeedMismatchError(
-                    f"{stray} deliveries reached shards hosting no "
-                    "condition — the shard front misrouted"
-                )
-            shard_counts = {
-                f"shard/route/shard{index}": count
-                for index, count in enumerate(front.forwarded)
-                if count
-            }
-            if front.dropped:
-                shard_counts["shard/drop/front"] = front.dropped
-            tracer.merge(shard_counts)
-            result_extra["sharding"] = assignment.summary()
         tracer.emit(0.0, "service", "drain", "pipeline")
         self.counters.merge(tracer)
         return {
@@ -392,7 +305,6 @@ class MonitorService:
             "counters": tracer.as_dict(),
             "latency_ms": _latency_percentiles(merge.display_latencies_ns),
             "peak_reorder": merge.peak_reorder,
-            **result_extra,
         }
 
 
@@ -484,11 +396,7 @@ class AsyncioServiceRuntime:
     ) -> None:
         self.config = config or ServiceConfig()
         self.pace = pace
-        self.name = (
-            f"asyncio[{self.config.shards}]"
-            if self.config.shards > 1
-            else "asyncio"
-        )
+        self.name = "asyncio"
 
     def execute(self, feed: UpdateFeed) -> FeedResult:
         return asyncio.run(self.execute_async(feed))

@@ -1,27 +1,23 @@
-"""Sharded multi-tenant scale-out (conformance-tested).
+"""Multi-tenant scale-out (conformance-tested).
 
-Partitions the monitoring estate across shards with a consistent-hash
-ring (:mod:`~repro.sharding.ring`), routes DM updates only to shards
-whose conditions reference the variable (:mod:`~repro.sharding.router`,
-reusing the degree inference of :mod:`repro.core.expressions`), runs
-each shard as a full CE-replica-set + AD-merge instance on the existing
-:class:`~repro.service.runtime.Runtime` interface
-(:mod:`~repro.sharding.runtime`), and rebalances live via a seqno
-high-water state handoff (:mod:`~repro.sharding.handoff`).  The
-guarantee is the same as the service runtime's: any sharded
-configuration — any shard count, any ring dicing, resized mid-feed —
-must display **byte-identical** alert frames and identical property
-verdicts to the single-set reference.
+Partitions a population of conditions across shards with a
+consistent-hash ring (:mod:`~repro.sharding.ring`), places each
+condition on the shard owning its primary variable
+(:mod:`~repro.sharding.router`), runs each shard's tenants through the
+same semantic core as everything else (:mod:`~repro.sharding.tenants`),
+and rebalances live via a seqno high-water state handoff
+(:mod:`~repro.sharding.handoff`, :mod:`~repro.sharding.runtime`).  One
+monitored condition occupies one shard, so sharding does work only where
+many conditions share a ring.  The guarantees: a tenant population
+folds to the same output at every shard count, and a ring resize
+mid-feed displays **byte-identical** alert frames and identical property
+verdicts to the single-set reference runtime.
 """
 
 from repro.sharding.handoff import ShardHost, ShardState
 from repro.sharding.ring import HashRing, ShardConfig, moved_keys
-from repro.sharding.router import ShardAssignment, assign_condition, split_feed
-from repro.sharding.runtime import (
-    ShardedRuntime,
-    execute_rebalanced,
-    sharded_runtimes,
-)
+from repro.sharding.router import ShardAssignment, assign_condition
+from repro.sharding.runtime import execute_rebalanced
 
 __all__ = [
     "HashRing",
@@ -29,10 +25,7 @@ __all__ = [
     "moved_keys",
     "ShardAssignment",
     "assign_condition",
-    "split_feed",
     "ShardHost",
     "ShardState",
-    "ShardedRuntime",
     "execute_rebalanced",
-    "sharded_runtimes",
 ]

@@ -13,9 +13,9 @@ vector then guards the cutover: any delivery still in flight to the old
 shard that gets re-forwarded after the handoff is recognized as stale
 (``seqno <= high_water[var]``) and dropped instead of double-ingested.
 
-:class:`ShardHost` is the unit both the static and the rebalancing
-sharded runtimes execute on: one shard's CE replica set for one
-condition, with the export/restore pair and the stale guard.
+:class:`ShardHost` is the unit the rebalancing runtime executes on: one
+shard's CE replica set for one condition, with the export/restore pair
+and the stale guard.
 """
 
 from __future__ import annotations

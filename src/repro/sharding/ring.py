@@ -2,10 +2,8 @@
 
 A :class:`ShardConfig` names a ring the way
 :class:`~repro.faults.plan.FaultProfile` names a fault surface: all
-scalars, picklable, hashable, JSON-round-trippable, so it rides on a
-:class:`~repro.engine.spec.TrialSpec` across process boundaries and
-through trace/feed headers unchanged; its fields are :mod:`repro.knobs`
-kinds, like the fault profile's.
+scalars, picklable, hashable, JSON-round-trippable; its fields are
+:mod:`repro.knobs` kinds, like the fault profile's.
 
 :class:`HashRing` materializes the config into the classic structure:
 every shard contributes ``virtual_nodes`` points on a 64-bit circle

@@ -1,134 +1,37 @@
-"""Variable-aware routing: which shard sees which DM update.
+"""Condition placement: which shard a condition lives on.
 
 The ring (:mod:`repro.sharding.ring`) owns *variables*; conditions
 co-locate with their data: a condition is **placed** on the shard that
 owns its primary variable (the lexicographically smallest, so placement
-is deterministic and independent of AST shape), and the router forwards
-a variable's updates to every shard hosting a condition that *references*
-it — inferred from the condition's degree map
-(:meth:`~repro.core.expressions.Expr.degrees`), the same inference the
-CEs use to size their histories.  For single-variable conditions this
-degenerates to the pure ring map; a multi-variable condition pulls its
-non-primary variables' streams to its home shard, which is exactly why
-routing is by condition-reference rather than by ring ownership alone.
-
-:func:`split_feed` applies the routing to a recorded
-:class:`~repro.service.feed.UpdateFeed`: each shard receives the
-subsequence of deliveries it must see (per-CE FIFO order preserved —
-the split never reorders within a CE stream), with the home shard
-carrying the feed's arrival stamps because every alert of the condition
-is raised there.
+is deterministic and independent of AST shape), and its other
+variables' updates are pulled to that home shard, so multi-variable
+semantics never cross a shard boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from repro.core.condition import Condition
-from repro.service.feed import UpdateFeed
 from repro.sharding.ring import HashRing, ShardConfig
 
-__all__ = [
-    "ShardAssignment",
-    "assign_condition",
-    "split_feed",
-]
+__all__ = ["ShardAssignment", "assign_condition"]
 
 
 @dataclass(frozen=True)
 class ShardAssignment:
-    """Where one condition and its variables live on a ring."""
+    """Where one condition lives on a ring."""
 
     config: ShardConfig
     #: The condition's home shard (ring owner of its primary variable).
     home: int
     #: The condition's primary (placement) variable.
     primary: str
-    #: Ring ownership of every referenced variable — where the variable
-    #: *itself* lives (its DM's registration point).
-    variable_owner: dict[str, int]
-    #: Routing table: variable -> shards that must receive its updates
-    #: (every shard hosting a condition referencing it; one condition ⇒
-    #: exactly the home shard).
-    routes: dict[str, tuple[int, ...]]
-
-    @property
-    def shards(self) -> int:
-        return self.config.shards
-
-    def route(self, varname: str) -> tuple[int, ...]:
-        """Destination shards of one variable's updates (() = nobody
-        subscribed — the update is dropped at the router)."""
-        return self.routes.get(varname, ())
-
-    def summary(self) -> dict[str, object]:
-        return {
-            "shards": self.config.shards,
-            "virtual_nodes": self.config.virtual_nodes,
-            "ring_seed": self.config.ring_seed,
-            "home": self.home,
-            "primary": self.primary,
-            "variable_owner": dict(sorted(self.variable_owner.items())),
-        }
 
 
-def assign_condition(
-    condition: Condition, config: ShardConfig, ring: HashRing | None = None
-) -> ShardAssignment:
-    """Place ``condition`` on ``config``'s ring and derive its routes."""
-    if ring is None:
-        ring = HashRing(config)
-    variables = sorted(condition.variables)
-    primary = variables[0]
-    home = ring.shard_for(primary)
+def assign_condition(condition: Condition, config: ShardConfig) -> ShardAssignment:
+    """Place ``condition`` on ``config``'s ring."""
+    primary = min(condition.variables)
     return ShardAssignment(
-        config=config,
-        home=home,
-        primary=primary,
-        variable_owner={var: ring.shard_for(var) for var in variables},
-        routes={var: (home,) for var in variables},
+        config=config, home=HashRing(config).shard_for(primary), primary=primary
     )
-
-
-def split_feed(
-    feed: UpdateFeed,
-    config: ShardConfig,
-    condition: Condition | None = None,
-) -> tuple[ShardAssignment, dict[int, UpdateFeed], int]:
-    """Split one feed into per-shard sub-feeds under ``config``'s ring.
-
-    Returns ``(assignment, {shard: sub_feed}, dropped)``: only shards
-    that receive at least one delivery (plus the home shard, which also
-    carries the arrival stamps) appear in the dict; ``dropped`` counts
-    deliveries for variables no hosted condition references (the CEs
-    would have ignored them anyway — see
-    :meth:`~repro.core.evaluator.ConditionEvaluator.ingest`).
-
-    Within each sub-feed the per-CE delivery order is the original
-    per-CE order (the split filters, never reorders), so a shard's CE
-    replica set observes exactly the ``U_i`` subsequence routed to it.
-    """
-    if condition is None:
-        condition = feed.condition()
-    assignment = assign_condition(condition, config)
-    per_shard: dict[int, list[tuple[int, object]]] = {}
-    dropped = 0
-    for ce_index, update in feed.deliveries:
-        targets = assignment.route(update.varname)
-        if not targets:
-            dropped += 1
-            continue
-        for shard in targets:
-            per_shard.setdefault(shard, []).append((ce_index, update))
-    per_shard.setdefault(assignment.home, [])
-    sub_feeds = {
-        shard: dc_replace(
-            feed,
-            deliveries=tuple(deliveries),
-            stamps=feed.stamps if shard == assignment.home else tuple(
-                () for _ in feed.stamps
-            ),
-        )
-        for shard, deliveries in sorted(per_shard.items())
-    }
-    return assignment, sub_feeds, dropped

@@ -1,102 +1,26 @@
-"""Sharded execution behind the :class:`~repro.service.runtime.Runtime`
-interface.
+"""A ring resize mid-feed, behind the
+:class:`~repro.service.runtime.Runtime` result type.
 
-Two engines:
-
-* :class:`ShardedRuntime` — a static ring: split the feed into per-shard
-  sub-feeds (:func:`~repro.sharding.router.split_feed`), execute each
-  shard's sub-feed on an *existing* runtime (the scheduler-free direct
-  core by default — any conformant engine works, each shard being a full
-  CE-replica-set + AD-merge instance), and recombine the stamp-ordered
-  results.  With one monitored condition exactly one shard is active;
-  the conformance matrix still has teeth because the *routing* (which
-  shard, which deliveries, in which per-CE order) varies with the shard
-  count and must be output-invisible.
-* :func:`execute_rebalanced` — a ring resize mid-feed: deliveries before
-  the cut run under the old ring, the condition's state moves to its new
-  home via the JSON-round-tripped handoff protocol
-  (:mod:`repro.sharding.handoff`), and the remainder runs under the new
-  ring.  Byte-identity with the static run is the rebalance guarantee
-  the property suite enforces.
-
-Both produce ordinary :class:`~repro.service.runtime.FeedResult`\\ s, so
-:func:`~repro.service.runtime.check_conformance` can diff sharded
-configurations against ``DirectRuntime`` directly.
+:func:`execute_rebalanced` runs the deliveries before the cut on the
+condition's old home shard, moves its state to the new home via the
+JSON-round-tripped handoff protocol (:mod:`repro.sharding.handoff`), and
+runs the remainder there.  It produces an ordinary
+:class:`~repro.service.runtime.FeedResult`, so
+:class:`~repro.service.runtime.ConformanceReport` diffs it against
+``DirectRuntime`` directly; byte-identity with the direct core is the
+rebalance guarantee the property and conformance suites enforce.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.alert import Alert
 from repro.service.feed import UpdateFeed
-from repro.service.runtime import (
-    DirectRuntime,
-    FeedMismatchError,
-    FeedResult,
-    Runtime,
-    merge_stamped,
-)
+from repro.service.runtime import FeedResult, merge_stamped
 from repro.sharding.handoff import ShardHost, ShardState
 from repro.sharding.ring import ShardConfig
-from repro.sharding.router import assign_condition, split_feed
+from repro.sharding.router import assign_condition
 
-__all__ = ["ShardedRuntime", "execute_rebalanced", "sharded_runtimes"]
-
-
-class ShardedRuntime:
-    """A static-ring sharded deployment as a :class:`Runtime`."""
-
-    def __init__(
-        self,
-        config: ShardConfig,
-        inner_factory: "Callable[[], Runtime] | None" = None,
-    ) -> None:
-        self.config = config
-        self._inner_factory = inner_factory or DirectRuntime
-        inner_name = self._inner_factory().name
-        self.name = f"sharded[{config.shards}]:{inner_name}"
-
-    def execute(self, feed: UpdateFeed) -> FeedResult:
-        condition = feed.condition()
-        assignment, sub_feeds, dropped = split_feed(
-            feed, self.config, condition
-        )
-        routed = sum(len(sub.deliveries) for sub in sub_feeds.values())
-        if routed + dropped != len(feed.deliveries):
-            raise FeedMismatchError(
-                f"{self.name}: shard split lost deliveries "
-                f"({routed} routed + {dropped} dropped != "
-                f"{len(feed.deliveries)} recorded)"
-            )
-        home_result: FeedResult | None = None
-        counters: dict[str, int] = {
-            f"shard/route/shard{shard}": len(sub.deliveries)
-            for shard, sub in sub_feeds.items()
-        }
-        if dropped:
-            counters["shard/drop/router"] = dropped
-        for shard, sub_feed in sub_feeds.items():
-            if shard != assignment.home:
-                # No condition is hosted there; routing must not have
-                # sent it anything (one condition ⇒ one subscriber set).
-                if sub_feed.deliveries:
-                    raise FeedMismatchError(
-                        f"{self.name}: shard {shard} received "
-                        f"{len(sub_feed.deliveries)} deliveries but hosts "
-                        "no condition"
-                    )
-                continue
-            home_result = self._inner_factory().execute(sub_feed)
-        assert home_result is not None  # split always materializes home
-        counters.update(home_result.counters)
-        return FeedResult(
-            runtime=self.name,
-            displayed=home_result.displayed,
-            verdicts=home_result.verdicts,
-            counters=counters,
-            latency_ms=home_result.latency_ms,
-        )
+__all__ = ["execute_rebalanced"]
 
 
 def execute_rebalanced(
@@ -115,26 +39,19 @@ def execute_rebalanced(
     movement makes most resizes free.
     """
     condition = feed.condition()
-    replication = len(feed.stamps)
-    assignment = assign_condition(condition, config)
-    host = ShardHost(assignment.home, condition, replication)
+    host = ShardHost(
+        assign_condition(condition, config).home, condition, len(feed.stamps)
+    )
     handoffs = 0
-    dropped = 0
     for index, (ce_index, update) in enumerate(feed.deliveries):
         if index == rebalance_at:
-            new_assignment = assign_condition(condition, new_config)
-            if new_assignment.home != host.shard:
+            home = assign_condition(condition, new_config).home
+            if home != host.shard:
                 state = ShardState.from_json_obj(
                     host.export_state().to_json_obj()
                 )
-                host = ShardHost.restore(
-                    new_assignment.home, condition, state
-                )
+                host = ShardHost.restore(home, condition, state)
                 handoffs += 1
-            assignment = new_assignment
-        if not assignment.route(update.varname):
-            dropped += 1
-            continue
         host.ingest(ce_index, update)
     arrivals = merge_stamped(host.per_ce_alerts(), feed.stamps)
     from repro.displayers.registry import make_ad
@@ -144,35 +61,12 @@ def execute_rebalanced(
     algorithm.offer_all(arrivals)
     displayed: tuple[Alert, ...] = algorithm.output
     report = evaluate_run(condition, host.received(), displayed)
-    counters = {
-        "shard/handoff/ring": handoffs,
-        "shard/stale/guard": sum(host.stale_dropped),
-    }
-    if dropped:
-        counters["shard/drop/router"] = dropped
     return FeedResult(
         runtime=f"sharded-rebalance[{config.shards}->{new_config.shards}]",
         displayed=displayed,
         verdicts=report.summary,
-        counters=counters,
+        counters={
+            "shard/handoff/ring": handoffs,
+            "shard/stale/guard": sum(host.stale_dropped),
+        },
     )
-
-
-def sharded_runtimes(
-    shard_counts: "tuple[int, ...] | list[int]",
-    inner_factory: "Callable[[], Runtime] | None" = None,
-    virtual_nodes: int = 64,
-    ring_seed: int = 0,
-) -> "list[Runtime]":
-    """One :class:`ShardedRuntime` per requested shard count."""
-    return [
-        ShardedRuntime(
-            ShardConfig(
-                shards=count,
-                virtual_nodes=virtual_nodes,
-                ring_seed=ring_seed,
-            ),
-            inner_factory,
-        )
-        for count in shard_counts
-    ]

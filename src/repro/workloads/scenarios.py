@@ -289,7 +289,6 @@ def run_scenario(
     faults: object | None = None,
     kernel: str = "array",
     membership: object | None = None,
-    sharding: object | None = None,
 ) -> RunResult:
     """Run one randomized trial of a scenario under an AD algorithm.
 
@@ -313,15 +312,6 @@ def run_scenario(
     crashes into a detect → rejoin → catch-up lifecycle; the plan is
     derived analytically from the materialized crash schedules, so it
     consumes no randomness and composes with ``faults``.
-
-    ``sharding`` (a :class:`~repro.sharding.ring.ShardConfig`) places the
-    run's condition on the consistent-hash ring and attaches the
-    resulting :class:`~repro.sharding.router.ShardAssignment` to the
-    result (``run.sharding``).  Sharding is an execution-layout choice
-    with no semantic surface — the conformance suite holds every sharded
-    configuration byte-identical to the single-set runtimes — so the
-    simulated event schedule is untouched and sharded runs
-    record→replay bit-identically on both kernels.
     """
     streams = RandomStreams(seed)
     condition = scenario.make_condition()
@@ -345,13 +335,6 @@ def run_scenario(
             variables=sorted(workload),
         )
         config = plan.apply_to(config)
-    run = run_system(
+    return run_system(
         condition, workload, config, seed=seed, tracer=tracer, kernel=kernel
     )
-    if sharding is not None:
-        from dataclasses import replace as dc_replace
-
-        from repro.sharding.router import assign_condition
-
-        run = dc_replace(run, sharding=assign_condition(condition, sharding))
-    return run

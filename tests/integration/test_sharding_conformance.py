@@ -1,22 +1,25 @@
-"""Cross-shard conformance: sharded deployments vs the direct core.
+"""Cross-shard conformance: the sharded paths vs the direct core.
 
-Sharding's contract is *output invisibility*: any shard count, any ring
-dicing, any resize mid-feed must display **byte-identical** alert
-frames and identical property verdicts to the single-set reference
-runtime.  The matrix here replays shards ∈ {1, 2, 3, 8} against
+Sharding's contract is *output invisibility*.  One monitored condition
+occupies one shard, so the single-condition path that carries state is
+the ring resize: deliveries before the cut run on the old home shard,
+the condition's state crosses to its new home (export, JSON round trip,
+replay-validated restore, stale guard) and the rest runs there.  The
+matrix here replays a resize that moves the condition's home against
 :class:`~repro.service.runtime.DirectRuntime` over:
 
 * the 8 pinned minimal ✗-cell witnesses of Tables 1–3 — each property
-  violation must *survive* the shard split (a sharded deployment that
-  accidentally "fixes" a violation is corrupting the semantics);
-* healthy single- and multi-variable feeds (the multi-variable rows
-  exercise condition-reference routing, which pulls the non-primary
-  variable's updates to the condition's home shard);
+  violation must *survive* the handoff (a rebalance that accidentally
+  "fixes" a violation is corrupting the semantics);
+* healthy single- and multi-variable feeds (the multi-variable row's
+  non-primary variable lives on another shard, and its updates follow
+  the condition home);
 * a chaos feed and a dynamic-membership feed, whose degraded delivery
-  streams the shard split must carry through untouched;
-* the sharded asyncio service (tenant front + per-shard queues over
-  real sockets); and
-* a ring resize mid-feed, whose handoff must be invisible too.
+  streams the handoff must carry through untouched;
+
+and adds resizes at cut points from the first delivery to past the
+last, and a Zipf-skewed tenant population that must fold identically at
+one and four shards.
 """
 
 import json
@@ -34,18 +37,20 @@ from benchmarks.min_witnesses import RESULT_PATH  # noqa: E402
 from repro.engine.spec import TrialSpec  # noqa: E402
 from repro.faults import DEFAULT_CHAOS_PROFILE  # noqa: E402
 from repro.membership import MembershipConfig  # noqa: E402
-from repro.service import check_conformance, record_feed  # noqa: E402
-from repro.service.runtime import DirectRuntime  # noqa: E402
+from repro.service import record_feed  # noqa: E402
+from repro.service.runtime import ConformanceReport, DirectRuntime  # noqa: E402
 from repro.sharding import (  # noqa: E402
+    HashRing,
     ShardConfig,
+    assign_condition,
     execute_rebalanced,
-    sharded_runtimes,
 )
 
 WITNESS_ENTRIES = json.loads(RESULT_PATH.read_text())
 
-#: The conformance matrix's shard counts (1 = the degenerate ring).
-SHARD_COUNTS = (1, 2, 3, 8)
+#: A resize that moves the home of every condition here (all are placed
+#: by ``x``): shard 0 of two, then shard 2 of eight.
+OLD_RING, NEW_RING = ShardConfig(shards=2), ShardConfig(shards=8)
 
 #: Feeds are pure functions of their spec; cache across the matrix.
 _FEEDS: dict[TrialSpec, object] = {}
@@ -57,29 +62,27 @@ def feed_for(spec: TrialSpec):
     return _FEEDS[spec]
 
 
-def assert_shard_conformance(spec: TrialSpec):
-    """Replay the spec's feed at every shard count; byte-identity."""
+def assert_handoff_conformance(spec: TrialSpec):
+    """Resize the ring mid-feed, moving the condition's home; the
+    displayed bytes and verdicts must be the direct core's."""
     feed = feed_for(spec)
-    report = check_conformance(
-        feed, [DirectRuntime(), *sharded_runtimes(SHARD_COUNTS)]
+    condition = feed.condition()
+    assert (
+        assign_condition(condition, OLD_RING).home
+        != assign_condition(condition, NEW_RING).home
     )
-    assert len(report.results) == 1 + len(SHARD_COUNTS)
+    result = execute_rebalanced(
+        feed, OLD_RING, len(feed.deliveries) // 2, NEW_RING
+    )
+    assert result.counters["shard/handoff/ring"] == 1
+    assert result.counters["shard/stale/guard"] == 0
+    report = ConformanceReport(results=(DirectRuntime().execute(feed), result))
     assert report.identical, report.explain()
-    # Nothing lost in the split: every recorded delivery was either
-    # routed to a shard or dropped as unreferenced.
-    for result in report.results[1:]:
-        routed = sum(
-            count
-            for key, count in result.counters.items()
-            if key.startswith("shard/route/")
-        )
-        dropped = result.counters.get("shard/drop/router", 0)
-        assert routed + dropped == len(feed.deliveries)
     return report
 
 
 class TestMinimizedWitnessShards:
-    """The 8 pinned ✗-cells: violations must survive the shard split."""
+    """The 8 pinned ✗-cells: violations must survive the handoff."""
 
     @pytest.mark.parametrize(
         "entry", WITNESS_ENTRIES, ids=[e["cell"] for e in WITNESS_ENTRIES]
@@ -92,7 +95,7 @@ class TestMinimizedWitnessShards:
             replication=witness["replication"],
             front_loss=witness["front_loss"],
         )
-        report = assert_shard_conformance(spec)
+        report = assert_handoff_conformance(spec)
         for result in report.results:
             assert result.verdicts[entry["target"]] is False, (
                 f"{entry['cell']}: {result.runtime} must reproduce the "
@@ -110,46 +113,24 @@ class TestHealthyFeeds:
         ],
     )
     def test_single_variable_rows(self, row, algorithm, replication):
-        assert_shard_conformance(
+        assert_handoff_conformance(
             TrialSpec("single", row, algorithm, seed=13, n_updates=30,
                       replication=replication)
         )
 
     def test_multi_variable_routing_pulls_both_variables_home(self):
-        # cm references x and y; condition-reference routing must land
-        # every delivery on the condition's single home shard.
+        # cm references x and y; y lives on another shard of the new
+        # ring, and its updates must follow the condition home.
         spec = TrialSpec("multi", "aggressive", "AD-5", seed=3, n_updates=24,
                          replication=3)
-        report = assert_shard_conformance(spec)
-        for result in report.results[1:]:
-            routes = [
-                key for key in result.counters if key.startswith("shard/route/")
-            ]
-            assert len(routes) == 1, (
-                f"{result.runtime}: one condition must occupy exactly one "
-                f"shard, got routes {routes}"
-            )
-
-    def test_spec_with_sharding_field_records_identical_feed(self):
-        # The TrialSpec knob is semantics-neutral: recording with it set
-        # changes the spec header, never the deliveries or stamps.
-        plain = record_feed(
-            TrialSpec("single", "aggressive", "AD-2", 7, 18)
-        )
-        sharded = record_feed(
-            TrialSpec("single", "aggressive", "AD-2", 7, 18,
-                      sharding=ShardConfig(shards=8))
-        )
-        assert sharded.deliveries == plain.deliveries
-        assert sharded.stamps == plain.stamps
-        assert sharded.spec["sharding"] == {
-            "shards": 8, "virtual_nodes": 64, "ring_seed": 0,
-        }
+        home = assign_condition(feed_for(spec).condition(), NEW_RING).home
+        assert HashRing(NEW_RING).shard_for("y") != home
+        assert_handoff_conformance(spec)
 
 
 class TestDegradedFeeds:
     def test_chaos_feed_conforms(self):
-        assert_shard_conformance(
+        assert_handoff_conformance(
             TrialSpec("single", "aggressive", "AD-4", seed=11, n_updates=30,
                       faults=DEFAULT_CHAOS_PROFILE.scaled(1.5))
         )
@@ -158,35 +139,11 @@ class TestDegradedFeeds:
         from repro.faults.plan import FaultProfile
 
         faults = FaultProfile(ce_crash_rate=0.01, ce_mean_repair=40.0)
-        assert_shard_conformance(
+        assert_handoff_conformance(
             TrialSpec("single", "aggressive", "AD-4", seed=5, n_updates=30,
                       replication=3, faults=faults,
                       membership=MembershipConfig())
         )
-
-
-class TestShardedService:
-    def test_asyncio_service_with_shard_front_conforms(self):
-        from repro.service.server import AsyncioServiceRuntime, ServiceConfig
-
-        spec = TrialSpec("single", "aggressive", "AD-2", seed=13, n_updates=30)
-        feed = feed_for(spec)
-        report = check_conformance(
-            feed,
-            [
-                DirectRuntime(),
-                AsyncioServiceRuntime(ServiceConfig(shards=3)),
-                AsyncioServiceRuntime(ServiceConfig(shards=8, ring_seed=2)),
-            ],
-        )
-        assert report.identical, report.explain()
-        for result in report.results[1:]:
-            forwarded = sum(
-                count
-                for key, count in result.counters.items()
-                if key.startswith("shard/route/")
-            )
-            assert forwarded == len(feed.deliveries)
 
 
 class TestZipfianTenantPopulation:

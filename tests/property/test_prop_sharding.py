@@ -1,6 +1,6 @@
-"""Property-based tests for the shard ring, router and rebalance path.
+"""Property-based tests for the shard ring and the rebalance path.
 
-Four invariant families:
+Three invariant families:
 
 1. **Ring invariants** — determinism (equal configs assign every key
    identically, across fresh ring builds), the virtual-node balance
@@ -8,14 +8,10 @@ Four invariant families:
    *minimal movement*: growing the ring from N to N+1 shards only moves
    keys TO the new shard — consistent hashing's defining property, and
    what makes a live rebalance cheap.
-2. **Routing completeness** — splitting a feed loses nothing: every
-   recorded delivery is either routed to exactly the shards whose
-   conditions reference its variable, or dropped as unreferenced; and
-   within each shard the per-CE delivery order is a subsequence of the
-   original (FIFO preserved — the split filters, never reorders).
-3. **Output invisibility** — a sharded execution at any shard count is
-   byte-identical to the direct core on random feeds.
-4. **Rebalance ≡ static** — resizing the ring after an arbitrary
+2. **Output invisibility** — executing a feed on its condition's home
+   shard at any shard count is byte-identical to the direct core on
+   random feeds.
+3. **Rebalance ≡ static** — resizing the ring after an arbitrary
    delivery prefix (state handoff + stale guard included) displays the
    same bytes and verdicts as never resizing at all.
 """
@@ -28,10 +24,8 @@ from repro.service.runtime import DirectRuntime
 from repro.sharding import (
     HashRing,
     ShardConfig,
-    ShardedRuntime,
     execute_rebalanced,
     moved_keys,
-    split_feed,
 )
 from repro.workloads.scenarios import ROW_ORDER
 
@@ -67,7 +61,7 @@ def feed_for(spec: TrialSpec):
 
 
 def small_feed_specs():
-    """Cheap single- and multi-variable specs for split/replay checks."""
+    """Cheap single- and multi-variable specs for replay checks."""
     return st.builds(
         TrialSpec,
         matrix=st.sampled_from(("single", "multi")),
@@ -123,46 +117,16 @@ def test_ring_growth_moves_keys_only_to_the_new_shard(
         )
 
 
-# -- 2. routing completeness + per-CE FIFO ------------------------------------
-
-@settings(max_examples=12, deadline=None)
-@given(small_feed_specs(), configs)
-def test_split_feed_loses_nothing_and_preserves_fifo(spec, config):
-    feed = feed_for(spec)
-    assignment, sub_feeds, dropped = split_feed(feed, config)
-    routed = sum(len(sub.deliveries) for sub in sub_feeds.values())
-    # One condition ⇒ one subscriber set: every referenced variable's
-    # deliveries land on the home shard, the rest are dropped.
-    assert routed + dropped == len(feed.deliveries)
-    condition = feed.condition()
-    assert dropped == sum(
-        1
-        for _, update in feed.deliveries
-        if update.varname not in condition.variables
-    )
-    home = sub_feeds[assignment.home]
-    for ce_index, stream in enumerate(home.per_ce()):
-        original = [
-            update
-            for update in feed.per_ce()[ce_index]
-            if update.varname in condition.variables
-        ]
-        assert list(stream) == original, (
-            f"CE{ce_index + 1}: shard split reordered or lost deliveries"
-        )
-    for shard, sub in sub_feeds.items():
-        if shard != assignment.home:
-            assert not sub.deliveries
-
-
-# -- 3/4. output invisibility, static and rebalanced --------------------------
+# -- 2/3. output invisibility, static and rebalanced --------------------------
 
 @settings(max_examples=10, deadline=None)
 @given(small_feed_specs(), st.integers(1, 10))
 def test_sharded_execution_is_byte_identical(spec, shards):
     feed = feed_for(spec)
     reference = DirectRuntime().execute(feed)
-    result = ShardedRuntime(ShardConfig(shards=shards)).execute(feed)
+    ring = ShardConfig(shards=shards)
+    result = execute_rebalanced(feed, ring, len(feed.deliveries), ring)
+    assert result.counters["shard/handoff/ring"] == 0
     assert result.displayed_bytes() == reference.displayed_bytes()
     assert result.verdicts == reference.verdicts
 

@@ -524,14 +524,12 @@ class TestOneRunSite:
     def spec(self):
         from repro.faults.plan import DEFAULT_CHAOS_PROFILE
         from repro.membership.config import MembershipConfig
-        from repro.sharding.ring import ShardConfig
 
         # Violates consistency, so shrink_spec accepts it.
         return TrialSpec(
             "single", "aggressive", "AD-1", 0, 12, replication=2,
             front_loss=0.3, faults=DEFAULT_CHAOS_PROFILE.scaled(0.5),
             kernel="object", membership=MembershipConfig(),
-            sharding=ShardConfig(shards=2),
         )
 
     @pytest.fixture
@@ -563,7 +561,6 @@ class TestOneRunSite:
                     faults=spec.faults,
                     kernel="object",
                     membership=spec.membership,
-                    sharding=spec.sharding,
                 ),
             )
 

@@ -268,49 +268,3 @@ class TestFaultProfileMutationSupport:
     def test_with_value_rejects_unknown_fields(self):
         with pytest.raises(KeyError):
             DEFAULT_CHAOS_PROFILE.with_value("not_a_field", 1.0)
-
-
-class TestShardingMutationAndShrink:
-    """The drop-to-one-shard shrink step."""
-
-    def test_sharding_shrink_steps_drop_first_then_normalize(self):
-        from repro.fuzz.shrink import _knob_steps
-        from repro.sharding import ShardConfig
-
-        spec = TrialSpec(
-            "single", "aggressive", "AD-2", 0, 10,
-            sharding=ShardConfig(shards=4, virtual_nodes=16, ring_seed=2),
-        )
-        steps = list(_knob_steps(spec, "sharding"))
-        assert steps[0].sharding is None  # cheapest question first
-        assert steps[1].sharding == ShardConfig(
-            shards=3, virtual_nodes=16, ring_seed=2
-        )
-        remaining = {step.sharding for step in steps[2:]}
-        assert remaining == {
-            ShardConfig(shards=4, virtual_nodes=64, ring_seed=2),
-            ShardConfig(shards=4, virtual_nodes=16, ring_seed=0),
-        }
-        assert list(_knob_steps(TrialSpec(
-            "single", "aggressive", "AD-2", 0, 10
-        ), "sharding")) == []
-
-    def test_shrink_drops_sharding_and_matches_unsharded_witness(self):
-        """Shrink soundness: sharding is semantics-neutral, so the
-        drop-to-one-shard step must always land, and a sharded violating
-        spec must shrink to the *same* 1-minimal witness as its
-        unsharded twin (same violation, same trace)."""
-        from dataclasses import replace
-
-        from repro.sharding import ShardConfig
-
-        base = TestShrinkSpec._violating_spec()
-        sharded = replace(
-            base, sharding=ShardConfig(shards=8, virtual_nodes=16, ring_seed=3)
-        )
-        assert violates(sharded.execute(), "consistent")
-        result = shrink_spec(sharded, "consistent")
-        assert result.spec.sharding is None
-        unsharded_result = shrink_spec(base, "consistent")
-        assert result.spec == unsharded_result.spec
-        assert violates(result.spec.execute(), "consistent")

@@ -171,20 +171,6 @@ def old_membership_steps(spec):
         yield replace(spec, membership=old_with_value(config, name, default))
 
 
-def old_sharding_steps(spec):
-    config = spec.sharding
-    if config is None:
-        return
-    yield replace(spec, sharding=None)
-    if config.shards > 2:
-        yield replace(spec, sharding=replace(config, shards=config.shards - 1))
-    for name in ("virtual_nodes", "ring_seed"):
-        default = old_default(ShardConfig, name)
-        if getattr(config, name) == default:
-            continue
-        yield replace(spec, sharding=old_with_value(config, name, default))
-
-
 def old_candidates(spec, min_updates):
     if spec.n_updates > min_updates:
         yield replace(spec, n_updates=spec.n_updates - 1)
@@ -197,7 +183,6 @@ def old_candidates(spec, min_updates):
         halved = spec.front_loss / 2
         if halved > _EPSILON:
             yield replace(spec, front_loss=halved)
-    yield from old_sharding_steps(spec)
     yield from old_profile_steps(spec)
     yield from old_membership_steps(spec)
 
@@ -223,20 +208,19 @@ def _old_mutate_row(spec, rng):
     return replace(spec, row=rng.choice(others)) if others else spec
 
 
+# The shard and ring mutators set the spec's ring, which specs no longer
+# carry.  They still draw what they drew, so the stream does not shift:
+# the shard count was chosen among the four templates other than the
+# current one (always a template), the ring knob among five.
 def _old_mutate_shards(spec, rng):
-    current = spec.sharding.shards if spec.sharding is not None else 1
-    count = rng.choice([n for n in OLD_TEMPLATES["shards"] if n != current])
-    if count == 1:
-        return replace(spec, sharding=None)
-    base = spec.sharding if spec.sharding is not None else ShardConfig()
-    return replace(spec, sharding=base.with_value("shards", count))
+    rng.choice(OLD_TEMPLATES["shards"][1:])
+    return spec
 
 
 def _old_mutate_ring(spec, rng):
-    base = spec.sharding if spec.sharding is not None else ShardConfig(shards=2)
     name = "virtual_nodes" if rng.random() < 0.5 else "ring_seed"
-    base = base.with_value(name, rng.choice(OLD_TEMPLATES[name]))
-    return replace(spec, sharding=base)
+    rng.choice(OLD_TEMPLATES[name])
+    return spec
 
 
 def _old_toggle_membership(spec, rng):
@@ -320,7 +304,6 @@ specs = st.builds(
     front_loss=st.none() | st.just(0.0) | st.floats(0.0, 0.8),
     faults=st.none() | configs(FaultProfile),
     membership=st.none() | configs(MembershipConfig),
-    sharding=st.none() | configs(ShardConfig),
 )
 
 
@@ -334,11 +317,13 @@ def numbers_for(kind):
 
 #: sha256 over ``repr`` of every shrink candidate of 2,000 chained
 #: ``old_mutate_spec`` children, and over ``json.dumps(asdict(config))``
-#: of the default, chaos and churn configs and every config those specs
-#: carry — all taken from the per-config tables and setters the kinds
-#: replaced.
-CANDIDATES_DIGEST = "d6e5d30628c87c22dc5e4c086a8e1e58ff10b94acea045fe318d684b05e4f0cd"
-CONFIG_JSON_DIGEST = "b051d5db4db2cdacb495ccc6bd0d4447faf3d0d83a1d9e5c619dc1e76d40ac1f"
+#: of the default, chaos, churn and ring configs and every config those
+#: specs carry — all taken from the per-config tables and setters the
+#: kinds replaced, when specs still carried a ring: the candidates the
+#: ring's own steps yielded are dropped, and the ring is projected out of
+#: the rest.
+CANDIDATES_DIGEST = "9d62853be0c9996e46d00840d1d8e012081733b9c6f24fb3bb7e997fb6e55aa0"
+CONFIG_JSON_DIGEST = "4d77cb955afb0bf95a561cd32811915a95dc84eb1a653ffe8179c400114bd3ae"
 
 
 def _digest(lines):
@@ -366,7 +351,7 @@ def candidates(children):
 
 class TestGoldens:
     def test_shrink_candidates(self, candidates):
-        assert len(candidates) == 44458
+        assert len(candidates) == 38990
         assert _digest(map(repr, candidates)) == CANDIDATES_DIGEST
 
     def test_config_json(self, children, candidates):
@@ -377,7 +362,7 @@ class TestGoldens:
         configs += [
             getattr(spec, attr)
             for spec in children + candidates
-            for attr in ("faults", "membership", "sharding")
+            for attr in ("faults", "membership")
             if getattr(spec, attr) is not None
         ]
         lines = (json.dumps(asdict(config)) for config in configs)

@@ -177,6 +177,30 @@ class TestTraceFiles:
         with pytest.raises(TraceSchemaError, match="mystery"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "tamper, named",
+        [
+            pytest.param(
+                # Traces recorded while specs carried a shard ring.
+                lambda spec: spec.update(sharding=None),
+                "trace spec has an unknown field 'sharding'",
+                id="retired-field",
+            ),
+            pytest.param(
+                lambda spec: spec.pop("seed"), "trace spec has no 'seed' field",
+                id="missing-field",
+            ),
+        ],
+    )
+    def test_bad_spec_field_is_named(self, tmp_path, tamper, named):
+        header, *rest = record_trial(self.SPEC).to_jsonl().splitlines()
+        header = json.loads(header)
+        tamper(header["spec"])
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+        with pytest.raises(TraceSchemaError, match=named):
+            load_trace(path)
+
     def test_replay_detects_tampering(self, tmp_path):
         trace = record_trial(self.SPEC)
         tampered = RecordedTrace(

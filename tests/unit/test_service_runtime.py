@@ -76,6 +76,12 @@ class TestFeed:
         with pytest.raises(FeedSchemaError, match="empty"):
             loads_feed("")
 
+    def test_header_spec_fields_are_checked(self, feed):
+        # Feeds recorded while specs carried a shard ring.
+        old = feed.to_jsonl().replace('"spec":{', '"spec":{"sharding":null,', 1)
+        with pytest.raises(FeedSchemaError, match="unknown field 'sharding'"):
+            loads_feed(old)
+
     def test_stamps_count_alerts(self, feed):
         assert feed.total_alerts == sum(len(s) for s in feed.stamps)
         assert feed.total_alerts > 0

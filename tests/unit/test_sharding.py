@@ -1,13 +1,14 @@
-"""Unit tests for the sharding subsystem: ring, router, handoff, runtime.
+"""Unit tests for the sharding subsystem: ring, placement, handoff, runtime.
 
 The property and integration suites own the statistical invariants and
 the cross-runtime conformance matrix; this file pins the concrete
 contracts — config validation and clamping, deterministic placement,
-split bookkeeping, the handoff's JSON round trip and stale guard, and
-the conformance report's divergence locator (which must name the first
-diverging alert, not just digests).
+the handoff's JSON round trip and stale guard, the rebalancing
+runtime's bookkeeping, and the conformance report's divergence locator
+(which must name the first diverging alert, not just digests).
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -22,12 +23,11 @@ from repro.service.runtime import ConformanceReport, DirectRuntime
 from repro.sharding import (
     HashRing,
     ShardConfig,
-    ShardedRuntime,
     ShardHost,
     ShardState,
     assign_condition,
+    execute_rebalanced,
     moved_keys,
-    split_feed,
     tenants,
 )
 from repro.sharding.tenants import run_shard, zipfian_update_counts
@@ -74,16 +74,6 @@ class TestShardConfig:
         for name, _ in ShardConfig.knobs():
             assert getattr(ShardConfig(), name) == ShardConfig.inert(name)
 
-    def test_spec_round_trips_sharding_as_dict(self):
-        # Trace/feed headers reconstruct specs from plain JSON dicts.
-        spec = TrialSpec(
-            "single", "aggressive", "AD-2", 0, 10,
-            sharding={"shards": 4, "virtual_nodes": 32, "ring_seed": 1},
-        )
-        assert spec.sharding == ShardConfig(
-            shards=4, virtual_nodes=32, ring_seed=1
-        )
-
 
 class TestHashRing:
     def test_single_shard_owns_everything(self):
@@ -114,33 +104,18 @@ class TestRouter:
     def test_primary_is_lexicographically_smallest_variable(self):
         assignment = assign_condition(cm(), ShardConfig(shards=6))
         assert assignment.primary == "x"
-        assert set(assignment.variable_owner) == {"x", "y"}
 
     def test_multi_variable_routes_pull_to_home(self):
-        assignment = assign_condition(cm(), ShardConfig(shards=6))
-        for var in ("x", "y"):
-            assert assignment.route(var) == (assignment.home,)
-        assert assignment.route("unreferenced") == ()
+        # y lives on shard 5 of this ring, yet cm is placed by x alone.
+        config = ShardConfig(shards=8)
+        ring = HashRing(config)
+        assert ring.shard_for("y") != ring.shard_for("x")
+        assert assign_condition(cm(), config).home == ring.shard_for("x")
 
     def test_home_is_ring_owner_of_primary(self):
         config = ShardConfig(shards=7, ring_seed=3)
         assignment = assign_condition(c1(), config)
         assert assignment.home == HashRing(config).shard_for("x")
-
-    def test_summary_is_plain_scalars(self):
-        import json
-
-        summary = assign_condition(cm(), ShardConfig(shards=3)).summary()
-        assert json.loads(json.dumps(summary)) == summary
-
-    def test_split_feed_bookkeeping(self):
-        feed = record_feed(TrialSpec("single", "aggressive", "AD-2", 3, 12))
-        assignment, sub_feeds, dropped = split_feed(feed, ShardConfig(shards=4))
-        assert dropped == 0
-        assert set(sub_feeds) == {assignment.home}
-        home = sub_feeds[assignment.home]
-        assert home.deliveries == feed.deliveries
-        assert home.stamps == feed.stamps
 
 
 def _threshold_updates(seqnos):
@@ -205,22 +180,28 @@ class TestHandoff:
         assert host.export_state().high_water == ({},)
 
 
-class TestShardedRuntimeBookkeeping:
+class TestRebalanceBookkeeping:
+    """``execute_rebalanced`` across a resize that moves ``x``'s home."""
+
+    OLD, NEW = ShardConfig(shards=2), ShardConfig(shards=8)
+
     def test_counters_account_for_every_delivery(self):
-        feed = record_feed(TrialSpec("multi", "aggressive", "AD-5", 2, 10))
-        result = ShardedRuntime(ShardConfig(shards=5)).execute(feed)
-        routed = sum(
-            count
-            for key, count in result.counters.items()
-            if key.startswith("shard/route/")
-        )
-        assert routed + result.counters.get("shard/drop/router", 0) == len(
-            feed.deliveries
-        )
+        feed = record_feed(TrialSpec("single", "aggressive", "AD-2", 3, 12))
+        cut = len(feed.deliveries) // 2
+        # A delivery still in flight to the old home, re-forwarded after
+        # the handoff.
+        replayed = dataclasses.replace(feed, deliveries=(
+            *feed.deliveries[:cut + 1], feed.deliveries[0],
+            *feed.deliveries[cut + 1:],
+        ))
+        result = execute_rebalanced(replayed, self.OLD, cut, self.NEW)
+        assert result.counters == {"shard/handoff/ring": 1, "shard/stale/guard": 1}
+        assert result.digest() == DirectRuntime().execute(feed).digest()
 
     def test_runtime_name_exposes_layout(self):
-        runtime = ShardedRuntime(ShardConfig(shards=3))
-        assert runtime.name == "sharded[3]:direct"
+        feed = record_feed(TrialSpec("single", "aggressive", "AD-2", 3, 12))
+        result = execute_rebalanced(feed, self.OLD, 0, self.NEW)
+        assert result.runtime == "sharded-rebalance[2->8]"
 
 
 class TestCollectorScope:

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast bench artifacts-check perf perf-pairs gc-share report examples clean
+.PHONY: install test test-fast bench artifacts-check reachability perf perf-pairs gc-share report examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -22,14 +22,21 @@ bench:  ## regenerate every paper artifact (benchmarks/results/)
 # byte-identical (CI jobs artifact-drift and, for fuzz, fuzz-smoke run
 # the same commands).
 ARTIFACTS = quality availability availability_chaos membership \
-	ablation_loss ablation_replication fuzz
+	ablation_loss ablation_replication fuzz theorem_rates \
+	theorem3_counterexample theorem4_counterexample wire_sizes example4 \
+	multicondition_demux multicondition_system multicondition_disjunction
 
 artifacts-check:  ## regenerate the sweep artifacts; fail on any drift
 	$(PYTHON) -m pytest benchmarks/bench_quality.py \
 		benchmarks/bench_availability.py benchmarks/bench_membership.py \
 		benchmarks/bench_ablation.py benchmarks/bench_fuzz.py \
+		benchmarks/bench_theorems.py benchmarks/bench_wire.py \
+		benchmarks/bench_multicondition.py \
 		--benchmark-only -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/results/%.txt)
+
+reachability:  ## every src/repro function no documented entry point calls
+	$(PYTHON) tools/reachability.py
 
 # The repo benchmark (BENCHMARK.json): one workload, one seed, one JSON
 # line of end-to-end metrics; TRACE=1 is the per-layer traced run.

@@ -15,11 +15,8 @@ from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1
 from repro.core.expressions import H
 from repro.core.condition import ExpressionCondition
-from repro.multicondition.combined import (
-    DisjunctionCondition,
-    PerConditionAD,
-    example_4,
-)
+from repro.multicondition.combined import DisjunctionCondition, example_4
+from repro.multicondition.system import DemuxAD
 from repro.displayers.ad2 import AD2
 from repro.props.orderedness import is_alert_sequence_ordered
 
@@ -56,11 +53,11 @@ def test_per_condition_ad_keeps_guarantees(benchmark):
                 result = run_system(cond, workload, config, seed=8200 + trial)
                 arrivals.extend(result.ad_arrivals)
             arrivals.sort(key=lambda a: a.seqno("x"))  # arbitrary merge
-            demux = PerConditionAD({"A": AD2("x"), "B": AD2("x")})
+            demux = DemuxAD({"A": AD2("x"), "B": AD2("x")})
             demux.offer_all(arrivals)
             for name in ("A", "B"):
                 total_streams += 1
-                if is_alert_sequence_ordered(list(demux.stream(name)), ["x"]):
+                if is_alert_sequence_ordered(list(demux.stream_output(name)), ["x"]):
                     ordered_streams += 1
         return ordered_streams, total_streams
 

@@ -16,7 +16,7 @@ Run:  python examples/multi_condition.py
 
 from repro import ExpressionCondition, H, SystemConfig, run_system
 from repro.displayers import AD2
-from repro.multicondition import DisjunctionCondition, PerConditionAD, example_4
+from repro.multicondition import DemuxAD, DisjunctionCondition, example_4
 from repro.props.orderedness import is_alert_sequence_ordered
 
 
@@ -44,10 +44,10 @@ def demo_per_condition_ad() -> None:
         result = run_system(condition, workload, config, seed=17)
         arrivals.extend(result.ad_arrivals)
 
-    demux = PerConditionAD({"hot": AD2("x"), "very_hot": AD2("x")})
+    demux = DemuxAD({"hot": AD2("x"), "very_hot": AD2("x")})
     demux.offer_all(arrivals)
     for name in ("hot", "very_hot"):
-        stream = list(demux.stream(name))
+        stream = list(demux.stream_output(name))
         print(f"  stream {name!r}: {len(stream)} alerts, ordered="
               f"{is_alert_sequence_ordered(stream, ['x'])}")
     print("Each stream gets AD-2's orderedness guarantee independently.\n")

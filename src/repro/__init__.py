@@ -66,11 +66,10 @@ from repro.displayers import (
     make_ad,
     run_ad,
 )
-from repro.multicondition import DisjunctionCondition, PerConditionAD
+from repro.multicondition import DemuxAD, DisjunctionCondition
 from repro.props import (
     PropertyReport,
     PropertyTally,
-    check_completeness,
     check_consistency_multi,
     check_consistency_single,
     check_orderedness,
@@ -104,6 +103,7 @@ __all__ = [
     "ConditionEvaluator",
     "CrashSchedule",
     "DataMonitor",
+    "DemuxAD",
     "DisjunctionCondition",
     "ExpressionCondition",
     "FixedDelay",
@@ -113,7 +113,6 @@ __all__ = [
     "LossyFifoLink",
     "MonitoringSystem",
     "PassThrough",
-    "PerConditionAD",
     "PredicateCondition",
     "PropertyReport",
     "PropertyTally",
@@ -128,7 +127,6 @@ __all__ = [
     "c1",
     "c2",
     "c3",
-    "check_completeness",
     "check_consistency_multi",
     "check_consistency_single",
     "check_orderedness",

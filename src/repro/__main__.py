@@ -1,7 +1,6 @@
 """Entry point for ``python -m repro``."""
 
-import sys
-
 from repro.cli import main
 
-sys.exit(main())
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -35,7 +35,6 @@ from repro.analysis.latency import (
 )
 from repro.analysis.metrics import (
     DeliveryStats,
-    back_link_bytes,
     RunMetrics,
     collect_metrics,
     delivery_stats,
@@ -44,12 +43,6 @@ from repro.analysis.repro_report import (
     ReproductionReport,
     SectionResult,
     generate_report,
-)
-from repro.analysis.stats import (
-    RateEstimate,
-    estimate_rate,
-    rates_differ,
-    wilson_interval,
 )
 from repro.analysis.sweeps import (
     SweepPoint,
@@ -76,13 +69,9 @@ __all__ = [
     "NotificationLatency",
     "latency_stats",
     "notification_latencies",
-    "RateEstimate",
     "ReproductionReport",
     "SectionResult",
-    "estimate_rate",
     "generate_report",
-    "rates_differ",
-    "wilson_interval",
     "SweepPoint",
     "TimelineEvent",
     "TimelineRecorder",
@@ -95,7 +84,6 @@ __all__ = [
     "replication_sweep",
     "shrink_counterexample",
     "DeliveryStats",
-    "back_link_bytes",
     "EXPECTED_GRIDS",
     "RunMetrics",
     "TableResult",

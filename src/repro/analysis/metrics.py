@@ -94,19 +94,3 @@ def delivery_stats(run: RunResult) -> DeliveryStats:
         delivered=len(expected & displayed),
         extraneous=len(displayed - expected),
     )
-
-
-def back_link_bytes(run: RunResult, encoding=None) -> int:
-    """Total bytes the CEs sent to the AD under a given wire encoding.
-
-    ``encoding`` defaults to the *minimum* encoding the run's AD algorithm
-    needs (§2's observation, see :mod:`repro.core.wire`) — pass an
-    explicit :class:`~repro.core.wire.AlertEncoding` to compare choices.
-    """
-    from repro.core.wire import encode_alert, minimum_encoding
-
-    if encoding is None:
-        encoding = minimum_encoding(run.config.ad_algorithm)
-    return sum(
-        encode_alert(alert, encoding).size_bytes for alert in run.all_generated
-    )

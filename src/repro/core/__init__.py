@@ -27,8 +27,6 @@ from repro.core.reference import (
     apply_T,
     combine_received,
     count_interleavings,
-    interleavings,
-    is_interleaving_of,
     merge_single_variable,
 )
 from repro.core.sequences import (
@@ -76,8 +74,6 @@ __all__ = [
     "conservative_guard",
     "count_interleavings",
     "format_trace",
-    "interleavings",
-    "is_interleaving_of",
     "is_ordered",
     "is_subsequence",
     "is_strict_supersequence",

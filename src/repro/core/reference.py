@@ -9,13 +9,13 @@ a sequence of alerts.  The three system properties are all phrased against
 
 This module provides ``T`` as a pure function (:func:`apply_T`), the
 per-variable ordered-union combinator for update traces
-(:func:`combine_received`), and interleaving utilities needed by the
+(:func:`combine_received`), and the interleaving count of the
 multi-variable definitions of Appendix C.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.alert import Alert
 from repro.core.condition import Condition
@@ -28,9 +28,7 @@ __all__ = [
     "ground_truth_alerts",
     "combine_received",
     "merge_single_variable",
-    "interleavings",
     "count_interleavings",
-    "is_interleaving_of",
     "reference_cache_info",
     "clear_reference_caches",
 ]
@@ -140,35 +138,6 @@ def combine_received(traces: Sequence[Sequence[Update]], variables: Iterable[str
     }
 
 
-def interleavings(per_variable: dict[str, Sequence[Update]]) -> Iterator[list[Update]]:
-    """Generate every interleaving ``UV`` of the per-variable sequences.
-
-    Each variable's updates keep their relative order; variables are
-    shuffled together in all possible ways.  The count is multinomial in
-    the lengths, so callers must keep inputs small — use
-    :func:`count_interleavings` to pre-check, and prefer the
-    constraint-based checkers in :mod:`repro.props` for larger instances.
-    """
-    variables = [v for v, seq in per_variable.items() if len(seq) > 0]
-    sequences = {v: list(per_variable[v]) for v in variables}
-    positions = {v: 0 for v in variables}
-
-    def generate(prefix: list[Update]) -> Iterator[list[Update]]:
-        if all(positions[v] == len(sequences[v]) for v in variables):
-            yield list(prefix)
-            return
-        for var in variables:
-            if positions[var] < len(sequences[var]):
-                update = sequences[var][positions[var]]
-                positions[var] += 1
-                prefix.append(update)
-                yield from generate(prefix)
-                prefix.pop()
-                positions[var] -= 1
-
-    return generate([])
-
-
 def count_interleavings(per_variable: dict[str, Sequence[Update]]) -> int:
     """Number of distinct interleavings (multinomial coefficient)."""
     from math import comb
@@ -180,17 +149,3 @@ def count_interleavings(per_variable: dict[str, Sequence[Update]]) -> int:
         total += n
         count *= comb(total, n)
     return count
-
-
-def is_interleaving_of(candidate: Sequence[Update], per_variable: dict[str, Sequence[Update]]) -> bool:
-    """True iff ``candidate`` interleaves exactly the given per-variable runs."""
-    positions = {v: 0 for v in per_variable}
-    for update in candidate:
-        var = update.varname
-        if var not in positions:
-            return False
-        expected = per_variable[var]
-        if positions[var] >= len(expected) or expected[positions[var]] != update:
-            return False
-        positions[var] += 1
-    return all(positions[v] == len(per_variable[v]) for v in per_variable)

@@ -9,7 +9,6 @@ from repro.displayers.ad6 import AD6
 from repro.displayers.adaptive import AdaptiveAD
 from repro.displayers.base import ADAlgorithm, run_ad
 from repro.displayers.delayed import DelayedDisplayAD, attach_delayed_ad
-from repro.displayers import pseudocode
 from repro.displayers.registry import (
     AlgorithmInfo,
     PassThrough,
@@ -35,6 +34,5 @@ __all__ = [
     "algorithm_info",
     "algorithm_names",
     "make_ad",
-    "pseudocode",
     "run_ad",
 ]

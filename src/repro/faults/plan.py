@@ -6,9 +6,10 @@ from *how it was drawn*:
 * :class:`FaultPlan` — the concrete fault surface of one run: per-node
   crash windows for CEs, DMs and the AD, per-link outage windows, delay
   spike windows, and the stochastic link adversaries (burst loss,
-  duplication).  Plans compose with :meth:`FaultPlan.merge` and fold into
-  a :class:`~repro.components.system.SystemConfig` with
-  :meth:`FaultPlan.apply_to`.
+  duplication).  A plan folds into a
+  :class:`~repro.components.system.SystemConfig` with
+  :meth:`FaultPlan.apply_to`; it is always re-drawn from its profile,
+  never serialized.
 * :class:`FaultProfile` — the *distribution* those windows are drawn
   from: plain scalar rates and probabilities, each declared as a
   :mod:`repro.knobs` kind, picklable and JSON-round-trippable, so it can
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.faults.model import (
     DelaySpikeSchedule,
@@ -87,10 +88,6 @@ class FaultPlan:
     front_delay_spikes: DelaySpikeSchedule | None = None
     back_delay_spikes: DelaySpikeSchedule | None = None
 
-    @classmethod
-    def clean(cls) -> "FaultPlan":
-        return cls()
-
     @property
     def is_clean(self) -> bool:
         """True iff applying this plan cannot perturb a run."""
@@ -110,30 +107,6 @@ class FaultPlan:
                 self.back_delay_spikes is None
                 or not self.back_delay_spikes.enabled
             )
-        )
-
-    def merge(self, other: "FaultPlan") -> "FaultPlan":
-        """Union of two plans: down whenever either is down.
-
-        Window maps merge per key with :meth:`CrashSchedule.union`; for
-        the stochastic adversaries and spike schedules ``other`` wins
-        where both plans set one (last-writer-wins, like config overlays).
-        """
-        ad_crash = self.ad_crash
-        if other.ad_crash is not None:
-            ad_crash = (
-                other.ad_crash if ad_crash is None else ad_crash.union(other.ad_crash)
-            )
-        return FaultPlan(
-            ce_crashes=_union(self.ce_crashes, other.ce_crashes),
-            dm_crashes=_union(self.dm_crashes, other.dm_crashes),
-            ad_crash=ad_crash,
-            front_outages=_union(self.front_outages, other.front_outages),
-            back_outages=_union(self.back_outages, other.back_outages),
-            burst_loss=other.burst_loss or self.burst_loss,
-            duplication=other.duplication or self.duplication,
-            front_delay_spikes=other.front_delay_spikes or self.front_delay_spikes,
-            back_delay_spikes=other.back_delay_spikes or self.back_delay_spikes,
         )
 
     def apply_to(self, config: "SystemConfig") -> "SystemConfig":
@@ -166,86 +139,6 @@ class FaultPlan:
             front_duplication=self.duplication or config.front_duplication,
             front_delay_spikes=self.front_delay_spikes or config.front_delay_spikes,
             back_delay_spikes=self.back_delay_spikes or config.back_delay_spikes,
-        )
-
-    # -- serialization -------------------------------------------------------
-    def to_json_obj(self) -> dict[str, Any]:
-        def windows(schedule: CrashSchedule) -> list[list[float]]:
-            return [[s, e] for s, e in schedule.windows]
-
-        obj: dict[str, Any] = {
-            "ce_crashes": {str(k): windows(v) for k, v in sorted(self.ce_crashes.items())},
-            "dm_crashes": {k: windows(v) for k, v in sorted(self.dm_crashes.items())},
-            "ad_crash": None if self.ad_crash is None else windows(self.ad_crash),
-            "front_outages": {
-                str(k): windows(v) for k, v in sorted(self.front_outages.items())
-            },
-            "back_outages": {
-                str(k): windows(v) for k, v in sorted(self.back_outages.items())
-            },
-            "burst_loss": None,
-            "duplication": None,
-            "front_delay_spikes": None,
-            "back_delay_spikes": None,
-        }
-        if self.burst_loss is not None:
-            obj["burst_loss"] = {
-                "good_to_bad": self.burst_loss.good_to_bad,
-                "bad_to_good": self.burst_loss.bad_to_good,
-                "loss_good": self.burst_loss.loss_good,
-                "loss_bad": self.burst_loss.loss_bad,
-            }
-        if self.duplication is not None:
-            obj["duplication"] = {
-                "duplicate_prob": self.duplication.duplicate_prob,
-                "max_copies": self.duplication.max_copies,
-            }
-        for key, spikes in (
-            ("front_delay_spikes", self.front_delay_spikes),
-            ("back_delay_spikes", self.back_delay_spikes),
-        ):
-            if spikes is not None:
-                obj[key] = {
-                    "windows": [[s, e] for s, e in spikes.windows],
-                    "factor": spikes.factor,
-                }
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, Any]) -> "FaultPlan":
-        def schedule(windows: Sequence[Sequence[float]]) -> CrashSchedule:
-            return CrashSchedule.from_windows(windows)
-
-        def spikes(value: Mapping[str, Any] | None) -> DelaySpikeSchedule | None:
-            if value is None:
-                return None
-            return DelaySpikeSchedule(
-                windows=tuple((float(s), float(e)) for s, e in value["windows"]),
-                factor=float(value["factor"]),
-            )
-
-        burst = obj.get("burst_loss")
-        dup = obj.get("duplication")
-        return cls(
-            ce_crashes={
-                int(k): schedule(v) for k, v in obj.get("ce_crashes", {}).items()
-            },
-            dm_crashes={
-                k: schedule(v) for k, v in obj.get("dm_crashes", {}).items()
-            },
-            ad_crash=(
-                None if obj.get("ad_crash") is None else schedule(obj["ad_crash"])
-            ),
-            front_outages={
-                int(k): schedule(v) for k, v in obj.get("front_outages", {}).items()
-            },
-            back_outages={
-                int(k): schedule(v) for k, v in obj.get("back_outages", {}).items()
-            },
-            burst_loss=None if burst is None else GilbertElliottParams(**burst),
-            duplication=None if dup is None else DuplicationAdversary(**dup),
-            front_delay_spikes=spikes(obj.get("front_delay_spikes")),
-            back_delay_spikes=spikes(obj.get("back_delay_spikes")),
         )
 
 

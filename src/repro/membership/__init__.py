@@ -25,7 +25,7 @@ from repro.membership.registry import (
     membership_surface,
     plan_membership,
 )
-from repro.membership.verdicts import churn_summary, classify_verdicts
+from repro.membership.verdicts import churn_summary
 
 __all__ = [
     "CATCHUP_SOURCES",
@@ -34,7 +34,6 @@ __all__ = [
     "NodeView",
     "RecoveryEvent",
     "churn_summary",
-    "classify_verdicts",
     "membership_horizon",
     "membership_surface",
     "node_view",

@@ -7,13 +7,13 @@ are stated for the full replica set, so the chaos sweep must separate
 from "violated steady-state" (a real loss under churn).  This module
 folds a run's :class:`~repro.membership.registry.MembershipPlan` into a
 small JSON-safe churn summary that rides on
-:class:`~repro.props.report.PropertyReport` across process boundaries,
-plus the per-property classification the sweeps and tallies consume.
+:class:`~repro.props.report.PropertyReport` across process boundaries;
+:class:`~repro.props.report.PropertyTally` splits violations on it.
 """
 
 from __future__ import annotations
 
-__all__ = ["churn_summary", "classify_verdicts"]
+__all__ = ["churn_summary"]
 
 
 def _mean(values) -> float | None:
@@ -43,26 +43,3 @@ def churn_summary(run) -> dict:
         "mean_detection_latency": _mean(plan.detection_latencies),
         "mean_time_to_recover": _mean(plan.recovery_latencies),
     }
-
-
-def classify_verdicts(
-    summary: dict, churn: dict | None
-) -> dict[str, str]:
-    """Per-property churn classification of one run's verdicts.
-
-    ``"ok"`` / ``"undecided"`` pass through; a violation becomes
-    ``"violated-degraded"`` when the run spent any time below quorum
-    (run-level granularity: the checkers decide over whole sequences,
-    so violations are not attributable to individual instants) and
-    ``"violated-steady"`` otherwise.
-    """
-    degraded = bool(churn and churn.get("below_quorum"))
-    out: dict[str, str] = {}
-    for prop, verdict in summary.items():
-        if verdict is None:
-            out[prop] = "undecided"
-        elif verdict:
-            out[prop] = "ok"
-        else:
-            out[prop] = "violated-degraded" if degraded else "violated-steady"
-    return out

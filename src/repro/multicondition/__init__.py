@@ -1,9 +1,9 @@
-"""Multiple-condition systems (Appendix D)."""
+"""Multiple-condition systems (Appendix D): Example 4, the Figure D-7(c)
+per-condition AD (:class:`DemuxAD`) and the Figure D-8 reduction to
+``C = A ∨ B`` (:class:`DisjunctionCondition`)."""
 
-from repro.multicondition.algebra import ConjunctionCondition, NegationCondition
 from repro.multicondition.combined import (
     DisjunctionCondition,
-    PerConditionAD,
     example_4,
     trim_histories,
 )
@@ -15,13 +15,10 @@ from repro.multicondition.system import (
 )
 
 __all__ = [
-    "ConjunctionCondition",
     "DemuxAD",
-    "NegationCondition",
     "DisjunctionCondition",
     "MultiConditionResult",
     "MultiConditionSystem",
-    "PerConditionAD",
     "colocated_system",
     "example_4",
     "trim_histories",

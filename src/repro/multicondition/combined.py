@@ -5,7 +5,7 @@ Two constructions from the appendix:
 * **Separate CEs** (Figure D-7(c)): each condition has its own replicated
   CEs; the single AD "can effectively separate the A and B alert streams
   and run one instance of the filtering algorithm against each stream" —
-  :class:`PerConditionAD`.
+  :class:`~repro.multicondition.system.DemuxAD`.
 * **Co-located CEs** (Figure D-7(d)): conditions hosted on one node see
   the same updates, so the pair reduces to the single combined condition
   ``C = A ∨ B`` (Figure D-8) — :class:`DisjunctionCondition`.
@@ -18,19 +18,17 @@ replication — see :func:`example_4`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.core.alert import Alert
 from repro.core.condition import Condition, ExpressionCondition
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
 from repro.core.history import HistorySnapshot
-from repro.core.update import Update, parse_trace
-from repro.displayers.base import ADAlgorithm
+from repro.core.update import parse_trace
 
 __all__ = [
     "DisjunctionCondition",
-    "PerConditionAD",
     "trim_histories",
     "example_4",
 ]
@@ -84,44 +82,6 @@ class DisjunctionCondition(Condition):
             if condition.evaluate(view):
                 return True
         return False
-
-
-class PerConditionAD:
-    """The Figure D-7(c) Alert Displayer: one filter instance per condition.
-
-    Alerts are routed by ``condname`` to their condition's filtering
-    algorithm; the displayed output is the interleaving of the per-stream
-    survivors in arrival order.  Alerts for unknown conditions are
-    rejected loudly (they indicate a mis-wired system).
-    """
-
-    def __init__(self, algorithms: dict[str, ADAlgorithm]) -> None:
-        if not algorithms:
-            raise ValueError("need at least one per-condition algorithm")
-        self._algorithms = dict(algorithms)
-        self._displayed: list[Alert] = []
-
-    @property
-    def displayed(self) -> tuple[Alert, ...]:
-        return tuple(self._displayed)
-
-    def stream(self, condname: str) -> tuple[Alert, ...]:
-        """The displayed alerts of one condition's stream."""
-        return self._algorithms[condname].output
-
-    def offer(self, alert: Alert) -> bool:
-        algorithm = self._algorithms.get(alert.condname)
-        if algorithm is None:
-            raise KeyError(
-                f"no AD algorithm registered for condition {alert.condname!r}"
-            )
-        if algorithm.offer(alert):
-            self._displayed.append(alert)
-            return True
-        return False
-
-    def offer_all(self, alerts: Iterable[Alert]) -> list[Alert]:
-        return [a for a in alerts if self.offer(a)]
 
 
 def example_4() -> tuple[list[Alert], list[Alert]]:

@@ -42,6 +42,8 @@ class DemuxAD(ADAlgorithm):
     The appendix's observation: "Although there is only one AD for both
     conditions, it can effectively separate the A and B alert streams and
     run one instance of the filtering algorithm against each stream."
+    Each alert goes to its stream's own :meth:`offer`, so any algorithm
+    works there, ``adaptive`` included.
     """
 
     name = "demux"
@@ -51,26 +53,20 @@ class DemuxAD(ADAlgorithm):
         if not algorithms:
             raise ValueError("DemuxAD needs at least one sub-algorithm")
         self._algorithms = dict(algorithms)
-        self._stream_outputs: dict[str, list[Alert]] = {
-            name: [] for name in self._algorithms
-        }
 
     def _fresh_args(self) -> tuple:
         return ({name: algo.fresh() for name, algo in self._algorithms.items()},)
 
     def stream_output(self, condname: str) -> tuple[Alert, ...]:
         """The displayed alerts of one condition's stream, in order."""
-        return tuple(self._stream_outputs[condname])
+        return self._algorithms[condname].output
 
-    def _accept(self, alert: Alert) -> bool:
-        algorithm = self._algorithms.get(alert.condname)
-        if algorithm is None:
+    def offer(self, alert: Alert) -> bool:
+        if alert.condname not in self._algorithms:
             raise KeyError(f"no sub-filter for condition {alert.condname!r}")
-        return algorithm._accept(alert)
-
-    def _record(self, alert: Alert) -> None:
-        self._algorithms[alert.condname]._record(alert)
-        self._stream_outputs[alert.condname].append(alert)
+        displayed = self._algorithms[alert.condname].offer(alert)
+        (self._output if displayed else self._discarded).append(alert)
+        return displayed
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from repro.observability.tracer import (
     MemoryTracer,
     NullTracer,
     ReasonCountersTracer,
-    TeeTracer,
     Tracer,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "MemoryTracer",
     "CountersTracer",
     "ReasonCountersTracer",
-    "TeeTracer",
     "RecordedTrace",
     "ReplayResult",
     "TraceSchemaError",

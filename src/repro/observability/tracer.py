@@ -12,7 +12,6 @@ three consumption modes the observability layer needs:
   in the property suite.
 * :class:`MemoryTracer` / :class:`JsonlTraceRecorder` — full event
   capture, for replay equality checks and JSONL trace artifacts.
-* :class:`TeeTracer` — fan one run out to several consumers.
 
 That is three levels of detail — off (``tracer=None``), counters, full —
 and a tracer says which it needs.  A tracer with ``order_free = True``
@@ -36,7 +35,6 @@ __all__ = [
     "MemoryTracer",
     "CountersTracer",
     "ReasonCountersTracer",
-    "TeeTracer",
 ]
 
 
@@ -179,16 +177,3 @@ class ReasonCountersTracer(CountersTracer):
         if reason is not None:
             kind = f"{kind}:{str(reason).split(':', 1)[0]}"
         super().count(stage, kind, node, n=n)
-
-
-class TeeTracer:
-    """Forwards every event to several tracers in order."""
-
-    def __init__(self, *tracers: Tracer) -> None:
-        self.tracers = tuple(tracers)
-
-    def emit(
-        self, time: float, stage: str, kind: str, node: str, **data: Any
-    ) -> None:
-        for tracer in self.tracers:
-            tracer.emit(time, stage, kind, node, **data)

@@ -3,14 +3,11 @@ maximality (Sections 3.1, 4.1, Appendix C)."""
 
 from repro.props.completeness import (
     CompletenessResult,
-    check_completeness,
     check_completeness_multi,
     check_completeness_single,
 )
 from repro.props.consistency import (
     ConsistencyResult,
-    build_precedence_graph,
-    check_consistency_bruteforce,
     check_consistency_multi,
     check_consistency_single,
 )
@@ -61,11 +58,8 @@ __all__ = [
     "degree2_alphabet",
     "two_variable_alphabet",
     "verify_invariant_exhaustively",
-    "build_precedence_graph",
-    "check_completeness",
     "check_completeness_multi",
     "check_completeness_single",
-    "check_consistency_bruteforce",
     "check_consistency_multi",
     "check_consistency_single",
     "check_orderedness",

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 
 from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition, compile_condition
-# Nothing here calls ``apply_T``; it stays bound because the traced
-# benchmark harness patches ``repro.props.completeness.apply_T``.
+# Nothing here calls either; both stay bound because the traced benchmark
+# harness patches ``repro.props.completeness.{apply_T,combine_received}``.
 from repro.core.reference import apply_T, combine_received  # noqa: F401
 from repro.core.sequences import is_strictly_ordered
 from repro.core.update import Update
@@ -52,7 +52,6 @@ __all__ = [
     "CompletenessResult",
     "check_completeness_single",
     "check_completeness_multi",
-    "check_completeness",
 ]
 
 
@@ -167,18 +166,6 @@ def check_completeness_single(
     )
 
 
-def _canonical_interleaving(
-    variables: Sequence[str], per_variable: dict[str, Sequence[Update]]
-) -> list[Update]:
-    """Each variable's run appended whole, in the given variable order —
-    the first interleaving :func:`repro.core.reference.interleavings`
-    yields, used as the fixed reference point for failure diagnostics."""
-    canonical: list[Update] = []
-    for var in variables:
-        canonical.extend(per_variable[var])
-    return canonical
-
-
 def check_completeness_multi(
     alerts: Sequence[Alert],
     condition: Condition,
@@ -254,7 +241,7 @@ def check_completeness_multi(
             return CompletenessResult(
                 True,
                 witness_interleaving=tuple(
-                    _canonical_interleaving(variables, sequences)
+                    update for var in variables for update in sequences[var]
                 ),
             )
         return CompletenessResult(False, extraneous=actual)
@@ -379,20 +366,3 @@ def check_completeness_multi(
         witness.extend(reversed(leg))
         here = goal
     return CompletenessResult(True, witness_interleaving=tuple(witness))
-
-
-def check_completeness(
-    alerts: Sequence[Alert],
-    condition: Condition,
-    traces: Sequence[Sequence[Update]],
-    limit: int = 500_000,
-) -> CompletenessResult:
-    """Dispatch on variable count, combining the CE traces first.
-
-    ``traces`` are the per-CE received update sequences (U1, U2, ...).
-    """
-    per_variable = combine_received(traces, condition.variables)
-    if len(condition.variables) == 1:
-        var = condition.variables[0]
-        return check_completeness_single(alerts, condition, per_variable[var])
-    return check_completeness_multi(alerts, condition, per_variable, limit=limit)

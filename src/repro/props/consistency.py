@@ -7,7 +7,7 @@ per-variable updates (multi-variable, Appendix C).  Intuitively: the user
 could have received this alert set from *some* non-replicated system fed
 a subset of the combined inputs — no "extraneous" alerts.
 
-Three checkers, in increasing generality and cost:
+Two checkers, one per condition shape:
 
 * :func:`check_consistency_single` — exact for single-variable conditions,
   linear time.  It is the constraint system from the proof of Theorem 7:
@@ -23,25 +23,19 @@ Three checkers, in increasing generality and cost:
   chains) is acyclic.  Two layers: one linear pass decides membership
   and whether A is ordered — an ordered A provably has an acyclic graph
   — and the graph is built only for an unordered A.
-* :func:`check_consistency_bruteforce` — exact for everything; a memoized
-  DFS over prefixes of candidate U′ sequences (at each step a variable's
-  next update is either *taken* into U′ or *skipped*), keyed on
-  (per-variable positions, history windows of taken updates, covered
-  target identities) with an early exit as soon as every displayed alert
-  is covered.  Used to cross-validate the fast checkers and to decide
-  historical multi-variable cases; ``limit`` bounds explored states.
+
+The exhaustive witness search that cross-validates both is a test
+oracle (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.alert import Alert, alert_identity_set
-from repro.core.condition import Condition
-from repro.core.history import HistorySnapshot
+from repro.core.alert import Alert
 from repro.core.sequences import history_gaps
 from repro.core.update import Update
 
@@ -49,8 +43,6 @@ __all__ = [
     "ConsistencyResult",
     "check_consistency_single",
     "check_consistency_multi",
-    "check_consistency_bruteforce",
-    "build_precedence_graph",
 ]
 
 
@@ -64,7 +56,7 @@ class ConsistencyResult:
     witness_received: frozenset | None = None
     #: On failure: a human-readable description of the first conflict found.
     conflict: str | None = None
-    #: On success for the brute-force checker: an explicit U′ sequence.
+    #: On success for the exhaustive test oracle: an explicit U′ sequence.
     witness_sequence: tuple[Update, ...] | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
@@ -118,48 +110,6 @@ def check_consistency_single(
             missed |= gaps
         received.update(history)
     return ConsistencyResult(True, witness_received=frozenset(received))
-
-
-def build_precedence_graph(
-    alerts: Iterable[Alert],
-    variables: Sequence[str],
-    max_seqnos: dict[str, int] | None = None,
-) -> "networkx.DiGraph":
-    """The Lemma-5 precedence graph over update instances ``(var, seqno)``.
-
-    Edges:
-
-    * per-variable chains ``(v, s) → (v, s+1)`` (Requirement 2);
-    * for every alert and ordered variable pair (v, w):
-      ``(v, a.seqno.v) → (w, a.seqno.w + 1)`` (Requirement 1) — the
-      triggering v-update must precede the first w-update *newer* than the
-      alert's w-history head.
-
-    networkx is imported here, not at module scope: nothing in ``src/``
-    calls this function, and every process that imports the checkers
-    would otherwise pay for the import.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    alerts = list(alerts)
-    highest: dict[str, int] = dict(max_seqnos or {})
-    for alert in alerts:
-        for var in variables:
-            needed = alert.seqno(var) + 1
-            highest[var] = max(highest.get(var, 0), needed)
-    for var in variables:
-        top = highest.get(var, 0)
-        for seqno in range(1, top + 1):
-            graph.add_node((var, seqno))
-            if seqno > 1:
-                graph.add_edge((var, seqno - 1), (var, seqno))
-    for alert in alerts:
-        for var_v, var_w in itertools.permutations(variables, 2):
-            graph.add_edge(
-                (var_v, alert.seqno(var_v)), (var_w, alert.seqno(var_w) + 1)
-            )
-    return graph
 
 
 def check_consistency_multi(
@@ -259,12 +209,8 @@ def _precedence_cycle(
     required: dict[str, set[int]],
 ) -> str | None:
     """Second layer of :func:`check_consistency_multi`: the rendered
-    precedence cycle over the required updates, or None when acyclic.
-
-    Plain-dict adjacency + Kahn's algorithm rather than a
-    ``networkx.DiGraph`` per run (:func:`build_precedence_graph` still
-    returns one for callers that want the graph itself).
-    """
+    precedence cycle over the required updates, or None when acyclic
+    (plain-dict adjacency and Kahn's algorithm)."""
     successors: dict[tuple[str, int], list[tuple[str, int]]] = {}
     indegree: dict[tuple[str, int], int] = {}
     sorted_required = {var: sorted(required[var]) for var in variables}
@@ -322,139 +268,3 @@ def _precedence_cycle(
     cycle = list(reversed(walk[seen[node] :]))
     rendered = " -> ".join(f"{s}{v}" for (v, s) in cycle + [cycle[0]])
     return f"precedence cycle over updates: {rendered}"
-
-
-def check_consistency_bruteforce(
-    alerts: Sequence[Alert],
-    condition: Condition,
-    per_variable_updates: dict[str, Sequence[Update]],
-    limit: int = 2_000_000,
-) -> ConsistencyResult:
-    """Exhaustive consistency oracle: search for an explicit witness U′.
-
-    ``per_variable_updates`` holds, for each variable, the ordered union
-    of updates received by all CEs (the building blocks of UV).  A valid
-    witness is any interleaving of per-variable *subsequences* of those
-    runs, so the search walks candidate prefixes directly: at each step
-    one variable's next update is either taken into U′ or skipped.  The
-    reference evaluator's behaviour on the rest of the candidate depends
-    only on (per-variable positions, the history windows of *taken*
-    updates, which target alerts are already covered), so states are
-    memoized on exactly that triple, and the search exits as soon as every
-    displayed alert is covered — dropping the remaining updates only
-    removes constraints.  Exact same verdicts as enumerating every
-    subset × interleaving, exponentially fewer states on typical traces.
-
-    ``limit`` bounds the number of explored states; exceeding it raises
-    RuntimeError rather than silently returning a wrong verdict.
-    """
-    if not alerts:
-        return ConsistencyResult(True, witness_sequence=())
-    targets = alert_identity_set(alerts)
-    degrees = condition.degrees
-    variables = [
-        var
-        for var, seq in per_variable_updates.items()
-        if var in degrees and len(seq) > 0
-    ]
-    sequences = {var: list(per_variable_updates[var]) for var in variables}
-    lengths = [len(sequences[var]) for var in variables]
-    n_vars = len(variables)
-
-    # A condition variable with fewer updates than its degree keeps H
-    # undefined on every candidate: T(U′) is empty, so a non-empty A can
-    # never be explained.
-    if any(
-        len(sequences.get(var, ())) < degree for var, degree in degrees.items()
-    ):
-        return ConsistencyResult(
-            False,
-            conflict=(
-                "no U' explains A: some variable has fewer combined updates "
-                "than the condition's degree"
-            ),
-        )
-
-    bit_of = {identity: 1 << i for i, identity in enumerate(sorted(targets))}
-    full_mask = (1 << len(targets)) - 1
-
-    evaluate = condition.evaluate
-    condname = condition.name
-    eval_cache: dict[tuple, tuple | None] = {}
-
-    def alert_identity(windows: tuple) -> tuple | None:
-        """Identity of the alert triggered by the newest take, or None."""
-        cached = eval_cache.get(windows, _UNEVALUATED)
-        if cached is not _UNEVALUATED:
-            return cached
-        identity: tuple | None = None
-        if all(
-            len(window) == degrees[var]
-            for var, window in zip(variables, windows)
-        ):
-            snapshot = HistorySnapshot.from_trusted(
-                dict(zip(variables, windows))
-            )
-            if evaluate(snapshot):
-                identity = (condname, snapshot.identity())
-        eval_cache[windows] = identity
-        return identity
-
-    failed: set[tuple] = set()
-    taken: list[Update] = []
-    states = 0
-
-    def search(positions: tuple[int, ...], windows: tuple, covered: int) -> bool:
-        nonlocal states
-        if covered == full_mask:
-            return True
-        if all(positions[i] == lengths[i] for i in range(n_vars)):
-            return False
-        key = (positions, windows, covered)
-        if key in failed:
-            return False
-        states += 1
-        if states > limit:
-            raise RuntimeError(
-                f"consistency brute-force exceeded limit={limit} states; "
-                "use the constraint-based checkers for instances this size"
-            )
-        for index in range(n_vars):
-            position = positions[index]
-            if position == lengths[index]:
-                continue
-            advanced = (
-                positions[:index] + (position + 1,) + positions[index + 1 :]
-            )
-            update = sequences[variables[index]][position]
-            # Take the update into U′ ...
-            degree = degrees[variables[index]]
-            new_window = ((update,) + windows[index])[:degree]
-            new_windows = (
-                windows[:index] + (new_window,) + windows[index + 1 :]
-            )
-            identity = alert_identity(new_windows)
-            new_covered = covered
-            if identity is not None:
-                bit = bit_of.get(identity)
-                if bit is not None:
-                    new_covered = covered | bit
-            if search(advanced, new_windows, new_covered):
-                taken.append(update)
-                return True
-            # ... or skip it (drop it from U′).
-            if search(advanced, windows, covered):
-                return True
-        failed.add(key)
-        return False
-
-    initial_windows = tuple(() for _ in variables)
-    if search(tuple([0] * n_vars), initial_windows, 0):
-        taken.reverse()
-        return ConsistencyResult(True, witness_sequence=tuple(taken))
-    return ConsistencyResult(
-        False, conflict=f"no U' among {states} explored states explains A"
-    )
-
-
-_UNEVALUATED = object()

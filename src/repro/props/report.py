@@ -93,15 +93,6 @@ class PropertyReport:
             "consistent": None if self.consistent is None else bool(self.consistent),
         }
 
-    @property
-    def churn_verdicts(self) -> dict[str, str]:
-        """Per-property verdicts classified against the churn context:
-        ``ok`` / ``undecided`` / ``violated-degraded`` (the run spent
-        time below quorum) / ``violated-steady``."""
-        from repro.membership.verdicts import classify_verdicts
-
-        return classify_verdicts(self.summary, self.churn)
-
 
 def evaluate_run(
     condition: Condition,
@@ -145,7 +136,7 @@ def evaluate_run(
 
     # The member-based constraint checker is exact for historical and
     # non-historical multi-variable conditions alike (cross-validated
-    # against check_consistency_bruteforce in the test-suite).
+    # against the test-suite's exhaustive oracle).
     consistent = check_consistency_multi(displayed, variables)
     return PropertyReport(ordered, complete, consistent)
 
@@ -173,8 +164,9 @@ class PropertyTally:
     #: Churn context (membership-enabled runs only): how many added runs
     #: spent any time below quorum, and how the violations split between
     #: degraded intervals and steady state.  A violation in a run that
-    #: was ever below quorum counts as degraded — run-level granularity,
-    #: matching :func:`repro.membership.classify_verdicts`.
+    #: was ever below quorum counts as degraded — run-level granularity:
+    #: the checkers decide over whole sequences, so a violation cannot be
+    #: pinned to an instant.
     degraded_runs: int = 0
     violations_degraded: int = 0
     violations_steady: int = 0

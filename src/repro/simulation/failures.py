@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -71,11 +71,6 @@ class CrashSchedule:
     @classmethod
     def never(cls) -> "CrashSchedule":
         return cls(())
-
-    @classmethod
-    def from_windows(cls, windows: Iterable[Sequence[float]]) -> "CrashSchedule":
-        normalised = tuple(sorted((float(s), float(e)) for s, e in windows))
-        return cls(normalised)
 
     def is_up(self, time: float) -> bool:
         """True iff the node is operational at simulated ``time``."""

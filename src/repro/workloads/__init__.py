@@ -11,7 +11,6 @@ from repro.workloads.generators import (
     evenly_spaced,
     event_impulses,
     paired_reactors,
-    reactor_temperatures,
     rising_runs,
     stock_quotes,
     threshold_crossers,
@@ -55,7 +54,6 @@ __all__ = [
     "workload_to_csv",
     "lemma_6_example",
     "paired_reactors",
-    "reactor_temperatures",
     "rising_runs",
     "run_scenario",
     "stock_quotes",

@@ -18,7 +18,6 @@ from random import Random
 
 __all__ = [
     "evenly_spaced",
-    "reactor_temperatures",
     "threshold_crossers",
     "event_impulses",
     "rising_runs",
@@ -39,32 +38,6 @@ def evenly_spaced(values: list[float], interval: float = 10.0, start: float = 0.
     if interval <= 0:
         raise ValueError("interval must be positive")
     return [(start + i * interval, v) for i, v in enumerate(values)]
-
-
-def reactor_temperatures(
-    rng: Random,
-    n: int,
-    start: float = 2900.0,
-    drift_low: float = -260.0,
-    drift_high: float = 320.0,
-    floor: float = 2300.0,
-    ceiling: float = 3700.0,
-    interval: float = 10.0,
-) -> Readings:
-    """A reactor temperature random walk around the 3000-degree limit.
-
-    Steps are uniform in [drift_low, drift_high] and clamped to
-    [floor, ceiling].  With the defaults the walk crosses 3000 regularly
-    (exercising c1) and makes >200-degree jumps often (exercising c2/c3).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    values: list[float] = []
-    current = start
-    for _ in range(n):
-        current = min(max(current + rng.uniform(drift_low, drift_high), floor), ceiling)
-        values.append(round(current, 1))
-    return evenly_spaced(values, interval)
 
 
 def threshold_crossers(

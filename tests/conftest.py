@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import gc
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
 import pytest
@@ -11,9 +11,10 @@ import pytest
 from repro.core.alert import Alert, alert_identity_set, make_alert
 from repro.core.condition import Condition, c1, c2, c3, cm
 from repro.core.history import HistorySnapshot
-from repro.core.reference import apply_T, count_interleavings, interleavings
+from repro.core.reference import apply_T, count_interleavings
 from repro.core.update import Update, parse_trace
 from repro.props.completeness import CompletenessResult
+from repro.props.consistency import ConsistencyResult
 
 
 def u(text: str) -> Update:
@@ -60,6 +61,52 @@ def alert_xy(x_seqno: int, y_seqno: int, cond: str = "cm") -> Alert:
     )
 
 
+# -- test oracles: replaced or exhaustive implementations the package no
+# -- longer needs, kept to cross-validate the ones it does ----------------
+
+
+def interleavings(per_variable: dict[str, Sequence[Update]]) -> Iterator[list[Update]]:
+    """Generate every interleaving ``UV`` of the per-variable sequences.
+
+    Each variable's updates keep their relative order; variables are
+    shuffled together in all possible ways.  The count is multinomial in
+    the lengths (:func:`~repro.core.reference.count_interleavings`), so
+    keep inputs small.
+    """
+    variables = [v for v, seq in per_variable.items() if len(seq) > 0]
+    sequences = {v: list(per_variable[v]) for v in variables}
+    positions = {v: 0 for v in variables}
+
+    def generate(prefix: list[Update]) -> Iterator[list[Update]]:
+        if all(positions[v] == len(sequences[v]) for v in variables):
+            yield list(prefix)
+            return
+        for var in variables:
+            if positions[var] < len(sequences[var]):
+                update = sequences[var][positions[var]]
+                positions[var] += 1
+                prefix.append(update)
+                yield from generate(prefix)
+                prefix.pop()
+                positions[var] -= 1
+
+    return generate([])
+
+
+def is_interleaving_of(candidate: Sequence[Update], per_variable: dict[str, Sequence[Update]]) -> bool:
+    """True iff ``candidate`` interleaves exactly the given per-variable runs."""
+    positions = {v: 0 for v in per_variable}
+    for update in candidate:
+        var = update.varname
+        if var not in positions:
+            return False
+        expected = per_variable[var]
+        if positions[var] >= len(expected) or expected[positions[var]] != update:
+            return False
+        positions[var] += 1
+    return all(positions[v] == len(per_variable[v]) for v in per_variable)
+
+
 def check_completeness_multi_enumerated(
     alerts: Sequence[Alert],
     condition: Condition,
@@ -93,6 +140,158 @@ def check_completeness_multi_enumerated(
         False,
         missing=frozenset(expected - actual),
         extraneous=frozenset(actual - expected),
+    )
+
+
+_UNEVALUATED = object()
+
+
+def check_consistency_bruteforce(
+    alerts: Sequence[Alert],
+    condition: Condition,
+    per_variable_updates: dict[str, Sequence[Update]],
+    limit: int = 2_000_000,
+) -> ConsistencyResult:
+    """Exhaustive consistency oracle: search for an explicit witness U′.
+
+    ``per_variable_updates`` holds, for each variable, the ordered union
+    of updates received by all CEs (the building blocks of UV).  A valid
+    witness is any interleaving of per-variable *subsequences* of those
+    runs, so the search walks candidate prefixes directly: at each step
+    one variable's next update is either taken into U′ or skipped.  The
+    reference evaluator's behaviour on the rest of the candidate depends
+    only on (per-variable positions, the history windows of *taken*
+    updates, which target alerts are already covered), so states are
+    memoized on exactly that triple, and the search exits as soon as every
+    displayed alert is covered — dropping the remaining updates only
+    removes constraints.  Exact same verdicts as enumerating every
+    subset × interleaving, exponentially fewer states on typical traces.
+
+    ``limit`` bounds the number of explored states; exceeding it raises
+    RuntimeError rather than silently returning a wrong verdict.
+    """
+    if not alerts:
+        return ConsistencyResult(True, witness_sequence=())
+    targets = alert_identity_set(alerts)
+    degrees = condition.degrees
+    variables = [
+        var
+        for var, seq in per_variable_updates.items()
+        if var in degrees and len(seq) > 0
+    ]
+    sequences = {var: list(per_variable_updates[var]) for var in variables}
+    lengths = [len(sequences[var]) for var in variables]
+    n_vars = len(variables)
+
+    # A condition variable with fewer updates than its degree keeps H
+    # undefined on every candidate: T(U′) is empty, so a non-empty A can
+    # never be explained.
+    if any(
+        len(sequences.get(var, ())) < degree for var, degree in degrees.items()
+    ):
+        return ConsistencyResult(
+            False,
+            conflict=(
+                "no U' explains A: some variable has fewer combined updates "
+                "than the condition's degree"
+            ),
+        )
+
+    bit_of = {identity: 1 << i for i, identity in enumerate(sorted(targets))}
+    full_mask = (1 << len(targets)) - 1
+
+    evaluate = condition.evaluate
+    condname = condition.name
+    eval_cache: dict[tuple, tuple | None] = {}
+
+    def alert_identity(windows: tuple) -> tuple | None:
+        """Identity of the alert triggered by the newest take, or None."""
+        cached = eval_cache.get(windows, _UNEVALUATED)
+        if cached is not _UNEVALUATED:
+            return cached
+        identity: tuple | None = None
+        if all(
+            len(window) == degrees[var]
+            for var, window in zip(variables, windows)
+        ):
+            snapshot = HistorySnapshot.from_trusted(
+                dict(zip(variables, windows))
+            )
+            if evaluate(snapshot):
+                identity = (condname, snapshot.identity())
+        eval_cache[windows] = identity
+        return identity
+
+    failed: set[tuple] = set()
+    taken: list[Update] = []
+    states = 0
+
+    def search(positions: tuple[int, ...], windows: tuple, covered: int) -> bool:
+        nonlocal states
+        if covered == full_mask:
+            return True
+        if all(positions[i] == lengths[i] for i in range(n_vars)):
+            return False
+        key = (positions, windows, covered)
+        if key in failed:
+            return False
+        states += 1
+        if states > limit:
+            raise RuntimeError(
+                f"consistency brute-force exceeded limit={limit} states; "
+                "use the constraint-based checkers for instances this size"
+            )
+        for index in range(n_vars):
+            position = positions[index]
+            if position == lengths[index]:
+                continue
+            advanced = (
+                positions[:index] + (position + 1,) + positions[index + 1 :]
+            )
+            update = sequences[variables[index]][position]
+            # Take the update into U′ ...
+            degree = degrees[variables[index]]
+            new_window = ((update,) + windows[index])[:degree]
+            new_windows = (
+                windows[:index] + (new_window,) + windows[index + 1 :]
+            )
+            identity = alert_identity(new_windows)
+            new_covered = covered
+            if identity is not None:
+                bit = bit_of.get(identity)
+                if bit is not None:
+                    new_covered = covered | bit
+            if search(advanced, new_windows, new_covered):
+                taken.append(update)
+                return True
+            # ... or skip it (drop it from U′).
+            if search(advanced, windows, covered):
+                return True
+        failed.add(key)
+        return False
+
+    initial_windows = tuple(() for _ in variables)
+    if search(tuple([0] * n_vars), initial_windows, 0):
+        taken.reverse()
+        return ConsistencyResult(True, witness_sequence=tuple(taken))
+    return ConsistencyResult(
+        False, conflict=f"no U' among {states} explored states explains A"
+    )
+
+
+def back_link_bytes(run, encoding=None) -> int:
+    """Total bytes a run's CEs sent to the AD under a wire encoding.
+
+    ``encoding`` defaults to the *minimum* encoding the run's AD algorithm
+    needs (§2's observation, see :mod:`repro.core.wire`) — pass an
+    explicit :class:`~repro.core.wire.AlertEncoding` to compare choices.
+    """
+    from repro.core.wire import encode_alert, minimum_encoding
+
+    if encoding is None:
+        encoding = minimum_encoding(run.config.ad_algorithm)
+    return sum(
+        encode_alert(alert, encoding).size_bytes for alert in run.all_generated
     )
 
 

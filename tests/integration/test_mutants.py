@@ -246,7 +246,7 @@ class TestCheckerFirstLayerMutantsCaught:
 
     @staticmethod
     def consistency(candidate):
-        from repro.props.consistency import check_consistency_bruteforce
+        from tests.conftest import check_consistency_bruteforce
 
         def disagrees(condition, per_var, displayed):
             return bool(candidate(displayed, ["x", "y"])) != bool(

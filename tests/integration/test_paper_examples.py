@@ -203,7 +203,8 @@ class TestLemma6Example:
         # And specifically, any interleaving producing BOTH displayed
         # alerts also produces the forced intermediate (8x, 3y):
         from repro.core.alert import alert_identity_set
-        from repro.core.reference import apply_T, interleavings
+        from repro.core.reference import apply_T
+        from tests.conftest import interleavings
 
         displayed_ids = alert_identity_set(displayed)
         for candidate in interleavings(per_var):

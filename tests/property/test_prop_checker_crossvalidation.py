@@ -44,7 +44,7 @@ from repro.core.condition import (
 )
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.reference import apply_T, combine_received, interleavings
+from repro.core.reference import apply_T, combine_received
 from repro.core.sequences import spanning_set
 from repro.core.update import Update
 from repro.props.completeness import (
@@ -54,12 +54,15 @@ from repro.props.completeness import (
 )
 from repro.props.consistency import (
     ConsistencyResult,
-    check_consistency_bruteforce,
     check_consistency_multi,
     check_consistency_single,
 )
 from repro.workloads.scenarios import cm_historical
-from tests.conftest import check_completeness_multi_enumerated
+from tests.conftest import (
+    check_completeness_multi_enumerated,
+    check_consistency_bruteforce,
+    interleavings,
+)
 
 
 @st.composite

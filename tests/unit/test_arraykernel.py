@@ -34,7 +34,6 @@ from repro.observability import (
     CountersTracer,
     MemoryTracer,
     ReasonCountersTracer,
-    TeeTracer,
     TraceEvent,
 )
 from repro.simulation import arraykernel
@@ -223,9 +222,6 @@ def test_ordered_tracers_get_the_object_kernels_run_and_stream():
     expected = oracle.event_lines()
     assert lines_on_array(MemoryTracer(), MemoryTracer.event_lines) == expected
     assert lines_on_array(_ThirdPartyTracer(), lambda t: t.lines) == expected
-    tee = TeeTracer(MemoryTracer(), CountersTracer())
-    assert lines_on_array(tee, lambda t: t.tracers[0].event_lines()) == expected
-    assert sum(tee.tracers[1].counts.values()) == len(expected)
 
 
 @pytest.mark.parametrize("tracer_type", [CountersTracer, ReasonCountersTracer])

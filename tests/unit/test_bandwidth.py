@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.analysis.metrics import back_link_bytes
 from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1, c2
 from repro.core.wire import AlertEncoding
+from tests.conftest import back_link_bytes
 
 WORKLOAD = {"x": [(t * 10.0, 3100.0) for t in range(10)]}
 

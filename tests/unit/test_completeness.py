@@ -8,18 +8,21 @@ from repro.core.evaluator import ConditionEvaluator
 from repro.core.reference import (
     apply_T,
     combine_received,
-    is_interleaving_of,
     merge_single_variable,
 )
 from repro.core.update import parse_trace
 from repro.props.completeness import (
-    check_completeness,
     check_completeness_multi,
     check_completeness_single,
 )
 from repro.workloads.scenarios import cm_historical
 from repro.workloads.traces import lemma_6_example
-from tests.conftest import alert_xy, check_completeness_multi_enumerated
+from repro.props.report import evaluate_run
+from tests.conftest import (
+    alert_xy,
+    check_completeness_multi_enumerated,
+    is_interleaving_of,
+)
 
 
 class TestSingleVariable:
@@ -215,13 +218,16 @@ class TestGridLayers:
 
 
 class TestDispatch:
+    """``evaluate_run`` combines the CE traces, then picks the checker by
+    the condition's variable count."""
+
     def test_single_variable_dispatch(self):
         condition = c1()
         u1 = parse_trace("1x(3100)")
         u2 = parse_trace("2x(3200)")
         a1 = ConditionEvaluator(condition).ingest_all(u1)
         a2 = ConditionEvaluator(condition).ingest_all(u2)
-        assert check_completeness(a1 + a2, condition, [u1, u2])
+        assert evaluate_run(condition, [u1, u2], a1 + a2).complete
 
     def test_multi_variable_dispatch(self):
         example = lemma_6_example()
@@ -229,6 +235,6 @@ class TestDispatch:
             example.alert_streams[0][0],
             example.alert_streams[1][0],
         ]
-        assert not check_completeness(
-            displayed, example.condition, list(example.traces)
-        )
+        assert not evaluate_run(
+            example.condition, list(example.traces), displayed
+        ).complete

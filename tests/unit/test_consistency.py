@@ -8,12 +8,15 @@ from repro.core.condition import c2, cm
 from repro.core.update import Update, parse_trace
 from repro.props import consistency
 from repro.props.consistency import (
-    build_precedence_graph,
-    check_consistency_bruteforce,
     check_consistency_multi,
     check_consistency_single,
 )
-from tests.conftest import alert_deg1, alert_deg2, alert_xy
+from tests.conftest import (
+    alert_deg1,
+    alert_deg2,
+    alert_xy,
+    check_consistency_bruteforce,
+)
 
 
 class TestSingleVariable:
@@ -189,25 +192,6 @@ class TestTwoLayers:
             "precedence cycle over updates: 3x -> 2y -> 2x -> 3x"
         )
         assert len(graph_calls) == 2
-
-
-class TestPrecedenceGraph:
-    def test_chain_edges_present(self):
-        graph = build_precedence_graph([alert_xy(2, 1)], ["x", "y"])
-        assert graph.has_edge(("x", 1), ("x", 2))
-
-    def test_alert_edges_present(self):
-        graph = build_precedence_graph([alert_xy(2, 1)], ["x", "y"])
-        assert graph.has_edge(("x", 2), ("y", 2))  # 2x before (1+1)y
-        assert graph.has_edge(("y", 1), ("x", 3))  # 1y before (2+1)x
-
-    def test_theorem_10_graph_cyclic(self):
-        import networkx as nx
-
-        graph = build_precedence_graph(
-            [alert_xy(2, 1), alert_xy(1, 2)], ["x", "y"]
-        )
-        assert not nx.is_directed_acyclic_graph(graph)
 
 
 class TestBruteForceOracle:

@@ -1,18 +1,14 @@
-"""Unit tests for CSV workload I/O and the condition algebra."""
+"""Unit tests for CSV workload I/O."""
 
 import pytest
 
-from repro.core.condition import c1, c2, c3
-from repro.core.evaluator import ConditionEvaluator
-from repro.core.update import Update
-from repro.multicondition.algebra import ConjunctionCondition, NegationCondition
+from repro.core.condition import c1
 from repro.workloads.csv_io import (
     load_workload,
     save_workload,
     workload_from_csv,
     workload_to_csv,
 )
-from tests.conftest import snapshot_of
 
 
 class TestWorkloadCSV:
@@ -68,67 +64,3 @@ class TestWorkloadCSV:
             workload_from_csv("time,variable,value\n0,x,hot\n")
         with pytest.raises(ValueError, match="empty variable"):
             workload_from_csv("time,variable,value\n0,,1\n")
-
-
-def feed(condition, pairs, var="x"):
-    return condition.evaluate(
-        snapshot_of(condition.degrees, [Update(var, s, v) for s, v in pairs])
-    )
-
-
-class TestConjunction:
-    def test_requires_all_constituents(self):
-        both = ConjunctionCondition("both", [c1(), c2()])
-        # 2900 -> 3150: c1 true (>3000), c2 true (rise 250 > 200).
-        assert feed(both, [(1, 2900.0), (2, 3150.0)])
-        # 2900 -> 3050: c1 true but rise only 150.
-        assert not feed(both, [(1, 2900.0), (2, 3050.0)])
-        # 400 -> 700: rise 300 but below 3000.
-        assert not feed(both, [(1, 400.0), (2, 700.0)])
-
-    def test_degrees_max(self):
-        both = ConjunctionCondition("both", [c1(), c2()])
-        assert both.degree("x") == 2
-
-    def test_conservative_if_any_constituent_is(self):
-        assert ConjunctionCondition("c", [c3(), c2()]).is_conservative
-        assert not ConjunctionCondition("c", [c2()]).is_conservative
-
-    def test_conservative_constituent_blocks_gap_trigger(self):
-        both = ConjunctionCondition("both", [c3()])
-        assert not feed(both, [(1, 400.0), (3, 720.0)])
-
-    def test_requires_conditions(self):
-        with pytest.raises(ValueError):
-            ConjunctionCondition("c", [])
-
-
-class TestNegation:
-    def test_flips_satisfaction(self):
-        not_hot = NegationCondition("calm", c1())
-        assert feed(not_hot, [(1, 2900.0)])
-        assert not feed(not_hot, [(1, 3100.0)])
-
-    def test_preserves_degrees(self):
-        assert NegationCondition("n", c2()).degree("x") == 2
-
-    def test_negated_conservative_is_aggressive(self):
-        negated = NegationCondition("n", c3())
-        assert negated.is_aggressive
-        # Across a gap c3 is false, so its negation triggers — the
-        # aggressive behaviour the classification must reflect.
-        assert feed(negated, [(1, 400.0), (3, 720.0)])
-
-    def test_negation_of_nonhistorical_trivially_conservative(self):
-        assert NegationCondition("n", c1()).is_conservative
-
-    def test_compose_with_conjunction(self):
-        # "overheating AND NOT rising": alert on sustained heat.
-        condition = ConjunctionCondition(
-            "sustained", [c1(), NegationCondition("flat", c2())]
-        )
-        ce = ConditionEvaluator(condition)
-        ce.ingest(Update("x", 1, 3050.0))
-        alert = ce.ingest(Update("x", 2, 3100.0))  # hot, rise only 50
-        assert alert is not None
-        assert ce.ingest(Update("x", 3, 3400.0)) is None  # rise 300

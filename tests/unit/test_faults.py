@@ -212,7 +212,7 @@ class TestFaultProfileMaterialize:
 class TestFaultPlan:
     def test_clean_apply_is_identity(self):
         config = SystemConfig(replication=2, ad_algorithm="AD-1")
-        assert FaultPlan.clean().apply_to(config) is config
+        assert FaultPlan().apply_to(config) is config
 
     def test_apply_merges_existing_windows(self):
         config = SystemConfig(
@@ -223,31 +223,6 @@ class TestFaultPlan:
         plan = FaultPlan(ce_crashes={0: CrashSchedule(((1.5, 3.0),))})
         merged = plan.apply_to(config)
         assert merged.crash_schedules[0].windows == ((1.0, 3.0),)
-
-    def test_merge_unions_windows_per_key(self):
-        a = FaultPlan(ce_crashes={0: CrashSchedule(((1.0, 2.0),))})
-        b = FaultPlan(
-            ce_crashes={0: CrashSchedule(((2.0, 4.0),))},
-            dm_crashes={"x": CrashSchedule(((5.0, 6.0),))},
-        )
-        merged = a.merge(b)
-        assert merged.ce_crashes[0].windows == ((1.0, 4.0),)
-        assert merged.dm_crashes["x"].windows == ((5.0, 6.0),)
-
-    def test_merge_last_writer_wins_adversaries(self):
-        a = FaultPlan(duplication=DuplicationAdversary(0.1))
-        b = FaultPlan(duplication=DuplicationAdversary(0.9))
-        assert a.merge(b).duplication.duplicate_prob == 0.9
-        assert b.merge(FaultPlan()).duplication.duplicate_prob == 0.9
-
-    def test_json_round_trip(self):
-        plan = DEFAULT_CHAOS_PROFILE.scaled(3.0).materialize(
-            RandomStreams(2), horizon=300.0, replication=2, variables=("x",)
-        )
-        reloaded = FaultPlan.from_json_obj(
-            json.loads(json.dumps(plan.to_json_obj()))
-        )
-        assert reloaded == plan
 
 
 def _run(config, seed=0, n_updates=12):

@@ -10,7 +10,6 @@ from repro.membership import (
     MembershipConfig,
     MembershipPlan,
     churn_summary,
-    classify_verdicts,
     node_view,
     plan_membership,
 )
@@ -239,18 +238,6 @@ class TestChurnVerdicts:
         assert digest["caught_up"] == 4
         assert digest["mean_detection_latency"] is not None
         assert digest["mean_time_to_recover"] is not None
-
-    def test_classify_degraded_vs_steady(self):
-        summary = {"ordered": False, "complete": True, "consistent": None}
-        assert classify_verdicts(summary, {"below_quorum": True}) == {
-            "ordered": "violated-degraded",
-            "complete": "ok",
-            "consistent": "undecided",
-        }
-        assert classify_verdicts(summary, {"below_quorum": False})[
-            "ordered"
-        ] == "violated-steady"
-        assert classify_verdicts(summary, None)["ordered"] == "violated-steady"
 
     def test_tally_splits_violations_by_quorum(self):
         from repro.props.orderedness import OrderednessResult

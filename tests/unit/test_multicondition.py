@@ -9,10 +9,10 @@ from repro.displayers.ad1 import AD1
 from repro.displayers.ad2 import AD2
 from repro.multicondition.combined import (
     DisjunctionCondition,
-    PerConditionAD,
     example_4,
     trim_histories,
 )
+from repro.multicondition.system import DemuxAD
 from tests.conftest import snapshot_of
 
 
@@ -80,6 +80,8 @@ class TestTrimHistories:
 
 
 class TestPerConditionAD:
+    """Figure D-7(c)'s per-condition AD, :class:`DemuxAD`, fed by hand."""
+
     def _alert(self, cond, seqno):
         ce = ConditionEvaluator(cond)
         alerts = ce.ingest_all(
@@ -90,18 +92,18 @@ class TestPerConditionAD:
     def test_routes_by_condname(self):
         cond_a = c1(name="A")
         cond_b = c1(name="B")
-        ad = PerConditionAD({"A": AD2("x"), "B": AD2("x")})
+        ad = DemuxAD({"A": AD2("x"), "B": AD2("x")})
         a2 = self._alert(cond_a, 2)
         b1 = self._alert(cond_b, 1)
         assert ad.offer(a2) is True
         # B's stream has its own `last`: seqno 1 still passes there.
         assert ad.offer(b1) is True
-        assert ad.stream("A") == (a2,)
-        assert ad.stream("B") == (b1,)
+        assert ad.stream_output("A") == (a2,)
+        assert ad.stream_output("B") == (b1,)
 
     def test_per_stream_filtering_independent(self):
         cond_a = c1(name="A")
-        ad = PerConditionAD({"A": AD2("x")})
+        ad = DemuxAD({"A": AD2("x")})
         a2 = self._alert(cond_a, 2)
         a1 = self._alert(cond_a, 1)
         assert ad.offer(a2) is True
@@ -110,21 +112,21 @@ class TestPerConditionAD:
     def test_displayed_is_arrival_interleaving(self):
         cond_a = c1(name="A")
         cond_b = c1(name="B")
-        ad = PerConditionAD({"A": AD1(), "B": AD1()})
+        ad = DemuxAD({"A": AD1(), "B": AD1()})
         a1 = self._alert(cond_a, 1)
         b1 = self._alert(cond_b, 1)
         ad.offer_all([a1, b1])
-        assert ad.displayed == (a1, b1)
+        assert ad.output == (a1, b1)
 
     def test_unknown_condition_rejected(self):
-        ad = PerConditionAD({"A": AD1()})
+        ad = DemuxAD({"A": AD1()})
         b1 = self._alert(c1(name="B"), 1)
         with pytest.raises(KeyError):
             ad.offer(b1)
 
     def test_requires_algorithms(self):
         with pytest.raises(ValueError):
-            PerConditionAD({})
+            DemuxAD({})
 
 
 class TestExample4:

@@ -7,6 +7,7 @@ from repro.core.condition import c1
 from repro.core.expressions import H
 from repro.core.condition import ExpressionCondition
 from repro.displayers.ad2 import AD2
+from repro.displayers.registry import make_ad
 from repro.multicondition.system import (
     DemuxAD,
     MultiConditionSystem,
@@ -112,6 +113,26 @@ class TestMultiConditionSystem:
         report = result.evaluate_stream("hot")
         assert report.ordered
         assert report.consistent
+
+    def test_adaptive_sub_filters(self):
+        # AdaptiveAD decides inside offer(), not in _accept/_record: the
+        # demux must hand each alert to its stream's own offer(), and each
+        # stream must then be what a lone AdaptiveAD shows on its arrivals.
+        conditions = [c1(name="A"), c1(threshold=3100, name="B")]
+        result = MultiConditionSystem(
+            conditions,
+            WORKLOAD,
+            SystemConfig(replication=2, front_loss=0.3),
+            seed=1,
+            ad_algorithm_name="adaptive",
+        ).run()
+        assert result.displayed
+        for condition in conditions:
+            arrivals = [
+                a for a in result.ad_arrivals if a.condname == condition.name
+            ]
+            alone = make_ad("adaptive", condition).offer_all(arrivals)
+            assert list(result.streams[condition.name]) == alone
 
     def test_duplicate_condition_names_rejected(self):
         with pytest.raises(ValueError):

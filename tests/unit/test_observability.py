@@ -19,7 +19,6 @@ from repro.observability import (
     NullTracer,
     ReasonCountersTracer,
     RecordedTrace,
-    TeeTracer,
     TraceEvent,
     Tracer,
     TraceSchemaError,
@@ -58,8 +57,7 @@ class TestTraceEvent:
 
 class TestTracers:
     def test_all_implementations_satisfy_the_protocol(self):
-        for tracer in (NullTracer(), MemoryTracer(), CountersTracer(),
-                       TeeTracer()):
+        for tracer in (NullTracer(), MemoryTracer(), CountersTracer()):
             assert isinstance(tracer, Tracer)
 
     def test_memory_tracer_records_in_order(self):
@@ -83,14 +81,6 @@ class TestTracers:
         assert tracer.node_total("link", "send", "A") == 2
         assert tracer.node_total("link", "deliver", "A") == 0
         assert tracer.stage_summary() == {"link": {"drop": 1, "send": 3}}
-
-    def test_tee_tracer_fans_out(self):
-        memory = MemoryTracer()
-        counters = CountersTracer()
-        tee = TeeTracer(memory, counters)
-        tee.emit(1.0, "ad", "arrive", "AD", alert="a")
-        assert len(memory) == 1
-        assert counters.as_dict() == {"ad/arrive/AD": 1}
 
     def test_null_tracer_swallows_everything(self):
         NullTracer().emit(0.0, "kernel", "fire", "", seq=1)
@@ -131,7 +121,7 @@ class TestTracers:
         assert by_reason.as_dict() == {
             "ad/filter:duplicate/AD": 1, "link/drop:loss/L": 2, "link/send/L": 3,
         }
-        for ordered in (NullTracer(), MemoryTracer(), TeeTracer(plain)):
+        for ordered in (NullTracer(), MemoryTracer()):
             assert not getattr(ordered, "order_free", False)
 
 

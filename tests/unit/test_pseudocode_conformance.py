@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.sequences import is_subsequence
 from repro.displayers import AD1, AD2, AD3, AD5
-from repro.displayers.pseudocode import (
+from tests.pseudocode import (
     AD1State,
     AD2State,
     AD3State,

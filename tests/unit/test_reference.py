@@ -8,12 +8,11 @@ from repro.core.reference import (
     clear_reference_caches,
     combine_received,
     count_interleavings,
-    interleavings,
-    is_interleaving_of,
     merge_single_variable,
     reference_cache_info,
 )
 from repro.core.update import Update, parse_trace
+from tests.conftest import interleavings, is_interleaving_of
 
 
 class TestApplyT:

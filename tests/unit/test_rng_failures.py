@@ -79,10 +79,6 @@ class TestCrashSchedule:
         with pytest.raises(ValueError):
             CrashSchedule(((1.0, 5.0), (3.0, 6.0)))
 
-    def test_from_windows_sorts(self):
-        schedule = CrashSchedule.from_windows([(5.0, 6.0), (1.0, 2.0)])
-        assert schedule.windows == ((1.0, 2.0), (5.0, 6.0))
-
 
 class TestNextUpTime:
     def test_up_now_returns_query_time(self):

@@ -9,7 +9,6 @@ from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import (
     evenly_spaced,
     paired_reactors,
-    reactor_temperatures,
     rising_runs,
     stock_quotes,
     threshold_crossers,
@@ -39,20 +38,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             evenly_spaced([1.0], interval=0.0)
 
-    def test_reactor_temperatures_bounds(self):
-        readings = reactor_temperatures(random.Random(0), 200)
-        values = [v for _, v in readings]
-        assert all(2300.0 <= v <= 3700.0 for v in values)
-
-    def test_reactor_temperatures_crosses_threshold(self):
-        values = [v for _, v in reactor_temperatures(random.Random(1), 300)]
-        assert any(v > 3000 for v in values)
-        assert any(v < 3000 for v in values)
-
-    def test_reactor_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            reactor_temperatures(random.Random(0), -1)
-
     def test_threshold_crossers_both_sides(self):
         values = [v for _, v in threshold_crossers(random.Random(2), 100)]
         assert any(v > 3000 for v in values)
@@ -81,8 +66,8 @@ class TestGenerators:
         assert a == b
 
     def test_timestamps_increase(self):
-        for gen in (reactor_temperatures, threshold_crossers, rising_runs,
-                    stock_quotes, paired_reactors):
+        for gen in (threshold_crossers, rising_runs, stock_quotes,
+                    paired_reactors):
             readings = gen(random.Random(8), 20)
             times = [t for t, _ in readings]
             assert times == sorted(times)

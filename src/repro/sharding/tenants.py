@@ -8,7 +8,7 @@ or conservative consecutive-delta, cycling), partitioned over a
 :class:`~repro.sharding.ring.ShardConfig` by each tenant's variable, and
 executed shard by shard through the same semantic core as everything
 else — :class:`~repro.core.evaluator.ConditionEvaluator` per CE replica,
-stamp-ordered merge, online AD filter, canonical alert rendering.
+an online AD filter fed in raise order, canonical alert rendering.
 
 Each tenant is a pure function of ``(tenant_index, seed)``, so a shard's
 batch can be generated *inside* the worker that executes it — nothing
@@ -31,7 +31,9 @@ from repro.core.expressions import H
 from repro.core.serialization import alert_canonical_line
 from repro.core.update import Update
 from repro.displayers.registry import make_ad
-from repro.service.runtime import merge_stamped
+# Nothing here calls it; it stays bound because the traced benchmark
+# harness patches ``repro.sharding.tenants.merge_stamped``.
+from repro.service.runtime import merge_stamped  # noqa: F401
 from repro.sharding.ring import HashRing, ShardConfig
 from repro.workloads.generators import zipf_counts
 
@@ -134,49 +136,56 @@ def run_tenant(
     n_updates: int = 12,
     replication: int = 2,
 ) -> TenantResult:
-    """Monitor one tenant end to end (CE replicas → merge → AD filter).
+    """Monitor one tenant end to end (CE replicas → online AD filter).
 
     Replica disagreement is real: each non-primary CE independently
     loses ~20% of the front-link deliveries, so the AD filter has actual
-    duplicate/ordering work to do.
+    duplicate/ordering work to do.  The AD takes each alert as its CE
+    raises it — position-major, replica-minor — and the displayed ones
+    are rendered on the spot.
     """
-    rng = Random(f"loss/{seed}/{index}")
+    _check_replication(replication)
+    random = Random(f"loss/{seed}/{index}").random
     condition = make_tenant_condition(index)
     stream = _tenant_stream(index, seed, n_updates)
-    evaluators = [
-        ConditionEvaluator(condition, source=f"CE{i + 1}")
+    primary, *peers = [
+        ConditionEvaluator(condition, source=f"CE{i + 1}").ingest
         for i in range(replication)
     ]
-    ingested = 0
-    stamps: list[list[tuple[float, int]]] = [[] for _ in evaluators]
-    counter = 0
-    for position, update in enumerate(stream):
-        for ce_index, evaluator in enumerate(evaluators):
-            if ce_index > 0 and rng.random() < 0.2:
-                continue  # front-link loss on this replica
-            ingested += 1
-            if evaluator.ingest(update) is not None:
-                # Back-link arrival stamp: position-major, replica-minor
-                # — a deterministic total order for the AD merge.
-                stamps[ce_index].append(
-                    (position * 10.0 + ce_index * 0.5, counter)
-                )
-                counter += 1
-    per_ce = tuple(evaluator.alerts for evaluator in evaluators)
-    arrivals = merge_stamped(per_ce, stamps)
-    algorithm = make_ad(_ALGORITHMS[index % len(_ALGORITHMS)], condition)
-    algorithm.offer_all(arrivals)
-    displayed = algorithm.output
-    digest = hashlib.sha256(
-        "\n".join(alert_canonical_line(a) for a in displayed).encode()
-    ).hexdigest()
+    offer = make_ad(_ALGORITHMS[index % len(_ALGORITHMS)], condition).offer
+    render = alert_canonical_line
+    lines: list[str] = []
+    lost = raised = 0
+    # CE1 never draws a loss, so it is stepped ahead of the replica loop
+    # rather than tested for on every CE step; that per-step test cost
+    # ≈4% of a tenant-batch pass (EXPERIMENTS.md).
+    for update in stream:
+        alert = primary(update)
+        if alert is not None:
+            raised += 1
+            if offer(alert):
+                lines.append(render(alert))
+        for ingest in peers:
+            if random() < 0.2:
+                lost += 1  # front-link loss on this replica
+                continue
+            alert = ingest(update)
+            if alert is not None:
+                raised += 1
+                if offer(alert):
+                    lines.append(render(alert))
     return TenantResult(
         tenant=index,
-        updates=ingested,
-        alerts=len(arrivals),
-        displayed=len(displayed),
-        digest=digest,
+        updates=len(stream) * replication - lost,
+        alerts=raised,
+        displayed=len(lines),
+        digest=hashlib.sha256("\n".join(lines).encode()).hexdigest(),
     )
+
+
+def _check_replication(replication: int) -> None:
+    if replication < 1:
+        raise ValueError(f"replication must be >= 1, got {replication!r}")
 
 
 @dataclass(frozen=True)
@@ -216,6 +225,7 @@ def run_shard(
     :func:`zipfian_update_counts` reach the workers; tenants outside the
     mapping fall back to the uniform ``n_updates``.
     """
+    _check_replication(replication)
     updates = alerts = displayed = 0
     digests: list[str] = []
     counts = update_counts or {}

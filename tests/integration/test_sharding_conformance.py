@@ -161,7 +161,8 @@ class TestZipfianTenantPopulation:
     TOTAL_UPDATES = 1200
     SEED = 42
 
-    def _aggregate(self, shards: int):
+    def _aggregate(self, shards: int, tenants=TENANTS,
+                   total_updates=TOTAL_UPDATES, seed=SEED):
         from repro.sharding.ring import ShardConfig as Ring
         from repro.sharding.tenants import (
             ShardBatchResult,
@@ -170,14 +171,12 @@ class TestZipfianTenantPopulation:
             zipfian_update_counts,
         )
 
-        counts = zipfian_update_counts(
-            self.TENANTS, self.TOTAL_UPDATES, self.SEED
-        )
+        counts = zipfian_update_counts(tenants, total_updates, seed)
         per_tenant = {index: count for index, count in enumerate(counts)}
         batches = [
-            run_shard(shard, indices, self.SEED, update_counts=per_tenant)
+            run_shard(shard, indices, seed, update_counts=per_tenant)
             for shard, indices in enumerate(
-                partition_tenants(self.TENANTS, Ring(shards=shards))
+                partition_tenants(tenants, Ring(shards=shards))
             )
         ]
         return {
@@ -196,6 +195,30 @@ class TestZipfianTenantPopulation:
         assert one == four
         assert one["tenants"] == self.TENANTS
         assert 0 < one["displayed"] <= one["alerts"]
+
+    # Literals recorded from the stamped-merge tenant path, so a change
+    # to per-tenant output cannot pass by agreeing with itself.
+    def test_one_shard_matches_the_pinned_literals(self):
+        assert self._aggregate(1) == {
+            "tenants": 100,
+            "updates": 2_157,
+            "alerts": 751,
+            "displayed": 425,
+            "digest": "98bedbdb40a37c5de8bf8720e7b49ad9"
+                      "1514015da0a76d1755bdfda7d8ec75ac",
+        }
+
+    def test_benchmark_population_matches_the_pinned_literals(self):
+        # tenant-batch's one-shard reference run (5,000 tenants, 120,000
+        # updates, seed 7; ≈1 s).
+        assert self._aggregate(1, 5_000, 120_000, 7) == {
+            "tenants": 5_000,
+            "updates": 215_892,
+            "alerts": 85_493,
+            "displayed": 47_824,
+            "digest": "9c86a2cf03af27a112413d3a25784704"
+                      "03313f00038c013d30ee88b616bde31f",
+        }
 
     def test_population_is_actually_skewed(self):
         from repro.sharding.tenants import zipfian_update_counts

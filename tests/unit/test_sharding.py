@@ -253,6 +253,33 @@ class TestCollectorScope:
         assert all(knot() is None for knot in knots)
 
 
+class TestPerfHarnessBinding:
+    """``benchmarks/perf/tenants.py`` patches its layers on
+    ``repro.sharding.tenants`` by name, unused imports included."""
+
+    def test_tenant_batch_installs_counts_and_unpatches(self):
+        from benchmarks.perf.spans import Tracer
+        from benchmarks.perf.tenants import TenantBatch
+
+        names = ("run_shard", "run_tenant", "make_tenant_condition",
+                 "_tenant_stream", "merge_stamped", "make_ad",
+                 "alert_canonical_line")
+        before = {name: getattr(tenants, name) for name in names}
+        tracer = Tracer()
+        try:
+            TenantBatch(ctx=None).install(tracer)
+            result = tenants.run_shard(0, [0, 1], 7, n_updates=40)
+        finally:
+            tracer.unpatch()
+        assert {name: getattr(tenants, name) for name in names} == before
+        assert tracer.calls("sharding.tenants.run_tenant") == 2
+        assert tracer.calls("core.evaluator.ingest") == result.updates
+        assert tracer.calls("displayers.offer") == result.alerts > 0
+        assert tracer.calls("core.serialization.render") == result.displayed
+        # The tenant path raises alerts straight into the AD: no merge.
+        assert tracer.calls("service.runtime.merge_stamped") == 0
+
+
 class TestConformanceDivergence:
     def make_results(self, *specs):
         return [

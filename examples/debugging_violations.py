@@ -8,17 +8,17 @@ This example shows the tooling that recovers such counterexamples from
 1. run randomized replicated systems until one violates consistency;
 2. shrink the violating run's inputs with delta-debugging until it is as
    small as the paper's own Theorem-4 example;
-3. render the (pre-shrink) run as a lane timeline to see the failure
-   unfold in simulated time.
+3. record the (pre-shrink) run's ``repro.trace/1`` event stream and draw
+   it as a lane timeline, to see the failure unfold in simulated time.
 
 Run:  python examples/debugging_violations.py
 """
 
-from repro.analysis.timeline import TimelineRecorder
 from repro.analysis.witness import counterexample_from_run, shrink_counterexample
-from repro.components.system import MonitoringSystem
 from repro.displayers.registry import make_ad
-from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS, run_scenario
+from repro.engine.spec import TrialSpec
+from repro.observability import record_trial, render_timeline
+from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     print("hunting for a consistency violation (c2, 30% loss, AD-1) ...")
     found = None
     for seed in range(300):
-        run = run_scenario(scenario, "AD-1", seed, n_updates=20)
+        run = TrialSpec("single", "aggressive", "AD-1", seed, 20).run()
         counterexample = counterexample_from_run(run)
         if counterexample is not None and counterexample.violation == "consistent":
             found = (seed, run, counterexample)
@@ -48,25 +48,10 @@ def main() -> None:
     print(f"(shrunk {counterexample.total_updates} -> "
           f"{shrunk.total_updates} updates)\n")
 
-    # 3. Replay the original run with exact timestamps.
+    # 3. Record the original run's trace and draw it with exact timestamps.
     print(f"timeline of the original violating run (seed {seed}):")
-    from repro.simulation.rng import RandomStreams
-    from repro.components.system import SystemConfig
-
-    streams = RandomStreams(seed)
-    workload = scenario.make_workload(streams, 20)
-    config = SystemConfig(
-        replication=2,
-        ad_algorithm="AD-1",
-        front_loss=scenario.front_loss,
-    )
-    system = MonitoringSystem(condition, workload, config, seed=seed)
-    recorder = TimelineRecorder.attach(system)
-    system.run()
-    lines = recorder.render().splitlines()
-    print("\n".join(lines[:30]))
-    if len(lines) > 30:
-        print(f"... ({len(lines) - 30} more events)")
+    trace = record_trial(TrialSpec("single", "aggressive", "AD-1", seed, 20))
+    print(render_timeline(trace.events, max_rows=30))
 
 
 if __name__ == "__main__":

@@ -9,11 +9,6 @@ from repro.analysis.experiments import (
     maximality_experiment,
     strict_orderedness_property,
 )
-from repro.analysis.timeline import (
-    TimelineEvent,
-    TimelineRecorder,
-    render_logical_timeline,
-)
 from repro.analysis.witness import (
     Counterexample,
     counterexample_from_run,
@@ -73,12 +68,9 @@ __all__ = [
     "SectionResult",
     "generate_report",
     "SweepPoint",
-    "TimelineEvent",
-    "TimelineRecorder",
     "counterexample_from_run",
     "find_violation",
     "loss_sweep",
-    "render_logical_timeline",
     "render_sweep",
     "replay",
     "replication_sweep",

@@ -9,9 +9,6 @@ Everything the benchmarks do, driveable from a shell::
     python -m repro trace summarize run.jsonl
     python -m repro shrink aggressive --property consistent
     python -m repro fuzz --target consistency --budget 2000 --minimize
-    python -m repro domination
-    python -m repro maximality
-    python -m repro availability --trials 30
     python -m repro chaos --intensities 0 1 2 --trials 30
     python -m repro quality --row aggressive --trials 20
     python -m repro quality --losses 0 0.3 --intensities 0 1 --json out.json
@@ -30,12 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from dataclasses import replace
 
-from repro.analysis.experiments import (
-    availability_experiment,
-    domination_experiment,
-    maximality_experiment,
-)
 from repro.analysis.tables import EXPECTED_GRIDS, build_table, render_table
 from repro.analysis.witness import counterexample_from_run, shrink_counterexample
 from repro.displayers.registry import algorithm_info, algorithm_names, make_ad
@@ -44,7 +37,6 @@ from repro.workloads.scenarios import (
     MULTI_VARIABLE_SCENARIOS,
     ROW_ORDER,
     SINGLE_VARIABLE_SCENARIOS,
-    run_scenario,
 )
 
 __all__ = ["main"]
@@ -102,17 +94,26 @@ def _scenario_for(row: str, multi: bool):
     return scenarios[row]
 
 
+def _trial_spec(args: argparse.Namespace, algorithm: str, **knobs):
+    """The TrialSpec named by a command's row, ``--multi``, ``--seed``
+    and ``--updates``, with ``knobs`` for its other fields."""
+    from repro.engine.spec import TrialSpec
+
+    return TrialSpec(
+        "multi" if args.multi else "single", args.row, algorithm,
+        args.seed, args.updates, **knobs,
+    )
+
+
 def _cmd_scenario(args: argparse.Namespace) -> int:
     scenario = _scenario_for(args.row, args.multi)
+    spec = _trial_spec(args, args.algorithm, kernel=args.kernel)
     tracer = None
     if args.counters:
         from repro.observability import CountersTracer
 
         tracer = CountersTracer()
-    run = run_scenario(
-        scenario, args.algorithm, args.seed, n_updates=args.updates,
-        tracer=tracer, kernel=args.kernel,
-    )
+    run = spec.run(tracer)
     print(f"scenario: {scenario.label}")
     print(f"algorithm: {args.algorithm}, seed: {args.seed}")
     for var, sent in run.sent.items():
@@ -127,19 +128,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print("  observability counters:")
         _print_stage_counters(tracer.stage_summary(), indent="    ")
     if args.timeline:
-        from repro.analysis.timeline import render_logical_timeline
+        from repro.observability import record_trial, render_timeline
 
         print()
-        print(render_logical_timeline(run))
+        print(render_timeline(record_trial(spec).events))
     return 0
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     scenario = _scenario_for(args.row, args.multi)
     condition = scenario.make_condition()
+    spec = _trial_spec(args, args.algorithm)
     for seed in range(args.seed, args.seed + args.max_seeds):
-        run = run_scenario(scenario, args.algorithm, seed, n_updates=args.updates)
-        counterexample = counterexample_from_run(run)
+        counterexample = counterexample_from_run(replace(spec, seed=seed).run())
         if counterexample is None:
             continue
         if args.property and counterexample.violation != args.property:
@@ -248,37 +249,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             )
             print(f"  trace written to {path}")
     return 0 if replays_ok else 1
-
-
-def _cmd_domination(args: argparse.Namespace) -> int:
-    results = domination_experiment(trials=args.trials)
-    ok = True
-    for name, result in results.items():
-        verdict = "holds" if result.dominates else "VIOLATED"
-        print(f"{name}: {verdict} over {result.streams} streams "
-              f"({result.strict_witnesses} strict witnesses)")
-        ok = ok and result.dominates and result.strictly_dominates
-    return 0 if ok else 1
-
-
-def _cmd_maximality(args: argparse.Namespace) -> int:
-    results = maximality_experiment(trials=args.trials)
-    ok = True
-    for name, result in results.items():
-        verdict = "maximal" if result.maximal else "NOT MAXIMAL"
-        print(f"{name}: {verdict} ({result.discards} discards, "
-              f"{result.unjustified} unjustified)")
-        ok = ok and result.maximal
-    return 0 if ok else 1
-
-
-def _cmd_availability(args: argparse.Namespace) -> int:
-    points = availability_experiment(trials=args.trials)
-    print(f"{'loss':>6} {'CEs':>4} {'mean miss':>10} {'any-miss':>9}")
-    for p in points:
-        print(f"{p.front_loss:>6} {p.replication:>4} "
-              f"{p.mean_miss_fraction:>10.3f} {p.any_alert_missed_fraction:>9.2f}")
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -399,8 +369,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.compare import compare_run
 
     scenario = _scenario_for(args.row, args.multi)
-    run = run_scenario(scenario, "pass", args.seed, n_updates=args.updates)
-    comparison = compare_run(run)
+    comparison = compare_run(_trial_spec(args, "pass").run())
     print(f"scenario: {scenario.label}, seed {args.seed}")
     print(comparison.render())
     return 0
@@ -468,17 +437,14 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace):
-    """The TrialSpec a ``trace record`` / ``feed record`` call describes."""
-    from repro.engine.spec import TrialSpec
-
-    _scenario_for(args.row, args.multi)  # validate the row early
+    """The TrialSpec that :func:`_add_trial_options` parsed."""
     faults = None
     if args.chaos is not None:
         from repro.faults import DEFAULT_CHAOS_PROFILE
 
         faults = DEFAULT_CHAOS_PROFILE.scaled(args.chaos).or_none()
     membership = None
-    if getattr(args, "membership", False):
+    if args.membership:
         from repro.membership import MembershipConfig
 
         membership = MembershipConfig(
@@ -486,9 +452,8 @@ def _spec_from_args(args: argparse.Namespace):
             catchup_latency=args.catchup_latency,
             catchup_source=args.catchup_source,
         )
-    return TrialSpec(
-        "multi" if args.multi else "single", args.row, args.algorithm,
-        args.seed, args.updates, args.replication, faults=faults,
+    return _trial_spec(
+        args, args.algorithm, replication=args.replication, faults=faults,
         kernel=args.kernel, membership=membership,
     )
 
@@ -666,16 +631,6 @@ def _add_processes(parser: argparse.ArgumentParser, what: str = "trials") -> Non
     )
 
 
-def _add_trial_coordinates(parser: argparse.ArgumentParser) -> None:
-    """The positional row plus the knobs naming one recorded trial."""
-    parser.add_argument("row", choices=list(ROW_ORDER))
-    parser.add_argument("--algorithm", default="AD-1")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--updates", type=int, default=30)
-    parser.add_argument("--replication", type=int, default=2)
-    parser.add_argument("--multi", action="store_true")
-
-
 def _add_catchup_source(parser: argparse.ArgumentParser, mode: str) -> None:
     parser.add_argument(
         "--catchup-source",
@@ -683,6 +638,46 @@ def _add_catchup_source(parser: argparse.ArgumentParser, mode: str) -> None:
         default="peer-then-log",
         help=f"({mode}) where a recovering CE replays history from",
     )
+
+
+def _add_trial_options(
+    parser: argparse.ArgumentParser, what: str, kernel_help: str
+) -> None:
+    """Every knob of one recorded trial (read by :func:`_spec_from_args`),
+    plus ``--out``: the options ``trace record`` and ``feed record`` share.
+    ``what`` names the artifact the command writes."""
+    parser.add_argument("row", choices=list(ROW_ORDER))
+    parser.add_argument("--algorithm", default="AD-1")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--updates", type=int, default=30)
+    parser.add_argument("--replication", type=int, default=2)
+    parser.add_argument("--multi", action="store_true")
+    _add_kernel(parser, kernel_help)
+    parser.add_argument("--out", default=None, help="output .jsonl path")
+    parser.add_argument(
+        "--chaos",
+        type=float,
+        default=None,
+        metavar="INTENSITY",
+        help="inject faults at this chaos intensity (default profile), so "
+        "witness seeds from 'repro chaos' replay exactly",
+    )
+    parser.add_argument(
+        "--membership",
+        action="store_true",
+        help="enable dynamic membership (heartbeat detection + crash "
+        f"recovery with catch-up); the {what} carries the full "
+        "membership surface and replays bit-identically",
+    )
+    parser.add_argument(
+        "--detection-timeout", type=float, default=4.0,
+        help="(--membership) failure-detector timeout",
+    )
+    parser.add_argument(
+        "--catchup-latency", type=float, default=2.0,
+        help="(--membership) state-transfer latency per recovery",
+    )
+    _add_catchup_source(parser, "--membership")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,37 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_trec = trace_sub.add_parser(
         "record", help="run one trial under a recorder and write its trace"
     )
-    _add_trial_coordinates(p_trec)
-    _add_kernel(
-        p_trec,
+    _add_trial_options(
+        p_trec, "trace",
         "kernel named in the trace header (the ordered event stream "
         "is always recorded on the object kernel; both replay alike)",
     )
-    p_trec.add_argument("--out", default=None, help="output .jsonl path")
-    p_trec.add_argument(
-        "--chaos",
-        type=float,
-        default=None,
-        metavar="INTENSITY",
-        help="inject faults at this chaos intensity (default profile), so "
-        "witness seeds from 'repro chaos' replay exactly",
-    )
-    p_trec.add_argument(
-        "--membership",
-        action="store_true",
-        help="enable dynamic membership (heartbeat detection + crash "
-        "recovery with catch-up); the trace carries the full "
-        "membership surface and replays bit-identically",
-    )
-    p_trec.add_argument(
-        "--detection-timeout", type=float, default=4.0,
-        help="(--membership) failure-detector timeout",
-    )
-    p_trec.add_argument(
-        "--catchup-latency", type=float, default=2.0,
-        help="(--membership) state-transfer latency per recovery",
-    )
-    _add_catchup_source(p_trec, "--membership")
     p_trec.set_defaults(func=_cmd_trace_record)
     p_trep = trace_sub.add_parser(
         "replay",
@@ -831,18 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for minimized witness traces (.jsonl)",
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_dom = sub.add_parser("domination", help="Theorems 6/8 replay")
-    p_dom.add_argument("--trials", type=int, default=200)
-    p_dom.set_defaults(func=_cmd_domination)
-
-    p_max = sub.add_parser("maximality", help="Theorems 5/7/9 probes")
-    p_max.add_argument("--trials", type=int, default=200)
-    p_max.set_defaults(func=_cmd_maximality)
-
-    p_avail = sub.add_parser("availability", help="Figure-1 motivation sweep")
-    p_avail.add_argument("--trials", type=int, default=40)
-    p_avail.set_defaults(func=_cmd_availability)
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -958,13 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one trial and record its update feed (deliveries + "
         "arrival stamps) for service replay",
     )
-    _add_trial_coordinates(p_frec)
-    _add_kernel(p_frec, "recording executor (both record identical feeds)")
-    p_frec.add_argument(
-        "--chaos", type=float, default=None, metavar="INTENSITY",
-        help="inject faults at this chaos intensity (default profile)",
+    _add_trial_options(
+        p_frec, "feed", "recording executor (both record identical feeds)"
     )
-    p_frec.add_argument("--out", default=None, help="output .jsonl path")
     p_frec.set_defaults(func=_cmd_feed_record)
     p_fcon = feed_sub.add_parser(
         "conform",

@@ -15,7 +15,9 @@ package provides:
   (:mod:`repro.observability.replay`): any interesting run — a property
   violation, a perf regression, a flaky property test — can be captured
   with ``repro trace record`` and re-executed bit-identically with
-  ``repro trace replay``.
+  ``repro trace replay``, and drawn as a lane timeline
+  (:func:`~repro.observability.replay.render_timeline`, what ``repro
+  scenario --timeline`` prints).
 """
 
 from repro.observability.events import (
@@ -33,6 +35,7 @@ from repro.observability.replay import (
     TraceSchemaError,
     load_trace,
     record_trial,
+    render_timeline,
     replay_trace,
     summarize_trace,
 )
@@ -64,4 +67,5 @@ __all__ = [
     "load_trace",
     "replay_trace",
     "summarize_trace",
+    "render_timeline",
 ]

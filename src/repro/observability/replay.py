@@ -23,10 +23,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.observability.events import (
     SCHEMA_VERSION,
+    STAGE_AD,
+    STAGE_CE,
+    STAGE_LINK,
     TraceEvent,
     event_from_json_obj,
 )
@@ -40,6 +43,7 @@ __all__ = [
     "load_trace",
     "replay_trace",
     "summarize_trace",
+    "render_timeline",
 ]
 
 
@@ -229,3 +233,45 @@ def summarize_trace(trace: RecordedTrace) -> dict[str, Any]:
         "nodes": sorted(nodes),
         "metrics": dict(trace.metrics),
     }
+
+
+def render_timeline(
+    events: Iterable[TraceEvent], max_rows: int | None = None
+) -> str:
+    """The lane diagram the paper draws by hand, from an event stream.
+
+    One line per DM broadcast, CE reception, raised alert and AD
+    verdict, at its simulated time::
+
+        t=    40.83  CE2      alert     a(5x,4x)
+        t=    49.05  AD       display   a(5x,4x) (from CE2)
+        t=    49.28  AD       filter    a(5x,4x) (from CE1)
+
+    AD events do not name the sending CE; the back-link delivery that
+    immediately precedes each arrival does.
+    """
+    lines: list[str] = []
+    broadcasts: set[tuple[str, str]] = set()
+    sender = ""
+
+    def row(time: float, lane: str, kind: str, detail: str) -> None:
+        lines.append(f"t={time:>9.2f}  {lane:<8} {kind:<9} {detail}")
+
+    for event in events:
+        data = event.data
+        if event.stage == STAGE_LINK:
+            source, _, target = event.node.partition("->")
+            if target == "AD":
+                sender = source
+            elif event.kind == "send" and (source, data["msg"]) not in broadcasts:
+                broadcasts.add((source, data["msg"]))
+                row(event.time, source, "broadcast", data["msg"])
+        elif event.stage == STAGE_CE and event.kind == "update-received":
+            row(event.time, event.node, "receive", data["msg"])
+        elif event.stage == STAGE_CE and event.kind == "alert-raised":
+            row(event.time, event.node, "alert", data["alert"])
+        elif event.stage == STAGE_AD and event.kind in ("display", "filter"):
+            row(event.time, event.node, event.kind, f"{data['alert']} (from {sender})")
+    if max_rows is not None and len(lines) > max_rows:
+        lines = lines[:max_rows] + [f"... ({len(lines) - max_rows} more rows)"]
+    return "\n".join(lines)

@@ -22,13 +22,16 @@ class TestParser:
             ["tables"],
             ["scenario", "lossless"],
             ["shrink", "aggressive"],
-            ["domination"],
-            ["maximality"],
-            ["availability"],
             ["list"],
         ):
             args = parser.parse_args(command)
             assert callable(args.func)
+
+    @pytest.mark.parametrize("command", ["domination", "maximality", "availability"])
+    def test_report_owns_the_theorem_and_availability_artifacts(self, command):
+        # `repro report` runs these experiments; no second command does.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
 
 
 class TestListCommand:
@@ -51,7 +54,8 @@ class TestScenarioCommand:
             ["scenario", "lossless", "--updates", "5", "--timeline"]
         ) == 0
         out = capsys.readouterr().out
-        assert "broadcast lane" in out
+        assert "DM-x     broadcast 1x(" in out
+        assert " AD       display   a(" in out
 
     def test_multi_flag(self, capsys):
         assert main(
@@ -158,21 +162,6 @@ class TestFuzzCommand:
 
 
 class TestExperimentsCommands:
-    def test_domination_small(self, capsys):
-        assert main(["domination", "--trials", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "AD-1 vs AD-2" in out
-
-    def test_maximality_small(self, capsys):
-        assert main(["maximality", "--trials", "20"]) == 0
-        out = capsys.readouterr().out
-        assert "maximal" in out
-
-    def test_availability_small(self, capsys):
-        assert main(["availability", "--trials", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "mean miss" in out
-
     def test_chaos_smoke_gate(self, capsys):
         # The exact argument list of CI's chaos-smoke job, so the job and
         # this suite cannot disagree.  (At --trials 15 three CEs at
@@ -220,6 +209,17 @@ class TestFeedCommands:
             "--out", str(out),
         ]) == 0
         assert main(["feed", "conform", str(out)]) == 0
+
+    def test_membership_feed_records_and_conforms(self, tmp_path, capsys):
+        # `feed record` takes the same trial options as `trace record`.
+        out = tmp_path / "churn.feed.jsonl"
+        assert main([
+            "feed", "record", "aggressive", "--seed", "5", "--updates", "14",
+            "--chaos", "1", "--membership", "--out", str(out),
+        ]) == 0
+        assert '"membership":{"catchup_latency":2.0' in out.read_text()
+        assert main(["feed", "conform", str(out), "--no-service"]) == 0
+        assert "IDENTICAL" in capsys.readouterr().out
 
     def test_send_against_live_server(self, tmp_path, capsys):
         # In-process server on an ephemeral port; the send command is

@@ -4,10 +4,10 @@ rendering, registry errors, delayed-AD accounting, and __init__ surfaces."""
 import pytest
 
 from repro.analysis.repro_report import ReproductionReport, SectionResult
-from repro.analysis.timeline import render_logical_timeline
 from repro.components.system import SystemConfig, run_system
 from repro.core.condition import cm
 from repro.core.wire import minimum_encoding
+from repro.observability import MemoryTracer, render_timeline
 
 
 class TestReproReportRendering:
@@ -36,11 +36,12 @@ class TestTimelineMultiVariable:
             "y": [(0.0, 1150.0), (10.0, 1100.0)],
         }
         config = SystemConfig(replication=2, front_loss=0.0, ad_algorithm="AD-5")
-        run = run_system(cm(), workload, config, seed=2)
-        text = render_logical_timeline(run)
+        tracer = MemoryTracer()
+        run_system(cm(), workload, config, seed=2, tracer=tracer)
+        text = render_timeline(tracer.events)
         assert "DM-x" in text
         assert "DM-y" in text
-        # Simultaneous broadcasts tie-break by variable name in sent_log.
+        # DMs start in variable-name order, so simultaneous readings do too.
         x_line = text.index("broadcast 1x")
         y_line = text.index("broadcast 1y")
         assert x_line < y_line

@@ -8,83 +8,106 @@ from repro.analysis.sweeps import (
     render_sweep,
     replication_sweep,
 )
-from repro.analysis.timeline import TimelineRecorder, render_logical_timeline
-from repro.components.system import MonitoringSystem, SystemConfig, run_system
+from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1
+from repro.engine.spec import TrialSpec
+from repro.observability import (
+    MemoryTracer,
+    load_trace,
+    record_trial,
+    render_timeline,
+)
 from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
 
 WORKLOAD = {"x": [(t * 10.0, 3100.0 if t % 2 else 2900.0) for t in range(6)]}
 
 
+def traced(front_loss: float, seed: int):
+    """A c1 run over WORKLOAD and the event stream it emitted."""
+    tracer = MemoryTracer()
+    run = run_system(
+        c1(), WORKLOAD, SystemConfig(front_loss=front_loss), seed=seed,
+        tracer=tracer,
+    )
+    return run, tracer.events
+
+
+def rows(text: str, kind: str) -> list[str]:
+    return [line for line in text.splitlines() if line.split()[3] == kind]
+
+
 class TestLogicalTimeline:
     def test_contains_all_lanes(self):
-        run = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        text = render_logical_timeline(run)
-        assert "broadcast lane" in text
-        assert "CE1 lane" in text
-        assert "CE2 lane" in text
-        assert "AD lane" in text
+        _, events = traced(0.0, 1)
+        lanes = {line.split()[2] for line in render_timeline(events).splitlines()}
+        assert {"DM-x", "CE1", "CE2", "AD"} <= lanes
 
     def test_broadcast_times_rendered(self):
-        run = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        text = render_logical_timeline(run)
-        assert "t=     0.0" in text
-        assert "broadcast 1x(2900)" in text
+        _, events = traced(0.0, 1)
+        text = render_timeline(events)
+        assert text.splitlines()[0].split() == [
+            "t=", "0.00", "DM-x", "broadcast", "1x(2900)"
+        ]
+        assert "t=    10.00  DM-x     broadcast 2x(3100)" in text
 
     def test_alert_annotations(self):
-        run = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        text = render_logical_timeline(run)
-        assert "-> a(2x)" in text
+        _, events = traced(0.0, 1)
+        text = render_timeline(events)
+        assert "alert     a(2x)" in text
+        # An alert is raised at the arrival of its newest history entry.
+        lines = text.splitlines()
+        first_alert = next(i for i, line in enumerate(lines) if " alert " in line)
+        assert " receive   2x(3100)" in lines[first_alert - 1]
 
     def test_display_vs_filter_verdicts(self):
-        run = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        text = render_logical_timeline(run)
-        assert "display" in text
-        assert "filter" in text  # duplicate alerts from CE2
+        run, events = traced(0.0, 1)
+        text = render_timeline(events)
+        assert len(rows(text, "display")) == len(run.displayed)
+        # The other replica's copies of each alert are filtered.
+        assert len(rows(text, "filter")) == len(run.filtered) > 0
 
     def test_max_rows_truncation(self):
-        run = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        text = render_logical_timeline(run, max_rows=5)
+        _, events = traced(0.0, 1)
+        text = render_timeline(events, max_rows=5)
         assert "more rows" in text
         assert len(text.splitlines()) == 6
 
 
 class TestTimelineRecorder:
     def test_captures_timestamped_events(self):
-        system = MonitoringSystem(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        recorder = TimelineRecorder.attach(system)
-        system.run()
-        kinds = {e.kind for e in recorder.events}
+        _, events = traced(0.0, 1)
+        kinds = {line.split()[3] for line in render_timeline(events).splitlines()}
         assert {"broadcast", "receive", "alert", "display"} <= kinds
 
     def test_event_counts_match_run(self):
-        system = MonitoringSystem(c1(), WORKLOAD, SystemConfig(front_loss=0.0), seed=1)
-        recorder = TimelineRecorder.attach(system)
-        result = system.run()
-        broadcasts = [e for e in recorder.events if e.kind == "broadcast"]
-        receives = [e for e in recorder.events if e.kind == "receive"]
-        displays = [e for e in recorder.events if e.kind == "display"]
-        filters = [e for e in recorder.events if e.kind == "filter"]
-        assert len(broadcasts) == len(result.sent["x"])
-        assert len(receives) == sum(len(t) for t in result.received)
-        assert len(displays) == len(result.displayed)
-        assert len(filters) == len(result.filtered)
+        result, events = traced(0.3, 9)
+        text = render_timeline(events)
+        assert len(rows(text, "broadcast")) == len(result.sent["x"])
+        assert len(rows(text, "receive")) == sum(len(t) for t in result.received)
+        assert len(rows(text, "alert")) == sum(len(a) for a in result.ce_alerts)
+        assert len(rows(text, "display")) == len(result.displayed)
+        assert len(rows(text, "filter")) == len(result.filtered)
 
     def test_times_monotone_in_render(self):
-        system = MonitoringSystem(c1(), WORKLOAD, SystemConfig(front_loss=0.2), seed=3)
-        recorder = TimelineRecorder.attach(system)
-        system.run()
-        times = [e.time for e in sorted(recorder.events, key=lambda e: e.time)]
+        _, events = traced(0.2, 3)
+        times = [float(line.split()[1]) for line in render_timeline(events).splitlines()]
         assert times == sorted(times)
-        assert recorder.render()  # renders without error
 
     def test_recorder_does_not_change_outcome(self):
-        plain = run_system(c1(), WORKLOAD, SystemConfig(front_loss=0.3), seed=9)
-        system = MonitoringSystem(c1(), WORKLOAD, SystemConfig(front_loss=0.3), seed=9)
-        TimelineRecorder.attach(system)
-        recorded = system.run()
-        assert plain.displayed == recorded.displayed
-        assert plain.received == recorded.received
+        spec = TrialSpec("single", "aggressive", "AD-1", 9, 20)
+        plain = spec.run()
+        trace = record_trial(spec)
+        displays = rows(render_timeline(trace.events), "display")
+        assert [line.split()[4] for line in displays] == [
+            alert.shorthand() for alert in plain.displayed
+        ]
+
+    def test_a_trace_file_draws_like_the_live_stream(self, tmp_path):
+        trace = record_trial(TrialSpec("single", "aggressive", "AD-4", 3, 20))
+        path = trace.write(tmp_path / "run.jsonl")
+        assert render_timeline(load_trace(path).events) == render_timeline(
+            trace.events
+        )
 
 
 class TestSweeps:

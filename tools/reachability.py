@@ -4,12 +4,18 @@ Runs every documented entry point under a call profiler and lists each
 function definition in ``src/repro`` that none of them called::
 
     make reachability        # or: python tools/reachability.py
+    python tools/reachability.py --unique
 
-No options.  The entry points are the shell commands of README.md and
+The entry points are the shell commands of README.md and
 docs/usage.md (plus the diversity rows the README only names), every
 example, every ``benchmarks/bench_*.py`` through its test functions,
 ``benchmarks/perf/run.py --smoke`` and ``tools/gc_share.py``.  A few
 minutes on two cores.
+
+``--unique`` lists, per entry point, the definitions no *other* entry
+point reached instead: what deleting that command would leave
+unreached.  A command whose unique lines are only argument parsing and
+printing produces nothing the others do not.
 
 How it counts, and why each part is there:
 
@@ -25,10 +31,12 @@ How it counts, and why each part is there:
   function's callees from the profiler.
 * Everything runs in a temporary copy of the tree, because the bench
   files rewrite ``benchmarks/results/``.
+* Each entry point dumps into its own directory, so a definition's
+  reachers are known per entry point.
 * A decorated function's code object starts at its first decorator
   line, so that is the line a definition is matched on.
 
-Output: each outermost unreached definition with its line span — a class
+Default output: each outermost unreached definition with its line span — a class
 with its own ``__init__`` when none of its methods ran, else the methods
 themselves — then the totals.  Exit status 1 if an entry point failed (its reach is then
 incomplete).
@@ -36,6 +44,7 @@ incomplete).
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import shutil
@@ -88,9 +97,6 @@ ENTRY_POINTS: list[list[str]] = [
     ["-m", "repro", "fuzz", "--target", "consistency", "--budget", "2000",
      "--minimize"],
     ["-m", "repro", "compare", "aggressive", "--seed", "5"],
-    ["-m", "repro", "domination"],
-    ["-m", "repro", "maximality"],
-    ["-m", "repro", "availability"],
     ["-m", "repro", "chaos", "--trials", "30"],
     ["-m", "repro", "chaos", "--churn"],
     ["-m", "repro", "feed", "record", "aggressive", "--seed", "7", "--out",
@@ -164,6 +170,23 @@ def first_line(node: ast.AST) -> int:
     return min([node.lineno, *(d.lineno for d in node.decorator_list)])
 
 
+def definitions(tree: ast.AST) -> list[tuple[int, int, str]]:
+    """Every function of one module as ``(first, last, qualified name)``."""
+    spans: list[tuple[int, int, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*_FUNCTIONS, ast.ClassDef)):
+                if isinstance(child, _FUNCTIONS):
+                    spans.append((first_line(child), child.end_lineno, prefix + child.name))
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return sorted(spans)
+
+
 def unreached(tree: ast.AST, entered: set[int]) -> list[tuple[int, int, str, int]]:
     """The outermost unreached definitions of one module.
 
@@ -197,8 +220,10 @@ def unreached(tree: ast.AST, entered: set[int]) -> list[tuple[int, int, str, int
     return spans
 
 
-def run_entry_points(tree: Path, env: dict[str, str]) -> list[str]:
-    """Run every entry point in ``tree``; the ones that failed."""
+def run_entry_points(tree: Path, env: dict[str, str], out: Path) -> tuple[list[str], list[str]]:
+    """Run every entry point in ``tree``, each dumping into its own
+    numbered directory under ``out``: every entry point as shown, and
+    the ones that failed."""
     benches = sorted(str(p.relative_to(tree)) for p in tree.glob("benchmarks/bench_*.py"))
     examples = sorted(str(p.relative_to(tree)) for p in tree.glob("examples/*.py"))
     commands = [
@@ -207,9 +232,12 @@ def run_entry_points(tree: Path, env: dict[str, str]) -> list[str]:
         ["-m", "pytest", "-q", "-p", "no:benchmark", "-p", "reach_plugin",
          "-p", "no:cacheprovider", *benches],
     ]
-    failed = []
+    failed, shown_all = [], []
     for index, args in enumerate(commands, 1):
         started = time.monotonic()
+        dump = out / str(index)
+        dump.mkdir()
+        env = dict(env, REPRO_REACH_OUT=str(dump))
         server = None
         if args[0] == "SERVE":
             server = subprocess.Popen(
@@ -225,15 +253,42 @@ def run_entry_points(tree: Path, env: dict[str, str]) -> list[str]:
         if server is not None:
             server.communicate(timeout=60)
         shown = " ".join(args)
+        shown_all.append(shown)
         print(f"[{index}/{len(commands)}] {time.monotonic() - started:6.1f}s  {shown}",
               file=sys.stderr, flush=True)
         if done.returncode != 0:
             failed.append(shown)
             print(done.stdout[-2000:] + done.stderr[-2000:], file=sys.stderr)
-    return failed
+    return shown_all, failed
+
+
+def print_unique(tree: Path, shown: list[str], reachers: dict[tuple[str, int], set[int]]) -> None:
+    """Per entry point, the outermost definitions only it reached."""
+    only: dict[int, list[tuple[str, int, int, str]]] = {}
+    for path in sorted((tree / "src" / "repro").rglob("*.py")):
+        inside = (0, 0)
+        for first, last, name in definitions(ast.parse(path.read_text())):
+            who = reachers.get((str(path), first), set())
+            if len(who) == 1 and not inside[0] <= first <= inside[1]:
+                inside = (first, last)
+                only.setdefault(next(iter(who)), []).append(
+                    (str(path.relative_to(tree)), first, last, name))
+    for index, command in enumerate(shown, 1):
+        spans = only.get(index, [])
+        lines = sum(last - first + 1 for _, first, last, _ in spans)
+        print(f"\n{command}: {len(spans)} definitions no other entry point "
+              f"reaches, {lines:,} lines")
+        for path, first, last, name in spans:
+            print(f"  {path}:{first}-{last}  {name}")
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--unique", action="store_true",
+        help="per entry point, list the definitions only it reaches",
+    )
+    unique = parser.parse_args().unique
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
         tree, hook, out = (Path(scratch) / name for name in ("tree", "hook", "out"))
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -243,16 +298,20 @@ def main() -> int:
         out.mkdir()
         (hook / "sitecustomize.py").write_text(SITECUSTOMIZE)
         (hook / "reach_plugin.py").write_text(PASS_THROUGH_PLUGIN)
-        env = dict(os.environ, REPRO_REACH_OUT=str(out),
+        env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join([str(hook), str(tree / "src")]))
-        failed = run_entry_points(tree, env)
+        shown, failed = run_entry_points(tree, env, out)
 
         entered: dict[str, set[int]] = {}
-        for dump in out.iterdir():
+        reachers: dict[tuple[str, int], set[int]] = {}
+        for dump in out.glob("*/*"):
             for row in dump.read_text().splitlines():
                 line, path = row.split("\t", 1)
                 entered.setdefault(path, set()).add(int(line))
+                reachers.setdefault((path, int(line)), set()).add(int(dump.parent.name))
 
+        if unique:
+            print_unique(tree, shown, reachers)
         total = missed = lines = 0
         for path in sorted((tree / "src" / "repro").rglob("*.py")):
             module = ast.parse(path.read_text())
@@ -260,7 +319,8 @@ def main() -> int:
             for first, last, name, functions in unreached(module, entered.get(str(path), set())):
                 missed += functions
                 lines += last - first + 1
-                print(f"{path.relative_to(tree)}:{first}-{last}  {name}  ({last - first + 1} lines)")
+                if not unique:
+                    print(f"{path.relative_to(tree)}:{first}-{last}  {name}  ({last - first + 1} lines)")
     print(f"\nunreached: {missed} of {total} function definitions, "
           f"{lines:,} lines in outermost definitions")
     for command in failed:

@@ -19,6 +19,7 @@ from repro.props.exhaustive import (
     count_merge_orders,
     iter_merge_orders,
 )
+from repro.props.fold import VerdictFold
 from repro.props.maximality import (
     MaximalityResult,
     greedy_maximality_probe,
@@ -54,6 +55,7 @@ __all__ = [
     "OrderednessResult",
     "PropertyReport",
     "PropertyTally",
+    "VerdictFold",
     "VerificationResult",
     "degree2_alphabet",
     "two_variable_alphabet",

@@ -152,7 +152,21 @@ def check_completeness_single(
             foreign.add(alert.identity())
         else:
             actual.add(histories.seqnos(var))
+    return compare_window_keys(condname, var, expected, actual, foreign)
 
+
+def compare_window_keys(
+    condname: str,
+    var: str,
+    expected: set[tuple[int, ...]],
+    actual: set[tuple[int, ...]],
+    foreign: set[tuple],
+) -> CompletenessResult:
+    """The verdict of :func:`check_completeness_single` from its key sets:
+    ``expected`` holds the seqno tuples of the windows where T raises,
+    ``actual`` those of A's alerts of this condition over exactly ``var``,
+    and ``foreign`` the identities of A's other alerts.  Identities are
+    rendered only for the symmetric difference."""
     if expected == actual and not foreign:
         return CompletenessResult(True)
 

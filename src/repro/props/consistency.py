@@ -86,30 +86,43 @@ def check_consistency_single(
     received: set[int] = set()
     missed: set[int] = set()
     for index, alert in enumerate(alerts):
-        history = alert.histories.seqnos(varname)
-        if not missed.isdisjoint(history):
-            seqno = min(missed.intersection(history))
-            return ConsistencyResult(
-                False,
-                conflict=(
-                    f"alert #{index} {alert.shorthand()} requires update "
-                    f"{seqno} received, but an earlier alert requires it missed"
-                ),
-            )
-        gaps = history_gaps(history)
-        if gaps:
-            if not received.isdisjoint(gaps):
-                seqno = min(received & gaps)
-                return ConsistencyResult(
-                    False,
-                    conflict=(
-                        f"alert #{index} {alert.shorthand()} requires update "
-                        f"{seqno} missed, but an earlier alert requires it received"
-                    ),
-                )
-            missed |= gaps
-        received.update(history)
+        conflict = constrain_single(
+            received, missed, index, alert, alert.histories.seqnos(varname)
+        )
+        if conflict is not None:
+            return ConsistencyResult(False, conflict=conflict)
     return ConsistencyResult(True, witness_received=frozenset(received))
+
+
+def constrain_single(
+    received: set[int],
+    missed: set[int],
+    index: int,
+    alert: Alert,
+    history: tuple[int, ...],
+) -> str | None:
+    """One step of :func:`check_consistency_single`: alert #``index`` of A,
+    whose history is the seqno tuple ``history``, requires ``history``
+    received and its gaps missed.  Returns the conflict sentence when an
+    earlier alert required one of them the other way (and leaves both
+    sets as they were); otherwise adds them and returns None."""
+    if not missed.isdisjoint(history):
+        seqno = min(missed.intersection(history))
+        return (
+            f"alert #{index} {alert.shorthand()} requires update "
+            f"{seqno} received, but an earlier alert requires it missed"
+        )
+    gaps = history_gaps(history)
+    if gaps:
+        if not received.isdisjoint(gaps):
+            seqno = min(received & gaps)
+            return (
+                f"alert #{index} {alert.shorthand()} requires update "
+                f"{seqno} missed, but an earlier alert requires it received"
+            )
+        missed |= gaps
+    received.update(history)
+    return None
 
 
 def check_consistency_multi(

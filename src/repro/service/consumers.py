@@ -16,8 +16,15 @@ the property suite can assemble pipelines without sockets:
   bounded queue (a per-CE queue k-way merge can deadlock: the merger
   awaits one CE's head while another CE blocks on its own full queue
   and the router blocks behind *it*); the merger files each arrival
-  into its CE's FIFO, releases CE heads in recorded stamp order, and
-  filters online through the AD algorithm.
+  into its CE's FIFO, releases CE heads in recorded stamp order,
+  filters online through the AD algorithm and renders each displayed
+  alert's canonical line.
+
+Given a :class:`~repro.props.fold.VerdictFold`, the CE replicas hand it
+every batch they incorporated and the merger folds each batch it took
+— the updates the CEs received since, and the alerts it displayed — so
+the verdicts are decided as the feed streams and the end of the feed
+only flushes.
 
 Every stage moves a *batch* per suspension — ``get_many()`` hands it
 whatever its queue holds (at most the queue's capacity, in queue order),
@@ -37,12 +44,16 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from typing import AsyncIterator, Awaitable, Callable
+from typing import TYPE_CHECKING, AsyncIterator, Awaitable, Callable
 
 from repro.core.alert import Alert
+from repro.core.serialization import alert_canonical_line
 from repro.core.update import Update
 from repro.service.queues import CLOSE, BoundedQueue
 from repro.service.runtime import FeedMismatchError
+
+if TYPE_CHECKING:
+    from repro.props.fold import VerdictFold
 
 __all__ = [
     "MergeResult",
@@ -75,6 +86,9 @@ class MergeResult:
 
     #: The re-established arrival stream (input to the AD filter).
     arrivals: list[Alert] = field(default_factory=list)
+    #: The canonical line of each displayed alert, rendered as the merge
+    #: batch that displayed it ended.
+    lines: list[str] = field(default_factory=list)
     #: Update→display latency per displayed alert, in nanoseconds.
     display_latencies_ns: list[int] = field(default_factory=list)
     #: Largest reorder buffer the merge ever held (stamp-skew bound).
@@ -109,6 +123,7 @@ async def ce_replica(
     alerts: BoundedQueue,
     *,
     pace: Pace | None = None,
+    fold: VerdictFold | None = None,
 ) -> None:
     """Evaluate one CE's update stream; emit ``(ce_index, alert,
     ingest_ns)`` items, ``ingest_ns`` being when the triggering update
@@ -119,7 +134,8 @@ async def ce_replica(
     FIFO, so the k-th item stands for the CE's k-th recorded stamp.
     Raising more or fewer alerts than the feed recorded stamps for is a
     conformance failure — it means the deliveries do not reproduce the
-    run.
+    run.  Each batch the evaluator took goes to ``fold`` once its alerts
+    are on their way.
     """
     recorded = len(stamps)
     position = 0
@@ -139,6 +155,8 @@ async def ce_replica(
                 position += 1
         if raised:
             await alerts.put_many(raised)
+        if fold is not None:
+            fold.receive(ce_index, [update for update, _ in batch])
     if position != recorded:
         raise FeedMismatchError(
             f"CE{ce_index + 1} drained after {position} alerts; the feed "
@@ -153,6 +171,7 @@ async def ad_merge(
     alerts: BoundedQueue,
     *,
     clock: Callable[[], int] = time.monotonic_ns,
+    fold: VerdictFold | None = None,
 ) -> MergeResult:
     """Re-establish arrival order and filter online through the AD.
 
@@ -166,9 +185,14 @@ async def ad_merge(
     order, independent of task scheduling, at O(log k) per release.
     Consumes one CLOSE per CE, then verifies that every stamp was
     released and nothing is left waiting.
+
+    After each batch, past every latency clock it read, the batch's
+    displayed alerts are rendered and, with a ``fold``, folded together
+    with whatever the CEs received meanwhile.
     """
     result = MergeResult()
     arrivals = result.arrivals
+    lines = result.lines
     latencies = result.display_latencies_ns
     offer = algorithm.offer
     waiting: list[deque] = [deque() for _ in stamps]
@@ -179,6 +203,7 @@ async def ad_merge(
     buffered = 0
     closes = 0
     while closes < len(stamps):
+        shown: list[Alert] = []
         for item in await alerts.get_many():
             if item is CLOSE:
                 closes += 1
@@ -202,6 +227,11 @@ async def ad_merge(
                 arrivals.append(alert)
                 if offer(alert):
                     latencies.append(clock() - ingest_ns)
+                    shown.append(alert)
+        lines += map(alert_canonical_line, shown)
+        if fold is not None:
+            fold.display(shown)
+            fold.settle()
     expected = sum(map(len, stamps))
     if len(arrivals) != expected or buffered:
         raise FeedMismatchError(

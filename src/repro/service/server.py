@@ -23,6 +23,13 @@ latency percentiles — once the merge task has released every stamped
 alert.  :meth:`MonitorService.stop` likewise waits for in-flight
 connections before closing the listener.
 
+Little is left to do at ``end``.  Each displayed alert's line is
+rendered by the merge batch that displayed it, and a single-variable
+condition's verdicts are folded (:class:`~repro.props.fold.VerdictFold`)
+batch by batch as the CEs receive and the AD displays, so ``end`` only
+flushes the merged run above the CEs' watermark.  A multi-variable
+condition is still decided from the whole runs once the feed is in.
+
 A connection's payload graph (updates, snapshots, alerts and the
 ``(ce, alert, ingest_ns)`` tuples between CE and merge) lives until its
 reply is out and none of it is cyclic, so the cyclic collector is
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.accel import collector_paused
-from repro.core.serialization import alert_canonical_line, alert_from_json
+from repro.core.serialization import alert_from_json
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
 from repro.service.consumers import Pace, ad_merge, ce_replica, route_updates
@@ -202,6 +209,7 @@ class MonitorService:
     async def _run_pipeline(self, reader: asyncio.StreamReader) -> dict[str, Any]:
         from repro.displayers.registry import make_ad
         from repro.core.evaluator import ConditionEvaluator
+        from repro.props.fold import VerdictFold
         from repro.props.report import evaluate_run
 
         decoder = FrameDecoder()
@@ -240,6 +248,11 @@ class MonitorService:
             ConditionEvaluator(condition, source=f"CE{i + 1}")
             for i in range(len(stamps))
         ]
+        fold = (
+            VerdictFold(condition, len(stamps))
+            if len(condition.variables) == 1
+            else None
+        )
 
         async with asyncio.TaskGroup() as group:
             group.create_task(route_updates(ingest, ce_queues))
@@ -252,10 +265,11 @@ class MonitorService:
                         ce_queues[index],
                         alert_queue,
                         pace=self.pace,
+                        fold=fold,
                     )
                 )
             merge_task = group.create_task(
-                ad_merge(algorithm, stamps, alert_queue)
+                ad_merge(algorithm, stamps, alert_queue, fold=fold)
             )
             # The unit of work is one socket read: every delivery it
             # completed goes to the ingest queue in one put_many, each
@@ -289,18 +303,21 @@ class MonitorService:
                 payloads = await read_frames()
 
         merge = merge_task.result()
-        displayed = algorithm.output
-        report = evaluate_run(
-            condition,
-            tuple(evaluator.received for evaluator in evaluators),
-            displayed,
-        )
+        if fold is not None:
+            report = fold.report()
+        else:
+            # The completeness grid walk reads every run whole.
+            report = evaluate_run(
+                condition,
+                tuple(evaluator.received for evaluator in evaluators),
+                algorithm.output,
+            )
         for stage_queue in [ingest, *ce_queues, alert_queue]:
             tracer.merge(stage_queue.stats.as_counters(stage_queue.name))
         tracer.emit(0.0, "service", "drain", "pipeline")
         self.counters.merge(tracer)
         return {
-            "displayed": [alert_canonical_line(a) for a in displayed],
+            "displayed": merge.lines,
             "verdicts": report.summary,
             "counters": tracer.as_dict(),
             "latency_ms": _latency_percentiles(merge.display_latencies_ns),

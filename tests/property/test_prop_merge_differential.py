@@ -24,6 +24,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.core.alert import make_alert
+from repro.core.serialization import alert_canonical_line
 from repro.core.update import Update
 from repro.displayers.ad1 import AD1
 from repro.displayers.ad2 import AD2
@@ -110,6 +111,8 @@ def outcome(merge, algorithm_name, stamps, queue, run):
         result = run(merge(algorithm, stamps, queue, clock=clock), queue)
     except FeedMismatchError as exc:
         return ("FeedMismatchError", str(exc))
+    if merge is ad_merge:  # the oracle renders nothing
+        assert result.lines == [alert_canonical_line(a) for a in algorithm.output]
     # By object: equal alerts from different items must not swap places.
     return (
         [id(alert) for alert in result.arrivals],

@@ -316,6 +316,60 @@ class TestAsyncioService:
             == 2 * len(feed.deliveries)
         )
 
+    def test_single_variable_verdicts_are_folded_not_recomputed(
+        self, feed, monkeypatch
+    ):
+        import repro.props.report as report
+
+        reference = DirectRuntime().execute(feed)
+
+        def recompute(*args, **kwargs):
+            raise AssertionError("the service re-decided the whole run")
+
+        monkeypatch.setattr(report, "evaluate_run", recompute)
+        result = AsyncioServiceRuntime().execute(feed)
+        assert result.verdicts == reference.verdicts
+        assert result.displayed_bytes() == reference.displayed_bytes()
+
+    def test_end_only_flushes(self, monkeypatch):
+        # By the feed's end every merge batch has folded its displayed
+        # alerts and the CEs' updates below the watermark: what is left
+        # is the run above the lagging CE's last seqno.
+        from repro.props.fold import VerdictFold
+
+        long = record_feed(dataclasses.replace(SPEC, n_updates=400))
+        at_end = []
+        report = VerdictFold.report
+
+        def probed(fold):
+            at_end.append(fold.held)
+            return report(fold)
+
+        monkeypatch.setattr(VerdictFold, "report", probed)
+        result = AsyncioServiceRuntime().execute(long)
+        assert at_end and at_end[0] <= 10, at_end
+        assert result.verdicts == DirectRuntime().execute(long).verdicts
+
+    def test_multi_variable_verdicts_are_decided_at_the_end(self, monkeypatch):
+        import repro.props.report as report
+
+        multi = record_feed(TrialSpec(
+            "multi", "aggressive", "AD-5", seed=3, n_updates=30
+        ))
+        reference = DirectRuntime().execute(multi)
+        calls = []
+        evaluate_run = report.evaluate_run
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return evaluate_run(*args, **kwargs)
+
+        monkeypatch.setattr(report, "evaluate_run", counted)
+        result = AsyncioServiceRuntime().execute(multi)
+        assert len(calls) == 1
+        assert result.verdicts == reference.verdicts
+        assert result.displayed_bytes() == reference.displayed_bytes()
+
     def test_tampered_stream_reported_as_error(self, feed):
         from repro.service import ServiceError
 

@@ -536,10 +536,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import MonitorService, ServiceConfig
 
-    config = ServiceConfig(
-        host=args.host, port=args.port, queue_capacity=args.queue_capacity
-    )
-    service = MonitorService(config)
+    service = MonitorService(ServiceConfig(host=args.host, port=args.port))
 
     async def run() -> None:
         await service.start()
@@ -950,10 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--port", type=int, default=0,
         help="listening port (0 = ephemeral, printed at startup)",
-    )
-    p_serve.add_argument(
-        "--queue-capacity", type=int, default=64,
-        help="bound of every inter-stage pipeline queue",
     )
     p_serve.add_argument(
         "--once", action="store_true",

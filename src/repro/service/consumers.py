@@ -1,8 +1,17 @@
-"""The service pipeline's stage consumers.
+"""The AD side of the service, and the queue stages around it.
 
-Three coroutine stages sit between the socket reader and the result
-frame; each is a plain async function over :class:`BoundedQueue`\\ s so
-the property suite can assemble pipelines without sockets:
+:class:`StampMerge` is the stamp merge and the AD filter as one
+synchronous object: it files each alert a CE raised into that CE's
+FIFO, releases CE heads in recorded stamp order through a k-entry heap,
+offers each released alert to the AD algorithm and reads the latency
+clock for every alert it displays.  ``repro serve`` calls it from its
+socket reader, one raised alert at a time, so only the CE step and the
+wait for an earlier stamp lie between a delivery and its display.
+
+Three coroutine stages put the same steps on
+:class:`~repro.service.queues.BoundedQueue`\\ s, so the property suite
+and the benchmark's traced harness can assemble a queue pipeline
+without sockets:
 
 * :func:`route_updates` — fan the ingest stream out to per-CE update
   queues (the feed names the target CE per delivery; real DMs would
@@ -12,13 +21,10 @@ the property suite can assemble pipelines without sockets:
   a :class:`~repro.core.evaluator.ConditionEvaluator`; every alert it
   raises goes into the **shared** alert queue as a plain
   ``(ce_index, alert, ingest_ns)`` tuple.
-* :func:`ad_merge` — the AD-side consumer.  All CEs fan into one
-  bounded queue (a per-CE queue k-way merge can deadlock: the merger
-  awaits one CE's head while another CE blocks on its own full queue
-  and the router blocks behind *it*); the merger files each arrival
-  into its CE's FIFO, releases CE heads in recorded stamp order,
-  filters online through the AD algorithm and renders each displayed
-  alert's canonical line.
+* :func:`ad_merge` — a ``get_many`` loop over one :class:`StampMerge`.
+  All CEs fan into one bounded queue (a per-CE queue k-way merge can
+  deadlock: the merger awaits one CE's head while another CE blocks on
+  its own full queue and the router blocks behind *it*).
 
 Given a :class:`~repro.props.fold.VerdictFold`, the CE replicas hand it
 every batch they incorporated and the merger folds each batch it took
@@ -57,6 +63,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MergeResult",
+    "StampMerge",
     "route_updates",
     "ce_replica",
     "ad_merge",
@@ -165,6 +172,119 @@ async def ce_replica(
     await alerts.close()
 
 
+class StampMerge:
+    """Re-establish arrival order and filter online through the AD, one
+    alert at a time.
+
+    The total arrival order is the feed's stamps ordered by ``(time,
+    global_index)``, which is unique.  Back links are FIFO, so each CE's
+    alerts come in its own stamp order, but the CEs interleave however
+    they were scheduled.  Each alert waits in its CE's FIFO; a k-entry
+    heap of every CE's next recorded stamp names the CE whose head comes
+    next, and heads are released while that CE has one waiting.  The AD
+    therefore sees exactly the stamp order, independent of scheduling,
+    at O(log k) per release.
+
+    :meth:`file` takes an alert and leaves a CE that sends more alerts
+    than it has stamps to :meth:`end`, which reports it stranded (the
+    queue stages' contract, pinned by the merge differential);
+    :meth:`raised`, the server's step, names that CE at its first extra
+    alert.  :meth:`settle` renders what was displayed since the last
+    settle, off the latency clocks; :meth:`end` verifies that every stamp
+    was released and nothing is left waiting.
+    """
+
+    def __init__(
+        self,
+        algorithm,
+        stamps: tuple[tuple[tuple[float, int], ...], ...],
+        *,
+        clock: Callable[[], int] = time.monotonic_ns,
+    ) -> None:
+        self.result = MergeResult()
+        #: Per CE, the alerts :meth:`raised` took from it.
+        self.raised_per_ce = [0] * len(stamps)
+        self._stamps = stamps
+        self._offer = algorithm.offer
+        self._clock = clock
+        self._waiting: list[deque] = [deque() for _ in stamps]
+        self._upcoming = [iter(per_ce) for per_ce in stamps]
+        #: ``(next unreleased stamp, ce_index)`` of every CE with stamps left.
+        heads = [(next(it), ce) for ce, it in enumerate(self._upcoming) if stamps[ce]]
+        heapify(heads)
+        self._heads = heads
+        #: Filed and not yet released.
+        self._buffered = 0
+        #: Displayed since the last :meth:`settle`.
+        self._shown: list[Alert] = []
+
+    def raised(self, ce_index: int, alert: Alert, ingest_ns: int) -> None:
+        """CE ``ce_index`` raised ``alert``: file it, unless the feed
+        recorded no stamp for it — which is a conformance failure, since
+        the deliveries then do not reproduce the run."""
+        count = self.raised_per_ce[ce_index]
+        recorded = len(self._stamps[ce_index])
+        if count >= recorded:
+            raise FeedMismatchError(
+                f"CE{ce_index + 1} raised alert #{count + 1} but the feed "
+                f"recorded only {recorded} arrival stamps"
+            )
+        self.raised_per_ce[ce_index] = count + 1
+        self.file(ce_index, alert, ingest_ns)
+
+    def file(self, ce_index: int, alert: Alert, ingest_ns: int) -> None:
+        """File ``alert`` in its CE's FIFO and release every head now due;
+        ``ingest_ns`` is when the triggering update entered the service
+        (the start of the update→display latency)."""
+        waiting = self._waiting
+        waiting[ce_index].append((alert, ingest_ns))
+        result = self.result
+        buffered = self._buffered + 1
+        if buffered > result.peak_reorder:
+            result.peak_reorder = buffered
+        heads = self._heads
+        upcoming = self._upcoming
+        while heads:
+            ce_index = heads[0][1]
+            queue = waiting[ce_index]
+            if not queue:
+                break
+            alert, ingest_ns = queue.popleft()
+            buffered -= 1
+            stamp = next(upcoming[ce_index], None)
+            if stamp is None:
+                heappop(heads)
+            else:
+                heapreplace(heads, (stamp, ce_index))
+            result.arrivals.append(alert)
+            if self._offer(alert):
+                result.display_latencies_ns.append(self._clock() - ingest_ns)
+                self._shown.append(alert)
+        self._buffered = buffered
+
+    def settle(self, fold: VerdictFold | None = None) -> None:
+        """Render the alerts displayed since the last settle and, with a
+        ``fold``, fold them and settle it."""
+        shown = self._shown
+        self.result.lines += map(alert_canonical_line, shown)
+        if fold is not None:
+            fold.display(shown)
+            fold.settle()
+        self._shown = []
+
+    def end(self) -> MergeResult:
+        """The merge's result, once every stamp was released and nothing
+        is left waiting (else :class:`FeedMismatchError`)."""
+        released = len(self.result.arrivals)
+        expected = sum(map(len, self._stamps))
+        if released != expected or self._buffered:
+            raise FeedMismatchError(
+                f"merge drained after releasing {released}/{expected} stamped "
+                f"alerts ({self._buffered} stranded in the reorder buffer)"
+            )
+        return self.result
+
+
 async def ad_merge(
     algorithm,
     stamps: tuple[tuple[tuple[float, int], ...], ...],
@@ -173,69 +293,20 @@ async def ad_merge(
     clock: Callable[[], int] = time.monotonic_ns,
     fold: VerdictFold | None = None,
 ) -> MergeResult:
-    """Re-establish arrival order and filter online through the AD.
+    """:class:`StampMerge` over the shared alert queue.
 
-    The total arrival order is the feed's stamps ordered by ``(time,
-    global_index)``, which is unique.  Back links are FIFO, so each CE's
-    items reach the shared queue in its own stamp order, but the CEs
-    interleave in whatever order their tasks ran.  Each item waits in
-    its CE's FIFO; a k-entry heap of every CE's next recorded stamp
-    names the CE whose head comes next, and heads are released while
-    that CE has one waiting.  The AD therefore sees exactly the stamp
-    order, independent of task scheduling, at O(log k) per release.
-    Consumes one CLOSE per CE, then verifies that every stamp was
-    released and nothing is left waiting.
-
-    After each batch, past every latency clock it read, the batch's
-    displayed alerts are rendered and, with a ``fold``, folded together
-    with whatever the CEs received meanwhile.
+    Files every ``(ce_index, alert, ingest_ns)`` item it takes and
+    settles once per ``get_many`` batch, past every latency clock the
+    batch read.  Consumes one CLOSE per CE, then ends the merge.
     """
-    result = MergeResult()
-    arrivals = result.arrivals
-    lines = result.lines
-    latencies = result.display_latencies_ns
-    offer = algorithm.offer
-    waiting: list[deque] = [deque() for _ in stamps]
-    upcoming = [iter(per_ce) for per_ce in stamps]
-    #: ``(next unreleased stamp, ce_index)`` of every CE with stamps left.
-    heads = [(next(it), ce) for ce, it in enumerate(upcoming) if stamps[ce]]
-    heapify(heads)
-    buffered = 0
+    merge = StampMerge(algorithm, stamps, clock=clock)
+    file = merge.file
     closes = 0
     while closes < len(stamps):
-        shown: list[Alert] = []
         for item in await alerts.get_many():
             if item is CLOSE:
                 closes += 1
-                continue
-            waiting[item[0]].append(item)
-            buffered += 1
-            if buffered > result.peak_reorder:
-                result.peak_reorder = buffered
-            while heads:
-                ce_index = heads[0][1]
-                queue = waiting[ce_index]
-                if not queue:
-                    break
-                _, alert, ingest_ns = queue.popleft()
-                buffered -= 1
-                stamp = next(upcoming[ce_index], None)
-                if stamp is None:
-                    heappop(heads)
-                else:
-                    heapreplace(heads, (stamp, ce_index))
-                arrivals.append(alert)
-                if offer(alert):
-                    latencies.append(clock() - ingest_ns)
-                    shown.append(alert)
-        lines += map(alert_canonical_line, shown)
-        if fold is not None:
-            fold.display(shown)
-            fold.settle()
-    expected = sum(map(len, stamps))
-    if len(arrivals) != expected or buffered:
-        raise FeedMismatchError(
-            f"merge drained after releasing {len(arrivals)}/{expected} stamped "
-            f"alerts ({buffered} stranded in the reorder buffer)"
-        )
-    return result
+            else:
+                file(*item)
+        merge.settle(fold)
+    return merge.end()

@@ -1,11 +1,13 @@
 """Bounded inter-stage queues with backpressure accounting.
 
-Every hop in the service pipeline (socket reader → router → CE replicas
-→ AD merge) crosses one :class:`BoundedQueue`.  The bound is the
-load-leveling mechanism: a slow downstream stage fills its queue, the
-``put`` side suspends, and the stall propagates hop by hop back to the
-socket — where the OS's TCP flow control finally slows the feeding
-client.  No stage ever buffers unboundedly and nothing is dropped.
+These queues join the queue stages of :mod:`repro.service.consumers`
+(router → CE replicas → AD merge), which the property suite and the
+benchmark's traced run assemble; ``repro serve`` steps each socket read
+in its reader task and crosses none of them.  Within such a pipeline the
+bound is the load-leveling mechanism: a slow downstream stage fills its
+queue, the ``put`` side suspends, and the stall propagates hop by hop
+back to the producer.  No stage ever buffers unboundedly and nothing is
+dropped.
 
 The queue owns its deque and its waiter lists (it is the
 ``asyncio.Queue`` waiter protocol, not a wrapper around one) so that a

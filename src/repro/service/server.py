@@ -1,38 +1,46 @@
-"""The online monitoring service: sockets, tasks, queues, drain.
+"""The online monitoring service: sockets, one step per read, drain.
 
 :class:`MonitorService` listens on a local TCP socket and speaks the
-framed feed protocol (:mod:`repro.service.feed`).  Each connection gets
-its own pipeline::
+framed feed protocol (:mod:`repro.service.feed`).  Each connection is
+one task, and each socket read is one step of it::
 
-    socket reader ──ingest──▶ router ──per-CE──▶ CE replicas
-                                                     │ (shared, stamped)
-                                 result frame ◀── AD merge
+    socket read ─▶ decode and stamp every delivery record it completed
+                └▶ per slice of them: CE step → stamp merge → AD,
+                   then render displayed lines, fold verdicts ─▶ yield
+                └▶ next read
 
-Every hop is a :class:`~repro.service.queues.BoundedQueue`; when a
-downstream stage lags, ``put`` suspends and the stall reaches the socket
-reader, which simply stops reading — TCP flow control then slows the
-client.  That is the whole load-leveling story: bounded memory, nothing
-dropped, producers paced to the slowest consumer.
+The reader first decodes every delivery record the read completed,
+stamping each as it is decoded (the start of its update→display
+latency), so a record's latency includes its wait behind the earlier
+records of its read.  Then, ``_STEPS_PER_TURN`` records at a time, it
+runs each target CE's :class:`~repro.core.evaluator.ConditionEvaluator`
+step and hands any raised alert to the connection's
+:class:`~repro.service.consumers.StampMerge`, which releases it in
+recorded stamp order through the AD filter and reads the latency clock;
+after each slice it renders the lines the slice displayed, folds the
+slice into the verdicts and gives the loop's other connections a turn.
+After the read's last slice it reads again.  There is no queue between
+a delivery and its display, and flow control is TCP's own: a server
+busy with one read does not read the next, so the client's sends stall.
+What the server holds beside the run itself is at most one
+``_READ_CHUNK`` of delivery records and the reorder buffer.
 
 Shutdown is a graceful drain, not an abort: the client's ``end`` message
-closes the ingest queue, the CLOSE sentinel propagates stage by stage
-(router → CE queues → shared alert queue), each stage exits only after
-consuming everything enqueued before its close, and the handler replies
-with a single ``result`` frame — displayed alerts, verdicts, counters,
-latency percentiles — once the merge task has released every stamped
-alert.  :meth:`MonitorService.stop` likewise waits for in-flight
-connections before closing the listener.
+ends the read loop once every delivery before it is stepped, and the
+handler replies with a single ``result`` frame — displayed alerts,
+verdicts, counters, latency percentiles — once the merge has released
+every stamped alert.  :meth:`MonitorService.stop` likewise waits for
+in-flight connections before closing the listener.
 
 Little is left to do at ``end``.  Each displayed alert's line is
-rendered by the merge batch that displayed it, and a single-variable
+rendered after the read that displayed it, and a single-variable
 condition's verdicts are folded (:class:`~repro.props.fold.VerdictFold`)
-batch by batch as the CEs receive and the AD displays, so ``end`` only
-flushes the merged run above the CEs' watermark.  A multi-variable
-condition is still decided from the whole runs once the feed is in.
+read by read, so ``end`` only flushes the merged run above the CEs'
+watermark.  A multi-variable condition is still decided from the whole
+runs once the feed is in.
 
-A connection's payload graph (updates, snapshots, alerts and the
-``(ce, alert, ingest_ns)`` tuples between CE and merge) lives until its
-reply is out and none of it is cyclic, so the cyclic collector is
+A connection's payload graph (updates, snapshots, alerts) lives until
+its reply is out and none of it is cyclic, so the cyclic collector is
 paused while any pipeline is live
 (:func:`~repro.accel.collector_paused`) and run once per connection at
 close, after the reply is on the wire — which is also what reclaims the
@@ -57,7 +65,7 @@ from repro.accel import collector_paused
 from repro.core.serialization import alert_from_json
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
-from repro.service.consumers import Pace, ad_merge, ce_replica, route_updates
+from repro.service.consumers import Pace, StampMerge
 from repro.service.feed import (
     FeedSchemaError,
     UpdateFeed,
@@ -67,8 +75,7 @@ from repro.service.feed import (
     encode_message,
     feed_messages,
 )
-from repro.service.queues import BoundedQueue
-from repro.service.runtime import FeedResult
+from repro.service.runtime import FeedMismatchError, FeedResult
 
 __all__ = [
     "ServiceConfig",
@@ -79,6 +86,8 @@ __all__ = [
 ]
 
 _READ_CHUNK = 1 << 16
+#: Deliveries a reader steps between two yields to the event loop.
+_STEPS_PER_TURN = 256
 
 
 class ServiceError(RuntimeError):
@@ -87,14 +96,11 @@ class ServiceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Listener address and pipeline sizing."""
+    """Listener address."""
 
     host: str = "127.0.0.1"
     #: 0 = ephemeral; the bound port is on ``MonitorService.port``.
     port: int = 0
-    #: Capacity of every inter-stage queue; each reports throttling at
-    #: ¾ of it, so load-leveling is observable before the hard stall.
-    queue_capacity: int = 64
 
 
 class MonitorService:
@@ -104,7 +110,7 @@ class MonitorService:
         self, config: ServiceConfig | None = None, *, pace: Pace | None = None
     ) -> None:
         self.config = config or ServiceConfig()
-        #: Test hook threaded through to every CE replica.
+        #: Test hook awaited before every CE step.
         self.pace = pace
         #: Server-lifetime counter aggregate (per-connection tracers merge
         #: in at drain).
@@ -174,7 +180,10 @@ class MonitorService:
                     writer.write(encode_message({"type": "result", **result}))
                 except Exception as exc:  # reported to the client, not fatal
                     writer.write(
-                        encode_message({"type": "error", "error": _describe(exc)})
+                        encode_message({
+                            "type": "error",
+                            "error": f"{type(exc).__name__}: {exc}",
+                        })
                     )
                 await writer.drain()
         finally:
@@ -232,77 +241,85 @@ class MonitorService:
         condition = spec.resolve_scenario().make_condition()
         algorithm = make_ad(spec.algorithm, condition)
 
-        tracer = CountersTracer()
-        capacity = self.config.queue_capacity
-        high_water = max(1, (capacity * 3) // 4)
-
-        def queue(name: str) -> BoundedQueue:
-            return BoundedQueue(
-                name, capacity, high_water=high_water, tracer=tracer
-            )
-
-        ingest = queue("ingest")
-        ce_queues = [queue(f"ce{i + 1}") for i in range(len(stamps))]
-        alert_queue = queue("alerts")
+        replicas = len(stamps)
         evaluators = [
             ConditionEvaluator(condition, source=f"CE{i + 1}")
-            for i in range(len(stamps))
+            for i in range(replicas)
         ]
+        ingests = [evaluator.ingest for evaluator in evaluators]
         fold = (
-            VerdictFold(condition, len(stamps))
+            VerdictFold(condition, replicas)
             if len(condition.variables) == 1
             else None
         )
-
-        async with asyncio.TaskGroup() as group:
-            group.create_task(route_updates(ingest, ce_queues))
-            for index, evaluator in enumerate(evaluators):
-                group.create_task(
-                    ce_replica(
-                        index,
-                        evaluator,
-                        stamps[index],
-                        ce_queues[index],
-                        alert_queue,
-                        pace=self.pace,
-                        fold=fold,
-                    )
-                )
-            merge_task = group.create_task(
-                ad_merge(algorithm, stamps, alert_queue, fold=fold)
-            )
-            # The unit of work is one socket read: every delivery it
-            # completed goes to the ingest queue in one put_many, each
-            # stamped as its own record is decoded.  What the reader holds
-            # beside the queues is therefore at most one _READ_CHUNK of
-            # decoded deliveries — it does not read again until the queue
-            # took them all.
-            while True:
-                batch = []
-                for payload in payloads:
-                    delivery = decode_delivery(payload)
-                    if delivery is None:
-                        break
-                    batch.append((*delivery, time.monotonic_ns()))
-                if batch:
-                    await ingest.put_many(batch)
-                if len(batch) < len(payloads):
-                    message = decode_message(payloads[len(batch)])
-                    if message["type"] != "end":
-                        raise FeedSchemaError(
-                            f"unexpected message {message['type']!r} mid-feed"
-                        )
-                    trailing = len(payloads) - len(batch) - 1
-                    if trailing or decoder.buffered:
-                        raise FeedSchemaError(
-                            f"{trailing} frames and {decoder.buffered} bytes "
-                            "of a partial frame follow the end message"
-                        )
-                    await ingest.close()
+        merge = StampMerge(algorithm, stamps)
+        raised = merge.raised
+        clock = time.monotonic_ns
+        pace = self.pace
+        #: Per CE, the updates of the current slice, and how many so far.
+        received: list[list] = [[] for _ in range(replicas)]
+        delivered = [0] * replicas
+        peak_held = 0
+        # The unit of work is one socket read: every delivery it completed
+        # is stepped through its CE and the merge before the next read, so
+        # the reader holds at most one _READ_CHUNK of delivery records.
+        while True:
+            # Every record the read completed is decoded and stamped before
+            # the first is stepped, so a record's latency includes its wait
+            # behind the earlier records of its read.
+            batch = []
+            for payload in payloads:
+                delivery = decode_delivery(payload)
+                if delivery is None:
                     break
-                payloads = await read_frames()
+                batch.append((*delivery, clock()))
+            held = len(batch)
+            if held > peak_held:
+                peak_held = held
+            # Stepped _STEPS_PER_TURN at a time, so the loop's other
+            # connections get a turn between two slices of a long read.
+            for first in range(0, held, _STEPS_PER_TURN):
+                if first:
+                    await asyncio.sleep(0)
+                for ce_index, update, ingest_ns in batch[
+                    first:first + _STEPS_PER_TURN
+                ]:
+                    if ce_index >= replicas:
+                        raise FeedMismatchError(
+                            f"delivery targets CE index {ce_index}; the feed "
+                            f"declares {replicas} CEs"
+                        )
+                    if pace is not None:
+                        await pace(ce_index, update)
+                    alert = ingests[ce_index](update)
+                    received[ce_index].append(update)
+                    if alert is not None:
+                        raised(ce_index, alert, ingest_ns)
+                # Past every latency clock of the slice (not of the read's
+                # later slices): count, fold, render.
+                for ce_index, updates in enumerate(received):
+                    if updates:
+                        delivered[ce_index] += len(updates)
+                        if fold is not None:
+                            fold.receive(ce_index, updates)
+                        updates.clear()
+                merge.settle(fold)
+            if held < len(payloads):
+                message = decode_message(payloads[held])
+                if message["type"] != "end":
+                    raise FeedSchemaError(
+                        f"unexpected message {message['type']!r} mid-feed"
+                    )
+                trailing = len(payloads) - held - 1
+                if trailing or decoder.buffered:
+                    raise FeedSchemaError(
+                        f"{trailing} frames and {decoder.buffered} bytes "
+                        "of a partial frame follow the end message"
+                    )
+                break
+            payloads = await read_frames()
 
-        merge = merge_task.result()
+        result = merge.end()
         if fold is not None:
             report = fold.report()
         else:
@@ -312,25 +329,21 @@ class MonitorService:
                 tuple(evaluator.received for evaluator in evaluators),
                 algorithm.output,
             )
-        for stage_queue in [ingest, *ce_queues, alert_queue]:
-            tracer.merge(stage_queue.stats.as_counters(stage_queue.name))
-        tracer.emit(0.0, "service", "drain", "pipeline")
+        tracer = CountersTracer()
+        for ce_index in range(replicas):
+            node = f"ce{ce_index + 1}"
+            tracer.count("service", "deliver", node, n=delivered[ce_index])
+            tracer.count("service", "alert", node, n=merge.raised_per_ce[ce_index])
+        tracer.count("service", "peak", "read", n=peak_held)
+        tracer.count("service", "drain", "pipeline")
         self.counters.merge(tracer)
         return {
-            "displayed": merge.lines,
+            "displayed": result.lines,
             "verdicts": report.summary,
             "counters": tracer.as_dict(),
-            "latency_ms": _latency_percentiles(merge.display_latencies_ns),
-            "peak_reorder": merge.peak_reorder,
+            "latency_ms": _latency_percentiles(result.display_latencies_ns),
+            "peak_reorder": result.peak_reorder,
         }
-
-
-def _describe(exc: BaseException) -> str:
-    """Flatten TaskGroup exception groups to their first leaf message."""
-    if isinstance(exc, BaseExceptionGroup):
-        leaf = exc.exceptions[0]
-        return _describe(leaf)
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _latency_percentiles(latencies_ns: list[int]) -> dict[str, float]:
@@ -404,7 +417,7 @@ class AsyncioServiceRuntime:
 
     Starts an ephemeral-port service, streams the feed through it as a
     client, and returns the service's result — so conformance checks
-    exercise the real reader/router/replica/merge/drain path, not a
+    exercise the real socket/reader/merge/drain path, not a
     shortcut.
     """
 

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import gc
+import itertools
 import json
+import re
 import struct
 import weakref
 
@@ -46,6 +49,38 @@ SPEC = TrialSpec(
 @pytest.fixture(scope="module")
 def feed():
     return record_feed(SPEC)
+
+
+@pytest.fixture(scope="module")
+def big_feed():
+    """A feed no single socket read can carry."""
+    return record_feed(dataclasses.replace(SPEC, n_updates=3000))
+
+
+def records_per_read(feed) -> int:
+    """The most delivery records one ``_READ_CHUNK`` read can complete:
+    the chunk's whole records plus the one a previous read left partial."""
+    from repro.service.server import _READ_CHUNK
+
+    shortest = min(
+        len(encode_message(message))
+        for message in feed_messages(feed)
+        if message["type"] == "delivery"
+    )
+    return _READ_CHUNK // shortest + 1
+
+
+def assert_conserved(counters, feed) -> None:
+    """Per-CE delivery and alert counters sum to the feed's totals."""
+
+    def total(kind):
+        return sum(
+            count for key, count in counters.items()
+            if key.startswith(f"service/{kind}/")
+        )
+
+    assert total("deliver") == len(feed.deliveries)
+    assert total("alert") == feed.total_alerts
 
 
 # -- feed artifact ------------------------------------------------------------
@@ -234,50 +269,96 @@ class TestAsyncioService:
         assert service.verdicts == direct.verdicts
 
     def test_graceful_drain_flushes_all_inflight_alerts(self, feed):
-        # Tiny queues + an artificially slow CE: at the moment the client's
-        # end message arrives, alerts are still queued at every stage.  The
-        # drain must flush them all — the displayed count equals the
-        # reference run's, nothing is cut off at shutdown.
+        # An artificially slow CE step: the client has written its whole
+        # feed, end message included, long before the server has stepped
+        # it.  The drain must step every delivery before the end — the
+        # displayed count equals the reference run's, nothing is cut off
+        # at shutdown.
         async def slow(ce_index, update):
             await asyncio.sleep(0.002)
 
-        runtime = AsyncioServiceRuntime(
-            ServiceConfig(queue_capacity=2), pace=slow
-        )
-        result = runtime.execute(feed)
+        result = AsyncioServiceRuntime(pace=slow).execute(feed)
         reference = DirectRuntime().execute(feed)
         assert len(result.displayed) == len(reference.displayed)
         assert result.displayed_bytes() == reference.displayed_bytes()
 
-    def test_slow_consumer_activates_throttling(self, feed):
-        # With capacity 4 and ~50 deliveries racing a paced CE, the ingest
-        # or per-CE queues must hit their high-water mark and report it.
-        async def slow(ce_index, update):
-            await asyncio.sleep(0.001)
+    def test_slow_consumer_activates_throttling(self, big_feed, monkeypatch):
+        # The server has no queue of its own: it takes one read from the
+        # socket and steps it before taking another, so behind a slow step
+        # the client's backlog waits in the socket, where TCP's flow
+        # control holds it.  Under a pace that yields at every step, the
+        # client writes the whole feed while the server steps its first
+        # read; at every step the server has taken less than one
+        # _READ_CHUNK past the record it steps, while more than a read's
+        # worth of what the client wrote waits untaken.
+        from repro.service.server import _READ_CHUNK
 
-        runtime = AsyncioServiceRuntime(
-            ServiceConfig(queue_capacity=4), pace=slow
+        #: Wire offset of the end of each frame: hello, deliveries, end.
+        frame_ends = list(itertools.accumulate(
+            len(encode_message(message)) for message in feed_messages(big_feed)
+        ))
+        taken = written = stepped = 0
+        ahead: list[int] = []
+        backlog: list[int] = []
+        run_pipeline = MonitorService._run_pipeline
+        write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            nonlocal written
+            written += len(data)  # the reply is written after every step
+            return write(self, data)
+
+        async def counting_pipeline(self, reader):
+            read = reader.read
+
+            async def counting_read(n):
+                nonlocal taken
+                data = await read(n)
+                taken += len(data)
+                return data
+
+            reader.read = counting_read  # this connection's server side only
+            return await run_pipeline(self, reader)
+
+        async def slow(ce_index, update):
+            nonlocal stepped
+            stepped += 1
+            ahead.append(taken - frame_ends[stepped])
+            backlog.append(written - taken)
+            await asyncio.sleep(0)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        monkeypatch.setattr(MonitorService, "_run_pipeline", counting_pipeline)
+        result = AsyncioServiceRuntime(pace=slow).execute(big_feed)
+
+        assert stepped == len(big_feed.deliveries)
+        assert 0 <= min(ahead) and max(ahead) < _READ_CHUNK
+        assert max(backlog) > _READ_CHUNK
+        held = result.counters["service/peak/read"]
+        assert 1 <= held <= records_per_read(big_feed) < len(big_feed.deliveries)
+        assert_conserved(result.counters, big_feed)
+        assert result.displayed_bytes() == (
+            DirectRuntime().execute(big_feed).displayed_bytes()
         )
-        result = runtime.execute(feed)
-        throttles = {
-            key: count
-            for key, count in result.counters.items()
-            if key.startswith("service/throttle-on/")
-        }
-        assert throttles, f"no throttling observed in {sorted(result.counters)}"
-        blocked = sum(
-            count
-            for key, count in result.counters.items()
-            if key.startswith("service/blocked-put/")
-        )
-        assert blocked > 0
 
     def test_unthrottled_run_reports_no_backpressure(self, feed):
-        result = AsyncioServiceRuntime(
-            ServiceConfig(queue_capacity=4096)
-        ).execute(feed)
-        assert not any(
-            key.startswith("service/throttle-on/") for key in result.counters
+        # Nothing between the reader and the AD can block or throttle, so
+        # the only counters are conservation, the held peak and the drain.
+        result = AsyncioServiceRuntime().execute(feed)
+        kinds = {key.split("/")[1] for key in result.counters}
+        assert kinds == {"deliver", "alert", "peak", "drain"}
+        assert result.counters["service/peak/read"] <= records_per_read(feed)
+
+    def test_latency_clock_starts_before_the_ce_step(self, feed):
+        # ingest_ns is read as the record is decoded, before the pace hook
+        # and the CE step: a 1 ms step shows in every displayed latency.
+        async def one_ms(ce_index, update):
+            await asyncio.sleep(0.001)
+
+        result = AsyncioServiceRuntime(pace=one_ms).execute(feed)
+        assert result.latency_ms["p50"] >= 1.0
+        assert result.displayed_bytes() == (
+            DirectRuntime().execute(feed).displayed_bytes()
         )
 
     def test_latency_percentiles_reported(self, feed):
@@ -287,16 +368,18 @@ class TestAsyncioService:
         assert result.latency_ms["p99"] <= result.latency_ms["max"]
 
     def test_counters_cover_every_stage(self, feed):
+        # Every delivery stepped through its CE, every alert through the
+        # merge, counted per CE.
         result = AsyncioServiceRuntime().execute(feed)
-        gets = {
-            key.rsplit("/", 1)[1]
-            for key in result.counters
-            if key.startswith("service/get/")
-        }
-        assert {"ingest", "alerts"} <= gets
-        assert any(name.startswith("ce") for name in gets)
-        assert result.counters["service/get/ingest"] == len(feed.deliveries)
-        assert result.counters["service/get/alerts"] == feed.total_alerts
+        ces = {f"ce{i + 1}" for i in range(feed.replication)}
+        for kind in ("deliver", "alert"):
+            assert {
+                key.rsplit("/", 1)[1]
+                for key in result.counters
+                if key.startswith(f"service/{kind}/")
+            } == ces
+        assert_conserved(result.counters, feed)
+        assert result.counters["service/drain/pipeline"] == 1
 
     def test_server_aggregates_counters_across_connections(self, feed):
         async def run():
@@ -311,10 +394,10 @@ class TestAsyncioService:
 
         service = asyncio.run(run())
         assert service.connections_handled == 2
-        assert (
-            service.counters.node_total("service", "get", "ingest")
-            == 2 * len(feed.deliveries)
+        assert service.counters.total("service", "deliver") == 2 * len(
+            feed.deliveries
         )
+        assert service.counters.total("service", "alert") == 2 * feed.total_alerts
 
     def test_single_variable_verdicts_are_folded_not_recomputed(
         self, feed, monkeypatch
@@ -665,28 +748,105 @@ class TestCollectorScope:
         assert counts[-1] - counts[0] < 100, counts
 
 
-class TestReaderBatches:
-    def test_one_put_many_per_read_never_a_put_per_delivery(self, monkeypatch):
-        # The unit of work between the socket and the AD is one socket
-        # read.  TCP decides how the stream splits into reads, so the two
-        # are counted and compared rather than derived from byte counts.
-        big = record_feed(dataclasses.replace(SPEC, n_updates=1600))
-        assert len(big.deliveries) >= 2000
-        reads: list[int] = []
-        bulk_puts: list[int] = []
-        single_puts: list[object] = []
-        put_many, put = BoundedQueue.put_many, BoundedQueue.put
+class TestOverlappingConnections:
+    def test_two_live_connections_conform_and_share_one_collector_pause(
+        self, feed, monkeypatch, collector_restored
+    ):
+        # Each connection's reader yields between slices of a read, so two
+        # live pipelines take turns slice by slice on one loop.  Neither
+        # may see the other's state, and the one collector pause they
+        # share is taken by the first and released by the last.
+        import repro.service.server as server
+
+        other = record_feed(dataclasses.replace(  # several reads long
+            SPEC, algorithm="AD-4", seed=11, n_updates=3000
+        ))
+        events: list[str] = []
+        paused = server.collector_paused
         run_pipeline = MonitorService._run_pipeline
+        live: list[object] = []
+        both_live = asyncio.Event()
 
-        async def counting_put_many(self, batch):
-            if self.name == "ingest":
-                bulk_puts.append(len(batch))
-            await put_many(self, batch)
+        @contextlib.contextmanager
+        def counted_pause():
+            events.append("pause")
+            with paused():
+                yield
+            events.append("resume")
 
-        async def counting_put(self, item):
-            if self.name == "ingest":
-                single_puts.append(item)
-            await put(self, item)
+        async def overlapping(self, reader):
+            # Neither pipeline reads until both are live.
+            live.append(reader)
+            if len(live) == 2:
+                both_live.set()
+            await both_live.wait()
+            try:
+                return await run_pipeline(self, reader)
+            finally:
+                events.append("done")
+
+        async def pace(ce_index, update):
+            events.append("paused" if not gc.isenabled() else "collecting")
+
+        async def run():
+            service = MonitorService(ServiceConfig(), pace=pace)
+            await service.start()
+            try:
+                return await asyncio.gather(
+                    execute_feed(feed, service.host, service.port),
+                    execute_feed(other, service.host, service.port),
+                )
+            finally:
+                await service.stop()
+
+        monkeypatch.setattr(server, "collector_paused", counted_pause)
+        monkeypatch.setattr(MonitorService, "_run_pipeline", overlapping)
+        gc.enable()
+        results = asyncio.run(run())
+
+        for sent, result in zip((feed, other), results):
+            reference = DirectRuntime().execute(sent)
+            assert result.displayed_bytes() == reference.displayed_bytes()
+            assert result.verdicts == reference.verdicts
+        steps = [event for event in events if event in ("paused", "collecting")]
+        assert len(steps) == len(feed.deliveries) + len(other.deliveries)
+        assert set(steps) == {"paused"}
+        lifecycle = [event for event in events if event not in ("paused", "collecting")]
+        assert lifecycle == ["pause", "done", "done", "resume"]
+        assert gc.isenabled()
+
+
+class TestReaderBatches:
+    def test_one_step_per_read_and_no_queue_hop(self, big_feed, monkeypatch):
+        # The unit of work between the socket and the AD is one socket
+        # read: the reader stamps every delivery the read completed, then
+        # steps them through their CEs and the merge, _STEPS_PER_TURN at a
+        # time with a settle and a turn for the loop's other tasks after
+        # each slice, and only then reads again.
+        # TCP decides how the stream splits into reads, so the events are
+        # recorded in order and compared rather than derived from bytes.
+        import types
+
+        import repro.service.server as server
+        from repro.core.evaluator import ConditionEvaluator
+        from repro.service.consumers import StampMerge
+
+        events: list[str] = []
+        ingest, settle = ConditionEvaluator.ingest, StampMerge.settle
+        run_pipeline = MonitorService._run_pipeline
+        monotonic_ns = server.time.monotonic_ns
+
+        def counting_clock():
+            events.append("stamp")
+            return monotonic_ns()
+
+        def counting_ingest(self, update):
+            events.append("step")
+            return ingest(self, update)
+
+        def counting_settle(self, fold=None):
+            events.append("settle")
+            return settle(self, fold)
 
         async def counting_pipeline(self, reader):
             read = reader.read
@@ -694,24 +854,68 @@ class TestReaderBatches:
             async def counting_read(n):
                 data = await read(n)
                 if data:
-                    reads.append(len(data))
+                    events.append("read")
                 return data
 
+            async def ticker():
+                # Marks each turn another task of the loop gets.
+                while True:
+                    if events[-1:] != ["turn"]:
+                        events.append("turn")
+                    await asyncio.sleep(0)
+
             reader.read = counting_read  # this connection's server side only
-            return await run_pipeline(self, reader)
+            turns = asyncio.create_task(ticker())
+            try:
+                return await run_pipeline(self, reader)
+            finally:
+                turns.cancel()
 
-        monkeypatch.setattr(BoundedQueue, "put_many", counting_put_many)
-        monkeypatch.setattr(BoundedQueue, "put", counting_put)
+        def no_queue(name):
+            # Raised in the server, this comes back as an error frame.
+            def refuse(self, *args):
+                raise AssertionError(f"the server called BoundedQueue.{name}")
+            return refuse
+
+        for name in ("put", "put_many", "get", "get_many", "close"):
+            monkeypatch.setattr(BoundedQueue, name, no_queue(name))
+        monkeypatch.setattr(
+            server, "time", types.SimpleNamespace(monotonic_ns=counting_clock)
+        )
+        monkeypatch.setattr(ConditionEvaluator, "ingest", counting_ingest)
+        monkeypatch.setattr(StampMerge, "settle", counting_settle)
         monkeypatch.setattr(MonitorService, "_run_pipeline", counting_pipeline)
-        result = AsyncioServiceRuntime().execute(big)
+        result = AsyncioServiceRuntime().execute(big_feed)
 
-        assert not single_puts
-        assert 1 <= len(bulk_puts) <= len(reads)
-        assert sum(bulk_puts) == len(big.deliveries)
-        assert result.counters["service/put/ingest"] == len(big.deliveries)
+        # Between two slices of one read, another task got a turn.
+        turns = "".join(
+            {"read": "r", "stamp": "t", "step": "s", "settle": "S", "turn": "y"}[
+                event
+            ]
+            for event in events
+        )
+        assert re.search(r"Sy+s", turns)
+        assert not re.search(r"Ss", turns)
+        # (read+ stamp* (step+ settle)*)+: every record of a read is
+        # stamped before its first step, and no read arrives mid-steps.
+        trace = turns.replace("y", "")
+        assert re.fullmatch(r"(r+t*(s+S)*)+", trace), trace[:200]
+        per_read = []
+        for stamps, slices in re.findall(r"r+(t*)((?:s+S)*)", trace):
+            sizes = [len(steps) for steps in re.findall(r"(s+)S", slices)]
+            assert sum(sizes) == len(stamps)
+            # Full slices but the last, which is never empty.
+            assert all(size == server._STEPS_PER_TURN for size in sizes[:-1])
+            assert all(0 < size <= server._STEPS_PER_TURN for size in sizes)
+            per_read.append(len(stamps))
+        assert sum(per_read) == len(big_feed.deliveries)
+        assert max(per_read) <= records_per_read(big_feed)
         # ... and a read is worth many deliveries, or nothing was gained.
-        assert len(bulk_puts) * 10 <= len(big.deliveries)
-        assert result.displayed_bytes() == DirectRuntime().execute(big).displayed_bytes()
+        assert len([n for n in per_read if n]) * 10 <= len(big_feed.deliveries)
+        assert result.counters["service/peak/read"] == max(per_read)
+        assert result.displayed_bytes() == (
+            DirectRuntime().execute(big_feed).displayed_bytes()
+        )
 
 
 # -- bounded queue ------------------------------------------------------------

@@ -34,9 +34,11 @@ from repro.workloads.scenarios import ROW_ORDER
 
 TABLE_ID = "table3"
 
-# Measured ~3.6x (3.4-4.2 over six runs); the floor catches the array
-# kernel losing ~15% against the object kernel on identical CE work
-# (EXPERIMENTS.md, "Kernel comparison", has the derivation).
+# Measured ~3.4x (2.9-4.5 best-of-3 over sixteen runs on a loaded
+# 2-vCPU host) since both kernels share the AD filter as well as the CE
+# step; the floor catches the array kernel losing ~15% against the
+# object kernel on identical CE and AD work (EXPERIMENTS.md, "Kernel
+# comparison", has the derivation).
 ARRAY_SPEEDUP_FLOOR = 3.0
 
 # The smoke workload: few long trials (many readings each) where the

@@ -16,19 +16,21 @@ seed in the saved artifact.
 
 from benchmarks.conftest import save_result
 from repro.analysis.tables import build_table, render_table
+from repro.engine import TrialEngine
 
 TRIALS = 150
 N_UPDATES = 40
 
 
+def _build():
+    with TrialEngine(processes="auto") as engine:
+        return build_table(
+            "table1", trials=TRIALS, n_updates=N_UPDATES, engine=engine
+        )
+
+
 def test_table1(benchmark):
-    result = benchmark.pedantic(
-        lambda: build_table(
-            "table1", trials=TRIALS, n_updates=N_UPDATES, processes="auto"
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    result = benchmark.pedantic(_build, rounds=1, iterations=1)
     text = render_table(result)
     for row, tally in result.tallies.items():
         text += f"\n  [{row}] witnesses: {tally.witnesses or 'none needed'}"

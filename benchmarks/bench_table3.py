@@ -21,6 +21,7 @@ orderedness/consistency cells.
 
 from benchmarks.conftest import save_result
 from repro.analysis.tables import build_table, render_table
+from repro.engine import TrialEngine
 
 TRIALS = 60
 N_UPDATES = 20
@@ -31,14 +32,15 @@ COMPLETENESS_N = 8
 
 
 def _build(table_id):
-    return build_table(
-        table_id,
-        trials=TRIALS,
-        n_updates=N_UPDATES,
-        completeness_trials=COMPLETENESS_TRIALS,
-        completeness_n_updates=COMPLETENESS_N,
-        processes="auto",
-    )
+    with TrialEngine(processes="auto") as engine:
+        return build_table(
+            table_id,
+            trials=TRIALS,
+            n_updates=N_UPDATES,
+            completeness_trials=COMPLETENESS_TRIALS,
+            completeness_n_updates=COMPLETENESS_N,
+            engine=engine,
+        )
 
 
 def test_table3_ad5(benchmark):

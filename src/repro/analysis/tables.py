@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.engine.core import TrialEngine
+from repro.engine.core import INLINE_ENGINE, TrialEngine
 from repro.engine.plan import plan_table, tabulate
 from repro.props.report import PropertyTally
 from repro.workloads.scenarios import ROW_ORDER
@@ -147,9 +147,7 @@ def build_table(
     base_seed: int = 20010800,
     completeness_trials: int | None = None,
     completeness_n_updates: int = 8,
-    processes: int | str = 1,
-    chunksize: int | None = None,
-    engine: TrialEngine | None = None,
+    engine: TrialEngine = INLINE_ENGINE,
     collect_counters: bool = False,
     kernel: str = "array",
 ) -> TableResult:
@@ -165,10 +163,9 @@ def build_table(
     at 5.
 
     The matrix is laid out by :func:`repro.engine.plan.plan_table` and
-    executed on a :class:`~repro.engine.core.TrialEngine`, so the tallies
-    are identical whatever ``processes`` is.  Pass an existing ``engine``
-    to reuse its worker pool across several tables; otherwise a throwaway
-    one is created with ``processes``/``chunksize``.
+    executed on ``engine`` (inline by default), so the tallies are
+    identical whatever its pool size; one pooled engine can serve several
+    tables.
     """
     plan = plan_table(
         table_id,
@@ -180,8 +177,7 @@ def build_table(
         collect_counters=collect_counters,
         kernel=kernel,
     )
-    with TrialEngine(processes=processes, chunksize=chunksize) as own:
-        return tabulate(plan, (engine or own).run(plan.specs))
+    return tabulate(plan, engine.run(plan.specs))
 
 
 _CHECK = "✓"

@@ -7,8 +7,8 @@ Everything the benchmarks do, driveable from a shell::
     python -m repro trace record aggressive --seed 7 --out run.jsonl
     python -m repro trace replay run.jsonl      # bit-identical or exit 1
     python -m repro trace summarize run.jsonl
-    python -m repro shrink aggressive --property consistent
     python -m repro fuzz --target consistency --budget 2000 --minimize
+    python -m repro fuzz --row aggressive --algorithm AD-1 --minimize
     python -m repro chaos --intensities 0 1 2 --trials 30
     python -m repro quality --row aggressive --trials 20
     python -m repro quality --losses 0 0.3 --intensities 0 1 --json out.json
@@ -27,11 +27,9 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
 
 from repro.analysis.tables import EXPECTED_GRIDS, build_table, render_table
-from repro.analysis.witness import counterexample_from_run, shrink_counterexample
-from repro.displayers.registry import algorithm_info, algorithm_names, make_ad
+from repro.displayers.registry import algorithm_info, algorithm_names
 from repro.workloads.scenarios import (
     DIVERSITY_ROWS,
     MULTI_VARIABLE_SCENARIOS,
@@ -133,30 +131,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print()
         print(render_timeline(record_trial(spec).events))
     return 0
-
-
-def _cmd_shrink(args: argparse.Namespace) -> int:
-    scenario = _scenario_for(args.row, args.multi)
-    condition = scenario.make_condition()
-    spec = _trial_spec(args, args.algorithm)
-    for seed in range(args.seed, args.seed + args.max_seeds):
-        counterexample = counterexample_from_run(replace(spec, seed=seed).run())
-        if counterexample is None:
-            continue
-        if args.property and counterexample.violation != args.property:
-            continue
-        print(f"violation found at seed {seed}; shrinking "
-              f"({counterexample.total_updates} updates) ...")
-        shrunk = shrink_counterexample(
-            counterexample, lambda: make_ad(args.algorithm, condition)
-        )
-        print(shrunk.describe())
-        print(f"(shrunk from {counterexample.total_updates} to "
-              f"{shrunk.total_updates} updates)")
-        return 0
-    print(f"no {'violation' if not args.property else args.property + ' violation'} "
-          f"found in seeds [{args.seed}, {args.seed + args.max_seeds})")
-    return 1
 
 
 #: Accepted ``--target`` spellings (the paper says "consistency", the
@@ -740,20 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tsum.add_argument("path")
     p_tsum.set_defaults(func=_cmd_trace_summarize)
-
-    p_shrink = sub.add_parser(
-        "shrink", help="find a property violation and minimize it"
-    )
-    p_shrink.add_argument("row", choices=list(ROW_ORDER))
-    p_shrink.add_argument("--algorithm", default="AD-1")
-    p_shrink.add_argument(
-        "--property", choices=["ordered", "complete", "consistent"], default=None
-    )
-    p_shrink.add_argument("--seed", type=int, default=0)
-    p_shrink.add_argument("--max-seeds", type=int, default=200)
-    p_shrink.add_argument("--updates", type=int, default=25)
-    p_shrink.add_argument("--multi", action="store_true")
-    p_shrink.set_defaults(func=_cmd_shrink)
 
     p_fuzz = sub.add_parser(
         "fuzz",

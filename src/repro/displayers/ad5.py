@@ -48,16 +48,23 @@ class AD5(ADAlgorithm):
         return (self.varnames,)
 
     def _accept(self, alert: Alert) -> bool:
-        seqnos = {var: alert.seqno(var) for var in self.varnames}
-        if any(seqnos[var] < self._last[var] for var in self.varnames):
-            return False  # would invert the order of some variable
-        if all(seqnos[var] == self._last[var] for var in self.varnames):
-            return False  # duplicate of the last displayed alert
-        return True
+        # One pass, reading each variable's seqno once.
+        seqno = alert.histories.seqno
+        last = self._last
+        duplicate = True
+        for var in self.varnames:
+            s = seqno(var)
+            if s < last[var]:
+                return False  # would invert the order of some variable
+            if s != last[var]:
+                duplicate = False
+        return not duplicate  # equal to the last displayed in every variable
 
     def _record(self, alert: Alert) -> None:
+        seqno = alert.histories.seqno
+        last = self._last
         for var in self.varnames:
-            self._last[var] = alert.seqno(var)
+            last[var] = seqno(var)
 
     def rejection_reason(self, alert: Alert) -> str:
         for var in self.varnames:

@@ -119,9 +119,7 @@ class TrialEngine:
             self._pool = Pool(processes=self.processes)
         return self._pool
 
-    def run(
-        self, specs: Iterable[TrialSpec], chunksize: int | None = None
-    ) -> list[PropertyReport]:
+    def run(self, specs: Iterable[TrialSpec]) -> list[PropertyReport]:
         """Execute ``specs``, returning reports in spec order.
 
         Workers consume index-tagged specs via ``imap_unordered``;
@@ -140,10 +138,9 @@ class TrialEngine:
                 "running 1 spec inline despite processes=%d", self.processes
             )
             return [specs[0].execute()]
-        if chunksize is None:
-            chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = default_chunksize(len(specs), self.processes)
+        chunksize = self.chunksize or default_chunksize(
+            len(specs), self.processes
+        )
         logger.debug(
             "dispatching %d trials over %d workers (chunksize=%d)",
             len(specs),
@@ -178,11 +175,9 @@ class TrialEngine:
             for point, cell in zip(points, grid)
         ]
 
-    def run_tally(
-        self, specs: Sequence[TrialSpec], chunksize: int | None = None
-    ) -> PropertyTally:
+    def run_tally(self, specs: Sequence[TrialSpec]) -> PropertyTally:
         """Execute ``specs`` and fold the reports into one PropertyTally."""
-        return fold_tally(specs, self.run(specs, chunksize=chunksize))
+        return fold_tally(specs, self.run(specs))
 
 
 def fold_tally(

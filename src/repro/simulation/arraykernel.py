@@ -22,11 +22,14 @@ lists — the struct-of-arrays layout:
   per message), so a whole trial's worth of draws for one link is
   materialized by tight repeated calls on one bound method.
 
-What is *not* here is the CE step: every delivery that reaches a live CE
-is handed to that CE's :class:`~repro.core.evaluator.ConditionEvaluator`,
-the same object the object kernel's ``CENode`` wraps, so the two kernels
-cannot disagree on history windows, condition evaluation or alert
-construction — only on scheduling, links, faults, membership and the AD.
+What is *not* here is the CE step or the AD filter: every delivery that
+reaches a live CE is handed to that CE's
+:class:`~repro.core.evaluator.ConditionEvaluator`, the same object the
+object kernel's ``CENode`` wraps, and every alert that reaches the AD is
+offered to the :class:`~repro.displayers.base.ADAlgorithm` its ``ADNode``
+wraps, so the two kernels cannot disagree on history windows, condition
+evaluation, alert construction or filtering — only on scheduling, links,
+faults and membership.
 
 Differential oracle contract: for any ``(condition, workload, config,
 seed)`` — including fault-injected and membership-on configs —
@@ -56,9 +59,8 @@ from repro.core.alert import Alert
 from repro.core.condition import Condition
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.update import Update
-from repro.displayers.ad5 import AD5
 from repro.displayers.base import ADAlgorithm
-from repro.displayers.registry import PassThrough, make_ad
+from repro.displayers.registry import make_ad
 from repro.membership.registry import membership_horizon, plan_membership
 from repro.simulation.kernel import SimulationError
 from repro.simulation.network import FixedDelay, PerLinkSkewDelay, UniformDelay
@@ -151,10 +153,6 @@ class _Trial:
         self.condition = condition
         self.config = config
         self.seed = seed
-        #: A caller-supplied algorithm may be observed (or pre-seeded with
-        #: state) by the caller, so the inline AD scan below only replaces
-        #: offer() dispatch for algorithms this trial built itself.
-        self.own_algorithm = algorithm is None
         self.algorithm = algorithm if algorithm is not None else make_ad(
             config.ad_algorithm, condition
         )
@@ -285,10 +283,6 @@ class _Trial:
         self.ad_arrivals: list[Alert] = []
         self.ad_times: list[float] = []
         self.ad_avail = config.ad_crash_schedule
-        #: Filled by the inline AD scan (pass/AD-5); None means the real
-        #: ADAlgorithm object processed the stream and holds the output.
-        self.displayed: tuple[Alert, ...] | None = None
-        self.filtered: tuple[Alert, ...] | None = None
 
     # -- shared inner steps --------------------------------------------------
 
@@ -395,14 +389,8 @@ class _Trial:
             ce_alerts=tuple(e.alerts for e in self.evaluators),
             ad_arrivals=tuple(self.ad_arrivals),
             ad_arrival_times=tuple(self.ad_times),
-            displayed=(
-                self.displayed if self.displayed is not None
-                else self.algorithm.output
-            ),
-            filtered=(
-                self.filtered if self.filtered is not None
-                else self.algorithm.discarded
-            ),
+            displayed=self.algorithm.output,
+            filtered=self.algorithm.discarded,
             missed_while_down=tuple(self.missed),
             dm_suppressed=tuple(self.suppressed),
             caught_up=tuple(self.caught_up) if self.mem_on else (),
@@ -636,11 +624,6 @@ def _run(trial: _Trial, count=None) -> RunResult:
     back_outage = trial.back_outage
     ad_avail = trial.ad_avail
 
-    algorithm = trial.algorithm
-    #: The inline AD scans stand in for an algorithm object nobody else
-    #: observes; a counted run needs the object's rejection reasons.
-    inline = trial.own_algorithm and count is None
-
     # Membership events merge into the phase-2 stream by (time, seq): they
     # hold the globally lowest schedule seqs, so at equal time a rejoin or
     # catch-up fires before any delivery.  ``fire_mem`` drains all events
@@ -736,57 +719,23 @@ def _run(trial: _Trial, count=None) -> RunResult:
     if mi < mn:
         fire_mem(float("inf"))
 
-    # Phase 3 — AD deliveries in (time, brank) order.  For the two
-    # hottest algorithms the accept/record scan runs inline over plain
-    # ints; anything else goes through the real ADAlgorithm object.
+    # Phase 3 — AD deliveries in (time, brank) order, each offered to the
+    # ADAlgorithm object, the same filter the object kernel's AD node runs.
     back_events.sort()
     ad_arrivals_append = trial.ad_arrivals.append
     ad_times_append = trial.ad_times.append
-    if inline and type(algorithm) is PassThrough:
-        displayed = []
-        for time, _brank, alert in back_events:
-            ad_arrivals_append(alert)
-            ad_times_append(time)
-            displayed.append(alert)
-        trial.displayed = tuple(displayed)
-        trial.filtered = ()
-    elif inline and type(algorithm) is AD5:
-        varnames = algorithm.varnames
-        ad_last = [-1] * len(varnames)
-        displayed = []
-        filtered = []
-        for time, _brank, alert in back_events:
-            ad_arrivals_append(alert)
-            ad_times_append(time)
-            seqno = alert.histories.seqno
-            seqs = [seqno(var) for var in varnames]
-            inverted = False
-            duplicate = True
-            for s, l in zip(seqs, ad_last):
-                if s < l:
-                    inverted = True
-                    break
-                if s != l:
-                    duplicate = False
-            if inverted or duplicate:
-                filtered.append(alert)
-            else:
-                ad_last[:] = seqs
-                displayed.append(alert)
-        trial.displayed = tuple(displayed)
-        trial.filtered = tuple(filtered)
-    else:
-        offer = algorithm.offer
-        shown = 0
-        for time, _brank, alert in back_events:
-            ad_arrivals_append(alert)
-            ad_times_append(time)
-            if offer(alert):
-                shown += 1
-            elif count is not None:
-                count("ad", "filter", "AD", _Reason(algorithm, alert))
-        if count is not None:
-            count("ad", "display", "AD", n=shown)
+    algorithm = trial.algorithm
+    offer = algorithm.offer
+    shown = 0
+    for time, _brank, alert in back_events:
+        ad_arrivals_append(alert)
+        ad_times_append(time)
+        if offer(alert):
+            shown += 1
+        elif count is not None:
+            count("ad", "filter", "AD", _Reason(algorithm, alert))
+    if count is not None:
+        count("ad", "display", "AD", n=shown)
 
     if count is not None:
         _count_run(

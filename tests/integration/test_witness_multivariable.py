@@ -53,17 +53,18 @@ class TestMultiVariableWitness:
 
 
 class TestCLIMultiVariablePaths:
-    def test_cli_shrink_multi(self, capsys):
+    def test_cli_fuzz_minimizes_multi(self, capsys):
         from repro.cli import main
 
         code = main(
-            ["shrink", "non-historical", "--multi", "--algorithm", "AD-1",
-             "--property", "consistent", "--updates", "8",
-             "--max-seeds", "150"]
+            ["fuzz", "--multi", "--row", "non-historical", "--algorithm",
+             "AD-1", "--target", "consistency", "--updates", "8",
+             "--budget", "60", "--minimize", "--minimize-limit", "1"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "consistent violated under AD-1" in out
+        assert "replay OK" in out
 
     def test_cli_scenario_multi_timeline(self, capsys):
         from repro.cli import main

@@ -2,11 +2,12 @@
 
 The broad random equivalence argument lives in
 ``tests/property/test_prop_kernel_differential.py``; here are the pinned
-edge cases that exercise specific arraykernel code paths — the inline
-AD-5 scan and its caller-supplied-algorithm bypass, the single CE step
-shared with the object kernel, the adversarial phase-1 path (stateful
-loss chains, duplication), the compiled condition closure, the tracer
-dispatch (off / counters / full), and the kernel-knob plumbing itself.
+edge cases that exercise specific arraykernel code paths — the one AD
+offer loop (kernel-built or caller-supplied algorithm alike), the single
+CE step shared with the object kernel, the adversarial phase-1 path
+(stateful loss chains, duplication), the compiled condition closure, the
+tracer dispatch (off / counters / full), and the kernel-knob plumbing
+itself.
 """
 
 import pytest
@@ -91,30 +92,35 @@ def test_replication_one_and_three():
         )
 
 
-def test_caller_supplied_algorithm_bypasses_the_inline_scan():
-    """A caller-supplied AD instance has observable state (its output and
-    discard logs), so the array kernel must drive the *real* ``offer()``
-    even for algorithms it knows how to inline — and leave the two
-    instances in identical end states."""
+@pytest.mark.parametrize("name", ["AD-5", "pass"])
+def test_caller_supplied_algorithm_runs_like_a_kernel_built_one(name):
+    """Both kernels offer every arrival to the ADAlgorithm object, so an
+    instance the caller supplies and one the kernel builds from the config
+    give field-identical runs on either kernel — and the caller's instance
+    ends in the state the object kernel leaves it in."""
     condition = cm()
     workload = _workload(5, n=10, variables=("x", "y"))
-    algorithms = []
-
-    def run_one(kernel):
-        algorithm = make_ad("AD-5", condition)
-        algorithms.append(algorithm)
-        return run_system(
-            condition, workload,
-            SystemConfig(replication=2, front_loss=0.3),
-            seed=5, algorithm=algorithm, kernel=kernel,
+    config = SystemConfig(replication=2, front_loss=0.3, ad_algorithm=name)
+    runs, supplied = [], []
+    for kernel in ("object", "array"):
+        runs.append(
+            run_system(condition, workload, config, seed=5, kernel=kernel)
         )
-
-    object_run, array_run = run_one("object"), run_one("array")
-    for field in _RUN_FIELDS:
-        assert getattr(object_run, field) == getattr(array_run, field), field
-    object_algorithm, array_algorithm = algorithms
-    assert object_algorithm.output == array_algorithm.output
-    assert object_algorithm.discarded == array_algorithm.discarded
+        algorithm = make_ad(name, condition)
+        supplied.append(algorithm)
+        runs.append(
+            run_system(
+                condition, workload, config,
+                seed=5, algorithm=algorithm, kernel=kernel,
+            )
+        )
+    for run in runs[1:]:
+        for field in _RUN_FIELDS:
+            assert getattr(run, field) == getattr(runs[0], field), field
+    assert runs[0].displayed
+    assert bool(runs[0].filtered) == (name == "AD-5")
+    object_algorithm, array_algorithm = supplied
+    assert vars(array_algorithm) == vars(object_algorithm)
 
 
 def _churn_config():

@@ -21,7 +21,6 @@ class TestParser:
         for command in (
             ["tables"],
             ["scenario", "lossless"],
-            ["shrink", "aggressive"],
             ["list"],
         ):
             args = parser.parse_args(command)
@@ -32,6 +31,12 @@ class TestParser:
         # `repro report` runs these experiments; no second command does.
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
+
+    def test_fuzz_owns_witness_minimization(self):
+        # `repro fuzz --minimize` finds and shrinks violations; no second
+        # command does.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shrink", "aggressive"])
 
 
 class TestListCommand:
@@ -85,27 +90,6 @@ class TestTablesCommand:
         out = capsys.readouterr().out
         assert "unknown table 'table99'" in out
         assert "table1:" not in out and "paper agreement" not in out
-
-
-class TestShrinkCommand:
-    def test_finds_and_shrinks(self, capsys):
-        code = main(
-            ["shrink", "aggressive", "--property", "consistent",
-             "--updates", "20", "--max-seeds", "100"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Counterexample: consistent violated" in out
-        assert "shrunk from" in out
-
-    def test_reports_when_nothing_found(self, capsys):
-        # Lossless + AD-4 violates nothing: shrink must fail cleanly.
-        code = main(
-            ["shrink", "lossless", "--algorithm", "AD-4",
-             "--updates", "10", "--max-seeds", "3"]
-        )
-        assert code == 1
-        assert "no" in capsys.readouterr().out
 
 
 class TestFuzzCommand:

@@ -365,9 +365,10 @@ class TestGoldenEquivalence:
 
         plain = build_table("table3", **GOLDEN_KWARGS)
         inline = build_table("table3", collect_counters=True, **GOLDEN_KWARGS)
-        pooled = build_table(
-            "table3", collect_counters=True, processes=2, **GOLDEN_KWARGS
-        )
+        with TrialEngine(processes=2, chunksize=1) as engine:
+            pooled = build_table(
+                "table3", collect_counters=True, engine=engine, **GOLDEN_KWARGS
+            )
         assert pooled.tallies == inline.tallies
         assert inline.measured_grid() == plain.measured_grid()
         for row, tally in inline.tallies.items():

@@ -27,15 +27,14 @@ class TestRunTrials:
     def test_invalid_processes(self):
         with pytest.raises(ValueError):
             run_trials(SPECS, processes=0)
-        with pytest.raises(ValueError):
-            build_table("table2", trials=1, processes=0)
 
 
 class TestBuildTableParallel:
     def test_matches_sequential_build_table(self):
         kwargs = dict(trials=8, n_updates=12, base_seed=777)
         sequential = build_table("table2", **kwargs)
-        parallel = build_table("table2", processes=2, **kwargs)
+        with TrialEngine(processes=2, chunksize=1) as engine:
+            parallel = build_table("table2", engine=engine, **kwargs)
         for row in sequential.tallies:
             s, p = sequential.tallies[row], parallel.tallies[row]
             assert s.runs == p.runs
@@ -44,14 +43,15 @@ class TestBuildTableParallel:
             assert s.consistency_violations == p.consistency_violations
 
     def test_parallel_multi_table(self):
-        result = build_table(
-            "table3",
-            trials=4,
-            n_updates=10,
-            completeness_trials=6,
-            completeness_n_updates=5,
-            processes=2,
-        )
+        with TrialEngine(processes=2, chunksize=1) as engine:
+            result = build_table(
+                "table3",
+                trials=4,
+                n_updates=10,
+                completeness_trials=6,
+                completeness_n_updates=5,
+                engine=engine,
+            )
         for row, tally in result.tallies.items():
             assert tally.runs == 10
             assert tally.always_ordered  # AD-5 Lemma 4, any process count
@@ -71,10 +71,9 @@ class TestRunTrialsRegressions:
         chunked = run_trials(SPECS, processes=2, chunksize=2)
         assert [r.summary for r in default] == [r.summary for r in chunked]
         table = dict(trials=4, n_updates=10)
-        assert (
-            build_table("table2", processes=2, chunksize=1, **table).tallies
-            == build_table("table2", **table).tallies
-        )
+        with TrialEngine(processes=2, chunksize=1) as engine:
+            chunked_table = build_table("table2", engine=engine, **table)
+        assert chunked_table.tallies == build_table("table2", **table).tallies
 
     def test_auto_processes_accepted(self):
         reports = run_trials(SPECS[:2], processes="auto")
@@ -82,7 +81,6 @@ class TestRunTrialsRegressions:
             spec.execute().summary for spec in SPECS[:2]
         ]
         table = dict(trials=2, n_updates=8)
-        assert (
-            build_table("table2", processes="auto", **table).tallies
-            == build_table("table2", **table).tallies
-        )
+        with TrialEngine(processes="auto") as engine:
+            auto_table = build_table("table2", engine=engine, **table)
+        assert auto_table.tallies == build_table("table2", **table).tallies

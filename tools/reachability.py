@@ -93,7 +93,8 @@ ENTRY_POINTS: list[list[str]] = [
     ["-m", "repro", "tables", "table1", "table3"],
     ["-m", "repro", "scenario", "aggressive", "--seed", "7", "--timeline"],
     # Also docs/usage.md's one shell command.
-    ["-m", "repro", "shrink", "aggressive", "--property", "consistent"],
+    ["-m", "repro", "fuzz", "--row", "aggressive", "--algorithm", "AD-1",
+     "--target", "consistency", "--minimize"],
     ["-m", "repro", "fuzz", "--target", "consistency", "--budget", "2000",
      "--minimize"],
     ["-m", "repro", "compare", "aggressive", "--seed", "5"],

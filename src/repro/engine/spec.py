@@ -140,29 +140,28 @@ class TrialSpec:
             tracer = CountersTracer()
         run = self.run(tracer)
         report = run.evaluate_properties()
+        extras = {}
         if tracer is not None:
-            report = replace(report, counters=tracer.as_dict())
+            extras["counters"] = tracer.as_dict()
         if run.membership is not None:
             from repro.membership.verdicts import churn_summary
 
-            report = replace(report, churn=churn_summary(run))
+            extras["churn"] = churn_summary(run)
         if self.collect_delivery:
             from repro.analysis.metrics import delivery_stats
 
             stats = delivery_stats(run)
-            report = replace(
-                report,
-                delivery={
-                    "expected": stats.expected,
-                    "delivered": stats.delivered,
-                    "extraneous": stats.extraneous,
-                },
-            )
+            extras["delivery"] = {
+                "expected": stats.expected,
+                "delivered": stats.delivered,
+                "extraneous": stats.extraneous,
+            }
         if self.collect_quality:
             from repro.quality.metrics import alert_quality
 
-            report = replace(report, quality=alert_quality(run).as_dict())
-        return report
+            extras["quality"] = alert_quality(run).as_dict()
+        # Every digest rides on one frozen copy of the report.
+        return replace(report, **extras) if extras else report
 
 
 def check_spec_fields(spec: object, error: type[ValueError], where: str) -> None:

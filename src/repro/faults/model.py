@@ -24,6 +24,7 @@ link's seeded RNG stream:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from random import Random
 
@@ -61,41 +62,47 @@ class GilbertElliottParams:
         return self.good_to_bad > 0.0 or self.loss_good > 0.0
 
     def make_model(self) -> "GilbertElliottLoss":
-        """A fresh stateful chain instance for one run."""
+        """The chain model these parameters describe; each link runs its
+        own chain from it (:meth:`GilbertElliottLoss.for_link`)."""
         return GilbertElliottLoss(self)
 
 
 class GilbertElliottLoss:
-    """Stateful burst-loss chain, one independent state per RNG stream.
+    """The burst-loss chain of one set of parameters.
 
-    Links each own a dedicated ``random.Random``; keeping the chain state
-    keyed by RNG identity (the :class:`PerLinkSkewDelay` idiom) lets one
-    shared model instance give every link its own independent chain while
-    staying deterministic in the run seed.  Every call consumes exactly
-    two draws from the link's stream: the state transition and the loss
-    coin.
+    The chain's state is per link, so it lives in the callable
+    :meth:`for_link` returns: one shared model instance gives every link
+    its own independent chain, holds no state itself, and stays
+    deterministic in the run seed however often a config is reused.
     """
 
     def __init__(self, params: GilbertElliottParams) -> None:
         self.params = params
-        #: id(rng) -> True while that link's chain is in the Bad state.
-        self._bad: dict[int, bool] = {}
 
-    def dropped(self, rng: Random) -> bool:
-        """Advance the chain one datagram; True iff this datagram is lost."""
+    def for_link(self, rng: Random) -> Callable[[], bool]:
+        """One link's chain over its own stream ``rng``, starting Good.
+
+        Each call advances the chain one datagram and is True iff that
+        datagram is lost.  It consumes exactly two draws: the state
+        transition and the loss coin.
+        """
         params = self.params
-        key = id(rng)
-        bad = self._bad.get(key, False)
-        transition = rng.random()
-        if bad:
-            if transition < params.bad_to_good:
-                bad = False
-        else:
-            if transition < params.good_to_bad:
+        good_to_bad, bad_to_good = params.good_to_bad, params.bad_to_good
+        loss_good, loss_bad = params.loss_good, params.loss_bad
+        rnd = rng.random
+        bad = False
+
+        def dropped() -> bool:
+            nonlocal bad
+            transition = rnd()
+            if bad:
+                if transition < bad_to_good:
+                    bad = False
+            elif transition < good_to_bad:
                 bad = True
-        self._bad[key] = bad
-        loss_prob = params.loss_bad if bad else params.loss_good
-        return rng.random() < loss_prob
+            return rnd() < (loss_bad if bad else loss_good)
+
+        return dropped
 
 
 @dataclass(frozen=True)

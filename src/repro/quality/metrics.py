@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from repro.accel import percentile
 from repro.components.system import RunResult
 from repro.core.alert import Alert, alert_event_key
-from repro.core.reference import ground_truth_alerts
+from repro.core.condition import compile_condition
+from repro.core.update import Update
 
 __all__ = [
     "AlertQuality",
@@ -130,15 +131,43 @@ class AlertQuality:
 def ground_truth_events(run: RunResult) -> dict[tuple, float]:
     """Expected event key → trigger time (broadcast time of the trigger).
 
-    Keys the ideal co-located CE's alerts
-    (:func:`~repro.core.reference.ground_truth_alerts`).  Head-seqno
-    vectors are unique per trigger (each fire incorporates a fresh seqno
-    in the triggering variable), so the mapping is injective.
+    The ideal co-located CE of
+    :func:`~repro.core.reference.ground_truth_alerts`, keyed without its
+    alerts: the history windows are kept as
+    :class:`~repro.core.evaluator.ConditionEvaluator` keeps them and
+    handed to the same compiled closure, and each trigger's key — the
+    condition name and every window's head seqno, the
+    :func:`~repro.core.alert.alert_event_key` of the alert the evaluator
+    would build — is read straight off them.  Head-seqno vectors are
+    unique per trigger (each fire incorporates a fresh seqno in the
+    triggering variable), so the mapping is injective.
     """
+    condition = run.condition
+    holds = compile_condition(condition)
+    degrees = condition.degrees
+    buffers: list[list[Update]] = [[] for _ in condition.variables]
+    windows = {
+        var: (buffer, degrees[var])
+        for var, buffer in zip(condition.variables, buffers)
+    }
+    name = condition.name
     events: dict[tuple, float] = {}
-    variables = run.condition.variables
-    for time, alert in ground_truth_alerts(run.condition, run.sent_log):
-        events.setdefault(alert_event_key(alert, variables), time)
+    defined = False
+    for time, update in run.sent_log:
+        window = windows.get(update.varname)
+        if window is None:
+            continue
+        buffer, degree = window
+        buffer.insert(0, update)
+        if len(buffer) > degree:
+            buffer.pop()
+        if not defined:
+            if any(len(held) < needed for held, needed in windows.values()):
+                continue
+            defined = True
+        if holds(*buffers):
+            key = (name, tuple([buffer[0].seqno for buffer in buffers]))
+            events.setdefault(key, time)
     return events
 
 

@@ -16,11 +16,13 @@ lists — the struct-of-arrays layout:
   so the run decomposes into three phases executed as plain loops over
   sorted tuple arrays, with integer *rank* counters replicating the
   object kernel's ``(time, seq)`` tie-breaking exactly.
-* **Batched RNG draws.**  Per-link draws come from the same named
-  ``simulation/rng.py`` streams in the same order, but the draw sites are
-  inlined (``lo + span * rng.random()`` instead of a DelayModel dispatch
-  per message), so a whole trial's worth of draws for one link is
-  materialized by tight repeated calls on one bound method.
+* **Per-link send loops.**  Every draw a front-link send makes — loss
+  coin or burst-loss chain, delay, duplication — comes from that link's
+  own named ``simulation/rng.py`` stream, in the order the object
+  kernel's link draws it, with the delay models' arithmetic unrolled
+  (``lo + span * rng.random()`` instead of a DelayModel dispatch per
+  message).  No draw is shared between links, so a link's whole trial
+  of sends runs as one tight loop, whatever faults are on.
 
 What is *not* here is the CE step or the AD filter: every delivery that
 reaches a live CE is handed to that CE's
@@ -69,55 +71,27 @@ from repro.simulation.rng import RandomStreams
 __all__ = ["run_system_array"]
 
 
-# ---------------------------------------------------------------------------
-# Delay-model dispatch codes for the inlined sampling sites
-# ---------------------------------------------------------------------------
+def _link_draw(model, rng):
+    """One link's delay draws for the hot loops.
 
-_D_UNIFORM, _D_FIXED, _D_SKEW, _D_GENERIC = 0, 1, 2, 3
-
-
-def _delay_parts(delay) -> tuple:
-    """``(kind, p1, p2, p3, p4, skew bases)`` so hot loops can sample
-    without method dispatch; parameters a kind does not use are 0.0."""
-    kind = type(delay)
-    if kind is UniformDelay:
-        lo, hi = delay.min_delay, delay.max_delay
-        return (_D_UNIFORM, lo, hi - lo, 0.0, 0.0, None)
-    if kind is FixedDelay:
-        return (_D_FIXED, delay.delay, 0.0, 0.0, 0.0, None)
-    if kind is PerLinkSkewDelay:
-        b0, b1 = delay.base_range
-        j0, j1 = delay.jitter_range
-        return (_D_SKEW, b0, b1 - b0, j0, j1 - j0, delay._bases)
-    return (_D_GENERIC, 0.0, 0.0, 0.0, 0.0, None)
-
-
-def _sample_delay(
-    parts, rnd, rng, skew_bases, index, spikes, model, now: float
-) -> float:
-    """One link-delay draw (``Link._sample_delay``): model, then spike factor.
-
-    ``skew_bases[index]`` is the link's lazily drawn per-link base.  The
-    two hot loops inline the same cases; this serves the duplicate-copy
-    and catch-up corners of both link directions.
+    ``random.Random.uniform``'s arithmetic is unrolled for the uniform
+    model — same floats, no method dispatch per message — and any other
+    model draws through its own ``for_link``.  The object kernel's links
+    call the models themselves, so the differential checks the
+    unrolling.
     """
-    kind = parts[0]
-    if kind == _D_UNIFORM:
-        delay = parts[1] + parts[2] * rnd()
-    elif kind == _D_SKEW:
-        base = skew_bases[index]
-        if base is None:
-            base = parts[1] + parts[2] * rnd()
-            skew_bases[index] = base
-            parts[5][id(rng)] = base
-        delay = base + (parts[3] + parts[4] * rnd())
-    elif kind == _D_FIXED:
-        delay = parts[1]
-    else:
-        delay = model.sample(rng)
-    if spikes is not None:
-        delay *= spikes.factor_at(now)
-    return delay
+    kind = type(model)
+    if kind is UniformDelay:
+        low, span, rnd = model.min_delay, model.max_delay - model.min_delay, rng.random
+        return lambda: low + span * rnd()
+    if kind is FixedDelay:
+        delay = model.delay
+        return lambda: delay
+    return model.for_link(rng)
+
+
+def _into_the_past(delay: float) -> SimulationError:
+    return SimulationError(f"cannot schedule into the past (delay={delay})")
 
 
 class _Reason:
@@ -179,17 +153,25 @@ class _Trial:
         self.suppressed = [0] * len(self.variables)
         self.next_seqno = [1] * len(self.variables)
         self.sent: list[list[Update]] = [[] for _ in self.variables]
+        #: The merged broadcast log in fire order; its updates alone are
+        #: listed once, by the first catch-up that scans the log.
         self.sent_log: list[tuple[float, Update]] = []
+        self.sent_updates: list[Update] | None = None
 
         # -- front links, indexed dm_idx * replication + ce_idx --
         n_links = len(self.variables) * replication
         self.n_links = n_links
-        self.fl_rng = [None] * n_links
-        self.fl_rnd = [None] * n_links
-        self.fl_loss = [0.0] * n_links
-        self.fl_tag = [0] * n_links
+        self.fl_rng = [
+            streams.stream(f"front/{var}/CE{ce_idx + 1}")
+            for var in self.variables
+            for ce_idx in range(replication)
+        ]
+        self.fl_loss = [
+            config.front_loss_per_ce.get(ce_idx, config.front_loss)
+            for _var in self.variables
+            for ce_idx in range(replication)
+        ]
         self.fl_last_tag = [-1] * n_links
-        self.fl_skew_base: list[float | None] = [None] * n_links
         #: Per-link tallies of the rare send/receive decisions, by the
         #: ``reason`` the object kernel's ``link/drop`` event carries;
         #: ``_count_run`` folds them (and every other counter) after the run.
@@ -203,38 +185,20 @@ class _Trial:
             )
         }
         self.fl_copies = [0] * n_links
-        for dm_idx, var in enumerate(self.variables):
-            for ce_idx in range(replication):
-                li = dm_idx * replication + ce_idx
-                rng = streams.stream(f"front/{var}/CE{ce_idx + 1}")
-                self.fl_rng[li] = rng
-                self.fl_rnd[li] = rng.random
-                self.fl_loss[li] = config.front_loss_per_ce.get(
-                    ce_idx, config.front_loss
-                )
-        self.front_parts = _delay_parts(config.front_delay)
-        if self.front_parts[0] == _D_SKEW:
-            bases = self.front_parts[5]
-            for li in range(n_links):
-                self.fl_skew_base[li] = bases.get(id(self.fl_rng[li]))
 
         # -- CEs and back links --
         self.ce_crash = [config.crash_schedules.get(i) for i in range(replication)]
         self.front_outage = [config.front_outages.get(i) for i in range(replication)]
         self.back_outage = [config.back_outages.get(i) for i in range(replication)]
         self.missed = [0] * replication
-        self.bl_rng = [streams.stream(f"back/CE{i + 1}") for i in range(replication)]
-        self.bl_rnd = [rng.random for rng in self.bl_rng]
+        self.bl_draw = [
+            _link_draw(config.back_delay, streams.stream(f"back/CE{i + 1}"))
+            for i in range(replication)
+        ]
         self.bl_last = [0.0] * replication
         #: Back-link sends stalled by a link outage / by AD downtime.
         self.bl_outage_holds = [0] * replication
         self.bl_ad_holds = [0] * replication
-        self.back_parts = _delay_parts(config.back_delay)
-        self.bl_skew_base: list[float | None] = [None] * replication
-        if self.back_parts[0] == _D_SKEW:
-            bases = self.back_parts[5]
-            for ce_idx in range(replication):
-                self.bl_skew_base[ce_idx] = bases.get(id(self.bl_rng[ce_idx]))
 
         self.evaluators = [
             ConditionEvaluator(condition, source=f"CE{i + 1}")
@@ -280,23 +244,24 @@ class _Trial:
             self.mem_events = sorted(sched, key=lambda e: (e[0], e[1]))
 
         # -- AD --
+        #: (delivery_time, send order, alert) per back-link send.
+        self.back_events: list[tuple[float, int, Alert]] = []
         self.ad_arrivals: list[Alert] = []
         self.ad_times: list[float] = []
         self.ad_avail = config.ad_crash_schedule
 
     # -- shared inner steps --------------------------------------------------
 
-    def _deliver_back(self, ce_idx: int, now: float) -> float:
-        """Back-link delivery-time computation (ReliableLink/StoreAndForward).
-
-        Returns the delivery time; updates the per-link monotone clamp.
-        """
-        config = self.config
-        raw = now + _sample_delay(
-            self.back_parts, self.bl_rnd[ce_idx], self.bl_rng[ce_idx],
-            self.bl_skew_base, ce_idx, config.back_delay_spikes,
-            config.back_delay, now,
-        )
+    def _send_back(self, ce_idx: int, alert: Alert, now: float) -> None:
+        """Send an alert raised at ``now`` over CE ``ce_idx``'s back link
+        (ReliableLink/StoreAndForward): draw its delivery time, hold it
+        through link outages and AD downtime, clamp it monotone per link,
+        and queue the delivery for phase 3."""
+        delay = self.bl_draw[ce_idx]()
+        spikes = self.config.back_delay_spikes
+        if spikes is not None:
+            delay *= spikes.factor_at(now)
+        raw = now + delay
         outage = self.back_outage[ce_idx]
         if outage is not None:
             up_at = outage.next_up_time(raw)
@@ -314,7 +279,7 @@ class _Trial:
             raise SimulationError(
                 f"cannot schedule at {delivery} before current time {now}"
             )
-        return delivery
+        self.back_events.append((delivery, len(self.back_events), alert))
 
     # -- membership lifecycle (mirrors CENode decision for decision) --------
 
@@ -330,37 +295,51 @@ class _Trial:
         self._flush(ce_idx)
         self.rec_flag[ce_idx] = event.source != "none"
 
-    def _mem_catchup(self, ce_idx: int, event, now: float, on_alert) -> None:
-        """Catch-up: snapshot the source's knowledge at fire time,
-        clock-filter, replay through evaluation, then the live buffer.
-
-        ``on_alert(ce_idx, alert, now)`` ships a raised alert over the
-        back link.
-        """
+    def _mem_catchup(self, ce_idx: int, event, now: float) -> None:
+        """Catch-up: replay the source's knowledge at fire time past the
+        high-water vector, then the live buffer; ship what they raise."""
         self.rec_flag[ce_idx] = False
         if event.source == "log":
-            # sent_log append order is already (time, varname)-sorted;
-            # the time filter matters because phase 1 has logged the
-            # whole run's sends before any delivery fires.
+            # The merged DM log up to now (phase 1 has logged the whole
+            # run's sends before any delivery fires).
             # (A 1-tuple sorts before every same-time entry, and the
             # comparison never reaches the updates.)
-            sent = self.sent_log[:bisect_left(self.sent_log, (now,))]
-            knowledge = [update for _time, update in sent]
+            if self.sent_updates is None:
+                self.sent_updates = [update for _time, update in self.sent_log]
+            knowledge = self.sent_updates
+            end = bisect_left(self.sent_log, (now,))
+            variables = self.variables
         else:
             peer = int(event.source.rsplit(":CE", 1)[1]) - 1
-            knowledge = self.evaluators[peer].received
+            knowledge = self.evaluators[peer]._received
+            end = len(knowledge)
+            variables = self.condition.variables
         hw = self.hw[ce_idx]
+        # Each variable's seqnos increase along either source, so what the
+        # high-water filter skips is a prefix of every variable's stream:
+        # scanning back until each variable has shown a seqno at or below
+        # its mark finds where the replay starts, and nothing earlier
+        # would pass the filter.
+        start = end
+        pending = set(variables)
+        while pending and start:
+            start -= 1
+            update = knowledge[start]
+            if update.seqno <= hw.get(update.varname, 0):
+                pending.discard(update.varname)
+        ingest = self.evaluators[ce_idx].ingest
         for tally, updates in (
-            (self.caught_up, knowledge), (self.replayed, self.mem_buf[ce_idx])
+            (self.caught_up, knowledge[start:end]),
+            (self.replayed, self.mem_buf[ce_idx]),
         ):
             for update in updates:
                 if update.seqno <= hw.get(update.varname, 0):
                     continue
                 hw[update.varname] = update.seqno
                 tally[ce_idx] += 1
-                alert = self.evaluators[ce_idx].ingest(update)
+                alert = ingest(update)
                 if alert is not None:
-                    on_alert(ce_idx, alert, now)
+                    self._send_back(ce_idx, alert, now)
         self.mem_buf[ce_idx].clear()
 
     # -- result assembly -----------------------------------------------------
@@ -416,190 +395,168 @@ def _run(trial: _Trial, count=None) -> RunResult:
     _new = object.__new__
     _oset = object.__setattr__
 
-    # Phase 1 — readings.  The object kernel schedules every reading before
-    # any delivery (so reading seqs globally precede delivery seqs) and
-    # per-DM reading times are non-decreasing, so its fire order is exactly
-    # (time, dm_idx, reading_idx).  Readings mutate only DM/send-side state,
-    # so they can all run before any delivery.
+    # Phase 1 — readings, then sends.  The object kernel schedules every
+    # reading before any delivery (so reading seqs globally precede
+    # delivery seqs) and per-DM reading times are non-decreasing, so its
+    # fire order is exactly (time, dm_idx, reading_idx).  Readings mutate
+    # only DM/send-side state, so they can all run before any delivery.
+    # A crashed DM suppresses a reading without drawing a seqno, so the
+    # readings it suppresses can be dropped before the merge: per DM the
+    # times only grow, and CrashSchedule.is_up is a cursor over the
+    # windows.
+    suppressed = trial.suppressed
     merged: list[tuple[float, int, int, float]] = []
     for dm_idx, entries in enumerate(trial.readings):
+        crash = trial.dm_crash[dm_idx]
+        down = () if crash is None else crash.windows
+        wi = 0
+        n_down = len(down)
         for ridx, (time, value) in enumerate(entries):
             if time < 0.0:
                 raise SimulationError(
                     f"cannot schedule at {time} before current time 0.0"
                 )
+            if wi < n_down:
+                while wi < n_down and down[wi][1] < time:
+                    wi += 1
+                if wi < n_down and down[wi][0] <= time:
+                    suppressed[dm_idx] += 1
+                    continue
             merged.append((time, dm_idx, ridx, value))
     merged.sort()
 
     variables = trial.variables
-    dm_crash = trial.dm_crash
-    suppressed = trial.suppressed
     next_seqno = trial.next_seqno
     sent_append = [s.append for s in trial.sent]
     sent_log_append = trial.sent_log.append
-    fl_rnd = trial.fl_rnd
-    fl_rng = trial.fl_rng
-    fl_loss = trial.fl_loss
-    fl_tag = trial.fl_tag
-    fl_skew_base = trial.fl_skew_base
-    front_outage = trial.front_outage
-    parts = trial.front_parts
-    front_kind, fp1, fp2, fp3, fp4, _bases = parts
-    front_spikes = config.front_delay_spikes
-    loss_model = config.front_loss_model
+    spikes = config.front_delay_spikes
+    spike_windows = () if spikes is None else spikes.windows
+    si = 0
+    n_spikes = len(spike_windows)
     duplication = config.front_duplication
-    ce_range = range(replication)
+    # Ranks replicate the object kernel's schedule-seq *relative* order
+    # among front arrivals: (reading, CE, copy), as
+    # ``(reading_index * replication + ce_idx) * slot + copy`` — not dense,
+    # but monotone in that order, which is all the phase-2 sort needs.
+    slot = 1 if duplication is None else duplication.max_copies + 1
+    reading_ranks = replication * slot
+    #: Per DM: (rank base, send time, spike factor, update) per send.
+    batches: list[list[tuple[int, float, float, Update]]] = [
+        [] for _ in variables
+    ]
+    rank_base = 0
+    for time, dm_idx, _ridx, value in merged:
+        seqno = next_seqno[dm_idx]
+        next_seqno[dm_idx] = seqno + 1
+        # Fast frozen-dataclass construction: the inputs are valid by
+        # construction (non-empty varname, seqno >= 1), so skip
+        # __init__'s indirection and __post_init__ validation.
+        update = _new(Update)
+        _oset(update, "varname", variables[dm_idx])
+        _oset(update, "seqno", seqno)
+        _oset(update, "value", value)
+        sent_append[dm_idx](update)
+        sent_log_append((time, update))
+        # A delay spike depends on the send time alone: one lookup per
+        # reading, shared by its sends on every link, and
+        # DelaySpikeSchedule.factor_at is a cursor over the windows.
+        factor = 1.0
+        if si < n_spikes:
+            while si < n_spikes and spike_windows[si][1] < time:
+                si += 1
+            if si < n_spikes and spike_windows[si][0] <= time:
+                factor = spikes.factor
+        batches[dm_idx].append((rank_base, time, factor, update))
+        rank_base += reading_ranks
+
+    # One send loop per front link, clean and adversarial alike: every
+    # draw comes from the link's own stream, in its send order.  A send
+    # multiplies its delay by the spike factor even when it is 1.0, which
+    # leaves the delay bit for bit as it was.
+    front_delay = config.front_delay
+    # The two shipped front delays are unrolled inline (a call per send
+    # is a tenth of this phase), the skew sum parenthesised as
+    # random.Random.uniform computes it.  A skew link's first delay draw
+    # fixes its base, so every copy finds it set; a uniform link keeps
+    # no state, so its copies may use the call.
+    uniform = type(front_delay) is UniformDelay
+    if uniform:
+        low, span = front_delay.min_delay, front_delay.max_delay - front_delay.min_delay
+    skew = type(front_delay) is PerLinkSkewDelay
+    if skew:
+        base_low, base_high = front_delay.base_range
+        base_span = base_high - base_low
+        jitter_low, jitter_high = front_delay.jitter_range
+        jitter_span = jitter_high - jitter_low
+    loss_model = config.front_loss_model
+    front_outage = trial.front_outage
+    fl_loss = trial.fl_loss
+    fl_copies = trial.fl_copies
     outage_drops = trial.fl_drops["outage"]
     #: Keyed "loss" or "burst": a run draws from one loss process only.
     loss_drops = trial.fl_drops["loss" if loss_model is None else "burst"]
-
-    #: (arrival_time, rank, tag, link_idx, update) — rank replicates the
-    #: object kernel's schedule-seq *relative* order among front events.
+    #: (arrival_time, rank, tag, link_idx, update) per scheduled arrival.
     arrivals: list[tuple[float, int, int, int, Update]] = []
     arrivals_append = arrivals.append
-    if loss_model is None and duplication is None:
-        # Common path: per-link RNG streams are independent (Bernoulli
-        # coin and delay draws both come from the link's own stream), so
-        # after one merged pass materializes the surviving updates, each
-        # link's whole trial of draws runs as one tight batch.  Ranks are
-        # assigned ``reading_index * replication + ce_idx``: not dense,
-        # but monotone in the object kernel's schedule order, which is
-        # all the phase-2 sort needs.
-        surviving: list[list[tuple[int, float, Update]]] = [
-            [] for _ in variables
-        ]
-        r_index = 0
-        for time, dm_idx, _ridx, value in merged:
-            crash = dm_crash[dm_idx]
-            if crash is not None and not crash.is_up(time):
-                suppressed[dm_idx] += 1
-                continue
-            seqno = next_seqno[dm_idx]
-            next_seqno[dm_idx] = seqno + 1
-            # Fast frozen-dataclass construction: the inputs are valid by
-            # construction (non-empty varname, seqno >= 1), so skip
-            # __init__'s indirection and __post_init__ validation.
-            update = _new(Update)
-            _oset(update, "varname", variables[dm_idx])
-            _oset(update, "seqno", seqno)
-            _oset(update, "value", value)
-            sent_append[dm_idx](update)
-            sent_log_append((time, update))
-            surviving[dm_idx].append((r_index, time, update))
-            r_index += 1
-        for dm_idx in range(len(variables)):
-            batch = surviving[dm_idx]
-            if not batch:
-                continue
-            base_li = dm_idx * replication
-            for ce_idx in ce_range:
-                li = base_li + ce_idx
-                rnd = fl_rnd[li]
-                loss = fl_loss[li]
-                outage = front_outage[ce_idx]
-                tag = fl_tag[li]
-                skew_base = fl_skew_base[li]
-                for r_index, time, update in batch:
-                    mtag = tag
-                    tag += 1
-                    if outage is not None and not outage.is_up(time):
+    for dm_idx, batch in enumerate(batches):
+        if not batch:
+            continue
+        for ce_idx in range(replication):
+            li = dm_idx * replication + ce_idx
+            rng = trial.fl_rng[li]
+            rnd = rng.random
+            draw = None if skew else _link_draw(front_delay, rng)
+            base = None
+            dropped = None if loss_model is None else loss_model.for_link(rng)
+            loss = fl_loss[li]
+            offset = ce_idx * slot
+            outage = front_outage[ce_idx]
+            down = () if outage is None else outage.windows
+            wi = 0
+            n_down = len(down)
+            tag = -1
+            for rank_base, time, factor, update in batch:
+                tag += 1
+                if wi < n_down:
+                    # CrashSchedule.is_up as a cursor over the windows:
+                    # send times only grow along a link.
+                    while wi < n_down and down[wi][1] < time:
+                        wi += 1
+                    if wi < n_down and down[wi][0] <= time:
                         outage_drops[li] += 1
                         continue
-                    if rnd() < loss:
+                if dropped is not None:
+                    if dropped():
                         loss_drops[li] += 1
                         continue
-                    if front_kind == _D_UNIFORM:
-                        delay = fp1 + fp2 * rnd()
-                    elif front_kind == _D_SKEW:
-                        if skew_base is None:
-                            skew_base = fp1 + fp2 * rnd()
-                            fl_skew_base[li] = skew_base
-                            parts[5][id(fl_rng[li])] = skew_base
-                        delay = skew_base + (fp3 + fp4 * rnd())
-                    elif front_kind == _D_FIXED:
-                        delay = fp1
-                    else:
-                        delay = config.front_delay.sample(fl_rng[li])
-                    if front_spikes is not None:
-                        delay *= front_spikes.factor_at(time)
-                    if delay < 0:
-                        raise SimulationError(
-                            f"cannot schedule into the past (delay={delay})"
-                        )
-                    arrivals_append(
-                        (time + delay,
-                         r_index * replication + ce_idx, mtag, li, update)
-                    )
-                fl_tag[li] = tag
-    else:
-        # Adversarial path: a shared stateful loss model (Gilbert–Elliott
-        # chain) or duplication draws consume randomness in global fire
-        # order, so sends must interleave exactly as the object kernel's.
-        rank = 0
-        for time, dm_idx, _ridx, value in merged:
-            crash = dm_crash[dm_idx]
-            if crash is not None and not crash.is_up(time):
-                suppressed[dm_idx] += 1
-                continue
-            seqno = next_seqno[dm_idx]
-            next_seqno[dm_idx] = seqno + 1
-            update = _new(Update)
-            _oset(update, "varname", variables[dm_idx])
-            _oset(update, "seqno", seqno)
-            _oset(update, "value", value)
-            sent_append[dm_idx](update)
-            sent_log_append((time, update))
-            base_li = dm_idx * replication
-            for ce_idx in ce_range:
-                li = base_li + ce_idx
-                tag = fl_tag[li]
-                fl_tag[li] = tag + 1
-                outage = front_outage[ce_idx]
-                if outage is not None and not outage.is_up(time):
-                    outage_drops[li] += 1
-                    continue
-                rnd = fl_rnd[li]
-                if loss_model is not None:
-                    if loss_model.dropped(fl_rng[li]):
-                        loss_drops[li] += 1
-                        continue
-                elif rnd() < fl_loss[li]:
+                elif rnd() < loss:
                     loss_drops[li] += 1
                     continue
-                if front_kind == _D_UNIFORM:
-                    delay = fp1 + fp2 * rnd()
-                elif front_kind == _D_SKEW:
-                    base = fl_skew_base[li]
+                rank = rank_base + offset
+                if uniform:
+                    delay = low + span * rnd()
+                elif skew:
                     if base is None:
-                        base = fp1 + fp2 * rnd()
-                        fl_skew_base[li] = base
-                        parts[5][id(fl_rng[li])] = base
-                    delay = base + (fp3 + fp4 * rnd())
-                elif front_kind == _D_FIXED:
-                    delay = fp1
+                        base = base_low + base_span * rnd()
+                    delay = base + (jitter_low + jitter_span * rnd())
                 else:
-                    delay = config.front_delay.sample(fl_rng[li])
-                if front_spikes is not None:
-                    delay *= front_spikes.factor_at(time)
+                    delay = draw()
+                delay *= factor
                 if delay < 0:
-                    raise SimulationError(
-                        f"cannot schedule into the past (delay={delay})"
-                    )
+                    raise _into_the_past(delay)
                 arrivals_append((time + delay, rank, tag, li, update))
-                rank += 1
-                if duplication is not None:
-                    for _ in range(duplication.draw_copies(fl_rng[li])):
-                        trial.fl_copies[li] += 1
-                        delay = _sample_delay(
-                            parts, rnd, fl_rng[li], fl_skew_base, li,
-                            front_spikes, config.front_delay, time,
-                        )
-                        if delay < 0:
-                            raise SimulationError(
-                                f"cannot schedule into the past (delay={delay})"
-                            )
-                        arrivals_append((time + delay, rank, tag, li, update))
-                        rank += 1
+                if duplication is None:
+                    continue
+                copies = duplication.draw_copies(rng)
+                fl_copies[li] += copies
+                for copy in range(1, copies + 1):
+                    delay = (
+                        base + (jitter_low + jitter_span * rnd()) if skew
+                        else draw()
+                    ) * factor
+                    if delay < 0:
+                        raise _into_the_past(delay)
+                    arrivals_append((time + delay, rank + copy, tag, li, update))
 
     # Phase 2 — front deliveries in (time, rank) order.  Back-link sends
     # happen inline (their RNG draws occur in delivery-fire order, exactly
@@ -610,19 +567,13 @@ def _run(trial: _Trial, count=None) -> RunResult:
     fl_drops = trial.fl_drops
     ce_crash = trial.ce_crash
     missed = trial.missed
-    back_events: list[tuple[float, int, Alert]] = []
-    back_append = back_events.append
-    brank = 0
-
-    bparts = trial.back_parts
-    back_kind, bp1, bp2, bp3, bp4, _bases = bparts
+    bl_draw = trial.bl_draw
     back_spikes = config.back_delay_spikes
-    bl_rnd = trial.bl_rnd
-    bl_rng = trial.bl_rng
-    bl_skew_base = trial.bl_skew_base
-    bl_last = trial.bl_last
     back_outage = trial.back_outage
+    bl_last = trial.bl_last
     ad_avail = trial.ad_avail
+    back_events = trial.back_events
+    back_append = back_events.append
 
     # Membership events merge into the phase-2 stream by (time, seq): they
     # hold the globally lowest schedule seqs, so at equal time a rejoin or
@@ -633,11 +584,6 @@ def _run(trial: _Trial, count=None) -> RunResult:
     mn = len(mem_events)
     mi = 0
 
-    def mem_alert(ce_idx: int, alert: Alert, mtime: float) -> None:
-        nonlocal brank
-        back_append((trial._deliver_back(ce_idx, mtime), brank, alert))
-        brank += 1
-
     def fire_mem(limit: float) -> None:
         nonlocal mi
         while mi < mn and mem_events[mi][0] <= limit:
@@ -646,7 +592,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
             if mkind == 0:
                 trial._mem_rejoin(mce, mev)
             else:
-                trial._mem_catchup(mce, mev, mtime, mem_alert)
+                trial._mem_catchup(mce, mev, mtime)
 
     # Per-link lookup tables: one list index replaces a modulo (and an
     # attribute lookup on the evaluator) in the delivery loop.
@@ -679,20 +625,9 @@ def _run(trial: _Trial, count=None) -> RunResult:
         alert = li_ingest[li](update)
         if alert is None:
             continue
-        # -- inline back-link send (ReliableLink/StoreAndForward) ----
-        if back_kind == _D_UNIFORM:
-            bdelay = bp1 + bp2 * bl_rnd[ce_idx]()
-        elif back_kind == _D_SKEW:
-            base = bl_skew_base[ce_idx]
-            if base is None:
-                base = bp1 + bp2 * bl_rnd[ce_idx]()
-                bl_skew_base[ce_idx] = base
-                bparts[5][id(bl_rng[ce_idx])] = base
-            bdelay = base + (bp3 + bp4 * bl_rnd[ce_idx]())
-        elif back_kind == _D_FIXED:
-            bdelay = bp1
-        else:
-            bdelay = config.back_delay.sample(bl_rng[ce_idx])
+        # -- inline back-link send: _Trial._send_back, the one catch-up
+        # replays call, without a method call per live alert ----------
+        bdelay = bl_draw[ce_idx]()
         if back_spikes is not None:
             bdelay *= back_spikes.factor_at(time)
         raw = time + bdelay
@@ -714,8 +649,7 @@ def _run(trial: _Trial, count=None) -> RunResult:
             raise SimulationError(
                 f"cannot schedule at {delivery} before current time {time}"
             )
-        back_append((delivery, brank, alert))
-        brank += 1
+        back_append((delivery, len(back_events), alert))
     if mi < mn:
         fire_mem(float("inf"))
 
@@ -738,8 +672,9 @@ def _run(trial: _Trial, count=None) -> RunResult:
         count("ad", "display", "AD", n=shown)
 
     if count is not None:
+        readings = len(merged) + sum(trial.suppressed)
         _count_run(
-            trial, count, mn + len(merged) + len(arrivals) + len(back_events)
+            trial, count, mn + readings + len(arrivals) + len(back_events)
         )
     return trial.result()
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Any
 
@@ -47,6 +48,15 @@ class DelayModel:
 
     def sample(self, rng: Random) -> float:
         raise NotImplementedError
+
+    def for_link(self, rng: Random) -> Callable[[], float]:
+        """One link's delay draws, from the link's own stream ``rng``.
+
+        Whatever a model keeps per link lives in the returned callable,
+        never on the model: a config (and the model it holds) can be run
+        any number of times with the same result.
+        """
+        return partial(self.sample, rng)
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,9 @@ class PerLinkSkewDelay(DelayModel):
     other — the mechanism behind the paper's multi-variable interleaving
     divergence (Theorem 10, Lemma 6).
 
-    The base is cached per RNG instance; links each own a dedicated RNG
-    stream, so one shared PerLinkSkewDelay instance still gives every link
-    its own stable base.
+    The base is per-link state, so it lives in the callable
+    :meth:`for_link` returns: one shared PerLinkSkewDelay instance gives
+    every link its own stable base, and holds none itself.
     """
 
     def __init__(
@@ -94,14 +104,18 @@ class PerLinkSkewDelay(DelayModel):
             raise ValueError(f"invalid jitter_range {jitter_range}")
         self.base_range = base_range
         self.jitter_range = jitter_range
-        self._bases: dict[int, float] = {}
 
-    def sample(self, rng: Random) -> float:
-        base = self._bases.get(id(rng))
-        if base is None:
-            base = rng.uniform(*self.base_range)
-            self._bases[id(rng)] = base
-        return base + rng.uniform(*self.jitter_range)
+    def for_link(self, rng: Random) -> Callable[[], float]:
+        base_range, jitter_range = self.base_range, self.jitter_range
+        base = None
+
+        def draw() -> float:
+            nonlocal base
+            if base is None:  # the link's first draw fixes its base
+                base = rng.uniform(*base_range)
+            return base + rng.uniform(*jitter_range)
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,7 @@ class Link:
         self.receiver = receiver
         self.delay = delay
         self.rng = rng
+        self._draw_delay = delay.for_link(rng)
         self.name = name
         #: Optional DelaySpikeSchedule (see :mod:`repro.faults.model`):
         #: congestion windows multiplying sampled delays.  None — the
@@ -147,7 +162,7 @@ class Link:
 
     def _sample_delay(self) -> float:
         """One propagation delay draw, spike-adjusted when spiking."""
-        delay = self.delay.sample(self.rng)
+        delay = self._draw_delay()
         if self.spikes is not None:
             delay *= self.spikes.factor_at(self.kernel.now)
         return delay
@@ -191,8 +206,10 @@ class LossyFifoLink(Link):
         #: retransmission on front links).
         self.outage_schedule = outage_schedule
         #: Optional correlated-loss model (GilbertElliottLoss).  When set
-        #: it replaces the Bernoulli ``loss_prob`` coin entirely.
+        #: this link's own chain replaces the Bernoulli ``loss_prob`` coin
+        #: entirely.
         self.loss_model = loss_model
+        self._dropped = None if loss_model is None else loss_model.for_link(rng)
         #: Optional DuplicationAdversary: extra same-tag copies of a sent
         #: datagram, each with its own delay draw.  The receiver-side tag
         #: check deduplicates, so the CE still sees at-most-once delivery.
@@ -219,8 +236,8 @@ class LossyFifoLink(Link):
             if traced:
                 self._trace("drop", message, tag=tag, reason="outage")
             return
-        if self.loss_model is not None:
-            if self.loss_model.dropped(self.rng):
+        if self._dropped is not None:
+            if self._dropped():
                 self.lost += 1
                 if traced:
                     self._trace("drop", message, tag=tag, reason="burst")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import math
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
@@ -13,6 +15,7 @@ from repro.core.condition import Condition, c1, c2, c3, cm
 from repro.core.history import HistorySnapshot
 from repro.core.reference import apply_T, count_interleavings
 from repro.core.update import Update, parse_trace
+from repro.membership.detector import NodeView
 from repro.props.completeness import CompletenessResult
 from repro.props.consistency import ConsistencyResult
 
@@ -140,6 +143,72 @@ def check_completeness_multi_enumerated(
         False,
         missing=frozenset(expected - actual),
         extraneous=frozenset(actual - expected),
+    )
+
+
+def gap_suspects(
+    arrivals: Sequence[float], window: float, horizon: float
+) -> tuple[tuple[float, float], ...]:
+    """Believed-down intervals from inter-arrival gaps.
+
+    The node registers at time 0 (an implicit arrival); the horizon acts
+    as the end-of-observation sentinel, so a node that falls silent near
+    the end stays suspected through the horizon.
+    """
+    out: list[tuple[float, float]] = []
+    prev = 0.0
+    for arrival in [*arrivals, horizon]:
+        limit = arrival if arrival < horizon else horizon
+        if limit - prev > window:
+            out.append((prev + window, limit))
+        if arrival > prev:
+            prev = arrival
+    return tuple(out)
+
+
+def sweep_node_view(name, schedule, config, horizon) -> NodeView:
+    """Oracle for :func:`repro.membership.detector.node_view`.
+
+    The implementation the crash-window derivation replaced: it
+    materializes every heartbeat of the grid with one cursor over the
+    windows, derives suspicions from every inter-arrival gap, and
+    bisects the arrivals per crash window.
+    """
+    interval = config.heartbeat_interval
+    delay = config.heartbeat_delay
+    window = config.suspicion_window
+    heartbeats: list[float] = []
+    k = 0
+    t = 0.0
+    for start, end in (*schedule.windows, (math.inf, math.inf)):
+        while t < start and t <= horizon:
+            heartbeats.append(t)
+            k += 1
+            t = k * interval
+        while t <= end and t <= horizon:
+            k += 1
+            t = k * interval
+    arrivals = [t + delay for t in heartbeats]
+    detections: list[tuple[float, float]] = []
+    missed = 0
+    for start, end in schedule.windows:
+        if start > horizon:
+            continue
+        seen = bisect_left(arrivals, start + delay)
+        suspect_time = (arrivals[seen - 1] if seen else 0.0) + window
+        back = bisect_left(arrivals, end)
+        restored = arrivals[back] if back < len(arrivals) else horizon
+        if suspect_time < restored:
+            detections.append((start, suspect_time))
+        else:
+            missed += 1
+    return NodeView(
+        name=name,
+        heartbeats=tuple(heartbeats),
+        arrivals=tuple(arrivals),
+        suspects=gap_suspects(arrivals, window, horizon),
+        detections=tuple(detections),
+        missed_detections=missed,
     )
 
 

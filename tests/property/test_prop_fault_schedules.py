@@ -3,9 +3,10 @@ definitions they replaced.
 
 ``CrashSchedule`` / ``DelaySpikeSchedule`` answer by bisecting an end
 array built once, ``NodeView.believed_down`` by bisecting its suspect
-intervals, and ``node_view`` sweeps the heartbeat grid against the
-windows with one cursor.  The linear scans those replaced are kept
-here, verbatim, as the oracles: every lookup must agree with them on
+intervals, and ``node_view`` derives the detector's view from the windows and the
+heartbeat grid arithmetic.  The linear scans those replaced are kept
+here, verbatim, as the oracles (and the one-cursor heartbeat sweep in
+``tests/conftest.py``): every lookup must agree with them on
 window lists full of the awkward cases — zero-length windows, adjacent
 windows, windows shorter than the recovery epsilon, queries exactly on
 endpoints and at ``end + epsilon``.
@@ -15,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.model import DelaySpikeSchedule
 from repro.membership import MembershipConfig
-from repro.membership.detector import NodeView, _gap_suspects, node_view
+from repro.membership.detector import NodeView, node_view
 from repro.simulation.failures import CrashSchedule
+from tests.conftest import gap_suspects, sweep_node_view
 
 EPSILON = 1e-6
 
@@ -129,7 +131,7 @@ def per_heartbeat_node_view(name, windows, config, horizon):
         name=name,
         heartbeats=tuple(heartbeats),
         arrivals=tuple(arrivals),
-        suspects=_gap_suspects(arrivals, window, horizon),
+        suspects=gap_suspects(arrivals, window, horizon),
         detections=tuple(detections),
         missed_detections=missed,
     )
@@ -190,3 +192,66 @@ def test_one_sweep_node_view_matches_the_per_heartbeat_definition(case):
               for offset in (0.0, -EPSILON, EPSILON)] + [0.0, horizon]
     for time in probes:
         assert view.believed_down(time) == linear_believed_down(view.suspects, time)
+
+
+#: Intervals whose grid multiples round (0.1, 1/3) as well as exact ones.
+intervals = st.sampled_from((0.1, 0.3, 1.0 / 3.0, 0.5, 2.5, 5.0, 7.0))
+
+
+@st.composite
+def analytic_detector_cases(draw):
+    """A detector and crash windows placed where the analytic view can
+    slip: on grid points and a rounding error either side of them,
+    back to back, touching or passing the horizon — with suspicion
+    windows below, at and above the heartbeat interval."""
+    interval = draw(intervals)
+    config = MembershipConfig(
+        heartbeat_interval=interval,
+        heartbeat_delay=draw(st.sampled_from((0.0, 0.1, 0.5, 3.0))),
+        detection_timeout=draw(st.sampled_from(
+            (0.0, interval / 3, interval / 2, interval, 1.5 * interval, 4.0)
+        )),
+        suspicion_threshold=draw(st.integers(1, 3)),
+    )
+    horizon = draw(
+        st.integers(0, 400).map(lambda k: k * interval)
+        | st.floats(0.0, 2100.0, allow_nan=False)
+    )
+    on_grid = st.builds(
+        lambda k, nudge: max(0.0, k * interval + nudge),
+        st.integers(0, int(horizon / interval) + 3),
+        st.sampled_from((0.0, 0.0, 1e-12, -1e-12, interval / 2)),
+    )
+    anchors = (
+        on_grid
+        | st.sampled_from((horizon, horizon + 1e-9, horizon + interval))
+        | st.floats(0.0, horizon + 2 * interval, allow_nan=False)
+    )
+    points = sorted(draw(st.lists(anchors, max_size=12)))
+    windows = list(zip(points[0::2], points[1::2]))
+    if draw(st.booleans()):
+        # Back to back: every window starts where the previous one ends.
+        for i in range(1, len(windows)):
+            windows[i] = (windows[i - 1][1], windows[i][1])
+    return tuple(windows), config, horizon
+
+
+@given(analytic_detector_cases())
+@settings(max_examples=400, deadline=None)
+def test_node_view_derives_every_field_of_the_heartbeat_sweep(case):
+    windows, config, horizon = case
+    schedule = CrashSchedule(windows)
+    view = node_view("CE1", schedule, config, horizon)
+    oracle = sweep_node_view("CE1", schedule, config, horizon)
+    assert view.name == oracle.name
+    assert len(view.heartbeats) == len(oracle.heartbeats)
+    assert tuple(view.heartbeats) == oracle.heartbeats
+    assert len(view.arrivals) == len(oracle.arrivals)
+    assert tuple(view.arrivals) == oracle.arrivals
+    assert [view.arrivals[i] for i in range(-len(view.arrivals), 0)] == list(
+        oracle.arrivals
+    )
+    assert view.suspects == oracle.suspects
+    assert view.detections == oracle.detections
+    assert view.missed_detections == oracle.missed_detections
+    assert view == oracle

@@ -4,8 +4,9 @@ The broad random equivalence argument lives in
 ``tests/property/test_prop_kernel_differential.py``; here are the pinned
 edge cases that exercise specific arraykernel code paths — the one AD
 offer loop (kernel-built or caller-supplied algorithm alike), the single
-CE step shared with the object kernel, the adversarial phase-1 path
-(stateful loss chains, duplication), the compiled condition closure, the
+CE step shared with the object kernel, the per-link send loop under
+adversarial faults (burst-loss chains, duplication), the high-water
+catch-up replay, per-link model state on a reused config, the compiled condition closure, the
 tracer dispatch (off / counters / full), and the kernel-knob plumbing
 itself.
 """
@@ -40,6 +41,7 @@ from repro.observability import (
 from repro.simulation import arraykernel
 from repro.simulation.arraykernel import run_system_array
 from repro.simulation.failures import CrashSchedule
+from repro.simulation.network import PerLinkSkewDelay
 from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import rising_runs, threshold_crossers
 
@@ -173,10 +175,11 @@ def test_every_ce_step_is_one_evaluator_ingest(monkeypatch):
                 assert getattr(object_run, field) == getattr(array_run, field), field
 
 
-def test_adversarial_faults_take_the_merged_path():
-    """Stateful Gilbert-Elliott loss shares one chain across links and
-    duplication reshapes delivery, forcing the non-batched phase-1 body;
-    CE and DM crash windows ride along."""
+def test_adversarial_faults_take_the_per_link_send_loop():
+    """Gilbert-Elliott loss (one chain per link) and duplication run in
+    the same per-link send loop as Bernoulli loss, with the copies'
+    ranks interleaved exactly as the object kernel schedules them; CE
+    and DM crash windows ride along."""
     def make_config():
         return SystemConfig(
             replication=2,
@@ -192,6 +195,113 @@ def test_adversarial_faults_take_the_merged_path():
         )
 
     _assert_kernels_agree(c2(), _workload(13), make_config, seed=13)
+
+
+def _interleaved_workload():
+    """x reads every 0.7 units and y every 9, so at any instant their
+    seqnos — and a recovering CE's high-water marks — sit far apart in
+    the merged log; z is read but no condition watches it."""
+    return {
+        "x": [(0.7 * i, 1000.0 + 40.0 * (i % 7)) for i in range(300)],
+        "y": [(9.0 * i, 900.0 + 55.0 * (i % 5)) for i in range(24)],
+        "z": [(4.0 * i, 0.0) for i in range(50)],
+    }
+
+
+@pytest.mark.parametrize("source", ["log", "peer", "peer-then-log"])
+def test_high_water_catchup_matches_the_object_kernels_full_replay(source):
+    """The array kernel starts a catch-up replay at the high-water mark;
+    the object kernel filters the whole log or peer history.  Over
+    multi-variable churn — a CE that has seen nothing when it recovers,
+    a recovery aborted by the next crash, recoveries with no usable
+    peer, lossy links — both must replay the same updates: equal
+    RunResults, caught-up and replayed tallies."""
+    def make_config():
+        return SystemConfig(
+            replication=3,
+            ad_algorithm="AD-6",
+            front_loss=0.3,
+            front_loss_per_ce={1: 0.7},
+            front_outages={2: CrashSchedule(windows=((0.0, 40.0),))},
+            crash_schedules={
+                0: CrashSchedule(windows=((30.0, 70.0), (72.0, 90.0))),
+                1: CrashSchedule(windows=((60.0, 100.0), (140.0, 180.0))),
+                2: CrashSchedule(windows=((20.0, 50.0), (85.0, 95.0))),
+            },
+            membership=MembershipConfig(
+                detection_timeout=4.0, catchup_latency=4.0,
+                catchup_source=source,
+            ),
+        )
+
+    condition, workload = cm(), _interleaved_workload()
+    counters = {}
+    runs = {}
+    for kernel in ("object", "array"):
+        tracer = CountersTracer()
+        runs[kernel] = run_system(
+            condition, workload, make_config(), seed=3, tracer=tracer,
+            kernel=kernel,
+        )
+        counters[kernel] = tracer.as_dict()
+    for field in _RUN_FIELDS + ("caught_up",):
+        assert getattr(runs["array"], field) == getattr(runs["object"], field), field
+    assert counters["array"] == counters["object"]
+    tallies = {
+        kind: sum(n for key, n in counters["array"].items()
+                  if key.startswith(f"membership/{kind}/"))
+        for kind in ("catchup-ingest", "replay-buffered", "buffered")
+    }
+    assert tallies["catchup-ingest"] == sum(runs["array"].caught_up) > 0
+    assert tallies["buffered"] > 0
+    assert any(event.aborted for event in runs["array"].membership.recoveries)
+    sources = {event.source.split(":")[0]
+               for event in runs["array"].membership.recoveries}
+    assert sources == {"log": {"log"}, "peer": {"peer", "none"},
+                       "peer-then-log": {"peer", "log"}}[source]
+
+
+def _reusable_faulted_config():
+    """Every model that keeps per-link state: skewed delays on both
+    link directions and a burst-loss chain, plus duplication and a
+    crash window."""
+    return SystemConfig(
+        replication=2,
+        ad_algorithm="AD-4",
+        front_delay=PerLinkSkewDelay(),
+        back_delay=PerLinkSkewDelay((0.0, 10.0), (0.05, 1.5)),
+        front_loss_model=GilbertElliottLoss(
+            GilbertElliottParams(0.2, 0.4, 0.05, 0.7)
+        ),
+        front_duplication=DuplicationAdversary(duplicate_prob=0.3, max_copies=2),
+        crash_schedules={0: CrashSchedule(windows=((30.0, 80.0),))},
+    )
+
+
+@pytest.mark.parametrize("kernel", ["object", "array"])
+def test_a_reused_config_reruns_identically(kernel):
+    """Per-link model state lives on the run, never on the config: one
+    config run three times — with other runs of it, on both kernels, in
+    between — gives one RunResult, the one a fresh config gives."""
+    condition, workload = c2(), _workload(29)
+    config = _reusable_faulted_config()
+    runs = []
+    for other in range(3):
+        runs.append(
+            run_system(condition, workload, config, seed=29, kernel=kernel)
+        )
+        for other_kernel in ("object", "array"):
+            run_system(
+                condition, _workload(40 + other), config, seed=40 + other,
+                kernel=other_kernel,
+            )
+    assert runs[0] == runs[1] == runs[2]
+    fresh = run_system(
+        condition, workload, _reusable_faulted_config(), seed=29,
+        kernel="array" if kernel == "object" else "object",
+    )
+    for field in _RUN_FIELDS:
+        assert getattr(runs[0], field) == getattr(fresh, field), field
 
 
 class _ThirdPartyTracer:

@@ -41,18 +41,15 @@ class TestGilbertElliott:
         assert GilbertElliottParams(loss_good=0.1).enabled
 
     def test_deterministic_in_the_rng_seed(self):
-        params = GilbertElliottParams(0.3, 0.4, 0.05, 0.9)
-        a = params.make_model()
-        b = params.make_model()
-        ra, rb = random.Random(7), random.Random(7)
-        assert [a.dropped(ra) for _ in range(200)] == [
-            b.dropped(rb) for _ in range(200)
-        ]
+        model = GilbertElliottParams(0.3, 0.4, 0.05, 0.9).make_model()
+        a = model.for_link(random.Random(7))
+        b = model.for_link(random.Random(7))
+        assert [a() for _ in range(200)] == [b() for _ in range(200)]
 
     def test_consumes_exactly_two_draws(self):
         model = GilbertElliottParams(0.3, 0.4, 0.05, 0.9).make_model()
         consumed = random.Random(11)
-        model.dropped(consumed)
+        model.for_link(consumed)()
         reference = random.Random(11)
         reference.random()
         reference.random()
@@ -60,22 +57,22 @@ class TestGilbertElliott:
 
     def test_per_rng_chains_are_independent(self):
         # One shared model, two links: driving one link's chain must not
-        # move the other's state.
+        # move the other's state, and the model itself holds none.
         params = GilbertElliottParams(1.0, 0.0, 0.0, 1.0)  # jams Bad forever
         model = params.make_model()
-        busy, idle = random.Random(1), random.Random(2)
-        for _ in range(10):
-            model.dropped(busy)
-        assert model._bad[id(busy)]
-        assert id(idle) not in model._bad
+        busy = model.for_link(random.Random(1))
+        idle_rng = random.Random(2)
+        model.for_link(idle_rng)
+        assert all(busy() for _ in range(10))
+        assert idle_rng.random() == random.Random(2).random()
+        assert vars(model) == {"params": params}
 
     def test_bursts_correlate_losses(self):
         # Bad state is sticky and lossy: long-run loss rate must exceed
         # the good-state rate by far once the chain can enter Bad.
         params = GilbertElliottParams(0.1, 0.1, 0.0, 1.0)
-        model = params.make_model()
-        rng = random.Random(3)
-        losses = sum(model.dropped(rng) for _ in range(5000))
+        dropped = params.make_model().for_link(random.Random(3))
+        losses = sum(dropped() for _ in range(5000))
         assert 0.2 < losses / 5000 < 0.8
 
 

@@ -41,16 +41,28 @@ class TestDelayModels:
 
     def test_skew_base_stable_per_rng(self):
         model = PerLinkSkewDelay(base_range=(0.0, 100.0), jitter_range=(0.0, 0.0))
-        rng1, rng2 = random.Random(1), random.Random(2)
-        base1 = model.sample(rng1)
-        assert model.sample(rng1) == base1  # same link -> same base
-        assert model.sample(rng2) != base1  # different link -> own base
+        link1 = model.for_link(random.Random(1))
+        link2 = model.for_link(random.Random(2))
+        base1 = link1()
+        assert link1() == base1  # same link -> same base
+        assert link2() != base1  # different link -> own base
+        # The base lives on the link, not the model: a fresh link on an
+        # equal stream draws the same base again.
+        assert model.for_link(random.Random(1))() == base1
 
     def test_skew_jitter_added(self):
         model = PerLinkSkewDelay(base_range=(5.0, 5.0), jitter_range=(1.0, 2.0))
-        rng = random.Random(3)
+        draw = model.for_link(random.Random(3))
         for _ in range(20):
-            assert 6.0 <= model.sample(rng) <= 7.0
+            assert 6.0 <= draw() <= 7.0
+
+    def test_a_stateless_model_draws_what_sample_draws(self):
+        for model in (UniformDelay(1.0, 2.0), FixedDelay(1.5)):
+            draw = model.for_link(random.Random(4))
+            reference = random.Random(4)
+            assert [draw() for _ in range(5)] == [
+                model.sample(reference) for _ in range(5)
+            ]
 
     def test_skew_validation(self):
         with pytest.raises(ValueError):

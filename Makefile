@@ -35,7 +35,7 @@ artifacts-check:  ## regenerate the sweep artifacts; fail on any drift
 		--benchmark-only -q
 	git diff --exit-code -- $(ARTIFACTS:%=benchmarks/results/%.txt)
 
-reachability:  ## every src/repro function no documented entry point calls
+reachability:  ## unreached src/repro definitions, held to tools/reachability_allow.txt
 	$(PYTHON) tools/reachability.py
 
 # The repo benchmark (BENCHMARK.json): one workload, one seed, one JSON

@@ -31,7 +31,6 @@ from repro.faults import (
     recovery_restores_alerts,
     render_churn_table,
 )
-from repro.workloads.scenarios import run_scenario
 
 INTENSITIES = (0.5, 1.0, 2.0)
 DETECTION_TIMEOUTS = (None, 2.0, 4.0, 8.0)
@@ -39,21 +38,6 @@ DETECTION_TIMEOUTS = (None, 2.0, 4.0, 8.0)
 REFERENCE_TIMEOUT = 4.0
 CATCHUP_LATENCY = 2.0
 TRIALS = 20
-
-
-def _run_spec(spec):
-    """Execute one churn spec at the RunResult level (the benchmark needs
-    the executed plan's raw latency samples, not just the report)."""
-    return run_scenario(
-        spec.resolve_scenario(),
-        spec.algorithm,
-        spec.seed,
-        n_updates=spec.n_updates,
-        replication=spec.replication,
-        faults=spec.faults,
-        membership=spec.membership,
-        kernel=spec.kernel,
-    )
 
 
 def latency_distributions() -> dict:
@@ -68,7 +52,7 @@ def latency_distributions() -> dict:
         for spec in churn_specs(
             intensity, REFERENCE_TIMEOUT, CATCHUP_LATENCY, TRIALS
         ):
-            plan = _run_spec(spec).membership
+            plan = spec.run().membership
             detection.extend(plan.detection_latencies)
             recovery.extend(plan.recovery_latencies)
             missed += plan.missed_detections

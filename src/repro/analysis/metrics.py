@@ -28,24 +28,6 @@ class RunMetrics:
     alerts_displayed: int
     alerts_filtered: int
 
-    @property
-    def mean_loss_fraction(self) -> float:
-        """Average fraction of sent updates each CE failed to receive."""
-        if self.updates_sent == 0:
-            return 0.0
-        fractions = [
-            1.0 - received / self.updates_sent
-            for received in self.updates_received_per_ce
-        ]
-        return sum(fractions) / len(fractions)
-
-    @property
-    def filter_fraction(self) -> float:
-        """Fraction of arriving alerts the AD filtered out."""
-        if self.alerts_arrived == 0:
-            return 0.0
-        return self.alerts_filtered / self.alerts_arrived
-
 
 def collect_metrics(run: RunResult) -> RunMetrics:
     return RunMetrics(

@@ -149,7 +149,6 @@ def build_table(
     completeness_n_updates: int = 8,
     engine: TrialEngine = INLINE_ENGINE,
     collect_counters: bool = False,
-    kernel: str = "array",
 ) -> TableResult:
     """Run the full trial matrix for one table experiment.
 
@@ -175,7 +174,6 @@ def build_table(
         completeness_trials=completeness_trials,
         completeness_n_updates=completeness_n_updates,
         collect_counters=collect_counters,
-        kernel=kernel,
     )
     return tabulate(plan, engine.run(plan.specs))
 

@@ -48,7 +48,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         if table_id not in EXPECTED_GRIDS:
             print(f"unknown table {table_id!r}; known: {list(EXPECTED_GRIDS)}")
             return 2
-    kwargs = {"kernel": args.kernel, "collect_counters": args.counters}
+    kwargs = {"collect_counters": args.counters}
     if args.trials:
         kwargs["trials"] = args.trials
     if args.updates:
@@ -105,7 +105,7 @@ def _trial_spec(args: argparse.Namespace, algorithm: str, **knobs):
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     scenario = _scenario_for(args.row, args.multi)
-    spec = _trial_spec(args, args.algorithm, kernel=args.kernel)
+    spec = _trial_spec(args, args.algorithm)
     tracer = None
     if args.counters:
         from repro.observability import CountersTracer
@@ -163,7 +163,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             batch_size=args.batch,
             n_updates=args.updates,
             replication=args.replication,
-            kernel=args.kernel,
         )
     except ValueError as exc:
         print(f"repro fuzz: error: {exc}", file=sys.stderr)
@@ -243,7 +242,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             row=args.row,
             algorithm=args.algorithm,
             n_updates=args.updates,
-            kernel=args.kernel,
             engine=engine,
         )
     print(render_chaos_table(cells))
@@ -280,7 +278,6 @@ def _cmd_quality(args: argparse.Namespace) -> int:
             matrix=args.matrix,
             n_updates=args.updates,
             replication=args.replication,
-            kernel=args.kernel,
             engine=engine,
         )
     print(render_quality_table(cells))
@@ -326,7 +323,6 @@ def _cmd_chaos_churn(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             n_updates=args.updates,
             replication=max(args.replications),
-            kernel=args.kernel,
             catchup_source=args.catchup_source,
             engine=engine,
         )
@@ -428,7 +424,7 @@ def _spec_from_args(args: argparse.Namespace):
         )
     return _trial_spec(
         args, args.algorithm, replication=args.replication, faults=faults,
-        kernel=args.kernel, membership=membership,
+        membership=membership,
     )
 
 
@@ -584,15 +580,6 @@ def _non_negative_int(value: str) -> int:
     return count
 
 
-_KERNEL_HELP = "trial executor (array = fast path, object = oracle)"
-
-
-def _add_kernel(parser: argparse.ArgumentParser, help: str = _KERNEL_HELP) -> None:
-    parser.add_argument(
-        "--kernel", choices=("object", "array"), default="array", help=help
-    )
-
-
 def _add_processes(parser: argparse.ArgumentParser, what: str = "trials") -> None:
     parser.add_argument(
         "--processes",
@@ -611,9 +598,7 @@ def _add_catchup_source(parser: argparse.ArgumentParser, mode: str) -> None:
     )
 
 
-def _add_trial_options(
-    parser: argparse.ArgumentParser, what: str, kernel_help: str
-) -> None:
+def _add_trial_options(parser: argparse.ArgumentParser, what: str) -> None:
     """Every knob of one recorded trial (read by :func:`_spec_from_args`),
     plus ``--out``: the options ``trace record`` and ``feed record`` share.
     ``what`` names the artifact the command writes."""
@@ -623,7 +608,6 @@ def _add_trial_options(
     parser.add_argument("--updates", type=int, default=30)
     parser.add_argument("--replication", type=int, default=2)
     parser.add_argument("--multi", action="store_true")
-    _add_kernel(parser, kernel_help)
     parser.add_argument("--out", default=None, help="output .jsonl path")
     parser.add_argument(
         "--chaos",
@@ -662,11 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("tables", nargs="*", help="table ids (default: all)")
     p_tables.add_argument("--trials", type=int, default=None)
     p_tables.add_argument("--updates", type=int, default=None)
-    _add_kernel(
-        p_tables,
-        "trial executor: struct-of-arrays fast path (default) or the "
-        "event-object oracle (differentially identical, slower)",
-    )
     _add_processes(p_tables)
     p_tables.add_argument(
         "--counters",
@@ -681,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.add_argument("--seed", type=int, default=0)
     p_scenario.add_argument("--updates", type=int, default=30)
     p_scenario.add_argument("--multi", action="store_true")
-    _add_kernel(p_scenario)
     p_scenario.add_argument("--timeline", action="store_true")
     p_scenario.add_argument(
         "--counters",
@@ -697,11 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trec = trace_sub.add_parser(
         "record", help="run one trial under a recorder and write its trace"
     )
-    _add_trial_options(
-        p_trec, "trace",
-        "kernel named in the trace header (the ordered event stream "
-        "is always recorded on the object kernel; both replay alike)",
-    )
+    _add_trial_options(p_trec, "trace")
     p_trec.set_defaults(func=_cmd_trace_record)
     p_trep = trace_sub.add_parser(
         "replay",
@@ -734,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--updates", type=int, default=20,
                         help="reading count of every campaign spec")
     p_fuzz.add_argument("--replication", type=int, default=2)
-    _add_kernel(p_fuzz, "trial executor every campaign spec runs under")
     p_fuzz.add_argument(
         "--fuzz-seed", type=int, default=0,
         help="seed of the fuzzer's own RNG streams (campaigns replay)",
@@ -781,7 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--row", choices=list(ROW_ORDER), default="non-historical")
     p_chaos.add_argument("--algorithm", default="AD-4")
     p_chaos.add_argument("--updates", type=int, default=30)
-    _add_kernel(p_chaos)
     _add_processes(p_chaos)
     p_chaos.add_argument(
         "--churn",
@@ -849,7 +821,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_quality.add_argument("--updates", type=int, default=30)
     p_quality.add_argument("--replication", type=int, default=2)
-    _add_kernel(p_quality)
     _add_processes(p_quality)
     p_quality.add_argument(
         "--json", default=None, metavar="PATH",
@@ -872,9 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one trial and record its update feed (deliveries + "
         "arrival stamps) for service replay",
     )
-    _add_trial_options(
-        p_frec, "feed", "recording executor (both record identical feeds)"
-    )
+    _add_trial_options(p_frec, "feed")
     p_frec.set_defaults(func=_cmd_feed_record)
     p_fcon = feed_sub.add_parser(
         "conform",

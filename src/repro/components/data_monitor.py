@@ -9,7 +9,7 @@ convention), so this class is strictly one-variable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.core.update import Update
 from repro.simulation.kernel import Kernel
@@ -73,10 +73,6 @@ class DataMonitor(Node):
     def attach(self, link: Link) -> None:
         """Subscribe a CE by adding its front link to the broadcast set."""
         self._links.append(link)
-
-    def attach_all(self, links: Iterable[Link]) -> None:
-        for link in links:
-            self.attach(link)
 
     def start(self) -> None:
         """Schedule every reading's broadcast on the kernel."""

@@ -442,20 +442,21 @@ def run_system(
     seed: int = 0,
     algorithm: ADAlgorithm | None = None,
     tracer: object | None = None,
-    kernel: str = "object",
+    kernel: str = "array",
 ) -> RunResult:
     """Build and run a system in one call.
 
     ``tracer`` (see :mod:`repro.observability`) observes the run's kernel,
     link, CE and AD events; ``None`` — the default — disables tracing.
 
-    ``kernel`` selects the trial executor: ``"object"`` (this module's
-    event-object simulator, the authoritative semantics and the only
-    emitter of the ordered event stream) or ``"array"``
+    ``kernel`` selects the trial executor: ``"array"`` — the default —
     (:mod:`repro.simulation.arraykernel`, the struct-of-arrays fast path
     that must produce identical results and, for order-free tracers,
     identical counters; a tracer that needs the ordered stream is run
-    here whichever kernel was asked for).
+    on the object kernel whichever kernel was asked for) or
+    ``"object"`` (this module's event-object simulator, the
+    authoritative semantics the differential tests hold the array
+    kernel to).
     """
     if kernel == "array":
         from repro.simulation.arraykernel import run_system_array

@@ -44,10 +44,6 @@ class Alert:
         """``a.seqno.x`` = ``Hx[0].seqno`` (§2.2)."""
         return self.histories.seqno(varname)
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.histories.variables
-
     def identity(self) -> tuple:
         """Hashable identity used for ΦA set comparisons and by AD-1
         (the seqno half is the snapshot's memo)."""

@@ -126,10 +126,6 @@ class Condition(ABC):
         """
         return self._conservative or not self.is_historical
 
-    @property
-    def is_aggressive(self) -> bool:
-        return not self.is_conservative
-
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, histories: HistorySnapshot) -> bool:
         """Evaluate the condition; applies the conservative gap-guard first."""

@@ -70,9 +70,6 @@ class TablePlan:
     trials: int
     specs: tuple[TrialSpec, ...]
 
-    def __len__(self) -> int:
-        return len(self.specs)
-
 
 def plan_table(
     table_id: str,
@@ -83,7 +80,6 @@ def plan_table(
     completeness_n_updates: int = 8,
     collect_counters: bool = False,
     faults=None,
-    kernel: str = "array",
 ) -> TablePlan:
     """Lay out every trial of a table experiment as TrialSpecs.
 
@@ -119,7 +115,6 @@ def plan_table(
             specs += cell_specs(
                 f"{table_id}/{row}", base, count, matrix, row, algorithm,
                 length, collect_counters=collect_counters, faults=faults,
-                kernel=kernel,
             )
     return TablePlan(table_id, algorithm, multi, trials, tuple(specs))
 

@@ -113,18 +113,22 @@ class TrialSpec:
 
     def run(self, tracer: object | None = None) -> "RunResult":
         """Simulate the trial: the one place a spec becomes a
-        ``run_scenario`` call, so no knob can be dropped on the way.
-        (Looked up on the module so patches of ``scenarios`` bind.)"""
-        return scenarios.run_scenario(
-            self.resolve_scenario(),
-            self.algorithm,
-            self.seed,
-            n_updates=self.n_updates,
-            replication=self.replication,
+        ``scenario_trial`` and a ``run_system`` call, so no knob can be
+        dropped on the way.  (Looked up on the module so patches of
+        ``scenarios`` bind.)"""
+        return scenarios.run_system(
+            *scenarios.scenario_trial(
+                self.resolve_scenario(),
+                self.algorithm,
+                self.seed,
+                n_updates=self.n_updates,
+                replication=self.replication,
+                faults=self.faults,
+                membership=self.membership,
+            ),
+            seed=self.seed,
             tracer=tracer,
-            faults=self.faults,
             kernel=self.kernel,
-            membership=self.membership,
         )
 
     def execute(self) -> PropertyReport:

@@ -81,7 +81,6 @@ def chaos_specs(
     n_updates: int = 30,
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
-    kernel: str = "array",
 ) -> list[TrialSpec]:
     """The trial specs of one sweep cell, in ascending-seed order.
 
@@ -100,7 +99,6 @@ def chaos_specs(
         replication=replication,
         faults=profile.scaled(intensity).or_none(),
         collect_delivery=True,
-        kernel=kernel,
     )
 
 
@@ -176,7 +174,6 @@ def chaos_sweep(
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
     engine: TrialEngine = INLINE_ENGINE,
-    kernel: str = "array",
 ) -> list[ChaosCell]:
     """Sweep fault intensity × replication; one folded cell per point.
 
@@ -187,7 +184,7 @@ def chaos_sweep(
     specs_of = partial(
         chaos_specs, trials=trials, row=row, matrix=matrix,
         algorithm=algorithm, n_updates=n_updates, base_seed=base_seed,
-        profile=profile, kernel=kernel,
+        profile=profile,
     )
     points = [(i, r) for i in intensities for r in replications]
     return engine.run_grid(points, specs_of, _fold_cell)
@@ -282,7 +279,6 @@ def churn_specs(
     replication: int = 2,
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHURN_PROFILE,
-    kernel: str = "array",
     catchup_source: str = "peer-then-log",
 ) -> list[TrialSpec]:
     """The trial specs of one churn sweep cell, in ascending-seed order.
@@ -315,7 +311,6 @@ def churn_specs(
         front_loss=0.0,
         faults=profile.scaled(intensity).or_none(),
         collect_delivery=True,
-        kernel=kernel,
         membership=membership,
     )
 
@@ -371,7 +366,6 @@ def churn_sweep(
     base_seed: int = CHAOS_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHURN_PROFILE,
     engine: TrialEngine = INLINE_ENGINE,
-    kernel: str = "array",
     catchup_source: str = "peer-then-log",
 ) -> list[ChurnCell]:
     """Sweep fault intensity × detection timeout × catch-up latency.
@@ -389,7 +383,7 @@ def churn_sweep(
     specs_of = partial(
         churn_specs, trials=trials, row=row, matrix=matrix,
         algorithm=algorithm, n_updates=n_updates, replication=replication,
-        base_seed=base_seed, profile=profile, kernel=kernel,
+        base_seed=base_seed, profile=profile,
         catchup_source=catchup_source,
     )
     points = [

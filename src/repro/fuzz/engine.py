@@ -76,8 +76,6 @@ class FuzzConfig:
     #: Reading count of every campaign spec.
     n_updates: int = 20
     replication: int = 2
-    #: Trial executor every campaign spec runs under ("array" | "object").
-    kernel: str = "array"
 
     def __post_init__(self) -> None:
         if self.target is not None and self.target not in _TARGETS:
@@ -104,7 +102,6 @@ class FuzzConfig:
             self.n_updates,
             replication=self.replication,
             collect_coverage=True,
-            kernel=self.kernel,
         )
 
     def initial_specs(self) -> list[TrialSpec]:

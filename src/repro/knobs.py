@@ -128,7 +128,5 @@ DELAY = Kind(cast=float)
 THRESHOLD = Kind(cast=int, floor=1, least=1)
 SOURCE = Kind(cast=str, choices=("peer-then-log", "peer", "log", "none"))
 
-# -- ShardConfig: a ring's shape, for the multi-tenant path.
+# -- ShardConfig: a ring's size, for the multi-tenant path.
 SHARDS = Kind(cast=int, floor=1, least=1)
-VIRTUAL_NODES = Kind(cast=int, floor=1, least=1)
-RING_SEED = Kind(cast=int, floor=0)

@@ -100,9 +100,6 @@ class MembershipPlan:
     #: Intervals where fewer than ``quorum`` CEs were state-complete.
     degraded: tuple[tuple[float, float], ...]
 
-    def events_for(self, ce_index: int) -> tuple[RecoveryEvent, ...]:
-        return tuple(e for e in self.recoveries if e.ce_index == ce_index)
-
     @property
     def detection_latencies(self) -> tuple[float, ...]:
         return tuple(

@@ -65,10 +65,6 @@ class TraceEvent:
     node: str
     data: Mapping[str, Any] = field(default_factory=dict)
 
-    def key(self) -> str:
-        """The ``stage/kind/node`` counter key used by CountersTracer."""
-        return f"{self.stage}/{self.kind}/{self.node}"
-
     def to_json_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
             "t": self.time,

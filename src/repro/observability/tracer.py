@@ -76,9 +76,6 @@ class MemoryTracer:
         """Canonical JSONL rendering of the captured stream."""
         return [event.json_line() for event in self.events]
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 class CountersTracer:
     """Per-stage, per-node event counters.
@@ -135,9 +132,6 @@ class CountersTracer:
             count for key, count in self.counts.items()
             if key.startswith(prefix)
         )
-
-    def node_total(self, stage: str, kind: str, node: str) -> int:
-        return self.counts.get(f"{stage}/{kind}/{node}", 0)
 
     def stage_summary(self) -> dict[str, dict[str, int]]:
         """``{stage: {kind: count}}`` aggregated over nodes."""

@@ -75,7 +75,7 @@ def check_consistency_single(
     if not alerts:
         return ConsistencyResult(True, witness_received=frozenset())
     if varname is None:
-        variables = alerts[0].variables
+        variables = alerts[0].histories.variables
         if len(variables) != 1:
             raise ValueError(
                 "check_consistency_single needs a single-variable condition; "

@@ -87,10 +87,6 @@ class PropertyClassification:
     violating_witness: tuple[int, ...] | None = field(compare=False, default=None)
 
     @property
-    def total(self) -> int:
-        return self.holds_count + self.violated_count
-
-    @property
     def verdict(self) -> str:
         if self.violated_count == 0:
             return "always"

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accel import percentile
 from repro.components.system import RunResult
 from repro.core.alert import Alert, alert_event_key
 from repro.core.condition import compile_condition
@@ -80,36 +79,6 @@ class AlertQuality:
         if self.expected == 0:
             return 1.0
         return self.detected / self.expected
-
-    @property
-    def missed_rate(self) -> float:
-        if self.expected == 0:
-            return 0.0
-        return self.missed / self.expected
-
-    @property
-    def duplicate_rate(self) -> float:
-        if self.displayed == 0:
-            return 0.0
-        return self.duplicates / self.displayed
-
-    @property
-    def false_rate(self) -> float:
-        if self.displayed == 0:
-            return 0.0
-        return self.false_alerts / self.displayed
-
-    @property
-    def latency_p50(self) -> float | None:
-        if not self.latency_samples:
-            return None
-        return percentile(self.latency_samples, 50.0)
-
-    @property
-    def latency_p99(self) -> float | None:
-        if not self.latency_samples:
-            return None
-        return percentile(self.latency_samples, 99.0)
 
     def as_dict(self) -> dict:
         """JSON-safe digest carried on ``PropertyReport.quality``."""

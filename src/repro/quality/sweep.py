@@ -101,7 +101,6 @@ def quality_specs(
     replication: int = 2,
     base_seed: int = QUALITY_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
-    kernel: str = "array",
 ) -> list[TrialSpec]:
     """The trial specs of one sweep cell, in ascending-seed order.
 
@@ -121,7 +120,6 @@ def quality_specs(
         front_loss=front_loss,
         faults=profile.scaled(intensity).or_none(),
         collect_quality=True,
-        kernel=kernel,
     )
 
 
@@ -187,7 +185,6 @@ def quality_sweep(
     base_seed: int = QUALITY_BASE_SEED,
     profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
     engine: TrialEngine = INLINE_ENGINE,
-    kernel: str = "array",
 ) -> list[QualityCell]:
     """Sweep algorithm × loss × fault intensity; one folded cell each.
 
@@ -200,7 +197,7 @@ def quality_sweep(
         return quality_specs(
             algorithm, front_loss, intensity, trials, row=row, matrix=matrix,
             n_updates=n_updates, replication=replication, base_seed=base_seed,
-            profile=profile, kernel=kernel,
+            profile=profile,
         )
 
     points = [

@@ -107,9 +107,9 @@ def merge_stamped(
     Each CE's stamps are already sorted, but a batch merge still sorts:
     timsort finds the k runs and merges them in C.  On a 45k two-stream
     union (CPython 3.11, one Xeon vCPU) ``heapq.merge`` took 7.8 ms and
-    this sort 4.3 ms.  The k-way merge belongs to the streaming
-    :func:`~repro.service.consumers.ad_merge`, whose input arrives a
-    batch at a time.
+    this sort 4.3 ms.  The k-way merge belongs to
+    :class:`~repro.service.consumers.StampMerge`, which ``repro serve``
+    streams each socket read through, one alert at a time.
     """
     if len(per_ce_alerts) != len(stamps):
         raise FeedMismatchError(

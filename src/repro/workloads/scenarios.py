@@ -42,6 +42,7 @@ __all__ = [
     "MULTI_VARIABLE_SCENARIOS",
     "cm_historical",
     "run_scenario",
+    "scenario_trial",
     "fault_horizon",
     "FAULT_HORIZON_SLACK",
 ]
@@ -278,29 +279,18 @@ def fault_horizon(n_updates: int) -> float:
     return n_updates * 10.0 + FAULT_HORIZON_SLACK
 
 
-def run_scenario(
+def scenario_trial(
     scenario: Scenario,
     ad_algorithm: str,
     seed: int,
     n_updates: int = 30,
     replication: int = 2,
     crash_schedules: Mapping[int, CrashSchedule] | None = None,
-    tracer: object | None = None,
     faults: object | None = None,
-    kernel: str = "array",
     membership: object | None = None,
-) -> RunResult:
-    """Run one randomized trial of a scenario under an AD algorithm.
-
-    ``kernel`` selects the trial executor (``"array"`` — the default
-    struct-of-arrays fast path — or ``"object"``); the two are
-    differentially tested to produce identical results and identical
-    counters, so the choice only affects speed.
-
-    ``tracer`` (see :mod:`repro.observability`) observes the run; tracing
-    never perturbs the simulation, so traced and untraced runs of the same
-    ``(scenario, seed)`` produce identical results.  A tracer that needs
-    the ordered event stream is served by the object kernel either way.
+) -> tuple[Condition, Workload, SystemConfig]:
+    """The ``(condition, workload, config)`` of one randomized trial of
+    a scenario under an AD algorithm: what :func:`run_scenario` runs.
 
     ``faults`` (a :class:`~repro.faults.plan.FaultProfile`) materializes a
     concrete fault plan from the run's own named RNG streams and folds it
@@ -335,6 +325,32 @@ def run_scenario(
             variables=sorted(workload),
         )
         config = plan.apply_to(config)
+    return condition, workload, config
+
+
+def run_scenario(
+    scenario: Scenario,
+    ad_algorithm: str,
+    seed: int,
+    n_updates: int = 30,
+    replication: int = 2,
+    crash_schedules: Mapping[int, CrashSchedule] | None = None,
+    tracer: object | None = None,
+    faults: object | None = None,
+    membership: object | None = None,
+) -> RunResult:
+    """Run one randomized trial of a scenario under an AD algorithm (see
+    :func:`scenario_trial` for the knobs).
+
+    ``tracer`` (see :mod:`repro.observability`) observes the run; tracing
+    never perturbs the simulation, so traced and untraced runs of the same
+    ``(scenario, seed)`` produce identical results.  A tracer that needs
+    the ordered event stream is served by the object kernel.
+    """
     return run_system(
-        condition, workload, config, seed=seed, tracer=tracer, kernel=kernel
+        *scenario_trial(
+            scenario, ad_algorithm, seed, n_updates, replication,
+            crash_schedules, faults, membership,
+        ),
+        seed=seed, tracer=tracer,
     )

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.components.system import run_system
 from repro.engine.spec import TrialSpec
 from repro.faults import (
     DEFAULT_CHURN_PROFILE,
@@ -22,7 +23,7 @@ from repro.faults import (
 from repro.membership import MembershipConfig, churn_summary
 from repro.observability import record_trial, replay_trace
 from repro.simulation.failures import CrashSchedule
-from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS, run_scenario
+from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS, scenario_trial
 
 #: Pinned witness: an aggressive (non-conservative historical) condition
 #: with two replicas and one long CE1 outage.  The crash gap leaves CE1's
@@ -36,10 +37,13 @@ N_UPDATES = 14
 
 
 def _run(membership, kernel="array"):
-    return run_scenario(
-        SCENARIO, "pass", SEED,
-        n_updates=N_UPDATES, replication=2,
-        crash_schedules=CRASHES, membership=membership, kernel=kernel,
+    return run_system(
+        *scenario_trial(
+            SCENARIO, "pass", SEED,
+            n_updates=N_UPDATES, replication=2,
+            crash_schedules=CRASHES, membership=membership,
+        ),
+        seed=SEED, kernel=kernel,
     )
 
 

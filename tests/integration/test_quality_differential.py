@@ -27,21 +27,12 @@ from repro.core.evaluator import ConditionEvaluator  # noqa: E402
 from repro.engine.spec import TrialSpec  # noqa: E402
 from repro.quality.metrics import alert_quality  # noqa: E402
 from repro.quality.sweep import quality_specs  # noqa: E402
-from repro.workloads.scenarios import run_scenario  # noqa: E402
 
 WITNESS_ENTRIES = json.loads(RESULT_PATH.read_text())
 
 
 def run_of(spec: TrialSpec):
-    return run_scenario(
-        spec.resolve_scenario(),
-        spec.algorithm,
-        spec.seed,
-        n_updates=spec.n_updates,
-        replication=spec.replication,
-        faults=spec.faults,
-        kernel=spec.kernel,
-    )
+    return spec.run()
 
 
 def brute_force_quality(run) -> dict:

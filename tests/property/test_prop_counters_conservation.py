@@ -7,7 +7,7 @@ filtered.  These invariants tie the observability counters to the ground
 truth that :func:`repro.analysis.metrics.collect_metrics` extracts from
 the :class:`RunResult` — if either side miscounts, they diverge.
 
-``run_scenario`` defaults to the array kernel, which derives these
+``run_scenario`` runs the array kernel, which derives these
 counters order-free from its phase tallies rather than from an event
 stream — and a conservation law is what a wrong derivation breaks first.
 """
@@ -86,7 +86,7 @@ def test_conservation_survives_churn_and_membership(
     copies are extra sends), the AD still accounts for every arrival,
     and everything the kernel scheduled fired."""
     _, counters = _traced_run(
-        "single", row, algorithm, seed, n, kernel="array",
+        "single", row, algorithm, seed, n,
         faults=DEFAULT_CHURN_PROFILE.scaled(chaos),
         membership=MembershipConfig(detection_timeout=4.0, catchup_latency=2.0),
     )

@@ -82,7 +82,7 @@ def record_arrivals(monkeypatch):
     offer = ADAlgorithm.offer
 
     def recording(self, alert):
-        (variable,) = alert.variables
+        (variable,) = alert.histories.variables
         arrivals.append((alert.seqno(variable), int(alert.source[2:])))
         return offer(self, alert)
 

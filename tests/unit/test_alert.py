@@ -24,7 +24,7 @@ class TestAlert:
         alert = make_alert(
             "cm", {"x": [Update("x", 2)], "y": [Update("y", 1)]}
         )
-        assert alert.variables == ("x", "y")
+        assert alert.histories.variables == ("x", "y")
 
     def test_identity_equal_same_histories(self):
         assert deg2(3, 1) == deg2(3, 1)

@@ -26,20 +26,19 @@ class TestMetrics:
         assert metrics.updates_sent == 10
         assert metrics.updates_received_per_ce == (10, 10)
         assert metrics.alerts_arrived == sum(metrics.alerts_generated_per_ce)
-        assert metrics.mean_loss_fraction == 0.0
 
     def test_loss_fraction_under_loss(self):
         config = SystemConfig(replication=2, front_loss=0.5)
         run = run_system(c1(), WORKLOAD, config, seed=1)
         metrics = collect_metrics(run)
-        assert metrics.mean_loss_fraction > 0.0
+        assert min(metrics.updates_received_per_ce) < metrics.updates_sent
 
     def test_filter_fraction(self):
         config = SystemConfig(replication=2, front_loss=0.0, ad_algorithm="AD-1")
         run = run_system(c1(), WORKLOAD, config, seed=1)
         metrics = collect_metrics(run)
         # Lossless: CE2's alerts are exact duplicates -> half filtered.
-        assert metrics.filter_fraction == pytest.approx(0.5)
+        assert metrics.alerts_filtered / metrics.alerts_arrived == pytest.approx(0.5)
 
     def test_delivery_stats_perfect_system(self):
         config = SystemConfig(replication=2, front_loss=0.0)

@@ -38,13 +38,12 @@ class TestClassification:
         assert cond.degree("x") == 1
         assert not cond.is_historical
         assert cond.is_conservative  # trivially
-        assert not cond.is_aggressive
 
     def test_c2_historical_aggressive(self):
         cond = c2()
         assert cond.degree("x") == 2
         assert cond.is_historical
-        assert cond.is_aggressive
+        assert not cond.is_conservative
 
     def test_c3_historical_conservative(self):
         cond = c3()

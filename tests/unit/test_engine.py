@@ -519,7 +519,8 @@ class TestPinnedCellSeeds:
 
 class TestOneRunSite:
     """``TrialSpec.run`` is the only expansion of a spec into
-    ``run_scenario``: no entry point may drop a knob on the way."""
+    ``scenario_trial`` and ``run_system``: no entry point may drop a knob
+    on the way."""
 
     @pytest.fixture
     def spec(self):
@@ -538,20 +539,24 @@ class TestOneRunSite:
         from repro.workloads import scenarios
 
         seen = []
-        real = scenarios.run_scenario
+        build, run = scenarios.scenario_trial, scenarios.run_system
 
-        def spy(scenario, algorithm, seed, **knobs):
+        def spy_build(scenario, algorithm, seed, **knobs):
             seen.append((scenario.front_loss, algorithm, seed, knobs))
-            return real(scenario, algorithm, seed, **knobs)
+            return build(scenario, algorithm, seed, **knobs)
 
-        monkeypatch.setattr(scenarios, "run_scenario", spy)
+        def spy_run(*args, seed, tracer=None, kernel):
+            seen[-1][-1]["kernel"] = kernel
+            return run(*args, seed=seed, tracer=tracer, kernel=kernel)
+
+        monkeypatch.setattr(scenarios, "scenario_trial", spy_build)
+        monkeypatch.setattr(scenarios, "run_system", spy_run)
         return seen
 
     @staticmethod
     def assert_every_call_carries(spec, calls, expected_calls):
         assert len(calls) == expected_calls
         for front_loss, algorithm, seed, knobs in calls:
-            knobs = {k: v for k, v in knobs.items() if k != "tracer"}
             assert (front_loss, algorithm, seed, knobs) == (
                 spec.front_loss,
                 spec.algorithm,

@@ -17,7 +17,7 @@ class TestPropertyClassification:
     def test_always(self):
         c = PropertyClassification(holds_count=5, violated_count=0)
         assert c.verdict == "always"
-        assert c.total == 5
+        assert c.holds_count + c.violated_count == 5
 
     def test_never(self):
         assert PropertyClassification(0, 4).verdict == "never"

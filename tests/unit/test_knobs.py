@@ -83,8 +83,6 @@ OLD_TEMPLATES = {
     "retry_backoff": _DELAYS,
     "catchup_source": OLD_CATCHUP_SOURCES,
     "shards": (1, 2, 3, 4, 8),
-    "virtual_nodes": (1, 4, 16, 64, 128),
-    "ring_seed": (0, 1, 2, 7, 97),
 }
 
 
@@ -118,7 +116,7 @@ def old_clamp(cls, name, value):
         if kind == "choice":
             return str(value)
         return max(float(value), 0.0)
-    return max(int(value), 0 if name == "ring_seed" else 1)
+    return max(int(value), 1)
 
 
 def old_with_value(config, name, value):
@@ -137,7 +135,7 @@ def old_accepts(cls, name, value):
         if not math.isfinite(value):
             return False
         return value > 0 if name == "heartbeat_interval" else not value < 0
-    return not value < (0 if name == "ring_seed" else 1)
+    return not value < 1
 
 
 def old_profile_steps(spec):
@@ -218,8 +216,8 @@ def _old_mutate_shards(spec, rng):
 
 
 def _old_mutate_ring(spec, rng):
-    name = "virtual_nodes" if rng.random() < 0.5 else "ring_seed"
-    rng.choice(OLD_TEMPLATES[name])
+    rng.random()  # which of the two ring knobs ...
+    rng.choice(range(5))  # ... and which of its five templates
     return spec
 
 
@@ -321,9 +319,12 @@ def numbers_for(kind):
 #: specs carry — all taken from the per-config tables and setters the
 #: kinds replaced, when specs still carried a ring: the candidates the
 #: ring's own steps yielded are dropped, and the ring is projected out of
-#: the rest.
+#: the rest.  ``ShardConfig`` has since lost its two ring-shape fields,
+#: so its line is ``{"shards": 1}``; with the old three-field line in its
+#: place the config digest is the one the kinds were checked against,
+#: 4d77cb95….
 CANDIDATES_DIGEST = "9d62853be0c9996e46d00840d1d8e012081733b9c6f24fb3bb7e997fb6e55aa0"
-CONFIG_JSON_DIGEST = "4d77cb955afb0bf95a561cd32811915a95dc84eb1a653ffe8179c400114bd3ae"
+CONFIG_JSON_DIGEST = "1bbffed9fd92a44e76cf9e52e7f217da67bd1521b9aa8e1957c9ffaee81b88ae"
 
 
 def _digest(lines):

@@ -158,8 +158,7 @@ class TestPlanner:
         assert event.complete_time == pytest.approx(
             event.rejoin_time + 2.0  # default catchup_latency
         )
-        assert plan.events_for(0) == (event,)
-        assert plan.events_for(1) == ()
+        assert [e for e in plan.recoveries if e.ce_index == 1] == []
 
     def test_log_source_when_no_peer_exists(self):
         plan = _plan({0: CrashSchedule(((30.0, 60.0),))}, replication=1)
@@ -184,7 +183,7 @@ class TestPlanner:
             0: CrashSchedule(((30.0, 60.0),)),
             1: CrashSchedule(((51.0, 54.0),)),
         }, config=MembershipConfig(catchup_latency=10.0, retry_backoff=1.0))
-        ce1 = plan.events_for(0)[0]
+        ce1 = next(e for e in plan.recoveries if e.ce_index == 0)
         assert ce1.attempts == 1
         assert ce1.source == "log"
         assert ce1.complete_time == pytest.approx(60.0 + 1.0 + 10.0, abs=1e-5)
@@ -193,7 +192,7 @@ class TestPlanner:
         plan = _plan({
             0: CrashSchedule(((30.0, 60.0), (61.0, 90.0))),
         })
-        first, second = plan.events_for(0)
+        first, second = [e for e in plan.recoveries if e.ce_index == 0]
         assert first.aborted and first.complete_time is None
         assert second.successful
 

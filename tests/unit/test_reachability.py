@@ -6,12 +6,14 @@ import importlib.util
 import textwrap
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[2] / "tools" / "reachability.py"
 _spec = importlib.util.spec_from_file_location("reachability", _PATH)
 reachability = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reachability)
 
-MODULE = ast.parse(textwrap.dedent('''\
+SOURCE = textwrap.dedent('''\
     import functools
 
 
@@ -45,7 +47,8 @@ MODULE = ast.parse(textwrap.dedent('''\
 
     class Empty:
         pass
-    '''))
+    ''')
+MODULE = ast.parse(SOURCE)
 
 
 def test_a_decorated_definition_starts_at_its_first_decorator():
@@ -68,3 +71,82 @@ def test_outermost_unreached_definitions():
 
 def test_an_unreached_function_hides_what_it_nests():
     assert reachability.unreached(MODULE, {11})[0] == (4, 7, "decorated", 2)
+
+
+# -- the ratchet: the unreached list against tools/reachability_allow.txt --
+
+PATH = "src/repro/m.py"
+ALLOWED = reachability.parse_allowlist(textwrap.dedent('''\
+    # nested helpers
+    src/repro/m.py::decorated.nested
+    # the rest
+    src/repro/m.py::Built.unread
+    src/repro/m.py::Never
+    src/repro/m.py::Data.unused
+    '''))
+
+
+def verdict(source, *ran, allowed=ALLOWED):
+    """The ratchet's complaints about ``source`` when only the functions
+    named in ``ran`` were entered."""
+    module = ast.parse(source)
+    first = {name: line for line, _, name in reachability.definitions(module)}
+    spans = reachability.unreached(module, {first[name] for name in ran})
+    return reachability.ratchet(
+        [f"{PATH}::{span[2]}" for span in spans],
+        {f"{PATH}::{name}" for name in reachability.qualnames(module)},
+        allowed,
+    )
+
+
+RAN = ("decorated", "Built.__init__")
+
+
+def test_the_allowlist_keys_each_entry_to_its_reason():
+    assert ALLOWED[f"{PATH}::decorated.nested"] == "nested helpers"
+    assert ALLOWED[f"{PATH}::Never"] == "the rest"
+
+
+def test_an_agreeing_list_passes():
+    assert verdict(SOURCE, *RAN) == []
+
+
+def test_an_unlisted_unreached_definition_fails_and_is_named():
+    allowed = {k: v for k, v in ALLOWED.items() if not k.endswith("Data.unused")}
+    assert verdict(SOURCE, *RAN, allowed=allowed) == [
+        f"unreached but not allowlisted: {PATH}::Data.unused",
+    ]
+
+
+def test_a_listed_definition_that_is_now_reached_fails():
+    assert verdict(SOURCE, *RAN, "Data.unused") == [
+        f"allowlisted but reached: {PATH}::Data.unused",
+    ]
+
+
+def test_a_listed_definition_that_is_gone_fails():
+    renamed = SOURCE.replace("def unused(self)", "def renamed(self)")
+    assert verdict(renamed, *RAN) == [
+        f"unreached but not allowlisted: {PATH}::Data.renamed",
+        f"allowlisted but gone: {PATH}::Data.unused",
+    ]
+
+
+def test_a_line_shift_changes_nothing():
+    assert verdict("\n" * 7 + SOURCE, *RAN) == []
+
+
+def test_an_entry_needs_a_reason_header():
+    with pytest.raises(ValueError, match="reason header"):
+        reachability.parse_allowlist(f"{PATH}::f\n")
+
+
+def test_every_allowlisted_definition_still_exists():
+    """The gone half of the ratchet, without running the entry points."""
+    root = _PATH.parents[1]
+    defined: dict[str, set[str]] = {}
+    for entry in reachability.parse_allowlist(reachability.ALLOWLIST.read_text()):
+        path, name = entry.split("::")
+        if path not in defined:
+            defined[path] = reachability.qualnames(ast.parse((root / path).read_text()))
+        assert name in defined[path], f"allowlisted but gone: {entry}"

@@ -134,7 +134,7 @@ class TestSlottedPayloads:
 
     @staticmethod
     def payloads(alert):
-        update = alert.histories[alert.variables[0]][0]
+        update = alert.histories[alert.histories.variables[0]][0]
         return [update, alert.histories, alert]
 
     @given(_alerts())

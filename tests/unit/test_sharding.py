@@ -1,35 +1,23 @@
-"""Unit tests for the sharding subsystem: ring, placement, handoff, runtime.
+"""Unit tests for the sharding subsystem: the ring and the tenant path.
 
 The property and integration suites own the statistical invariants and
-the cross-runtime conformance matrix; this file pins the concrete
+the tenant-population conformance; this file pins the concrete
 contracts — config validation and clamping, deterministic placement,
-the handoff's JSON round trip and stale guard, the rebalancing
-runtime's bookkeeping, and the conformance report's divergence locator
-(which must name the first diverging alert, not just digests).
+the benchmark harness's bindings, and the conformance report's
+divergence locator (which must name the first diverging alert, not
+just digests).
 """
 
-import dataclasses
 import gc
 import weakref
 
 import pytest
 
-from repro.core.condition import c1, cm
-from repro.core.update import Update
 from repro.engine.spec import TrialSpec
 from repro.props import report
 from repro.service.feed import record_feed
 from repro.service.runtime import ConformanceReport, DirectRuntime
-from repro.sharding import (
-    HashRing,
-    ShardConfig,
-    ShardHost,
-    ShardState,
-    assign_condition,
-    execute_rebalanced,
-    moved_keys,
-    tenants,
-)
+from repro.sharding import HashRing, ShardConfig, ring, tenants
 from repro.sharding.tenants import run_shard, zipfian_update_counts
 from tests.conftest import Knot, collections_until_last_return
 
@@ -45,8 +33,8 @@ class TestShardConfig:
         [
             {"shards": 0},
             {"shards": -2},
-            {"virtual_nodes": 0},
-            {"ring_seed": -1},
+            {"shards": 2.5},
+            {"shards": float("nan")},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -56,21 +44,17 @@ class TestShardConfig:
     def test_with_value_clamps_by_kind(self):
         config = ShardConfig(shards=4)
         assert config.with_value("shards", -3).shards == 1
-        assert config.with_value("virtual_nodes", 0.9).virtual_nodes == 1
-        assert config.with_value("ring_seed", -7).ring_seed == 0
+        assert config.with_value("shards", 0.9).shards == 1
         assert config.with_value("shards", 8).shards == 8
 
     def test_shard_count_change_keeps_ring_shape(self):
-        config = ShardConfig(shards=2, virtual_nodes=16, ring_seed=3)
-        resized = config.with_value("shards", 5)
-        assert resized.shards == 5
-        assert resized.virtual_nodes == 16
-        assert resized.ring_seed == 3
+        resized = ShardConfig(shards=2).with_value("shards", 5)
+        assert resized == ShardConfig(shards=5)
+        # Every shard keeps its fixed number of ring points.
+        assert len(HashRing(resized)._positions) == 5 * ring.POINTS_PER_SHARD
 
     def test_field_metadata_covers_every_knob(self):
-        assert [name for name, _ in ShardConfig.knobs()] == [
-            "shards", "virtual_nodes", "ring_seed",
-        ]
+        assert [name for name, _ in ShardConfig.knobs()] == ["shards"]
         for name, _ in ShardConfig.knobs():
             assert getattr(ShardConfig(), name) == ShardConfig.inert(name)
 
@@ -78,130 +62,22 @@ class TestShardConfig:
 class TestHashRing:
     def test_single_shard_owns_everything(self):
         ring = HashRing(ShardConfig())
-        assert ring.shard_for("x") == 0
-        assert ring.loads(["a", "b", "c"]) == [3]
+        assert {ring.shard_for(key) for key in ("a", "b", "c")} == {0}
 
     def test_assignment_is_stable_across_builds(self):
-        config = ShardConfig(shards=5, virtual_nodes=32, ring_seed=2)
+        config = ShardConfig(shards=5)
         population = [f"v{i}" for i in range(100)]
-        assert HashRing(config).assignment(population) == HashRing(
-            config
-        ).assignment(population)
+        first, second = HashRing(config), HashRing(config)
+        assert [first.shard_for(key) for key in population] == [
+            second.shard_for(key) for key in population
+        ]
 
-    def test_reseeding_redices_ownership(self):
+    def test_reseeding_redices_ownership(self, monkeypatch):
         population = [f"v{i}" for i in range(200)]
-        a = HashRing(ShardConfig(shards=4)).assignment(population)
-        b = HashRing(ShardConfig(shards=4, ring_seed=1)).assignment(population)
-        assert a != b  # 200 keys all landing identically is ~impossible
-
-    def test_moved_keys_reports_ownership_changes_only(self):
-        before = {"a": 0, "b": 1, "c": 1}
-        after = {"a": 0, "b": 2, "c": 1}
-        assert moved_keys(before, after) == {"b": (1, 2)}
-
-
-class TestRouter:
-    def test_primary_is_lexicographically_smallest_variable(self):
-        assignment = assign_condition(cm(), ShardConfig(shards=6))
-        assert assignment.primary == "x"
-
-    def test_multi_variable_routes_pull_to_home(self):
-        # y lives on shard 5 of this ring, yet cm is placed by x alone.
-        config = ShardConfig(shards=8)
-        ring = HashRing(config)
-        assert ring.shard_for("y") != ring.shard_for("x")
-        assert assign_condition(cm(), config).home == ring.shard_for("x")
-
-    def test_home_is_ring_owner_of_primary(self):
-        config = ShardConfig(shards=7, ring_seed=3)
-        assignment = assign_condition(c1(), config)
-        assert assignment.home == HashRing(config).shard_for("x")
-
-
-def _threshold_updates(seqnos):
-    # c1 defaults to "x > 3000": odd seqnos trigger, even seqnos do not.
-    return [
-        Update("x", seqno, 3600.0 if seqno % 2 else 100.0)
-        for seqno in seqnos
-    ]
-
-
-class TestHandoff:
-    def make_host(self):
-        host = ShardHost(shard=1, condition=c1(), replication=2)
-        for update in _threshold_updates([1, 2, 3]):
-            host.ingest(0, update)
-        for update in _threshold_updates([1, 3]):
-            host.ingest(1, update)
-        return host
-
-    def test_export_state_json_round_trip(self):
-        state = self.make_host().export_state()
-        restored = ShardState.from_json_obj(state.to_json_obj())
-        assert restored == state
-        assert restored.emitted == (2, 2)
-        assert restored.high_water == ({"x": 3}, {"x": 3})
-
-    def test_restore_replays_to_identical_alerts(self):
-        host = self.make_host()
-        state = ShardState.from_json_obj(host.export_state().to_json_obj())
-        restored = ShardHost.restore(5, c1(), state)
-        assert restored.shard == 5
-        assert restored.per_ce_alerts() == host.per_ce_alerts()
-        assert restored.received() == host.received()
-
-    def test_restore_rejects_tampered_state(self):
-        state = self.make_host().export_state()
-        tampered = ShardState(
-            shard=state.shard,
-            logs=state.logs,
-            high_water=state.high_water,
-            emitted=(5, 5),  # claims alerts the log cannot regenerate
-        )
-        with pytest.raises(ValueError, match="does not reproduce"):
-            ShardHost.restore(2, c1(), tampered)
-
-    def test_stale_guard_drops_reforwarded_duplicates(self):
-        host = self.make_host()
-        state = ShardState.from_json_obj(host.export_state().to_json_obj())
-        restored = ShardHost.restore(2, c1(), state)
-        # An in-flight delivery re-forwarded after the handoff: already
-        # covered by the high-water vector, must not double-ingest.
-        assert restored.ingest(0, _threshold_updates([3])[0]) is None
-        assert restored.stale_dropped == [1, 0]
-        assert restored.per_ce_alerts() == host.per_ce_alerts()
-        # Genuinely new deliveries still evaluate.
-        alert = restored.ingest(0, _threshold_updates([5])[0])
-        assert alert is not None
-
-    def test_guard_ignores_unreferenced_variables(self):
-        host = ShardHost(shard=0, condition=c1(), replication=1)
-        host.ingest(0, Update("other", 1, 9999.0))
-        assert host.export_state().high_water == ({},)
-
-
-class TestRebalanceBookkeeping:
-    """``execute_rebalanced`` across a resize that moves ``x``'s home."""
-
-    OLD, NEW = ShardConfig(shards=2), ShardConfig(shards=8)
-
-    def test_counters_account_for_every_delivery(self):
-        feed = record_feed(TrialSpec("single", "aggressive", "AD-2", 3, 12))
-        cut = len(feed.deliveries) // 2
-        # A delivery still in flight to the old home, re-forwarded after
-        # the handoff.
-        replayed = dataclasses.replace(feed, deliveries=(
-            *feed.deliveries[:cut + 1], feed.deliveries[0],
-            *feed.deliveries[cut + 1:],
-        ))
-        result = execute_rebalanced(replayed, self.OLD, cut, self.NEW)
-        assert result.counters == {"shard/handoff/ring": 1, "shard/stale/guard": 1}
-        assert result.digest() == DirectRuntime().execute(feed).digest()
-
-    def test_runtime_name_exposes_layout(self):
-        feed = record_feed(TrialSpec("single", "aggressive", "AD-2", 3, 12))
-        result = execute_rebalanced(feed, self.OLD, 0, self.NEW)
-        assert result.runtime == "sharded-rebalance[2->8]"
+        before = [HashRing(ShardConfig(shards=4)).shard_for(k) for k in population]
+        monkeypatch.setattr(ring, "RING_SALT", 1)
+        after = [HashRing(ShardConfig(shards=4)).shard_for(k) for k in population]
+        assert before != after  # 200 keys all landing identically is ~impossible
 
 
 class TestCollectorScope:
@@ -254,8 +130,10 @@ class TestCollectorScope:
 
 
 class TestPerfHarnessBinding:
-    """``benchmarks/perf/tenants.py`` patches its layers on
-    ``repro.sharding.tenants`` by name, unused imports included."""
+    """The repo benchmark (``benchmarks/perf/``) binds ``repro`` names:
+    each traced run patches its layers by attribute, unused imports
+    included, and chaos-churn-grid re-runs a sample on the object
+    kernel.  Deleting or renaming a bound name fails here."""
 
     def test_tenant_batch_installs_counts_and_unpatches(self):
         from benchmarks.perf.spans import Tracer
@@ -278,6 +156,64 @@ class TestPerfHarnessBinding:
         assert tracer.calls("core.serialization.render") == result.displayed
         # The tenant path raises alerts straight into the AD: no merge.
         assert tracer.calls("service.runtime.merge_stamped") == 0
+
+
+    def test_trial_grids_install_count_and_unpatch(self):
+        from benchmarks.perf.spans import Tracer
+        from benchmarks.perf.trials import _Grid
+        from repro.faults.plan import DEFAULT_CHURN_PROFILE
+        from repro.membership.config import MembershipConfig
+
+        grid = _Grid(ctx=None)
+        grid.deliveries = 0
+        tracer = Tracer()
+        try:
+            grid.install(tracer)
+            patched = list(tracer._patches)
+            spec = TrialSpec(
+                "multi", "aggressive", "AD-5", 3, 6, replication=2,
+                faults=DEFAULT_CHURN_PROFILE.scaled(2.0),
+                membership=MembershipConfig(), collect_quality=True,
+            )
+            spec.execute()
+        finally:
+            tracer.unpatch()
+        assert all(getattr(owner, attr) is original
+                   for owner, attr, original in patched)
+        for layer in ("engine.trial", "workloads.make_workload",
+                      "faults.materialize", "membership.plan",
+                      "simulation.run_system", "props.report.evaluate_run",
+                      "props.orderedness", "quality.alert_quality"):
+            assert tracer.calls(layer) >= 1, layer
+        assert grid.deliveries > 0
+
+    def test_service_direct_patch_list_resolves(self):
+        from benchmarks.perf.service import ServiceStream
+
+        stream = ServiceStream.__new__(ServiceStream)
+        stream.feed = record_feed(TrialSpec("single", "aggressive", "AD-3", 7, 40))
+        stream.reference_bytes = DirectRuntime().execute(stream.feed).displayed_bytes()
+        tracer, _bare, _traced, displayed = stream._traced_direct()
+        assert displayed > 0
+        assert tracer.calls("displayers.offer") == stream.feed.total_alerts
+        assert tracer.calls("service.runtime.merge_stamped") == 1
+
+    def test_chaos_churn_grid_verifies_on_the_object_kernel(self):
+        from types import SimpleNamespace
+
+        from benchmarks.perf.trials import ChaosChurnGrid
+
+        notes = []
+        ctx = SimpleNamespace(
+            seed=7, note=notes.append,
+            sizes=SimpleNamespace(chaos_blocks=1, chaos_specs=2, chaos_updates=12),
+        )
+        grid = ChaosChurnGrid(ctx)
+        specs = grid.plan_block(0)
+        grid.sampled = [(specs[0], specs[0].execute())]
+        grid.verify()
+        assert grid.failed_ops == 0
+        assert notes == ["object-kernel sample 1 specs, 0 mismatches"]
 
 
 class TestConformanceDivergence:

@@ -95,7 +95,7 @@ class TestScenarios:
     def test_condition_shapes(self):
         assert not SINGLE_VARIABLE_SCENARIOS["non-historical"].make_condition().is_historical
         assert SINGLE_VARIABLE_SCENARIOS["conservative"].make_condition().is_conservative
-        assert SINGLE_VARIABLE_SCENARIOS["aggressive"].make_condition().is_aggressive
+        assert not SINGLE_VARIABLE_SCENARIOS["aggressive"].make_condition().is_conservative
 
     def test_condition_is_built_once_per_row(self):
         from dataclasses import replace
@@ -117,7 +117,7 @@ class TestScenarios:
         cons = cm_historical(conservative=True)
         aggr = cm_historical(conservative=False)
         assert cons.is_conservative and cons.is_historical
-        assert aggr.is_aggressive and aggr.is_historical
+        assert not aggr.is_conservative and aggr.is_historical
         assert cons.degree("x") == 2 and cons.degree("y") == 1
 
     def test_workloads_cover_condition_variables(self):

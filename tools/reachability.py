@@ -1,7 +1,8 @@
 """Which ``src/repro`` functions does no entry point reach?
 
-Runs every documented entry point under a call profiler and lists each
-function definition in ``src/repro`` that none of them called::
+Runs every documented entry point under a call profiler, lists each
+function definition in ``src/repro`` that none of them called, and holds
+that list to ``tools/reachability_allow.txt``::
 
     make reachability        # or: python tools/reachability.py
     python tools/reachability.py --unique
@@ -38,7 +39,14 @@ How it counts, and why each part is there:
 
 Default output: each outermost unreached definition with its line span — a class
 with its own ``__init__`` when none of its methods ran, else the methods
-themselves — then the totals.  Exit status 1 if an entry point failed (its reach is then
+themselves — then the totals.
+
+The allowlist is a ratchet.  It names each definition that may stay
+unreached as ``path::Qualname`` (no line numbers, so moving code is
+free), under a ``# reason`` header.  The run fails on an unreached
+definition the list does not name, and on a listed one that is now
+reached or gone: the list can only shrink, one deletion at a time.
+Exit status 1 on either, or if an entry point failed (its reach is then
 incomplete).
 """
 
@@ -55,6 +63,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ALLOWLIST = ROOT / "tools" / "reachability_allow.txt"
 
 ENTRY_POINTS: list[list[str]] = [
     # README.md, in order of appearance.
@@ -221,6 +230,53 @@ def unreached(tree: ast.AST, entered: set[int]) -> list[tuple[int, int, str, int
     return spans
 
 
+def qualnames(tree: ast.AST) -> set[str]:
+    """Every function and class of one module, by qualified name."""
+    names: set[str] = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*_FUNCTIONS, ast.ClassDef)):
+                names.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return names
+
+
+def parse_allowlist(text: str) -> dict[str, str]:
+    """``{path::Qualname: reason}`` from the allowlist's text: each entry
+    takes the ``# reason`` header above it."""
+    allowed: dict[str, str] = {}
+    reason = None
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line.startswith("#"):
+            reason = line.lstrip("#").strip()
+        elif line:
+            if reason is None or "::" not in line or line in allowed:
+                raise ValueError(f"allowlist line {number}: {line!r} needs a "
+                                 "reason header, a path::Qualname and no twin")
+            allowed[line] = reason
+    return allowed
+
+
+def ratchet(unreached: list[str], defined: set[str], allowed: dict[str, str]) -> list[str]:
+    """What holds the unreached list to the allowlist: each unreached
+    definition it does not name, and each name it lists that is reached
+    or gone.  Empty when the two agree."""
+    missed = set(unreached)
+    problems = [f"unreached but not allowlisted: {name}"
+                for name in unreached if name not in allowed]
+    problems += [
+        f"allowlisted but {'reached' if name in defined else 'gone'}: {name}"
+        for name in allowed if name not in missed
+    ]
+    return problems
+
+
 def run_entry_points(tree: Path, env: dict[str, str], out: Path) -> tuple[list[str], list[str]]:
     """Run every entry point in ``tree``, each dumping into its own
     numbered directory under ``out``: every entry point as shown, and
@@ -314,19 +370,27 @@ def main() -> int:
         if unique:
             print_unique(tree, shown, reachers)
         total = missed = lines = 0
+        names: list[str] = []
+        defined: set[str] = set()
         for path in sorted((tree / "src" / "repro").rglob("*.py")):
             module = ast.parse(path.read_text())
+            relative = path.relative_to(tree)
             total += sum(isinstance(n, _FUNCTIONS) for n in ast.walk(module))
+            defined |= {f"{relative}::{name}" for name in qualnames(module)}
             for first, last, name, functions in unreached(module, entered.get(str(path), set())):
                 missed += functions
                 lines += last - first + 1
+                names.append(f"{relative}::{name}")
                 if not unique:
-                    print(f"{path.relative_to(tree)}:{first}-{last}  {name}  ({last - first + 1} lines)")
+                    print(f"{relative}:{first}-{last}  {name}  ({last - first + 1} lines)")
     print(f"\nunreached: {missed} of {total} function definitions, "
-          f"{lines:,} lines in outermost definitions")
+          f"{lines:,} lines in {len(names)} outermost definitions")
+    problems = ratchet(names, defined, parse_allowlist(ALLOWLIST.read_text()))
+    for problem in problems:
+        print(f"RATCHET: {problem}")
     for command in failed:
         print(f"FAILED: {command}")
-    return 1 if failed else 0
+    return 1 if failed or problems else 0
 
 
 if __name__ == "__main__":

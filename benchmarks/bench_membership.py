@@ -24,7 +24,7 @@ worse.  What the lifecycle costs in wall-clock is the
 from __future__ import annotations
 
 from benchmarks.conftest import save_result
-from repro.accel import percentile
+from repro.accel import percentiles
 from repro.faults import (
     churn_specs,
     churn_sweep,
@@ -57,12 +57,14 @@ def latency_distributions() -> dict:
             recovery.extend(plan.recovery_latencies)
             missed += plan.missed_detections
             crashes += len(plan.recoveries)
+        detection_p50, detection_p99 = percentiles(detection, (50, 99))
+        mttr_p50, mttr_p99 = percentiles(recovery, (50, 99))
         out[f"{intensity:g}"] = {
             "crash_windows": crashes,
-            "detection_p50": percentile(detection, 50),
-            "detection_p99": percentile(detection, 99),
-            "mttr_p50": percentile(recovery, 50),
-            "mttr_p99": percentile(recovery, 99),
+            "detection_p50": detection_p50,
+            "detection_p99": detection_p99,
+            "mttr_p50": mttr_p50,
+            "mttr_p99": mttr_p99,
             "missed_detections": missed,
         }
     return out

@@ -1,12 +1,13 @@
 """Process-level helpers: small-sample statistics and the collector scope.
 
-Four callers (``quality.metrics``, ``quality.sweep``,
-``analysis.latency``, the server's result-frame percentiles) each
-summarise a few thousand floats, so these are plain Python over the
-standard library — no optional numeric dependency, one code path.
-:func:`percentile` interpolates linearly at the fractional rank
+The callers (``quality.sweep``, ``faults.chaos``, ``analysis.latency``,
+the server's result percentiles) each summarise a few thousand floats,
+so these are plain Python over the standard library — no optional
+numeric dependency, one code path.
+:func:`percentiles` interpolates linearly at the fractional rank
 ``q/100 * (n-1)`` — the default of the array libraries these numbers
-were first published with, so they keep the definition readers expect.
+were first published with, so they keep the definition readers expect —
+and reads every rank a caller asks for from one sort.
 
 :func:`collector_paused` is the one place the cyclic collector is
 switched: a batch's ``Update`` → ``HistorySnapshot`` → ``Alert`` graph is
@@ -18,14 +19,13 @@ policy*).
 from __future__ import annotations
 
 import gc
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 __all__ = [
     "collector_paused",
     "mean",
-    "median",
-    "percentile",
+    "percentiles",
 ]
 
 
@@ -53,25 +53,25 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile by linear interpolation.
+def percentiles(values: Sequence[float], qs: Iterable[float]) -> list[float]:
+    """The ``q``-th percentile for each ``q`` of ``qs``, by linear
+    interpolation over one sort of ``values``.
 
     Rank ``r = q/100 * (n-1)`` over the sorted values, result
-    ``v[floor(r)] + (r - floor(r)) * (v[ceil(r)] - v[floor(r)])``.
+    ``v[floor(r)] + (r - floor(r)) * (v[ceil(r)] - v[floor(r)])``; so
+    ``q = 100`` is the largest value.
     """
     n = len(values)
     if not n:
         raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
     ordered = sorted(map(float, values))
-    rank = q / 100.0 * (n - 1)
-    lower = int(rank)
-    upper = min(lower + 1, n - 1)
-    fraction = rank - lower
-    return ordered[lower] + fraction * (ordered[upper] - ordered[lower])
-
-
-def median(values: Sequence[float]) -> float:
-    """The median (the 50th percentile)."""
-    return percentile(values, 50.0)
+    out = []
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile q must be in [0, 100], got {q}")
+        rank = q / 100.0 * (n - 1)
+        lower = int(rank)
+        upper = min(lower + 1, n - 1)
+        fraction = rank - lower
+        out.append(ordered[lower] + fraction * (ordered[upper] - ordered[lower]))
+    return out

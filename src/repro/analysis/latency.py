@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accel import mean as _mean, median as _median, percentile as _percentile
+from repro.accel import mean as _mean, percentiles as _percentiles
 from repro.components.system import RunResult
 from repro.core.reference import ground_truth_alerts
 
@@ -91,8 +91,7 @@ def latency_stats(latencies: list[NotificationLatency]) -> LatencyStats:
     delivered = [entry.latency for entry in latencies if entry.latency is not None]
     if delivered:
         mean = _mean(delivered)
-        median = _median(delivered)
-        p95 = _percentile(delivered, 95)
+        median, p95 = _percentiles(delivered, (50.0, 95))
     else:
         mean = median = p95 = float("nan")
     return LatencyStats(

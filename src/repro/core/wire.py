@@ -163,19 +163,21 @@ class FrameError(ValueError):
     """A malformed frame: oversized, or a stream truncated mid-frame."""
 
 
-def encode_frame(payload: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Wrap ``payload`` in a length-prefixed frame.
+def encode_frame(*parts: bytes, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Wrap the payload ``parts`` (concatenated) in a length-prefixed
+    frame, in one join: a large payload is copied once.
 
     Zero-length payloads are legal (they encode to a bare header); a
     payload above ``max_bytes`` raises :class:`FrameError` — the sender
     must never emit a frame its peer is obliged to reject.
     """
-    if len(payload) > max_bytes:
+    size = sum(map(len, parts))
+    if size > max_bytes:
         raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
+            f"frame payload of {size} bytes exceeds the "
             f"{max_bytes}-byte ceiling"
         )
-    return _FRAME_HEADER.pack(len(payload)) + payload
+    return b"".join((_FRAME_HEADER.pack(size), *parts))
 
 
 class FrameDecoder:

@@ -37,8 +37,8 @@ cross-validation oracle (``tests/conftest.py``).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field, fields
 
 from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition, compile_condition
@@ -55,6 +55,23 @@ __all__ = [
 ]
 
 
+class _Diagnosis:
+    """``missing`` / ``extraneous`` of a result made by
+    :meth:`CompletenessResult.deferred`: both are computed on the first
+    read of either and then sit in the instance like any field.  Reading
+    the class attribute gives the field's default, the empty set."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, result, owner: type | None = None):
+        if result is None:
+            return frozenset()
+        state = result.__dict__
+        state["missing"], state["extraneous"] = state.pop("_diagnose")()
+        return state[self.name]
+
+
 @dataclass(frozen=True)
 class CompletenessResult:
     """Verdict plus the witnessed discrepancies.
@@ -66,6 +83,15 @@ class CompletenessResult:
     a fixed, cheap reference point; the search itself proves that no
     interleaving matches exactly.
 
+    The service's running verdict (:class:`~repro.props.fold.VerdictFold`)
+    returns a ✗ verdict with :meth:`deferred`, so the two sets are built
+    only when something reads them; the service reads only the verdict.
+    Equality, hashing, ``repr`` and pickling read them, so a deferred
+    result compares, hashes, prints and pickles exactly as the eager one
+    built from the same sets.  The batch checkers stay eager: their
+    verdicts live on in reports, where a deferred one would hold the
+    inputs of its diagnosis instead of the (smaller) diagnosis.
+
     ``undecided=True`` marks a multi-variable check that exhausted its
     state budget before finding a witness or exhausting the search space;
     the verdict must then be treated as unknown, not as a violation
@@ -73,8 +99,8 @@ class CompletenessResult:
     """
 
     complete: bool
-    missing: frozenset[tuple] = frozenset()
-    extraneous: frozenset[tuple] = frozenset()
+    missing: frozenset[tuple] = _Diagnosis()
+    extraneous: frozenset[tuple] = _Diagnosis()
     #: Multi-variable only: a witnessing interleaving when complete.
     witness_interleaving: tuple[Update, ...] | None = field(
         default=None, compare=False
@@ -84,6 +110,24 @@ class CompletenessResult:
 
     def __bool__(self) -> bool:
         return self.complete
+
+    @classmethod
+    def deferred(
+        cls, diagnose: Callable[[], tuple[frozenset[tuple], frozenset[tuple]]]
+    ) -> CompletenessResult:
+        """A ✗ verdict whose ``(missing, extraneous)`` are ``diagnose()``,
+        called on the first read of either."""
+        result = object.__new__(cls)
+        state = result.__dict__
+        state["complete"] = False
+        state["witness_interleaving"] = None
+        state["undecided"] = False
+        state["_diagnose"] = diagnose
+        return result
+
+    def __getstate__(self) -> dict:
+        # What an eager result pickles: its fields, in order.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_completeness_single(
@@ -152,7 +196,11 @@ def check_completeness_single(
             foreign.add(alert.identity())
         else:
             actual.add(histories.seqnos(var))
-    return compare_window_keys(condname, var, expected, actual, foreign)
+    # A batch verdict lives on in its run's report: diagnosed now, it
+    # keeps the difference rather than both key sets.
+    return compare_window_keys(
+        condname, var, expected, actual, foreign, defer=False
+    )
 
 
 def compare_window_keys(
@@ -161,23 +209,35 @@ def compare_window_keys(
     expected: set[tuple[int, ...]],
     actual: set[tuple[int, ...]],
     foreign: set[tuple],
+    *,
+    defer: bool,
 ) -> CompletenessResult:
     """The verdict of :func:`check_completeness_single` from its key sets:
     ``expected`` holds the seqno tuples of the windows where T raises,
     ``actual`` those of A's alerts of this condition over exactly ``var``,
     and ``foreign`` the identities of A's other alerts.  Identities are
-    rendered only for the symmetric difference."""
+    rendered only for the symmetric difference.
+
+    With ``defer``, a ✗ verdict renders them only when they are read
+    (:meth:`CompletenessResult.deferred`) and holds the three sets until
+    then, so the sets must not change after the call: the choice of a
+    caller whose sets die with the verdict's reader anyway."""
     if expected == actual and not foreign:
         return CompletenessResult(True)
 
-    def identities(keys: set[tuple[int, ...]]) -> set[tuple]:
-        return {(condname, ((var, key),)) for key in keys}
+    def diagnose() -> tuple[frozenset[tuple], frozenset[tuple]]:
+        def identities(keys: set[tuple[int, ...]]) -> set[tuple]:
+            return {(condname, ((var, key),)) for key in keys}
 
-    return CompletenessResult(
-        False,
-        missing=frozenset(identities(expected - actual)),
-        extraneous=frozenset(identities(actual - expected) | foreign),
-    )
+        return (
+            frozenset(identities(expected - actual)),
+            frozenset(identities(actual - expected) | foreign),
+        )
+
+    if defer:
+        return CompletenessResult.deferred(diagnose)
+    missing, extraneous = diagnose()
+    return CompletenessResult(False, missing, extraneous)
 
 
 def check_completeness_multi(

@@ -201,8 +201,11 @@ class VerdictFold:
             ordered = OrderednessResult(True)
         else:
             ordered = OrderednessResult(False, var, self._inversion)
+        # The run is over, so its key sets can wait for a reader of the
+        # diagnosis; the service reads only the verdict.
         complete = compare_window_keys(
-            self.condition.name, var, self._expected, self._actual, self._foreign
+            self.condition.name, var, self._expected, self._actual,
+            self._foreign, defer=True,
         )
         if self._conflict is None:
             consistent = ConsistencyResult(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
-from repro.accel import percentile
+from repro.accel import percentiles
 from repro.engine.core import INLINE_ENGINE, TrialEngine
 from repro.engine.plan import cell_specs, require_axes
 from repro.engine.spec import TrialSpec
@@ -151,6 +151,9 @@ def _fold_cell(
         false_rate_sum += quality["false_alerts"] / shown if shown else 0.0
         latencies.extend(quality["latency_samples"])
     trials = len(reports)
+    latency_p50, latency_p99 = (
+        percentiles(latencies, (50.0, 99.0)) if latencies else (None, None)
+    )
     return QualityCell(
         algorithm=algorithm,
         front_loss=front_loss,
@@ -167,8 +170,8 @@ def _fold_cell(
         missed_rate=missed_sum / trials if trials else 0.0,
         duplicate_rate=dup_rate_sum / trials if trials else 0.0,
         false_rate=false_rate_sum / trials if trials else 0.0,
-        latency_p50=percentile(latencies, 50.0) if latencies else None,
-        latency_p99=percentile(latencies, 99.0) if latencies else None,
+        latency_p50=latency_p50,
+        latency_p99=latency_p99,
         latency_samples=len(latencies),
     )
 

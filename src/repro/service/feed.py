@@ -14,25 +14,30 @@ fully determines them), persist as JSONL (``repro.feed/1``), and stream
 over sockets as length-prefixed :mod:`repro.core.wire` frames carrying
 protocol messages::
 
-    {"type": "hello", "schema": "repro.feed/1", "spec": ..., "stamps": ...}
+    {"type": "hello", "schema": "repro.feed/1", "spec": ...}
+    {"type": "stamps", "ce": 0, "stamps": ((time, index), ...)}   one per CE
     {"type": "delivery", "ce": 0, "update": {"var": "x", "seqno": 1, ...}}
     ...
     {"type": "end"}
 
-Control messages (hello, end, result, error) travel as canonical JSON.  A
-``delivery`` — all but two frames of a feed — travels as a fixed binary
-record instead, the one encoding of it the wire accepts::
+and the server answers with one ``result`` (or ``error``) message.  The
+control messages (hello, end, error) travel as canonical JSON.  The bulk
+ones travel as binary records, whose first byte is a tag (a JSON payload
+starts with ``{``, so the first byte decides); all integers big-endian::
 
-    offset  size  field
-    0       1     tag 0x01 (a JSON payload starts with ``{``)
-    1       2     CE index, big-endian unsigned
-    3       8     seqno, big-endian unsigned
-    11      8     value, big-endian IEEE-754 double
-    19      >=1   varname, UTF-8, to the end of the frame
+    0x01 delivery   >H CE | >Q seqno | >d value | varname, UTF-8, to the end
+    0x02 stamps     >H CE | n x (>d arrival time, >Q global index), n >= 0
+    0x03 result     >I header length | header: canonical JSON of every
+                    result field but ``displayed`` | the displayed lines,
+                    UTF-8, joined by "\\n", to the end
 
-:func:`encode_message` / :func:`decode_message` map both forms to and from
-the message dicts above; the server's reader skips the dict and takes
-:func:`decode_delivery` straight to an :class:`Update`.
+The stamp records follow the hello, one per CE in CE order, and their
+number is the feed's replication.  :func:`encode_message` /
+:func:`decode_message` map every form to and from the message dicts
+above and are exact inverses; the server's reader skips the dict and
+takes :func:`decode_delivery` straight to an :class:`Update` and
+:func:`decode_stamps` straight to the ``(time, index)`` tuples the merge
+takes.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from math import isfinite
 from operator import le
 from pathlib import Path
 from typing import Any, Iterator
@@ -60,6 +66,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "decode_delivery",
+    "decode_stamps",
     "decode_hello",
 ]
 
@@ -74,18 +81,39 @@ class FeedSchemaError(ValueError):
 
 
 _DELIVERY_TAG = b"\x01"
-#: The fixed fields behind the tag: CE index, seqno, value.
+_STAMPS_TAG = b"\x02"
+_RESULT_TAG = b"\x03"
+#: The fixed fields behind the delivery tag: CE index, seqno, value.
 _DELIVERY_FIELDS = struct.Struct(">HQd")
 _VARNAME_AT = 1 + _DELIVERY_FIELDS.size
+_CE = struct.Struct(">H")
+#: One stamp of a stamp record: arrival time, global index.
+_STAMP = struct.Struct(">dQ")
+_STAMPS_AT = 1 + _CE.size
+_HEADER_LENGTH = struct.Struct(">I")
+_LINES_AT = 1 + _HEADER_LENGTH.size
+
+
+def _canonical(obj: Any) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """One protocol message as a length-prefixed frame: a binary record
-    for a ``delivery``, canonical JSON for everything else."""
-    if message.get("type") != "delivery":
-        return encode_frame(
-            json.dumps(message, sort_keys=True, separators=(",", ":")).encode()
-        )
+    for a ``delivery``, ``stamps`` or ``result``, canonical JSON for
+    everything else.  What a record cannot carry is a
+    :class:`FeedSchemaError` here, at the sender."""
+    kind = message.get("type")
+    if kind == "delivery":
+        return _encode_delivery(message)
+    if kind == "stamps":
+        return _encode_stamps(message)
+    if kind == "result":
+        return _encode_result(message)
+    return encode_frame(_canonical(message))
+
+
+def _encode_delivery(message: dict[str, Any]) -> bytes:
     try:
         update = message["update"]
         varname = update["var"].encode()
@@ -101,12 +129,45 @@ def encode_message(message: dict[str, Any]) -> bytes:
         ) from exc
     if not varname:
         raise FeedSchemaError(f"delivery without a varname: {message!r}")
-    return encode_frame(_DELIVERY_TAG + fields + varname)
+    return encode_frame(_DELIVERY_TAG, fields, varname)
+
+
+def _encode_stamps(message: dict[str, Any]) -> bytes:
+    try:
+        ce = _CE.pack(message["ce"])
+        block = [_STAMP.pack(time, index) for time, index in message["stamps"]]
+    except (struct.error, OverflowError, KeyError, TypeError, ValueError) as exc:
+        raise FeedSchemaError(
+            f"stamps do not fit the wire record ({exc}): {message!r:.200}"
+        ) from exc
+    return encode_frame(_STAMPS_TAG, ce, *block)
+
+
+def _encode_result(message: dict[str, Any]) -> bytes:
+    try:
+        lines = message["displayed"]
+        text = "\n".join(lines)
+        body = text.encode()
+        header = _canonical({
+            name: value for name, value in message.items()
+            if name not in ("type", "displayed")
+        })
+    except (KeyError, TypeError, ValueError) as exc:  # UnicodeEncodeError too
+        raise FeedSchemaError(
+            f"result does not fit the wire record ({exc})"
+        ) from exc
+    # "\n" separates the lines, so a line may neither be empty nor hold
+    # one: the decoder could not give it back.
+    if lines and (text.count("\n") != len(lines) - 1 or not all(lines)):
+        raise FeedSchemaError("a displayed line is empty or holds a newline")
+    return encode_frame(
+        _RESULT_TAG, _HEADER_LENGTH.pack(len(header)), header, body
+    )
 
 
 def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
     """``(ce_index, update)`` of a delivery record; ``None`` when the
-    payload does not carry the delivery tag (it is a JSON message)."""
+    payload does not carry the delivery tag."""
     if payload[:1] != _DELIVERY_TAG:
         return None
     try:
@@ -128,6 +189,67 @@ def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
     return ce_index, update
 
 
+def decode_stamps(
+    payload: bytes,
+) -> tuple[int, tuple[tuple[float, int], ...]] | None:
+    """``(ce_index, stamps)`` of a stamp record; ``None`` when the payload
+    does not carry the stamp tag.
+
+    Everything in it comes from the peer, so a block that is not whole
+    stamps, a time that is not finite and stamps out of ``(time,
+    index)`` order are each a :class:`FeedSchemaError`.
+    """
+    if payload[:1] != _STAMPS_TAG:
+        return None
+    size = len(payload) - _STAMPS_AT
+    if size < 0 or size % _STAMP.size:
+        raise FeedSchemaError(
+            f"a stamp record of {len(payload)} bytes is not {_STAMPS_AT} + "
+            f"{_STAMP.size}n: {payload[:80]!r}"
+        )
+    (ce_index,) = _CE.unpack_from(payload, 1)
+    stamps = tuple(_STAMP.iter_unpack(memoryview(payload)[_STAMPS_AT:]))
+    # In (time, index) order the ends bound every time, so two finite
+    # ends make every time finite; a NaN anywhere else fails the order
+    # check, since it compares neither equal nor below anything.
+    if stamps and not (isfinite(stamps[0][0]) and isfinite(stamps[-1][0])):
+        raise FeedSchemaError(
+            f"the stamp record of CE{ce_index + 1} holds a non-finite time"
+        )
+    # Back links are FIFO, so a CE's stamps are in arrival order; the
+    # merge releases each CE's alerts in that order.
+    if not all(map(le, stamps, stamps[1:])):
+        raise FeedSchemaError(
+            f"the stamp record of CE{ce_index + 1} is not in (time, index) "
+            "order"
+        )
+    return ce_index, stamps
+
+
+def _decode_result(payload: bytes) -> dict[str, Any]:
+    try:
+        (length,) = _HEADER_LENGTH.unpack_from(payload, 1)
+    except struct.error as exc:
+        raise FeedSchemaError(f"truncated result record: {payload!r}") from exc
+    lines_at = _LINES_AT + length
+    if len(payload) < lines_at:
+        raise FeedSchemaError(
+            f"a result record of {len(payload)} bytes declares a "
+            f"{length}-byte header"
+        )
+    try:
+        header = json.loads(payload[_LINES_AT:lines_at])
+        text = payload[lines_at:].decode()
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise FeedSchemaError(f"malformed result record ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FeedSchemaError(f"result header is not an object: {header!r:.80}")
+    lines = text.split("\n") if text else []
+    if not all(lines):
+        raise FeedSchemaError("a result record holds an empty displayed line")
+    return {**header, "type": "result", "displayed": lines}
+
+
 def decode_message(payload: bytes) -> dict[str, Any]:
     """Inverse of :func:`encode_message` (for one decoded frame payload)."""
     delivery = decode_delivery(payload)
@@ -138,6 +260,12 @@ def decode_message(payload: bytes) -> dict[str, Any]:
             "ce": ce_index,
             "update": update_to_json(update),
         }
+    record = decode_stamps(payload)
+    if record is not None:
+        ce_index, stamps = record
+        return {"type": "stamps", "ce": ce_index, "stamps": stamps}
+    if payload[:1] == _RESULT_TAG:
+        return _decode_result(payload)
     try:
         message = json.loads(payload.decode())
     except ValueError as exc:  # not UTF-8, not JSON, or an unknown record tag
@@ -146,16 +274,16 @@ def decode_message(payload: bytes) -> dict[str, Any]:
         ) from exc
     if not isinstance(message, dict) or "type" not in message:
         raise FeedSchemaError(f"malformed service message: {payload[:80]!r}")
-    if message["type"] == "delivery":
+    if message["type"] in ("delivery", "stamps", "result"):
         raise FeedSchemaError(
-            "a delivery travels as a binary record, not as JSON: "
+            f"a {message['type']} travels as a binary record, not as JSON: "
             f"{payload[:80]!r}"
         )
     return message
 
 
 def decode_hello(hello: dict[str, Any]):
-    """``(TrialSpec, stamps)`` of a decoded ``hello`` message.
+    """The :class:`~repro.engine.spec.TrialSpec` of a decoded ``hello``.
 
     Everything in a hello comes from the peer, so whatever is wrong with
     it is a :class:`FeedSchemaError` naming the field at fault — never
@@ -170,9 +298,13 @@ def decode_hello(hello: dict[str, Any]):
         raise FeedSchemaError(
             f"unsupported feed schema {hello.get('schema')!r}"
         )
-    for name in ("spec", "stamps"):
-        if name not in hello:
-            raise FeedSchemaError(f"hello has no {name!r} field")
+    if "spec" not in hello:
+        raise FeedSchemaError("hello has no 'spec' field")
+    if "stamps" in hello:
+        raise FeedSchemaError(
+            "hello field 'stamps' is not accepted: the stamps follow the "
+            "hello as one stamp record per CE"
+        )
     spec = hello["spec"]
     check_spec_fields(spec, FeedSchemaError, "hello spec")
 
@@ -187,28 +319,9 @@ def decode_hello(hello: dict[str, Any]):
     named("row", SCENARIO_MATRICES[named("matrix", SCENARIO_MATRICES)])
     named("algorithm", algorithm_names())
     try:
-        trial = TrialSpec(**spec)
+        return TrialSpec(**spec)
     except (TypeError, ValueError) as exc:  # a nested faults/membership dict
         raise FeedSchemaError(f"hello field 'spec' is malformed ({exc})") from exc
-    try:
-        stamps = tuple(
-            tuple((float(time), int(seq)) for time, seq in per_ce)
-            for per_ce in hello["stamps"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise FeedSchemaError(
-            "hello field 'stamps' is not a list, per CE, of [time, index] "
-            f"pairs ({exc})"
-        ) from exc
-    # Back links are FIFO, so a CE's stamps are in arrival order; the
-    # merge releases each CE's alerts in that order.
-    for ce_index, per_ce in enumerate(stamps):
-        if not all(map(le, per_ce, per_ce[1:])):
-            raise FeedSchemaError(
-                f"hello field 'stamps' of CE{ce_index + 1} is not in "
-                "(time, index) order"
-            )
-    return trial, stamps
 
 
 @dataclass(frozen=True)
@@ -361,14 +474,9 @@ def load_feed(path: str | Path) -> UpdateFeed:
 
 def feed_messages(feed: UpdateFeed) -> Iterator[dict[str, Any]]:
     """The protocol messages a client streams to serve this feed."""
-    yield {
-        "type": "hello",
-        "schema": FEED_SCHEMA,
-        "spec": feed.spec,
-        "stamps": [
-            [[time, seq] for time, seq in per_ce] for per_ce in feed.stamps
-        ],
-    }
+    yield {"type": "hello", "schema": FEED_SCHEMA, "spec": feed.spec}
+    for ce_index, per_ce in enumerate(feed.stamps):
+        yield {"type": "stamps", "ce": ce_index, "stamps": per_ce}
     for ce_index, update in feed.deliveries:
         yield {
             "type": "delivery",

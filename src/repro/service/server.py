@@ -9,12 +9,21 @@ one task, and each socket read is one step of it::
                    then render displayed lines, fold verdicts ─▶ yield
                 └▶ next read
 
-The reader first decodes every delivery record the read completed,
-stamping each as it is decoded (the start of its update→display
-latency), so a record's latency includes its wait behind the earlier
-records of its read.  Then, ``_STEPS_PER_TURN`` records at a time, it
-runs each target CE's :class:`~repro.core.evaluator.ConditionEvaluator`
-step and hands any raised alert to the connection's
+Before the first delivery come the ``hello`` (canonical JSON: the
+:class:`~repro.engine.spec.TrialSpec`) and one binary stamp record per
+CE, in CE order, whose number is the replication; the reader decodes
+them, over as many reads as they span, straight into the merge's
+``(time, index)`` tuples (:func:`~repro.service.feed.decode_stamps`).
+A stamp record anywhere else — out of CE order, repeated, or after the
+first delivery — is a :class:`~repro.service.feed.FeedSchemaError`.
+
+Then, read by read, the reader first decodes every delivery record the
+read completed, stamping each as it is decoded (the start of its
+update→display latency), so a record's latency includes its wait behind
+the earlier records of its read.  Next, ``_STEPS_PER_TURN`` records at
+a time, it runs each target CE's
+:class:`~repro.core.evaluator.ConditionEvaluator` step and hands any
+raised alert to the connection's
 :class:`~repro.service.consumers.StampMerge`, which releases it in
 recorded stamp order through the AD filter and reads the latency clock;
 after each slice it renders the lines the slice displayed, folds the
@@ -27,17 +36,20 @@ What the server holds beside the run itself is at most one
 
 Shutdown is a graceful drain, not an abort: the client's ``end`` message
 ends the read loop once every delivery before it is stepped, and the
-handler replies with a single ``result`` frame — displayed alerts,
-verdicts, counters, latency percentiles — once the merge has released
-every stamped alert.  :meth:`MonitorService.stop` likewise waits for
-in-flight connections before closing the listener.
+handler replies with a single ``result`` record — the displayed lines as
+UTF-8 text behind a JSON header of verdicts, counters and latency
+percentiles — once the merge has released every stamped alert.
+:meth:`MonitorService.stop` likewise waits for in-flight connections
+before closing the listener.
 
 Little is left to do at ``end``.  Each displayed alert's line is
 rendered after the read that displayed it, and a single-variable
 condition's verdicts are folded (:class:`~repro.props.fold.VerdictFold`)
 read by read, so ``end`` only flushes the merged run above the CEs'
-watermark.  A multi-variable condition is still decided from the whole
-runs once the feed is in.
+watermark, and computes only what the result carries: the verdicts
+without their diagnostic sets, and the three latency ranks from one
+sort.  A multi-variable condition is still decided from the whole runs
+once the feed is in.
 
 A connection's payload graph (updates, snapshots, alerts) lives until
 its reply is out and none of it is cyclic, so the cyclic collector is
@@ -61,7 +73,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.accel import collector_paused
+from repro.accel import collector_paused, percentiles
 from repro.core.serialization import alert_from_json
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
@@ -72,6 +84,7 @@ from repro.service.feed import (
     decode_delivery,
     decode_hello,
     decode_message,
+    decode_stamps,
     encode_message,
     feed_messages,
 )
@@ -236,8 +249,33 @@ class MonitorService:
                 if payloads:
                     return payloads
 
-        payloads = await read_frames()
-        spec, stamps = decode_hello(decode_message(payloads.pop(0)))
+        async def preamble():
+            """The hello's spec, every CE's stamps, and the payloads of
+            the last read after them.  The stamp records follow the hello,
+            one per CE in CE order; the first other message ends them."""
+            payloads = await read_frames()
+            spec = decode_hello(decode_message(payloads[0]))
+            stamps: list[tuple[tuple[float, int], ...]] = []
+            rest = payloads[1:]
+            while True:
+                for position, payload in enumerate(rest):
+                    record = decode_stamps(payload)
+                    if record is None:
+                        if not stamps:
+                            raise FeedSchemaError(
+                                "no stamp record follows the hello"
+                            )
+                        return spec, stamps, rest[position:]
+                    ce_index, per_ce = record
+                    if ce_index != len(stamps):
+                        raise FeedSchemaError(
+                            f"the stamp record of CE{ce_index + 1} arrived "
+                            f"where CE{len(stamps) + 1}'s was due"
+                        )
+                    stamps.append(per_ce)
+                rest = await read_frames()
+
+        spec, stamps, payloads = await preamble()
         condition = spec.resolve_scenario().make_condition()
         algorithm = make_ad(spec.algorithm, condition)
 
@@ -306,6 +344,12 @@ class MonitorService:
                 merge.settle(fold)
             if held < len(payloads):
                 message = decode_message(payloads[held])
+                if message["type"] == "stamps":
+                    raise FeedSchemaError(
+                        f"a stamp record of CE{message['ce'] + 1} after the "
+                        "first delivery: every stamp record precedes the "
+                        "deliveries"
+                    )
                 if message["type"] != "end":
                     raise FeedSchemaError(
                         f"unexpected message {message['type']!r} mid-feed"
@@ -349,14 +393,10 @@ class MonitorService:
 def _latency_percentiles(latencies_ns: list[int]) -> dict[str, float]:
     if not latencies_ns:
         return {}
-    from repro.accel import percentile
-
-    millis = [ns / 1e6 for ns in latencies_ns]
-    return {
-        "p50": percentile(millis, 50.0),
-        "p99": percentile(millis, 99.0),
-        "max": max(millis),
-    }
+    p50, p99, top = percentiles(
+        [ns / 1e6 for ns in latencies_ns], (50.0, 99.0, 100.0)
+    )
+    return {"p50": p50, "p99": p99, "max": top}
 
 
 # -- client ------------------------------------------------------------------

@@ -19,23 +19,29 @@ def test_mean_matches_statistics():
 
 
 def test_median_matches_statistics():
-    assert accel.median(VALUES) == pytest.approx(statistics.median(VALUES))
-    assert accel.median([1.0, 2.0]) == pytest.approx(1.5)
+    assert accel.percentiles(VALUES, [50]) == [
+        pytest.approx(statistics.median(VALUES))
+    ]
+    assert accel.percentiles([1.0, 2.0], [50]) == [pytest.approx(1.5)]
 
 
 def test_percentile_linear_interpolation():
     # Linear interpolation on [10, 20, 30, 40]: rank = q/100 * 3.
     data = [40.0, 10.0, 30.0, 20.0]
-    assert accel.percentile(data, 0) == 10.0
-    assert accel.percentile(data, 100) == 40.0
-    assert accel.percentile(data, 50) == pytest.approx(25.0)
-    assert accel.percentile(data, 25) == pytest.approx(17.5)
-    assert accel.percentile(data, 95) == pytest.approx(38.5)
-    assert accel.percentile([7.0], 95) == 7.0
+    assert accel.percentiles(data, [0, 100, 50, 25, 95]) == [
+        10.0,
+        40.0,
+        pytest.approx(25.0),
+        pytest.approx(17.5),
+        pytest.approx(38.5),
+    ]
+    assert accel.percentiles([7.0], [95]) == [7.0]
+    assert accel.percentiles(data, []) == []
 
 
 def test_percentile_matches_the_numpy_default_on_literals():
-    # float(numpy.percentile(VALUES, q)), recorded once; exact equality.
+    # float(numpy.percentile(VALUES, q)), recorded once; exact equality,
+    # all seven ranks from one call.
     expected = {
         0: 1.5,
         13.7: 1.911,
@@ -45,15 +51,31 @@ def test_percentile_matches_the_numpy_default_on_literals():
         95: 9.375,
         100: 9.75,
     }
-    for q, value in expected.items():
-        assert accel.percentile(VALUES, q) == value
+    assert accel.percentiles(VALUES, expected) == list(expected.values())
+
+
+def test_percentiles_sort_once(monkeypatch):
+    import builtins
+
+    sorts = []
+    real = builtins.sorted
+
+    def counted(*args, **kwargs):
+        sorts.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "sorted", counted)
+    assert accel.percentiles(VALUES, [50, 99, 100]) == [
+        4.5, pytest.approx(9.675), 9.75
+    ]
+    assert len(sorts) == 1
 
 
 def test_percentile_validation():
     with pytest.raises(ValueError):
-        accel.percentile([], 50)
+        accel.percentiles([], [50])
     with pytest.raises(ValueError):
-        accel.percentile(VALUES, 101)
+        accel.percentiles(VALUES, [50, 101])
 
 
 def test_latency_stats():

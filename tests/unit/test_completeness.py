@@ -12,6 +12,7 @@ from repro.core.reference import (
 )
 from repro.core.update import parse_trace
 from repro.props.completeness import (
+    CompletenessResult,
     check_completeness_multi,
     check_completeness_single,
 )
@@ -238,3 +239,91 @@ class TestDispatch:
         assert not evaluate_run(
             example.condition, list(example.traces), displayed
         ).complete
+
+
+class TestDeferredDiagnosis:
+    """The service's ✗ verdict builds ``missing``/``extraneous`` on first
+    read, and is then indistinguishable from the eager one: golden
+    reports compare these fields and pooled engines pickle them."""
+
+    @staticmethod
+    def theorem_3():
+        # Theorem 3's example: window (3, 2) is missing.
+        condition = c3()
+        u1 = parse_trace("1x(1000), 2x(1500)")
+        u2 = parse_trace("3x(2000), 4x(2500)")
+        alerts = ConditionEvaluator(condition).ingest_all(u1) + (
+            ConditionEvaluator(condition).ingest_all(u2)
+        )
+        return condition, (u1, u2), alerts
+
+    @staticmethod
+    def folded(condition, traces, displayed):
+        """The service's running completeness verdict of one run."""
+        from repro.props.fold import VerdictFold
+
+        fold = VerdictFold(condition, len(traces))
+        for trace, updates in enumerate(traces):
+            fold.receive(trace, updates)
+        fold.display(displayed)
+        return fold.report().complete
+
+    def test_a_deferred_result_is_its_eager_twin(self):
+        import pickle
+
+        def make():
+            return self.folded(*self.theorem_3())
+
+        read = make()
+        eager = CompletenessResult(
+            False, missing=read.missing, extraneous=read.extraneous
+        )
+        assert read.missing and not read.extraneous
+        for probe in (
+            lambda r: r == eager and eager == r,
+            lambda r: hash(r) == hash(eager),
+            lambda r: repr(r) == repr(eager),
+            lambda r: pickle.dumps(r) == pickle.dumps(eager),
+            lambda r: pickle.loads(pickle.dumps(r)) == eager,
+        ):
+            fresh = make()
+            assert "_diagnose" in vars(fresh)  # nothing built yet
+            assert not fresh and not fresh.undecided
+            assert probe(fresh)
+            assert "_diagnose" not in vars(fresh)
+        assert make() != CompletenessResult(False)
+
+    def test_a_batch_verdict_is_diagnosed_at_once(self):
+        # It lives on in a report; the fold's is its twin.
+        condition, (u1, u2), alerts = self.theorem_3()
+        batch = check_completeness_single(
+            alerts, condition, merge_single_variable(u1, u2)
+        )
+        assert "_diagnose" not in vars(batch)
+        assert batch == self.folded(condition, (u1, u2), alerts)
+
+    def test_pooled_reports_equal_the_folded_verdicts(self):
+        # Each pooled report crossed a process boundary as a pickle; the
+        # fold's deferred verdict of the same run must equal it.
+        import pickle
+
+        from repro.engine import TrialEngine, TrialSpec
+
+        specs = [
+            TrialSpec("single", "aggressive", "AD-1", seed, 12)
+            for seed in range(6)
+        ]
+        with TrialEngine(processes=2) as engine:
+            pooled = engine.run(specs)
+        folded = []
+        for spec in specs:
+            run = spec.run()
+            folded.append(
+                self.folded(run.condition, run.received, run.displayed)
+            )
+        assert sum("_diagnose" in vars(c) for c in folded) >= 2
+        assert [r.complete for r in pooled] == folded
+        assert [hash(r.complete) for r in pooled] == list(map(hash, folded))
+        assert [r.complete for r in pooled] == [
+            pickle.loads(pickle.dumps(c)) for c in folded
+        ]

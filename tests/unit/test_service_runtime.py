@@ -13,7 +13,7 @@ import struct
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.update import Update
 from repro.core.wire import FrameDecoder, encode_frame, iter_frames
@@ -124,9 +124,11 @@ class TestFeed:
     def test_message_frame_round_trip(self, feed):
         stream = b"".join(encode_message(m) for m in feed_messages(feed))
         messages = [decode_message(p) for p in iter_frames(stream)]
-        assert messages[0]["type"] == "hello"
-        assert messages[-1]["type"] == "end"
-        assert len(messages) == len(feed.deliveries) + 2
+        assert [m["type"] for m in messages] == (
+            ["hello"] + ["stamps"] * feed.replication
+            + ["delivery"] * len(feed.deliveries) + ["end"]
+        )
+        assert messages == list(feed_messages(feed))
 
     def test_recording_is_deterministic(self, feed):
         assert record_feed(SPEC) == feed
@@ -205,10 +207,213 @@ class TestDeliveryRecord:
         "payload",
         [
             b"",
-            b"\x02" + bytes(18) + b"x",  # unknown tag
+            b"\x02" + bytes(18) + b"x",  # a stamp record of part stamps
+            b"\x04" + bytes(18) + b"x",  # unknown tag
             b"not json",
             b"[1, 2]",
             json.dumps(delivery()).encode(),  # the retired JSON encoding
+        ],
+    )
+    def test_decode_rejects_with_schema_error(self, payload):
+        with pytest.raises(FeedSchemaError):
+            decode_message(payload)
+
+
+# -- the stamp and result records ---------------------------------------------
+
+def stamps_message(ce=0, pairs=((1.5, 3), (2.0, 9))):
+    return {"type": "stamps", "ce": ce, "stamps": tuple(pairs)}
+
+
+def result_message(displayed=("line one", "line two")):
+    return {
+        "type": "result",
+        "displayed": list(displayed),
+        "verdicts": {"ordered": True, "complete": False, "consistent": None},
+        "counters": {"service/deliver/ce1": 3},
+        "latency_ms": {"p50": 0.25, "p99": 1.5, "max": 2.0},
+        "peak_reorder": 1,
+    }
+
+
+def assert_never_leaks(payload, well_formed=lambda cut: False):
+    """Every strict prefix of ``payload`` decodes only if
+    ``well_formed(cut)``, and otherwise is a FeedSchemaError — never a
+    struct.error, IndexError or UnicodeDecodeError."""
+    for cut in range(len(payload)):
+        if well_formed(cut):
+            decode_message(payload[:cut])
+        else:
+            with pytest.raises(FeedSchemaError):
+                decode_message(payload[:cut])
+
+
+def times_bitwise(message):
+    return [struct.pack(">d", time) for time, _ in message["stamps"]]
+
+
+class TestStampRecord:
+    def test_layout(self):
+        frame = encode_message(stamps_message(ce=1))
+        assert len(frame) == 4 + 3 + 2 * 16  # against ~40 bytes of JSON
+        assert payload_of(frame) == (
+            b"\x02" + struct.pack(">H", 1)
+            + struct.pack(">dQ", 1.5, 3) + struct.pack(">dQ", 2.0, 9)
+        )
+
+    @given(
+        ce=st.integers(0, 2**16 - 1),
+        pairs=st.lists(st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2**64 - 1),
+        )).map(sorted),
+    )
+    @example(ce=0, pairs=[])
+    @example(ce=2**16 - 1, pairs=[(-0.0, 0), (0.0, 2**64 - 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip(self, ce, pairs):
+        message = stamps_message(ce, pairs)
+        decoded = decode_message(payload_of(encode_message(message)))
+        assert decoded == message
+        # Bitwise on the times: the sign of zero survives.
+        assert times_bitwise(decoded) == times_bitwise(message)
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            stamps_message(ce=-1),
+            stamps_message(ce=2**16),
+            stamps_message(pairs=[(1.0, -1)]),
+            stamps_message(pairs=[(1.0, 2**64)]),
+            stamps_message(pairs=[(1.0, 2.0)]),
+            stamps_message(pairs=[("soon", 1)]),
+            stamps_message(pairs=[(1.0,)]),
+            stamps_message(pairs=[(10**400, 1)]),
+            {"type": "stamps", "ce": 0},
+            {"type": "stamps", "ce": 0, "stamps": None},
+        ],
+        ids=repr,
+    )
+    def test_sender_rejects_what_the_record_cannot_carry(self, message):
+        with pytest.raises(FeedSchemaError):
+            encode_message(message)
+
+    def test_a_strict_prefix_is_an_error_or_fewer_whole_stamps(self):
+        message = stamps_message(pairs=[(1.0, 1), (2.0, 2), (3.0, 3)])
+        payload = payload_of(encode_message(message))
+        assert_never_leaks(payload, lambda cut: cut >= 3 and (cut - 3) % 16 == 0)
+        for count in range(3):
+            assert decode_message(payload[:3 + 16 * count]) == stamps_message(
+                pairs=message["stamps"][:count]
+            )
+
+    @pytest.mark.parametrize(
+        "pairs, named",
+        [
+            ([(float("nan"), 5)], "non-finite time"),
+            ([(float("inf"), 5), (float("inf"), 6)], "non-finite time"),
+            ([(float("-inf"), 5), (1.0, 6)], "non-finite time"),
+            ([(1.0, 5), (float("nan"), 6), (2.0, 7)], "(time, index) order"),
+            ([(2.0, 5), (1.0, 6)], "(time, index) order"),
+            ([(1.0, 6), (1.0, 5)], "(time, index) order"),
+        ],
+        ids=repr,
+    )
+    def test_decode_rejects_what_the_merge_cannot_order(self, pairs, named):
+        payload = b"\x02\x00\x00" + b"".join(
+            struct.pack(">dQ", time, index) for time, index in pairs
+        )
+        with pytest.raises(FeedSchemaError, match=re.escape(named)):
+            decode_message(payload)
+
+    def test_decode_rejects_a_block_of_part_stamps(self):
+        payload = payload_of(encode_message(stamps_message()))
+        for bad in (payload + b"\x00", payload[:-1], payload[:2]):
+            with pytest.raises(FeedSchemaError, match="is not 3 \\+ 16n"):
+                decode_message(bad)
+
+
+class TestResultRecord:
+    def test_layout(self):
+        message = result_message()
+        header = json.dumps(
+            {k: v for k, v in message.items() if k not in ("type", "displayed")},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+        assert payload_of(encode_message(message)) == (
+            b"\x03" + struct.pack(">I", len(header)) + header
+            + b"line one\nline two"
+        )
+
+    @given(
+        displayed=st.lists(
+            st.text(min_size=1).filter(lambda line: "\n" not in line)
+        ),
+        p50=st.floats(allow_nan=False, allow_infinity=False),
+        peak=st.integers(0, 2**40),
+    )
+    @example(displayed=[], p50=0.0, peak=0)
+    @example(
+        displayed=[f'{{"alert":{i},"seqnos":[{i},{i + 1}]}}' for i in range(5000)],
+        p50=-0.0, peak=7,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, displayed, p50, peak):
+        message = {
+            **result_message(displayed),
+            "latency_ms": {"p50": p50},
+            "peak_reorder": peak,
+        }
+        decoded = decode_message(payload_of(encode_message(message)))
+        assert decoded == message
+        assert all(type(line) is str for line in decoded["displayed"])
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            result_message(["a", ""]),
+            result_message([""]),
+            result_message(["a\nb"]),
+            result_message(["\n"]),
+            result_message([b"bytes"]),
+            result_message(["\ud800"]),  # a lone surrogate has no UTF-8 form
+            {**result_message(), "verdicts": object()},
+            {"type": "result"},
+        ],
+        ids=repr,
+    )
+    def test_sender_rejects_what_the_record_cannot_carry(self, message):
+        with pytest.raises(FeedSchemaError):
+            encode_message(message)
+
+    def test_a_strict_prefix_never_leaks_a_decoder_error(self):
+        message = result_message(["caf\u00e9", "na\u00efve"])
+        payload = payload_of(encode_message(message))
+        (length,) = struct.unpack_from(">I", payload, 1)
+        body = payload[5 + length:]
+
+        def well_formed(cut):  # past the header, on a whole character
+            if cut < 5 + length:
+                return False
+            try:
+                text = body[:cut - 5 - length].decode()
+            except UnicodeDecodeError:
+                return False
+            return "" not in (text.split("\n") if text else [])
+
+        assert_never_leaks(payload, well_formed)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x03",
+            b"\x03\x00\x00\x00\x09{}",  # a header longer than the record
+            b"\x03\x00\x00\x00\x02[]",  # a header that is not an object
+            b"\x03\x00\x00\x00\x02{]",  # a header that is not JSON
+            b"\x03\x00\x00\x00\x02{}\xff\xfe",  # lines that are not UTF-8
+            b"\x03\x00\x00\x00\x02{}a\n\nb",  # an empty line
+            b"\x03\x00\x00\x00\x02{}a\n",  # an empty last line
+            json.dumps(result_message()).encode(),  # the retired JSON encoding
         ],
     )
     def test_decode_rejects_with_schema_error(self, payload):
@@ -268,6 +473,19 @@ class TestAsyncioService:
         assert service.displayed_bytes() == direct.displayed_bytes()
         assert service.verdicts == direct.verdicts
 
+    def test_records_that_span_reads(self, big_feed, monkeypatch):
+        # 64-byte reads: every stamp record and the result record reach
+        # their reader over many reads.
+        import repro.service.server as server
+
+        assert min(map(len, big_feed.stamps)) * 16 > 64
+        monkeypatch.setattr(server, "_READ_CHUNK", 64)
+        result = AsyncioServiceRuntime().execute(big_feed)
+        direct = DirectRuntime().execute(big_feed)
+        assert len(result.displayed) * 20 > 64
+        assert result.displayed_bytes() == direct.displayed_bytes()
+        assert result.verdicts == direct.verdicts
+
     def test_graceful_drain_flushes_all_inflight_alerts(self, feed):
         # An artificially slow CE step: the client has written its whole
         # feed, end message included, long before the server has stepped
@@ -293,10 +511,11 @@ class TestAsyncioService:
         # worth of what the client wrote waits untaken.
         from repro.service.server import _READ_CHUNK
 
-        #: Wire offset of the end of each frame: hello, deliveries, end.
+        #: Wire offset of the end of each frame: hello, stamp records,
+        #: deliveries, end.
         frame_ends = list(itertools.accumulate(
             len(encode_message(message)) for message in feed_messages(big_feed)
-        ))
+        ))[big_feed.replication:]
         taken = written = stepped = 0
         ahead: list[int] = []
         backlog: list[int] = []
@@ -495,17 +714,32 @@ def with_service(scenario):
     return asyncio.run(run())
 
 
+def on_hello(tamper):
+    return lambda messages: tamper(messages[0])
+
+
+def drop_stamp_records(messages):
+    messages[:] = [m for m in messages if m["type"] != "stamps"]
+
+
 class TestHostileStreams:
     def test_malformed_records_end_in_an_error_frame(self, feed):
         frames = [encode_message(m) for m in feed_messages(feed)]
-        hello, end = frames[0], frames[-1]
-        record = payload_of(frames[1])
+        first = 1 + feed.replication  # hello, stamp records, deliveries
+        preamble, end = b"".join(frames[:first]), frames[-1]
+        record = payload_of(frames[first])
         hostile = [record[:cut] for cut in range(len(record))]  # strict prefixes
         hostile += [
-            b"\x02" + record[1:],  # unknown tag
+            b"\x04" + record[1:],  # unknown tag
             record[:19] + b"\xff\xfe",  # varname is not UTF-8
             json.dumps(delivery()).encode(),  # JSON delivery mid-feed
         ]
+        # Every strict prefix of the other two records, and their retired
+        # JSON encodings, mid-feed too.
+        for message in (stamps_message(), result_message()):
+            bulk = payload_of(encode_message(message))
+            hostile += [bulk[:cut] for cut in range(len(bulk))]
+            hostile.append(json.dumps(message).encode())
 
         async def scenario(service):
             replies = []
@@ -513,7 +747,8 @@ class TestHostileStreams:
                 # A valid delivery first, so the stages are mid-stream when
                 # the bad record arrives.
                 replies.append(await converse(
-                    service, hello + frames[1] + encode_frame(payload) + end
+                    service,
+                    preamble + frames[first] + encode_frame(payload) + end,
                 ))
             return replies
 
@@ -556,63 +791,115 @@ class TestHostileStreams:
     @pytest.mark.parametrize(
         "tamper, named",
         [
-            pytest.param(lambda h: h.pop("spec"), "no 'spec' field", id="no-spec"),
-            pytest.param(lambda h: h.pop("stamps"), "no 'stamps' field", id="no-stamps"),
             pytest.param(
-                lambda h: h["spec"].update(bogus=1), "unknown field 'bogus'",
+                on_hello(lambda h: h.pop("spec")), "hello has no 'spec' field",
+                id="no-spec",
+            ),
+            pytest.param(
+                drop_stamp_records, "no stamp record follows the hello",
+                id="no-stamps",
+            ),
+            pytest.param(
+                on_hello(lambda h: h["spec"].update(bogus=1)),
+                "unknown field 'bogus'",
                 id="unknown-spec-field",
             ),
             pytest.param(
-                lambda h: h.update(stamps=[[1.0], []]), "field 'stamps'",
+                # CE1's stamp block ends half-way through a stamp.
+                lambda m: m.__setitem__(1, payload_of(encode_message(m[1]))[:-8]),
+                "is not 3 + 16n",
                 id="stamp-not-a-pair",
             ),
             pytest.param(
                 # The merge releases a CE's alerts in its stamps' order.
-                lambda h: h["stamps"][0].reverse(),
-                "field 'stamps' of CE1 is not in (time, index) order",
+                lambda m: m[1]["stamps"].reverse(),
+                "the stamp record of CE1 is not in (time, index) order",
                 id="stamps-out-of-order",
             ),
             pytest.param(
-                lambda h: h["spec"].update(row="nope"), "field 'row' is 'nope'",
+                on_hello(lambda h: h["spec"].update(row="nope")),
+                "field 'row' is 'nope'",
                 id="unknown-row",
             ),
             pytest.param(
-                lambda h: h["spec"].update(algorithm="AD-9"),
+                on_hello(lambda h: h["spec"].update(algorithm="AD-9")),
                 "field 'algorithm' is 'AD-9'",
                 id="unknown-algorithm",
             ),
             pytest.param(
-                lambda h: h["spec"].pop("seed"), "no 'seed' field",
+                on_hello(lambda h: h["spec"].pop("seed")), "no 'seed' field",
                 id="missing-spec-field",
             ),
             pytest.param(
-                lambda h: h["spec"].update(matrix=["single"]), "field 'matrix'",
+                on_hello(lambda h: h["spec"].update(matrix=["single"])),
+                "field 'matrix'",
                 id="unhashable-matrix",
             ),
             pytest.param(
-                lambda h: h["spec"].update(faults={"bogus": 1}),
+                on_hello(lambda h: h["spec"].update(faults={"bogus": 1})),
                 "field 'spec' is malformed",
                 id="nested-config",
             ),
             pytest.param(
                 # JSON's ``Infinity``: a run with it would divide by zero.
-                lambda h: h["spec"].update(
+                on_hello(lambda h: h["spec"].update(
                     faults={"ce_crash_rate": 0.01, "ce_mean_repair": float("inf")}
-                ),
+                )),
                 "ce_mean_repair must be finite",
                 id="non-finite-knob",
+            ),
+            pytest.param(
+                on_hello(lambda h: h.update(stamps=[[[1.0, 0]], []])),
+                "hello field 'stamps' is not accepted",
+                id="stamps-in-the-hello",
+            ),
+            pytest.param(
+                lambda m: m.insert(1, m.pop(2)),
+                "the stamp record of CE2 arrived where CE1's was due",
+                id="stamp-records-swapped",
+            ),
+            pytest.param(
+                lambda m: m.insert(2, m[1]),
+                "the stamp record of CE1 arrived where CE2's was due",
+                id="stamp-record-repeated",
+            ),
+            pytest.param(
+                # CE2's record after the first delivery, which is CE1's.
+                lambda m: m.insert(3, m.pop(2)),
+                "a stamp record of CE2 after the first delivery",
+                id="stamps-after-a-delivery",
+            ),
+            pytest.param(
+                lambda m: m[1].update(stamps=[[float("nan"), 5]]),
+                "the stamp record of CE1 holds a non-finite time",
+                id="nan-stamp",
+            ),
+            pytest.param(
+                lambda m: m[1].update(
+                    stamps=[[float("inf"), 5], [float("inf"), 6]]
+                ),
+                "the stamp record of CE1 holds a non-finite time",
+                id="infinite-stamps",
             ),
         ],
     )
     def test_a_malformed_hello_is_a_named_error(self, feed, tamper, named):
-        hello, *rest = feed_messages(feed)
-        hello = json.loads(json.dumps(hello))
-        tamper(hello)
-        stream = b"".join(encode_message(m) for m in [hello, *rest])
+        # The hello and the stamp records after it, all the server reads
+        # before the first delivery.  A tamper edits the messages in
+        # place, or puts raw payload bytes where a message was.
+        messages = json.loads(json.dumps(list(feed_messages(feed))))
+        assert [m["type"] for m in messages[:4]] == [
+            "hello", "stamps", "stamps", "delivery"
+        ] and messages[3]["ce"] == 0
+        tamper(messages)
+        stream = b"".join(
+            encode_frame(m) if isinstance(m, bytes) else encode_message(m)
+            for m in messages
+        )
 
         reply = with_service(lambda service: converse(service, stream))
         assert reply["type"] == "error"
-        assert reply["error"].startswith("FeedSchemaError: hello "), reply
+        assert reply["error"].startswith("FeedSchemaError: "), reply
         assert named in reply["error"], reply
 
 

@@ -7,6 +7,13 @@ conflicts.  ``a.seqno.x`` — the alert's sequence number with respect to
 variable x — is ``Hx[0].seqno``, the seqno of the last x-update received
 when the alert was triggered (§2.2); it is what the orderedness property
 and algorithms AD-2/AD-5 examine.
+
+An alert's *identity* ``(condname, ((var, seqnos), …))`` is everything
+the AD algorithms read from it (§2: "others need only the update
+sequence numbers contained in the histories").  The ``identity_*``
+helpers read a seqno run, the paper-style shorthand and the event key
+off an identity alone, so code holding only the key — the served AD
+path — says the same things an :class:`Alert` says about itself.
 """
 
 from __future__ import annotations
@@ -22,6 +29,9 @@ __all__ = [
     "make_alert",
     "alert_identity_set",
     "alert_event_key",
+    "identity_event_key",
+    "identity_seqnos",
+    "identity_shorthand",
     "project_alert_seqnos",
 ]
 
@@ -58,11 +68,7 @@ class Alert:
         For degree > 1 histories all seqnos appear, most recent first:
         ``a(3x,1x)`` is an alert that triggered on 3x with 1x as history.
         """
-        parts = []
-        for var in self.histories.variables:
-            seqnos = self.histories.seqnos(var)
-            parts.append(",".join(f"{s}{var}" for s in seqnos))
-        return f"a({'; '.join(parts)})"
+        return identity_shorthand(self.identity())
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.shorthand()
@@ -98,7 +104,30 @@ def alert_event_key(alert: Alert, variables: Iterable[str]) -> tuple:
     coarser equivalence: full identity distinguishes *evidence*, the
     event key distinguishes *occurrences*.
     """
-    return (alert.condname, tuple(alert.seqno(var) for var in variables))
+    return identity_event_key(alert.identity(), variables)
+
+
+def identity_seqnos(key: tuple, varname: str) -> tuple[int, ...]:
+    """The seqnos of ``varname`` in the alert identified by ``key``,
+    most recent first; KeyError when it has no ``varname`` history."""
+    for var, seqnos in key[1]:
+        if var == varname:
+            return seqnos
+    raise KeyError(varname)
+
+
+def identity_shorthand(key: tuple) -> str:
+    """:meth:`Alert.shorthand` of the alert identified by ``key``."""
+    parts = []
+    for var, seqnos in key[1]:
+        parts.append(",".join([f"{s}{var}" for s in seqnos]))
+    return f"a({'; '.join(parts)})"
+
+
+def identity_event_key(key: tuple, variables: Iterable[str]) -> tuple:
+    """:func:`alert_event_key` of the alert identified by ``key``."""
+    heads = dict(key[1])
+    return (key[0], tuple([heads[var][0] for var in variables]))
 
 
 def project_alert_seqnos(alerts: Iterable[Alert], varname: str) -> list[int]:

@@ -40,7 +40,9 @@ class HistorySnapshot:
 
     The seqno identity is computed the first time it is asked for and
     kept: every AD filter, checker and hash of the alert reads the same
-    tuples.  Every constructor leaves the memo ``None``.
+    tuples.  Every constructor leaves the memo ``None``; the evaluator's
+    alerts arrive with it filled from the CE step's key
+    (:func:`~repro.core.evaluator.alert_from_key`).
     """
 
     _entries: Mapping[str, tuple[Update, ...]]
@@ -89,11 +91,13 @@ class HistorySnapshot:
     def __getitem__(self, varname: str) -> tuple[Update, ...]:
         return self._entries[varname]
 
-    def __contains__(self, varname: str) -> bool:
-        return varname in self._entries
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
+
+    def items(self):
+        """``(var, updates)`` pairs, variables sorted, runs most recent
+        first."""
+        return self._entries.items()
 
     def seqno(self, varname: str) -> int:
         """``a.seqno.x``: seqno of the most recent x-update at trigger time."""

@@ -40,6 +40,7 @@ __all__ = [
     "alert_to_json",
     "alert_from_json",
     "alert_canonical_line",
+    "canonical_line",
     "condition_to_json",
     "condition_from_json",
     "counterexample_to_json",
@@ -90,8 +91,13 @@ def alert_from_json(data: dict[str, Any]) -> Alert:
     return Alert(str(data["condname"]), histories, str(data.get("source", "")))
 
 
-def _dumps_line(alert: Alert) -> str:
-    return json.dumps(alert_to_json(alert), sort_keys=True, separators=(",", ":"))
+def _dumps_line(condname, source, windows) -> str:
+    data = {
+        "condname": condname,
+        "source": source,
+        "histories": {var: trace_to_json(updates) for var, updates in windows},
+    }
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def alert_canonical_line(alert: Alert) -> str:
@@ -101,39 +107,50 @@ def alert_canonical_line(alert: Alert) -> str:
     under this rendering iff they agree on condition name, source CE and
     every ``(seqno, value)`` history entry.  The service conformance
     harness (:mod:`repro.service`) frames these lines to compare a live
-    runtime's displayed output against the simulator's.
+    runtime's displayed output against the simulator's.  The line is
+    ``json.dumps(alert_to_json(alert), sort_keys=True, separators=(",",
+    ":"))`` byte for byte, rendered by :func:`canonical_line`.
+    """
+    return canonical_line(alert.condname, alert.source, alert.histories.items())
 
-    The line is ``json.dumps(alert_to_json(alert), sort_keys=True,
-    separators=(",", ":"))`` byte for byte.  It is formatted directly —
-    the keys are fixed, snapshots keep their variables sorted, and JSON
-    renders a finite float as its ``repr`` — and only an alert carrying
-    anything but ``str`` names, ``int`` seqnos and finite ``float`` values
-    takes the detour through the dict and the general encoder.
+
+def canonical_line(condname: str, source: str, windows) -> str:
+    """:func:`alert_canonical_line` of the alert ``a(condname, H)`` raised
+    by ``source``, given H as ``windows``: ``(var, updates)`` pairs in
+    sorted-variable order, each run most recent first — what
+    :meth:`~repro.core.evaluator.ConditionEvaluator.windows` returns, so
+    an alert that was only ever a key is rendered without being built.
+
+    The line is formatted directly — the keys are fixed, the variables
+    sorted, and JSON renders a finite float as its ``repr`` — and only a
+    window carrying anything but ``str`` names, ``int`` seqnos and finite
+    ``float`` values takes the detour through a dict and the general
+    encoder.
     """
     try:
         histories = []
-        for var in alert.histories.variables:
+        for var, updates in windows:
             entries = []
-            for update in alert.histories[var]:
+            for update in updates:
                 seqno, value = update.seqno, update.value
                 if (
                     type(seqno) is not int
                     or type(value) is not float
                     or not isfinite(value)
                 ):
-                    return _dumps_line(alert)
+                    return _dumps_line(condname, source, windows)
                 entries.append(
                     f'{{"seqno":{seqno},"value":{value!r},'
                     f'"var":{_quote(update.varname)}}}'
                 )
             histories.append(f'{_quote(var)}:[{",".join(entries)}]')
         return (
-            f'{{"condname":{_quote(alert.condname)},'
+            f'{{"condname":{_quote(condname)},'
             f'"histories":{{{",".join(histories)}}},'
-            f'"source":{_quote(alert.source)}}}'
+            f'"source":{_quote(source)}}}'
         )
     except TypeError:  # _quote takes str only
-        return _dumps_line(alert)
+        return _dumps_line(condname, source, windows)
 
 
 # -- conditions ----------------------------------------------------------------

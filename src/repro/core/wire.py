@@ -35,7 +35,7 @@ from enum import Enum
 from typing import Iterator
 
 from repro.core.alert import Alert
-from repro.displayers.base import ADAlgorithm
+from repro.displayers.ad1 import AD1
 
 __all__ = [
     "AlertEncoding",
@@ -88,11 +88,17 @@ def checksum_histories(alert: Alert) -> bytes:
     Values are excluded (identity is seqno-based, §2.2); the digest is
     deterministic across processes.
     """
+    return _checksum(alert.identity())
+
+
+def _checksum(key: tuple) -> bytes:
+    """:func:`checksum_histories` of the alert identified by ``key``."""
+    condname, runs = key
     hasher = hashlib.blake2b(digest_size=_CHECKSUM_BYTES)
-    hasher.update(alert.condname.encode())
-    for var in alert.histories.variables:
+    hasher.update(condname.encode())
+    for var, seqnos in runs:
         hasher.update(var.encode())
-        for seqno in alert.histories.seqnos(var):
+        for seqno in seqnos:
             hasher.update(struct.pack("<I", seqno))
     return hasher.digest()
 
@@ -125,7 +131,8 @@ def encode_alert(alert: Alert, encoding: AlertEncoding) -> WireAlert:
     return WireAlert(alert.condname, encoding, payload, size)
 
 
-#: What each algorithm actually reads from an alert.
+#: What each algorithm reads from an alert: the part of the identity key
+#: its :meth:`~repro.displayers.base.ADAlgorithm.decide` looks at.
 _MINIMUM: dict[str, AlertEncoding] = {
     "pass": AlertEncoding.CHECKSUM,   # reads nothing; smallest on offer
     "AD-1": AlertEncoding.CHECKSUM,   # equality test on H only
@@ -204,9 +211,11 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[bytes]:
         """Absorb ``data``; return the payloads completed by it, in order.
 
-        One pass: an offset walks the buffer frame by frame and the
-        consumed prefix is trimmed once at the end.  A :class:`FrameError`
-        leaves the decoder poisoned — the stream has no next frame.
+        One pass: an offset walks the buffer frame by frame, each payload
+        is copied out once (through a view, not a slice of the buffer and
+        a copy of that), and the consumed prefix is trimmed once at the
+        end.  A :class:`FrameError` leaves the decoder poisoned — the
+        stream has no next frame.
         """
         buffer = self._buffer
         buffer.extend(data)
@@ -214,18 +223,19 @@ class FrameDecoder:
         header = _FRAME_HEADER.size
         payloads: list[bytes] = []
         offset = 0
-        while size - offset >= header:
-            (length,) = _FRAME_HEADER.unpack_from(buffer, offset)
-            if length > self.max_bytes:
-                raise FrameError(
-                    f"declared frame length {length} exceeds the "
-                    f"{self.max_bytes}-byte ceiling"
-                )
-            end = offset + header + length
-            if end > size:
-                break
-            payloads.append(bytes(buffer[offset + header:end]))
-            offset = end
+        with memoryview(buffer) as view:
+            while size - offset >= header:
+                (length,) = _FRAME_HEADER.unpack_from(view, offset)
+                if length > self.max_bytes:
+                    raise FrameError(
+                        f"declared frame length {length} exceeds the "
+                        f"{self.max_bytes}-byte ceiling"
+                    )
+                end = offset + header + length
+                if end > size:
+                    break
+                payloads.append(view[offset + header:end].tobytes())
+                offset = end
         del buffer[:offset]
         self.frames_decoded += len(payloads)
         return payloads
@@ -251,23 +261,20 @@ def iter_frames(
     decoder.close()
 
 
-class ChecksumAD1(ADAlgorithm):
+class ChecksumAD1(AD1):
     """AD-1 operating on history checksums instead of full histories.
 
     Demonstrates the paper's point: since AD-1 only performs an equality
     test on H, a fixed-size digest carries all the information it needs.
-    Modulo hash collisions (2^-64 per pair), its decisions are identical
-    to :class:`~repro.displayers.ad1.AD1`'s.
+    Modulo hash collisions (2^-64 per pair), its decisions — and so its
+    rejection reasons — are :class:`~repro.displayers.ad1.AD1`'s; its
+    ``_seen`` holds digests.
     """
 
     name = "AD-1/checksum"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._seen: set[bytes] = set()
+    def _accept(self, key: tuple) -> bool:
+        return _checksum(key) not in self._seen
 
-    def _accept(self, alert: Alert) -> bool:
-        return checksum_histories(alert) not in self._seen
-
-    def _record(self, alert: Alert) -> None:
-        self._seen.add(checksum_histories(alert))
+    def _record(self, key: tuple) -> None:
+        self._seen.add(_checksum(key))

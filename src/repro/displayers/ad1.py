@@ -28,11 +28,11 @@ class AD1(ADAlgorithm):
         super().__init__()
         self._seen: set[tuple] = set()
 
-    def _accept(self, alert: Alert) -> bool:
-        return alert.identity() not in self._seen
+    def _accept(self, key: tuple) -> bool:
+        return key not in self._seen
 
-    def _record(self, alert: Alert) -> None:
-        self._seen.add(alert.identity())
+    def _record(self, key: tuple) -> None:
+        self._seen.add(key)
 
     def rejection_reason(self, alert: Alert) -> str:
         return f"duplicate: history set of {alert.shorthand()} already displayed"

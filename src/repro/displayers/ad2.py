@@ -15,7 +15,7 @@ late are lost.
 
 from __future__ import annotations
 
-from repro.core.alert import Alert
+from repro.core.alert import Alert, identity_seqnos
 from repro.displayers.base import ADAlgorithm
 
 __all__ = ["AD2"]
@@ -34,11 +34,11 @@ class AD2(ADAlgorithm):
     def _fresh_args(self) -> tuple:
         return (self.varname,)
 
-    def _accept(self, alert: Alert) -> bool:
-        return alert.seqno(self.varname) > self._last
+    def _accept(self, key: tuple) -> bool:
+        return identity_seqnos(key, self.varname)[0] > self._last
 
-    def _record(self, alert: Alert) -> None:
-        self._last = alert.seqno(self.varname)
+    def _record(self, key: tuple) -> None:
+        self._last = identity_seqnos(key, self.varname)[0]
 
     def rejection_reason(self, alert: Alert) -> str:
         return (

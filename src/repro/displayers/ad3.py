@@ -51,24 +51,23 @@ class ConflictTracker:
         self.received: set[int] = set()
         self.missed: set[int] = set()
 
-    def conflicts(self, alert: Alert) -> bool:
-        """Would displaying ``alert`` put some seqno in a conflicting state?"""
-        histories = alert.histories
-        if self.varname not in histories:
-            return False
-        history = histories.seqnos(self.varname)
-        if not self.missed.isdisjoint(history):
-            return True
-        return not self.received.isdisjoint(history_gaps(history))
+    def conflicts(self, key: tuple) -> bool:
+        """Would displaying the alert identified by ``key`` put some seqno
+        in a conflicting state?  (An alert without this variable cannot.)"""
+        for var, history in key[1]:
+            if var == self.varname:
+                if not self.missed.isdisjoint(history):
+                    return True
+                return not self.received.isdisjoint(history_gaps(history))
+        return False
 
-    def record(self, alert: Alert) -> None:
+    def record(self, key: tuple) -> None:
         """Fold an accepted alert's history into Received/Missed."""
-        histories = alert.histories
-        if self.varname not in histories:
-            return
-        history = histories.seqnos(self.varname)
-        self.received.update(history)
-        self.missed |= history_gaps(history)
+        for var, history in key[1]:
+            if var == self.varname:
+                self.received.update(history)
+                self.missed |= history_gaps(history)
+                return
 
     def snapshot(self) -> tuple[frozenset[int], frozenset[int]]:
         """(Received, Missed) — the AD's U′ witness components."""
@@ -98,14 +97,14 @@ class AD3(ADAlgorithm):
     def missed_set(self) -> frozenset[int]:
         return frozenset(self._tracker.missed)
 
-    def _accept(self, alert: Alert) -> bool:
-        if alert.identity() in self._seen:
+    def _accept(self, key: tuple) -> bool:
+        if key in self._seen:
             return False
-        return not self._tracker.conflicts(alert)
+        return not self._tracker.conflicts(key)
 
-    def _record(self, alert: Alert) -> None:
-        self._seen.add(alert.identity())
-        self._tracker.record(alert)
+    def _record(self, key: tuple) -> None:
+        self._seen.add(key)
+        self._tracker.record(key)
 
     def rejection_reason(self, alert: Alert) -> str:
         if alert.identity() in self._seen:

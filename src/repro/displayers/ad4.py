@@ -39,14 +39,14 @@ class AD4(ADAlgorithm):
     def missed_set(self) -> frozenset[int]:
         return self._ad3.missed_set
 
-    def _accept(self, alert: Alert) -> bool:
-        return self._ad2._accept(alert) and self._ad3._accept(alert)
+    def _accept(self, key: tuple) -> bool:
+        return self._ad2._accept(key) and self._ad3._accept(key)
 
-    def _record(self, alert: Alert) -> None:
-        self._ad2._record(alert)
-        self._ad3._record(alert)
+    def _record(self, key: tuple) -> None:
+        self._ad2._record(key)
+        self._ad3._record(key)
 
     def rejection_reason(self, alert: Alert) -> str:
-        if not self._ad2._accept(alert):
+        if not self._ad2._accept(alert.identity()):
             return self._ad2.rejection_reason(alert)
         return self._ad3.rejection_reason(alert)

@@ -47,24 +47,35 @@ class AD5(ADAlgorithm):
     def _fresh_args(self) -> tuple:
         return (self.varnames,)
 
-    def _accept(self, alert: Alert) -> bool:
-        # One pass, reading each variable's seqno once.
-        seqno = alert.histories.seqno
+    def _accept(self, key: tuple) -> bool:
+        # One pass over the key, reading each watched variable's head once.
         last = self._last
+        watched = 0
+        inverted = False
         duplicate = True
-        for var in self.varnames:
-            s = seqno(var)
-            if s < last[var]:
-                return False  # would invert the order of some variable
-            if s != last[var]:
+        for var, seqnos in key[1]:
+            previous = last.get(var)
+            if previous is None:
+                continue  # a variable this filter does not watch
+            watched += 1
+            head = seqnos[0]
+            if head != previous:
                 duplicate = False
-        return not duplicate  # equal to the last displayed in every variable
+                if head < previous:
+                    inverted = True  # would invert the order of this variable
+        if watched != len(last):
+            held = dict(key[1])
+            for var in self.varnames:
+                if var not in held:
+                    raise KeyError(var)
+        # Equal to the last displayed in every variable: a duplicate.
+        return not (inverted or duplicate)
 
-    def _record(self, alert: Alert) -> None:
-        seqno = alert.histories.seqno
+    def _record(self, key: tuple) -> None:
         last = self._last
-        for var in self.varnames:
-            last[var] = seqno(var)
+        for var, seqnos in key[1]:
+            if var in last:
+                last[var] = seqnos[0]
 
     def rejection_reason(self, alert: Alert) -> str:
         for var in self.varnames:

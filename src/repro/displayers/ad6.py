@@ -43,21 +43,22 @@ class AD6(ADAlgorithm):
     def missed_set(self, varname: str) -> frozenset[int]:
         return frozenset(self._trackers[varname].missed)
 
-    def _accept(self, alert: Alert) -> bool:
-        if not self._ad5._accept(alert):
+    def _accept(self, key: tuple) -> bool:
+        if not self._ad5._accept(key):
             return False
-        return not any(t.conflicts(alert) for t in self._trackers.values())
+        return not any(t.conflicts(key) for t in self._trackers.values())
 
-    def _record(self, alert: Alert) -> None:
-        self._ad5._record(alert)
+    def _record(self, key: tuple) -> None:
+        self._ad5._record(key)
         for tracker in self._trackers.values():
-            tracker.record(alert)
+            tracker.record(key)
 
     def rejection_reason(self, alert: Alert) -> str:
-        if not self._ad5._accept(alert):
+        key = alert.identity()
+        if not self._ad5._accept(key):
             return self._ad5.rejection_reason(alert)
         for var, tracker in self._trackers.items():
-            if tracker.conflicts(alert):
+            if tracker.conflicts(key):
                 return (
                     f"history conflict in {var}: Received/Missed state "
                     f"contradicts {alert.shorthand()}"

@@ -17,8 +17,8 @@ genuinely novel events, which happens under loss and faults).
 Two invariants make the adaptive displayer safe and replayable:
 
 **Recall guard.**  Every arrival is keyed by its head-seqno vector
-(:func:`~repro.core.alert.alert_event_key` — the real-world event it
-reports).  If the active constituent rejects an alert whose event key
+(:func:`~repro.core.alert.identity_event_key` of its identity — the
+real-world event it reports).  If the active constituent rejects an alert whose event key
 has never been displayed, the guard displays it anyway.  AD-1 displays
 the first arrival of every event key (a fresh key implies a fresh
 identity), and no online filter can display an event that never
@@ -37,10 +37,10 @@ on both kernels and through every service runtime: they all present the
 same merged arrival order.
 
 Unlike AD-1…AD-6, the adaptive displayer updates policy state on
-*rejected* offers too (the window counters are its sensor).  It
-therefore overrides :meth:`offer` and remembers which rung rejected the
-last alert, so the observability contract — the reason reported for a
-rejection is the one computed by the state that made the decision —
+*rejected* arrivals too (the window counters are its sensor).  It
+therefore overrides :meth:`decide` and remembers which rung rejected
+the last alert, so the observability contract — the reason reported for
+a rejection is the one computed by the state that made the decision —
 still holds.
 """
 
@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from random import Random
 
-from repro.core.alert import Alert, alert_event_key
+from repro.core.alert import Alert, identity_event_key
 from repro.displayers.ad1 import AD1
 from repro.displayers.ad4 import AD4
 from repro.displayers.ad6 import AD6
@@ -86,15 +86,15 @@ def _ladder(varnames: tuple[str, ...]) -> tuple[list[tuple], tuple]:
         ad2, ad3 = top._ad2, top._ad3
         tracker = ad3._tracker
         return [
-            (AD1(), lambda alert: True),
+            (AD1(), lambda key: True),
             (ad2, ad2._accept),
-            (ad3, lambda alert: not tracker.conflicts(alert)),
-            (top, lambda alert: ad2._accept(alert) and not tracker.conflicts(alert)),
+            (ad3, lambda key: not tracker.conflicts(key)),
+            (top, lambda key: ad2._accept(key) and not tracker.conflicts(key)),
         ], (ad2._record, tracker.record)
     top = AD6(varnames)
     ad5 = top._ad5
     return [
-        (AD1(), lambda alert: True), (ad5, ad5._accept), (top, top._accept),
+        (AD1(), lambda key: True), (ad5, ad5._accept), (top, top._accept),
     ], (top._record,)
 
 
@@ -135,8 +135,8 @@ class AdaptiveAD(ADAlgorithm):
         #: (offer_index, from_name, to_name) switch history.
         self._switches: list[tuple[int, str, str]] = []
         self._offers = 0
-        #: The last rejected alert and the rung whose reason explains it.
-        self._last_rejection: tuple[Alert, ADAlgorithm] | None = None
+        #: The last rejected identity and the rung whose reason explains it.
+        self._last_rejection: tuple[tuple, ADAlgorithm] | None = None
 
     # -- introspection -------------------------------------------------------
     @property
@@ -185,37 +185,34 @@ class AdaptiveAD(ADAlgorithm):
             self._evaluate_window()
 
     # -- the filter ----------------------------------------------------------
-    def _display(self, alert: Alert, identity: tuple, key: tuple) -> None:
-        self._seen.add(identity)
-        self._detected.add(key)
+    def _display(self, key: tuple, event: tuple) -> None:
+        self._seen.add(key)
+        self._detected.add(event)
         for record in self._recorders:
-            record(alert)
-        self._output.append(alert)
+            record(key)
 
-    def _reject(self, alert: Alert, rung: ADAlgorithm, outcome: str) -> bool:
-        self._last_rejection = (alert, rung)
-        self._discarded.append(alert)
+    def _reject(self, key: tuple, rung: ADAlgorithm, outcome: str) -> bool:
+        self._last_rejection = (key, rung)
         self._tick(outcome)
         return False
 
-    def offer(self, alert: Alert) -> bool:
+    def decide(self, key: tuple) -> bool:
         self._offers += 1
-        identity = alert.identity()
-        if identity in self._seen:
+        if key in self._seen:
             # AD-1's rejection, whichever rung is active.
-            return self._reject(alert, self._ladder[0][0], "duplicate")
-        key = alert_event_key(alert, self.varnames)
+            return self._reject(key, self._ladder[0][0], "duplicate")
+        event = identity_event_key(key, self.varnames)
         rung, accepts = self._ladder[self._active]
-        if accepts(alert):
-            self._display(alert, identity, key)
+        if accepts(key):
+            self._display(key, event)
             self._tick("display")
             return True
-        if key not in self._detected:
+        if event not in self._detected:
             # Recall guard: a rejected but never-displayed event — show it.
-            self._display(alert, identity, key)
+            self._display(key, event)
             self._tick("guard-override")
             return True
-        return self._reject(alert, rung, "filtered")
+        return self._reject(key, rung, "filtered")
 
     def rejection_reason(self, alert: Alert) -> str:
         """The reason of the rung whose state rejected ``alert``.
@@ -226,14 +223,15 @@ class AdaptiveAD(ADAlgorithm):
         Its filter state moves only on a display, so until then the
         reason is rendered against exactly the state that decided.
         """
+        key = alert.identity()
         last = self._last_rejection
-        if last is not None and (last[0] is alert or last[0] == alert):
+        if last is not None and last[0] == key:
             rung = last[1]
-        elif alert.identity() in self._seen:
+        elif key in self._seen:
             rung = self._ladder[0][0]
         else:
             rung = self._ladder[self._active][0]
         return rung.rejection_reason(alert)
 
-    def _accept(self, alert: Alert) -> bool:  # pragma: no cover - bypassed
-        raise NotImplementedError("AdaptiveAD decides inside offer()")
+    def _accept(self, key: tuple) -> bool:  # pragma: no cover - bypassed
+        raise NotImplementedError("AdaptiveAD decides inside decide()")

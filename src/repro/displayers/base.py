@@ -7,9 +7,18 @@ whether to display or discard each one.  Every algorithm in the paper is
 alerts are accepted, and the output sequence ``A`` is the subsequence of
 arrivals that passed the filter.
 
-Subclasses implement :meth:`_accept`; the base class keeps the displayed
-output, the discarded alerts (useful for domination/maximality analysis),
-and enforces the offer/record discipline.
+Every algorithm decides on the alert's *identity key* ``(condname,
+((var, seqnos), …))`` alone — :meth:`Alert.identity()
+<repro.core.alert.Alert.identity>`, which is what a CE step returns
+(:meth:`~repro.core.evaluator.ConditionEvaluator.step`).  The paper says
+an AD needs no more (§2), and :mod:`repro.core.wire`'s ``_MINIMUM``
+table names, per algorithm, the part of the key it reads.
+:meth:`ADAlgorithm.decide` is the decision; :meth:`ADAlgorithm.offer`
+is the object API on top of it, which also keeps the displayed output
+and the discarded alerts (useful for domination/maximality analysis).
+
+Subclasses implement :meth:`_accept` and :meth:`_record` over the key;
+the base class enforces the decide-then-record discipline.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ class ADAlgorithm:
         for alert in arrival_stream:
             ad.offer(alert)
         displayed = ad.output      # the final alert sequence A
+
+    or, holding identity keys rather than alerts, ``ad.decide(key)``.
     """
 
     #: Short name used in tables and the registry ("AD-1", ...).
@@ -49,10 +60,18 @@ class ADAlgorithm:
         """Alerts filtered out (so far), in arrival order."""
         return tuple(self._discarded)
 
+    def decide(self, key: tuple) -> bool:
+        """Process the arrival of the alert whose identity is ``key``;
+        return True iff it is displayed.  Keeps no alert: :meth:`offer`
+        does."""
+        if self._accept(key):
+            self._record(key)
+            return True
+        return False
+
     def offer(self, alert: Alert) -> bool:
         """Process one arriving alert; return True iff it was displayed."""
-        if self._accept(alert):
-            self._record(alert)
+        if self.decide(alert.identity()):
             self._output.append(alert)
             return True
         self._discarded.append(alert)
@@ -85,12 +104,14 @@ class ADAlgorithm:
         )
 
     # -- to be implemented by concrete algorithms ---------------------------
-    def _accept(self, alert: Alert) -> bool:
-        """Decide whether ``alert`` may be displayed; must not mutate state."""
+    def _accept(self, key: tuple) -> bool:
+        """Decide whether the alert identified by ``key`` may be
+        displayed; must not mutate state."""
         raise NotImplementedError
 
-    def _record(self, alert: Alert) -> None:
-        """Update internal state after ``alert`` has been accepted."""
+    def _record(self, key: tuple) -> None:
+        """Update internal state after the alert identified by ``key``
+        has been accepted."""
         # Default: no state beyond the output sequence.
 
     def fresh(self) -> "ADAlgorithm":

@@ -34,7 +34,7 @@ class PassThrough(ADAlgorithm):
 
     name = "pass"
 
-    def _accept(self, alert) -> bool:
+    def _accept(self, key: tuple) -> bool:
         return True
 
 

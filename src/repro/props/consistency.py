@@ -35,7 +35,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.alert import Alert
+from repro.core.alert import Alert, identity_shorthand
 from repro.core.sequences import history_gaps
 from repro.core.update import Update
 
@@ -87,7 +87,8 @@ def check_consistency_single(
     missed: set[int] = set()
     for index, alert in enumerate(alerts):
         conflict = constrain_single(
-            received, missed, index, alert, alert.histories.seqnos(varname)
+            received, missed, index, alert.identity(),
+            alert.histories.seqnos(varname),
         )
         if conflict is not None:
             return ConsistencyResult(False, conflict=conflict)
@@ -98,18 +99,19 @@ def constrain_single(
     received: set[int],
     missed: set[int],
     index: int,
-    alert: Alert,
+    key: tuple,
     history: tuple[int, ...],
 ) -> str | None:
     """One step of :func:`check_consistency_single`: alert #``index`` of A,
-    whose history is the seqno tuple ``history``, requires ``history``
-    received and its gaps missed.  Returns the conflict sentence when an
-    earlier alert required one of them the other way (and leaves both
-    sets as they were); otherwise adds them and returns None."""
+    identified by ``key`` and whose history is the seqno tuple
+    ``history``, requires ``history`` received and its gaps missed.
+    Returns the conflict sentence when an earlier alert required one of
+    them the other way (and leaves both sets as they were); otherwise adds
+    them and returns None."""
     if not missed.isdisjoint(history):
         seqno = min(missed.intersection(history))
         return (
-            f"alert #{index} {alert.shorthand()} requires update "
+            f"alert #{index} {identity_shorthand(key)} requires update "
             f"{seqno} received, but an earlier alert requires it missed"
         )
     gaps = history_gaps(history)
@@ -117,7 +119,7 @@ def constrain_single(
         if not received.isdisjoint(gaps):
             seqno = min(received & gaps)
             return (
-                f"alert #{index} {alert.shorthand()} requires update "
+                f"alert #{index} {identity_shorthand(key)} requires update "
                 f"{seqno} missed, but an earlier alert requires it received"
             )
         missed |= gaps

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from heapq import heappop, heappush
 
-from repro.core.alert import Alert
+from repro.core.alert import identity_seqnos
 from repro.core.condition import Condition, compile_condition
 from repro.core.update import Update
 from repro.props.completeness import compare_window_keys
@@ -54,8 +54,8 @@ class VerdictFold:
     :meth:`receive` takes the updates a CE incorporated, in that CE's
     order, and only queues them, because a CE calls it on its latency
     path; :meth:`settle` folds what was queued.  :meth:`display` folds
-    alerts the AD displayed, in display order.  :meth:`report` ends the
-    run.  Either side may come in batches of any size, the two sides in
+    the identity keys of the alerts the AD displayed, in display order —
+    all the displayed side reads.  :meth:`report` ends the run.  Either side may come in batches of any size, the two sides in
     any interleaving.
     """
 
@@ -79,8 +79,10 @@ class VerdictFold:
         #: the same seqnos.
         self._above: dict[int, Update] = {}
         self._heap: list[int] = []
-        #: The merged run's last ``degree`` updates, most recent first.
+        #: The merged run's last ``degree`` updates, most recent first,
+        #: and their seqnos (a window's key is one tuple call).
         self._window: list[Update] = []
+        self._window_seqnos: list[int] = []
         self._expected: set[tuple[int, ...]] = set()
         # -- the displayed sequence A
         self._displayed = 0
@@ -152,42 +154,47 @@ class VerdictFold:
         above = self._above
         heap = self._heap
         window = self._window
+        seqnos = self._window_seqnos
         degree = self._degree
         holds = self._holds
         expected = self._expected
         while heap and (watermark is None or heap[0] < watermark):
-            window.insert(0, above.pop(heappop(heap)))
+            seqno = heappop(heap)
+            window.insert(0, above.pop(seqno))
+            seqnos.insert(0, seqno)
             if len(window) > degree:
                 window.pop()
+                seqnos.pop()
             elif len(window) < degree:
                 continue
             if holds(window):
-                expected.add(tuple([update.seqno for update in window]))
+                expected.add(tuple(seqnos))
 
     # -- the displayed sequence ----------------------------------------------
-    def display(self, alerts: Iterable[Alert]) -> None:
-        """The AD displayed ``alerts``, in this order."""
+    def display(self, keys: Iterable[tuple]) -> None:
+        """The AD displayed the alerts identified by ``keys``
+        (:meth:`Alert.identity() <repro.core.alert.Alert.identity>`), in
+        this order."""
         var = self.variable
         condname = self.condition.name
-        variables = self.condition.variables
-        for alert in alerts:
+        for key in keys:
             index = self._displayed
             self._displayed = index + 1
-            histories = alert.histories
-            seqnos = histories.seqnos(var)
+            runs = key[1]
+            seqnos = identity_seqnos(key, var)
             # Orderedness: the first head below its predecessor.
             head = seqnos[0]
             if self._inversion is None and self._last_head is not None:
                 if head < self._last_head:
                     self._inversion = index
             self._last_head = head
-            if alert.condname != condname or histories.variables != variables:
-                self._foreign.add(alert.identity())
+            if key[0] != condname or len(runs) != 1:
+                self._foreign.add(key)
             else:
                 self._actual.add(seqnos)
             if self._conflict is None:
                 self._conflict = constrain_single(
-                    self._received, self._missed, index, alert, seqnos
+                    self._received, self._missed, index, key, seqnos
                 )
 
     # -- the end -------------------------------------------------------------

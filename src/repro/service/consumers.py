@@ -3,10 +3,16 @@
 :class:`StampMerge` is the stamp merge and the AD filter as one
 synchronous object: it files each alert a CE raised into that CE's
 FIFO, releases CE heads in recorded stamp order through a k-entry heap,
-offers each released alert to the AD algorithm and reads the latency
-clock for every alert it displays.  ``repro serve`` calls it from its
-socket reader, one raised alert at a time, so only the CE step and the
-wait for an earlier stamp lie between a delivery and its display.
+hands each released alert's key to the AD's decision and reads the
+latency clock for every alert it displays.  It is agnostic to what it
+files: ``repro serve`` calls it from its socket reader, one raised alert
+at a time, with the identity key a CE step returned and the line inputs
+of the alert that was never built, and decides with
+:meth:`~repro.displayers.base.ADAlgorithm.decide`; :func:`ad_merge`
+files :class:`~repro.core.alert.Alert` objects and decides with
+:meth:`~repro.displayers.base.ADAlgorithm.offer`.  On the served path
+only the CE step and the wait for an earlier stamp lie between a
+delivery and its display.
 
 Three coroutine stages put the same steps on
 :class:`~repro.service.queues.BoundedQueue`\\ s, so the property suite
@@ -50,7 +56,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
-from typing import TYPE_CHECKING, AsyncIterator, Awaitable, Callable
+from typing import TYPE_CHECKING, Any, AsyncIterator, Awaitable, Callable
 
 from repro.core.alert import Alert
 from repro.core.serialization import alert_canonical_line
@@ -91,8 +97,9 @@ async def _batches(queue: BoundedQueue) -> AsyncIterator[list]:
 class MergeResult:
     """What the AD-side consumer saw."""
 
-    #: The re-established arrival stream (input to the AD filter).
-    arrivals: list[Alert] = field(default_factory=list)
+    #: The re-established arrival stream: the filed keys, each the input
+    #: of one AD decision.
+    arrivals: list = field(default_factory=list)
     #: The canonical line of each displayed alert, rendered as the merge
     #: batch that displayed it ended.
     lines: list[str] = field(default_factory=list)
@@ -185,18 +192,23 @@ class StampMerge:
     therefore sees exactly the stamp order, independent of scheduling,
     at O(log k) per release.
 
+    An alert is filed as a ``key`` and a ``payload``, and neither is
+    looked into: ``decide(key)`` is the AD's decision on a released
+    alert, and the payload of each displayed one is handed back by
+    :meth:`settle`.
+
     :meth:`file` takes an alert and leaves a CE that sends more alerts
     than it has stamps to :meth:`end`, which reports it stranded (the
     queue stages' contract, pinned by the merge differential);
     :meth:`raised`, the server's step, names that CE at its first extra
-    alert.  :meth:`settle` renders what was displayed since the last
-    settle, off the latency clocks; :meth:`end` verifies that every stamp
-    was released and nothing is left waiting.
+    alert.  :meth:`settle` hands back what was displayed since the last
+    settle, for its caller to render off the latency clocks; :meth:`end`
+    verifies that every stamp was released and nothing is left waiting.
     """
 
     def __init__(
         self,
-        algorithm,
+        decide: Callable[[Any], bool],
         stamps: tuple[tuple[tuple[float, int], ...], ...],
         *,
         clock: Callable[[], int] = time.monotonic_ns,
@@ -205,7 +217,7 @@ class StampMerge:
         #: Per CE, the alerts :meth:`raised` took from it.
         self.raised_per_ce = [0] * len(stamps)
         self._stamps = stamps
-        self._offer = algorithm.offer
+        self._decide = decide
         self._clock = clock
         self._waiting: list[deque] = [deque() for _ in stamps]
         self._upcoming = [iter(per_ce) for per_ce in stamps]
@@ -215,11 +227,11 @@ class StampMerge:
         self._heads = heads
         #: Filed and not yet released.
         self._buffered = 0
-        #: Displayed since the last :meth:`settle`.
-        self._shown: list[Alert] = []
+        #: Payloads displayed since the last :meth:`settle`.
+        self._shown: list = []
 
-    def raised(self, ce_index: int, alert: Alert, ingest_ns: int) -> None:
-        """CE ``ce_index`` raised ``alert``: file it, unless the feed
+    def raised(self, ce_index: int, key, payload, ingest_ns: int) -> None:
+        """CE ``ce_index`` raised an alert: file it, unless the feed
         recorded no stamp for it — which is a conformance failure, since
         the deliveries then do not reproduce the run."""
         count = self.raised_per_ce[ce_index]
@@ -230,14 +242,14 @@ class StampMerge:
                 f"recorded only {recorded} arrival stamps"
             )
         self.raised_per_ce[ce_index] = count + 1
-        self.file(ce_index, alert, ingest_ns)
+        self.file(ce_index, key, payload, ingest_ns)
 
-    def file(self, ce_index: int, alert: Alert, ingest_ns: int) -> None:
-        """File ``alert`` in its CE's FIFO and release every head now due;
+    def file(self, ce_index: int, key, payload, ingest_ns: int) -> None:
+        """File an alert in its CE's FIFO and release every head now due;
         ``ingest_ns`` is when the triggering update entered the service
         (the start of the update→display latency)."""
         waiting = self._waiting
-        waiting[ce_index].append((alert, ingest_ns))
+        waiting[ce_index].append((key, payload, ingest_ns))
         result = self.result
         buffered = self._buffered + 1
         if buffered > result.peak_reorder:
@@ -249,28 +261,25 @@ class StampMerge:
             queue = waiting[ce_index]
             if not queue:
                 break
-            alert, ingest_ns = queue.popleft()
+            key, payload, ingest_ns = queue.popleft()
             buffered -= 1
             stamp = next(upcoming[ce_index], None)
             if stamp is None:
                 heappop(heads)
             else:
                 heapreplace(heads, (stamp, ce_index))
-            result.arrivals.append(alert)
-            if self._offer(alert):
+            result.arrivals.append(key)
+            if self._decide(key):
                 result.display_latencies_ns.append(self._clock() - ingest_ns)
-                self._shown.append(alert)
+                self._shown.append(payload)
         self._buffered = buffered
 
-    def settle(self, fold: VerdictFold | None = None) -> None:
-        """Render the alerts displayed since the last settle and, with a
-        ``fold``, fold them and settle it."""
+    def settle(self) -> list:
+        """The payloads of the alerts displayed since the last settle, in
+        display order."""
         shown = self._shown
-        self.result.lines += map(alert_canonical_line, shown)
-        if fold is not None:
-            fold.display(shown)
-            fold.settle()
         self._shown = []
+        return shown
 
     def end(self) -> MergeResult:
         """The merge's result, once every stamp was released and nothing
@@ -293,20 +302,27 @@ async def ad_merge(
     clock: Callable[[], int] = time.monotonic_ns,
     fold: VerdictFold | None = None,
 ) -> MergeResult:
-    """:class:`StampMerge` over the shared alert queue.
+    """:class:`StampMerge` over the shared alert queue, offering alerts.
 
     Files every ``(ce_index, alert, ingest_ns)`` item it takes and
     settles once per ``get_many`` batch, past every latency clock the
-    batch read.  Consumes one CLOSE per CE, then ends the merge.
+    batch read: renders what the batch displayed and, with a ``fold``,
+    folds it.  Consumes one CLOSE per CE, then ends the merge.
     """
-    merge = StampMerge(algorithm, stamps, clock=clock)
+    merge = StampMerge(algorithm.offer, stamps, clock=clock)
     file = merge.file
+    lines = merge.result.lines
     closes = 0
     while closes < len(stamps):
         for item in await alerts.get_many():
             if item is CLOSE:
                 closes += 1
             else:
-                file(*item)
-        merge.settle(fold)
+                ce_index, alert, ingest_ns = item
+                file(ce_index, alert, alert, ingest_ns)
+        shown = merge.settle()
+        lines.extend(map(alert_canonical_line, shown))
+        if fold is not None:
+            fold.display([alert.identity() for alert in shown])
+            fold.settle()
     return merge.end()

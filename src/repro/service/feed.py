@@ -167,7 +167,12 @@ def _encode_result(message: dict[str, Any]) -> bytes:
 
 def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
     """``(ce_index, update)`` of a delivery record; ``None`` when the
-    payload does not carry the delivery tag."""
+    payload does not carry the delivery tag.
+
+    A value that is not finite is a :class:`FeedSchemaError`: a NaN
+    compares unequal to itself, so the run's merge would otherwise report
+    the two CEs' copies of one update as a conflict.
+    """
     if payload[:1] != _DELIVERY_TAG:
         return None
     try:
@@ -179,6 +184,11 @@ def decode_delivery(payload: bytes) -> tuple[int, Update] | None:
         ) from exc
     if not varname:
         raise FeedSchemaError(f"delivery record without a varname: {payload!r}")
+    if not isfinite(value):
+        raise FeedSchemaError(
+            f"the delivery record of {seqno}{varname} to CE{ce_index + 1} "
+            f"holds a non-finite value {value!r}"
+        )
     # Fast frozen-dataclass construction: the inputs are valid by
     # construction (non-empty varname, unsigned seqno), so skip
     # __init__'s indirection and __post_init__ validation.
@@ -456,7 +466,15 @@ def loads_feed(text: str) -> UpdateFeed:
                 (float(time), int(seq)) for time, seq in obj["stamps"]
             )
         elif record == "delivery":
-            deliveries.append((int(obj["ce"]), update_from_json(obj["update"])))
+            ce_index = int(obj["ce"])
+            update = update_from_json(obj["update"])
+            if not isfinite(update.value):
+                raise FeedSchemaError(
+                    f"line {lineno}: the delivery record of {update.seqno}"
+                    f"{update.varname} to CE{ce_index + 1} holds a non-finite "
+                    f"value {update.value!r}"
+                )
+            deliveries.append((ce_index, update))
         else:
             raise FeedSchemaError(f"line {lineno}: unknown record {record!r}")
     if sorted(stamps) != list(range(len(stamps))):

@@ -22,12 +22,19 @@ read completed, stamping each as it is decoded (the start of its
 update→display latency), so a record's latency includes its wait behind
 the earlier records of its read.  Next, ``_STEPS_PER_TURN`` records at
 a time, it runs each target CE's
-:class:`~repro.core.evaluator.ConditionEvaluator` step and hands any
+:meth:`~repro.core.evaluator.ConditionEvaluator.step`, and hands any
 raised alert to the connection's
-:class:`~repro.service.consumers.StampMerge`, which releases it in
-recorded stamp order through the AD filter and reads the latency clock;
-after each slice it renders the lines the slice displayed, folds the
-slice into the verdicts and gives the loop's other connections a turn.
+:class:`~repro.service.consumers.StampMerge` as the identity key the
+step returned, with its line inputs (the CE's windows and name) as the
+payload.  The merge releases it in recorded stamp order to
+:meth:`~repro.displayers.base.ADAlgorithm.decide` and reads the latency
+clock; after each slice the reader renders the lines the slice
+displayed straight from their windows
+(:func:`~repro.core.serialization.canonical_line`), folds the slice's
+updates and displayed keys into the verdicts and gives the loop's other
+connections a turn.  No :class:`~repro.core.alert.Alert` is built for
+a single-variable feed; a multi-variable one builds an alert for each
+displayed key only, at ``end``.
 After the read's last slice it reads again.  There is no queue between
 a delivery and its display, and flow control is TCP's own: a server
 busy with one read does not read the next, so the client's sends stall.
@@ -49,9 +56,9 @@ read by read, so ``end`` only flushes the merged run above the CEs'
 watermark, and computes only what the result carries: the verdicts
 without their diagnostic sets, and the three latency ranks from one
 sort.  A multi-variable condition is still decided from the whole runs
-once the feed is in.
+and its displayed alerts once the feed is in.
 
-A connection's payload graph (updates, snapshots, alerts) lives until
+A connection's payload graph (updates, keys, windows) lives until
 its reply is out and none of it is cyclic, so the cyclic collector is
 paused while any pipeline is live
 (:func:`~repro.accel.collector_paused`) and run once per connection at
@@ -74,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.accel import collector_paused, percentiles
-from repro.core.serialization import alert_from_json
+from repro.core.serialization import alert_from_json, canonical_line
 from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
 from repro.service.consumers import Pace, StampMerge
@@ -230,7 +237,7 @@ class MonitorService:
 
     async def _run_pipeline(self, reader: asyncio.StreamReader) -> dict[str, Any]:
         from repro.displayers.registry import make_ad
-        from repro.core.evaluator import ConditionEvaluator
+        from repro.core.evaluator import ConditionEvaluator, alert_from_key
         from repro.props.fold import VerdictFold
         from repro.props.report import evaluate_run
 
@@ -277,6 +284,7 @@ class MonitorService:
 
         spec, stamps, payloads = await preamble()
         condition = spec.resolve_scenario().make_condition()
+        condname = condition.name
         algorithm = make_ad(spec.algorithm, condition)
 
         replicas = len(stamps)
@@ -284,14 +292,22 @@ class MonitorService:
             ConditionEvaluator(condition, source=f"CE{i + 1}")
             for i in range(replicas)
         ]
-        ingests = [evaluator.ingest for evaluator in evaluators]
+        steps = [evaluator.step for evaluator in evaluators]
+        windows = [evaluator.windows for evaluator in evaluators]
+        sources = [evaluator.source for evaluator in evaluators]
         fold = (
             VerdictFold(condition, replicas)
             if len(condition.variables) == 1
             else None
         )
-        merge = StampMerge(algorithm, stamps)
+        # Filed per raised alert: its key, and as payload what its line
+        # and, on a multi-variable feed, its Alert need.
+        merge = StampMerge(algorithm.decide, stamps)
         raised = merge.raised
+        lines = merge.result.lines
+        #: Multi-variable feeds: every displayed payload, for the Alerts
+        #: the verdicts are decided on at the end.
+        displayed: list[tuple] = []
         clock = time.monotonic_ns
         pace = self.pace
         #: Per CE, the updates of the current slice, and how many so far.
@@ -329,10 +345,14 @@ class MonitorService:
                         )
                     if pace is not None:
                         await pace(ce_index, update)
-                    alert = ingests[ce_index](update)
+                    key = steps[ce_index](update)
                     received[ce_index].append(update)
-                    if alert is not None:
-                        raised(ce_index, alert, ingest_ns)
+                    if key is not None:
+                        raised(
+                            ce_index, key,
+                            (key, windows[ce_index](), sources[ce_index]),
+                            ingest_ns,
+                        )
                 # Past every latency clock of the slice (not of the read's
                 # later slices): count, fold, render.
                 for ce_index, updates in enumerate(received):
@@ -341,7 +361,14 @@ class MonitorService:
                         if fold is not None:
                             fold.receive(ce_index, updates)
                         updates.clear()
-                merge.settle(fold)
+                shown = merge.settle()
+                for _, runs, source in shown:
+                    lines.append(canonical_line(condname, source, runs))
+                if fold is not None:
+                    fold.display([payload[0] for payload in shown])
+                    fold.settle()
+                else:
+                    displayed += shown
             if held < len(payloads):
                 message = decode_message(payloads[held])
                 if message["type"] == "stamps":
@@ -371,7 +398,10 @@ class MonitorService:
             report = evaluate_run(
                 condition,
                 tuple(evaluator.received for evaluator in evaluators),
-                algorithm.output,
+                [
+                    alert_from_key(key, dict(runs), source)
+                    for key, runs, source in displayed
+                ],
             )
         tracer = CountersTracer()
         for ce_index in range(replicas):

@@ -47,6 +47,9 @@ __all__ = [
     "ShardBatchResult",
 ]
 
+_new = object.__new__
+_oset = object.__setattr__
+
 #: Per-tenant AD algorithms, cycled by tenant index (single-variable,
 #: cheap online filters).
 _ALGORITHMS = ("AD-1", "AD-2", "AD-3")
@@ -108,14 +111,25 @@ def zipfian_update_counts(
 
 
 def _tenant_stream(index: int, seed: int, n_updates: int) -> list[Update]:
-    """Tenant ``index``'s DM broadcast: a random walk around the threshold."""
+    """Tenant ``index``'s DM broadcast: a random walk around the threshold.
+
+    The updates are valid by construction (a non-empty name, seqnos from
+    1), so they skip ``Update.__init__`` and its validation, as the array
+    kernel's do; each step is ``rng.uniform(-120.0, 140.0)`` written out,
+    the same floats.
+    """
     rng = Random(f"tenant/{seed}/{index}")
+    random = rng.random
     var = tenant_variable(index)
     value = 2900.0 + rng.uniform(-100.0, 100.0)
     stream = []
     for seqno in range(1, n_updates + 1):
-        value += rng.uniform(-120.0, 140.0)
-        stream.append(Update(var, seqno, round(value, 3)))
+        value += -120.0 + 260.0 * random()
+        update = _new(Update)
+        _oset(update, "varname", var)
+        _oset(update, "seqno", seqno)
+        _oset(update, "value", round(value, 3))
+        stream.append(update)
     return stream
 
 

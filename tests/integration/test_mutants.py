@@ -18,7 +18,7 @@ from repro.analysis.experiments import (
     consistency_property,
     strict_orderedness_property,
 )
-from repro.core.alert import Alert
+from repro.core.alert import identity_seqnos
 from repro.core.sequences import spanning_set
 from repro.displayers.ad2 import AD2
 from repro.displayers.ad3 import AD3
@@ -36,8 +36,8 @@ class AD2NonStrict(AD2):
 
     name = "AD-2-mutant-nonstrict"
 
-    def _accept(self, alert: Alert) -> bool:
-        return alert.seqno(self.varname) >= self._last  # BUG: >= not >
+    def _accept(self, key: tuple) -> bool:
+        return identity_seqnos(key, self.varname)[0] >= self._last  # BUG: >= not >
 
 
 class AD2ForgetsState(AD2):
@@ -45,7 +45,7 @@ class AD2ForgetsState(AD2):
 
     name = "AD-2-mutant-stateless"
 
-    def _record(self, alert: Alert) -> None:
+    def _record(self, key: tuple) -> None:
         pass  # BUG: last never updated
 
 
@@ -54,9 +54,9 @@ class AD3NoGapTracking(AD3):
 
     name = "AD-3-mutant-nogaps"
 
-    def _record(self, alert: Alert) -> None:
-        self._seen.add(alert.identity())
-        history = set(alert.histories.seqnos(self.varname))
+    def _record(self, key: tuple) -> None:
+        self._seen.add(key)
+        history = set(identity_seqnos(key, self.varname))
         self._tracker.received |= history  # BUG: missed set never grows
 
 
@@ -65,10 +65,10 @@ class AD3NoReceivedCheck(AD3):
 
     name = "AD-3-mutant-halfcheck"
 
-    def _accept(self, alert: Alert) -> bool:
-        if alert.identity() in self._seen:
+    def _accept(self, key: tuple) -> bool:
+        if key in self._seen:
             return False
-        history = set(alert.histories.seqnos(self.varname))
+        history = set(identity_seqnos(key, self.varname))
         # BUG: only checks history∩Missed, not gaps∩Received.
         return not (history & self._tracker.missed)
 
@@ -78,9 +78,9 @@ class AD5OneVariableOnly(AD5):
 
     name = "AD-5-mutant-onevar"
 
-    def _accept(self, alert: Alert) -> bool:
+    def _accept(self, key: tuple) -> bool:
         first = self.varnames[0]
-        return alert.seqno(first) >= self._last[first]  # BUG: ignores y
+        return identity_seqnos(key, first)[0] >= self._last[first]  # BUG: ignores y
 
 
 class TestMutantsCaughtExhaustively:

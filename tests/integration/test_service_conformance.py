@@ -28,6 +28,10 @@ if str(REPO_ROOT) not in sys.path:  # `python -m pytest` from elsewhere
 
 from benchmarks.min_witnesses import RESULT_PATH  # noqa: E402
 
+from repro.displayers.registry import (  # noqa: E402
+    algorithm_info,
+    algorithm_names,
+)
 from repro.engine.spec import TrialSpec  # noqa: E402
 from repro.faults import DEFAULT_CHAOS_PROFILE  # noqa: E402
 from repro.membership import MembershipConfig  # noqa: E402
@@ -103,6 +107,30 @@ class TestHealthyFeeds:
         assert report.verdicts == {
             "ordered": True, "complete": True, "consistent": True,
         }
+
+
+class TestEveryAlgorithm:
+    """Each registered AD, served: the server decides on identity keys
+    while the kernels and the direct core offer alerts.  The chaos
+    profile makes the stateful filters work — ``adaptive`` switches rungs
+    on rejections."""
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_single_variable(self, algorithm):
+        assert_conforms(
+            TrialSpec("single", "aggressive", algorithm, seed=17, n_updates=80,
+                      faults=DEFAULT_CHAOS_PROFILE.scaled(1.5))
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [name for name in algorithm_names() if algorithm_info(name).multi_variable],
+    )
+    def test_multi_variable(self, algorithm):
+        assert_conforms(
+            TrialSpec("multi", "aggressive", algorithm, seed=17, n_updates=30,
+                      replication=3)
+        )
 
 
 class TestDegradedFeeds:

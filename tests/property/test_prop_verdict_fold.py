@@ -108,7 +108,7 @@ def test_the_fold_ends_where_evaluate_run_does(run, data):
         if step == "receive":
             fold.receive(ce, received[ce].pop(0))
         elif step == "display":
-            fold.display(shown.pop(0))
+            fold.display([alert.identity() for alert in shown.pop(0)])
         else:
             fold.settle()
     report = fold.report()

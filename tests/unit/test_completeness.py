@@ -265,7 +265,7 @@ class TestDeferredDiagnosis:
         fold = VerdictFold(condition, len(traces))
         for trace, updates in enumerate(traces):
             fold.receive(trace, updates)
-        fold.display(displayed)
+        fold.display([alert.identity() for alert in displayed])
         return fold.report().complete
 
     def test_a_deferred_result_is_its_eager_twin(self):

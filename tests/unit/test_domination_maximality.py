@@ -86,7 +86,7 @@ class TestMaximalityProbe:
         class DropAll(AD2):
             name = "drop-all"
 
-            def _accept(self, alert):
+            def _accept(self, key):
                 return False
 
         ordered = strict_orderedness_property("x")

@@ -115,7 +115,7 @@ class TestMultiConditionSystem:
         assert report.consistent
 
     def test_adaptive_sub_filters(self):
-        # AdaptiveAD decides inside offer(), not in _accept/_record: the
+        # AdaptiveAD decides inside decide(), not in _accept/_record: the
         # demux must hand each alert to its stream's own offer(), and each
         # stream must then be what a lone AdaptiveAD shows on its arrivals.
         conditions = [c1(name="A"), c1(threshold=3100, name="B")]

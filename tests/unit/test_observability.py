@@ -255,7 +255,7 @@ class TestRejectionReasons:
         class Opaque(ADAlgorithm):
             name = "opaque"
 
-            def _accept(self, alert):
+            def _accept(self, key):
                 return False
 
         algorithm = Opaque()
@@ -278,7 +278,7 @@ class TestReasonStringsPerAlgorithm:
         class FirstOnly(ADAlgorithm):
             name = "first-only"
 
-            def _accept(self, alert):
+            def _accept(self, key):
                 return not self._output
 
         algorithm = FirstOnly()

@@ -227,7 +227,6 @@ class TestSnapshotMemo:
         fresh = {
             "init": HistorySnapshot(entries),
             "from_trusted": HistorySnapshot.from_trusted(entries),
-            "evaluator": evaluated_snapshot(histories),
             "alert_from_json": alert_from_json(alert_to_json(alert)).histories,
         }
         for snapshot in fresh.values():
@@ -241,6 +240,9 @@ class TestSnapshotMemo:
             made[f"replace-{name}"] = dataclasses.replace(original)
         assert made["replace-memoized"]._identity is None
         made["memoized"] = memoized
+        # The evaluator's alert arrives memoized, with its step's key.
+        made["evaluator"] = evaluated_snapshot(histories)
+        assert made["evaluator"]._identity is not None
         return made
 
     @given(_alerts())

@@ -162,13 +162,13 @@ class TestDeliveryRecord:
         ce=st.integers(0, 2**16 - 1),
         var=st.text(min_size=1),
         seqno=st.integers(0, 2**64 - 1),
-        value=st.floats(),
+        value=st.floats(allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=300, deadline=None)
     def test_round_trip(self, ce, var, seqno, value):
         message = delivery(ce, var, seqno, value)
         decoded = decode_message(payload_of(encode_message(message)))
-        # Bitwise on the value: NaN payloads and the sign of zero survive.
+        # Bitwise on the value: the sign of zero survives.
         assert struct.pack(">d", decoded["update"].pop("value")) == struct.pack(
             ">d", message["update"].pop("value")
         )
@@ -195,6 +195,15 @@ class TestDeliveryRecord:
     def test_sender_rejects_what_the_record_cannot_carry(self, message):
         with pytest.raises(FeedSchemaError):
             encode_message(message)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_decode_names_a_non_finite_value(self, value):
+        payload = payload_of(encode_message(delivery(ce=1, seqno=3, value=value)))
+        with pytest.raises(FeedSchemaError) as caught:
+            decode_delivery(payload)
+        assert str(caught.value) == (
+            f"the delivery record of 3x to CE2 holds a non-finite value {value!r}"
+        )
 
     def test_control_messages_stay_json(self):
         for message in ({"type": "end"}, {"type": "error", "error": "x"}):
@@ -462,6 +471,46 @@ class TestOfflineRuntimes:
 
         first = json.loads(payloads[0])
         assert set(first) == {"condname", "source", "histories"}
+
+
+class TestNonFiniteValues:
+    """A seqno whose value is not finite on every CE that received it is a
+    named schema error on both ways into a runtime — never the merge's
+    "conflicting updates" (a NaN is unequal to itself)."""
+
+    @staticmethod
+    def poisoned(feed, value):
+        deliveries = tuple(
+            (ce, Update(u.varname, u.seqno, value) if u.seqno == 3 else u)
+            for ce, u in feed.deliveries
+        )
+        assert sum(u.seqno == 3 for _, u in feed.deliveries) == 2
+        return dataclasses.replace(feed, deliveries=deliveries)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_feed_file_names_the_line(self, feed, value):
+        text = self.poisoned(feed, value).to_jsonl()
+        lineno = 1 + text.splitlines().index(next(
+            line for line in text.splitlines()
+            if '"seqno":3,' in line and '"record":"delivery"' in line
+        ))
+        with pytest.raises(FeedSchemaError) as caught:
+            loads_feed(text)
+        ce = json.loads(text.splitlines()[lineno - 1])["ce"]
+        assert str(caught.value) == (
+            f"line {lineno}: the delivery record of 3x to CE{ce + 1} holds "
+            f"a non-finite value {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_socket_names_the_record(self, feed, value):
+        with pytest.raises(ServiceError) as caught:
+            AsyncioServiceRuntime().execute(self.poisoned(feed, value))
+        assert re.fullmatch(
+            rf"FeedSchemaError: the delivery record of 3x to CE[12] holds "
+            rf"a non-finite value {re.escape(repr(value))}",
+            str(caught.value),
+        )
 
 
 # -- asyncio service ----------------------------------------------------------
@@ -1119,7 +1168,7 @@ class TestReaderBatches:
         from repro.service.consumers import StampMerge
 
         events: list[str] = []
-        ingest, settle = ConditionEvaluator.ingest, StampMerge.settle
+        step, settle = ConditionEvaluator.step, StampMerge.settle
         run_pipeline = MonitorService._run_pipeline
         monotonic_ns = server.time.monotonic_ns
 
@@ -1127,13 +1176,13 @@ class TestReaderBatches:
             events.append("stamp")
             return monotonic_ns()
 
-        def counting_ingest(self, update):
+        def counting_step(self, update):
             events.append("step")
-            return ingest(self, update)
+            return step(self, update)
 
-        def counting_settle(self, fold=None):
+        def counting_settle(self):
             events.append("settle")
-            return settle(self, fold)
+            return settle(self)
 
         async def counting_pipeline(self, reader):
             read = reader.read
@@ -1169,7 +1218,7 @@ class TestReaderBatches:
         monkeypatch.setattr(
             server, "time", types.SimpleNamespace(monotonic_ns=counting_clock)
         )
-        monkeypatch.setattr(ConditionEvaluator, "ingest", counting_ingest)
+        monkeypatch.setattr(ConditionEvaluator, "step", counting_step)
         monkeypatch.setattr(StampMerge, "settle", counting_settle)
         monkeypatch.setattr(MonitorService, "_run_pipeline", counting_pipeline)
         result = AsyncioServiceRuntime().execute(big_feed)

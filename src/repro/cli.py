@@ -12,10 +12,10 @@ Everything the benchmarks do, driveable from a shell::
     python -m repro chaos --intensities 0 1 2 --trials 30
     python -m repro quality --row aggressive --trials 20
     python -m repro quality --losses 0 0.3 --intensities 0 1 --json out.json
-    python -m repro feed record aggressive --seed 7 --out run.feed.jsonl
-    python -m repro feed conform run.feed.jsonl   # all runtimes identical?
+    python -m repro feed record aggressive --seed 7 --out run.feed
+    python -m repro feed conform run.feed         # all runtimes identical?
     python -m repro serve --port 7801             # online monitoring service
-    python -m repro feed send run.feed.jsonl --port 7801 --conform
+    python -m repro feed send run.feed --port 7801 --conform
     python -m repro list
 
 Exit status is 0 when the measured results agree with the paper's claims,
@@ -434,7 +434,7 @@ def _cmd_feed_record(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     feed = record_feed(spec)
     out = args.out or (
-        f"feed_{spec.matrix}_{args.row}_{args.algorithm}_seed{args.seed}.jsonl"
+        f"feed_{spec.matrix}_{args.row}_{args.algorithm}_seed{args.seed}.feed"
     )
     path = feed.write(out)
     print(
@@ -444,6 +444,24 @@ def _cmd_feed_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _feed_rejected_exits_2(command):
+    """``command``, ending in one ``error: <Class>: <message>`` line on
+    stderr and exit 2 when the feed is rejected: exit 1 is DIVERGED only."""
+
+    def run(args: argparse.Namespace) -> int:
+        from repro.core.wire import FrameError
+        from repro.service import FeedMismatchError, FeedSchemaError, ServiceError
+
+        try:
+            return command(args)
+        except (FeedSchemaError, FrameError, FeedMismatchError, ServiceError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+@_feed_rejected_exits_2
 def _cmd_feed_conform(args: argparse.Namespace) -> int:
     from repro.service import check_conformance, default_runtimes, load_feed
 
@@ -469,6 +487,7 @@ def _cmd_feed_conform(args: argparse.Namespace) -> int:
     return 0 if report.identical else 1
 
 
+@_feed_rejected_exits_2
 def _cmd_feed_send(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -608,7 +627,7 @@ def _add_trial_options(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("--updates", type=int, default=30)
     parser.add_argument("--replication", type=int, default=2)
     parser.add_argument("--multi", action="store_true")
-    parser.add_argument("--out", default=None, help="output .jsonl path")
+    parser.add_argument("--out", default=None, help=f"output {what} path")
     parser.add_argument(
         "--chaos",
         type=float,
@@ -848,7 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fcon = feed_sub.add_parser(
         "conform",
         help="replay a feed through every runtime (kernels, direct core, "
-        "asyncio service); exit 0 iff all outputs are byte-identical",
+        "asyncio service); exit 0 iff all outputs are byte-identical, 1 if "
+        "they diverge, 2 if the feed is rejected",
     )
     p_fcon.add_argument("path")
     p_fcon.add_argument(

@@ -13,6 +13,7 @@ enforces exactly that.
 
 from repro.service.feed import (
     FEED_SCHEMA,
+    FeedMismatchError,
     FeedSchemaError,
     UpdateFeed,
     feed_from_run,
@@ -25,7 +26,6 @@ from repro.service.queues import CLOSE, BoundedQueue, QueueStats
 from repro.service.runtime import (
     ConformanceReport,
     DirectRuntime,
-    FeedMismatchError,
     FeedResult,
     KernelRuntime,
     Runtime,

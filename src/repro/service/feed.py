@@ -10,9 +10,10 @@ so a runtime that evaluates the deliveries and merges by stamp must
 display byte-for-byte the same alert sequence as the simulator.
 
 Feeds are recorded from a :class:`~repro.engine.spec.TrialSpec` (which
-fully determines them), persist as JSONL (``repro.feed/1``), and stream
-over sockets as length-prefixed :mod:`repro.core.wire` frames carrying
-protocol messages::
+fully determines them).  A feed has one encoding: the stream of
+length-prefixed :mod:`repro.core.wire` frames a client sends to
+``repro serve``, and a feed file (``repro feed record``) is exactly
+those bytes.  The frames carry protocol messages::
 
     {"type": "hello", "schema": "repro.feed/1", "spec": ...}
     {"type": "stamps", "ce": 0, "stamps": ((time, index), ...)}   one per CE
@@ -31,13 +32,14 @@ starts with ``{``, so the first byte decides); all integers big-endian::
                     result field but ``displayed`` | the displayed lines,
                     UTF-8, joined by "\\n", to the end
 
-The stamp records follow the hello, one per CE in CE order, and their
-number is the feed's replication.  :func:`encode_message` /
-:func:`decode_message` map every form to and from the message dicts
-above and are exact inverses; the server's reader skips the dict and
-takes :func:`decode_delivery` straight to an :class:`Update` and
-:func:`decode_stamps` straight to the ``(time, index)`` tuples the merge
-takes.
+:func:`encode_message` / :func:`decode_message` map every form to and
+from the message dicts above and are exact inverses; the readers skip
+the dict and take :func:`decode_delivery` straight to an
+:class:`Update` and :func:`decode_stamps` straight to the ``(time,
+index)`` tuples the merge takes.
+
+One set of rules reads a feed from a socket or a file (:func:`loads_feed`):
+:class:`FeedPreamble`, :func:`check_targets` and :func:`check_end`.
 """
 
 from __future__ import annotations
@@ -46,17 +48,18 @@ import json
 import struct
 from dataclasses import dataclass
 from math import isfinite
-from operator import le
+from operator import itemgetter, le
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.core.serialization import update_from_json, update_to_json
+from repro.core.serialization import update_to_json
 from repro.core.update import Update
-from repro.core.wire import encode_frame
+from repro.core.wire import FrameDecoder, encode_frame
 
 __all__ = [
     "FEED_SCHEMA",
     "FeedSchemaError",
+    "FeedMismatchError",
     "UpdateFeed",
     "feed_from_run",
     "record_feed",
@@ -68,6 +71,9 @@ __all__ = [
     "decode_delivery",
     "decode_stamps",
     "decode_hello",
+    "FeedPreamble",
+    "check_targets",
+    "check_end",
 ]
 
 FEED_SCHEMA = "repro.feed/1"
@@ -78,6 +84,10 @@ _oset = object.__setattr__
 
 class FeedSchemaError(ValueError):
     """Raised when a feed file/stream does not match the supported schema."""
+
+
+class FeedMismatchError(ValueError):
+    """A runtime's inputs disagree with the feed it was asked to replay."""
 
 
 _DELIVERY_TAG = b"\x01"
@@ -334,6 +344,80 @@ def decode_hello(hello: dict[str, Any]):
         raise FeedSchemaError(f"hello field 'spec' is malformed ({exc})") from exc
 
 
+class FeedPreamble:
+    """What precedes a feed's first delivery: the ``hello``, then one
+    stamp record per CE in CE order, at least one; their number is the
+    feed's replication."""
+
+    def __init__(self) -> None:
+        #: The decoded ``hello``, its TrialSpec and each CE's stamps.
+        self.hello: dict[str, Any] | None = None
+        self.spec = None
+        self.stamps: list[tuple[tuple[float, int], ...]] = []
+
+    def take(self, payloads: list[bytes]) -> list[bytes] | None:
+        """Read the next (non-empty) run of payloads.  Once a payload that
+        is not a stamp record ends the preamble, the payloads from it on;
+        until then ``None``."""
+        if self.hello is None:
+            self.hello = decode_message(payloads[0])
+            self.spec = decode_hello(self.hello)
+            payloads = payloads[1:]
+        stamps = self.stamps
+        for position, payload in enumerate(payloads):
+            record = decode_stamps(payload)
+            if record is None:
+                if not stamps:
+                    raise FeedSchemaError("no stamp record follows the hello")
+                return payloads[position:]
+            ce_index, per_ce = record
+            if ce_index != len(stamps):
+                raise FeedSchemaError(
+                    f"the stamp record of CE{ce_index + 1} arrived where "
+                    f"CE{len(stamps) + 1}'s was due"
+                )
+            stamps.append(per_ce)
+        return None
+
+
+def check_targets(records, replication: int) -> None:
+    """Every ``(ce_index, ...)`` delivery record targets one of the
+    feed's ``replication`` CEs (else :class:`FeedMismatchError`)."""
+    if max(map(itemgetter(0), records), default=-1) >= replication:
+        ce_index = next(r[0] for r in records if r[0] >= replication)
+        raise FeedMismatchError(
+            f"delivery targets CE index {ce_index}; the feed declares "
+            f"{replication} CEs"
+        )
+
+
+def check_end(
+    payloads: list[bytes], position: int, decoder: FrameDecoder
+) -> None:
+    """What follows a feed's deliveries, ``payloads[position:]``, is its
+    ``end`` and nothing else: no frame, no bytes of a partial one.  With
+    nothing there the bytes stopped before the ``end``: a
+    :class:`~repro.core.wire.FrameError` if mid-frame, else a
+    :class:`FeedSchemaError`."""
+    if position == len(payloads):
+        decoder.close()
+        raise FeedSchemaError("the stream ends before the feed's end message")
+    message = decode_message(payloads[position])
+    if message["type"] == "stamps":
+        raise FeedSchemaError(
+            f"a stamp record of CE{message['ce'] + 1} after the first "
+            "delivery: every stamp record precedes the deliveries"
+        )
+    if message["type"] != "end":
+        raise FeedSchemaError(f"unexpected message {message['type']!r} mid-feed")
+    trailing = len(payloads) - position - 1
+    if trailing or decoder.buffered:
+        raise FeedSchemaError(
+            f"{trailing} frames and {decoder.buffered} bytes of a partial "
+            "frame follow the end message"
+        )
+
+
 @dataclass(frozen=True)
 class UpdateFeed:
     """One recorded run's deliveries and arrival stamps."""
@@ -373,37 +457,10 @@ class UpdateFeed:
         """The monitored condition, re-resolved from the spec."""
         return self.make_spec().resolve_scenario().make_condition()
 
-    # -- persistence ---------------------------------------------------------
-    def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {"schema": FEED_SCHEMA, "record": "header", "spec": self.spec},
-                sort_keys=True, separators=(",", ":"),
-            )
-        ]
-        for ce_index, per_ce in enumerate(self.stamps):
-            lines.append(json.dumps(
-                {
-                    "record": "stamps",
-                    "ce": ce_index,
-                    "stamps": [[time, seq] for time, seq in per_ce],
-                },
-                sort_keys=True, separators=(",", ":"),
-            ))
-        for ce_index, update in self.deliveries:
-            lines.append(json.dumps(
-                {
-                    "record": "delivery",
-                    "ce": ce_index,
-                    "update": update_to_json(update),
-                },
-                sort_keys=True, separators=(",", ":"),
-            ))
-        return "\n".join(lines) + "\n"
-
     def write(self, path: str | Path) -> Path:
+        """Write the feed file: the frames a client streams to serve it."""
         path = Path(path)
-        path.write_text(self.to_jsonl())
+        path.write_bytes(b"".join(map(encode_message, feed_messages(self))))
         return path
 
 
@@ -440,54 +497,28 @@ def record_feed(spec) -> UpdateFeed:
     return feed_from_run(canonical, spec.run())
 
 
-def loads_feed(text: str) -> UpdateFeed:
-    """Parse the JSONL form, validating the schema version."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FeedSchemaError("empty feed")
-    header = json.loads(lines[0])
-    if header.get("record") != "header":
-        raise FeedSchemaError("first line is not a feed header")
-    if header.get("schema") != FEED_SCHEMA:
-        raise FeedSchemaError(
-            f"unsupported feed schema {header.get('schema')!r} "
-            f"(supported: {FEED_SCHEMA!r})"
-        )
-    from repro.engine.spec import check_spec_fields
-
-    check_spec_fields(header.get("spec"), FeedSchemaError, "feed header spec")
-    stamps: dict[int, tuple[tuple[float, int], ...]] = {}
-    deliveries: list[tuple[int, Update]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        obj = json.loads(line)
-        record = obj.get("record")
-        if record == "stamps":
-            stamps[int(obj["ce"])] = tuple(
-                (float(time), int(seq)) for time, seq in obj["stamps"]
-            )
-        elif record == "delivery":
-            ce_index = int(obj["ce"])
-            update = update_from_json(obj["update"])
-            if not isfinite(update.value):
-                raise FeedSchemaError(
-                    f"line {lineno}: the delivery record of {update.seqno}"
-                    f"{update.varname} to CE{ce_index + 1} holds a non-finite "
-                    f"value {update.value!r}"
-                )
-            deliveries.append((ce_index, update))
-        else:
-            raise FeedSchemaError(f"line {lineno}: unknown record {record!r}")
-    if sorted(stamps) != list(range(len(stamps))):
-        raise FeedSchemaError(f"stamp records cover CEs {sorted(stamps)}")
+def loads_feed(data: bytes) -> UpdateFeed:
+    """Read a feed file under the rules ``repro serve`` reads the same
+    bytes by, failing with the error the server would reply with."""
+    decoder = FrameDecoder()
+    payloads = decoder.feed(data)
+    preamble = FeedPreamble()
+    rest = (preamble.take(payloads) if payloads else None) or []
+    deliveries = []
+    for payload in rest:
+        delivery = decode_delivery(payload)
+        if delivery is None:
+            break
+        deliveries.append(delivery)
+    check_targets(deliveries, len(preamble.stamps))
+    check_end(rest, len(deliveries), decoder)
     return UpdateFeed(
-        spec=header["spec"],
-        deliveries=tuple(deliveries),
-        stamps=tuple(stamps[i] for i in range(len(stamps))),
+        preamble.hello["spec"], tuple(deliveries), tuple(preamble.stamps)
     )
 
 
 def load_feed(path: str | Path) -> UpdateFeed:
-    return loads_feed(Path(path).read_text())
+    return loads_feed(Path(path).read_bytes())
 
 
 def feed_messages(feed: UpdateFeed) -> Iterator[dict[str, Any]]:

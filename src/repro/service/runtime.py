@@ -35,7 +35,7 @@ from repro.accel import collector_paused
 from repro.core.alert import Alert
 from repro.core.serialization import alert_canonical_line
 from repro.core.wire import encode_frame
-from repro.service.feed import UpdateFeed
+from repro.service.feed import FeedMismatchError, UpdateFeed
 
 __all__ = [
     "FeedMismatchError",
@@ -48,10 +48,6 @@ __all__ = [
     "check_conformance",
     "default_runtimes",
 ]
-
-
-class FeedMismatchError(ValueError):
-    """A runtime's inputs disagree with the feed it was asked to replay."""
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,9 @@ one task, and each socket read is one step of it::
 
 Before the first delivery come the ``hello`` (canonical JSON: the
 :class:`~repro.engine.spec.TrialSpec`) and one binary stamp record per
-CE, in CE order, whose number is the replication; the reader decodes
-them, over as many reads as they span, straight into the merge's
-``(time, index)`` tuples (:func:`~repro.service.feed.decode_stamps`).
-A stamp record anywhere else — out of CE order, repeated, or after the
-first delivery — is a :class:`~repro.service.feed.FeedSchemaError`.
+CE, which the reader takes over as many reads as they span.  It checks
+the stream by the rules :func:`~repro.service.feed.loads_feed` reads a
+feed file by, so the two reject the same bytes with the same error.
 
 Then, read by read, the reader first decodes every delivery record the
 read completed, stamping each as it is decoded (the start of its
@@ -86,16 +84,16 @@ from repro.core.wire import FrameDecoder
 from repro.observability.tracer import CountersTracer
 from repro.service.consumers import Pace, StampMerge
 from repro.service.feed import (
-    FeedSchemaError,
+    FeedPreamble,
     UpdateFeed,
+    check_end,
+    check_targets,
     decode_delivery,
-    decode_hello,
     decode_message,
-    decode_stamps,
     encode_message,
     feed_messages,
 )
-from repro.service.runtime import FeedMismatchError, FeedResult
+from repro.service.runtime import FeedResult
 
 __all__ = [
     "ServiceConfig",
@@ -248,41 +246,15 @@ class MonitorService:
             while True:
                 data = await reader.read(_READ_CHUNK)
                 if not data:
-                    decoder.close()  # raises FrameError if mid-frame
-                    raise FeedSchemaError(
-                        "connection closed before the feed's end message"
-                    )
+                    check_end([], 0, decoder)  # the bytes stopped: raises
                 payloads = decoder.feed(data)
                 if payloads:
                     return payloads
 
-        async def preamble():
-            """The hello's spec, every CE's stamps, and the payloads of
-            the last read after them.  The stamp records follow the hello,
-            one per CE in CE order; the first other message ends them."""
-            payloads = await read_frames()
-            spec = decode_hello(decode_message(payloads[0]))
-            stamps: list[tuple[tuple[float, int], ...]] = []
-            rest = payloads[1:]
-            while True:
-                for position, payload in enumerate(rest):
-                    record = decode_stamps(payload)
-                    if record is None:
-                        if not stamps:
-                            raise FeedSchemaError(
-                                "no stamp record follows the hello"
-                            )
-                        return spec, stamps, rest[position:]
-                    ce_index, per_ce = record
-                    if ce_index != len(stamps):
-                        raise FeedSchemaError(
-                            f"the stamp record of CE{ce_index + 1} arrived "
-                            f"where CE{len(stamps) + 1}'s was due"
-                        )
-                    stamps.append(per_ce)
-                rest = await read_frames()
-
-        spec, stamps, payloads = await preamble()
+        preamble = FeedPreamble()
+        while (payloads := preamble.take(await read_frames())) is None:
+            pass
+        spec, stamps = preamble.spec, preamble.stamps
         condition = spec.resolve_scenario().make_condition()
         condname = condition.name
         algorithm = make_ad(spec.algorithm, condition)
@@ -327,6 +299,7 @@ class MonitorService:
                 if delivery is None:
                     break
                 batch.append((*delivery, clock()))
+            check_targets(batch, replicas)
             held = len(batch)
             if held > peak_held:
                 peak_held = held
@@ -338,11 +311,6 @@ class MonitorService:
                 for ce_index, update, ingest_ns in batch[
                     first:first + _STEPS_PER_TURN
                 ]:
-                    if ce_index >= replicas:
-                        raise FeedMismatchError(
-                            f"delivery targets CE index {ce_index}; the feed "
-                            f"declares {replicas} CEs"
-                        )
                     if pace is not None:
                         await pace(ce_index, update)
                     key = steps[ce_index](update)
@@ -370,23 +338,7 @@ class MonitorService:
                 else:
                     displayed += shown
             if held < len(payloads):
-                message = decode_message(payloads[held])
-                if message["type"] == "stamps":
-                    raise FeedSchemaError(
-                        f"a stamp record of CE{message['ce'] + 1} after the "
-                        "first delivery: every stamp record precedes the "
-                        "deliveries"
-                    )
-                if message["type"] != "end":
-                    raise FeedSchemaError(
-                        f"unexpected message {message['type']!r} mid-feed"
-                    )
-                trailing = len(payloads) - held - 1
-                if trailing or decoder.buffered:
-                    raise FeedSchemaError(
-                        f"{trailing} frames and {decoder.buffered} bytes "
-                        "of a partial frame follow the end message"
-                    )
+                check_end(payloads, held, decoder)
                 break
             payloads = await read_frames()
 
@@ -437,21 +389,11 @@ async def execute_feed(
     """Stream ``feed`` to a running service; await its result frame."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        # Frames joined into writes of at most _READ_CHUNK bytes (a larger
-        # frame goes alone), one drain() each.
-        frames: list[bytes] = []
-        size = 0
-        for message in feed_messages(feed):
-            frame = encode_message(message)
-            if frames and size + len(frame) > _READ_CHUNK:
-                writer.write(b"".join(frames))
-                await writer.drain()
-                frames.clear()
-                size = 0
-            frames.append(frame)
-            size += len(frame)
-        writer.write(b"".join(frames))
-        await writer.drain()
+        # The feed file's bytes, in writes of _READ_CHUNK, one drain() each.
+        stream = b"".join(map(encode_message, feed_messages(feed)))
+        for start in range(0, len(stream), _READ_CHUNK):
+            writer.write(stream[start:start + _READ_CHUNK])
+            await writer.drain()
         decoder = FrameDecoder()
         payloads: list[bytes] = []
         while not payloads:

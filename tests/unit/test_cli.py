@@ -159,7 +159,7 @@ class TestExperimentsCommands:
 
 class TestFeedCommands:
     def test_record_and_conform(self, tmp_path, capsys):
-        out = tmp_path / "run.feed.jsonl"
+        out = tmp_path / "run.feed"
         assert main([
             "feed", "record", "aggressive", "--algorithm", "AD-3",
             "--seed", "7", "--updates", "20", "--out", str(out),
@@ -174,7 +174,7 @@ class TestFeedCommands:
             assert runtime in text
 
     def test_conform_no_service(self, tmp_path, capsys):
-        out = tmp_path / "run.feed.jsonl"
+        out = tmp_path / "run.feed"
         main([
             "feed", "record", "lossless", "--seed", "1",
             "--updates", "10", "--out", str(out),
@@ -186,7 +186,7 @@ class TestFeedCommands:
         assert "IDENTICAL" in text
 
     def test_chaos_feed_records(self, tmp_path, capsys):
-        out = tmp_path / "chaos.feed.jsonl"
+        out = tmp_path / "chaos.feed"
         assert main([
             "feed", "record", "aggressive", "--algorithm", "AD-4",
             "--seed", "11", "--updates", "20", "--chaos", "1.5",
@@ -196,14 +196,49 @@ class TestFeedCommands:
 
     def test_membership_feed_records_and_conforms(self, tmp_path, capsys):
         # `feed record` takes the same trial options as `trace record`.
-        out = tmp_path / "churn.feed.jsonl"
+        out = tmp_path / "churn.feed"
         assert main([
             "feed", "record", "aggressive", "--seed", "5", "--updates", "14",
             "--chaos", "1", "--membership", "--out", str(out),
         ]) == 0
-        assert '"membership":{"catchup_latency":2.0' in out.read_text()
+        assert b'"membership":{"catchup_latency":2.0' in out.read_bytes()
         assert main(["feed", "conform", str(out), "--no-service"]) == 0
         assert "IDENTICAL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["conform", "send"])
+    @pytest.mark.parametrize(
+        "defect, named",
+        [("truncated", "FrameError: stream truncated mid-frame"),
+         ("nan-stamp", "FeedSchemaError: the stamp record of CE1 holds a "
+                       "non-finite time")],
+    )
+    def test_a_rejected_feed_exits_2_not_1(
+        self, tmp_path, capsys, command, defect, named
+    ):
+        # Exit 1 is DIVERGED and nothing else: a feed that cannot be read
+        # is one named line on stderr and exit 2.
+        from repro.service import load_feed
+        from repro.service.feed import encode_message, feed_messages
+
+        out = tmp_path / "run.feed"
+        main([
+            "feed", "record", "aggressive", "--seed", "7",
+            "--updates", "20", "--out", str(out),
+        ])
+        if defect == "truncated":
+            out.write_bytes(out.read_bytes()[:-7])
+        else:
+            messages = list(feed_messages(load_feed(out)))
+            messages[1] = {**messages[1], "stamps": [(float("nan"), 1)]}
+            out.write_bytes(b"".join(map(encode_message, messages)))
+        capsys.readouterr()
+        # Nothing listens on port 9: the feed is refused before a connect.
+        argv = ["feed", command, str(out)]
+        assert main(argv + (["--port", "9"] if command == "send" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named}")
+        assert captured.err.count("\n") == 1
 
     def test_send_against_live_server(self, tmp_path, capsys):
         # In-process server on an ephemeral port; the send command is
@@ -213,7 +248,7 @@ class TestFeedCommands:
 
         from repro.service import MonitorService, ServiceConfig
 
-        out = tmp_path / "run.feed.jsonl"
+        out = tmp_path / "run.feed"
         main([
             "feed", "record", "aggressive", "--seed", "7",
             "--updates", "20", "--out", str(out),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.update import Update
-from repro.core.wire import FrameDecoder, encode_frame, iter_frames
+from repro.core.wire import FrameDecoder, FrameError, encode_frame, iter_frames
 from repro.engine.spec import TrialSpec
 from repro.service import (
     CLOSE,
@@ -29,6 +29,7 @@ from repro.service import (
     ServiceConfig,
     check_conformance,
     feed_messages,
+    load_feed,
     loads_feed,
     record_feed,
 )
@@ -85,12 +86,21 @@ def assert_conserved(counters, feed) -> None:
 
 # -- feed artifact ------------------------------------------------------------
 
+def feed_bytes(feed) -> bytes:
+    """The stream a client sends to serve ``feed``: its file's bytes."""
+    return b"".join(encode_message(m) for m in feed_messages(feed))
+
+
 class TestFeed:
-    def test_jsonl_round_trip(self, feed):
-        assert loads_feed(feed.to_jsonl()) == feed
+    def test_file_round_trip(self, feed, tmp_path):
+        assert load_feed(feed.write(tmp_path / "run.feed")) == feed
+
+    def test_file_is_the_stream_a_client_sends(self, feed, tmp_path):
+        assert feed.write(tmp_path / "run.feed").read_bytes() == feed_bytes(feed)
 
     def test_round_trip_is_fixpoint(self, feed):
-        assert loads_feed(feed.to_jsonl()).to_jsonl() == feed.to_jsonl()
+        data = feed_bytes(feed)
+        assert feed_bytes(loads_feed(data)) == data
 
     def test_per_ce_regroups_deliveries(self, feed):
         streams = feed.per_ce()
@@ -103,17 +113,19 @@ class TestFeed:
             ] == list(stream)
 
     def test_schema_version_enforced(self, feed):
-        tampered = feed.to_jsonl().replace("repro.feed/1", "repro.feed/9")
+        tampered = feed_bytes(feed).replace(b"repro.feed/1", b"repro.feed/9")
         with pytest.raises(FeedSchemaError, match="unsupported feed schema"):
             loads_feed(tampered)
 
     def test_empty_rejected(self):
-        with pytest.raises(FeedSchemaError, match="empty"):
-            loads_feed("")
+        with pytest.raises(FeedSchemaError, match="ends before the feed's end"):
+            loads_feed(b"")
 
     def test_header_spec_fields_are_checked(self, feed):
         # Feeds recorded while specs carried a shard ring.
-        old = feed.to_jsonl().replace('"spec":{', '"spec":{"sharding":null,', 1)
+        messages = list(feed_messages(feed))
+        messages[0] = {**messages[0], "spec": {"sharding": None, **feed.spec}}
+        old = b"".join(map(encode_message, messages))
         with pytest.raises(FeedSchemaError, match="unknown field 'sharding'"):
             loads_feed(old)
 
@@ -122,8 +134,7 @@ class TestFeed:
         assert feed.total_alerts > 0
 
     def test_message_frame_round_trip(self, feed):
-        stream = b"".join(encode_message(m) for m in feed_messages(feed))
-        messages = [decode_message(p) for p in iter_frames(stream)]
+        messages = [decode_message(p) for p in iter_frames(feed_bytes(feed))]
         assert [m["type"] for m in messages] == (
             ["hello"] + ["stamps"] * feed.replication
             + ["delivery"] * len(feed.deliveries) + ["end"]
@@ -488,18 +499,14 @@ class TestNonFiniteValues:
         return dataclasses.replace(feed, deliveries=deliveries)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_feed_file_names_the_line(self, feed, value):
-        text = self.poisoned(feed, value).to_jsonl()
-        lineno = 1 + text.splitlines().index(next(
-            line for line in text.splitlines()
-            if '"seqno":3,' in line and '"record":"delivery"' in line
-        ))
+    def test_feed_file_names_the_record(self, feed, value, tmp_path):
+        path = self.poisoned(feed, value).write(tmp_path / "poisoned.feed")
+        ce = next(ce for ce, u in feed.deliveries if u.seqno == 3)
         with pytest.raises(FeedSchemaError) as caught:
-            loads_feed(text)
-        ce = json.loads(text.splitlines()[lineno - 1])["ce"]
+            load_feed(path)
         assert str(caught.value) == (
-            f"line {lineno}: the delivery record of 3x to CE{ce + 1} holds "
-            f"a non-finite value {value!r}"
+            f"the delivery record of 3x to CE{ce + 1} holds a non-finite "
+            f"value {value!r}"
         )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -733,13 +740,18 @@ class TestAsyncioService:
 
 # -- hostile and malformed streams -------------------------------------------
 
-async def converse(service: MonitorService, *writes: bytes) -> dict:
-    """Send raw bytes to a live service; return its one reply message."""
+async def converse(
+    service: MonitorService, *writes: bytes, eof: bool = False
+) -> dict:
+    """Send raw bytes to a live service (then, with ``eof``, end the
+    stream); return its one reply message."""
     reader, writer = await asyncio.open_connection(service.host, service.port)
     try:
         for data in writes:
             writer.write(data)
             await writer.drain()
+        if eof:
+            writer.write_eof()
         decoder = FrameDecoder()
         while True:  # a hang is the failure this guards against
             data = await asyncio.wait_for(reader.read(1 << 16), timeout=10)
@@ -761,6 +773,15 @@ def with_service(scenario):
             await service.stop()
 
     return asyncio.run(run())
+
+
+def assert_the_file_reader_agrees(stream: bytes, reply: dict) -> None:
+    """``loads_feed`` rejects the bytes the server rejected, in the words
+    of the server's error reply."""
+    assert reply["type"] == "error", reply
+    with pytest.raises((FeedSchemaError, FrameError, FeedMismatchError)) as caught:
+        loads_feed(stream)
+    assert f"{type(caught.value).__name__}: {caught.value}" == reply["error"]
 
 
 def on_hello(tamper):
@@ -790,52 +811,85 @@ class TestHostileStreams:
             hostile += [bulk[:cut] for cut in range(len(bulk))]
             hostile.append(json.dumps(message).encode())
 
-        async def scenario(service):
-            replies = []
-            for payload in hostile:
-                # A valid delivery first, so the stages are mid-stream when
-                # the bad record arrives.
-                replies.append(await converse(
-                    service,
-                    preamble + frames[first] + encode_frame(payload) + end,
-                ))
-            return replies
+        # A valid delivery first, so the stages are mid-stream when the
+        # bad record arrives.
+        streams = [
+            preamble + frames[first] + encode_frame(payload) + end
+            for payload in hostile
+        ]
 
-        for payload, reply in zip(hostile, with_service(scenario)):
-            assert reply["type"] == "error", payload
-            assert reply["error"].startswith("FeedSchemaError"), (payload, reply)
+        async def scenario(service):
+            return [await converse(service, stream) for stream in streams]
+
+        for stream, reply in zip(streams, with_service(scenario)):
+            assert reply["type"] == "error", stream
+            assert reply["error"].startswith("FeedSchemaError"), (stream, reply)
+            assert_the_file_reader_agrees(stream, reply)
 
     def test_out_of_range_ce_index_is_a_mismatch_not_a_hang(self, feed):
         frames = [encode_message(m) for m in feed_messages(feed)]
         stray = encode_message(delivery(ce=feed.replication))
 
-        async def scenario(service):
-            return await converse(
-                service, b"".join(frames[:5]) + stray + b"".join(frames[5:])
-            )
-
-        reply = with_service(scenario)
+        stream = b"".join(frames[:5]) + stray + b"".join(frames[5:])
+        reply = with_service(lambda service: converse(service, stream))
         assert reply["type"] == "error"
         assert reply["error"].startswith("FeedMismatchError: delivery targets CE")
+        assert_the_file_reader_agrees(stream, reply)
 
     def test_frames_after_end_are_an_error_not_a_silent_drop(self, feed):
         frames = [encode_message(m) for m in feed_messages(feed)]
         complete = b"".join(frames)
 
-        async def scenario(service):
-            return [
-                await converse(service, complete),
-                await converse(service, complete + frames[1] + frames[2]),
-                await converse(service, complete + frames[1][:3]),
-            ]
+        streams = [
+            complete,
+            complete + frames[1] + frames[2],
+            complete + frames[1][:3],
+            complete + frames[-1],  # two ends
+        ]
 
-        clean, trailing_frames, trailing_bytes = with_service(scenario)
+        async def scenario(service):
+            return [await converse(service, stream) for stream in streams]
+
+        clean, trailing_frames, trailing_bytes, two_ends = with_service(scenario)
         assert clean["type"] == "result"
         assert trailing_frames["type"] == "error"
         assert trailing_frames["error"].startswith("FeedSchemaError: 2 frames")
         assert trailing_bytes["type"] == "error"
         assert "3 bytes of a partial frame" in trailing_bytes["error"]
         assert trailing_bytes["error"].startswith("FeedSchemaError: 0 frames")
+        assert two_ends["error"].startswith("FeedSchemaError: 1 frames")
+        assert loads_feed(complete) == feed
+        for stream, reply in zip(
+            streams[1:], (trailing_frames, trailing_bytes, two_ends)
+        ):
+            assert_the_file_reader_agrees(stream, reply)
+
+    def test_a_stream_cut_short_is_the_same_error_in_both_readers(self, feed):
+        frames = [encode_message(m) for m in feed_messages(feed)]
+        complete = b"".join(frames)
+        preamble = b"".join(frames[:1 + feed.replication])
+        streams = [
+            b"",
+            frames[0][:10],  # mid-hello
+            frames[0],  # the hello alone
+            preamble,  # no delivery
+            preamble + frames[-2][:-3],  # mid-delivery
+            complete[:-len(frames[-1])],  # every delivery, no end
+            complete[:-7],  # mid-end
+        ]
+
+        async def scenario(service):
+            return [
+                await converse(service, stream, eof=True) for stream in streams
+            ]
+
+        replies = with_service(scenario)
+        for stream, reply in zip(streams, replies):
+            assert_the_file_reader_agrees(stream, reply)
+        assert [reply["error"].split(":")[0] for reply in replies] == [
+            "FeedSchemaError", "FrameError", "FeedSchemaError",
+            "FeedSchemaError", "FrameError", "FeedSchemaError", "FrameError",
+        ]
 
     @pytest.mark.parametrize(
         "tamper, named",
@@ -930,6 +984,11 @@ class TestHostileStreams:
                 "the stamp record of CE1 holds a non-finite time",
                 id="infinite-stamps",
             ),
+            pytest.param(
+                lambda m: m[3]["update"].update(value=float("nan")),
+                "to CE1 holds a non-finite value nan",
+                id="nan-value",
+            ),
         ],
     )
     def test_a_malformed_hello_is_a_named_error(self, feed, tamper, named):
@@ -950,6 +1009,7 @@ class TestHostileStreams:
         assert reply["type"] == "error"
         assert reply["error"].startswith("FeedSchemaError: "), reply
         assert named in reply["error"], reply
+        assert_the_file_reader_agrees(stream, reply)
 
 
 class TestIdleServer:

@@ -84,9 +84,9 @@ ENTRY_POINTS: list[list[str]] = [
      "14", "--replication", "2", "--membership", "--out", "healed.jsonl"],
     ["-m", "repro", "trace", "replay", "healed.jsonl"],
     ["-m", "repro", "feed", "record", "aggressive", "--algorithm", "AD-3",
-     "--seed", "7", "--updates", "60", "--out", "run.feed.jsonl"],
-    ["-m", "repro", "feed", "conform", "run.feed.jsonl"],
-    ["SERVE", "-m", "repro", "feed", "send", "run.feed.jsonl", "--conform"],
+     "--seed", "7", "--updates", "60", "--out", "run.feed"],
+    ["-m", "repro", "feed", "conform", "run.feed"],
+    ["SERVE", "-m", "repro", "feed", "send", "run.feed", "--conform"],
     ["-m", "repro", "quality", "--trials", "20", "--row", "aggressive"],
     ["-m", "repro", "quality", "--trials", "6", "--updates", "20", "--check",
      "--json", "q.json"],
@@ -110,8 +110,8 @@ ENTRY_POINTS: list[list[str]] = [
     ["-m", "repro", "chaos", "--trials", "30"],
     ["-m", "repro", "chaos", "--churn"],
     ["-m", "repro", "feed", "record", "aggressive", "--seed", "7", "--out",
-     "run.feed.jsonl"],
-    ["-m", "repro", "feed", "conform", "run.feed.jsonl"],
+     "run.feed"],
+    ["-m", "repro", "feed", "conform", "run.feed"],
     ["-m", "repro", "report", "--budget", "0.2", "--output", "report.md"],
     # make perf / perf-pairs / gc-share.
     ["benchmarks/perf/run.py", "--smoke"],

@@ -8,14 +8,18 @@ or conservative consecutive-delta, cycling), partitioned over a
 :class:`~repro.sharding.ring.ShardConfig` by each tenant's variable, and
 executed shard by shard through the same semantic core as everything
 else — :class:`~repro.core.evaluator.ConditionEvaluator` per CE replica,
-an online AD filter fed in raise order, canonical alert rendering.
+an online AD filter fed in raise order, canonical alert rendering.  A
+tenant runs on identity keys: each replica's ``step`` returns the key,
+the AD's ``decide`` takes it, and a displayed key is rendered from the
+replica's windows, so no :class:`~repro.core.alert.Alert` is built.
 
 Each tenant is a pure function of ``(tenant_index, seed)``, so a shard's
 batch can be generated *inside* the worker that executes it — nothing
 but index lists crosses process boundaries, which is what lets the
 benchmark sweep 10⁵–10⁶ conditions.  Per-tenant output digests fold into
-an order-independent XOR aggregate, so a sweep can assert that every
-shard count (and any process layout) produced identical results.
+an order-independent XOR aggregate, which a sweep compares across shard
+counts (and process layouts) together with the tenant count and the
+summed counters (:attr:`ShardBatchResult.digest` says why).
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from repro.accel import collector_paused
 from repro.core.condition import ExpressionCondition
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.expressions import H
-from repro.core.serialization import alert_canonical_line
+from repro.core.serialization import canonical_line
 from repro.core.update import Update
 from repro.displayers.registry import make_ad
-# Nothing here calls it; it stays bound because the traced benchmark
-# harness patches ``repro.sharding.tenants.merge_stamped``.
+# Nothing here calls these two; they stay bound because the traced
+# benchmark harness patches ``repro.sharding.tenants.merge_stamped`` and
+# ``repro.sharding.tenants.alert_canonical_line``.
+from repro.core.serialization import alert_canonical_line  # noqa: F401
 from repro.service.runtime import merge_stamped  # noqa: F401
 from repro.sharding.ring import HashRing, ShardConfig
 from repro.workloads.generators import zipf_counts
@@ -85,6 +91,7 @@ def partition_tenants(
     count: int, config: ShardConfig
 ) -> list[list[int]]:
     """Tenant indices per shard, assigned by the ring over their variables."""
+    _check_at_least("count", count, 0)
     ring = HashRing(config)
     shards: list[list[int]] = [[] for _ in range(config.shards)]
     for index in range(count):
@@ -107,6 +114,8 @@ def zipfian_update_counts(
     identical per-tenant outputs at every shard count, which the
     cross-shard conformance suite asserts over the XOR'd digests.
     """
+    _check_at_least("count", count, 0)
+    _check_at_least("total_updates", total_updates, 0)
     return zipf_counts(Random(f"zipf/{seed}"), total_updates, count, exponent)
 
 
@@ -154,40 +163,40 @@ def run_tenant(
 
     Replica disagreement is real: each non-primary CE independently
     loses ~20% of the front-link deliveries, so the AD filter has actual
-    duplicate/ordering work to do.  The AD takes each alert as its CE
-    raises it — position-major, replica-minor — and the displayed ones
-    are rendered on the spot.
+    duplicate/ordering work to do.  The AD decides each alert's identity
+    key as its CE's step raises it — position-major, replica-minor — and
+    a displayed key is rendered on the spot: no ``Alert`` is built.
     """
-    _check_replication(replication)
+    _check_at_least("replication", replication, 1)
+    _check_at_least("n_updates", n_updates, 0)
     random = Random(f"loss/{seed}/{index}").random
     condition = make_tenant_condition(index)
     stream = _tenant_stream(index, seed, n_updates)
     primary, *peers = [
-        ConditionEvaluator(condition, source=f"CE{i + 1}").ingest
+        ConditionEvaluator(condition, source=f"CE{i + 1}")
         for i in range(replication)
     ]
-    offer = make_ad(_ALGORITHMS[index % len(_ALGORITHMS)], condition).offer
-    render = alert_canonical_line
+    decide = make_ad(_ALGORITHMS[index % len(_ALGORITHMS)], condition).decide
+    render = canonical_line
     lines: list[str] = []
     lost = raised = 0
-    # CE1 never draws a loss, so it is stepped ahead of the replica loop
-    # rather than tested for on every CE step; that per-step test cost
-    # ≈4% of a tenant-batch pass (EXPERIMENTS.md).
+    # CE1 never draws a loss: testing for it on every CE step cost ≈4%
+    # of a tenant-batch pass (EXPERIMENTS.md), so it is stepped first.
     for update in stream:
-        alert = primary(update)
-        if alert is not None:
+        key = primary.step(update)
+        if key is not None:
             raised += 1
-            if offer(alert):
-                lines.append(render(alert))
-        for ingest in peers:
+            if decide(key):
+                lines.append(render(key[0], primary.source, primary.windows()))
+        for peer in peers:
             if random() < 0.2:
                 lost += 1  # front-link loss on this replica
                 continue
-            alert = ingest(update)
-            if alert is not None:
+            key = peer.step(update)
+            if key is not None:
                 raised += 1
-                if offer(alert):
-                    lines.append(render(alert))
+                if decide(key):
+                    lines.append(render(key[0], peer.source, peer.windows()))
     return TenantResult(
         tenant=index,
         updates=len(stream) * replication - lost,
@@ -197,9 +206,9 @@ def run_tenant(
     )
 
 
-def _check_replication(replication: int) -> None:
-    if replication < 1:
-        raise ValueError(f"replication must be >= 1, got {replication!r}")
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +220,11 @@ class ShardBatchResult:
     updates: int
     alerts: int
     displayed: int
-    #: XOR of the per-tenant digests — equal aggregates ⇔ equal
-    #: per-tenant outputs, regardless of shard layout or process order.
+    #: XOR of the per-tenant digests, so shard layout and process order
+    #: do not change it.  It is not a proof of equal outputs on its own:
+    #: equal digests cancel in pairs, and every tenant that displays
+    #: nothing has the same one (sha256 of no lines), so conformance
+    #: compares the tenant count and the summed counters beside it.
     digest: str
 
     @staticmethod
@@ -237,14 +249,28 @@ def run_shard(
     ``update_counts`` optionally overrides the per-tenant update volume
     (tenant index → count) — how Zipf-skewed populations from
     :func:`zipfian_update_counts` reach the workers; tenants outside the
-    mapping fall back to the uniform ``n_updates``.
+    mapping fall back to the uniform ``n_updates``.  A tenant index may
+    appear only once: a repeated one would run twice and its two equal
+    digests would cancel out of the aggregate.
     """
-    _check_replication(replication)
+    _check_at_least("replication", replication, 1)
+    _check_at_least("n_updates", n_updates, 0)
+    counts = update_counts or {}
+    for index, count in counts.items():
+        if count < 0:
+            raise ValueError(
+                f"update_counts[{index!r}] must be >= 0, got {count!r}"
+            )
+    seen: set[int] = set()
+    for index in tenant_indices:
+        if index in seen:
+            raise ValueError(f"tenant index {index!r} repeats in the batch")
+        seen.add(index)
     updates = alerts = displayed = 0
     digests: list[str] = []
-    counts = update_counts or {}
     # A tenant's payload graph is acyclic and dies when its digest is
-    # out; the hot head alone holds ~10^5 tracked objects until then.
+    # out; the hot head alone holds ~1.3*10^5 tracked objects (its
+    # updates and its AD's displayed keys) until then.
     with collector_paused():
         for index in tenant_indices:
             result = run_tenant(

@@ -7,6 +7,12 @@ literals keep the per-tenant output from passing by agreeing with
 itself.
 """
 
+import pytest
+
+import repro.core.evaluator
+import repro.sharding.tenants
+from repro.core.evaluator import ConditionEvaluator
+from repro.displayers.base import ADAlgorithm
 from repro.sharding.ring import ShardConfig
 from repro.sharding.tenants import (
     ShardBatchResult,
@@ -30,6 +36,16 @@ class TestZipfianTenantPopulation:
     TENANTS = 100
     TOTAL_UPDATES = 1200
     SEED = 42
+    # Recorded from the stamped-merge tenant path, so a change to
+    # per-tenant output cannot pass by agreeing with itself.
+    PINNED = {
+        "tenants": 100,
+        "updates": 2_157,
+        "alerts": 751,
+        "displayed": 425,
+        "digest": "98bedbdb40a37c5de8bf8720e7b49ad9"
+                  "1514015da0a76d1755bdfda7d8ec75ac",
+    }
 
     def _aggregate(self, shards: int, tenants=TENANTS,
                    total_updates=TOTAL_UPDATES, seed=SEED):
@@ -58,17 +74,19 @@ class TestZipfianTenantPopulation:
         assert one["tenants"] == self.TENANTS
         assert 0 < one["displayed"] <= one["alerts"]
 
-    # Literals recorded from the stamped-merge tenant path, so a change
-    # to per-tenant output cannot pass by agreeing with itself.
     def test_one_shard_matches_the_pinned_literals(self):
-        assert self._aggregate(1) == {
-            "tenants": 100,
-            "updates": 2_157,
-            "alerts": 751,
-            "displayed": 425,
-            "digest": "98bedbdb40a37c5de8bf8720e7b49ad9"
-                      "1514015da0a76d1755bdfda7d8ec75ac",
-        }
+        assert self._aggregate(1) == self.PINNED
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_the_tenant_path_builds_no_alert(self, shards, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tenant path built or took an Alert")
+
+        monkeypatch.setattr(repro.core.evaluator, "alert_from_key", refuse)
+        monkeypatch.setattr(ConditionEvaluator, "ingest", refuse)
+        monkeypatch.setattr(ADAlgorithm, "offer", refuse)
+        monkeypatch.setattr(repro.sharding.tenants, "alert_canonical_line", refuse)
+        assert self._aggregate(shards) == self.PINNED
 
     def test_benchmark_population_matches_the_pinned_literals(self):
         # tenant-batch's one-shard reference run (5,000 tenants, 120,000

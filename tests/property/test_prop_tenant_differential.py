@@ -1,10 +1,10 @@
 """Differential: a tenant's online AD against the stamped batch merge it replaced.
 
-:func:`~repro.sharding.tenants.run_tenant` offers each alert to the AD
-as its CE raises it.  :func:`old_run_tenant` below is the path it
-replaced, kept as the oracle: a made-up back-link stamp per alert
-(``position*10 + ce*0.5``, a global counter as the tie-break), every
-evaluator's alerts copied out and sorted with
+:func:`~repro.sharding.tenants.run_tenant` hands each alert's identity
+key to the AD as its CE's step raises it.  :func:`old_run_tenant` below
+is the path it replaced, kept as the oracle: a made-up back-link stamp
+per alert (``position*10 + ce*0.5``, a global counter as the
+tie-break), every evaluator's alerts copied out and sorted with
 :func:`~repro.service.runtime.merge_stamped`, the sorted list replayed
 through the AD and its output rendered afterwards.
 
@@ -76,6 +76,29 @@ def old_run_tenant(index, seed, n_updates=12, replication=2):
     )
 
 
+def record_steps_and_decisions(monkeypatch):
+    """One log, from now on, of every CE step that raised a key —
+    ``("step", position, CE number, key)`` — and every AD decision —
+    ``("decide", key)``."""
+    events = []
+    step, decide = ConditionEvaluator.step, ADAlgorithm.decide
+
+    def recording_step(self, update):
+        key = step(self, update)
+        if key is not None:
+            ((_, seqnos),) = key[1]
+            events.append(("step", seqnos[0], int(self.source[2:]), key))
+        return key
+
+    def recording_decide(self, key):
+        events.append(("decide", key))
+        return decide(self, key)
+
+    monkeypatch.setattr(ConditionEvaluator, "step", recording_step)
+    monkeypatch.setattr(ADAlgorithm, "decide", recording_decide)
+    return events
+
+
 def record_arrivals(monkeypatch):
     """``(position, CE number)`` of every alert offered to an AD from now on."""
     arrivals = []
@@ -109,9 +132,16 @@ class TestTenantDifferential:
     @pytest.mark.parametrize("replication", [2, 21, 25])
     @pytest.mark.parametrize("index", [0, 1])
     def test_the_ad_sees_alerts_position_major(self, index, replication, monkeypatch):
-        arrivals = record_arrivals(monkeypatch)
+        events = record_steps_and_decisions(monkeypatch)
         result = run_tenant(index, 7, 80, replication)
-        assert result.alerts == len(arrivals) > 0
+        steps = [event for event in events if event[0] == "step"]
+        assert result.alerts == len(steps) > 0
+        # Each decision directly follows the step that raised its key ...
+        assert events == [
+            event for step in steps for event in (step, ("decide", step[3]))
+        ]
+        # ... and the keys arrive position-major, replica-minor.
+        arrivals = [(position, ce) for _, position, ce, _ in steps]
         assert arrivals == sorted(arrivals)
 
     def test_old_stamps_were_not_position_major_from_22_replicas(self, monkeypatch):

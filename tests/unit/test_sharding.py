@@ -129,6 +129,51 @@ class TestCollectorScope:
         assert all(knot() is None for knot in knots)
 
 
+class TestShardBatchInputs:
+    """What ``run_shard``'s XOR aggregate can and cannot tell apart, and
+    the inputs it therefore refuses."""
+
+    def test_a_repeated_tenant_index_is_refused_before_anything_runs(
+        self, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(tenants, "run_tenant", lambda *a: ran.append(a))
+        with pytest.raises(ValueError, match="tenant index 1 repeats"):
+            run_shard(0, [2, 1, 1], 7)
+        assert ran == []
+
+    def test_tenants_that_display_nothing_cancel_in_pairs(self):
+        # Tenant 1 gets no update, tenant 2 displays nothing from its 12:
+        # both digest sha256(b"") and fold to zero, as no tenant at all
+        # does -- only the counters beside the digest tell them apart.
+        nothing = run_shard(0, [], 7)
+        pair = run_shard(0, [1, 2], 7, update_counts={1: 0})
+        assert pair.digest == nothing.digest == "0" * 64
+        assert pair.displayed == 0
+        assert (pair.tenants, pair.updates) != (nothing.tenants, nothing.updates)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            pytest.param(lambda: zipfian_update_counts(3, -5, 7),
+                         "total_updates", id="zipf-total"),
+            pytest.param(lambda: zipfian_update_counts(-3, 5, 7),
+                         "count", id="zipf-count"),
+            pytest.param(lambda: tenants.run_tenant(1, 7, -4),
+                         "n_updates", id="run_tenant"),
+            pytest.param(lambda: run_shard(0, [1], 7, n_updates=-4),
+                         "n_updates", id="run_shard-uniform"),
+            pytest.param(lambda: run_shard(0, [1], 7, update_counts={1: -3}),
+                         r"update_counts\[1\]", id="run_shard-counts"),
+            pytest.param(lambda: tenants.partition_tenants(-3, ShardConfig(2)),
+                         "count", id="partition"),
+        ],
+    )
+    def test_a_negative_volume_is_refused_by_name(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            call()
+
+
 class TestPerfHarnessBinding:
     """The repo benchmark (``benchmarks/perf/``) binds ``repro`` names:
     each traced run patches its layers by attribute, unused imports
@@ -151,9 +196,12 @@ class TestPerfHarnessBinding:
             tracer.unpatch()
         assert {name: getattr(tenants, name) for name in names} == before
         assert tracer.calls("sharding.tenants.run_tenant") == 2
-        assert tracer.calls("core.evaluator.ingest") == result.updates
-        assert tracer.calls("displayers.offer") == result.alerts > 0
-        assert tracer.calls("core.serialization.render") == result.displayed
+        # The tenant path steps, decides and renders on identity keys:
+        # the object API the harness times is never entered.
+        assert tracer.calls("core.evaluator.ingest") == 0
+        assert tracer.calls("displayers.offer") == 0
+        assert tracer.calls("core.serialization.render") == 0
+        assert result.alerts > 0
         # The tenant path raises alerts straight into the AD: no merge.
         assert tracer.calls("service.runtime.merge_stamped") == 0
 

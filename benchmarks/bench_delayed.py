@@ -18,7 +18,7 @@ from benchmarks.conftest import save_result
 from repro.components.system import MonitoringSystem, SystemConfig, run_system
 from repro.core.condition import c1
 from repro.displayers.delayed import attach_delayed_ad
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import threshold_crossers
 
@@ -43,7 +43,7 @@ def test_delayed_display_tradeoff(benchmark):
         for seed in range(TRIALS):
             result = run_system(c1(), _workload(seed), config, seed=seed)
             displayed_total += len(result.displayed)
-            if not is_alert_sequence_ordered(list(result.displayed), ["x"]):
+            if not check_orderedness(result.displayed_keys, ["x"]):
                 unordered_runs += 1
         rows.append(("AD-2", displayed_total / TRIALS, unordered_runs, 0.0))
 
@@ -60,7 +60,8 @@ def test_delayed_display_tradeoff(benchmark):
                 delayed.flush()
                 displayed_total += len(delayed.displayed)
                 latency_total += delayed.mean_added_latency()
-                if not is_alert_sequence_ordered(list(delayed.displayed), ["x"]):
+                shown = [a.identity() for a in delayed.displayed]
+                if not check_orderedness(shown, ["x"]):
                     unordered_runs += 1
             rows.append(
                 (

@@ -18,7 +18,7 @@ from repro.core.condition import ExpressionCondition
 from repro.multicondition.combined import DisjunctionCondition, example_4
 from repro.multicondition.system import DemuxAD
 from repro.displayers.ad2 import AD2
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 
 TRIALS = 100
 
@@ -57,7 +57,8 @@ def test_per_condition_ad_keeps_guarantees(benchmark):
             demux.offer_all(arrivals)
             for name in ("A", "B"):
                 total_streams += 1
-                if is_alert_sequence_ordered(list(demux.stream_output(name)), ["x"]):
+                shown = [a.identity() for a in demux.stream_output(name)]
+                if check_orderedness(shown, ["x"]):
                     ordered_streams += 1
         return ordered_streams, total_streams
 
@@ -93,8 +94,8 @@ def test_simulated_separate_ce_topology(benchmark):
             result = system.run()
             for name in ("hot", "spike"):
                 total += 1
-                stream = list(result.streams[name])
-                if is_alert_sequence_ordered(stream, ["x"]):
+                stream = [a.identity() for a in result.streams[name]]
+                if check_orderedness(stream, ["x"]):
                     ordered_ok += 1
                 if check_consistency_single(stream, "x"):
                     consistent_ok += 1

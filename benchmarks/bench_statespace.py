@@ -14,7 +14,7 @@ from repro.analysis.experiments import (
 )
 from repro.displayers import AD2, AD3, AD4, AD5, AD6
 from repro.props.consistency import check_consistency_multi
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.props.statespace import (
     degree2_alphabet,
     two_variable_alphabet,
@@ -48,15 +48,15 @@ def test_exhaustive_state_space(benchmark):
             lambda: AD5(("x", "y")),
             xy_alphabet,
             MULTI_LENGTH,
-            lambda d: is_alert_sequence_ordered(list(d), ["x", "y"]),
+            lambda d: check_orderedness([a.identity() for a in d], ["x", "y"]),
         )
         outcomes["AD-6 both"] = verify_invariant_exhaustively(
             lambda: AD6(("x", "y")),
             xy_alphabet,
             MULTI_LENGTH,
             lambda d: (
-                is_alert_sequence_ordered(list(d), ["x", "y"])
-                and bool(check_consistency_multi(list(d), ["x", "y"]))
+                check_orderedness([a.identity() for a in d], ["x", "y"])
+                and check_consistency_multi([a.identity() for a in d], ["x", "y"])
             ),
         )
         return outcomes

@@ -75,12 +75,13 @@ def test_theorem3_counterexample(benchmark):
     from repro.core.reference import merge_single_variable
     from repro.props.completeness import check_completeness_single
     from repro.props.consistency import check_consistency_single
-    from repro.props.orderedness import is_alert_sequence_ordered
+    from repro.props.orderedness import check_orderedness
 
     merged = merge_single_variable(ex.traces[0], ex.traces[1])
-    assert not is_alert_sequence_ordered(displayed, ["x"])
-    assert not check_completeness_single(displayed, ex.condition, merged)
-    assert check_consistency_single(displayed, "x")
+    shown = [a.identity() for a in displayed]
+    assert not check_orderedness(shown, ["x"])
+    assert not check_completeness_single(shown, ex.condition, merged)
+    assert check_consistency_single(shown, "x")
     save_result(
         "theorem3_counterexample",
         "Theorem 3 counterexample reproduced: "
@@ -98,7 +99,7 @@ def test_theorem4_counterexample(benchmark):
     ex, displayed = benchmark.pedantic(run, rounds=1, iterations=1)
     from repro.props.consistency import check_consistency_single
 
-    assert not check_consistency_single(displayed, "x")
+    assert not check_consistency_single([a.identity() for a in displayed], "x")
     save_result(
         "theorem4_counterexample",
         "Theorem 4 counterexample reproduced: "

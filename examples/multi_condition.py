@@ -17,7 +17,7 @@ Run:  python examples/multi_condition.py
 from repro import ExpressionCondition, H, SystemConfig, run_system
 from repro.displayers import AD2
 from repro.multicondition import DemuxAD, DisjunctionCondition, example_4
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 
 
 def demo_example_4() -> None:
@@ -49,7 +49,7 @@ def demo_per_condition_ad() -> None:
     for name in ("hot", "very_hot"):
         stream = list(demux.stream_output(name))
         print(f"  stream {name!r}: {len(stream)} alerts, ordered="
-              f"{is_alert_sequence_ordered(stream, ['x'])}")
+              f"{bool(check_orderedness([a.identity() for a in stream], ['x']))}")
     print("Each stream gets AD-2's orderedness guarantee independently.\n")
 
 

@@ -13,7 +13,7 @@ Run:  python examples/multi_reactor.py
 from repro import cm
 from repro.displayers import AD1, AD5
 from repro.props.consistency import check_consistency_multi
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.props.report import PropertyTally
 from repro.workloads.scenarios import MULTI_VARIABLE_SCENARIOS, run_scenario
 from repro.workloads.traces import theorem_10_example
@@ -29,8 +29,9 @@ def paper_counterexample() -> None:
 
     displayed = ex.display(AD1(), [0, 1])
     print(f"\nAD-1 shows: {[a.shorthand() for a in displayed]}")
-    print(f"  ordered?    {is_alert_sequence_ordered(displayed, ['x', 'y'])}")
-    print(f"  consistent? {bool(check_consistency_multi(displayed, ['x', 'y']))}")
+    shown = [a.identity() for a in displayed]
+    print(f"  ordered?    {bool(check_orderedness(shown, ['x', 'y']))}")
+    print(f"  consistent? {bool(check_consistency_multi(shown, ['x', 'y']))}")
     print("a(2x,1y) before a(1x,2y) needs 2x before 1x — impossible. "
           "The user sees an impossible story.")
 

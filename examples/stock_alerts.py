@@ -38,7 +38,7 @@ def paper_trace() -> None:
     ad = AD1()
     displayed = ad.offer_all(a1_stream + a2_stream)
     print(f"AD-1 shows the user:           {[a.shorthand() for a in displayed]}")
-    consistent = check_consistency_single(displayed, "price")
+    consistent = check_consistency_single([a.identity() for a in displayed], "price")
     print(f"consistent? {bool(consistent)} — {consistent.conflict}")
     print("The user believes there were TWO sharp drops. There was one.\n")
 

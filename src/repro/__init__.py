@@ -74,7 +74,6 @@ from repro.props import (
     check_consistency_single,
     check_orderedness,
     evaluate_run,
-    is_alert_sequence_ordered,
 )
 from repro.simulation import (
     CrashSchedule,
@@ -132,7 +131,6 @@ __all__ = [
     "check_orderedness",
     "cm",
     "evaluate_run",
-    "is_alert_sequence_ordered",
     "make_ad",
     "make_alert",
     "merge_single_variable",

@@ -99,7 +99,7 @@ def compare_algorithms(
         properties = None
         if traces is not None:
             properties = evaluate_run(
-                condition, traces, list(instance.output)
+                condition, traces, [a.identity() for a in instance.output]
             ).summary
         summaries[name] = {
             "displayed": len(instance.output),

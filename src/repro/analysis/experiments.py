@@ -111,7 +111,7 @@ def consistency_property(varname: str = "x"):
         identities = [a.identity() for a in alerts]
         if len(set(identities)) != len(identities):
             return False
-        return bool(check_consistency_single(alerts, varname))
+        return bool(check_consistency_single(identities, varname))
 
     return holds
 

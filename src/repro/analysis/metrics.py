@@ -33,10 +33,10 @@ def collect_metrics(run: RunResult) -> RunMetrics:
     return RunMetrics(
         updates_sent=sum(len(v) for v in run.sent.values()),
         updates_received_per_ce=tuple(len(t) for t in run.received),
-        alerts_generated_per_ce=tuple(len(a) for a in run.ce_alerts),
-        alerts_arrived=len(run.ad_arrivals),
-        alerts_displayed=len(run.displayed),
-        alerts_filtered=len(run.filtered),
+        alerts_generated_per_ce=tuple(len(keys) for keys in run.ce_keys),
+        alerts_arrived=len(run.arrival_ces),
+        alerts_displayed=len(run.displayed_arrivals),
+        alerts_filtered=len(run.arrival_ces) - len(run.displayed_arrivals),
     )
 
 
@@ -70,7 +70,7 @@ def delivery_stats(run: RunResult) -> DeliveryStats:
     expected = alert_identity_set(
         alert for _, alert in ground_truth_alerts(run.condition, run.sent_log)
     )
-    displayed = alert_identity_set(run.displayed)
+    displayed = frozenset(run.displayed_keys)
     return DeliveryStats(
         expected=len(expected),
         delivered=len(expected & displayed),

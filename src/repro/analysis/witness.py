@@ -141,7 +141,7 @@ def replay(
 
     ad = make_ad()
     displayed = tuple(ad.offer_all(arrivals))
-    report = evaluate_run(condition, traces, displayed)
+    report = evaluate_run(condition, traces, [a.identity() for a in displayed])
     return displayed, report
 
 
@@ -153,8 +153,7 @@ def counterexample_from_run(
     Returns None if the run violates nothing — or, when ``target`` names
     a specific property, if *that* property is not violated (a run may
     violate several at once; the fuzzer wants the one it was aimed at).
-    The arrival pattern is recovered from the sources of the alerts that
-    actually reached the AD.
+    The arrival pattern is the run's per-arrival CE index column.
     """
     report = run.evaluate_properties()
     if target is not None:
@@ -163,13 +162,11 @@ def counterexample_from_run(
         violation = find_violation(report)
     if violation is None:
         return None
-    source_to_index = {f"CE{i + 1}": i for i in range(len(run.received))}
-    pattern = tuple(source_to_index[a.source] for a in run.ad_arrivals)
     return Counterexample(
         condition=run.condition,
         violation=violation,
         traces=tuple(tuple(t) for t in run.received),
-        arrival_pattern=pattern,
+        arrival_pattern=run.arrival_ces,
         ad_algorithm=run.config.ad_algorithm,
         displayed=run.displayed,
     )

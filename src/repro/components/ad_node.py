@@ -17,13 +17,20 @@ __all__ = ["ADNode"]
 
 
 class ADNode(Node):
-    """The user's alert display, with a pluggable filtering algorithm."""
+    """The user's alert display, with a pluggable filtering algorithm.
+
+    The algorithm decides on each arrival's identity key
+    (:meth:`~repro.displayers.base.ADAlgorithm.decide`), as the array
+    kernel's AD does; the node keeps the arrivals and which of them were
+    displayed.
+    """
 
     def __init__(self, kernel: Kernel, name: str, algorithm: ADAlgorithm) -> None:
         super().__init__(kernel, name)
         self.algorithm = algorithm
         self._arrivals: list[Alert] = []
         self._arrival_times: list[float] = []
+        self._shown: list[int] = []
 
     @property
     def arrivals(self) -> tuple[Alert, ...]:
@@ -36,32 +43,34 @@ class ADNode(Node):
         return tuple(self._arrival_times)
 
     @property
-    def displayed(self) -> tuple[Alert, ...]:
-        """The final alert sequence A shown to the user."""
-        return self.algorithm.output
+    def shown(self) -> tuple[int, ...]:
+        """The index in ``arrivals`` of each displayed alert, in order."""
+        return tuple(self._shown)
 
     @property
-    def filtered(self) -> tuple[Alert, ...]:
-        """Alerts the algorithm discarded."""
-        return self.algorithm.discarded
+    def displayed(self) -> tuple[Alert, ...]:
+        """The final alert sequence A shown to the user."""
+        return tuple([self._arrivals[index] for index in self._shown])
 
     def receive(self, message) -> None:
         if not isinstance(message, Alert):
             raise TypeError(f"{self.name} expected an Alert, got {type(message)!r}")
+        index = len(self._arrivals)
         self._arrivals.append(message)
         self._arrival_times.append(self.kernel.now)
+        key = message.identity()
         tracer = self.kernel.tracer
         if tracer is None:
-            self.algorithm.offer(message)
+            if self.algorithm.decide(key):
+                self._shown.append(index)
             return
         tracer.emit(
             self.kernel.now, "ad", "arrive", self.name, alert=str(message)
         )
-        # The rejection reason must be computed *before* offer() for
-        # accepted alerts (offer mutates filter state), but algorithms only
-        # explain rejections — and a rejected offer leaves state untouched —
-        # so asking after a False offer() is exact.
-        if self.algorithm.offer(message):
+        # Algorithms only explain rejections, and a rejected alert leaves
+        # filter state untouched, so asking after a False decide() is exact.
+        if self.algorithm.decide(key):
+            self._shown.append(index)
             tracer.emit(
                 self.kernel.now, "ad", "display", self.name, alert=str(message)
             )
@@ -69,5 +78,5 @@ class ADNode(Node):
             tracer.emit(
                 self.kernel.now, "ad", "filter", self.name,
                 alert=str(message),
-                reason=self.algorithm.rejection_reason(message),
+                reason=self.algorithm.rejection_reason(key),
             )

@@ -4,7 +4,8 @@
 kernel according to a :class:`SystemConfig`, runs the workload to
 completion, and returns a :class:`RunResult` carrying everything the
 analysis needs: U (sent), U_i (received per CE), A_i (generated per CE),
-the interleaved arrival stream at the AD, and the displayed A.
+the interleaved arrival stream at the AD, and the displayed A — the last
+three as identity-key columns, with alert views built on demand.
 
 ``replication = 1`` with the ``"pass"`` algorithm is the corresponding
 non-replicated system N; ``replication >= 2`` with any AD algorithm is a
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.components.ad_node import ADNode
 from repro.components.ce_node import CENode
@@ -121,7 +123,16 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything observable about one completed run."""
+    """Everything observable about one completed run.
+
+    The alert side is kept as identity-key columns — what every AD and
+    property reads (§2: "others need only the update sequence numbers").
+    ``ce_alerts``, ``ad_arrivals``, ``displayed`` and ``filtered`` are
+    :class:`~repro.core.alert.Alert` views built from them on first read:
+    each alert once, shared by every view it appears in, with the
+    updates ``sent`` holds (a DM's seqnos are dense, so seqno *s* of *v*
+    is ``sent[v][s - 1]``) and its CE's name as ``source``.
+    """
 
     condition: Condition
     config: SystemConfig
@@ -132,16 +143,17 @@ class RunResult:
     sent_log: tuple[tuple[float, Update], ...]
     #: U_i per CE: updates actually incorporated, in arrival order.
     received: tuple[tuple[Update, ...], ...]
-    #: A_i per CE: alerts generated.
-    ce_alerts: tuple[tuple[Alert, ...], ...]
-    #: The interleaved arrival stream at the AD (input to M).
-    ad_arrivals: tuple[Alert, ...]
-    #: Simulated arrival time of each alert, aligned with ``ad_arrivals``.
+    #: A_i per CE as identity keys, in the order the CE raised them.
+    ce_keys: tuple[tuple[tuple, ...], ...]
+    #: The CE index of each AD arrival, in arrival order (the input to
+    #: M).  Back links are FIFO, so the k-th arrival from CE *i* is
+    #: ``ce_keys[i][k]``.
+    arrival_ces: tuple[int, ...]
+    #: Simulated arrival time of each alert, aligned with ``arrival_ces``.
     ad_arrival_times: tuple[float, ...]
-    #: The displayed sequence A.
-    displayed: tuple[Alert, ...]
-    #: Alerts the AD filtered out.
-    filtered: tuple[Alert, ...]
+    #: The arrival index of each displayed alert, in display order: the
+    #: displayed sequence A.
+    displayed_arrivals: tuple[int, ...]
     #: Updates missed because a CE was crashed at delivery time.
     missed_while_down: tuple[int, ...]
     #: Readings never taken because the DM was down, per variable in
@@ -155,7 +167,54 @@ class RunResult:
 
     def evaluate_properties(self) -> PropertyReport:
         """Decide orderedness/completeness/consistency for this run."""
-        return evaluate_run(self.condition, self.received, self.displayed)
+        return evaluate_run(self.condition, self.received, self.displayed_keys)
+
+    @cached_property
+    def displayed_keys(self) -> tuple[tuple, ...]:
+        """The displayed sequence A as identity keys."""
+        cursors = [iter(keys) for keys in self.ce_keys]
+        arrivals = [next(cursors[ce]) for ce in self.arrival_ces]
+        return tuple([arrivals[index] for index in self.displayed_arrivals])
+
+    @cached_property
+    def ce_alerts(self) -> tuple[tuple[Alert, ...], ...]:
+        """A_i per CE: the alerts generated (a view of ``ce_keys``)."""
+        # Looked up at call time, so a patch of the constructor binds.
+        from repro.core.evaluator import alert_from_key
+
+        sent = self.sent
+        views = []
+        for index, keys in enumerate(self.ce_keys):
+            source = f"CE{index + 1}"
+            alerts = []
+            for key in keys:
+                entries = {}
+                for var, seqnos in key[1]:
+                    updates = sent[var]
+                    entries[var] = tuple([updates[s - 1] for s in seqnos])
+                alerts.append(alert_from_key(key, entries, source))
+            views.append(tuple(alerts))
+        return tuple(views)
+
+    @cached_property
+    def ad_arrivals(self) -> tuple[Alert, ...]:
+        """The interleaved arrival stream at the AD, as alerts."""
+        cursors = [iter(alerts) for alerts in self.ce_alerts]
+        return tuple([next(cursors[ce]) for ce in self.arrival_ces])
+
+    @cached_property
+    def displayed(self) -> tuple[Alert, ...]:
+        """The displayed sequence A, as alerts."""
+        arrivals = self.ad_arrivals
+        return tuple([arrivals[index] for index in self.displayed_arrivals])
+
+    @cached_property
+    def filtered(self) -> tuple[Alert, ...]:
+        """The alerts the AD filtered out, in arrival order."""
+        shown = set(self.displayed_arrivals)
+        return tuple(
+            [a for index, a in enumerate(self.ad_arrivals) if index not in shown]
+        )
 
     @property
     def all_generated(self) -> tuple[Alert, ...]:
@@ -175,14 +234,10 @@ class RunResult:
         stamps: list[list[tuple[float, int]]] = [
             [] for _ in range(self.config.replication)
         ]
-        for index, (alert, time) in enumerate(
-            zip(self.ad_arrivals, self.ad_arrival_times)
+        for index, (ce, time) in enumerate(
+            zip(self.arrival_ces, self.ad_arrival_times)
         ):
-            if not alert.source.startswith("CE"):
-                raise ValueError(
-                    f"arrival {index} has unattributed source {alert.source!r}"
-                )
-            stamps[int(alert.source[2:]) - 1].append((time, index))
+            stamps[ce].append((time, index))
         return tuple(tuple(per_ce) for per_ce in stamps)
 
 
@@ -419,11 +474,16 @@ class MonitoringSystem:
                 )
             ),
             received=tuple(ce.received for ce in self.ces),
-            ce_alerts=tuple(ce.alerts for ce in self.ces),
-            ad_arrivals=self.ad.arrivals,
+            ce_keys=tuple(
+                tuple([alert.identity() for alert in ce.alerts])
+                for ce in self.ces
+            ),
+            # Each CE node stamps its alerts "CE<n>".
+            arrival_ces=tuple(
+                [int(alert.source[2:]) - 1 for alert in self.ad.arrivals]
+            ),
             ad_arrival_times=self.ad.arrival_times,
-            displayed=self.ad.displayed,
-            filtered=self.ad.filtered,
+            displayed_arrivals=self.ad.shown,
             missed_while_down=tuple(ce.missed_while_down for ce in self.ces),
             dm_suppressed=tuple(dm.suppressed for dm in self.dms),
             caught_up=(

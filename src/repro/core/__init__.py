@@ -7,7 +7,7 @@ inference, the ConditionEvaluator, and the reference mapping T used by the
 property definitions.
 """
 
-from repro.core.alert import Alert, alert_identity_set, make_alert, project_alert_seqnos
+from repro.core.alert import Alert, alert_identity_set, make_alert
 from repro.core.condition import (
     Condition,
     ExpressionCondition,
@@ -83,7 +83,6 @@ __all__ = [
     "parse_trace",
     "parse_update",
     "phi",
-    "project_alert_seqnos",
     "project_seqnos",
     "sharp_price_drop",
     "spanning_set",

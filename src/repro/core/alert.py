@@ -28,11 +28,9 @@ __all__ = [
     "Alert",
     "make_alert",
     "alert_identity_set",
-    "alert_event_key",
     "identity_event_key",
     "identity_seqnos",
     "identity_shorthand",
-    "project_alert_seqnos",
 ]
 
 
@@ -94,19 +92,6 @@ def alert_identity_set(alerts: Iterable[Alert]) -> frozenset[tuple]:
     return frozenset(a.identity() for a in alerts)
 
 
-def alert_event_key(alert: Alert, variables: Iterable[str]) -> tuple:
-    """The real-world *event* an alert reports: its head-seqno vector.
-
-    Two CEs that observed the same trigger through different histories
-    (a lossy replica has gaps where its peer does not) emit alerts with
-    different identities but the same head seqnos — the same event, seen
-    twice.  The quality metrics and the adaptive displayer key on this
-    coarser equivalence: full identity distinguishes *evidence*, the
-    event key distinguishes *occurrences*.
-    """
-    return identity_event_key(alert.identity(), variables)
-
-
 def identity_seqnos(key: tuple, varname: str) -> tuple[int, ...]:
     """The seqnos of ``varname`` in the alert identified by ``key``,
     most recent first; KeyError when it has no ``varname`` history."""
@@ -125,11 +110,15 @@ def identity_shorthand(key: tuple) -> str:
 
 
 def identity_event_key(key: tuple, variables: Iterable[str]) -> tuple:
-    """:func:`alert_event_key` of the alert identified by ``key``."""
+    """The real-world *event* the alert identified by ``key`` reports:
+    its condition name and head-seqno vector.
+
+    Two CEs that observed the same trigger through different histories
+    (a lossy replica has gaps where its peer does not) emit alerts with
+    different identities but the same head seqnos — the same event, seen
+    twice.  The quality metrics and the adaptive displayer key on this
+    coarser equivalence: full identity distinguishes *evidence*, the
+    event key distinguishes *occurrences*.
+    """
     heads = dict(key[1])
     return (key[0], tuple([heads[var][0] for var in variables]))
-
-
-def project_alert_seqnos(alerts: Iterable[Alert], varname: str) -> list[int]:
-    """``Πx A``: the sequence ⟨a.seqno.x | a ∈ A⟩ (§2.2)."""
-    return [a.seqno(varname) for a in alerts]

@@ -13,7 +13,7 @@ the paper (Theorems 6 and 8) — it filters the fewest alerts.
 
 from __future__ import annotations
 
-from repro.core.alert import Alert
+from repro.core.alert import identity_shorthand
 from repro.displayers.base import ADAlgorithm
 
 __all__ = ["AD1"]
@@ -34,5 +34,5 @@ class AD1(ADAlgorithm):
     def _record(self, key: tuple) -> None:
         self._seen.add(key)
 
-    def rejection_reason(self, alert: Alert) -> str:
-        return f"duplicate: history set of {alert.shorthand()} already displayed"
+    def rejection_reason(self, key: tuple) -> str:
+        return f"duplicate: history set of {identity_shorthand(key)} already displayed"

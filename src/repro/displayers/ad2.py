@@ -15,7 +15,7 @@ late are lost.
 
 from __future__ import annotations
 
-from repro.core.alert import Alert, identity_seqnos
+from repro.core.alert import identity_seqnos
 from repro.displayers.base import ADAlgorithm
 
 __all__ = ["AD2"]
@@ -40,8 +40,8 @@ class AD2(ADAlgorithm):
     def _record(self, key: tuple) -> None:
         self._last = identity_seqnos(key, self.varname)[0]
 
-    def rejection_reason(self, alert: Alert) -> str:
+    def rejection_reason(self, key: tuple) -> str:
         return (
             f"seqno regression: a.seqno.{self.varname}="
-            f"{alert.seqno(self.varname)} <= last displayed {self._last}"
+            f"{identity_seqnos(key, self.varname)[0]} <= last displayed {self._last}"
         )

@@ -36,7 +36,7 @@ can reuse it for the multi-variable extension of Figure A-6.
 
 from __future__ import annotations
 
-from repro.core.alert import Alert
+from repro.core.alert import identity_shorthand
 from repro.core.sequences import history_gaps
 from repro.displayers.base import ADAlgorithm
 
@@ -106,10 +106,11 @@ class AD3(ADAlgorithm):
         self._seen.add(key)
         self._tracker.record(key)
 
-    def rejection_reason(self, alert: Alert) -> str:
-        if alert.identity() in self._seen:
-            return f"duplicate: history set of {alert.shorthand()} already displayed"
+    def rejection_reason(self, key: tuple) -> str:
+        shorthand = identity_shorthand(key)
+        if key in self._seen:
+            return f"duplicate: history set of {shorthand} already displayed"
         return (
             f"history conflict in {self.varname}: Received/Missed state "
-            f"contradicts {alert.shorthand()}"
+            f"contradicts {shorthand}"
         )

@@ -9,7 +9,6 @@ combination maximal (Theorem 9).
 
 from __future__ import annotations
 
-from repro.core.alert import Alert
 from repro.displayers.ad2 import AD2
 from repro.displayers.ad3 import AD3
 from repro.displayers.base import ADAlgorithm
@@ -46,7 +45,7 @@ class AD4(ADAlgorithm):
         self._ad2._record(key)
         self._ad3._record(key)
 
-    def rejection_reason(self, alert: Alert) -> str:
-        if not self._ad2._accept(alert.identity()):
-            return self._ad2.rejection_reason(alert)
-        return self._ad3.rejection_reason(alert)
+    def rejection_reason(self, key: tuple) -> str:
+        if not self._ad2._accept(key):
+            return self._ad2.rejection_reason(key)
+        return self._ad3.rejection_reason(key)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.alert import Alert
+from repro.core.alert import identity_seqnos
 from repro.displayers.base import ADAlgorithm
 
 __all__ = ["AD5"]
@@ -77,11 +77,12 @@ class AD5(ADAlgorithm):
             if var in last:
                 last[var] = seqnos[0]
 
-    def rejection_reason(self, alert: Alert) -> str:
+    def rejection_reason(self, key: tuple) -> str:
         for var in self.varnames:
-            if alert.seqno(var) < self._last[var]:
+            head = identity_seqnos(key, var)[0]
+            if head < self._last[var]:
                 return (
                     f"seqno inversion in {var}: a.seqno.{var}="
-                    f"{alert.seqno(var)} < last displayed {self._last[var]}"
+                    f"{head} < last displayed {self._last[var]}"
                 )
         return "duplicate: seqnos equal last displayed alert in every variable"

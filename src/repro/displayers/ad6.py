@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.alert import Alert
+from repro.core.alert import identity_shorthand
 from repro.displayers.ad3 import ConflictTracker
 from repro.displayers.ad5 import AD5
 from repro.displayers.base import ADAlgorithm
@@ -53,16 +53,15 @@ class AD6(ADAlgorithm):
         for tracker in self._trackers.values():
             tracker.record(key)
 
-    def rejection_reason(self, alert: Alert) -> str:
-        key = alert.identity()
+    def rejection_reason(self, key: tuple) -> str:
         if not self._ad5._accept(key):
-            return self._ad5.rejection_reason(alert)
+            return self._ad5.rejection_reason(key)
         for var, tracker in self._trackers.items():
             if tracker.conflicts(key):
                 return (
                     f"history conflict in {var}: Received/Missed state "
-                    f"contradicts {alert.shorthand()}"
+                    f"contradicts {identity_shorthand(key)}"
                 )
         # Reached only when called off-contract (the alert would in fact
         # be accepted); say so concretely rather than naming the algorithm.
-        return f"no rejection: {self.name} would accept {alert.shorthand()}"
+        return f"no rejection: {self.name} would accept {identity_shorthand(key)}"

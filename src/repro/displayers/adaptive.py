@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from random import Random
 
-from repro.core.alert import Alert, identity_event_key
+from repro.core.alert import identity_event_key
 from repro.displayers.ad1 import AD1
 from repro.displayers.ad4 import AD4
 from repro.displayers.ad6 import AD6
@@ -214,8 +214,8 @@ class AdaptiveAD(ADAlgorithm):
             return True
         return self._reject(key, rung, "filtered")
 
-    def rejection_reason(self, alert: Alert) -> str:
-        """The reason of the rung whose state rejected ``alert``.
+    def rejection_reason(self, key: tuple) -> str:
+        """The reason of the rung whose state rejected the alert ``key``.
 
         Policy state advances on rejections, so (unlike the static
         algorithms) the rung active after the offer may not be the one
@@ -223,7 +223,6 @@ class AdaptiveAD(ADAlgorithm):
         Its filter state moves only on a display, so until then the
         reason is rendered against exactly the state that decided.
         """
-        key = alert.identity()
         last = self._last_rejection
         if last is not None and last[0] == key:
             rung = last[1]
@@ -231,7 +230,7 @@ class AdaptiveAD(ADAlgorithm):
             rung = self._ladder[0][0]
         else:
             rung = self._ladder[self._active][0]
-        return rung.rejection_reason(alert)
+        return rung.rejection_reason(key)
 
     def _accept(self, key: tuple) -> bool:  # pragma: no cover - bypassed
         raise NotImplementedError("AdaptiveAD decides inside decide()")

@@ -14,8 +14,7 @@ Every algorithm decides on the alert's *identity key* ``(condname,
 an AD needs no more (§2), and :mod:`repro.core.wire`'s ``_MINIMUM``
 table names, per algorithm, the part of the key it reads.
 :meth:`ADAlgorithm.decide` is the decision; :meth:`ADAlgorithm.offer`
-is the object API on top of it, which also keeps the displayed output
-and the discarded alerts (useful for domination/maximality analysis).
+is the object API on top of it, which also keeps the displayed output.
 
 Subclasses implement :meth:`_accept` and :meth:`_record` over the key;
 the base class enforces the decide-then-record discipline.
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.alert import Alert
+from repro.core.alert import Alert, identity_shorthand
 
 __all__ = ["ADAlgorithm", "run_ad"]
 
@@ -48,17 +47,11 @@ class ADAlgorithm:
 
     def __init__(self) -> None:
         self._output: list[Alert] = []
-        self._discarded: list[Alert] = []
 
     @property
     def output(self) -> tuple[Alert, ...]:
         """The displayed alert sequence A (so far)."""
         return tuple(self._output)
-
-    @property
-    def discarded(self) -> tuple[Alert, ...]:
-        """Alerts filtered out (so far), in arrival order."""
-        return tuple(self._discarded)
 
     def decide(self, key: tuple) -> bool:
         """Process the arrival of the alert whose identity is ``key``;
@@ -74,34 +67,33 @@ class ADAlgorithm:
         if self.decide(alert.identity()):
             self._output.append(alert)
             return True
-        self._discarded.append(alert)
         return False
 
     def offer_all(self, alerts: Iterable[Alert]) -> list[Alert]:
         """Process a whole arrival stream; return the displayed alerts."""
         return [a for a in alerts if self.offer(a)]
 
-    def rejection_reason(self, alert: Alert) -> str:
-        """Explain why ``alert`` would be rejected *in the current state*.
+    def rejection_reason(self, key: tuple) -> str:
+        """Explain why the alert identified by ``key`` would be rejected
+        *in the current state*.
 
-        Called by the observability layer after :meth:`offer` returned
-        False; a rejected offer leaves state untouched, so the explanation
+        Called by the observability layer after :meth:`decide` returned
+        False; a rejected alert leaves state untouched, so the explanation
         is computed against exactly the state that made the decision.
         Must not mutate state.  Subclasses override with algorithm-specific
         reasons; the default names the concrete cause it can deduce from
-        the base-class state — an exact re-arrival of a displayed alert is
-        reported as a duplicate, anything else as a predicate rejection of
-        that specific alert.  Reason strings are load-bearing: the
-        fuzzer's coverage signatures and the adaptive displayer's policy
-        counters both classify on them.
+        the base-class state — an exact re-arrival of an alert
+        :meth:`offer` displayed is reported as a duplicate, anything else
+        as a predicate rejection of that specific alert.  Only
+        :meth:`offer` keeps an output, so on the :meth:`decide` path (a
+        simulated run) the duplicate branch never fires.  Reason strings
+        are load-bearing: the fuzzer's coverage signatures and the
+        adaptive displayer's policy counters both classify on them.
         """
-        if any(alert.identity() == shown.identity() for shown in self._output):
-            return (
-                f"duplicate: history set of {alert.shorthand()} already displayed"
-            )
-        return (
-            f"predicate rejection: {self.name} state excludes {alert.shorthand()}"
-        )
+        shorthand = identity_shorthand(key)
+        if any(key == shown.identity() for shown in self._output):
+            return f"duplicate: history set of {shorthand} already displayed"
+        return f"predicate rejection: {self.name} state excludes {shorthand}"
 
     # -- to be implemented by concrete algorithms ---------------------------
     def _accept(self, key: tuple) -> bool:
@@ -126,10 +118,7 @@ class ADAlgorithm:
         return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{self.name} displayed={len(self._output)} "
-            f"discarded={len(self._discarded)}>"
-        )
+        return f"<{self.name} displayed={len(self._output)}>"
 
 
 def run_ad(algorithm: ADAlgorithm, arrivals: Iterable[Alert]) -> list[Alert]:

@@ -42,8 +42,8 @@ class DemuxAD(ADAlgorithm):
     The appendix's observation: "Although there is only one AD for both
     conditions, it can effectively separate the A and B alert streams and
     run one instance of the filtering algorithm against each stream."
-    Each alert goes to its stream's own :meth:`offer`, so any algorithm
-    works there, ``adaptive`` included.
+    Each alert goes to its stream's own :meth:`offer` (a key to its
+    :meth:`decide`), so any algorithm works there, ``adaptive`` included.
     """
 
     name = "demux"
@@ -61,11 +61,19 @@ class DemuxAD(ADAlgorithm):
         """The displayed alerts of one condition's stream, in order."""
         return self._algorithms[condname].output
 
+    def _stream(self, condname: str) -> ADAlgorithm:
+        try:
+            return self._algorithms[condname]
+        except KeyError:
+            raise KeyError(f"no sub-filter for condition {condname!r}") from None
+
+    def decide(self, key: tuple) -> bool:
+        return self._stream(key[0]).decide(key)
+
     def offer(self, alert: Alert) -> bool:
-        if alert.condname not in self._algorithms:
-            raise KeyError(f"no sub-filter for condition {alert.condname!r}")
-        displayed = self._algorithms[alert.condname].offer(alert)
-        (self._output if displayed else self._discarded).append(alert)
+        displayed = self._stream(alert.condname).offer(alert)
+        if displayed:
+            self._output.append(alert)
         return displayed
 
 
@@ -86,7 +94,9 @@ class MultiConditionResult:
         """Single-condition property report for one stream (App. D)."""
         condition = next(c for c in self.conditions if c.name == condname)
         return evaluate_run(
-            condition, self.received[condname], self.streams[condname]
+            condition,
+            self.received[condname],
+            [a.identity() for a in self.streams[condname]],
         )
 
 
@@ -164,15 +174,18 @@ class MultiConditionSystem:
         for dm in self.dms:
             dm.start()
         self.kernel.run()
+        displayed = self.ad.displayed
         return MultiConditionResult(
             conditions=self.conditions,
             received={
                 name: tuple(ce.received for ce in replicas)
                 for name, replicas in self.ces.items()
             },
-            displayed=self.ad.displayed,
+            displayed=displayed,
             streams={
-                condition.name: self._demux.stream_output(condition.name)
+                condition.name: tuple(
+                    a for a in displayed if a.condname == condition.name
+                )
                 for condition in self.conditions
             },
             ad_arrivals=self.ad.arrivals,

@@ -28,7 +28,6 @@ from repro.props.maximality import (
 from repro.props.orderedness import (
     OrderednessResult,
     check_orderedness,
-    is_alert_sequence_ordered,
 )
 from repro.props.report import (
     PropertyReport,
@@ -68,7 +67,6 @@ __all__ = [
     "dominates_on",
     "evaluate_run",
     "greedy_maximality_probe",
-    "is_alert_sequence_ordered",
     "probe_streams",
     "test_domination",
 ]

@@ -40,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 
-from repro.core.alert import Alert, alert_identity_set
 from repro.core.condition import Condition, compile_condition
 # Nothing here calls either; both stay bound because the traced benchmark
 # harness patches ``repro.props.completeness.{apply_T,combine_received}``.
@@ -131,11 +130,12 @@ class CompletenessResult:
 
 
 def check_completeness_single(
-    alerts: Sequence[Alert],
+    keys: Sequence[tuple],
     condition: Condition,
     merged_updates: Sequence[Update],
 ) -> CompletenessResult:
-    """Single-variable completeness: ΦA = ΦT(U1 ⊔ U2).
+    """Single-variable completeness: ΦA = ΦT(U1 ⊔ U2), with A given as its
+    alerts' identity keys.
 
     ``merged_updates`` is the already-merged ``U1 ⊔ U2`` (see
     :func:`repro.core.reference.merge_single_variable`); updates of
@@ -150,8 +150,8 @@ def check_completeness_single(
     evaluator runs and no alert is built.
 
     **ΦA on the same keys.**  A displayed alert of this condition over
-    exactly this variable is its history's seqno tuple; any other alert
-    is one T never raises — extraneous at once.  The verdict compares
+    exactly this variable is its key's seqno tuple; any other alert is
+    one T never raises — extraneous at once.  The verdict compares
     two sets of int tuples, and identities ``(condname, ((var,
     seqnos),))`` are rendered only for their symmetric difference.
 
@@ -190,12 +190,12 @@ def check_completeness_single(
 
     actual: set[tuple[int, ...]] = set()
     foreign: set[tuple] = set()
-    for alert in alerts:
-        histories = alert.histories
-        if alert.condname != condname or histories.variables != variables:
-            foreign.add(alert.identity())
+    for key in keys:
+        histories = key[1]
+        if key[0] != condname or len(histories) != 1 or histories[0][0] != var:
+            foreign.add(key)
         else:
-            actual.add(histories.seqnos(var))
+            actual.add(histories[0][1])
     # A batch verdict lives on in its run's report: diagnosed now, it
     # keeps the difference rather than both key sets.
     return compare_window_keys(
@@ -241,12 +241,13 @@ def compare_window_keys(
 
 
 def check_completeness_multi(
-    alerts: Sequence[Alert],
+    keys: Sequence[tuple],
     condition: Condition,
     per_variable_updates: dict[str, Sequence[Update]],
     limit: int = 500_000,
 ) -> CompletenessResult:
-    """Multi-variable completeness: ∃ interleaving UV with ΦA = ΦT(UV).
+    """Multi-variable completeness: ∃ interleaving UV with ΦA = ΦT(UV),
+    with A given as its alerts' identity keys.
 
     **The grid.**  The reference evaluator's state after a prefix of UV
     is a pure function of how many updates of each variable the prefix
@@ -293,7 +294,7 @@ def check_completeness_multi(
     ``undecided=True`` rather than a guess.  Raises ValueError when a run
     repeats a seqno.
     """
-    actual = alert_identity_set(alerts)
+    actual = frozenset(keys)
     degrees = condition.degrees
     # Variables the evaluator would ignore contribute nothing to T(UV) and
     # may be interleaved anywhere — drop them from the search.  Empty runs

@@ -35,7 +35,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.alert import Alert, identity_shorthand
+from repro.core.alert import identity_seqnos, identity_shorthand
 from repro.core.sequences import history_gaps
 from repro.core.update import Update
 
@@ -64,18 +64,19 @@ class ConsistencyResult:
 
 
 def check_consistency_single(
-    alerts: Sequence[Alert],
+    keys: Sequence[tuple],
     varname: str | None = None,
 ) -> ConsistencyResult:
-    """Exact single-variable consistency check (Theorem 7's construction).
+    """Exact single-variable consistency check (Theorem 7's construction)
+    of A, given as its alerts' identity keys.
 
     ``varname`` defaults to the single variable of the first alert.  An
     empty A is trivially consistent.
     """
-    if not alerts:
+    if not keys:
         return ConsistencyResult(True, witness_received=frozenset())
     if varname is None:
-        variables = alerts[0].histories.variables
+        variables = tuple([var for var, _ in keys[0][1]])
         if len(variables) != 1:
             raise ValueError(
                 "check_consistency_single needs a single-variable condition; "
@@ -85,10 +86,9 @@ def check_consistency_single(
 
     received: set[int] = set()
     missed: set[int] = set()
-    for index, alert in enumerate(alerts):
+    for index, key in enumerate(keys):
         conflict = constrain_single(
-            received, missed, index, alert.identity(),
-            alert.histories.seqnos(varname),
+            received, missed, index, key, identity_seqnos(key, varname)
         )
         if conflict is not None:
             return ConsistencyResult(False, conflict=conflict)
@@ -128,10 +128,11 @@ def constrain_single(
 
 
 def check_consistency_multi(
-    alerts: Sequence[Alert],
+    keys: Sequence[tuple],
     variables: Sequence[str],
 ) -> ConsistencyResult:
-    """Exact multi-variable consistency check (historical or not).
+    """Exact multi-variable consistency check (historical or not) of A,
+    given as its alerts' identity keys.
 
     A witness ``U′ ⊑ UV`` may drop updates, so w.l.o.g. take U′ to contain
     exactly the updates *required* by the alerts' histories — dropping
@@ -172,9 +173,10 @@ def check_consistency_multi(
     (:func:`_precedence_cycle`).  Both layers are facts about A alone;
     which scenario or AD algorithm produced A is never consulted.
     """
-    if not alerts:
+    if not keys:
         return ConsistencyResult(True)
 
+    histories = [dict(key[1]) for key in keys]
     required: dict[str, set[int]] = {}
     missed: dict[str, set[int]] = {}
     ordered = True
@@ -182,16 +184,15 @@ def check_consistency_multi(
         needed = required[var] = set()
         absent = missed[var] = set()
         newest = None
-        for alert in alerts:
-            history = alert.histories[var]
-            head = history[0].seqno
+        for history in histories:
+            seqnos = history[var]
+            head = seqnos[0]
             if newest is not None and head < newest:
                 ordered = False
             newest = head
-            if len(history) == 1:
+            if len(seqnos) == 1:
                 needed.add(head)  # a degree-1 history spans no gap
                 continue
-            seqnos = [update.seqno for update in history]
             needed.update(seqnos)
             absent.update(history_gaps(seqnos))
     for var in variables:
@@ -207,7 +208,7 @@ def check_consistency_multi(
             )
 
     if not ordered:
-        cycle = _precedence_cycle(alerts, variables, required)
+        cycle = _precedence_cycle(histories, variables, required)
         if cycle is not None:
             return ConsistencyResult(False, conflict=cycle)
     return ConsistencyResult(
@@ -219,13 +220,14 @@ def check_consistency_multi(
 
 
 def _precedence_cycle(
-    alerts: Sequence[Alert],
+    histories: Sequence[dict[str, tuple[int, ...]]],
     variables: Sequence[str],
     required: dict[str, set[int]],
 ) -> str | None:
     """Second layer of :func:`check_consistency_multi`: the rendered
     precedence cycle over the required updates, or None when acyclic
-    (plain-dict adjacency and Kahn's algorithm)."""
+    (plain-dict adjacency and Kahn's algorithm).  ``histories`` holds
+    each alert's variable → seqnos, as its identity key names them."""
     successors: dict[tuple[str, int], list[tuple[str, int]]] = {}
     indegree: dict[tuple[str, int], int] = {}
     sorted_required = {var: sorted(required[var]) for var in variables}
@@ -241,10 +243,10 @@ def _precedence_cycle(
             indegree.setdefault((var, seqno), 0)
         for a, b in zip(run, run[1:]):
             add_edge((var, a), (var, b))
-    for alert in alerts:
+    for history in histories:
         for var_v, var_w in itertools.permutations(variables, 2):
-            head_v = alert.seqno(var_v)
-            head_w = alert.seqno(var_w)
+            head_v = history[var_v][0]
+            head_w = history[var_w][0]
             run_w = sorted_required[var_w]
             at = bisect.bisect_right(run_w, head_w)
             successor = run_w[at] if at < len(run_w) else None

@@ -168,7 +168,9 @@ def classify_trace_pair(
             positions[stream_index] += 1
         ad = make_ad()
         displayed = ad.offer_all(arrivals)
-        report: PropertyReport = evaluate_run(condition, traces, displayed)
+        report: PropertyReport = evaluate_run(
+            condition, traces, [a.identity() for a in displayed]
+        )
         ordered_tally.add(bool(report.ordered), order)
         if report.complete is not None:
             complete_tally.add(bool(report.complete), order)

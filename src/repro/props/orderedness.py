@@ -12,10 +12,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.core.alert import Alert, project_alert_seqnos
-from repro.core.sequences import first_inversion, is_ordered
+from repro.core.sequences import first_inversion
 
-__all__ = ["OrderednessResult", "check_orderedness", "is_alert_sequence_ordered"]
+__all__ = ["OrderednessResult", "check_orderedness"]
 
 
 @dataclass(frozen=True)
@@ -32,19 +31,25 @@ class OrderednessResult:
         return self.ordered
 
 
-def check_orderedness(alerts: Sequence[Alert], variables: Iterable[str]) -> OrderednessResult:
-    """Decide orderedness of A with respect to every variable in V.
+def check_orderedness(
+    keys: Sequence[tuple], variables: Iterable[str]
+) -> OrderednessResult:
+    """Decide orderedness of A, given as its alerts' identity keys, with
+    respect to every variable in V.
 
     A plain scan of each projection: they are at most a few dozen
     elements long, where a vectorised ``diff`` costs more than the loop.
     """
     for var in variables:
-        index = first_inversion(project_alert_seqnos(alerts, var))
+        heads = []
+        for key in keys:
+            for name, seqnos in key[1]:
+                if name == var:
+                    heads.append(seqnos[0])
+                    break
+            else:
+                raise KeyError(var)
+        index = first_inversion(heads)
         if index is not None:
             return OrderednessResult(False, var, index)
     return OrderednessResult(True)
-
-
-def is_alert_sequence_ordered(alerts: Sequence[Alert], variables: Iterable[str]) -> bool:
-    """Plain-bool convenience wrapper around :func:`check_orderedness`."""
-    return all(is_ordered(project_alert_seqnos(alerts, var)) for var in variables)

@@ -2,11 +2,12 @@
 
 :func:`evaluate_run` decides all three properties for one completed run of
 a replicated system — given the condition, the per-CE received traces
-(U1, U2, …) and the displayed alert sequence A — picking the right
-checker for the condition's shape.  :class:`PropertyTally` aggregates the
-verdicts over many randomized trials into the ✓/✗ cells of the paper's
-tables ("✓" = no violation ever witnessed, "✗" = at least one violation,
-with the first witness retained for replay).
+(U1, U2, …) and the displayed alert sequence A as identity keys —
+picking the right checker for the condition's shape.
+:class:`PropertyTally` aggregates the verdicts over many randomized
+trials into the ✓/✗ cells of the paper's tables ("✓" = no violation
+ever witnessed, "✗" = at least one violation, with the first witness
+retained for replay).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.alert import Alert
 from repro.core.condition import Condition
 from repro.core.reference import combine_received, count_interleavings
 from repro.core.update import Update
@@ -97,13 +97,15 @@ class PropertyReport:
 def evaluate_run(
     condition: Condition,
     traces: Sequence[Sequence[Update]],
-    displayed: Sequence[Alert],
+    displayed: Sequence[tuple],
     interleaving_limit: int = DEFAULT_INTERLEAVING_LIMIT,
 ) -> PropertyReport:
     """Decide orderedness, completeness and consistency for one run.
 
     ``traces`` are the update sequences actually received by each CE;
-    ``displayed`` is the AD's final output A.
+    ``displayed`` is the AD's final output A, as the identity key of each
+    alert (:meth:`Alert.identity() <repro.core.alert.Alert.identity>`):
+    no property reads more than its seqnos.
     """
     variables = condition.variables
     ordered = check_orderedness(displayed, variables)

@@ -4,7 +4,7 @@ The ground truth is the same ideal system the availability analysis uses
 (:mod:`repro.analysis.metrics`): one co-located CE fed the merged DM
 broadcast log — no loss, no downtime.  Every alert that system raises is
 a real-world *event*, keyed by its head-seqno vector
-(:func:`~repro.core.alert.alert_event_key`) and stamped with the
+(:func:`~repro.core.alert.identity_event_key`) and stamped with the
 broadcast time of the update that triggered it.
 
 Displayed alerts are then classified event by event:
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.components.system import RunResult
-from repro.core.alert import Alert, alert_event_key
+from repro.core.alert import identity_event_key
 from repro.core.condition import compile_condition
 from repro.core.update import Update
 
@@ -37,7 +37,6 @@ __all__ = [
     "AlertQuality",
     "alert_quality",
     "ground_truth_events",
-    "displayed_with_times",
 ]
 
 
@@ -106,7 +105,7 @@ def ground_truth_events(run: RunResult) -> dict[tuple, float]:
     :class:`~repro.core.evaluator.ConditionEvaluator` keeps them and
     handed to the same compiled closure, and each trigger's key — the
     condition name and every window's head seqno, the
-    :func:`~repro.core.alert.alert_event_key` of the alert the evaluator
+    :func:`~repro.core.alert.identity_event_key` of the alert the evaluator
     would build — is read straight off them.  Head-seqno vectors are
     unique per trigger (each fire incorporates a fresh seqno in the
     triggering variable), so the mapping is injective.
@@ -140,38 +139,33 @@ def ground_truth_events(run: RunResult) -> dict[tuple, float]:
     return events
 
 
-def displayed_with_times(run: RunResult) -> list[tuple[Alert, float]]:
-    """The displayed sequence paired with its AD arrival (display) times.
-
-    ``displayed`` is a subsequence of ``ad_arrivals``; alerts compare by
-    value, so greedy subsequence matching recovers each displayed
-    alert's arrival stamp on both kernels.
-    """
-    out: list[tuple[Alert, float]] = []
-    next_display = 0
-    displayed = run.displayed
-    for alert, time in zip(run.ad_arrivals, run.ad_arrival_times):
-        if next_display < len(displayed) and displayed[next_display] == alert:
-            out.append((displayed[next_display], time))
-            next_display += 1
-    if next_display != len(displayed):
-        raise ValueError(
-            f"displayed is not a subsequence of arrivals: matched "
-            f"{next_display} of {len(displayed)}"
-        )
-    return out
+def _display_times(run: RunResult) -> list[float]:
+    """The AD arrival (display) time of each displayed alert, read through
+    the displayed-index column; ValueError unless that column picks a
+    subsequence of the arrivals."""
+    times = run.ad_arrival_times
+    last = -1
+    for index in run.displayed_arrivals:
+        if not last < index < len(times):
+            raise ValueError(
+                f"displayed is not a subsequence of arrivals: arrival "
+                f"{index} after {last} of {len(times)}"
+            )
+        last = index
+    return [times[index] for index in run.displayed_arrivals]
 
 
 def alert_quality(run: RunResult) -> AlertQuality:
-    """Classify one run's displayed alerts against the ground truth."""
+    """Classify one run's displayed alerts against the ground truth, on
+    their identity keys."""
     expected = ground_truth_events(run)
     variables = run.condition.variables
     detected: set[tuple] = set()
     duplicates = 0
     false_alerts = 0
     latencies: list[float] = []
-    for alert, time in displayed_with_times(run):
-        key = alert_event_key(alert, variables)
+    for identity, time in zip(run.displayed_keys, _display_times(run)):
+        key = identity_event_key(identity, variables)
         trigger = expected.get(key)
         if trigger is None:
             false_alerts += 1
@@ -185,8 +179,8 @@ def alert_quality(run: RunResult) -> AlertQuality:
         detected=len(detected),
         duplicates=duplicates,
         false_alerts=false_alerts,
-        displayed=len(run.displayed),
-        filtered=len(run.filtered),
-        arrivals=len(run.ad_arrivals),
+        displayed=len(run.displayed_arrivals),
+        filtered=len(run.arrival_ces) - len(run.displayed_arrivals),
+        arrivals=len(run.arrival_ces),
         latency_samples=tuple(latencies),
     )

@@ -474,9 +474,9 @@ def feed_from_run(spec: dict[str, Any], run) -> UpdateFeed:
     """
     stamps = run.arrival_stamps()
     for ce_index, per_ce in enumerate(stamps):
-        if len(per_ce) != len(run.ce_alerts[ce_index]):
+        if len(per_ce) != len(run.ce_keys[ce_index]):
             raise ValueError(
-                f"CE{ce_index + 1} raised {len(run.ce_alerts[ce_index])} "
+                f"CE{ce_index + 1} raised {len(run.ce_keys[ce_index])} "
                 f"alerts but {len(per_ce)} reached the AD — a feed needs "
                 "every alert delivered (run the workload to quiescence)"
             )

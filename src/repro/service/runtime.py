@@ -192,7 +192,9 @@ class DirectRuntime:
             algorithm = make_ad(feed.spec["algorithm"], condition)
             algorithm.offer_all(arrivals)
             displayed = algorithm.output
-            report = evaluate_run(condition, streams, displayed)
+            report = evaluate_run(
+                condition, streams, [a.identity() for a in displayed]
+            )
         return FeedResult(
             runtime=self.name,
             displayed=displayed,

@@ -30,9 +30,8 @@ clock; after each slice the reader renders the lines the slice
 displayed straight from their windows
 (:func:`~repro.core.serialization.canonical_line`), folds the slice's
 updates and displayed keys into the verdicts and gives the loop's other
-connections a turn.  No :class:`~repro.core.alert.Alert` is built for
-a single-variable feed; a multi-variable one builds an alert for each
-displayed key only, at ``end``.
+connections a turn.  No :class:`~repro.core.alert.Alert` is built on
+any feed.
 After the read's last slice it reads again.  There is no queue between
 a delivery and its display, and flow control is TCP's own: a server
 busy with one read does not read the next, so the client's sends stall.
@@ -54,7 +53,7 @@ read by read, so ``end`` only flushes the merged run above the CEs'
 watermark, and computes only what the result carries: the verdicts
 without their diagnostic sets, and the three latency ranks from one
 sort.  A multi-variable condition is still decided from the whole runs
-and its displayed alerts once the feed is in.
+and its displayed keys once the feed is in.
 
 A connection's payload graph (updates, keys, windows) lives until
 its reply is out and none of it is cyclic, so the cyclic collector is
@@ -235,7 +234,7 @@ class MonitorService:
 
     async def _run_pipeline(self, reader: asyncio.StreamReader) -> dict[str, Any]:
         from repro.displayers.registry import make_ad
-        from repro.core.evaluator import ConditionEvaluator, alert_from_key
+        from repro.core.evaluator import ConditionEvaluator
         from repro.props.fold import VerdictFold
         from repro.props.report import evaluate_run
 
@@ -272,13 +271,13 @@ class MonitorService:
             if len(condition.variables) == 1
             else None
         )
-        # Filed per raised alert: its key, and as payload what its line
-        # and, on a multi-variable feed, its Alert need.
+        # Filed per raised alert: its key, and as payload its key and what
+        # its line needs.
         merge = StampMerge(algorithm.decide, stamps)
         raised = merge.raised
         lines = merge.result.lines
-        #: Multi-variable feeds: every displayed payload, for the Alerts
-        #: the verdicts are decided on at the end.
+        #: Multi-variable feeds: every displayed key, for the verdicts
+        #: decided at the end.
         displayed: list[tuple] = []
         clock = time.monotonic_ns
         pace = self.pace
@@ -332,11 +331,12 @@ class MonitorService:
                 shown = merge.settle()
                 for _, runs, source in shown:
                     lines.append(canonical_line(condname, source, runs))
+                keys = [payload[0] for payload in shown]
                 if fold is not None:
-                    fold.display([payload[0] for payload in shown])
+                    fold.display(keys)
                     fold.settle()
                 else:
-                    displayed += shown
+                    displayed += keys
             if held < len(payloads):
                 check_end(payloads, held, decoder)
                 break
@@ -350,10 +350,7 @@ class MonitorService:
             report = evaluate_run(
                 condition,
                 tuple(evaluator.received for evaluator in evaluators),
-                [
-                    alert_from_key(key, dict(runs), source)
-                    for key, runs, source in displayed
-                ],
+                displayed,
             )
         tracer = CountersTracer()
         for ce_index in range(replicas):

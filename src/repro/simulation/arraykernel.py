@@ -25,13 +25,18 @@ lists — the struct-of-arrays layout:
   of sends runs as one tight loop, whatever faults are on.
 
 What is *not* here is the CE step or the AD filter: every delivery that
-reaches a live CE is handed to that CE's
-:class:`~repro.core.evaluator.ConditionEvaluator`, the same object the
-object kernel's ``CENode`` wraps, and every alert that reaches the AD is
-offered to the :class:`~repro.displayers.base.ADAlgorithm` its ``ADNode``
-wraps, so the two kernels cannot disagree on history windows, condition
-evaluation, alert construction or filtering — only on scheduling, links,
-faults and membership.
+reaches a live CE is stepped through that CE's
+:class:`~repro.core.evaluator.ConditionEvaluator` — the class the object
+kernel's ``CENode`` wraps — and every alert that reaches the AD is
+decided by the :class:`~repro.displayers.base.ADAlgorithm` its
+``ADNode`` runs, so the two kernels cannot disagree on history windows,
+condition evaluation or filtering — only on scheduling, links, faults
+and membership.  Both run on identity keys: a step returns the raised
+alert's key, a back-link delivery carries ``(ce index, key)`` and the AD
+decides on the key, so a trial builds no
+:class:`~repro.core.alert.Alert`.  The
+:class:`~repro.components.system.RunResult` keeps the key columns and
+builds alerts only for a caller that reads its object views.
 
 Differential oracle contract: for any ``(condition, workload, config,
 seed)`` — including fault-injected and membership-on configs —
@@ -57,7 +62,6 @@ from repro.components.system import (
     Workload,
     planned_surface,
 )
-from repro.core.alert import Alert
 from repro.core.condition import Condition
 from repro.core.evaluator import ConditionEvaluator
 from repro.core.update import Update
@@ -98,14 +102,14 @@ class _Reason:
     """Why the AD just rejected an alert, rendered only if the tracer
     reads it (``str``): most counters are not keyed by reason."""
 
-    __slots__ = ("algorithm", "alert")
+    __slots__ = ("algorithm", "key")
 
-    def __init__(self, algorithm: ADAlgorithm, alert: Alert) -> None:
+    def __init__(self, algorithm: ADAlgorithm, key: tuple) -> None:
         self.algorithm = algorithm
-        self.alert = alert
+        self.key = key
 
     def __str__(self) -> str:
-        return self.algorithm.rejection_reason(self.alert)
+        return self.algorithm.rejection_reason(self.key)
 
 
 class _Trial:
@@ -204,6 +208,8 @@ class _Trial:
             ConditionEvaluator(condition, source=f"CE{i + 1}")
             for i in range(replication)
         ]
+        #: A_i per CE: the identity keys each CE step raised.
+        self.ce_keys: list[list[tuple]] = [[] for _ in range(replication)]
 
         # -- dynamic membership (see repro.membership) --
         self.mem_on = config.membership is not None
@@ -244,19 +250,20 @@ class _Trial:
             self.mem_events = sorted(sched, key=lambda e: (e[0], e[1]))
 
         # -- AD --
-        #: (delivery_time, send order, alert) per back-link send.
-        self.back_events: list[tuple[float, int, Alert]] = []
-        self.ad_arrivals: list[Alert] = []
+        #: (delivery_time, send order, ce index, key) per back-link send.
+        self.back_events: list[tuple[float, int, int, tuple]] = []
+        self.arrival_ces: list[int] = []
         self.ad_times: list[float] = []
+        self.shown: list[int] = []
         self.ad_avail = config.ad_crash_schedule
 
     # -- shared inner steps --------------------------------------------------
 
-    def _send_back(self, ce_idx: int, alert: Alert, now: float) -> None:
-        """Send an alert raised at ``now`` over CE ``ce_idx``'s back link
-        (ReliableLink/StoreAndForward): draw its delivery time, hold it
-        through link outages and AD downtime, clamp it monotone per link,
-        and queue the delivery for phase 3."""
+    def _send_back(self, ce_idx: int, key: tuple, now: float) -> None:
+        """Send the alert ``key`` raised at ``now`` over CE ``ce_idx``'s
+        back link (ReliableLink/StoreAndForward): draw its delivery time,
+        hold it through link outages and AD downtime, clamp it monotone
+        per link, and queue the delivery for phase 3."""
         delay = self.bl_draw[ce_idx]()
         spikes = self.config.back_delay_spikes
         if spikes is not None:
@@ -279,7 +286,8 @@ class _Trial:
             raise SimulationError(
                 f"cannot schedule at {delivery} before current time {now}"
             )
-        self.back_events.append((delivery, len(self.back_events), alert))
+        self.ce_keys[ce_idx].append(key)
+        self.back_events.append((delivery, len(self.back_events), ce_idx, key))
 
     # -- membership lifecycle (mirrors CENode decision for decision) --------
 
@@ -327,7 +335,7 @@ class _Trial:
             update = knowledge[start]
             if update.seqno <= hw.get(update.varname, 0):
                 pending.discard(update.varname)
-        ingest = self.evaluators[ce_idx].ingest
+        step = self.evaluators[ce_idx].step
         for tally, updates in (
             (self.caught_up, knowledge[start:end]),
             (self.replayed, self.mem_buf[ce_idx]),
@@ -337,9 +345,9 @@ class _Trial:
                     continue
                 hw[update.varname] = update.seqno
                 tally[ce_idx] += 1
-                alert = ingest(update)
-                if alert is not None:
-                    self._send_back(ce_idx, alert, now)
+                key = step(update)
+                if key is not None:
+                    self._send_back(ce_idx, key, now)
         self.mem_buf[ce_idx].clear()
 
     # -- result assembly -----------------------------------------------------
@@ -365,11 +373,10 @@ class _Trial:
             # kernel's sorted (time, varname) order.
             sent_log=tuple(self.sent_log),
             received=tuple(e.received for e in self.evaluators),
-            ce_alerts=tuple(e.alerts for e in self.evaluators),
-            ad_arrivals=tuple(self.ad_arrivals),
+            ce_keys=tuple(tuple(keys) for keys in self.ce_keys),
+            arrival_ces=tuple(self.arrival_ces),
             ad_arrival_times=tuple(self.ad_times),
-            displayed=self.algorithm.output,
-            filtered=self.algorithm.discarded,
+            displayed_arrivals=tuple(self.shown),
             missed_while_down=tuple(self.missed),
             dm_suppressed=tuple(self.suppressed),
             caught_up=tuple(self.caught_up) if self.mem_on else (),
@@ -597,7 +604,8 @@ def _run(trial: _Trial, count=None) -> RunResult:
     # Per-link lookup tables: one list index replaces a modulo (and an
     # attribute lookup on the evaluator) in the delivery loop.
     li_ce = [li % replication for li in range(trial.n_links)]
-    li_ingest = [trial.evaluators[ce_idx].ingest for ce_idx in li_ce]
+    li_step = [trial.evaluators[ce_idx].step for ce_idx in li_ce]
+    ce_keys = [keys.append for keys in trial.ce_keys]
     mem_on = trial.mem_on
     for time, _rank, tag, li, update in arrivals:
         if mi < mn and mem_events[mi][0] <= time:
@@ -622,9 +630,10 @@ def _run(trial: _Trial, count=None) -> RunResult:
                 trial.stale[ce_idx] += 1
                 continue  # stale in-flight datagram: catch-up beat it
             trial.hw[ce_idx][update.varname] = update.seqno
-        alert = li_ingest[li](update)
-        if alert is None:
+        key = li_step[li](update)
+        if key is None:
             continue
+        ce_keys[ce_idx](key)
         # -- inline back-link send: _Trial._send_back, the one catch-up
         # replays call, without a method call per live alert ----------
         bdelay = bl_draw[ce_idx]()
@@ -649,27 +658,28 @@ def _run(trial: _Trial, count=None) -> RunResult:
             raise SimulationError(
                 f"cannot schedule at {delivery} before current time {time}"
             )
-        back_append((delivery, len(back_events), alert))
+        back_append((delivery, len(back_events), ce_idx, key))
     if mi < mn:
         fire_mem(float("inf"))
 
-    # Phase 3 — AD deliveries in (time, brank) order, each offered to the
-    # ADAlgorithm object, the same filter the object kernel's AD node runs.
+    # Phase 3 — AD deliveries in (time, brank) order, each key decided by
+    # the ADAlgorithm object, the same filter the object kernel's AD node
+    # runs.
     back_events.sort()
-    ad_arrivals_append = trial.ad_arrivals.append
+    arrival_ces_append = trial.arrival_ces.append
     ad_times_append = trial.ad_times.append
+    shown_append = trial.shown.append
     algorithm = trial.algorithm
-    offer = algorithm.offer
-    shown = 0
-    for time, _brank, alert in back_events:
-        ad_arrivals_append(alert)
+    decide = algorithm.decide
+    for index, (time, _brank, ce_idx, key) in enumerate(back_events):
+        arrival_ces_append(ce_idx)
         ad_times_append(time)
-        if offer(alert):
-            shown += 1
+        if decide(key):
+            shown_append(index)
         elif count is not None:
-            count("ad", "filter", "AD", _Reason(algorithm, alert))
+            count("ad", "filter", "AD", _Reason(algorithm, key))
     if count is not None:
-        count("ad", "display", "AD", n=shown)
+        count("ad", "display", "AD", n=len(trial.shown))
 
     if count is not None:
         readings = len(merged) + sum(trial.suppressed)
@@ -722,7 +732,7 @@ def _count_run(trial: _Trial, count, events: int) -> None:
             count("membership", "replay-buffered", name, n=trial.replayed[ce_idx])
         count("ce", "missed", name, "crashed", crashed)
         count("ce", "update-received", name, n=live[ce_idx] - crashed)
-        raised = len(trial.evaluators[ce_idx].alerts)
+        raised = len(trial.ce_keys[ce_idx])
         count("ce", "alert-raised", name, n=raised)
         # Back links lose nothing: every alert raised is sent and delivered.
         back = f"{name}->AD"
@@ -734,7 +744,7 @@ def _count_run(trial: _Trial, count, events: int) -> None:
         for _time, _order, kind, ce_idx, _event in trial.mem_events:
             count("membership", "catchup-complete" if kind else "rejoin",
                   f"CE{ce_idx + 1}")
-    count("ad", "arrive", "AD", n=len(trial.ad_arrivals))
+    count("ad", "arrive", "AD", n=len(trial.arrival_ces))
 
 
 def run_system_array(

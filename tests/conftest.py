@@ -46,6 +46,11 @@ def snapshot_of(degrees: dict[str, int], updates) -> HistorySnapshot:
     )
 
 
+def keys_of(alerts) -> list[tuple]:
+    """A as the property checkers take it: each alert's identity key."""
+    return [alert.identity() for alert in alerts]
+
+
 def alert_deg1(seqno: int, value: float = 0.0, var: str = "x", cond: str = "c") -> Alert:
     """A degree-1 alert triggered on update ``seqno``."""
     return make_alert(cond, {var: [Update(var, seqno, value)]})

@@ -19,11 +19,12 @@ from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1, c2
 from repro.core.sequences import is_subsequence
 from repro.props.consistency import check_consistency_single
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.simulation.failures import CrashSchedule, random_crash_schedule
 from repro.simulation.network import UniformDelay
 from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import rising_runs
+from tests.conftest import keys_of
 
 
 def chaos_config(seed: int, replication: int = 3, ad_algorithm: str = "AD-1") -> SystemConfig:
@@ -99,8 +100,8 @@ class TestChaosInvariants:
             chaos_config(seed, ad_algorithm="AD-4"),
             seed=seed,
         )
-        assert is_alert_sequence_ordered(list(run.displayed), ["x"])
-        assert check_consistency_single(list(run.displayed), "x")
+        assert check_orderedness(keys_of(run.displayed), ["x"])
+        assert check_consistency_single(keys_of(run.displayed), "x")
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_determinism_under_chaos(self, seed):

@@ -11,8 +11,8 @@ from repro.core.expressions import H
 from repro.core.update import Update, parse_trace
 from repro.displayers import AD3, AD5, AD6, make_ad
 from repro.props.consistency import check_consistency_single
-from repro.props.orderedness import is_alert_sequence_ordered
-from tests.conftest import alert_deg1
+from repro.props.orderedness import check_orderedness
+from tests.conftest import alert_deg1, keys_of
 
 
 def degree3_condition():
@@ -57,7 +57,7 @@ class TestDegree3Conditions:
         ad = AD3("x")
         assert ad.offer(a1) is True
         assert ad.offer(a2) is False
-        assert check_consistency_single(list(ad.output), "x")
+        assert check_consistency_single(keys_of(ad.output), "x")
 
     def test_inconsistency_checker_deg3(self):
         cond = degree3_condition()
@@ -66,7 +66,7 @@ class TestDegree3Conditions:
         ce2 = ConditionEvaluator(cond, "CE2")
         ce2.ingest_all(parse_trace("3x(2), 4x(2.5), 6x(3.5)"))
         both = list(ce1.alerts) + list(ce2.alerts)
-        assert not check_consistency_single(both, "x")
+        assert not check_consistency_single(keys_of(both), "x")
 
     def test_system_run_deg3_ad4_guarantees(self):
         cond = degree3_condition()
@@ -107,9 +107,7 @@ class TestThreeVariableSystems:
         config = SystemConfig(replication=2, ad_algorithm="AD-5", front_loss=0.2)
         for seed in range(8):
             run = run_system(cond, self.WORKLOAD, config, seed=seed)
-            assert is_alert_sequence_ordered(
-                list(run.displayed), ["x", "y", "z"]
-            )
+            assert check_orderedness(run.displayed_keys, ["x", "y", "z"])
 
     def test_ad6_three_variables_consistent(self):
         from repro.props.consistency import check_consistency_multi
@@ -119,7 +117,7 @@ class TestThreeVariableSystems:
         for seed in range(8):
             run = run_system(cond, self.WORKLOAD, config, seed=seed)
             assert check_consistency_multi(
-                list(run.displayed), ["x", "y", "z"]
+                keys_of(run.displayed), ["x", "y", "z"]
             )
 
     def test_registry_builds_three_var_algorithms(self):
@@ -138,7 +136,7 @@ class TestThreeVariableSystems:
         violations = 0
         for seed in range(30):
             run = run_system(cond, self.WORKLOAD, config, seed=seed)
-            if not check_consistency_multi(list(run.displayed), ["x", "y", "z"]):
+            if not check_consistency_multi(keys_of(run.displayed), ["x", "y", "z"]):
                 violations += 1
         assert violations > 0
 

@@ -28,7 +28,8 @@ from repro.props.statespace import (
     two_variable_alphabet,
     verify_invariant_exhaustively,
 )
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
+from tests.conftest import keys_of
 
 
 class AD2NonStrict(AD2):
@@ -142,7 +143,7 @@ class TestMutantsCaughtExhaustively:
             lambda: AD5OneVariableOnly(("x", "y")),
             two_variable_alphabet(max_seqno=3),
             max_length=2,
-            invariant=lambda d: is_alert_sequence_ordered(list(d), ["x", "y"]),
+            invariant=lambda d: check_orderedness(keys_of(d), ["x", "y"]),
         )
         assert not result.holds
 
@@ -239,7 +240,7 @@ class TestCheckerFirstLayerMutantsCaught:
 
         def disagrees(condition, per_var, displayed):
             return candidate(
-                displayed, condition, per_var
+                keys_of(displayed), condition, per_var
             ) != check_completeness_multi_enumerated(displayed, condition, per_var)
 
         return disagrees
@@ -249,7 +250,7 @@ class TestCheckerFirstLayerMutantsCaught:
         from tests.conftest import check_consistency_bruteforce
 
         def disagrees(condition, per_var, displayed):
-            return bool(candidate(displayed, ["x", "y"])) != bool(
+            return bool(candidate(keys_of(displayed), ["x", "y"])) != bool(
                 check_consistency_bruteforce(displayed, condition, per_var)
             )
 
@@ -265,7 +266,7 @@ class TestCheckerFirstLayerMutantsCaught:
 
         def disagrees(condition, merged, displayed):
             return candidate(
-                displayed, condition, merged
+                keys_of(displayed), condition, merged
             ) != completeness_single_by_rerunning_T(displayed, condition, merged)
 
         return disagrees, lossy_single_variable_runs()
@@ -390,8 +391,8 @@ class TestCheckerFirstLayerMutantsCaught:
 
         mutant = _mutant(
             check_completeness_single,
-            "if alert.condname != condname or histories.variables != variables:",
-            "if histories.variables != variables:",
+            "if key[0] != condname or len(histories) != 1",
+            "if len(histories) != 1",
         )
         assert _killed_by_crossvalidation(*self.single_completeness(mutant))
 

@@ -15,7 +15,7 @@ from repro.props.consistency import (
     check_consistency_multi,
     check_consistency_single,
 )
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.workloads.traces import (
     example_1,
     example_2,
@@ -25,6 +25,7 @@ from repro.workloads.traces import (
     theorem_3_example,
     theorem_4_example,
 )
+from tests.conftest import keys_of
 
 
 class TestExample1:
@@ -45,9 +46,10 @@ class TestExample1:
     def test_duplicate_is_the_filtered_one(self):
         ex = example_1()
         ad = AD1()
-        ad.offer_all(ex.arrivals([0, 1, 0]))
-        assert len(ad.discarded) == 1
-        assert ad.discarded[0].seqno("x") == 3
+        arrivals = ex.arrivals([0, 1, 0])
+        filtered = [a for a in arrivals if not ad.offer(a)]
+        assert len(filtered) == 1
+        assert filtered[0].seqno("x") == 3
 
 
 class TestExample2:
@@ -62,7 +64,7 @@ class TestExample2:
         ex = example_2()
         displayed = ex.display(AD2("x"), [1, 0])
         merged = merge_single_variable(ex.traces[0], ex.traces[1])
-        result = check_completeness_single(displayed, ex.condition, merged)
+        result = check_completeness_single(keys_of(displayed), ex.condition, merged)
         assert not result
         assert len(result.missing) == 1  # T(U1 ⊔ U2) has two alerts
 
@@ -70,7 +72,7 @@ class TestExample2:
         ex = example_2()
         displayed = ex.display(AD1(), [1, 0])
         merged = merge_single_variable(ex.traces[0], ex.traces[1])
-        assert check_completeness_single(displayed, ex.condition, merged)
+        assert check_completeness_single(keys_of(displayed), ex.condition, merged)
 
 
 class TestExample3:
@@ -88,11 +90,11 @@ class TestExample3:
         _, a1, a2 = example_3_alerts()
         ad = AD3("x")
         ad.offer_all([a1, a2])
-        assert check_consistency_single(list(ad.output), "x")
+        assert check_consistency_single(keys_of(ad.output), "x")
 
     def test_both_alerts_would_be_inconsistent(self):
         _, a1, a2 = example_3_alerts()
-        assert not check_consistency_single([a1, a2], "x")
+        assert not check_consistency_single(keys_of([a1, a2]), "x")
 
 
 class TestTheorem3Example:
@@ -114,18 +116,18 @@ class TestTheorem3Example:
         ex = theorem_3_example()
         displayed = ex.display(AD1(), [0, 1])
         merged = merge_single_variable(ex.traces[0], ex.traces[1])
-        assert not check_completeness_single(displayed, ex.condition, merged)
+        assert not check_completeness_single(keys_of(displayed), ex.condition, merged)
 
     def test_unordered_interleaving_exists(self):
         ex = theorem_3_example()
         displayed = ex.display(AD1(), [1, 0])  # a(4) before a(2)
-        assert not is_alert_sequence_ordered(displayed, ["x"])
+        assert not check_orderedness(keys_of(displayed), ["x"])
 
     def test_consistent_regardless_of_interleaving(self):
         ex = theorem_3_example()
         for order in ([0, 1], [1, 0]):
             displayed = ex.display(AD1(), order)
-            assert check_consistency_single(displayed, "x")
+            assert check_consistency_single(keys_of(displayed), "x")
 
 
 class TestTheorem4Example:
@@ -140,13 +142,13 @@ class TestTheorem4Example:
         ex = theorem_4_example()
         for order in ([0, 1], [1, 0]):
             displayed = ex.display(AD1(), order)
-            assert not check_consistency_single(displayed, "x")
+            assert not check_consistency_single(keys_of(displayed), "x")
 
     def test_ad3_restores_consistency(self):
         ex = theorem_4_example()
         for order in ([0, 1], [1, 0]):
             displayed = ex.display(AD3("x"), order)
-            assert check_consistency_single(displayed, "x")
+            assert check_consistency_single(keys_of(displayed), "x")
             assert len(displayed) == 1  # one of the two is filtered
 
 
@@ -162,20 +164,20 @@ class TestTheorem10Example:
     def test_unordered(self):
         ex = theorem_10_example()
         displayed = ex.display(AD1(), [0, 1])
-        assert not is_alert_sequence_ordered(displayed, ["x", "y"])
+        assert not check_orderedness(keys_of(displayed), ["x", "y"])
 
     def test_inconsistent(self):
         ex = theorem_10_example()
         for order in ([0, 1], [1, 0]):
             displayed = ex.display(AD1(), order)
-            assert not check_consistency_multi(displayed, ["x", "y"])
+            assert not check_consistency_multi(keys_of(displayed), ["x", "y"])
 
     def test_ad5_restores_order_and_consistency(self):
         ex = theorem_10_example()
         for order in ([0, 1], [1, 0]):
             displayed = ex.display(AD5(("x", "y")), order)
-            assert is_alert_sequence_ordered(displayed, ["x", "y"])
-            assert check_consistency_multi(displayed, ["x", "y"])
+            assert check_orderedness(keys_of(displayed), ["x", "y"])
+            assert check_consistency_multi(keys_of(displayed), ["x", "y"])
             assert len(displayed) == 1
 
 
@@ -196,7 +198,7 @@ class TestLemma6Example:
         ex = lemma_6_example()
         displayed = ex.display(AD5(("x", "y")), [0, 1])
         per_var = combine_received(ex.traces, ("x", "y"))
-        result = check_completeness_multi(displayed, ex.condition, per_var)
+        result = check_completeness_multi(keys_of(displayed), ex.condition, per_var)
         assert not result
         # Every interleaving disagrees with the displayed pair somewhere.
         assert result.missing or result.extraneous
@@ -219,4 +221,4 @@ class TestLemma6Example:
         # Incompleteness here is NOT a consistency violation.
         ex = lemma_6_example()
         displayed = ex.display(AD5(("x", "y")), [0, 1])
-        assert check_consistency_multi(displayed, ["x", "y"])
+        assert check_consistency_multi(keys_of(displayed), ["x", "y"])

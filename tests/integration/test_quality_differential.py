@@ -22,7 +22,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
 from benchmarks.min_witnesses import RESULT_PATH  # noqa: E402
 
-from repro.core.alert import alert_event_key  # noqa: E402
+from repro.core.alert import identity_event_key  # noqa: E402
 from repro.core.evaluator import ConditionEvaluator  # noqa: E402
 from repro.engine.spec import TrialSpec  # noqa: E402
 from repro.quality.metrics import alert_quality  # noqa: E402
@@ -49,11 +49,12 @@ def brute_force_quality(run) -> dict:
     for _, update in run.sent_log:
         alert = ideal.ingest(update)
         if alert is not None:
-            key = alert_event_key(alert, variables)
+            key = identity_event_key(alert.identity(), variables)
             if key not in expected_keys:
                 expected_keys.append(key)
     displayed_keys = [
-        alert_event_key(alert, variables) for alert in run.displayed
+        identity_event_key(alert.identity(), variables)
+        for alert in run.displayed
     ]
     detected = sum(1 for key in expected_keys if key in displayed_keys)
     duplicates = sum(

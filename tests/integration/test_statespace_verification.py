@@ -15,12 +15,13 @@ from repro.analysis.experiments import (
 )
 from repro.displayers import AD1, AD2, AD3, AD4, AD5, AD6
 from repro.props.consistency import check_consistency_multi
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.props.statespace import (
     degree2_alphabet,
     two_variable_alphabet,
     verify_invariant_exhaustively,
 )
+from tests.conftest import keys_of
 
 
 class TestSingleVariableGuarantees:
@@ -90,7 +91,7 @@ class TestMultiVariableGuarantees:
             lambda: AD5(("x", "y")),
             self.ALPHABET,
             max_length=4,
-            invariant=lambda d: is_alert_sequence_ordered(list(d), ["x", "y"]),
+            invariant=lambda d: check_orderedness(keys_of(d), ["x", "y"]),
         )
         assert result.holds, result.violation
         assert result.streams_checked == 9**4
@@ -101,8 +102,8 @@ class TestMultiVariableGuarantees:
             self.ALPHABET,
             max_length=4,
             invariant=lambda d: (
-                is_alert_sequence_ordered(list(d), ["x", "y"])
-                and bool(check_consistency_multi(list(d), ["x", "y"]))
+                check_orderedness(keys_of(d), ["x", "y"])
+                and check_consistency_multi(keys_of(d), ["x", "y"])
             ),
         )
         assert result.holds, result.violation
@@ -114,7 +115,7 @@ class TestMultiVariableGuarantees:
             self.ALPHABET,
             max_length=2,
             invariant=lambda d: bool(
-                check_consistency_multi(list(d), ["x", "y"])
+                check_consistency_multi(keys_of(d), ["x", "y"])
             ),
         )
         assert not result.holds

@@ -62,6 +62,7 @@ from tests.conftest import (
     check_completeness_multi_enumerated,
     check_consistency_bruteforce,
     interleavings,
+    keys_of,
 )
 
 
@@ -94,7 +95,7 @@ def test_single_checker_matches_oracle(run, rng):
     # A random displayed subset (what some AD might have passed through):
     displayed = [a for a in alerts if rng.random() < 0.8]
     per_var = combine_received([u1, u2], ["x"])
-    fast = bool(check_consistency_single(displayed, "x"))
+    fast = bool(check_consistency_single(keys_of(displayed), "x"))
     oracle = bool(
         check_consistency_bruteforce(displayed, condition, per_var)
     )
@@ -127,7 +128,7 @@ def test_multi_checker_matches_oracle_nonhistorical(run, rng):
     rng.shuffle(alerts)
     displayed = [a for a in alerts if rng.random() < 0.8]
     per_var = {"x": xs, "y": ys}
-    fast = bool(check_consistency_multi(displayed, ["x", "y"]))
+    fast = bool(check_consistency_multi(keys_of(displayed), ["x", "y"]))
     oracle = bool(
         check_consistency_bruteforce(displayed, condition, per_var)
     )
@@ -220,7 +221,7 @@ def test_multi_checker_matches_oracle_historical(run, rng):
     rng.shuffle(alerts)
     displayed = [a for a in alerts if rng.random() < 0.8]
     per_var = {"x": xs, "y": ys}
-    fast = bool(check_consistency_multi(displayed, ["x", "y"]))
+    fast = bool(check_consistency_multi(keys_of(displayed), ["x", "y"]))
     oracle = bool(
         check_consistency_bruteforce(displayed, condition, per_var)
     )
@@ -278,7 +279,7 @@ def test_two_layer_completeness_equals_the_enumeration_oracle(case):
     """Verdict, ``missing`` and ``extraneous`` — the whole dataclass."""
     condition, per_var, displayed = case
     assert check_completeness_multi(
-        displayed, condition, per_var
+        keys_of(displayed), condition, per_var
     ) == check_completeness_multi_enumerated(displayed, condition, per_var)
 
 
@@ -286,7 +287,7 @@ def test_two_layer_completeness_equals_the_enumeration_oracle(case):
 @given(lossy_two_variable_runs())
 def test_two_layer_consistency_matches_the_bruteforce_oracle(case):
     condition, per_var, displayed = case
-    fast = check_consistency_multi(displayed, ["x", "y"])
+    fast = check_consistency_multi(keys_of(displayed), ["x", "y"])
     oracle = check_consistency_bruteforce(displayed, condition, per_var)
     assert bool(fast) == bool(oracle)
 
@@ -305,7 +306,7 @@ def test_completeness_without_a_compiled_closure(run, rng):
     displayed = [a for a in alerts if rng.random() < 0.8]
     per_var = {"x": xs, "y": ys}
     assert check_completeness_multi(
-        displayed, condition, per_var
+        keys_of(displayed), condition, per_var
     ) == check_completeness_multi_enumerated(displayed, condition, per_var)
 
 
@@ -420,7 +421,7 @@ def test_window_completeness_equals_rerunning_T(case):
     """Verdict, ``missing`` and ``extraneous`` — the whole dataclass."""
     condition, merged, displayed = case
     assert check_completeness_single(
-        displayed, condition, merged
+        keys_of(displayed), condition, merged
     ) == completeness_single_by_rerunning_T(displayed, condition, merged)
 
 
@@ -432,7 +433,7 @@ def test_single_consistency_equals_the_spanning_set_form(case):
     _, _, displayed = case
     displayed = [a for a in displayed if "x" in a.histories]
     assert check_consistency_single(
-        displayed, "x"
+        keys_of(displayed), "x"
     ) == consistency_single_by_spanning_sets(displayed, "x")
 
 
@@ -452,4 +453,4 @@ def test_window_completeness_rejects_a_repeated_seqno(case, data):
     with pytest.raises(ValueError):
         completeness_single_by_rerunning_T(displayed, condition, merged)
     with pytest.raises(ValueError):
-        check_completeness_single(displayed, condition, merged)
+        check_completeness_single(keys_of(displayed), condition, merged)

@@ -148,9 +148,9 @@ def _assert_decisions_agree(condition, stream):
             decided = keyed.decide(alert.identity())
             assert decided == offered.offer(alert), name
             if not decided:
-                assert keyed.rejection_reason(alert) == offered.rejection_reason(
-                    alert
-                ), name
+                assert keyed.rejection_reason(
+                    alert.identity()
+                ) == offered.rejection_reason(alert.identity()), name
 
 
 @given(st.data())

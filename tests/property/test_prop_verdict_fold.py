@@ -34,6 +34,7 @@ from repro.core.expressions import H
 from repro.core.update import Update
 from repro.props.fold import VerdictFold
 from repro.props.report import evaluate_run
+from tests.conftest import keys_of
 
 
 def _seqno_parity(h):
@@ -112,7 +113,7 @@ def test_the_fold_ends_where_evaluate_run_does(run, data):
         else:
             fold.settle()
     report = fold.report()
-    expected = evaluate_run(condition, traces, displayed)
+    expected = evaluate_run(condition, traces, keys_of(displayed))
     assert report == expected
     assert report.summary == expected.summary
 

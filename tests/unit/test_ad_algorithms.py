@@ -29,8 +29,8 @@ class TestBaseProtocol:
     def test_output_and_discarded_partition_arrivals(self):
         ad = AD1()
         arrivals = [alert_deg1(1), alert_deg1(1), alert_deg1(2)]
-        ad.offer_all(arrivals)
-        assert len(ad.output) + len(ad.discarded) == 3
+        assert [ad.offer(a) for a in arrivals] == [True, False, True]
+        assert ad.output == (arrivals[0], arrivals[2])
 
     def test_fresh_does_not_share_state(self):
         ad = AD2("x")

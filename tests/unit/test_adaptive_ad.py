@@ -3,7 +3,7 @@ window policy, the recall guard, and decision determinism."""
 
 import pytest
 
-from repro.core.alert import alert_event_key
+from repro.core.alert import identity_event_key
 from repro.displayers import AD1, AdaptiveAD
 from repro.displayers.registry import make_ad
 from tests.conftest import alert_deg1, alert_deg2, alert_xy
@@ -87,7 +87,7 @@ class TestRecallGuard:
         ad = AdaptiveAD(("x",))
         assert ad.offer(alert_deg1(1))
         assert not ad.offer(alert_deg1(1))
-        assert ad.rejection_reason(alert_deg1(1)).startswith(
+        assert ad.rejection_reason(alert_deg1(1).identity()).startswith(
             "duplicate: history set of"
         )
 
@@ -104,7 +104,7 @@ class TestRecallGuard:
         ad1.offer_all(list(stream))
 
         def keys(displayed):
-            return {alert_event_key(a, ("x",)) for a in displayed}
+            return {identity_event_key(a.identity(), ("x",)) for a in displayed}
 
         arriving = keys(stream)
         assert keys(adaptive.output) == keys(ad1.output) == arriving
@@ -118,15 +118,15 @@ class TestRecallGuard:
         # deciding constituent's reason cached at decision time.
         stale = alert_deg2(10, 8)
         assert not ad.offer(stale)
-        reason = ad.rejection_reason(stale)
+        reason = ad.rejection_reason(stale.identity())
         assert reason.startswith("seqno regression")
-        assert ad.rejection_reason(stale) == reason  # stable, no mutation
+        assert ad.rejection_reason(stale.identity()) == reason  # stable, no mutation
 
     def test_conservation(self):
         stream = [alert_deg1(s) for s in (1, 1, 2, 3, 2, 4, 4, 5)]
         ad = AdaptiveAD(("x",), window=4)
-        ad.offer_all(stream)
-        assert len(ad.output) + len(ad.discarded) == len(stream)
+        decisions = [ad.offer(a) for a in stream]
+        assert list(ad.output) == [a for a, shown in zip(stream, decisions) if shown]
 
 
 class TestDeterminism:
@@ -138,10 +138,8 @@ class TestDeterminism:
         ] * 4
         a = AdaptiveAD(("x",), policy_seed=13, window=5)
         b = AdaptiveAD(("x",), policy_seed=13, window=5)
-        a.offer_all(stream)
-        b.offer_all(list(stream))
+        assert [a.offer(x) for x in stream] == [b.offer(x) for x in list(stream)]
         assert a.output == b.output
-        assert a.discarded == b.discarded
         assert a.switch_log == b.switch_log
 
     def test_fresh_replays_identically(self):

@@ -4,7 +4,6 @@ from repro.core.alert import (
     Alert,
     alert_identity_set,
     make_alert,
-    project_alert_seqnos,
 )
 from repro.core.update import Update
 
@@ -61,10 +60,3 @@ class TestHelpers:
     def test_alert_identity_set(self):
         alerts = [deg2(3, 1), deg2(3, 1), deg2(4, 3)]
         assert len(alert_identity_set(alerts)) == 2
-
-    def test_project_alert_seqnos(self):
-        alerts = [deg2(2, 1), deg2(5, 2), deg2(3, 2)]
-        assert project_alert_seqnos(alerts, "x") == [2, 5, 3]
-
-    def test_project_empty(self):
-        assert project_alert_seqnos([], "x") == []

@@ -96,10 +96,12 @@ def test_replication_one_and_three():
 
 @pytest.mark.parametrize("name", ["AD-5", "pass"])
 def test_caller_supplied_algorithm_runs_like_a_kernel_built_one(name):
-    """Both kernels offer every arrival to the ADAlgorithm object, so an
-    instance the caller supplies and one the kernel builds from the config
-    give field-identical runs on either kernel — and the caller's instance
-    ends in the state the object kernel leaves it in."""
+    """Both kernels decide every arrival's key on the ADAlgorithm object,
+    so an instance the caller supplies and one the kernel builds from the
+    config give field-identical runs on either kernel — and the caller's
+    instance ends in the decision state the object kernel leaves it in.
+    Neither fills its ``output``: only ``offer`` keeps alerts, and the
+    run's displayed sequence is ``RunResult.displayed``."""
     condition = cm()
     workload = _workload(5, n=10, variables=("x", "y"))
     config = SystemConfig(replication=2, front_loss=0.3, ad_algorithm=name)
@@ -123,6 +125,7 @@ def test_caller_supplied_algorithm_runs_like_a_kernel_built_one(name):
     assert bool(runs[0].filtered) == (name == "AD-5")
     object_algorithm, array_algorithm = supplied
     assert vars(array_algorithm) == vars(object_algorithm)
+    assert object_algorithm.output == array_algorithm.output == ()
 
 
 def _churn_config():
@@ -138,15 +141,15 @@ def _churn_config():
 def test_every_ce_step_is_one_evaluator_ingest(monkeypatch):
     """The array kernel has no CE step of its own: whatever a CE
     incorporates — live deliveries and catch-up replay alike — went through
-    ``ConditionEvaluator.ingest`` exactly once, whether the condition
-    renders to a lambda or not, and the run still equals the object
-    kernel's."""
+    ``ConditionEvaluator.step`` (which the object kernel's ``ingest``
+    wraps) exactly once, whether the condition renders to a lambda or
+    not, and the run still equals the object kernel's."""
     ingested = []
-    ingest = ConditionEvaluator.ingest
+    step = ConditionEvaluator.step
 
     def counting(self, update):
         ingested.append(update)
-        return ingest(self, update)
+        return step(self, update)
 
     opaque = PredicateCondition(
         "hot", {"x": 1}, lambda h: h["x"][0].value > 1050.0
@@ -158,7 +161,7 @@ def test_every_ce_step_is_one_evaluator_ingest(monkeypatch):
     for condition in (c2(), opaque):
         for make_config in (lossy, _churn_config):
             with monkeypatch.context() as patch:
-                patch.setattr(ConditionEvaluator, "ingest", counting)
+                patch.setattr(ConditionEvaluator, "step", counting)
                 del ingested[:]
                 array_run = run_system(
                     condition, _workload(7), make_config(), seed=7,

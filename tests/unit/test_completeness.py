@@ -23,6 +23,7 @@ from tests.conftest import (
     alert_xy,
     check_completeness_multi_enumerated,
     is_interleaving_of,
+    keys_of,
 )
 
 
@@ -35,7 +36,7 @@ class TestSingleVariable:
         # AD-1 union of A1 and A2 (deduplicated) = alerts at 2 and 3.
         a1 = ConditionEvaluator(condition).ingest_all(u1)
         displayed = a1  # a2's single alert is a duplicate of a1's second
-        assert check_completeness_single(displayed, condition, merged)
+        assert check_completeness_single(keys_of(displayed), condition, merged)
 
     def test_missing_alert_detected(self):
         condition = c1()
@@ -43,7 +44,7 @@ class TestSingleVariable:
         u2 = parse_trace("2x(3200)")
         merged = merge_single_variable(u1, u2)
         a2 = ConditionEvaluator(condition).ingest_all(u2)
-        result = check_completeness_single(a2, condition, merged)
+        result = check_completeness_single(keys_of(a2), condition, merged)
         assert not result
         assert len(result.missing) == 1
         assert not result.extraneous
@@ -56,7 +57,7 @@ class TestSingleVariable:
         merged = merge_single_variable(u1, u2)
         a1 = ConditionEvaluator(condition).ingest_all(u1)
         a2 = ConditionEvaluator(condition).ingest_all(u2)
-        result = check_completeness_single(a1 + a2, condition, merged)
+        result = check_completeness_single(keys_of(a1 + a2), condition, merged)
         assert not result
         # a(4x,3x) IS produced by T on merged input (3,4 consecutive), but
         # a(3x,2x) is missing from the displayed set.
@@ -77,7 +78,7 @@ class TestMultiVariable:
         ]
         per_var = combine_received(example.traces, ("x", "y"))
         result = check_completeness_multi(
-            displayed, example.condition, per_var
+            keys_of(displayed), example.condition, per_var
         )
         assert not result
 
@@ -90,7 +91,9 @@ class TestMultiVariable:
             "x": [u for u in example.traces[0] if u.varname == "x"],
             "y": [u for u in example.traces[0] if u.varname == "y"],
         }
-        result = check_completeness_multi(displayed, example.condition, per_var)
+        result = check_completeness_multi(
+            keys_of(displayed), example.condition, per_var
+        )
         assert result
         assert result.witness_interleaving is not None
 
@@ -119,7 +122,7 @@ class TestMultiVariable:
             list(example.alert_streams[0]),
         ):
             dfs = check_completeness_multi(
-                displayed, example.condition, per_var
+                keys_of(displayed), example.condition, per_var
             )
             enum = check_completeness_multi_enumerated(
                 displayed, example.condition, per_var
@@ -135,7 +138,9 @@ class TestGridLayers:
 
     @staticmethod
     def both(displayed, condition, per_var, **kwargs):
-        result = check_completeness_multi(displayed, condition, per_var, **kwargs)
+        result = check_completeness_multi(
+            keys_of(displayed), condition, per_var, **kwargs
+        )
         assert result == check_completeness_multi_enumerated(
             displayed, condition, per_var
         )
@@ -228,7 +233,7 @@ class TestDispatch:
         u2 = parse_trace("2x(3200)")
         a1 = ConditionEvaluator(condition).ingest_all(u1)
         a2 = ConditionEvaluator(condition).ingest_all(u2)
-        assert evaluate_run(condition, [u1, u2], a1 + a2).complete
+        assert evaluate_run(condition, [u1, u2], keys_of(a1 + a2)).complete
 
     def test_multi_variable_dispatch(self):
         example = lemma_6_example()
@@ -237,7 +242,7 @@ class TestDispatch:
             example.alert_streams[1][0],
         ]
         assert not evaluate_run(
-            example.condition, list(example.traces), displayed
+            example.condition, list(example.traces), keys_of(displayed)
         ).complete
 
 
@@ -297,7 +302,7 @@ class TestDeferredDiagnosis:
         # It lives on in a report; the fold's is its twin.
         condition, (u1, u2), alerts = self.theorem_3()
         batch = check_completeness_single(
-            alerts, condition, merge_single_variable(u1, u2)
+            keys_of(alerts), condition, merge_single_variable(u1, u2)
         )
         assert "_diagnose" not in vars(batch)
         assert batch == self.folded(condition, (u1, u2), alerts)

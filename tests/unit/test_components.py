@@ -114,7 +114,7 @@ class TestADNode:
         kernel.run()
         assert len(ad.arrivals) == 2
         assert len(ad.displayed) == 2
-        assert ad.filtered == ()
+        assert ad.shown == (0, 1)  # nothing filtered
 
     def test_rejects_non_alert_messages(self):
         kernel = Kernel()

@@ -22,7 +22,7 @@ from repro.core.history import HistorySnapshot
 from repro.core.reference import apply_T
 from repro.core.update import Update, parse_trace
 from repro.props.completeness import check_completeness_multi
-from tests.conftest import snapshot_of
+from tests.conftest import keys_of, snapshot_of
 
 
 def feed(condition, pairs, var="x"):
@@ -195,7 +195,7 @@ class TestPredicateCondition:
         assert [a.histories.seqnos("x") for a in live] == [(3, 2, 1)]
         assert apply_T(cond, stream) == live
         assert cond.evaluate(live[0].histories)
-        assert check_completeness_multi(live, cond, {"x": stream}).complete
+        assert check_completeness_multi(keys_of(live), cond, {"x": stream}).complete
         assert set(seen) == {1, 2}  # the windows ⟨3,2,1⟩ and ⟨4,3,2⟩ only
 
 

@@ -16,6 +16,7 @@ from tests.conftest import (
     alert_deg2,
     alert_xy,
     check_consistency_bruteforce,
+    keys_of,
 )
 
 
@@ -25,44 +26,44 @@ class TestSingleVariable:
 
     def test_non_historical_any_order_consistent(self):
         alerts = [alert_deg1(3), alert_deg1(1), alert_deg1(2)]
-        assert check_consistency_single(alerts, "x")
+        assert check_consistency_single(keys_of(alerts), "x")
 
     def test_theorem_4_conflict(self):
         # alert(2x,1x) requires 2 received; alert(3x,1x) requires 2 missed.
         alerts = [alert_deg2(2, 1), alert_deg2(3, 1)]
-        result = check_consistency_single(alerts, "x")
+        result = check_consistency_single(keys_of(alerts), "x")
         assert not result
         assert "2" in result.conflict
 
     def test_conflict_order_independent(self):
         alerts = [alert_deg2(3, 1), alert_deg2(2, 1)]
-        assert not check_consistency_single(alerts, "x")
+        assert not check_consistency_single(keys_of(alerts), "x")
 
     def test_compatible_gapped_alerts(self):
         # Both require 2 missed: no conflict.
         alerts = [alert_deg2(3, 1), alert_deg2(4, 3)]
-        assert check_consistency_single(alerts, "x")
+        assert check_consistency_single(keys_of(alerts), "x")
 
     def test_witness_received_set(self):
         alerts = [alert_deg2(3, 1)]
-        result = check_consistency_single(alerts, "x")
+        result = check_consistency_single(keys_of(alerts), "x")
         assert result.witness_received == frozenset({1, 3})
 
     def test_conservative_histories_never_conflict(self):
         # Consecutive histories have no gaps -> Missed stays empty.
         alerts = [alert_deg2(2, 1), alert_deg2(4, 3), alert_deg2(3, 2)]
-        assert check_consistency_single(alerts, "x")
+        assert check_consistency_single(keys_of(alerts), "x")
 
     def test_variable_inferred_from_alert(self):
-        assert check_consistency_single([alert_deg1(1)])
+        assert check_consistency_single(keys_of([alert_deg1(1)]))
 
     def test_multi_variable_alert_needs_explicit_variable(self):
         with pytest.raises(ValueError):
-            check_consistency_single([alert_xy(1, 1)])
+            check_consistency_single(keys_of([alert_xy(1, 1)]))
 
     def test_duplicates_are_consistent(self):
         alerts = [alert_deg2(3, 1), alert_deg2(3, 1)]
-        assert check_consistency_single(alerts, "x")
+        assert check_consistency_single(keys_of(alerts), "x")
 
 
 class TestMultiVariable:
@@ -72,22 +73,22 @@ class TestMultiVariable:
     def test_theorem_10_cycle(self):
         # a(2x,1y) and a(1x,2y) cannot coexist.
         alerts = [alert_xy(2, 1), alert_xy(1, 2)]
-        result = check_consistency_multi(alerts, ["x", "y"])
+        result = check_consistency_multi(keys_of(alerts), ["x", "y"])
         assert not result
         assert "cycle" in result.conflict
 
     def test_single_alert_consistent(self):
-        assert check_consistency_multi([alert_xy(2, 1)], ["x", "y"])
+        assert check_consistency_multi(keys_of([alert_xy(2, 1)]), ["x", "y"])
 
     def test_monotone_alerts_consistent(self):
         alerts = [alert_xy(1, 1), alert_xy(2, 1), alert_xy(2, 2)]
-        assert check_consistency_multi(alerts, ["x", "y"])
+        assert check_consistency_multi(keys_of(alerts), ["x", "y"])
 
     def test_lemma6_pair_consistent_but_incomplete(self):
         # (8x,2y) and (8x,4y) ARE consistent (drop 3y's forced alert is a
         # completeness problem, not consistency).
         alerts = [alert_xy(8, 2), alert_xy(8, 4)]
-        assert check_consistency_multi(alerts, ["x", "y"])
+        assert check_consistency_multi(keys_of(alerts), ["x", "y"])
 
     def test_membership_conflict_detected(self):
         from repro.core.alert import make_alert
@@ -101,10 +102,10 @@ class TestMultiVariable:
             "c",
             {"x": [Update("x", 2), Update("x", 1)], "y": [Update("y", 1)]},
         )
-        assert not check_consistency_multi([gap, needs2], ["x", "y"])
+        assert not check_consistency_multi(keys_of([gap, needs2]), ["x", "y"])
 
     def test_witness_on_success(self):
-        result = check_consistency_multi([alert_xy(1, 1)], ["x", "y"])
+        result = check_consistency_multi(keys_of([alert_xy(1, 1)]), ["x", "y"])
         assert ("x", 1) in result.witness_received
         assert ("y", 1) in result.witness_received
 
@@ -146,7 +147,7 @@ class TestTwoLayers:
     def test_ordered_A_is_consistent_without_the_graph(self, no_graph):
         # Π_x A = ⟨1,2,2⟩ and Π_y A = ⟨1,1,2⟩ are both non-decreasing.
         alerts = [alert_xy(1, 1), alert_xy(2, 1), alert_xy(2, 2)]
-        result = check_consistency_multi(alerts, ["x", "y"])
+        result = check_consistency_multi(keys_of(alerts), ["x", "y"])
         assert result
         assert result.witness_received == frozenset(
             {("x", 1), ("x", 2), ("y", 1), ("y", 2)}
@@ -155,7 +156,7 @@ class TestTwoLayers:
     def test_ordered_historical_A_without_the_graph(self, no_graph):
         # a(3x,1x; 1y), a(4x,3x; 2y): both want 2x missed — no conflict.
         alerts = [alert_x2y(3, 1, 1), alert_x2y(4, 3, 2)]
-        result = check_consistency_multi(alerts, ["x", "y"])
+        result = check_consistency_multi(keys_of(alerts), ["x", "y"])
         assert result
         assert result.witness_received == frozenset(
             {("x", 1), ("x", 3), ("x", 4), ("y", 1), ("y", 2)}
@@ -165,7 +166,7 @@ class TestTwoLayers:
         # Ordered (x-heads ⟨2,3⟩), but a(2x,1x) needs 2x received and
         # a(3x,1x) needs it missed: Theorem 7's conflict, per variable.
         alerts = [alert_x2y(2, 1, 1), alert_x2y(3, 1, 1)]
-        result = check_consistency_multi(alerts, ["x", "y"])
+        result = check_consistency_multi(keys_of(alerts), ["x", "y"])
         assert not result
         assert result.conflict == (
             "update 2x is required received by one alert "
@@ -175,18 +176,18 @@ class TestTwoLayers:
     def test_unordered_acyclic_A_is_decided_by_the_graph(self, graph_calls):
         # Π_x A = ⟨2,1⟩ is not ordered, yet ⟨1x,1y,2x,2y⟩ explains both.
         alerts = [alert_xy(2, 2), alert_xy(1, 1)]
-        assert check_consistency_multi(alerts, ["x", "y"])
+        assert check_consistency_multi(keys_of(alerts), ["x", "y"])
         assert len(graph_calls) == 1
 
     def test_unordered_cyclic_A_reports_the_cycle(self, graph_calls):
         # Theorem 10: a(2x,1y) and a(1x,2y) cannot coexist.
         result = check_consistency_multi(
-            [alert_xy(2, 1), alert_xy(1, 2)], ["x", "y"]
+            keys_of([alert_xy(2, 1), alert_xy(1, 2)]), ["x", "y"]
         )
         assert not result
         assert result.conflict == "precedence cycle over updates: 2y -> 2x -> 2y"
         longer = check_consistency_multi(
-            [alert_xy(2, 3), alert_xy(3, 1), alert_xy(1, 2)], ["x", "y"]
+            keys_of([alert_xy(2, 3), alert_xy(3, 1), alert_xy(1, 2)]), ["x", "y"]
         )
         assert longer.conflict == (
             "precedence cycle over updates: 3x -> 2y -> 2x -> 3x"

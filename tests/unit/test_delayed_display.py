@@ -5,9 +5,9 @@ import pytest
 from repro.components.system import MonitoringSystem, SystemConfig
 from repro.core.condition import c1
 from repro.displayers.delayed import DelayedDisplayAD, attach_delayed_ad
-from repro.props.orderedness import is_alert_sequence_ordered
+from repro.props.orderedness import check_orderedness
 from repro.simulation.kernel import Kernel
-from tests.conftest import alert_deg1
+from tests.conftest import alert_deg1, keys_of
 
 
 def deliver(ad, kernel, schedule):
@@ -31,7 +31,7 @@ class TestDelayedDisplayAD:
         ad = DelayedDisplayAD(kernel, "x", timeout=5.0)
         deliver(ad, kernel, [(0.0, alert_deg1(2)), (1.0, alert_deg1(1))])
         assert [a.seqno("x") for a in ad.displayed] == [1, 2]
-        assert is_alert_sequence_ordered(list(ad.displayed), ["x"])
+        assert check_orderedness(keys_of(ad.displayed), ["x"])
 
     def test_straggler_after_timeout_causes_inversion(self):
         # a2's timeout fires at t=5; a1 arrives at t=8: unordered display,
@@ -42,7 +42,7 @@ class TestDelayedDisplayAD:
         kernel.run(until=20.0)
         ad.flush()
         assert [a.seqno("x") for a in ad.displayed] == [2, 1]
-        assert not is_alert_sequence_ordered(list(ad.displayed), ["x"])
+        assert not check_orderedness(keys_of(ad.displayed), ["x"])
 
     def test_nothing_dropped_except_duplicates(self):
         kernel = Kernel()

@@ -13,7 +13,7 @@ from repro.multicondition.system import (
     MultiConditionSystem,
     colocated_system,
 )
-from tests.conftest import alert_deg1
+from tests.conftest import alert_deg1, keys_of
 
 
 def two_conditions():
@@ -89,7 +89,7 @@ class TestMultiConditionSystem:
     def test_per_stream_single_condition_guarantees(self):
         # Appendix D: each stream behaves like a single-condition system,
         # so AD-2 per stream gives per-stream orderedness.
-        from repro.props.orderedness import is_alert_sequence_ordered
+        from repro.props.orderedness import check_orderedness
 
         for seed in range(10):
             system = MultiConditionSystem(
@@ -100,7 +100,7 @@ class TestMultiConditionSystem:
             )
             result = system.run()
             for stream in result.streams.values():
-                assert is_alert_sequence_ordered(list(stream), ["x"])
+                assert check_orderedness(keys_of(stream), ["x"])
 
     def test_evaluate_stream(self):
         system = MultiConditionSystem(

@@ -242,12 +242,12 @@ class TestRejectionReasons:
         algorithm, duplicate, accepted = self._first_rejection(name)
         if accepted:  # algorithm legitimately displays duplicates
             pytest.skip(f"{name} accepts duplicates from another CE")
-        before = (algorithm.output, algorithm.discarded)
-        reason = algorithm.rejection_reason(duplicate)
+        before = algorithm.output
+        reason = algorithm.rejection_reason(duplicate.identity())
         assert reason and isinstance(reason, str)
         # Explaining must not mutate the algorithm.
-        assert (algorithm.output, algorithm.discarded) == before
-        assert algorithm.rejection_reason(duplicate) == reason
+        assert algorithm.output == before
+        assert algorithm.rejection_reason(duplicate.identity()) == reason
 
     def test_default_reason_mentions_the_algorithm(self):
         from repro.displayers.base import ADAlgorithm
@@ -261,7 +261,7 @@ class TestRejectionReasons:
         algorithm = Opaque()
         alert = make_alert("c1", {"x": [Update("x", 1, 1.0)]}, source="CE1")
         assert not algorithm.offer(alert)
-        assert "opaque" in algorithm.rejection_reason(alert)
+        assert "opaque" in algorithm.rejection_reason(alert.identity())
 
 
 class TestReasonStringsPerAlgorithm:
@@ -287,13 +287,13 @@ class TestReasonStringsPerAlgorithm:
         # Re-arrival of a displayed identity → the duplicate reason.
         rearrival = alert_deg1(1)
         assert not algorithm.offer(rearrival)
-        assert algorithm.rejection_reason(rearrival).startswith(
+        assert algorithm.rejection_reason(rearrival.identity()).startswith(
             "duplicate: history set of"
         )
         # A novel alert the predicate refuses → the predicate reason.
         novel = alert_deg1(2)
         assert not algorithm.offer(novel)
-        reason = algorithm.rejection_reason(novel)
+        reason = algorithm.rejection_reason(novel.identity())
         assert reason.startswith("predicate rejection: first-only")
 
     def test_ad1_reports_duplicates(self):
@@ -301,7 +301,7 @@ class TestReasonStringsPerAlgorithm:
         assert ad.offer(alert_deg1(1))
         duplicate = alert_deg1(1)
         assert not ad.offer(duplicate)
-        assert ad.rejection_reason(duplicate).startswith(
+        assert ad.rejection_reason(duplicate.identity()).startswith(
             "duplicate: history set of"
         )
 
@@ -310,7 +310,7 @@ class TestReasonStringsPerAlgorithm:
         assert ad.offer(alert_deg1(2))
         stale = alert_deg1(1)
         assert not ad.offer(stale)
-        reason = ad.rejection_reason(stale)
+        reason = ad.rejection_reason(stale.identity())
         assert reason.startswith("seqno regression")
         assert "a.seqno.x=1" in reason and "last displayed 2" in reason
 
@@ -319,33 +319,33 @@ class TestReasonStringsPerAlgorithm:
         assert ad.offer(alert_deg2(2, 1))
         duplicate = alert_deg2(2, 1)
         assert not ad.offer(duplicate)
-        assert ad.rejection_reason(duplicate).startswith("duplicate")
+        assert ad.rejection_reason(duplicate.identity()).startswith("duplicate")
         # ⟨3,1⟩ claims update 2 missed; the displayed ⟨2,1⟩ received it.
         skipper = alert_deg2(3, 1)
         assert not ad.offer(skipper)
-        assert "history conflict in x" in ad.rejection_reason(skipper)
+        assert "history conflict in x" in ad.rejection_reason(skipper.identity())
 
     def test_ad4_delegates_to_the_deciding_constituent(self):
         ad = AD4("x")
         assert ad.offer(alert_deg2(2, 1))
         stale = alert_deg2(1, 0)
         assert not ad.offer(stale)
-        assert "seqno regression" in ad.rejection_reason(stale)
+        assert "seqno regression" in ad.rejection_reason(stale.identity())
         skipper = alert_deg2(3, 1)
         assert not ad.offer(skipper)
-        assert "history conflict" in ad.rejection_reason(skipper)
+        assert "history conflict" in ad.rejection_reason(skipper.identity())
 
     def test_ad5_reports_inversion_and_all_equal_duplicate(self):
         ad = AD5(("x", "y"))
         assert ad.offer(alert_xy(2, 2))
         inverted = alert_xy(1, 3)
         assert not ad.offer(inverted)
-        reason = ad.rejection_reason(inverted)
+        reason = ad.rejection_reason(inverted.identity())
         assert reason.startswith("seqno inversion in x")
         assert "a.seqno.x=1" in reason
         equal = alert_xy(2, 2)
         assert not ad.offer(equal)
-        assert ad.rejection_reason(equal).startswith(
+        assert ad.rejection_reason(equal.identity()).startswith(
             "duplicate: seqnos equal last displayed"
         )
 
@@ -363,16 +363,16 @@ class TestReasonStringsPerAlgorithm:
         assert ad.offer(xy_hist([2, 1], [1]))
         inverted = xy_hist([1], [1])
         assert not ad.offer(inverted)
-        assert "seqno inversion in x" in ad.rejection_reason(inverted)
+        assert "seqno inversion in x" in ad.rejection_reason(inverted.identity())
         # ⟨3,1⟩ in x claims update 2 missed after ⟨2,1⟩ received it.
         skipper = xy_hist([3, 1], [1])
         assert not ad.offer(skipper)
-        assert "history conflict in x" in ad.rejection_reason(skipper)
+        assert "history conflict in x" in ad.rejection_reason(skipper.identity())
 
     def test_ad6_off_contract_fallback_names_the_acceptance(self):
         ad = AD6(("x", "y"))
         acceptable = alert_xy(1, 1)
-        reason = ad.rejection_reason(acceptable)
+        reason = ad.rejection_reason(acceptable.identity())
         assert reason.startswith("no rejection: AD-6 would accept")
 
 

@@ -9,8 +9,8 @@ from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1, c2
 from repro.quality.metrics import (
     AlertQuality,
+    _display_times,
     alert_quality,
-    displayed_with_times,
     ground_truth_events,
 )
 
@@ -43,13 +43,12 @@ class TestGroundTruth:
 class TestDisplayedWithTimes:
     def test_times_align_with_arrivals(self):
         result = run()
-        pairs = displayed_with_times(result)
-        assert [alert for alert, _ in pairs] == list(result.displayed)
-        # Each displayed alert is matched to one of its own arrival
-        # stamps, and the matching preserves arrival order.
+        times = _display_times(result)
+        assert len(times) == len(result.displayed)
+        # Each displayed alert is paired with one of its own arrival
+        # stamps, and the pairing preserves arrival order.
         arrivals = list(zip(result.ad_arrivals, result.ad_arrival_times))
-        assert all(pair in arrivals for pair in pairs)
-        times = [time for _, time in pairs]
+        assert all(pair in arrivals for pair in zip(result.displayed, times))
         assert times == sorted(times)
 
     def test_non_subsequence_is_rejected(self):
@@ -57,9 +56,12 @@ class TestDisplayedWithTimes:
         # Reversing a multi-element displayed sequence breaks the
         # subsequence property against the arrival order.
         assert len(result.displayed) > 1
-        broken = replace(result, displayed=tuple(reversed(result.displayed)))
+        broken = replace(
+            result,
+            displayed_arrivals=tuple(reversed(result.displayed_arrivals)),
+        )
         with pytest.raises(ValueError, match="not a subsequence"):
-            displayed_with_times(broken)
+            _display_times(broken)
 
 
 class TestAlertQuality:

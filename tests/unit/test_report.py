@@ -5,6 +5,7 @@ from repro.core.evaluator import ConditionEvaluator
 from repro.core.update import parse_trace
 from repro.props.report import PropertyTally, evaluate_run
 from repro.workloads.traces import lemma_6_example, theorem_10_example
+from tests.conftest import keys_of
 
 
 def run_pieces(condition, traces_text):
@@ -23,7 +24,7 @@ class TestEvaluateRunSingle:
         )
         # Display one copy of each (what AD-1 would do with in-order arrival).
         displayed = alerts[:2]
-        report = evaluate_run(condition, traces, displayed)
+        report = evaluate_run(condition, traces, keys_of(displayed))
         assert report.ordered
         assert report.complete
         assert report.consistent
@@ -37,7 +38,7 @@ class TestEvaluateRunSingle:
         condition = c1()
         traces, alerts = run_pieces(condition, ["1x(3100), 2x(3200)"])
         displayed = [alerts[1], alerts[0]]
-        report = evaluate_run(condition, traces, displayed)
+        report = evaluate_run(condition, traces, keys_of(displayed))
         assert not report.ordered
         assert report.complete  # same alert set, wrong order
 
@@ -46,7 +47,7 @@ class TestEvaluateRunSingle:
         traces, alerts = run_pieces(
             condition, ["1x(400), 2x(700), 3x(720)", "1x(400), 3x(720)"]
         )
-        report = evaluate_run(condition, traces, alerts)
+        report = evaluate_run(condition, traces, keys_of(alerts))
         assert not report.consistent
         assert not report.complete
 
@@ -58,7 +59,9 @@ class TestEvaluateRunMulti:
             example.alert_streams[0][0],
             example.alert_streams[1][0],
         ]
-        report = evaluate_run(example.condition, list(example.traces), displayed)
+        report = evaluate_run(
+            example.condition, list(example.traces), keys_of(displayed)
+        )
         assert not report.ordered
         assert not report.consistent
         assert report.complete is not None and not report.complete
@@ -69,7 +72,7 @@ class TestEvaluateRunMulti:
         report = evaluate_run(
             example.condition,
             list(example.traces),
-            displayed,
+            keys_of(displayed),
             interleaving_limit=1,
         )
         assert report.complete is None  # skipped, not guessed
@@ -79,8 +82,8 @@ class TestPropertyTally:
     def test_counts_violations(self):
         condition = c1()
         traces, alerts = run_pieces(condition, ["1x(3100), 2x(3200)"])
-        good = evaluate_run(condition, traces, alerts)
-        bad = evaluate_run(condition, traces, [alerts[1], alerts[0]])
+        good = evaluate_run(condition, traces, keys_of(alerts))
+        bad = evaluate_run(condition, traces, keys_of([alerts[1], alerts[0]]))
         tally = PropertyTally()
         tally.add(good, seed=1)
         tally.add(bad, seed=2)
@@ -97,7 +100,7 @@ class TestPropertyTally:
         report = evaluate_run(
             example.condition,
             list(example.traces),
-            displayed,
+            keys_of(displayed),
             interleaving_limit=1,
         )
         tally = PropertyTally()
@@ -115,7 +118,7 @@ class TestPropertyTally:
         traces, alerts = run_pieces(
             condition, ["1x(400), 2x(700), 3x(720)", "1x(400), 3x(720)"]
         )
-        report = evaluate_run(condition, traces, alerts)
+        report = evaluate_run(condition, traces, keys_of(alerts))
         tally = PropertyTally()
         tally.add(report, seed=42)
         assert tally.first_inconsistent_seed == 42
@@ -159,7 +162,7 @@ class TestUndecidedCompleteness:
         report = evaluate_run(
             example.condition,
             list(example.traces),
-            displayed,
+            keys_of(displayed),
             interleaving_limit=2,
         )
         # count_interleavings > 2 here, so the checker is skipped outright;
@@ -169,7 +172,7 @@ class TestUndecidedCompleteness:
 
         per_var = combine_received(example.traces, ("x", "y"))
         result = check_completeness_multi(
-            displayed, example.condition, per_var, limit=2
+            keys_of(displayed), example.condition, per_var, limit=2
         )
         assert result.undecided
         tally = PropertyTally()

@@ -728,6 +728,24 @@ class TestAsyncioService:
         assert result.verdicts == reference.verdicts
         assert result.displayed_bytes() == reference.displayed_bytes()
 
+    def test_a_multi_variable_feed_builds_no_alert(self, monkeypatch):
+        import repro.core.evaluator
+
+        multi = record_feed(TrialSpec(
+            "multi", "aggressive", "AD-5", seed=3, n_updates=30
+        ))
+        reference = AsyncioServiceRuntime().execute(multi)
+        direct = DirectRuntime().execute(multi)
+
+        def refuse(*args):
+            raise AssertionError("the server built an Alert")
+
+        monkeypatch.setattr(repro.core.evaluator, "alert_from_key", refuse)
+        result = AsyncioServiceRuntime().execute(multi)
+        assert result == reference
+        assert result.digest() == reference.digest() == direct.digest()
+        assert result.verdicts == direct.verdicts
+
     def test_tampered_stream_reported_as_error(self, feed):
         from repro.service import ServiceError
 

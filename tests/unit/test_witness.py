@@ -15,6 +15,7 @@ from repro.core.update import parse_trace
 from repro.displayers.ad1 import AD1
 from repro.props.report import evaluate_run
 from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS, run_scenario
+from tests.conftest import keys_of
 
 
 def find_violating_run(property_name: str, algorithm="AD-1", row="aggressive"):
@@ -45,7 +46,7 @@ class TestFindViolation:
             ConditionEvaluator(condition).ingest_all(u1)
             + ConditionEvaluator(condition).ingest_all(u2)
         )
-        report = evaluate_run(condition, [u1, u2], alerts)
+        report = evaluate_run(condition, [u1, u2], keys_of(alerts))
         assert find_violation(report) == "consistent"
 
 

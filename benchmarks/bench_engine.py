@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import RESULTS_DIR, save_result
-from repro.components.system import SystemConfig, run_system
+from repro.components.system import run_system
 from repro.engine.spec import TrialSpec
 from repro.observability import record_trial, replay_trace
 from repro.simulation.rng import RandomStreams
@@ -65,26 +65,15 @@ _RUN_FIELDS = (
 def _prepare_trial(spec):
     """Prebuild a spec's simulator inputs so timing covers run_system only.
 
-    The config is handed back as a factory: delay models (PerLinkSkewDelay)
-    keep per-run state, so every execution needs a fresh one.
+    The config is the scenario's shared one: a delay model keeps its
+    per-link state in the draws each run's links take from it.
     """
     scenario = spec.resolve_scenario()
     streams = RandomStreams(spec.seed)
     condition = scenario.make_condition()
     workload = scenario.make_workload(streams, spec.n_updates)
-
-    def make_config():
-        kwargs = {}
-        if scenario.front_delay_factory is not None:
-            kwargs["front_delay"] = scenario.front_delay_factory()
-        return SystemConfig(
-            replication=spec.replication,
-            ad_algorithm=spec.algorithm,
-            front_loss=scenario.front_loss,
-            **kwargs,
-        )
-
-    return condition, workload, make_config, spec.seed
+    config = scenario.make_config(spec.algorithm, spec.replication)
+    return condition, workload, config, spec.seed
 
 
 def _sweep_kernel(prepared, kernel: str):
@@ -101,8 +90,7 @@ def _sweep_kernel(prepared, kernel: str):
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for condition, workload, make_config, seed in prepared:
-            config = make_config()
+        for condition, workload, config, seed in prepared:
             start = time.perf_counter()
             run = run_system(
                 condition, workload, config, seed=seed, kernel=kernel

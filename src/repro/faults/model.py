@@ -129,13 +129,16 @@ class DuplicationAdversary:
     def draw_copies(self, rng: Random) -> int:
         """Number of extra copies for one datagram (0 = no duplication).
 
-        Always consumes exactly two draws so that enabling/disabling
-        duplication is the only thing that shifts a link's RNG stream —
-        the copy count never does.
+        Always draws a coin, then ``randint(1, max_copies)`` written out
+        as its ``_randbelow`` loop, so that enabling/disabling duplication
+        is the only thing that shifts a link's RNG stream.
         """
         coin = rng.random()
-        extra = rng.randint(1, self.max_copies)
-        return extra if coin < self.duplicate_prob else 0
+        copies, bits = self.max_copies, self.max_copies.bit_length()
+        extra = rng.getrandbits(bits)
+        while extra >= copies:
+            extra = rng.getrandbits(bits)
+        return extra + 1 if coin < self.duplicate_prob else 0
 
 
 @dataclass(frozen=True)

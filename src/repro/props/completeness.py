@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
+from operator import gt
 
 from repro.core.condition import Condition, compile_condition
 # Nothing here calls either; both stay bound because the traced benchmark
@@ -262,12 +263,13 @@ def check_completeness_multi(
     the points ΦA names among those where the condition holds.
 
     **First layer** (one pass over ΦA and a sort).  Map every identity
-    of ΦA to its point through a per-variable seqno → position index.  An
-    identity that is not the window vector of a point where the condition
-    holds — the gap history of a lossy CE, a head nobody received — is
-    raised on no path.  Two target points incomparable in the product
-    order lie on no common monotone path.  Either way A is incomplete at
-    once.
+    of ΦA to its point through a per-variable seqno → position index, and
+    check it in place: per axis its variable, and the run's seqno slice
+    below its head.  An identity that is not the window vector of a point
+    where the condition holds — the gap history of a lossy CE, a head
+    nobody received — is raised on no path.  Two target points
+    incomparable in the product order lie on no common monotone path.
+    Either way A is incomplete at once.
 
     **Residue.**  The targets now form a chain t₁ < … < t_k, and a path
     must visit them in that order.  Walk from the origin to the far
@@ -282,8 +284,10 @@ def check_completeness_multi(
     re-entered because the legs are independent.  Hence at most
     ∏(len_v + 1) states are explored, and ``undecided`` cannot occur once
     ``limit`` reaches the grid size.  Each point is evaluated once,
-    through :func:`~repro.core.condition.compile_condition`'s closure
-    over precomputed window tuples.
+    through :func:`~repro.core.condition.compile_condition`'s closure on
+    windows sliced off the runs when first asked: nothing is built per
+    position.  A ✗ verdict is still diagnosed before returning; deferred,
+    its report would keep the runs and ΦA alive, not the smaller diagnosis.
 
     Every rule above is a fact about (A, the runs); which scenario row or
     AD algorithm produced them is never consulted.  In particular
@@ -304,66 +308,55 @@ def check_completeness_multi(
         for var, seq in per_variable_updates.items()
         if var in degrees and len(seq) > 0
     ]
-    sequences = {var: list(per_variable_updates[var]) for var in variables}
 
     # A variable of the condition with fewer updates than its degree keeps
     # H undefined forever: T produces no alerts on any interleaving.
     producible = all(
-        len(sequences.get(var, ())) >= degree for var, degree in degrees.items()
+        len(per_variable_updates.get(var, ())) >= degree
+        for var, degree in degrees.items()
     )
     if not producible:
         if not actual:
             return CompletenessResult(
                 True,
                 witness_interleaving=tuple(
-                    update for var in variables for update in sequences[var]
+                    update for var in variables for update in per_variable_updates[var]
                 ),
             )
         return CompletenessResult(False, extraneous=actual)
 
     # One grid axis per condition variable, in the sorted order both the
     # compiled closure's arguments and an identity's entries use.  Per
-    # axis and position: the history window (most recent first; None
-    # while undefined), its identity entry, and the position of each head.
+    # axis: the run and its seqnos most recent first — the window at
+    # ``pos`` is ``[n - pos : n - pos + degree]`` of either — and heads.
     axes = condition.variables
     n_axes = len(axes)
-    windows: list[list[tuple[Update, ...] | None]] = []
-    entries: list[list[tuple | None]] = []
-    position_of: list[dict[int, int]] = []
-    for var in axes:
-        run = sequences[var]
-        degree = degrees[var]
-        heads = {update.seqno: pos for pos, update in enumerate(run, 1)}
+    runs = [per_variable_updates[var] for var in axes]
+    shape: list[tuple[str, int, int, list[Update], tuple[int, ...], dict]] = []
+    for var, run in zip(axes, runs):
+        recent = run[::-1]
+        seqnos = tuple([update.seqno for update in recent])
+        heads = dict(zip(seqnos, range(len(run), 0, -1)))
         if len(heads) != len(run):
             raise ValueError(f"the combined {var!r} run repeats a seqno")
-        axis_windows: list[tuple[Update, ...] | None] = [None] * degree
-        axis_entries: list[tuple | None] = [None] * degree
-        for pos in range(degree, len(run) + 1):
-            window = tuple(run[pos - degree : pos][::-1])
-            axis_windows.append(window)
-            axis_entries.append((var, tuple([u.seqno for u in window])))
-        windows.append(axis_windows)
-        entries.append(axis_entries)
-        position_of.append(heads)
-    end = tuple([len(sequences[var]) for var in axes])
+        shape.append((var, degrees[var], len(run), recent, seqnos, heads))
+    end = tuple([len(run) for run in runs])
 
     condname = condition.name
     holds = compile_condition(condition)
     raised: dict[tuple[int, ...], bool] = {}
 
     def raises(point: tuple[int, ...]) -> bool:
-        """Does T raise an alert on reaching ``point``?"""
+        """Does T raise an alert at ``point``?  Slices its windows on first ask."""
         known = raised.get(point)
         if known is None:
-            buffers = [axis[pos] for axis, pos in zip(windows, point)]
-            known = raised[point] = None not in buffers and bool(holds(*buffers))
+            buffers = []
+            for (_, degree, n, recent, _, _), pos in zip(shape, point):
+                if pos < degree:
+                    break  # a window still undefined
+                buffers.append(recent[n - pos : n - pos + degree])
+            known = raised[point] = len(buffers) == n_axes and bool(holds(*buffers))
         return known
-
-    def identity_at(point: tuple[int, ...]) -> tuple:
-        return (
-            condname,
-            tuple([axis[pos] for axis, pos in zip(entries, point)]),
-        )
 
     def incomplete(undecided: bool = False) -> CompletenessResult:
         """✗ (or undecided), with ``missing``/``extraneous`` relative to
@@ -371,11 +364,15 @@ def check_completeness_multi(
         has every window defined — the grid edge where the others are
         spent."""
         last = axes.index(variables[-1])
+        buffers = [recent[:degree] for _, degree, _, recent, _, _ in shape]
+        entries = [(var, seqnos[:degree]) for var, degree, _, _, seqnos, _ in shape]
+        var, degree, n, recent, seqnos, _ = shape[last]
         expected = set()
-        for pos in range(degrees[axes[last]], end[last] + 1):
-            point = end[:last] + (pos,) + end[last + 1 :]
-            if raises(point):
-                expected.add(identity_at(point))
+        for offset in range(n - degree, -1, -1):
+            buffers[last] = recent[offset : offset + degree]
+            if holds(*buffers):
+                entries[last] = (var, seqnos[offset : offset + degree])
+                expected.add((condname, tuple(entries)))
         return CompletenessResult(
             False,
             missing=frozenset(expected - actual),
@@ -384,25 +381,26 @@ def check_completeness_multi(
         )
 
     # -- first layer ---------------------------------------------------------
+    # In place: each entry's variable and the seqno slice below its head
+    # (a short slice at an undefined position is left to ``raises``).
     targets: list[tuple[int, ...]] = []
     for identity in actual:
         histories = identity[1]
-        if len(histories) != n_axes:
+        if identity[0] != condname or len(histories) != n_axes:
             return incomplete()
-        try:
-            point = tuple(
-                [heads[h[1][0]] for heads, h in zip(position_of, histories)]
-            )
-        except KeyError:
-            return incomplete()
-        # The heads alone do not make the alert: the history below them
-        # must be the window too, and the condition must hold there.
-        if identity_at(point) != identity or not raises(point):
+        point = []
+        for (var, seqnos), (axis, degree, n, _, below, heads) in zip(histories, shape):
+            pos = heads.get(seqnos[0], 0)
+            if var != axis or below[n - pos : n - pos + degree] != seqnos:
+                return incomplete()
+            point.append(pos)
+        point = tuple(point)
+        if not raises(point):
             return incomplete()
         targets.append(point)
     targets.sort()
     for lower, upper in zip(targets, targets[1:]):
-        if any(a > b for a, b in zip(lower, upper)):
+        if any(map(gt, lower, upper)):
             return incomplete()
 
     # -- residue -------------------------------------------------------------
@@ -436,7 +434,7 @@ def check_completeness_multi(
         point = goal
         while point != here:
             axis = came[point]
-            leg.append(sequences[axes[axis]][point[axis] - 1])
+            leg.append(runs[axis][point[axis] - 1])
             point = point[:axis] + (point[axis] - 1,) + point[axis + 1 :]
         witness.extend(reversed(leg))
         here = goal

@@ -8,7 +8,9 @@ limit, stock quotes with sharp drops — tuned so the canonical conditions
 trials meaningfully exercise the AD algorithms.
 
 All generators draw from an explicitly passed ``random.Random`` so that
-workloads are reproducible from a run seed.
+workloads are reproducible from a run seed; the two a Table-3 trial runs
+(:func:`rising_runs`, :func:`paired_reactors`) write ``uniform`` and
+``choice`` out as the very draws they make, a call frame fewer a draw.
 """
 
 from __future__ import annotations
@@ -77,18 +79,21 @@ def rising_runs(
     true), plateaus, or resets downwards — so histories with and without
     gaps both hit the trigger region frequently.
     """
-    values = []
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    random = rng.random
+    readings: Readings = []
     current = base
-    for _ in range(n):
-        roll = rng.random()
+    for i in range(n):
+        roll = random()
         if roll < run_prob:
-            current += rise * rng.uniform(0.85, 1.4)
+            current += rise * (0.85 + (1.4 - 0.85) * random())
         elif roll < run_prob + reset_prob:
-            current -= rise * rng.uniform(1.0, 3.0)
+            current -= rise * (1.0 + (3.0 - 1.0) * random())
         else:
-            current += rng.uniform(-40.0, 40.0)
-        values.append(round(current, 1))
-    return evenly_spaced(values, interval)
+            current += -40.0 + (40.0 - -40.0) * random()
+        readings.append((i * interval, round(current, 1)))
+    return readings
 
 
 def stock_quotes(
@@ -156,16 +161,23 @@ def paired_reactors(
     100-degree gap of condition cm.  Generate each variable with its own
     rng stream and a different ``phase`` offset.
     """
-    values = []
-    current = base + phase
-    for _ in range(n):
-        current += rng.uniform(-sway, sway)
-        if rng.random() < divergence_prob:
-            current += rng.choice([-1.0, 1.0]) * divergence * rng.uniform(0.8, 1.5)
+    if interval <= 0:
+        raise ValueError("interval must be positive")
+    random, getrandbits = rng.random, rng.getrandbits
+    readings: Readings = []
+    centre = current = base + phase
+    for i in range(n):
+        current += -sway + (sway - -sway) * random()
+        if random() < divergence_prob:
+            index = getrandbits(2)  # choice([-1.0, 1.0])
+            while index >= 2:
+                index = getrandbits(2)
+            sign = (-1.0, 1.0)[index]
+            current += sign * divergence * (0.8 + (1.5 - 0.8) * random())
         # Mean-revert gently so the pair stays comparable.
-        current += (base + phase - current) * 0.25
-        values.append(round(current, 1))
-    return evenly_spaced(values, interval)
+        current += (centre - current) * 0.25
+        readings.append((i * interval, round(current, 1)))
+    return readings
 
 
 def bursty_readings(

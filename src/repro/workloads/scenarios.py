@@ -16,7 +16,7 @@ x, for the historical ones.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from repro.components.system import RunResult, SystemConfig, run_system
@@ -76,12 +76,13 @@ class Scenario:
     front_loss: float
     condition_factory: ConditionFactory
     workload_factory: WorkloadFactory
-    #: Optional per-run front-link delay model factory.  Multi-variable
-    #: scenarios use PerLinkSkewDelay so different CEs observe genuinely
-    #: different x/y interleavings (Theorem 10 / Lemma 6); a factory
-    #: because the skew model keeps per-link state and must be fresh per
-    #: run.  None = the SystemConfig default.
-    front_delay_factory: Callable[[], "DelayModel"] | None = None
+    #: Optional front-link delay model.  Multi-variable scenarios use
+    #: PerLinkSkewDelay so different CEs observe genuinely different x/y
+    #: interleavings (Theorem 10 / Lemma 6); each link keeps its base in
+    #: the draw :meth:`~DelayModel.for_link` gives it, so one instance
+    #: serves every run.  None = the SystemConfig default.
+    front_delay: DelayModel | None = None
+    _configs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _condition(self) -> Condition:
@@ -91,6 +92,20 @@ class Scenario:
         """The row's condition: built once, shared by every trial of the
         row (conditions are immutable, and the row determines it)."""
         return self._condition
+
+    def make_config(
+        self, ad_algorithm: str, replication: int, membership=None
+    ) -> SystemConfig:
+        """The row's crash-free config, built once per (algorithm,
+        replication, membership) and shared like the condition."""
+        key = (ad_algorithm, replication, membership)
+        if key not in self._configs:
+            delay = {"front_delay": self.front_delay} if self.front_delay else {}
+            self._configs[key] = SystemConfig(
+                replication, ad_algorithm, self.front_loss,
+                membership=membership, **delay,
+            )
+        return self._configs[key]
 
     def make_workload(self, streams: RandomStreams, n_updates: int) -> Workload:
         return self.workload_factory(streams, n_updates)
@@ -210,7 +225,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=0.0,
         condition_factory=lambda: cm(),
         workload_factory=_paired,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "non-historical": Scenario(
         key="non-historical",
@@ -219,7 +234,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm(),
         workload_factory=_paired,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "conservative": Scenario(
         key="conservative",
@@ -228,7 +243,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm_historical(conservative=True),
         workload_factory=_rising_plus_partner,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "aggressive": Scenario(
         key="aggressive",
@@ -237,7 +252,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm_historical(conservative=False),
         workload_factory=_rising_plus_partner,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "bursty": Scenario(
         key="bursty",
@@ -246,7 +261,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm(),
         workload_factory=_multi_bursty,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "zipfian": Scenario(
         key="zipfian",
@@ -255,7 +270,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm(),
         workload_factory=_zipfian_pair,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
     "correlated": Scenario(
         key="correlated",
@@ -264,7 +279,7 @@ MULTI_VARIABLE_SCENARIOS: Mapping[str, Scenario] = {
         front_loss=DEFAULT_LOSS,
         condition_factory=lambda: cm(),
         workload_factory=_correlated_pair,
-        front_delay_factory=PerLinkSkewDelay,
+        front_delay=PerLinkSkewDelay(),
     ),
 }
 
@@ -306,17 +321,9 @@ def scenario_trial(
     streams = RandomStreams(seed)
     condition = scenario.make_condition()
     workload = scenario.make_workload(streams, n_updates)
-    config_kwargs = {}
-    if scenario.front_delay_factory is not None:
-        config_kwargs["front_delay"] = scenario.front_delay_factory()
-    config = SystemConfig(
-        replication=replication,
-        ad_algorithm=ad_algorithm,
-        front_loss=scenario.front_loss,
-        crash_schedules=dict(crash_schedules or {}),
-        membership=membership,
-        **config_kwargs,
-    )
+    config = scenario.make_config(ad_algorithm, replication, membership)
+    if crash_schedules:
+        config = replace(config, crash_schedules=dict(crash_schedules))
     if faults is not None:
         plan = faults.materialize(
             streams,

@@ -344,8 +344,8 @@ class TestCheckerFirstLayerMutantsCaught:
 
         mutant = _mutant(
             check_completeness_multi,
-            "if identity_at(point) != identity or not raises(point):",
-            "if not raises(point):",
+            "var != axis or below[n - pos : n - pos + degree] != seqnos",
+            "var != axis",
         )
         assert _killed_by_crossvalidation(self.completeness(mutant))
 

@@ -215,6 +215,59 @@ class TestGridLayers:
             alert_identity_set(displayed)
         )
 
+    def test_a_malformed_key_is_rejected_by_the_first_layer(self):
+        # cm_aggr holds only where x's window is ⟨3x,2x⟩ (a rise of 200;
+        # 4x rises by 50), so A = {a(3x,2x; 1y)} is complete and each
+        # malformed key below must be rejected exactly as its mismatch
+        # with the window vector of the point its heads name rejects it:
+        # verdict, missing and extraneous all the enumeration oracle's.
+        condition = cm_historical(conservative=False)
+        per_var = {
+            "x": parse_trace("1x(0), 2x(0), 3x(200), 4x(250)"),
+            "y": parse_trace("1y(0), 2y(0)"),
+        }
+
+        class Keyed:
+            def __init__(self, histories, name="cm_aggr"):
+                self.key = (name, histories)
+
+            def identity(self):
+                return self.key
+
+        right = Keyed((("x", (3, 2)), ("y", (1,))))
+        assert self.both([right], condition, per_var)
+        malformed = {
+            "another condition": Keyed(right.key[1], name="cm_cons"),
+            "variables out of order": Keyed((("y", (1,)), ("x", (3, 2)))),
+            "a variable outside the condition": Keyed(
+                (("x", (3, 2)), ("z", (1,)))
+            ),
+            "one variable too many": Keyed(
+                (("x", (3, 2)), ("y", (1,)), ("z", (1,)))
+            ),
+            "a window shorter than the degree": Keyed((("x", (3,)), ("y", (1,)))),
+            "a short window where none is defined": Keyed(
+                (("x", (1,)), ("y", (1,)))
+            ),
+            "a window longer than the degree": Keyed(
+                (("x", (3, 2, 1)), ("y", (1,)))
+            ),
+            "a window longer than the degree in y": Keyed(
+                (("x", (3, 2)), ("y", (2, 1)))
+            ),
+            "a right head over a wrong deeper seqno": Keyed(
+                (("x", (3, 1)), ("y", (1,)))
+            ),
+            "a right head over a seqno nobody sent": Keyed(
+                (("x", (3, 9)), ("y", (1,)))
+            ),
+        }
+        for case, key in malformed.items():
+            for displayed in ([key], [right, key]):
+                result = self.both(displayed, condition, per_var)
+                assert not result, case
+                assert key.identity() in result.extraneous, case
+
     def test_a_run_that_repeats_a_seqno_is_rejected(self):
         per_var = {"x": parse_trace("1x(500), 1x(500)"), "y": parse_trace("1y(0)")}
         with pytest.raises(ValueError):

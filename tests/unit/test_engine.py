@@ -335,6 +335,34 @@ class TestPinnedSeedLayout:
             ) == PINNED_WITNESSES[table_id].get(row, (None, None, None, {})), row
 
 
+#: The first ``table3-grid`` block of the repo benchmark at ``--seed 7``
+#: (``benchmarks/perf``: 150 trials a cell, 30 updates, base seed
+#: 20_010_800 + 7 * 1_000_003): the sha256 of its tallies, each row's
+#: ``asdict`` in one ``json.dumps(..., sort_keys=True)``.
+BENCHMARK_BLOCK_DIGEST = (
+    "1b325a4c3374a35eda8fc6af6033faf326953581efeebd863e04e742831ef193"
+)
+
+
+def test_the_benchmark_table3_block_matches_its_pinned_digest():
+    """The block the benchmark times, pinned to a literal here too: the
+    harness only checks that block 0 repeats its own first digest, so a
+    change that shifted every run's tallies would pass it."""
+    import hashlib
+    import json
+    from dataclasses import asdict
+
+    plan = plan_table(
+        "table3", trials=150, n_updates=30, base_seed=20_010_800 + 7 * 1_000_003
+    )
+    with TrialEngine(processes=1) as engine:
+        table = tabulate(plan, engine.run(plan.specs))
+    rows = {row: asdict(tally) for row, tally in table.tallies.items()}
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == BENCHMARK_BLOCK_DIGEST
+    assert table.matches_paper()
+
+
 class TestGoldenEquivalence:
     """build_table over a 4-worker pool must be bit-identical to the
     inline processes=1 run — same tallies, witnesses and seeds — for

@@ -13,7 +13,7 @@ number of CEs at every loss level, and increasing in p for every r.
 
 from benchmarks.conftest import save_result
 from repro.analysis.experiments import availability_experiment
-from repro.faults import chaos_sweep, render_chaos_table, replication_reduces_misses
+from repro.faults import CHAOS_SWEEP
 
 LOSS_PROBS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 REPLICATIONS = (1, 2, 3)
@@ -64,7 +64,7 @@ def test_availability_under_chaos(benchmark):
     ground-truth alerts the user never sees.
     """
     cells = benchmark.pedantic(
-        lambda: chaos_sweep(
+        lambda: CHAOS_SWEEP.run(
             intensities=(0.0, 0.5, 1.0, 2.0),
             replications=REPLICATIONS,
             trials=25,
@@ -73,15 +73,15 @@ def test_availability_under_chaos(benchmark):
         rounds=1,
         iterations=1,
     )
-    save_result("availability_chaos", render_chaos_table(cells))
-    assert replication_reduces_misses(cells), (
-        "replication failed to reduce missed alerts under chaos:\n"
-        + render_chaos_table(cells)
+    table = CHAOS_SWEEP.render(cells)
+    save_result("availability_chaos", table)
+    assert CHAOS_SWEEP.claim(cells), (
+        "replication failed to reduce missed alerts under chaos:\n" + table
     )
     # Faults hurt: at the top intensity, single-CE misses must exceed the
     # clean sweep's (the fault model is actually doing something).
-    by_key = {(c.intensity, c.replication): c for c in cells}
+    by_key = {(c["intensity"], c["replication"]): c for c in cells}
     assert (
-        by_key[(2.0, 1)].mean_miss_fraction
-        > by_key[(0.0, 1)].mean_miss_fraction
+        by_key[(2.0, 1)]["mean_miss_fraction"]
+        > by_key[(0.0, 1)]["mean_miss_fraction"]
     )

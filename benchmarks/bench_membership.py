@@ -14,7 +14,8 @@ crash gaps *visible* as property violations) and reports, per intensity:
 
 All of these are simulated-time quantities, so the artifact regenerates
 exactly.  The sweep must satisfy
-:func:`repro.faults.recovery_restores_alerts`: recovery strictly reduces
+:func:`repro.faults.recovery_restores_alerts`, the claim of
+:data:`repro.faults.CHURN_SWEEP`: recovery strictly reduces
 missed alerts wherever the baseline misses any, and never makes them
 worse.  What the lifecycle costs in wall-clock is the
 ``membership.cost_ratio`` metric of the ``chaos-churn-grid`` workload
@@ -25,15 +26,11 @@ from __future__ import annotations
 
 from benchmarks.conftest import save_result
 from repro.accel import percentiles
-from repro.faults import (
-    churn_specs,
-    churn_sweep,
-    recovery_restores_alerts,
-    render_churn_table,
-)
+from repro.faults import CHURN_SWEEP, churn_specs
 
 INTENSITIES = (0.5, 1.0, 2.0)
-DETECTION_TIMEOUTS = (None, 2.0, 4.0, 8.0)
+#: The recovery cells; the membership-off baseline runs alongside.
+DETECTION_TIMEOUTS = (2.0, 4.0, 8.0)
 #: The recovery cell whose latency distributions are published.
 REFERENCE_TIMEOUT = 4.0
 CATCHUP_LATENCY = 2.0
@@ -74,31 +71,31 @@ def miss_rates(cells) -> dict:
     """Baseline vs. best-recovery missed-alert fraction per intensity."""
     out = {}
     for intensity in INTENSITIES:
-        group = [c for c in cells if c.intensity == intensity]
-        baseline = next(c for c in group if c.detection_timeout is None)
-        recovered = [c for c in group if c.detection_timeout is not None]
-        best = min(recovered, key=lambda c: c.mean_miss_fraction)
+        group = [c for c in cells if c["intensity"] == intensity]
+        baseline = next(c for c in group if c["detection_timeout"] is None)
+        recovered = [c for c in group if c["detection_timeout"] is not None]
+        best = min(recovered, key=lambda c: c["mean_miss_fraction"])
         out[f"{intensity:g}"] = {
-            "baseline_miss": round(baseline.mean_miss_fraction, 4),
-            "best_recovery_miss": round(best.mean_miss_fraction, 4),
-            "best_detection_timeout": best.detection_timeout,
-            "caught_up": best.caught_up,
+            "baseline_miss": round(baseline["mean_miss_fraction"], 4),
+            "best_recovery_miss": round(best["mean_miss_fraction"], 4),
+            "best_detection_timeout": best["detection_timeout"],
+            "caught_up": best["caught_up"],
         }
     return out
 
 
 def run_benchmark() -> dict:
-    cells = churn_sweep(
+    cells = CHURN_SWEEP.run(
         intensities=INTENSITIES,
         detection_timeouts=DETECTION_TIMEOUTS,
         catchup_latencies=(CATCHUP_LATENCY,),
         trials=TRIALS,
     )
     return {
-        "restores_alerts": recovery_restores_alerts(cells),
+        "restores_alerts": CHURN_SWEEP.claim(cells),
         "latencies": latency_distributions(),
         "miss_rates": miss_rates(cells),
-        "table": render_churn_table(cells),
+        "table": CHURN_SWEEP.render(cells),
     }
 
 

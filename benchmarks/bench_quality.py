@@ -16,11 +16,7 @@ asserted:
 from __future__ import annotations
 
 from benchmarks.conftest import save_result
-from repro.quality import (
-    adaptive_matches_best_static,
-    quality_sweep,
-    render_quality_table,
-)
+from repro.quality import QUALITY_SWEEP
 
 ROW = "aggressive"
 TRIALS = 20
@@ -31,23 +27,23 @@ def mean_duplicate_rates(cells) -> dict[str, float]:
     """Sweep-wide mean duplicate rate per algorithm (equal cell weight)."""
     rates: dict[str, list[float]] = {}
     for cell in cells:
-        rates.setdefault(cell.algorithm, []).append(cell.duplicate_rate)
+        rates.setdefault(cell["algorithm"], []).append(cell["duplicate_rate"])
     return {name: sum(values) / len(values) for name, values in rates.items()}
 
 
 def test_quality_sweep(benchmark):
     cells = benchmark.pedantic(
-        lambda: quality_sweep(trials=TRIALS, row=ROW, n_updates=N_UPDATES),
+        lambda: QUALITY_SWEEP.run(trials=TRIALS, row=ROW, n_updates=N_UPDATES),
         rounds=1,
         iterations=1,
     )
-    matches = adaptive_matches_best_static(cells)
+    matches = QUALITY_SWEEP.claim(cells)
     duplicates = mean_duplicate_rates(cells)
     save_result(
         "quality",
         f"quality sweep: row={ROW} matrix=single trials={TRIALS} "
         f"updates={N_UPDATES}\n\n"
-        + render_quality_table(cells)
+        + QUALITY_SWEEP.render(cells)
         + "\n\nadaptive missed-alert rate <= best static everywhere: "
         + ("YES" if matches else "NO")
         + "\nmean duplicate rate: "

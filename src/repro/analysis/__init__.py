@@ -39,12 +39,7 @@ from repro.analysis.repro_report import (
     SectionResult,
     generate_report,
 )
-from repro.analysis.sweeps import (
-    SweepPoint,
-    loss_sweep,
-    render_sweep,
-    replication_sweep,
-)
+from repro.analysis.sweeps import LOSS_SWEEP, REPLICATION_SWEEP
 from repro.analysis.tables import (
     EXPECTED_GRIDS,
     TableResult,
@@ -54,6 +49,8 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
+    "LOSS_SWEEP",
+    "REPLICATION_SWEEP",
     "AvailabilityPoint",
     "AlgorithmComparison",
     "ComparisonRow",
@@ -67,13 +64,9 @@ __all__ = [
     "ReproductionReport",
     "SectionResult",
     "generate_report",
-    "SweepPoint",
     "counterexample_from_run",
     "find_violation",
-    "loss_sweep",
-    "render_sweep",
     "replay",
-    "replication_sweep",
     "shrink_counterexample",
     "DeliveryStats",
     "EXPECTED_GRIDS",

@@ -1,164 +1,118 @@
-"""Parameter sweeps: violation rates as functions of system parameters.
+"""The loss and replication ablations: violation rates vs one parameter.
 
 The paper's grids answer "can this property be violated?"; these sweeps
 answer "how often, as a function of loss rate / replication degree?" —
 the ablation data behind the design choices DESIGN.md calls out (loss
 0.3, 2 CEs) and the quantitative texture of the ✗ cells.
 
-Used by ``benchmarks/bench_ablation.py``.
+Both are :class:`~repro.engine.sweep.Sweep` declarations, run by
+``benchmarks/bench_ablation.py``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from functools import partial
 
-from repro.engine.core import INLINE_ENGINE, TrialEngine, fold_tally
-from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
-from repro.props.report import PropertyTally
-from repro.workloads.scenarios import Scenario
+from repro.displayers.registry import algorithm_info
+from repro.engine.spec import TrialSpec
+from repro.engine.sweep import Cell, Column, Param, Sweep
 
-__all__ = ["SweepPoint", "loss_sweep", "replication_sweep", "render_sweep"]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Violation rates at one parameter setting."""
-
-    parameter: str
-    value: float
-    algorithm: str
-    trials: int
-    unordered_rate: float
-    incomplete_rate: float | None
-    inconsistent_rate: float | None
-
-    @staticmethod
-    def from_tally(
-        parameter: str, value: float, algorithm: str, tally: PropertyTally
-    ) -> "SweepPoint":
-        def rate(violations: int, checked: int) -> float | None:
-            return violations / checked if checked else None
-
-        return SweepPoint(
-            parameter=parameter,
-            value=value,
-            algorithm=algorithm,
-            trials=tally.runs,
-            unordered_rate=tally.ordered_violations / max(tally.runs, 1),
-            incomplete_rate=rate(
-                tally.completeness_violations, tally.completeness_checked
-            ),
-            inconsistent_rate=rate(
-                tally.consistency_violations, tally.consistency_checked
-            ),
-        )
+__all__ = ["LOSS_SWEEP", "REPLICATION_SWEEP", "guarantees_hold"]
 
 
-def _registry_coordinates(scenario: Scenario) -> tuple[str, str]:
-    """The (matrix, row) naming ``scenario`` in the module matrices.
-
-    Sweep trials are :class:`~repro.engine.spec.TrialSpec` s, which name
-    their scenario so that any process can re-resolve it.
-    """
-    for matrix, scenarios in SCENARIO_MATRICES.items():
-        if scenarios.get(scenario.key) is scenario:
-            return matrix, scenario.key
-    raise ValueError(
-        f"scenario {scenario.key!r} is not a row of "
-        "repro.engine.spec.SCENARIO_MATRICES; sweeps run registered rows"
-    )
-
-
-def _sweep(
-    parameter: str,
-    values: Sequence[float],
-    seed_of: Callable[[float], int],
-    scenario: Scenario,
+def _specs(
     algorithm: str,
+    value: float,
     trials: int,
+    row: str,
     n_updates: int,
-    engine: TrialEngine,
-) -> list[SweepPoint]:
-    """One point per value of the spec knob named ``parameter``, each on
-    ``trials`` seeds from ``seed_of(value)``, the series as one batch."""
-    matrix, row = _registry_coordinates(scenario)
-
-    def specs_of(value):
-        start = seed_of(value)
-        return [
-            TrialSpec(
-                matrix, row, algorithm, start + trial, n_updates,
-                **{parameter: value},
-            )
-            for trial in range(trials)
-        ]
-
-    def fold(value, specs, reports):
-        tally = fold_tally(specs, reports)
-        return SweepPoint.from_tally(parameter, value, algorithm, tally)
-
-    return engine.run_grid([(value,) for value in values], specs_of, fold)
+    knob: str,
+    start: Callable[[float], int],
+) -> list[TrialSpec]:
+    """One point's trials: ``trials`` consecutive seeds from
+    ``start(value)``, with the spec knob ``knob`` set to ``value`` (the
+    row's own setting is overridden)."""
+    return [
+        TrialSpec("single", row, algorithm, start(value) + trial, n_updates,
+                  **{knob: value})
+        for trial in range(trials)
+    ]
 
 
-def loss_sweep(
-    scenario: Scenario,
-    algorithm: str,
-    loss_probs: Sequence[float],
-    trials: int = 60,
-    n_updates: int = 30,
-    base_seed: int = 515000,
-    engine: TrialEngine = INLINE_ENGINE,
-) -> list[SweepPoint]:
-    """Violation rates vs front-link loss probability.
+def guarantees_hold(cells: Sequence[Cell]) -> bool:
+    """The paper's ✓ cells over an ablation: no point violates a property
+    its algorithm guarantees.  The paper analyses two CEs and notes the
+    analysis "can be easily extended"; at higher replication this checks
+    that more replicas bring more interleavings, not new failure modes."""
+    for cell in cells:
+        info = algorithm_info(cell["algorithm"])
+        if info.guarantees_ordered and cell["unordered_rate"]:
+            return False
+        if info.guarantees_consistent and cell["inconsistent_rate"]:
+            return False
+    return True
 
-    The scenario's own loss setting is overridden at each sweep point
-    through the spec's ``front_loss`` knob.
-    """
-    return _sweep(
-        "front_loss", loss_probs, lambda loss: base_seed + int(loss * 10_000),
-        scenario, algorithm, trials, n_updates, engine,
+
+def _rate(violations: str, checked: str) -> Callable:
+    def read(tally, _reports) -> float | None:
+        decided = getattr(tally, checked)
+        return getattr(tally, violations) / decided if decided else None
+
+    return read
+
+
+def _ablation(
+    knob: str,
+    values: Param,
+    algorithms: tuple[str, ...],
+    start: Callable[[float], int],
+) -> Sweep:
+    """Violation rates vs the spec knob ``knob``, one series per
+    algorithm; point ``value`` is the knob's value."""
+    return Sweep(
+        name=knob,
+        help=f"violation rates vs {knob}, per algorithm",
+        params=(
+            Param("algorithms", algorithms, str, key="algorithm"),
+            values,
+            Param("trials", 60, int),
+            Param("row", "aggressive", str),
+            Param("n_updates", 30, int, flag="--updates"),
+        ),
+        point=("algorithm", "value"),
+        specs=partial(_specs, knob=knob, start=start),
+        columns=(
+            Column("parameter", "param", 12, "{:>12}",
+                   read=lambda _tally, _reports: knob),
+            Column("value", "value", 7, "{:>7g}"),
+            Column("algorithm", "algo", 6, "{:>6}"),
+            Column(
+                "unordered_rate", "unordered", 9, "{:>9.1%}",
+                read=lambda tally, _reports:
+                    tally.ordered_violations / max(tally.runs, 1),
+            ),
+            Column("incomplete_rate", "incomplete", 10, "{:>10.1%}",
+                   f"{'n/a':>10}",
+                   _rate("completeness_violations", "completeness_checked")),
+            Column("inconsistent_rate", "inconsistent", 12, "{:>12.1%}",
+                   f"{'n/a':>12}",
+                   _rate("consistency_violations", "consistency_checked")),
+        ),
+        claim=guarantees_hold,
+        claim_line="no point violates a property its algorithm guarantees: {}",
     )
 
 
-def replication_sweep(
-    scenario: Scenario,
-    algorithm: str,
-    replications: Sequence[int],
-    trials: int = 60,
-    n_updates: int = 30,
-    base_seed: int = 525000,
-    engine: TrialEngine = INLINE_ENGINE,
-) -> list[SweepPoint]:
-    """Violation rates vs number of CEs.
-
-    The paper analyses two CEs and notes the analysis "can be easily
-    extended"; this sweep verifies the guarantees empirically at higher
-    replication (✓ cells must stay clean — more replicas mean more
-    interleavings, not new failure modes) and shows how much more often
-    the ✗ cells bite.
-    """
-    return _sweep(
-        "replication", replications, lambda count: base_seed + count * 97,
-        scenario, algorithm, trials, n_updates, engine,
-    )
-
-
-def render_sweep(title: str, points: Sequence[SweepPoint]) -> str:
-    """Fixed-width rendering of one sweep series."""
-
-    def fmt(rate: float | None) -> str:
-        return "   n/a" if rate is None else f"{rate:6.1%}"
-
-    lines = [title]
-    lines.append(
-        f"{'param':>12} {'value':>7} {'algo':>6} {'unordered':>9} "
-        f"{'incomplete':>10} {'inconsistent':>12}"
-    )
-    for p in points:
-        lines.append(
-            f"{p.parameter:>12} {p.value:>7g} {p.algorithm:>6} "
-            f"{fmt(p.unordered_rate):>9} {fmt(p.incomplete_rate):>10} "
-            f"{fmt(p.inconsistent_rate):>12}"
-        )
-    return "\n".join(lines)
+LOSS_SWEEP = _ablation(
+    "front_loss",
+    Param("losses", (0.0, 0.1, 0.2, 0.3, 0.5), key="value"),
+    ("AD-1", "AD-2", "AD-3", "AD-4"),
+    lambda loss: 515000 + int(loss * 10_000),
+)
+REPLICATION_SWEEP = _ablation(
+    "replication",
+    Param("replications", (1, 2, 3, 4), int, key="value"),
+    ("AD-1", "AD-4"),
+    lambda count: 525000 + count * 97,
+)

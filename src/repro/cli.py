@@ -9,9 +9,9 @@ Everything the benchmarks do, driveable from a shell::
     python -m repro trace summarize run.jsonl
     python -m repro fuzz --target consistency --budget 2000 --minimize
     python -m repro fuzz --row aggressive --algorithm AD-1 --minimize
-    python -m repro chaos --intensities 0 1 2 --trials 30
-    python -m repro quality --row aggressive --trials 20
-    python -m repro quality --losses 0 0.3 --intensities 0 1 --json out.json
+    python -m repro sweep chaos --intensities 0 1 2 --trials 30
+    python -m repro sweep churn --intensities 1 2 --trials 12
+    python -m repro sweep quality --losses 0 0.3 --intensities 0 1 --json out.json
     python -m repro feed record aggressive --seed 7 --out run.feed
     python -m repro feed conform run.feed         # all runtimes identical?
     python -m repro serve --port 7801             # online monitoring service
@@ -30,6 +30,8 @@ from collections.abc import Sequence
 
 from repro.analysis.tables import EXPECTED_GRIDS, build_table, render_table
 from repro.displayers.registry import algorithm_info, algorithm_names
+from repro.faults.chaos import CHAOS_SWEEP, CHURN_SWEEP
+from repro.quality.sweep import QUALITY_SWEEP
 from repro.workloads.scenarios import (
     DIVERSITY_ROWS,
     MULTI_VARIABLE_SCENARIOS,
@@ -224,115 +226,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if replays_ok else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.churn:
-        return _cmd_chaos_churn(args)
+def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.engine import TrialEngine
-    from repro.faults import (
-        chaos_sweep,
-        render_chaos_table,
-        replication_reduces_misses,
-    )
 
+    sweep = args.declared
+    settings = {param.name: getattr(args, param.name) for param in sweep.params}
     with TrialEngine(processes=args.processes) as engine:
-        cells = chaos_sweep(
-            intensities=args.intensities,
-            replications=args.replications,
-            trials=args.trials,
-            row=args.row,
-            algorithm=args.algorithm,
-            n_updates=args.updates,
-            engine=engine,
-        )
-    print(render_chaos_table(cells))
-    shape_ok = replication_reduces_misses(cells)
-    print(
-        "replication reduces missed alerts: "
-        f"{'YES' if shape_ok else 'NO'} (the Figure-1 claim)"
-    )
-    if any(cell.witness_seeds for cell in cells):
-        print(
-            "replay a witness with: repro trace record "
-            f"{args.row} --algorithm {args.algorithm} "
-            f"--updates {args.updates} --chaos <intensity> --seed <seed>"
-        )
-    return 0 if shape_ok else 1
+        cells = sweep.run(engine, **settings)
+    print(sweep.render(cells))
+    holds = sweep.claim(cells)
+    print(sweep.claim_line.format("YES" if holds else "NO"))
+    if sweep.note:
+        print(sweep.note.format(**settings))
+    if getattr(args, "json", None):
+        import json
 
-
-def _cmd_quality(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine
-    from repro.quality import (
-        adaptive_matches_best_static,
-        quality_json,
-        quality_sweep,
-        render_quality_table,
-    )
-
-    with TrialEngine(processes=args.processes) as engine:
-        cells = quality_sweep(
-            algorithms=args.algorithms,
-            losses=args.losses,
-            intensities=args.intensities,
-            trials=args.trials,
-            row=args.row,
-            matrix=args.matrix,
-            n_updates=args.updates,
-            replication=args.replication,
-            engine=engine,
-        )
-    print(render_quality_table(cells))
-    gate = adaptive_matches_best_static(cells)
-    print(
-        "adaptive missed-alert rate <= best static at every point: "
-        f"{'YES' if gate else 'NO'}"
-    )
-    if args.json:
-        import json as json_module
-
-        document = quality_json(
-            cells,
-            row=args.row,
-            matrix=args.matrix,
-            trials=args.trials,
-            n_updates=args.updates,
-        )
         with open(args.json, "w") as handle:
-            json_module.dump(document, handle, indent=2)
+            json.dump(sweep.document(cells, settings), handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")
-    if args.check and not gate:
-        return 1
-    return 0
-
-
-def _cmd_chaos_churn(args: argparse.Namespace) -> int:
-    from repro.engine import TrialEngine
-    from repro.faults import (
-        churn_sweep,
-        recovery_restores_alerts,
-        render_churn_table,
-    )
-
-    with TrialEngine(processes=args.processes) as engine:
-        cells = churn_sweep(
-            intensities=[i for i in args.intensities if i > 0] or [1.0],
-            detection_timeouts=[None, *args.detection_timeouts],
-            catchup_latencies=args.catchup_latencies,
-            trials=args.trials,
-            row=args.row,
-            algorithm=args.algorithm,
-            n_updates=args.updates,
-            replication=max(args.replications),
-            catchup_source=args.catchup_source,
-            engine=engine,
-        )
-    print(render_churn_table(cells))
-    restored = recovery_restores_alerts(cells)
-    print(
-        "detection + catch-up reduces missed alerts vs crash-only: "
-        f"{'YES' if restored else 'NO'}"
-    )
-    return 0 if restored else 1
+    return 0 if holds else 1
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -608,15 +521,6 @@ def _add_processes(parser: argparse.ArgumentParser, what: str = "trials") -> Non
     )
 
 
-def _add_catchup_source(parser: argparse.ArgumentParser, mode: str) -> None:
-    parser.add_argument(
-        "--catchup-source",
-        choices=("peer-then-log", "peer", "log", "none"),
-        default="peer-then-log",
-        help=f"({mode}) where a recovering CE replays history from",
-    )
-
-
 def _add_trial_options(parser: argparse.ArgumentParser, what: str) -> None:
     """Every knob of one recorded trial (read by :func:`_spec_from_args`),
     plus ``--out``: the options ``trace record`` and ``feed record`` share.
@@ -634,7 +538,7 @@ def _add_trial_options(parser: argparse.ArgumentParser, what: str) -> None:
         default=None,
         metavar="INTENSITY",
         help="inject faults at this chaos intensity (default profile), so "
-        "witness seeds from 'repro chaos' replay exactly",
+        "witness seeds from 'repro sweep chaos' replay exactly",
     )
     parser.add_argument(
         "--membership",
@@ -651,7 +555,12 @@ def _add_trial_options(parser: argparse.ArgumentParser, what: str) -> None:
         "--catchup-latency", type=float, default=2.0,
         help="(--membership) state-transfer latency per recovery",
     )
-    _add_catchup_source(parser, "--membership")
+    parser.add_argument(
+        "--catchup-source",
+        choices=("peer-then-log", "peer", "log", "none"),
+        default="peer-then-log",
+        help="(--membership) where a recovering CE replays history from",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -750,108 +659,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="sweep fault intensity x replication: property survival "
-        "rates, witness seeds, and the Figure-1 availability check",
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="run a declared sweep (chaos, churn or quality) and exit 0 "
+        "iff its claim holds",
     )
-    p_chaos.add_argument(
-        "--intensities",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.5, 1.0, 2.0],
-        help="chaos knob values scaling the default fault profile",
-    )
-    p_chaos.add_argument(
-        "--replications",
-        type=int,
-        nargs="+",
-        default=[1, 2, 3],
-        help="CE replication factors to compare at each intensity",
-    )
-    p_chaos.add_argument("--trials", type=int, default=30)
-    p_chaos.add_argument("--row", choices=list(ROW_ORDER), default="non-historical")
-    p_chaos.add_argument("--algorithm", default="AD-4")
-    p_chaos.add_argument("--updates", type=int, default=30)
-    _add_processes(p_chaos)
-    p_chaos.add_argument(
-        "--churn",
-        action="store_true",
-        help="membership mode: sweep intensity x detection timeout x "
-        "catch-up latency under the CE-crash-only churn profile, "
-        "reporting what detection + catch-up buys back vs the "
-        "crash-without-recovery baseline",
-    )
-    p_chaos.add_argument(
-        "--detection-timeouts",
-        type=float,
-        nargs="+",
-        default=[2.0, 6.0],
-        help="(--churn) failure-detector timeouts; the membership-off "
-        "baseline is always swept alongside",
-    )
-    p_chaos.add_argument(
-        "--catchup-latencies",
-        type=float,
-        nargs="+",
-        default=[2.0],
-        help="(--churn) state-transfer latencies per recovery",
-    )
-    _add_catchup_source(p_chaos, "--churn")
-    p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_quality = sub.add_parser(
-        "quality",
-        help="sweep alert quality (precision/recall/duplicates/latency "
-        "vs ground truth) over algorithm x loss x fault intensity, "
-        "with the adaptive-vs-static missed-alert gate",
-    )
-    p_quality.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["AD-1", "AD-2", "AD-3", "AD-4", "adaptive"],
-        help="AD algorithms to compare (same seeds per grid point)",
-    )
-    p_quality.add_argument(
-        "--losses",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.15, 0.3],
-        help="front-link loss probabilities",
-    )
-    p_quality.add_argument(
-        "--intensities",
-        type=float,
-        nargs="+",
-        default=[0.0, 0.5, 1.0, 2.0],
-        help="chaos knob values scaling the default fault profile "
-        "(includes delay spikes, so this is also the delay axis)",
-    )
-    p_quality.add_argument("--trials", type=int, default=20)
-    p_quality.add_argument(
-        "--row",
-        choices=sorted({*ROW_ORDER, *DIVERSITY_ROWS}),
-        default="aggressive",
-        help="scenario row (historical rows separate the algorithms "
-        "most; diversity rows need --matrix multi for zipfian/correlated)",
-    )
-    p_quality.add_argument(
-        "--matrix", choices=("single", "multi"), default="single"
-    )
-    p_quality.add_argument("--updates", type=int, default=30)
-    p_quality.add_argument("--replication", type=int, default=2)
-    _add_processes(p_quality)
-    p_quality.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the sweep document (axes, gate verdict, cells) as JSON",
-    )
-    p_quality.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 unless the adaptive algorithm's missed-alert rate "
-        "is <= the best static's at every grid point",
-    )
-    p_quality.set_defaults(func=_cmd_quality)
+    sweep_sub = p_sweep.add_subparsers(dest="sweep_name", required=True)
+    for sweep in (CHAOS_SWEEP, CHURN_SWEEP, QUALITY_SWEEP):
+        p_one = sweep_sub.add_parser(sweep.name, help=sweep.help)
+        for param in sweep.params:
+            p_one.add_argument(
+                param.flag or "--" + param.name.replace("_", "-"),
+                dest=param.name,
+                type=param.type,
+                nargs="+" if param.key else None,
+                default=param.default,
+                choices=param.choices,
+                help=param.help,
+            )
+        _add_processes(p_one)
+        if sweep.heading:
+            p_one.add_argument(
+                "--json", default=None, metavar="PATH",
+                help="also write the sweep document (settings, claim "
+                "verdict, cells) as JSON",
+            )
+        p_one.set_defaults(func=_cmd_sweep, declared=sweep)
 
     p_feed = sub.add_parser(
         "feed", help="record, replay and conformance-check update feeds"

@@ -10,6 +10,8 @@ this package turns them into a planned, batched, reusable-pool workload:
   with deterministic reassembly);
 * :mod:`repro.engine.plan` — canonical trial-matrix layout per table, so
   every entry point derives identical seeds.
+* :mod:`repro.engine.sweep` — :class:`~repro.engine.sweep.Sweep`, the
+  one declared shape of every parameter sweep (``repro sweep <name>``).
 """
 
 from repro.engine.core import (

@@ -24,10 +24,8 @@ from __future__ import annotations
 
 import logging
 import os
-from collections.abc import Callable, Iterable, Sequence
-from itertools import islice
+from collections.abc import Iterable, Sequence
 from multiprocessing import Pool
-from typing import Any
 
 from repro.engine.spec import TrialSpec
 from repro.props.report import PropertyReport, PropertyTally
@@ -154,26 +152,6 @@ class TrialEngine:
         ):
             results[index] = report
         return results
-
-    def run_grid(
-        self,
-        points: Sequence[tuple],
-        specs_of: Callable[..., Sequence[TrialSpec]],
-        fold: Callable[..., Any],
-    ) -> list:
-        """Run a sweep: one folded result per grid point.
-
-        ``specs_of(*point)`` lays each cell out; the whole grid executes
-        as one batch (not one per cell, so a pool never waits at a
-        barrier for the slowest trial of each small cell); each cell's
-        slice of the reports is folded by ``fold(*point, specs, reports)``.
-        """
-        grid = [specs_of(*point) for point in points]
-        reports = iter(self.run([spec for cell in grid for spec in cell]))
-        return [
-            fold(*point, cell, list(islice(reports, len(cell))))
-            for point, cell in zip(points, grid)
-        ]
 
     def run_tally(self, specs: Sequence[TrialSpec]) -> PropertyTally:
         """Execute ``specs`` and fold the reports into one PropertyTally."""

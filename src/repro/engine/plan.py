@@ -8,7 +8,6 @@ the benchmark harness cannot drift apart on seed derivation.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -19,7 +18,7 @@ from repro.workloads.scenarios import ROW_ORDER
 if TYPE_CHECKING:  # imported lazily at runtime (analysis imports us back)
     from repro.analysis.tables import TableResult
 
-__all__ = ["TablePlan", "cell_specs", "plan_table", "require_axes", "tabulate"]
+__all__ = ["TablePlan", "cell_specs", "plan_table", "tabulate"]
 
 #: Seed offset separating the short-trace completeness batch from the
 #: main batch.
@@ -51,13 +50,6 @@ def cell_specs(
         TrialSpec(matrix, row, algorithm, start + trial, n_updates, **knobs)
         for trial in range(trials)
     ]
-
-
-def require_axes(**axes: Sequence) -> None:
-    """Reject a sweep whose grid would be empty, naming the empty axis."""
-    for name, values in axes.items():
-        if not len(values):
-            raise ValueError(f"sweep axis {name!r} is empty")
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,18 @@ portable and concrete:
   bit-identical), applied onto a
   :class:`~repro.components.system.SystemConfig`.
 
-:mod:`repro.faults.chaos` drives intensity sweeps and reports property
-survival rates plus minimal violating seeds (the ``repro chaos`` CLI).
+:mod:`repro.faults.chaos` declares the chaos and churn sweeps, which
+report property survival rates plus minimal violating seeds (``repro
+sweep chaos``) and what membership recovery buys back (``repro sweep
+churn``).
 """
 
 from repro.faults.chaos import (
-    ChaosCell,
-    ChurnCell,
+    CHAOS_SWEEP,
+    CHURN_SWEEP,
     chaos_specs,
-    chaos_sweep,
     churn_specs,
-    churn_sweep,
     recovery_restores_alerts,
-    render_chaos_table,
-    render_churn_table,
     replication_reduces_misses,
 )
 from repro.faults.model import (
@@ -45,8 +43,8 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "ChaosCell",
-    "ChurnCell",
+    "CHAOS_SWEEP",
+    "CHURN_SWEEP",
     "DEFAULT_CHAOS_PROFILE",
     "DEFAULT_CHURN_PROFILE",
     "DelaySpikeSchedule",
@@ -56,11 +54,7 @@ __all__ = [
     "GilbertElliottLoss",
     "GilbertElliottParams",
     "chaos_specs",
-    "chaos_sweep",
     "churn_specs",
-    "churn_sweep",
     "recovery_restores_alerts",
-    "render_chaos_table",
-    "render_churn_table",
     "replication_reduces_misses",
 ]

@@ -19,7 +19,7 @@ from *how it was drawn*:
   named RNG streams — fault draws never shift the workload or link
   streams, so a zero-rate profile is bit-identical to no profile at all.
 
-Intensity sweeps (the ``repro chaos`` CLI) use :meth:`FaultProfile.scaled`
+Intensity sweeps (``repro sweep chaos``) use :meth:`FaultProfile.scaled`
 to turn one profile into a family parameterised by a single chaos knob.
 """
 
@@ -373,8 +373,8 @@ class FaultProfile(KnobSet):
         return cls(ce_crash_rate=0.02, ce_mean_repair=25.0)
 
 
-#: The profile ``repro chaos`` and ``repro trace record --chaos`` scale.
+#: The profile ``repro sweep chaos`` and ``repro trace record --chaos`` scale.
 DEFAULT_CHAOS_PROFILE = FaultProfile.chaos_default()
 
-#: The CE-crash-only profile churn sweeps scale (``repro chaos --churn``).
+#: The CE-crash-only profile churn sweeps scale (``repro sweep churn``).
 DEFAULT_CHURN_PROFILE = FaultProfile.churn_default()

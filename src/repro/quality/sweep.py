@@ -1,4 +1,4 @@
-"""Quality sweeps: precision/recall/latency vs loss × fault intensity.
+"""The quality sweep: precision/recall/latency vs loss × fault intensity.
 
 One cell = (algorithm, front loss, fault intensity, replication) on one
 scenario row.  The seed block of a cell deliberately excludes the
@@ -15,79 +15,30 @@ Fault intensity scales :data:`~repro.faults.plan.DEFAULT_CHAOS_PROFILE`
 so the intensity axis doubles as the delay axis: latency percentiles
 rise with it even where recall holds.
 
-The whole grid runs as one batch on a
-:class:`~repro.engine.core.TrialEngine`, like the chaos sweeps.
+:data:`QUALITY_SWEEP` (``repro sweep quality``) is a
+:class:`~repro.engine.sweep.Sweep` declaration, like the chaos sweeps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 
 from repro.accel import percentiles
-from repro.engine.core import INLINE_ENGINE, TrialEngine
-from repro.engine.plan import cell_specs, require_axes
+from repro.engine.plan import cell_specs
 from repro.engine.spec import TrialSpec
+from repro.engine.sweep import Cell, Column, Param, Sweep, trial_mean
 from repro.faults.plan import DEFAULT_CHAOS_PROFILE, FaultProfile
-from repro.props.report import PropertyReport
+from repro.workloads.scenarios import DIVERSITY_ROWS, ROW_ORDER
 
 __all__ = [
     "QUALITY_BASE_SEED",
-    "QualityCell",
+    "QUALITY_SWEEP",
     "adaptive_matches_best_static",
-    "quality_json",
     "quality_specs",
-    "quality_sweep",
-    "render_quality_table",
 ]
 
 #: Default base seed for quality sweeps (distinct from tables' and chaos').
 QUALITY_BASE_SEED = 20011000
-
-#: Default sweep axes: every registered online filter plus the adaptive.
-DEFAULT_ALGORITHMS = ("AD-1", "AD-2", "AD-3", "AD-4", "adaptive")
-DEFAULT_LOSSES = (0.0, 0.15, 0.3)
-DEFAULT_INTENSITIES = (0.0, 0.5, 1.0, 2.0)
-
-
-#: The trial-mean rates of a cell (rounded in its JSON form).
-_RATE_FIELDS = (
-    "precision", "recall", "missed_rate", "duplicate_rate", "false_rate"
-)
-
-
-@dataclass(frozen=True)
-class QualityCell:
-    """Folded quality of one sweep point, pooled over its trials."""
-
-    algorithm: str
-    front_loss: float
-    intensity: float
-    replication: int
-    trials: int
-    #: Pooled event counts over the cell's trials.
-    expected: int
-    detected: int
-    duplicates: int
-    false_alerts: int
-    displayed: int
-    #: Trial-mean rates (each trial weighted equally, like the chaos
-    #: sweep's mean_miss_fraction).
-    precision: float
-    recall: float
-    missed_rate: float
-    duplicate_rate: float
-    false_rate: float
-    #: Percentiles of the pooled latency samples (None = no detections).
-    latency_p50: float | None
-    latency_p99: float | None
-    latency_samples: int
-
-    def as_dict(self) -> dict:
-        document = asdict(self)
-        for name in _RATE_FIELDS:
-            document[name] = round(document[name], 6)
-        return document
 
 
 def quality_specs(
@@ -123,97 +74,8 @@ def quality_specs(
     )
 
 
-def _fold_cell(
-    algorithm: str,
-    front_loss: float,
-    intensity: float,
-    replication: int,
-    _specs: Sequence[TrialSpec],
-    reports: Sequence[PropertyReport],
-) -> QualityCell:
-    expected = detected = duplicates = false_alerts = displayed = 0
-    precision_sum = recall_sum = missed_sum = dup_rate_sum = false_rate_sum = 0.0
-    latencies: list[float] = []
-    for report in reports:
-        quality = report.quality
-        exp, det, shown = (
-            quality["expected"], quality["detected"], quality["displayed"]
-        )
-        expected += exp
-        detected += det
-        displayed += shown
-        duplicates += quality["duplicates"]
-        false_alerts += quality["false_alerts"]
-        precision_sum += det / shown if shown else 1.0
-        recall_sum += det / exp if exp else 1.0
-        missed_sum += (exp - det) / exp if exp else 0.0
-        dup_rate_sum += quality["duplicates"] / shown if shown else 0.0
-        false_rate_sum += quality["false_alerts"] / shown if shown else 0.0
-        latencies.extend(quality["latency_samples"])
-    trials = len(reports)
-    latency_p50, latency_p99 = (
-        percentiles(latencies, (50.0, 99.0)) if latencies else (None, None)
-    )
-    return QualityCell(
-        algorithm=algorithm,
-        front_loss=front_loss,
-        intensity=intensity,
-        replication=replication,
-        trials=trials,
-        expected=expected,
-        detected=detected,
-        duplicates=duplicates,
-        false_alerts=false_alerts,
-        displayed=displayed,
-        precision=precision_sum / trials if trials else 1.0,
-        recall=recall_sum / trials if trials else 1.0,
-        missed_rate=missed_sum / trials if trials else 0.0,
-        duplicate_rate=dup_rate_sum / trials if trials else 0.0,
-        false_rate=false_rate_sum / trials if trials else 0.0,
-        latency_p50=latency_p50,
-        latency_p99=latency_p99,
-        latency_samples=len(latencies),
-    )
-
-
-def quality_sweep(
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    losses: Sequence[float] = DEFAULT_LOSSES,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    trials: int = 20,
-    row: str = "non-historical",
-    matrix: str = "single",
-    n_updates: int = 30,
-    replication: int = 2,
-    base_seed: int = QUALITY_BASE_SEED,
-    profile: FaultProfile = DEFAULT_CHAOS_PROFILE,
-    engine: TrialEngine = INLINE_ENGINE,
-) -> list[QualityCell]:
-    """Sweep algorithm × loss × fault intensity; one folded cell each.
-
-    ``engine`` only changes where trials run (inline by default), never
-    the results.
-    """
-    require_axes(algorithms=algorithms, losses=losses, intensities=intensities)
-
-    def specs_of(algorithm, front_loss, intensity, replication):
-        return quality_specs(
-            algorithm, front_loss, intensity, trials, row=row, matrix=matrix,
-            n_updates=n_updates, replication=replication, base_seed=base_seed,
-            profile=profile,
-        )
-
-    points = [
-        (algorithm, front_loss, intensity, replication)
-        for front_loss in losses
-        for intensity in intensities
-        for algorithm in algorithms
-    ]
-    return engine.run_grid(points, specs_of, _fold_cell)
-
-
 def adaptive_matches_best_static(
-    cells: Sequence[QualityCell],
+    cells: Sequence[Cell],
     adaptive: str = "adaptive",
     tolerance: float = 1e-9,
 ) -> bool:
@@ -222,59 +84,112 @@ def adaptive_matches_best_static(
     algorithm's.  With shared per-point seeds this is exact — the recall
     guard pins the adaptive's detected-event set to the arrival stream's
     whole event set — so ``tolerance`` only absorbs float summation."""
-    by_point: dict[tuple, list[QualityCell]] = {}
+    by_point: dict[tuple, list[Cell]] = {}
     for cell in cells:
-        key = (cell.front_loss, cell.intensity, cell.replication)
+        key = (cell["front_loss"], cell["intensity"], cell["replication"])
         by_point.setdefault(key, []).append(cell)
     seen_adaptive = False
     for group in by_point.values():
-        adaptives = [c for c in group if c.algorithm == adaptive]
-        statics = [c for c in group if c.algorithm != adaptive]
+        adaptives = [c for c in group if c["algorithm"] == adaptive]
+        statics = [c for c in group if c["algorithm"] != adaptive]
         if not adaptives or not statics:
             continue
         seen_adaptive = True
-        best_static = min(c.missed_rate for c in statics)
-        if adaptives[0].missed_rate > best_static + tolerance:
+        best_static = min(c["missed_rate"] for c in statics)
+        if adaptives[0]["missed_rate"] > best_static + tolerance:
             return False
     return seen_adaptive
 
 
-def render_quality_table(cells: Sequence[QualityCell]) -> str:
-    """Fixed-width text table of a sweep, one line per cell."""
-
-    def lat(value: float | None) -> str:
-        return "      -" if value is None else f"{value:>7.2f}"
-
-    lines = [
-        f"{'loss':>5} {'chaos':>6} {'algorithm':>9} {'precision':>10} "
-        f"{'recall':>7} {'missed':>7} {'dup':>6} {'false':>6} "
-        f"{'lat-p50':>8} {'lat-p99':>8}"
-    ]
-    for cell in cells:
-        lines.append(
-            f"{cell.front_loss:>5g} {cell.intensity:>6g} "
-            f"{cell.algorithm:>9} {cell.precision:>10.3f} "
-            f"{cell.recall:>7.3f} {cell.missed_rate:>7.3f} "
-            f"{cell.duplicate_rate:>6.3f} {cell.false_rate:>6.3f} "
-            f"{lat(cell.latency_p50):>8} {lat(cell.latency_p99):>8}"
-        )
-    return "\n".join(lines)
+def _pooled(key: str) -> Column:
+    """An event count summed over the cell's trials."""
+    return Column(
+        key, read=lambda _tally, reports: sum(r.quality[key] for r in reports)
+    )
 
 
-def quality_json(
-    cells: Sequence[QualityCell],
-    row: str = "non-historical",
-    matrix: str = "single",
-    trials: int | None = None,
-    n_updates: int | None = None,
-) -> dict:
-    """The sweep document ``repro quality --json`` writes for these cells."""
-    return {
-        "bench": "quality",
-        "matrix": matrix,
-        "row": row,
-        "trials": trials,
-        "n_updates": n_updates,
-        "adaptive_matches_best_static": adaptive_matches_best_static(cells),
-        "cells": [cell.as_dict() for cell in cells],
-    }
+def _rate(name, header, width, per_trial, empty) -> Column:
+    """A trial-mean rate (each trial weighted equally, like the chaos
+    sweep's mean miss fraction), rounded to 6 digits in the document."""
+    return Column(
+        name, header, width, f"{{:>{width}.3f}}",
+        read=lambda _tally, reports: trial_mean(
+            (per_trial(r.quality) for r in reports), empty
+        ),
+        digits=6,
+    )
+
+
+def _latencies(reports) -> list[float]:
+    return [x for r in reports for x in r.quality["latency_samples"]]
+
+
+def _latency(name: str, header: str, q: float) -> Column:
+    """A percentile of the pooled latency samples (None = no detections)."""
+
+    def read(_tally, reports) -> float | None:
+        samples = _latencies(reports)
+        return percentiles(samples, (q,))[0] if samples else None
+
+    return Column(name, header, 8, "{:>8.2f}", f"{'-':>8}", read)
+
+
+QUALITY_SWEEP = Sweep(
+    name="quality",
+    help="sweep alert quality (precision/recall/duplicates/latency vs "
+    "ground truth) over algorithm x loss x fault intensity, with the "
+    "adaptive-vs-static missed-alert gate",
+    params=(
+        Param("losses", (0.0, 0.15, 0.3), key="front_loss",
+              help="front-link loss probabilities"),
+        Param("intensities", (0.0, 0.5, 1.0, 2.0), key="intensity",
+              help="chaos knob values scaling the default fault profile "
+              "(includes delay spikes, so this is also the delay axis)"),
+        Param("algorithms", ("AD-1", "AD-2", "AD-3", "AD-4", "adaptive"), str,
+              key="algorithm",
+              help="AD algorithms to compare (same seeds per grid point)"),
+        Param("trials", 20, int),
+        Param("row", "aggressive", str,
+              choices=sorted({*ROW_ORDER, *DIVERSITY_ROWS}),
+              help="scenario row (historical rows separate the algorithms "
+              "most; diversity rows need --matrix multi for "
+              "zipfian/correlated)"),
+        Param("matrix", "single", str, choices=("single", "multi")),
+        Param("n_updates", 30, int, flag="--updates"),
+        Param("replication", 2, int),
+    ),
+    point=("algorithm", "front_loss", "intensity", "replication"),
+    specs=quality_specs,
+    columns=(
+        Column("front_loss", "loss", 5, "{:>5g}"),
+        Column("intensity", "chaos", 6, "{:>6g}"),
+        Column("algorithm", "algorithm", 9, "{:>9}"),
+        Column("trials", read=lambda _tally, reports: len(reports)),
+        *map(_pooled, (
+            "expected", "detected", "duplicates", "false_alerts", "displayed"
+        )),
+        _rate("precision", "precision", 10,
+              lambda q: q["detected"] / q["displayed"] if q["displayed"] else 1.0,
+              1.0),
+        _rate("recall", "recall", 7,
+              lambda q: q["detected"] / q["expected"] if q["expected"] else 1.0,
+              1.0),
+        _rate("missed_rate", "missed", 7,
+              lambda q: (q["expected"] - q["detected"]) / q["expected"]
+              if q["expected"] else 0.0,
+              0.0),
+        _rate("duplicate_rate", "dup", 6,
+              lambda q: q["duplicates"] / q["displayed"] if q["displayed"] else 0.0,
+              0.0),
+        _rate("false_rate", "false", 6,
+              lambda q: q["false_alerts"] / q["displayed"] if q["displayed"] else 0.0,
+              0.0),
+        _latency("latency_p50", "lat-p50", 50.0),
+        _latency("latency_p99", "lat-p99", 99.0),
+        Column("latency_samples",
+               read=lambda _tally, reports: len(_latencies(reports))),
+    ),
+    claim=adaptive_matches_best_static,
+    claim_line="adaptive missed-alert rate <= best static at every point: {}",
+    heading=("matrix", "row", "trials", "n_updates"),
+)

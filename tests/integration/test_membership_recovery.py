@@ -4,7 +4,7 @@ The PR's acceptance criterion, end to end: a property that *fails* under
 a crash without recovery is *restored* once heartbeat detection and
 state catch-up run — demonstrated on a pinned witness (both kernels),
 aggregated by the churn sweep's ``recovery_restores_alerts`` gate, and
-visible through the ``repro chaos --churn`` and ``repro trace`` CLIs.
+visible through the ``repro sweep churn`` and ``repro trace`` CLIs.
 """
 
 from dataclasses import replace
@@ -14,11 +14,10 @@ import pytest
 from repro.components.system import run_system
 from repro.engine.spec import TrialSpec
 from repro.faults import (
+    CHURN_SWEEP,
     DEFAULT_CHURN_PROFILE,
     churn_specs,
-    churn_sweep,
     recovery_restores_alerts,
-    render_churn_table,
 )
 from repro.membership import MembershipConfig, churn_summary
 from repro.observability import record_trial, replay_trace
@@ -88,14 +87,14 @@ class TestRecoveryRestoresProperties:
 
 
 class TestChurnSweep:
-    """`repro chaos --churn`'s engine: recovery measurably reduces
+    """`repro sweep churn`'s engine: recovery measurably reduces
     missed alerts versus the crash-only baseline at every intensity."""
 
     @pytest.fixture(scope="class")
     def cells(self):
-        return churn_sweep(
+        return CHURN_SWEEP.run(
             intensities=(1.0, 2.0),
-            detection_timeouts=(None, 4.0),
+            detection_timeouts=(4.0,),
             catchup_latencies=(2.0,),
             trials=8,
         )
@@ -104,10 +103,10 @@ class TestChurnSweep:
         # The baseline (detection_timeout=None) and recovery cells at one
         # intensity must run identical seeds/crash schedules, so their
         # miss-rate difference is a pure recovery-policy effect.
-        baselines = [c for c in cells if c.detection_timeout is None]
-        recovered = [c for c in cells if c.detection_timeout is not None]
-        assert {c.intensity for c in baselines} == {1.0, 2.0}
-        assert all(c.trials == 8 for c in cells)
+        baselines = [c for c in cells if c["detection_timeout"] is None]
+        recovered = [c for c in cells if c["detection_timeout"] is not None]
+        assert {c["intensity"] for c in baselines} == {1.0, 2.0}
+        assert all(c["trials"] == 8 for c in cells)
         assert recovered
 
     def test_recovery_restores_alerts_gate(self, cells):
@@ -115,14 +114,15 @@ class TestChurnSweep:
 
     def test_recovery_cells_actually_caught_up(self, cells):
         assert any(
-            c.caught_up > 0 for c in cells if c.detection_timeout is not None
+            c["caught_up"] > 0 for c in cells
+            if c["detection_timeout"] is not None
         )
 
     def test_render_table_mentions_every_cell(self, cells):
-        table = render_churn_table(cells)
+        table = CHURN_SWEEP.render(cells)
         assert "off" in table  # the baseline row
         for cell in cells:
-            assert f"{cell.intensity:g}" in table
+            assert f"{cell['intensity']:g}" in table
 
     def test_specs_are_deterministic(self):
         a = churn_specs(1.0, 4.0, 2.0, trials=4, base_seed=7)
@@ -154,7 +154,7 @@ class TestMembershipCLI:
         from repro.cli import main
 
         code = main([
-            "chaos", "--churn",
+            "sweep", "churn",
             "--intensities", "1.0",
             "--detection-timeouts", "4.0",
             "--trials", "6",

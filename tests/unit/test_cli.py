@@ -151,10 +151,55 @@ class TestExperimentsCommands:
         # this suite cannot disagree.  (At --trials 15 three CEs at
         # intensity 2 happen to miss more alerts than two, 0.447 vs 0.419.)
         assert main([
-            "chaos", "--intensities", "0", "1", "2",
+            "sweep", "chaos", "--intensities", "0", "1", "2",
             "--replications", "1", "2", "3", "--trials", "30", "--updates", "25",
         ]) == 0
         assert "replication reduces missed alerts: YES" in capsys.readouterr().out
+
+    @staticmethod
+    def _planned(monkeypatch, argv):
+        """The specs ``repro <argv>`` hands the engine; no trial runs."""
+        from repro.engine import TrialEngine
+
+        class Planned(Exception):
+            pass
+
+        planned = []
+
+        def capture(self, specs):
+            planned.extend(specs)
+            raise Planned
+
+        monkeypatch.setattr(TrialEngine, "run", capture)
+        with pytest.raises(Planned):
+            main(argv)
+        return planned
+
+    def test_churn_sweep_defaults_plan_the_documented_cell(self, monkeypatch):
+        # With no axis flags, `repro sweep churn` plans the cell
+        # EXPERIMENTS.md and results/membership.txt document: row
+        # aggressive, algorithm pass, 14 updates, 20 trials, 2 CEs, the
+        # membership-off baseline plus timeouts 2 and 6 at each intensity.
+        from repro.faults import churn_specs
+
+        assert self._planned(monkeypatch, ["sweep", "churn"]) == [
+            spec
+            for intensity in (0.5, 1.0, 2.0)
+            for timeout in (None, 2.0, 6.0)
+            for spec in churn_specs(
+                intensity, timeout, 2.0, 20, row="aggressive",
+                algorithm="pass", n_updates=14, replication=2,
+            )
+        ]
+
+    def test_churn_sweep_runs_a_zero_intensity_as_given(self, monkeypatch):
+        # No intensity is dropped or rewritten: 0 is a fault-free cell.
+        planned = self._planned(
+            monkeypatch, ["sweep", "churn", "--intensities", "0", "1"]
+        )
+        assert len(planned) == 2 * 3 * 20
+        assert all(spec.faults is None for spec in planned[:60])
+        assert all(spec.faults is not None for spec in planned[60:])
 
 
 class TestFeedCommands:

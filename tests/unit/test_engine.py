@@ -406,34 +406,36 @@ class TestGoldenEquivalence:
 def _small_sweeps():
     """name -> callable(engine) running a small instance of each sweep
     family; every result compares with plain ``==``."""
-    from repro.analysis.sweeps import loss_sweep, replication_sweep
-    from repro.faults import chaos_sweep, churn_sweep
+    from repro.analysis.sweeps import LOSS_SWEEP, REPLICATION_SWEEP
+    from repro.faults import CHAOS_SWEEP, CHURN_SWEEP
     from repro.fuzz import FuzzConfig, FuzzEngine
-    from repro.quality import quality_sweep
-    from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
-
-    scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
+    from repro.quality import QUALITY_SWEEP
 
     def fuzz(engine):
         result = FuzzEngine(FuzzConfig(budget=60), engine=engine).run()
         return result.executed, result.corpus_size, result.findings
 
     return {
-        "loss_sweep": lambda engine: loss_sweep(
-            scenario, "AD-1", (0.0, 0.3), trials=4, n_updates=10, engine=engine
+        "loss_sweep": lambda engine: LOSS_SWEEP.run(
+            engine, algorithms=("AD-1",), losses=(0.0, 0.3), trials=4,
+            n_updates=10,
         ),
-        "replication_sweep": lambda engine: replication_sweep(
-            scenario, "AD-1", (1, 3), trials=4, n_updates=10, engine=engine
+        "replication_sweep": lambda engine: REPLICATION_SWEEP.run(
+            engine, algorithms=("AD-1",), replications=(1, 3), trials=4,
+            n_updates=10,
         ),
-        "chaos_sweep": lambda engine: chaos_sweep(
-            (0.0, 1.5), (1, 2), trials=4, n_updates=12, engine=engine
+        "chaos_sweep": lambda engine: CHAOS_SWEEP.run(
+            engine, intensities=(0.0, 1.5), replications=(1, 2), trials=4,
+            n_updates=12,
         ),
-        "churn_sweep": lambda engine: churn_sweep(
-            (1.0, 2.0), (None, 4.0), (1.0, 2.0), trials=4, engine=engine
+        "churn_sweep": lambda engine: CHURN_SWEEP.run(
+            engine, intensities=(1.0, 2.0), detection_timeouts=(4.0,),
+            catchup_latencies=(1.0, 2.0), trials=4,
         ),
-        "quality_sweep": lambda engine: quality_sweep(
-            ("AD-1", "adaptive"), (0.0, 0.3), (0.0, 1.0), trials=3,
-            n_updates=12, engine=engine,
+        "quality_sweep": lambda engine: QUALITY_SWEEP.run(
+            engine, algorithms=("AD-1", "adaptive"), losses=(0.0, 0.3),
+            intensities=(0.0, 1.0), trials=3, row="non-historical",
+            n_updates=12,
         ),
         "FuzzEngine": fuzz,
     }
@@ -456,30 +458,14 @@ class TestSweepEquivalence:
     def test_default_engine_is_the_inline_engine(self):
         import inspect
 
-        from repro.analysis.sweeps import loss_sweep, replication_sweep
         from repro.engine import INLINE_ENGINE
-        from repro.faults import chaos_sweep, churn_sweep
+        from repro.engine.sweep import Sweep
         from repro.fuzz import FuzzEngine
-        from repro.quality import quality_sweep
 
         assert INLINE_ENGINE.processes == 1
-        for function in (
-            loss_sweep, replication_sweep, chaos_sweep, churn_sweep,
-            quality_sweep, FuzzEngine.__init__,
-        ):
+        for function in (Sweep.run, FuzzEngine.__init__):
             default = inspect.signature(function).parameters["engine"].default
             assert default is INLINE_ENGINE, function
-
-    def test_unregistered_scenario_is_a_value_error_naming_the_registry(self):
-        from dataclasses import replace
-
-        from repro.analysis.sweeps import loss_sweep, replication_sweep
-        from repro.workloads.scenarios import SINGLE_VARIABLE_SCENARIOS
-
-        adhoc = replace(SINGLE_VARIABLE_SCENARIOS["aggressive"], front_loss=0.1)
-        for sweep, values in ((loss_sweep, (0.2,)), (replication_sweep, (2,))):
-            with pytest.raises(ValueError, match="SCENARIO_MATRICES"):
-                sweep(adhoc, "AD-1", values, trials=1, n_updates=5)
 
     @pytest.mark.parametrize(
         "sweep, axes, empty",
@@ -488,7 +474,7 @@ class TestSweepEquivalence:
             ("chaos_sweep", dict(replications=()), "replications"),
             (
                 "churn_sweep",
-                dict(detection_timeouts=(None, 2.0), catchup_latencies=()),
+                dict(detection_timeouts=(2.0,), catchup_latencies=()),
                 "catchup_latencies",
             ),
             ("churn_sweep", dict(detection_timeouts=()), "detection_timeouts"),
@@ -498,14 +484,22 @@ class TestSweepEquivalence:
         ids=lambda value: value if isinstance(value, str) else "",
     )
     def test_empty_axis_is_rejected_by_name(self, sweep, axes, empty):
-        import repro.faults
-        import repro.quality
+        from repro.faults import CHAOS_SWEEP, CHURN_SWEEP
+        from repro.quality import QUALITY_SWEEP
 
-        function = getattr(repro.faults, sweep, None) or getattr(
-            repro.quality, sweep
-        )
+        declared = {
+            "chaos_sweep": CHAOS_SWEEP,
+            "churn_sweep": CHURN_SWEEP,
+            "quality_sweep": QUALITY_SWEEP,
+        }[sweep]
         with pytest.raises(ValueError, match=f"'{empty}' is empty"):
-            function(trials=1, **axes)
+            declared.run(trials=1, **axes)
+
+    def test_an_unknown_setting_is_a_type_error_naming_it(self):
+        from repro.faults import CHAOS_SWEEP
+
+        with pytest.raises(TypeError, match="'replication'"):
+            CHAOS_SWEEP.run(replication=2)
 
 
 class TestPinnedCellSeeds:

@@ -17,11 +17,11 @@ from repro.faults import (
     FaultPlan,
     FaultProfile,
     GilbertElliottParams,
+    CHAOS_SWEEP,
     chaos_specs,
-    chaos_sweep,
     replication_reduces_misses,
 )
-from repro.faults.chaos import ChaosCell
+from repro.engine.sweep import Cell
 from repro.observability.replay import record_trial
 from repro.simulation.failures import CrashSchedule
 from repro.simulation.rng import RandomStreams
@@ -301,22 +301,21 @@ class TestChaosSweep:
         assert all(spec.faults is None for spec in chaos_specs(0.0, 2, 3))
 
     def test_sweep_smoke(self):
-        cells = chaos_sweep(
+        cells = CHAOS_SWEEP.run(
             intensities=(0.0, 1.0), replications=(1, 2), trials=4,
             n_updates=12,
         )
         assert len(cells) == 4
         for cell in cells:
-            assert cell.trials == 4
-            assert set(cell.survival) == {"ordered", "complete", "consistent"}
-            assert 0.0 <= cell.mean_miss_fraction <= 1.0
+            assert cell["trials"] == 4
+            assert {"ordered", "complete", "consistent"} <= set(cell.values)
+            assert 0.0 <= cell["mean_miss_fraction"] <= 1.0
 
     def test_shape_check_flags_inversions(self):
         def cell(intensity, replication, miss):
-            return ChaosCell(
-                intensity, replication, 10, dict.fromkeys(
-                    ("ordered", "complete", "consistent"), 1.0
-                ), {}, miss, 1.0,
+            return Cell(
+                {"intensity": intensity, "replication": replication},
+                {"trials": 10, "mean_miss_fraction": miss},
             )
 
         good = [cell(1.0, 1, 0.4), cell(1.0, 2, 0.2)]

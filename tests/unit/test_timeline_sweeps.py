@@ -2,12 +2,7 @@
 
 from dataclasses import replace
 
-from repro.analysis.sweeps import (
-    SweepPoint,
-    loss_sweep,
-    render_sweep,
-    replication_sweep,
-)
+from repro.analysis.sweeps import LOSS_SWEEP, REPLICATION_SWEEP
 from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1
 from repro.engine.spec import TrialSpec
@@ -112,39 +107,44 @@ class TestTimelineRecorder:
 
 class TestSweeps:
     def test_loss_sweep_monotone_signal(self):
-        scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
-        points = loss_sweep(scenario, "AD-1", [0.0, 0.4], trials=15, n_updates=25)
+        points = LOSS_SWEEP.run(
+            algorithms=("AD-1",), losses=(0.0, 0.4), trials=15, n_updates=25
+        )
         assert len(points) == 2
         zero, lossy = points
-        assert zero.inconsistent_rate == 0.0  # lossless: Theorem 1
-        assert lossy.inconsistent_rate > 0.0
+        assert zero["inconsistent_rate"] == 0.0  # lossless: Theorem 1
+        assert lossy["inconsistent_rate"] > 0.0
 
     def test_loss_sweep_does_not_mutate_scenario(self):
         scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
         original_loss = scenario.front_loss
-        loss_sweep(scenario, "AD-1", [0.5], trials=2, n_updates=10)
+        LOSS_SWEEP.run(algorithms=("AD-1",), losses=(0.5,), trials=2,
+                       n_updates=10)
         assert scenario.front_loss == original_loss
 
     def test_replication_sweep_guarantees_hold(self):
         # AD-4's guarantees must survive replication 3 (the paper: the
         # 2-CE analysis "can be easily extended").
-        scenario = SINGLE_VARIABLE_SCENARIOS["aggressive"]
-        points = replication_sweep(scenario, "AD-4", [2, 3], trials=15, n_updates=25)
+        points = REPLICATION_SWEEP.run(
+            algorithms=("AD-4",), replications=(2, 3), trials=15, n_updates=25
+        )
         for point in points:
-            assert point.unordered_rate == 0.0
-            assert point.inconsistent_rate == 0.0
+            assert point["unordered_rate"] == 0.0
+            assert point["inconsistent_rate"] == 0.0
+        assert REPLICATION_SWEEP.claim(points)
 
     def test_sweep_point_from_tally_handles_unchecked(self):
-        from repro.props.report import PropertyTally
+        point = LOSS_SWEEP.fold({"algorithm": "AD-1", "value": 1.0}, [], [])
+        assert point["incomplete_rate"] is None
+        assert point["inconsistent_rate"] is None
+        assert "n/a" in LOSS_SWEEP.render([point])
 
-        point = SweepPoint.from_tally("p", 1.0, "AD-1", PropertyTally())
-        assert point.incomplete_rate is None
-        assert point.inconsistent_rate is None
-
-    def test_render_sweep(self):
-        scenario = SINGLE_VARIABLE_SCENARIOS["non-historical"]
-        points = loss_sweep(scenario, "AD-1", [0.2], trials=5, n_updates=15)
-        text = render_sweep("demo", points)
-        assert "demo" in text
+    def test_render_ablation_table(self):
+        points = LOSS_SWEEP.run(
+            algorithms=("AD-1",), losses=(0.2,), row="non-historical",
+            trials=5, n_updates=15,
+        )
+        text = LOSS_SWEEP.render(points)
+        assert "param" in text
         assert "front_loss" in text
         assert "AD-1" in text

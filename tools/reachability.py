@@ -75,11 +75,11 @@ ENTRY_POINTS: list[list[str]] = [
      "--seed", "7", "--out", "run.jsonl"],
     ["-m", "repro", "trace", "replay", "run.jsonl"],
     ["-m", "repro", "trace", "summarize", "run.jsonl"],
-    ["-m", "repro", "chaos", "--intensities", "0", "1", "2",
+    ["-m", "repro", "sweep", "chaos", "--intensities", "0", "1", "2",
      "--replications", "1", "2", "3"],
     ["-m", "repro", "trace", "record", "non-historical", "--algorithm", "AD-4",
      "--chaos", "2", "--seed", "20045960", "--out", "witness.jsonl"],
-    ["-m", "repro", "chaos", "--churn", "--intensities", "1", "2", "--trials", "12"],
+    ["-m", "repro", "sweep", "churn", "--intensities", "1", "2", "--trials", "12"],
     ["-m", "repro", "trace", "record", "aggressive", "--seed", "5", "--updates",
      "14", "--replication", "2", "--membership", "--out", "healed.jsonl"],
     ["-m", "repro", "trace", "replay", "healed.jsonl"],
@@ -87,17 +87,17 @@ ENTRY_POINTS: list[list[str]] = [
      "--seed", "7", "--updates", "60", "--out", "run.feed"],
     ["-m", "repro", "feed", "conform", "run.feed"],
     ["SERVE", "-m", "repro", "feed", "send", "run.feed", "--conform"],
-    ["-m", "repro", "quality", "--trials", "20", "--row", "aggressive"],
-    ["-m", "repro", "quality", "--trials", "6", "--updates", "20", "--check",
+    ["-m", "repro", "sweep", "quality", "--trials", "20", "--row", "aggressive"],
+    ["-m", "repro", "sweep", "quality", "--trials", "6", "--updates", "20",
      "--json", "q.json"],
-    ["-m", "repro", "quality", "--row", "zipfian", "--matrix", "multi",
+    ["-m", "repro", "sweep", "quality", "--row", "zipfian", "--matrix", "multi",
      "--algorithms", "AD-1", "AD-5", "adaptive", "--trials", "8"],
     # The other diversity rows the README names: bursty in both matrices.
-    ["-m", "repro", "quality", "--row", "correlated", "--matrix", "multi",
+    ["-m", "repro", "sweep", "quality", "--row", "correlated", "--matrix", "multi",
      "--algorithms", "AD-1", "AD-5", "adaptive", "--trials", "8"],
-    ["-m", "repro", "quality", "--row", "bursty", "--matrix", "multi",
+    ["-m", "repro", "sweep", "quality", "--row", "bursty", "--matrix", "multi",
      "--algorithms", "AD-1", "AD-5", "adaptive", "--trials", "8"],
-    ["-m", "repro", "quality", "--row", "bursty", "--trials", "8"],
+    ["-m", "repro", "sweep", "quality", "--row", "bursty", "--trials", "8"],
     ["-m", "repro", "list"],
     ["-m", "repro", "tables", "table1", "table3"],
     ["-m", "repro", "scenario", "aggressive", "--seed", "7", "--timeline"],
@@ -107,8 +107,8 @@ ENTRY_POINTS: list[list[str]] = [
     ["-m", "repro", "fuzz", "--target", "consistency", "--budget", "2000",
      "--minimize"],
     ["-m", "repro", "compare", "aggressive", "--seed", "5"],
-    ["-m", "repro", "chaos", "--trials", "30"],
-    ["-m", "repro", "chaos", "--churn"],
+    ["-m", "repro", "sweep", "chaos", "--trials", "30"],
+    ["-m", "repro", "sweep", "churn"],
     ["-m", "repro", "feed", "record", "aggressive", "--seed", "7", "--out",
      "run.feed"],
     ["-m", "repro", "feed", "conform", "run.feed"],

@@ -21,14 +21,15 @@ bench:  ## regenerate every paper artifact (benchmarks/results/)
 # The seconds-fast regenerators must leave their tracked artifacts
 # byte-identical (CI jobs artifact-drift and, for fuzz, fuzz-smoke run
 # the same commands).
-ARTIFACTS = quality availability availability_chaos membership \
+ARTIFACTS = quality availability availability_chaos latency membership \
 	ablation_loss ablation_replication fuzz theorem_rates \
 	theorem3_counterexample theorem4_counterexample wire_sizes example4 \
 	multicondition_demux multicondition_system multicondition_disjunction
 
 artifacts-check:  ## regenerate the sweep artifacts; fail on any drift
 	$(PYTHON) -m pytest benchmarks/bench_quality.py \
-		benchmarks/bench_availability.py benchmarks/bench_membership.py \
+		benchmarks/bench_availability.py benchmarks/bench_latency.py \
+		benchmarks/bench_membership.py \
 		benchmarks/bench_ablation.py benchmarks/bench_fuzz.py \
 		benchmarks/bench_theorems.py benchmarks/bench_wire.py \
 		benchmarks/bench_multicondition.py \

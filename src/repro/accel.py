@@ -1,7 +1,8 @@
 """Process-level helpers: small-sample statistics and the collector scope.
 
-The callers (``quality.sweep``, ``faults.chaos``, ``analysis.latency``,
-the server's result percentiles) each summarise a few thousand floats,
+The callers (the sweeps' columns, ``benchmarks/bench_latency.py``'s
+pooled ``alert_quality`` latency samples, the server's result
+percentiles) each summarise a few thousand floats,
 so these are plain Python over the standard library — no optional
 numeric dependency, one code path.
 :func:`percentiles` interpolates linearly at the fractional rank
@@ -19,6 +20,7 @@ policy*).
 from __future__ import annotations
 
 import gc
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
@@ -29,21 +31,38 @@ __all__ = [
 ]
 
 
+#: Open ``collector_paused`` scopes in the process, and the collector
+#: state the first of them found.  The switch is process-wide, so the
+#: count is too: scopes on other threads or tasks may overlap without
+#: nesting, and only the last one out restores the state.
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_found_enabled = False
+
+
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector off for the ``with`` body.
 
-    Restores the caller's state, not "on": nested scopes and a caller
-    that had already disabled collection both come out as they went in.
-    Reference counting still frees everything acyclic as it dies.
+    Restores the state found when no scope was open, not "on": nested
+    scopes and a caller that had already disabled collection both come
+    out as they went in, and a scope that ends while another (on any
+    thread or task) is still open leaves collection off.  Reference
+    counting still frees everything acyclic as it dies.
     """
-    was = gc.isenabled()
-    gc.disable()
+    global _pause_depth, _pause_found_enabled
+    with _pause_lock:
+        if not _pause_depth:
+            _pause_found_enabled = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
     try:
         yield
     finally:
-        if was:
-            gc.enable()
+        with _pause_lock:
+            _pause_depth -= 1
+            if not _pause_depth and _pause_found_enabled:
+                gc.enable()
 
 
 def mean(values: Sequence[float]) -> float:

@@ -22,18 +22,7 @@ from repro.analysis.compare import (
     compare_algorithms,
     compare_run,
 )
-from repro.analysis.latency import (
-    LatencyStats,
-    NotificationLatency,
-    latency_stats,
-    notification_latencies,
-)
-from repro.analysis.metrics import (
-    DeliveryStats,
-    RunMetrics,
-    collect_metrics,
-    delivery_stats,
-)
+from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.analysis.repro_report import (
     ReproductionReport,
     SectionResult,
@@ -57,10 +46,6 @@ __all__ = [
     "Counterexample",
     "compare_algorithms",
     "compare_run",
-    "LatencyStats",
-    "NotificationLatency",
-    "latency_stats",
-    "notification_latencies",
     "ReproductionReport",
     "SectionResult",
     "generate_report",
@@ -68,7 +53,6 @@ __all__ = [
     "find_violation",
     "replay",
     "shrink_counterexample",
-    "DeliveryStats",
     "EXPECTED_GRIDS",
     "RunMetrics",
     "TableResult",
@@ -77,7 +61,6 @@ __all__ = [
     "collect_arrival_streams",
     "collect_metrics",
     "consistency_property",
-    "delivery_stats",
     "domination_experiment",
     "grid_matches",
     "maximality_experiment",

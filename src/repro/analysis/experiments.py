@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.metrics import delivery_stats
 from repro.components.system import SystemConfig, run_system
 from repro.core.alert import Alert
 from repro.core.condition import c1
@@ -25,6 +24,7 @@ from repro.props.consistency import check_consistency_single
 from repro.faults.plan import FaultProfile
 from repro.props.domination import DominationResult, test_domination
 from repro.props.maximality import MaximalityResult, probe_streams
+from repro.quality.metrics import alert_quality
 from repro.simulation.rng import RandomStreams
 from repro.workloads.generators import threshold_crossers
 from repro.workloads.scenarios import (
@@ -194,9 +194,10 @@ def availability_experiment(
                     )
                 )
                 run = run_system(c1(), workload, config, seed=seed)
-                stats = delivery_stats(run)
-                total_miss += stats.miss_fraction
-                if stats.missed > 0:
+                quality = alert_quality(run)
+                if quality.expected:
+                    total_miss += quality.missed / quality.expected
+                if quality.missed > 0:
                     runs_with_miss += 1
             points.append(
                 AvailabilityPoint(

@@ -7,7 +7,7 @@ inference, the ConditionEvaluator, and the reference mapping T used by the
 property definitions.
 """
 
-from repro.core.alert import Alert, alert_identity_set, make_alert
+from repro.core.alert import Alert, make_alert
 from repro.core.condition import (
     Condition,
     ExpressionCondition,
@@ -63,7 +63,6 @@ __all__ = [
     "HistorySnapshot",
     "PredicateCondition",
     "Update",
-    "alert_identity_set",
     "always_true",
     "apply_T",
     "c1",

@@ -27,7 +27,6 @@ from repro.core.update import Update
 __all__ = [
     "Alert",
     "make_alert",
-    "alert_identity_set",
     "identity_event_key",
     "identity_seqnos",
     "identity_shorthand",
@@ -85,11 +84,6 @@ def make_alert(
     """
     snapshot = HistorySnapshot({var: tuple(ups) for var, ups in histories.items()})
     return Alert(condname, snapshot, source)
-
-
-def alert_identity_set(alerts: Iterable[Alert]) -> frozenset[tuple]:
-    """``ΦA`` with alert identity = (condname, history seqnos)."""
-    return frozenset(a.identity() for a in alerts)
 
 
 def identity_seqnos(key: tuple, varname: str) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ from repro.core.update import Update
 
 __all__ = [
     "apply_T",
-    "ground_truth_alerts",
     "combine_received",
     "merge_single_variable",
     "count_interleavings",
@@ -53,28 +52,6 @@ def apply_T(condition: Condition, updates: Iterable[Update], source: str = "N") 
     (Figure 2(b)): one CE, no filtering at the AD.
     """
     return ConditionEvaluator(condition, source=source).ingest_all(updates)
-
-
-def ground_truth_alerts(
-    condition: Condition, sent_log: Iterable[tuple[float, Update]]
-) -> list[tuple[float, Alert]]:
-    """What the ideal system raises, and when: ``(trigger_time, alert)``.
-
-    The ideal system is one co-located CE — zero latency, no loss, no
-    downtime — fed the DMs' merged broadcast log (a run's ``sent_log``),
-    so an alert's trigger time is the broadcast time of the update that
-    fired it.  For multi-variable conditions this fixes the interleaving
-    to broadcast order, which is what such a CE would observe.  Delivery
-    statistics, notification latencies and the quality metrics' event
-    keys are all views of this one pass.
-    """
-    evaluator = ConditionEvaluator(condition, source="N")
-    raised = []
-    for time, update in sent_log:
-        alert = evaluator.ingest(update)
-        if alert is not None:
-            raised.append((time, alert))
-    return raised
 
 
 def merge_single_variable(u1: Sequence[Update], u2: Sequence[Update]) -> list[Update]:

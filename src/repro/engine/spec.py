@@ -65,12 +65,10 @@ class TrialSpec:
     #: dict (e.g. reconstructed from a trace header) is converted to a
     #: FaultProfile, so specs survive the JSONL round trip.
     faults: "FaultProfile | None" = None
-    #: Also compute ground-truth delivery stats and attach them to the
-    #: report (``PropertyReport.delivery``) — what chaos sweeps aggregate.
-    collect_delivery: bool = False
-    #: Also compute event-keyed alert quality (precision/recall/latency
-    #: against the single-replica ground truth) and attach it to the
-    #: report (``PropertyReport.quality``) — what quality sweeps fold.
+    #: Also compute event-keyed alert quality (missed/precision/recall/
+    #: latency against the single-replica ground truth) and attach it to
+    #: the report (``PropertyReport.quality``) — what the chaos, churn and
+    #: quality sweeps fold.
     collect_quality: bool = False
     #: Like ``collect_counters`` but with a ReasonCountersTracer, whose
     #: keys splice event ``reason`` payloads into the kind segment
@@ -104,12 +102,7 @@ class TrialSpec:
     def bare(self) -> "TrialSpec":
         """This spec with the collection flags off: the canonical form a
         witness is shrunk, recorded and replayed in."""
-        return replace(
-            self,
-            collect_counters=False,
-            collect_coverage=False,
-            collect_delivery=False,
-        )
+        return replace(self, collect_counters=False, collect_coverage=False)
 
     def run(self, tracer: object | None = None) -> "RunResult":
         """Simulate the trial: the one place a spec becomes a
@@ -151,15 +144,6 @@ class TrialSpec:
             from repro.membership.verdicts import churn_summary
 
             extras["churn"] = churn_summary(run)
-        if self.collect_delivery:
-            from repro.analysis.metrics import delivery_stats
-
-            stats = delivery_stats(run)
-            extras["delivery"] = {
-                "expected": stats.expected,
-                "delivered": stats.delivered,
-                "extraneous": stats.extraneous,
-            }
         if self.collect_quality:
             from repro.quality.metrics import alert_quality
 

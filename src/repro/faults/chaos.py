@@ -11,8 +11,9 @@ intensity, then reports
 * per-property survival rates (fraction of trials with no violation),
 * the minimal violating seed per property — a replayable witness
   (``repro trace record --chaos``), and
-* ground-truth alert delivery (missed-alert fractions), whose decrease
-  in the replication factor *is* the Figure-1 claim.
+* ground-truth alert delivery (missed-alert fractions, read off the
+  event-keyed :func:`~repro.quality.metrics.alert_quality`), whose
+  decrease in the replication factor *is* the Figure-1 claim.
 
 The churn sweep (:data:`CHURN_SWEEP`, ``repro sweep churn``) crashes CEs
 only and asks what heartbeat detection plus catch-up buys back against
@@ -75,7 +76,7 @@ def chaos_specs(
         n_updates,
         replication=replication,
         faults=profile.scaled(intensity).or_none(),
-        collect_delivery=True,
+        collect_quality=True,
     )
 
 
@@ -169,7 +170,7 @@ def churn_specs(
         replication=replication,
         front_loss=0.0,
         faults=profile.scaled(intensity).or_none(),
-        collect_delivery=True,
+        collect_quality=True,
         membership=membership,
     )
 
@@ -205,10 +206,6 @@ def _survival(name: str, width: int, violations: str, checked: str) -> Column:
     return Column(name, name, width, f"{{:>{width}.2f}}", f"{'n/a':>{width}}", read)
 
 
-def _missed(report) -> int:
-    return report.delivery["expected"] - report.delivery["delivered"]
-
-
 #: The columns both sweeps fold the same way.
 _COMMON = (
     Column("trials", read=lambda tally, _reports: tally.runs),
@@ -218,7 +215,8 @@ _COMMON = (
     Column(
         "mean_miss_fraction", "mean miss", 10, "{:>10.3f}",
         read=lambda _tally, reports: trial_mean(
-            _missed(r) / r.delivery["expected"] if r.delivery["expected"] else 0.0
+            r.quality["missed"] / r.quality["expected"]
+            if r.quality["expected"] else 0.0
             for r in reports
         ),
     ),
@@ -267,7 +265,7 @@ CHAOS_SWEEP = Sweep(
         Column(
             "any_miss_fraction", "any-miss", 9, "{:>9.2f}",
             read=lambda _tally, reports: trial_mean(
-                1.0 if _missed(r) > 0 else 0.0 for r in reports
+                1.0 if r.quality["missed"] > 0 else 0.0 for r in reports
             ),
         ),
         Column("witnesses", "witnesses", 10, " {}", " -", _witnesses),

@@ -59,12 +59,6 @@ class PropertyReport:
     #: ``TrialSpec.collect_counters``.  Excluded from equality so traced
     #: and untraced reports of the same run still compare equal.
     counters: dict[str, int] | None = field(default=None, compare=False)
-    #: Optional ground-truth delivery stats (``expected`` / ``delivered``
-    #: / ``extraneous``) from :func:`repro.analysis.metrics.delivery_stats`,
-    #: attached when the trial ran with ``TrialSpec.collect_delivery`` —
-    #: what the chaos sweeps aggregate into missed-alert fractions.
-    #: Excluded from equality like ``counters``.
-    delivery: dict[str, int] | None = field(default=None, compare=False)
     #: Optional churn context from a membership-enabled run (the
     #: JSON-safe digest of :func:`repro.membership.churn_summary`),
     #: letting aggregators distinguish violations that happened while
@@ -73,9 +67,9 @@ class PropertyReport:
     churn: dict | None = field(default=None, compare=False)
     #: Optional event-keyed alert quality (the JSON-safe digest of
     #: :func:`repro.quality.alert_quality`), attached when the trial ran
-    #: with ``TrialSpec.collect_quality`` — what quality sweeps fold into
-    #: precision/recall/latency cells.  Excluded from equality like
-    #: ``counters``.
+    #: with ``TrialSpec.collect_quality`` — what the sweeps fold into
+    #: missed-alert fractions and precision/recall/latency cells.
+    #: Excluded from equality like ``counters``.
     quality: dict | None = field(default=None, compare=False)
 
     @property

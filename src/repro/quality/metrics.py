@@ -1,9 +1,10 @@
 """Per-run alert-quality metrics against the single-replica ground truth.
 
-The ground truth is the same ideal system the availability analysis uses
-(:mod:`repro.analysis.metrics`): one co-located CE fed the merged DM
-broadcast log — no loss, no downtime.  Every alert that system raises is
-a real-world *event*, keyed by its head-seqno vector
+This is the repository's one ground truth: the availability experiment,
+the chaos and churn sweeps' missed-alert columns, notification latency
+and the quality sweep all read it.  The ideal system is one co-located
+CE fed the merged DM broadcast log — no loss, no downtime.  Every alert
+that system raises is a real-world *event*, keyed by its head-seqno vector
 (:func:`~repro.core.alert.identity_event_key`) and stamped with the
 broadcast time of the update that triggered it.
 
@@ -19,9 +20,11 @@ Displayed alerts are then classified event by event:
   never produced (a lossy replica hallucinating a trigger through a
   gapped history).
 
-Identity-level set comparison (``DeliveryStats``) cannot distinguish a
-re-detection from new information; the event-keyed view can, which is
-what makes precision/duplicate-rate meaningful per AD algorithm.
+Comparing identity sets cannot distinguish a re-detection from new
+information; the event-keyed view can, which is what makes
+precision/duplicate-rate meaningful per AD algorithm.  For a degree-1
+condition an event key and an identity are in bijection, so there the
+two views count the same misses.
 """
 
 from __future__ import annotations
@@ -99,9 +102,12 @@ class AlertQuality:
 def ground_truth_events(run: RunResult) -> dict[tuple, float]:
     """Expected event key → trigger time (broadcast time of the trigger).
 
-    The ideal co-located CE of
-    :func:`~repro.core.reference.ground_truth_alerts`, keyed without its
-    alerts: the history windows are kept as
+    The ideal system is one co-located CE — zero latency, no loss, no
+    downtime — fed the DMs' merged broadcast log (``run.sent_log``), so a
+    trigger time is the broadcast time of the update that fired it; for
+    a multi-variable condition this fixes the interleaving to broadcast
+    order, which is what such a CE would observe.  It is run without
+    building alerts: the history windows are kept as
     :class:`~repro.core.evaluator.ConditionEvaluator` keeps them and
     handed to the same compiled closure, and each trigger's key — the
     condition name and every window's head seqno, the

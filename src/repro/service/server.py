@@ -73,9 +73,8 @@ import asyncio
 import gc
 import json
 import time
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.accel import collector_paused, percentiles
 from repro.core.serialization import alert_from_json, canonical_line
@@ -137,11 +136,6 @@ class MonitorService:
         self._handlers: set[asyncio.Task] = set()
         #: Set by every handler as it finishes; ``serve_until`` sleeps on it.
         self._connection_closed = asyncio.Event()
-        #: Pipelines between their start and their drained reply, and the
-        #: one collector pause they share (connections do not nest, so
-        #: each cannot hold its own: the first to finish would end it).
-        self._live_pipelines = 0
-        self._collector_pause = ExitStack()
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -191,7 +185,7 @@ class MonitorService:
         self._handlers.add(task)
         task.add_done_callback(self._connection_done)
         try:
-            with self._pipeline_live():
+            with collector_paused():
                 try:
                     result = await self._run_pipeline(reader)
                     writer.write(encode_message({"type": "result", **result}))
@@ -218,19 +212,6 @@ class MonitorService:
         gc.collect()
         self._handlers.discard(task)
         self._connection_closed.set()
-
-    @contextmanager
-    def _pipeline_live(self) -> Iterator[None]:
-        """Hold the service's collector pause while this pipeline runs."""
-        if not self._live_pipelines:
-            self._collector_pause.enter_context(collector_paused())
-        self._live_pipelines += 1
-        try:
-            yield
-        finally:
-            self._live_pipelines -= 1
-            if not self._live_pipelines:
-                self._collector_pause.close()
 
     async def _run_pipeline(self, reader: asyncio.StreamReader) -> dict[str, Any]:
         from repro.displayers.registry import make_ad

@@ -4,7 +4,6 @@ Each test transcribes the paper's stated inputs and checks the stated
 outcome — these are the ground-truth anchors of the reproduction.
 """
 
-from repro.core.alert import alert_identity_set
 from repro.core.reference import apply_T, combine_received, merge_single_variable
 from repro.displayers import AD1, AD2, AD3, AD5
 from repro.props.completeness import (
@@ -204,13 +203,14 @@ class TestLemma6Example:
         assert result.missing or result.extraneous
         # And specifically, any interleaving producing BOTH displayed
         # alerts also produces the forced intermediate (8x, 3y):
-        from repro.core.alert import alert_identity_set
         from repro.core.reference import apply_T
         from tests.conftest import interleavings
 
-        displayed_ids = alert_identity_set(displayed)
+        displayed_ids = frozenset(a.identity() for a in displayed)
         for candidate in interleavings(per_var):
-            produced = alert_identity_set(apply_T(ex.condition, candidate))
+            produced = frozenset(
+                a.identity() for a in apply_T(ex.condition, candidate)
+            )
             if displayed_ids <= produced:
                 seqno_pairs = {
                     tuple(s for _, s in identity[1]) for identity in produced

@@ -25,7 +25,7 @@ The engine differential tests cross-validate a different pair of
 paths: the :class:`~repro.engine.core.TrialEngine` spec pipeline against
 a direct :func:`~repro.workloads.scenarios.run_scenario` call, on
 fault-laden specs — same verdicts, same observability counters, same
-delivery stats, whichever road a trial takes.
+alert quality, whichever road a trial takes.
 """
 
 from dataclasses import replace as dc_replace
@@ -33,7 +33,7 @@ from dataclasses import replace as dc_replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.alert import Alert, alert_identity_set, make_alert
+from repro.core.alert import Alert, make_alert
 from repro.core.condition import (
     ExpressionCondition,
     PredicateCondition,
@@ -137,9 +137,9 @@ def test_multi_checker_matches_oracle_nonhistorical(run, rng):
 
 def _direct_report(spec):
     """Re-run a spec by hand: scenario resolution, tracer, fault profile
-    and delivery stats wired explicitly, bypassing TrialSpec.execute."""
-    from repro.analysis.metrics import delivery_stats
+    and alert quality wired explicitly, bypassing TrialSpec.execute."""
     from repro.observability.tracer import CountersTracer
+    from repro.quality.metrics import alert_quality
     from repro.workloads.scenarios import run_scenario
 
     tracer = CountersTracer()
@@ -152,15 +152,10 @@ def _direct_report(spec):
         tracer=tracer,
         faults=spec.faults,
     )
-    stats = delivery_stats(run)
     return dc_replace(
         run.evaluate_properties(),
         counters=tracer.as_dict(),
-        delivery={
-            "expected": stats.expected,
-            "delivered": stats.delivered,
-            "extraneous": stats.extraneous,
-        },
+        quality=alert_quality(run).as_dict(),
     )
 
 
@@ -177,7 +172,7 @@ def test_engine_and_direct_paths_agree_under_faults(
 ):
     """Differential: the TrialEngine path and a direct simulation of the
     same fault-laden spec report identical verdicts, counters and
-    delivery stats."""
+    alert quality."""
     from repro.engine import TrialEngine
     from repro.engine.spec import TrialSpec
     from repro.faults import DEFAULT_CHAOS_PROFILE
@@ -187,13 +182,13 @@ def test_engine_and_direct_paths_agree_under_faults(
         faults = None
     spec = TrialSpec(
         "single", row, algorithm, seed, n,
-        faults=faults, collect_counters=True, collect_delivery=True,
+        faults=faults, collect_counters=True, collect_quality=True,
     )
     (engine_report,) = TrialEngine(processes=1).run([spec])
     direct_report = _direct_report(spec)
     assert engine_report == direct_report  # verdict equality
     assert engine_report.counters == direct_report.counters
-    assert engine_report.delivery == direct_report.delivery
+    assert engine_report.quality == direct_report.quality
 
 
 def _historical_condition():
@@ -317,8 +312,8 @@ def test_completeness_without_a_compiled_closure(run, rng):
 def completeness_single_by_rerunning_T(alerts, condition, merged_updates):
     """``check_completeness_single`` as it was: T over the merged run,
     every alert and snapshot rebuilt, two identity sets compared."""
-    expected = alert_identity_set(apply_T(condition, merged_updates))
-    actual = alert_identity_set(alerts)
+    expected = frozenset(a.identity() for a in apply_T(condition, merged_updates))
+    actual = frozenset(a.identity() for a in alerts)
     return CompletenessResult(
         complete=(expected == actual),
         missing=frozenset(expected - actual),

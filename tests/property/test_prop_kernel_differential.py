@@ -57,10 +57,10 @@ def _assert_reports_identical(spec: TrialSpec) -> None:
     array_report = array_spec.execute()
     assert object_report == array_report
     assert object_report.summary == array_report.summary
-    # counters/delivery are compare=False on PropertyReport, so the
+    # counters/quality are compare=False on PropertyReport, so the
     # dataclass equality above does not cover them.
     assert object_report.counters == array_report.counters
-    assert object_report.delivery == array_report.delivery
+    assert object_report.quality == array_report.quality
 
 
 @settings(max_examples=20, deadline=None)
@@ -94,7 +94,7 @@ def test_fault_injected_reports_identical(row, algorithm, seed, n, chaos):
         TrialSpec(
             "single", row, algorithm, seed, n,
             faults=DEFAULT_CHAOS_PROFILE.scaled(chaos),
-            collect_counters=True, collect_delivery=True,
+            collect_counters=True, collect_quality=True,
         )
     )
 
@@ -106,7 +106,7 @@ def test_multi_variable_fault_reports_identical(row, algorithm, seed, n, chaos):
         TrialSpec(
             "multi", row, algorithm, seed, n,
             faults=DEFAULT_CHAOS_PROFILE.scaled(chaos),
-            collect_counters=True, collect_delivery=True,
+            collect_counters=True, collect_quality=True,
         )
     )
 
@@ -131,7 +131,7 @@ def test_reason_keyed_counters_identical(
             replication=replication,
             faults=DEFAULT_CHAOS_PROFILE.scaled(chaos),
             membership=membership,
-            collect_coverage=True, collect_delivery=True,
+            collect_coverage=True, collect_quality=True,
         )
     )
 

@@ -17,14 +17,21 @@ Four families of invariants:
 * **Adaptive determinism** — adaptive runs are bit-identical across the
   object and array kernels, and record→replay through every service
   runtime byte-for-byte.
+
+Besides, on a degree-1 condition the event view agrees with an identity
+replay of the ideal CE (the ground truth the missed-alert columns used
+before they were read off ``alert_quality``): same expected, missed and
+latency samples.
 """
 
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.evaluator import ConditionEvaluator
 from repro.engine.spec import SCENARIO_MATRICES, TrialSpec
 from repro.faults import DEFAULT_CHAOS_PROFILE
+from repro.quality.metrics import alert_quality
 from repro.service import check_conformance, default_runtimes, record_feed
 
 single_rows = st.sampled_from(sorted(SCENARIO_MATRICES["single"]))
@@ -79,6 +86,51 @@ def test_conservation_multi_variable(row, algorithm, seed, n, loss):
     )
     assert 0.0 <= quality["precision"] <= 1.0
     assert 0.0 <= quality["recall"] <= 1.0
+
+
+def identity_replay(run) -> tuple[int, int, list[float]]:
+    """Oracle: expected and missed counts and latency samples by alert
+    identity.  The ideal CE is a ``ConditionEvaluator`` fed the broadcast
+    log; an expected identity is delivered when an alert with that
+    identity is displayed, at its first display."""
+    evaluator = ConditionEvaluator(run.condition, source="N")
+    triggered: dict[tuple, float] = {}
+    for time, update in run.sent_log:
+        alert = evaluator.ingest(update)
+        if alert is not None:
+            triggered.setdefault(alert.identity(), time)
+    first_display: dict[tuple, float] = {}
+    for identity, index in zip(run.displayed_keys, run.displayed_arrivals):
+        first_display.setdefault(identity, run.ad_arrival_times[index])
+    latencies = [
+        first_display[identity] - time
+        for identity, time in triggered.items()
+        if identity in first_display
+    ]
+    return len(triggered), len(triggered) - len(latencies), latencies
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["non-historical", "bursty"]), algorithms, seeds,
+    st.integers(4, 20), st.integers(1, 3), losses, intensities,
+)
+def test_degree_one_event_view_matches_the_identity_replay(
+    row, algorithm, seed, n, replication, loss, intensity
+):
+    # Both rows run c1 (degree 1), where an event key and an identity
+    # are in bijection: this is why moving the Figure-1 artifacts onto
+    # alert_quality left them byte-identical.
+    faults = DEFAULT_CHAOS_PROFILE.scaled(intensity) if intensity else None
+    run = TrialSpec(
+        "single", row, algorithm, seed, n,
+        replication=replication, front_loss=loss, faults=faults,
+    ).run()
+    assert run.condition.degrees == {"x": 1}
+    expected, missed, latencies = identity_replay(run)
+    quality = alert_quality(run)
+    assert (quality.expected, quality.missed) == (expected, missed)
+    assert sorted(quality.latency_samples) == sorted(latencies)
 
 
 @settings(max_examples=25, deadline=None)

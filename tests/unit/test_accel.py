@@ -78,22 +78,20 @@ def test_percentile_validation():
         accel.percentiles(VALUES, [50, 101])
 
 
-def test_latency_stats():
-    from repro.analysis.latency import NotificationLatency, latency_stats
+def test_latency_summary_of_a_quality():
+    from repro.quality.metrics import AlertQuality
 
-    stats = latency_stats(
-        [
-            NotificationLatency(("c", 1), 0.0, 4.0),
-            NotificationLatency(("c", 2), 1.0, 9.0),
-            NotificationLatency(("c", 3), 2.0, None),
-        ]
+    # Three expected events, two detected 4 and 8 time units after their
+    # triggers (the alert_quality view of 0→4, 1→9 and a miss).
+    quality = AlertQuality(
+        expected=3, detected=2, duplicates=0, false_alerts=0,
+        displayed=2, filtered=0, arrivals=2, latency_samples=(4.0, 8.0),
     )
-    assert stats.expected == 3
-    assert stats.delivered == 2
-    assert stats.mean == pytest.approx(6.0)
-    assert stats.median == pytest.approx(6.0)
-    assert stats.p95 == pytest.approx(7.8)
-    assert stats.miss_fraction == pytest.approx(1 / 3)
+    assert accel.mean(quality.latency_samples) == pytest.approx(6.0)
+    assert accel.percentiles(quality.latency_samples, (50.0, 95)) == [
+        pytest.approx(6.0), pytest.approx(7.8)
+    ]
+    assert quality.missed / quality.expected == pytest.approx(1 / 3)
 
 
 # -- collector_paused ---------------------------------------------------------
@@ -117,6 +115,55 @@ def test_collector_paused_nests(collector_restored):
             assert not gc.isenabled()
         # The inner scope found it off and leaves it off.
         assert not gc.isenabled()
+    assert gc.isenabled()
+
+
+def test_collector_paused_scopes_may_overlap_without_nesting(collector_restored):
+    # Two scopes on different tasks or threads: A opens, B opens, A ends
+    # first.  The collector stays off until the last open scope ends.
+    gc.enable()
+    a = accel.collector_paused()
+    b = accel.collector_paused()
+    a.__enter__()
+    b.__enter__()
+    a.__exit__(None, None, None)
+    assert not gc.isenabled()
+    b.__exit__(None, None, None)
+    assert gc.isenabled()
+
+
+def test_collector_paused_scopes_on_many_threads(collector_restored):
+    # More threads than cores, switching often: every scope sees the
+    # collector off, and once all have ended it is back on — a lost
+    # update to the shared scope count would leave it off for good.
+    import sys
+    import threading
+
+    gc.enable()
+    seen_on = []
+    start = threading.Barrier(4)
+
+    def churn():
+        start.wait(timeout=60)
+        for _ in range(10_000):
+            with accel.collector_paused():
+                for _ in range(20):  # each pass a point to switch threads
+                    pass
+                if gc.isenabled():
+                    seen_on.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not seen_on
     assert gc.isenabled()
 
 

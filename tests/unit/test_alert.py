@@ -2,7 +2,6 @@
 
 from repro.core.alert import (
     Alert,
-    alert_identity_set,
     make_alert,
 )
 from repro.core.update import Update
@@ -57,6 +56,6 @@ class TestAlert:
 
 
 class TestHelpers:
-    def test_alert_identity_set(self):
+    def test_equal_alerts_share_one_identity(self):
         alerts = [deg2(3, 1), deg2(3, 1), deg2(4, 3)]
-        assert len(alert_identity_set(alerts)) == 2
+        assert len(frozenset(a.identity() for a in alerts)) == 2

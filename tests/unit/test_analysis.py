@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import collect_arrival_streams
-from repro.analysis.metrics import collect_metrics, delivery_stats
+from repro.analysis.metrics import collect_metrics
 from repro.analysis.tables import (
     EXPECTED_GRIDS,
     TABLE_CONFIG,
@@ -13,6 +13,7 @@ from repro.analysis.tables import (
 )
 from repro.components.system import SystemConfig, run_system
 from repro.core.condition import c1
+from repro.quality.metrics import alert_quality
 
 
 WORKLOAD = {"x": [(float(t) * 10, 3100.0 if t % 2 else 2900.0) for t in range(10)]}
@@ -40,26 +41,30 @@ class TestMetrics:
         # Lossless: CE2's alerts are exact duplicates -> half filtered.
         assert metrics.alerts_filtered / metrics.alerts_arrived == pytest.approx(0.5)
 
-    def test_delivery_stats_perfect_system(self):
+    def test_nothing_missed_by_a_perfect_system(self):
         config = SystemConfig(replication=2, front_loss=0.0)
         run = run_system(c1(), WORKLOAD, config, seed=1)
-        stats = delivery_stats(run)
-        assert stats.expected == 5  # alternating above-threshold readings
-        assert stats.delivered == 5
-        assert stats.miss_fraction == 0.0
+        quality = alert_quality(run)
+        assert quality.expected == 5  # alternating above-threshold readings
+        assert quality.detected == 5
+        assert quality.missed == 0
+        assert quality.recall == 1.0
 
-    def test_delivery_stats_total_loss(self):
+    def test_everything_missed_under_total_loss(self):
         config = SystemConfig(replication=1, front_loss=1.0)
         run = run_system(c1(), WORKLOAD, config, seed=1)
-        stats = delivery_stats(run)
-        assert stats.delivered == 0
-        assert stats.miss_fraction == 1.0
+        quality = alert_quality(run)
+        assert quality.detected == 0
+        assert quality.missed == quality.expected == 5
+        assert quality.recall == 0.0
 
     def test_zero_expected_miss_fraction(self):
         cold = {"x": [(0.0, 2000.0)]}
         config = SystemConfig(replication=1, front_loss=0.0)
         run = run_system(c1(), cold, config, seed=1)
-        assert delivery_stats(run).miss_fraction == 0.0
+        quality = alert_quality(run)
+        assert quality.expected == quality.missed == 0
+        assert quality.recall == 1.0
 
 
 class TestGridMatching:

@@ -328,6 +328,7 @@ class TestFeedCommands:
         finally:
             thread.join(timeout=10)
             loop.close()
+        assert not thread.is_alive()
         assert service.connections_handled == 1
 
 

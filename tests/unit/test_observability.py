@@ -10,7 +10,7 @@ from repro.core.alert import make_alert
 from repro.core.update import Update
 from repro.displayers import AD1, AD2, AD3, AD4, AD5, AD6
 from repro.displayers.registry import make_ad
-from tests.conftest import alert_deg1, alert_deg2, alert_xy
+from tests.conftest import RETIRED_SPEC_FIELD, alert_deg1, alert_deg2, alert_xy
 from repro.engine.spec import TrialSpec
 from repro.observability import (
     SCHEMA_VERSION,
@@ -175,6 +175,13 @@ class TestTraceFiles:
                 lambda spec: spec.update(sharding=None),
                 "trace spec has an unknown field 'sharding'",
                 id="retired-field",
+            ),
+            pytest.param(
+                # Traces recorded while specs carried the identity-set
+                # delivery flag.
+                lambda spec: spec.update({RETIRED_SPEC_FIELD: False}),
+                f"trace spec has an unknown field '{RETIRED_SPEC_FIELD}'",
+                id="retired-collect-delivery",
             ),
             pytest.param(
                 lambda spec: spec.pop("seed"), "trace spec has no 'seed' field",

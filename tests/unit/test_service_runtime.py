@@ -40,7 +40,7 @@ from repro.service.feed import (
     encode_message,
 )
 from repro.service.server import ServiceError, execute_feed
-from tests.conftest import Knot, collections_started
+from tests.conftest import RETIRED_SPEC_FIELD, Knot, collections_started
 
 SPEC = TrialSpec(
     matrix="single", row="aggressive", algorithm="AD-3", seed=7, n_updates=25
@@ -926,6 +926,13 @@ class TestHostileStreams:
                 id="unknown-spec-field",
             ),
             pytest.param(
+                # Feeds recorded while specs carried the identity-set
+                # delivery flag.
+                on_hello(lambda h: h["spec"].update({RETIRED_SPEC_FIELD: False})),
+                f"unknown field '{RETIRED_SPEC_FIELD}'",
+                id="retired-collect-delivery",
+            ),
+            pytest.param(
                 # CE1's stamp block ends half-way through a stamp.
                 lambda m: m.__setitem__(1, payload_of(encode_message(m[1]))[:-8]),
                 "is not 3 + 16n",
@@ -1168,8 +1175,9 @@ class TestOverlappingConnections:
     ):
         # Each connection's reader yields between slices of a read, so two
         # live pipelines take turns slice by slice on one loop.  Neither
-        # may see the other's state, and the one collector pause they
-        # share is taken by the first and released by the last.
+        # may see the other's state.  Each holds its own collector scope;
+        # the scopes overlap without nesting, and the pause they share is
+        # taken by the first and released only by the last to end.
         import repro.service.server as server
 
         other = record_feed(dataclasses.replace(  # several reads long
@@ -1186,7 +1194,7 @@ class TestOverlappingConnections:
             events.append("pause")
             with paused():
                 yield
-            events.append("resume")
+            events.append("resume:" + ("on" if gc.isenabled() else "off"))
 
         async def overlapping(self, reader):
             # Neither pipeline reads until both are live.
@@ -1226,7 +1234,11 @@ class TestOverlappingConnections:
         assert len(steps) == len(feed.deliveries) + len(other.deliveries)
         assert set(steps) == {"paused"}
         lifecycle = [event for event in events if event not in ("paused", "collecting")]
-        assert lifecycle == ["pause", "done", "done", "resume"]
+        assert lifecycle[:2] == ["pause", "pause"]
+        assert lifecycle.count("done") == 2
+        resumes = [event for event in lifecycle if event.startswith("resume")]
+        assert resumes == ["resume:off", "resume:on"]
+        assert lifecycle[-1] == "resume:on"
         assert gc.isenabled()
 
 
